@@ -1332,6 +1332,7 @@ impl ScenarioSpec {
             }
             flows
         };
+        b.reserve_mns(self.pedestrians as usize + self.cyclists as usize + self.vehicles as usize);
         let mut idx = 0usize;
         for p in 0..self.pedestrians as usize {
             // Pedestrians wander the street row of one domain.

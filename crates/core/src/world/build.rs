@@ -6,7 +6,7 @@
 //! Cellular IP trees and RSMCs, Mobile IP entities, and the mobile-node
 //! population with its multimedia flows.
 
-use super::mn::MnTable;
+use super::mn::{MnTable, NO_CELL};
 use super::{DomainState, World, WorldConfig};
 use crate::hierarchy::Hierarchy;
 use crate::location::LocationDirectory;
@@ -16,7 +16,7 @@ use crate::report::SimReport;
 use crate::rsmc::Rsmc;
 use mtnet_cellularip::{CipConfig, CipNetwork, MnCipState};
 use mtnet_mobileip::{ForeignAgent, HomeAgent, MobileNode};
-use mtnet_mobility::{MobilityModel, Point, Trajectory};
+use mtnet_mobility::{MobilityModel, Point};
 use mtnet_net::{Addr, FlowId, LinkConfig, NodeId, Prefix, Topology};
 use mtnet_radio::{Cell, CellId, CellKind, CellMap};
 use mtnet_sim::FxHashMap;
@@ -170,6 +170,12 @@ impl WorldBuilder {
     }
 
     fn alloc_cell(&mut self) -> CellId {
+        // The mobile-node hot row stores the serving cell with one id
+        // reserved for "detached".
+        assert!(
+            self.next_cell != NO_CELL,
+            "cell id space exhausted: {NO_CELL} is reserved"
+        );
         let id = CellId(self.next_cell);
         self.next_cell += 1;
         id
@@ -288,6 +294,14 @@ impl WorldBuilder {
         didx
     }
 
+    /// Sizes the per-node tables for `n` more [`WorldBuilder::add_mn`]
+    /// calls. Optional, but a builder that knows its population should
+    /// say so: the tables then allocate once instead of doubling (and
+    /// copying) their way up.
+    pub fn reserve_mns(&mut self, n: usize) {
+        self.mns.reserve(n);
+    }
+
     /// Adds a mobile node with the given mobility model and flows. Home
     /// addresses are arithmetic (dense, 250 per /24 from 10.0.2.1 — see
     /// [`super::mn::home_addr`]); populations past the 10.0.0.0/16
@@ -298,7 +312,7 @@ impl WorldBuilder {
         let ha_addr = self.ha.addr();
         let id = self.mns.push(
             home,
-            Trajectory::new(model),
+            model,
             self.master_rng.child(&format!("mn{idx}/mobility")),
             MobileNode::new(home, ha_addr),
             MnCipState::new(self.cfg.cip_timers, SimTime::ZERO),
@@ -474,5 +488,18 @@ impl WorldBuilder {
             replicated_events: 0,
             report,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "cell id space exhausted")]
+    fn the_detached_sentinel_is_never_deployed_as_a_cell() {
+        let mut b = WorldBuilder::new(WorldConfig::default());
+        b.next_cell = NO_CELL;
+        b.add_domain(DomainSpec::default());
     }
 }

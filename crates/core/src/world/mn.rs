@@ -5,13 +5,28 @@
 //! uplink tick or packet is being processed). The per-node state
 //! therefore lives in parallel columns — one `Vec` per field, indexed by
 //! the dense [`MnId`] — following the `CellMap` SoA lane idiom: each
-//! handler touches only the columns it needs, so a move sample streams
-//! through `traj`/`rng`/`attached` without dragging the Mobile IP state
-//! machine or the CIP timers through the cache.
+//! handler touches only the columns it needs, so a move sample never
+//! drags the Mobile IP state machine or the CIP timers through the cache.
 //!
-//! Two further rules keep the table a memory diet rather than just a
+//! Columns are split by *when* they are read, not only by field. On a
+//! metro world every event lands on a node whose state has long left the
+//! cache, so a handler pays one memory round trip per column it walks —
+//! and a chain of dependent loads (row → heap block → heap block) pays
+//! them one after another. Everything the common-case move sample needs
+//! from the node — the current mobility leg, the serving cell, whether a
+//! handoff is in flight — is therefore one 64-byte, 64-byte-aligned
+//! [`MnHot`] row: one cache line, no pointer to chase. The boxed mobility
+//! model and its RNG stream sit together in the cold [`MnMotion`] column
+//! that only a leg rollover dereferences, and the in-flight handoff's
+//! payload stays in `pending`, read only when the hot row's flag is set.
+//!
+//! Three further rules keep the table a memory diet rather than just a
 //! transpose:
 //!
+//! * **Columns are sized once.** [`MnTable::reserve`] takes the
+//!   population before the first row: a 64-byte-aligned `Vec` cannot
+//!   grow in place, so unreserved pushes would copy the hot column at
+//!   every doubling.
 //! * **Inactive nodes carry only their row.** Every per-MN map the world
 //!   used to key by *home address* (CN route cache, MNLD, RSMC auth
 //!   registry) is either a dense column here or epoch-tagged per-row
@@ -25,7 +40,7 @@ use super::PendingAttach;
 use crate::messages::MnId;
 use mtnet_cellularip::MnCipState;
 use mtnet_mobileip::MobileNode;
-use mtnet_mobility::Trajectory;
+use mtnet_mobility::{LegCursor, MobilityModel, Point};
 use mtnet_net::Addr;
 use mtnet_radio::CellId;
 use mtnet_sim::{RngStream, SimTime};
@@ -78,20 +93,68 @@ pub(crate) struct MnHandle {
     gen: u32,
 }
 
-/// The mobile-node population, one column per field (see module docs).
+/// [`MnHot::serving`]'s "not attached" encoding. `WorldBuilder` never
+/// deploys a cell with this id.
+pub(crate) const NO_CELL: u32 = u32::MAX;
+
+/// Everything a move sample reads from its node, in one cache line.
+#[derive(Debug)]
+#[repr(align(64))]
+pub(crate) struct MnHot {
+    /// The mobility leg covering the latest sample.
+    cursor: LegCursor,
+    /// Serving cell id, [`NO_CELL`] when detached (`Option<CellId>` would
+    /// spend 8 bytes and push the row past the line).
+    serving: u32,
+    /// True while a handoff is decided but the radio has not retuned:
+    /// exactly when `MnTable::pending` holds the payload for this row.
+    handoff_in_flight: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<MnHot>() == 64 && std::mem::align_of::<MnHot>() == 64);
+
+impl MnHot {
+    /// The serving cell, `None` when detached.
+    #[inline]
+    pub(crate) fn serving(&self) -> Option<CellId> {
+        (self.serving != NO_CELL).then_some(CellId(self.serving))
+    }
+
+    #[inline]
+    pub(crate) fn set_serving(&mut self, cell: Option<CellId>) {
+        debug_assert_ne!(cell, Some(CellId(NO_CELL)), "cell id collides with NO_CELL");
+        self.serving = cell.map_or(NO_CELL, |c| c.0);
+    }
+
+    #[inline]
+    pub(crate) fn handoff_in_flight(&self) -> bool {
+        self.handoff_in_flight
+    }
+}
+
+/// What a leg rollover needs and nothing else does: the leg generator
+/// and the node's private random stream.
+pub(crate) struct MnMotion {
+    model: Box<dyn MobilityModel + Send>,
+    rng: RngStream,
+}
+
+/// The mobile-node population, one column per access pattern (see
+/// module docs).
 ///
-/// Columns are `pub(crate)` and accessed positionally
-/// (`mns.attached[i]`); distinct columns borrow independently, which is
-/// exactly what the split-borrow sites (trajectory + its RNG stream)
-/// need.
+/// Columns are `pub(crate)` and accessed positionally (`mns.mip[i]`);
+/// distinct columns borrow independently, which is exactly what the
+/// split-borrow sites (leg cursor + its model and RNG stream) need.
 #[derive(Default)]
 pub(crate) struct MnTable {
     pub(crate) home: Vec<Addr>,
-    pub(crate) traj: Vec<Trajectory>,
-    pub(crate) rng: Vec<RngStream>,
+    pub(crate) hot: Vec<MnHot>,
+    motion: Vec<MnMotion>,
     pub(crate) mip: Vec<MobileNode>,
     pub(crate) cip: Vec<MnCipState>,
-    pub(crate) attached: Vec<Option<CellId>>,
+    /// Payload of the in-flight handoff; `Some` exactly when the hot
+    /// row's flag is set. Written only through [`MnTable::begin_handoff`]
+    /// and [`MnTable::take_pending`].
     pub(crate) pending: Vec<Option<PendingAttach>>,
     /// Cell the node most recently left, for ping-pong detection.
     pub(crate) prev_cell: Vec<Option<(CellId, SimTime)>>,
@@ -117,23 +180,42 @@ impl MnTable {
         self.home.len()
     }
 
+    /// Sizes every column for `additional` more rows.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.home.reserve(additional);
+        self.hot.reserve(additional);
+        self.motion.reserve(additional);
+        self.mip.reserve(additional);
+        self.cip.reserve(additional);
+        self.pending.reserve(additional);
+        self.prev_cell.reserve(additional);
+        self.channel_cell.reserve(additional);
+        self.last_paging_update.reserve(additional);
+        self.has_flow.reserve(additional);
+        self.auth.reserve(additional);
+        self.gen.reserve(additional);
+    }
+
     /// Appends a row; the caller supplies the identity/state columns,
     /// the bookkeeping columns start empty.
     pub(crate) fn push(
         &mut self,
         home: Addr,
-        traj: Trajectory,
+        model: Box<dyn MobilityModel + Send>,
         rng: RngStream,
         mip: MobileNode,
         cip: MnCipState,
     ) -> MnId {
         let id = MnId(self.len() as u32);
         self.home.push(home);
-        self.traj.push(traj);
-        self.rng.push(rng);
+        self.hot.push(MnHot {
+            cursor: LegCursor::new(),
+            serving: NO_CELL,
+            handoff_in_flight: false,
+        });
+        self.motion.push(MnMotion { model, rng });
         self.mip.push(mip);
         self.cip.push(cip);
-        self.attached.push(None);
         self.pending.push(None);
         self.prev_cell.push(None);
         self.channel_cell.push(None);
@@ -142,6 +224,42 @@ impl MnTable {
         self.auth.push(Vec::new());
         self.gen.push(0);
         id
+    }
+
+    /// Position and speed (m/s) of row `i` at `now` — one hot-row read
+    /// unless the leg rolls over.
+    #[inline]
+    pub(crate) fn sample(&mut self, i: usize, now: SimTime) -> (Point, f64) {
+        let MnMotion { model, rng } = &mut self.motion[i];
+        self.hot[i].cursor.sample(now, model, rng)
+    }
+
+    /// Records a decided handoff for row `i`: flag and payload together.
+    pub(crate) fn begin_handoff(&mut self, i: usize, pending: PendingAttach) {
+        debug_assert_eq!(self.hot[i].handoff_in_flight, self.pending[i].is_some());
+        self.hot[i].handoff_in_flight = true;
+        self.pending[i] = Some(pending);
+    }
+
+    /// Completes row `i`'s in-flight handoff, if any: clears the flag and
+    /// hands back the payload.
+    pub(crate) fn take_pending(&mut self, i: usize) -> Option<PendingAttach> {
+        debug_assert_eq!(self.hot[i].handoff_in_flight, self.pending[i].is_some());
+        if !self.hot[i].handoff_in_flight {
+            return None;
+        }
+        self.hot[i].handoff_in_flight = false;
+        self.pending[i].take()
+    }
+
+    /// Target cell of row `i`'s in-flight handoff. Reads the payload
+    /// column only when the hot row says there is one.
+    #[inline]
+    pub(crate) fn pending_target(&self, i: usize) -> Option<CellId> {
+        if !self.hot[i].handoff_in_flight {
+            return None;
+        }
+        self.pending[i].map(|p| p.target)
     }
 
     /// A generation-checked handle to row `id`.
@@ -216,22 +334,59 @@ mod tests {
         assert_eq!(first_outside, "10.1.0.1".parse().unwrap());
     }
 
+    fn push_row(t: &mut MnTable) -> MnId {
+        let idx = t.len() as u32;
+        t.push(
+            home_addr(idx),
+            Box::new(mtnet_mobility::Stationary::new(Point::new(0.0, 0.0))),
+            RngStream::from_seed(1),
+            MobileNode::new(home_addr(idx), "10.0.0.1".parse().unwrap()),
+            MnCipState::new(mtnet_cellularip::CipTimers::default(), SimTime::ZERO),
+        )
+    }
+
     #[test]
     fn handles_are_generation_checked() {
         let mut t = MnTable::default();
-        let id = t.push(
-            home_addr(0),
-            Trajectory::new(Box::new(mtnet_mobility::Stationary::new(
-                mtnet_mobility::Point::new(0.0, 0.0),
-            ))),
-            RngStream::from_seed(1),
-            MobileNode::new(home_addr(0), "10.0.0.1".parse().unwrap()),
-            MnCipState::new(mtnet_cellularip::CipTimers::default(), SimTime::ZERO),
-        );
+        let id = push_row(&mut t);
         let h = t.handle(id);
         assert_eq!(t.resolve(h), Some(id));
         // A bumped generation invalidates outstanding handles.
         t.gen[id.0 as usize] += 1;
         assert_eq!(t.resolve(h), None);
+    }
+
+    #[test]
+    fn serving_cell_round_trips_up_to_the_sentinel() {
+        let mut t = MnTable::default();
+        let i = push_row(&mut t).0 as usize;
+        assert_eq!(t.hot[i].serving(), None, "rows start detached");
+        for id in [0, 1, 2357, NO_CELL - 1] {
+            t.hot[i].set_serving(Some(CellId(id)));
+            assert_eq!(t.hot[i].serving(), Some(CellId(id)));
+        }
+        t.hot[i].set_serving(None);
+        assert_eq!(t.hot[i].serving(), None);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "collides with NO_CELL")]
+    fn the_sentinel_is_not_a_cell() {
+        let mut t = MnTable::default();
+        let i = push_row(&mut t).0 as usize;
+        t.hot[i].set_serving(Some(CellId(NO_CELL)));
+    }
+
+    #[test]
+    fn a_reserved_table_never_moves_its_aligned_column() {
+        let mut t = MnTable::default();
+        t.reserve(1000);
+        let hot = t.hot.as_ptr();
+        for _ in 0..1000 {
+            push_row(&mut t);
+        }
+        assert_eq!(t.hot.as_ptr(), hot, "the aligned column never moved");
+        assert_eq!(t.hot.as_ptr() as usize % 64, 0);
     }
 }

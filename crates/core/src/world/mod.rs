@@ -583,7 +583,7 @@ impl World {
     /// Transmits an uplink packet from `mn` via its serving BS; the packet
     /// enters the wired world at the BS node with `from: None`.
     fn air_up(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId, payload: Payload, dst: Addr) {
-        let Some(cell) = self.mns.attached[mn.0 as usize] else {
+        let Some(cell) = self.mns.hot[mn.0 as usize].serving() else {
             return;
         };
         let src = self.mns.home[mn.0 as usize];
@@ -889,7 +889,7 @@ impl World {
                     self.forward_wired(ctx, node, pkt);
                     return;
                 };
-                if self.mns.attached[mn.0 as usize] == Some(cell) {
+                if self.mns.hot[mn.0 as usize].serving() == Some(cell) {
                     self.air_down(ctx, cell, mn, pkt);
                 } else {
                     if payload.is_data() {
@@ -1161,8 +1161,7 @@ impl World {
                 if let CipControl::Semisoft { mn } = control {
                     if let Some(mnid) = self.mn_of(mn) {
                         let i = mnid.0 as usize;
-                        let (old, target) =
-                            (self.mns.attached[i], self.mns.pending[i].map(|p| p.target));
+                        let (old, target) = (self.mns.hot[i].serving(), self.mns.pending_target(i));
                         if let (Some(old), Some(target)) = (old, target) {
                             let old_node = self.node_of_cell(old);
                             let new_node = self.node_of_cell(target);
@@ -1468,7 +1467,7 @@ impl World {
                 // A flooded page wakes the node: it answers with a route
                 // update so subsequent packets flow.
                 if let Some(mnid) = self.mn_of(mn_addr) {
-                    if self.mns.attached[mnid.0 as usize].is_some() {
+                    if self.mns.hot[mnid.0 as usize].serving().is_some() {
                         let dst = self.topo.addr_of(node);
                         self.report.signaling.route_updates += 1;
                         self.air_up(
@@ -1506,11 +1505,11 @@ impl World {
         };
         self.arena.free(pkt);
         let i = mn.0 as usize;
-        let pos = self.mns.traj[i].position(now, &mut self.mns.rng[i]);
+        let (pos, _) = self.mns.sample(i, now);
         // Semisoft: the node effectively listens to both the old cell and
         // the pending target; FlowQos de-duplicates.
-        let attached_ok = self.mns.attached[i] == Some(cell)
-            || self.mns.pending[i].map(|p| p.target) == Some(cell) && !self.cfg.mip_only;
+        let attached_ok = self.mns.hot[i].serving() == Some(cell)
+            || self.mns.pending_target(i) == Some(cell) && !self.cfg.mip_only;
         // Radio truth: the transmission only lands if the node is actually
         // inside the cell's radio range right now (one distance pass for
         // the footprint check and the path loss).
@@ -1611,11 +1610,10 @@ impl World {
         ctx.schedule_in(self.cfg.move_sample, Ev::MoveSample(mn));
         let i = mn.0 as usize;
         // A handoff already in flight: wait for it to complete.
-        if self.mns.pending[i].is_some() {
+        if self.mns.hot[i].handoff_in_flight() {
             return;
         }
-        let pos = self.mns.traj[i].position(now, &mut self.mns.rng[i]);
-        let speed = self.mns.traj[i].speed(now, &mut self.mns.rng[i]);
+        let (pos, speed) = self.mns.sample(i, now);
         // Candidate set restricted by the deployed tiers. Both buffers are
         // scratch space owned by the world: the measurement pass and the
         // candidate list cost no allocation per sample.
@@ -1639,7 +1637,7 @@ impl World {
             }
         }
         self.measure_scratch = measurements;
-        let current = self.mns.attached[i].map(|cell| {
+        let current = self.mns.hot[i].serving().map(|cell| {
             let tier = Tier::of_cell(self.cells.cell(cell).expect("known cell").kind());
             let rssi = candidates
                 .iter()
@@ -1659,7 +1657,8 @@ impl World {
                 self.report.handoffs.outage_samples += 1;
                 // Coverage hole: the radio link is gone. Detach, release
                 // the channel, and let Mobile IP know the link dropped.
-                if self.mns.attached[i].take().is_some() {
+                if self.mns.hot[i].serving().is_some() {
+                    self.mns.hot[i].set_serving(None);
                     if let Some(held) = self.mns.channel_cell[i].take() {
                         if let Some(c) = self.cells.cell_mut(held) {
                             c.channels_mut().release();
@@ -1684,7 +1683,7 @@ impl World {
         fallback: Option<CellId>,
     ) {
         let now = ctx.now();
-        let old = self.mns.attached[mn.0 as usize];
+        let old = self.mns.hot[mn.0 as usize].serving();
         let kind = if old.is_some() {
             CallKind::Handoff
         } else {
@@ -1739,13 +1738,16 @@ impl World {
         }
 
         let htype = old.map(|o| classify(&self.hierarchy, o, granted));
-        self.mns.pending[mn.0 as usize] = Some(PendingAttach {
-            target: granted,
-            old,
-            htype,
-            decided_at: now,
-            holds_channel,
-        });
+        self.mns.begin_handoff(
+            mn.0 as usize,
+            PendingAttach {
+                target: granted,
+                old,
+                htype,
+                decided_at: now,
+                holds_channel,
+            },
+        );
 
         // Semisoft (micro-tier targets in CIP architectures): notify the
         // new path before retuning.
@@ -1794,7 +1796,7 @@ impl World {
     fn handle_attach(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId) {
         let now = ctx.now();
         let i = mn.0 as usize;
-        let Some(pending) = self.mns.pending[i].take() else {
+        let Some(pending) = self.mns.take_pending(i) else {
             return;
         };
         let target = pending.target;
@@ -1818,7 +1820,7 @@ impl World {
         if let Some(o) = old {
             self.mns.prev_cell[i] = Some((o, now));
         }
-        self.mns.attached[i] = Some(target);
+        self.mns.hot[i].set_serving(Some(target));
         self.mns.cip[i].touch(now);
 
         if let Some(htype) = pending.htype {
@@ -1977,7 +1979,7 @@ impl World {
                 .unwrap_or(self.cfg.cip_timers.route_update)
         };
         ctx.schedule_in(period, Ev::Uplink(mn));
-        let Some(cell) = self.mns.attached[i] else {
+        let Some(cell) = self.mns.hot[i].serving() else {
             return;
         };
         let mn_addr = self.mns.home[i];
@@ -2057,7 +2059,7 @@ impl World {
         if self.cfg.mip_only {
             return;
         }
-        let Some(cell) = self.mns.attached[mn.0 as usize] else {
+        let Some(cell) = self.mns.hot[mn.0 as usize].serving() else {
             return;
         };
         let mn_addr = self.mns.home[mn.0 as usize];
@@ -2313,11 +2315,20 @@ impl World {
     }
 
     /// Runs the world for `duration` and extracts the report.
+    pub fn run(self, duration: SimDuration) -> SimReport {
+        let mut sim = self.launch();
+        sim.run_until(SimTime::ZERO + duration);
+        let events = sim.events_processed();
+        sim.into_model().finish_report(duration, events)
+    }
+
+    /// The world on its simulator with every periodic process and fault
+    /// edge scheduled, nothing run yet.
     ///
     /// The initial schedule below is mirrored (with ownership filters) by
     /// `shard::into_replica` — keep the two in sync, the sharded engine's
     /// bit-exactness depends on identical program order.
-    pub fn run(self, duration: SimDuration) -> SimReport {
+    fn launch(self) -> Simulator<World> {
         let kind = self.cfg.scheduler;
         let batched = shard::dispatch_batching_from_env().unwrap_or(self.cfg.dispatch_batching);
         let mut sim = Simulator::new(self)
@@ -2346,9 +2357,7 @@ impl World {
         for (idx, t) in fault_times.into_iter().enumerate() {
             sim.schedule_at(t, Ev::Fault(idx));
         }
-        sim.run_until(SimTime::ZERO + duration);
-        let events = sim.events_processed();
-        sim.into_model().finish_report(duration, events)
+        sim
     }
 
     /// Extracts the final report from a finished world: the shared tail

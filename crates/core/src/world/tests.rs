@@ -238,7 +238,12 @@ fn channel_accounting_balances() {
     }
     sim.run_until(SimTime::from_secs(30));
     let world = sim.into_model();
-    let attached = world.mns.attached.iter().filter(|a| a.is_some()).count();
+    let attached = world
+        .mns
+        .hot
+        .iter()
+        .filter(|h| h.serving().is_some())
+        .count();
     let in_use: u32 = world.cells.cells().map(|c| c.channels().in_use()).sum();
     assert_eq!(
         in_use as usize, attached,
@@ -284,7 +289,9 @@ fn vehicle_prefers_macro_pedestrian_prefers_micro() {
     let world = sim.into_model();
     // Population layout: pedestrians first, then cyclists, then vehicles.
     let tier_of = |i: usize| {
-        world.mns.attached[i].map(|c| Tier::of_cell(world.cells.cell(c).expect("cell").kind()))
+        world.mns.hot[i]
+            .serving()
+            .map(|c| Tier::of_cell(world.cells.cell(c).expect("cell").kind()))
     };
     assert_eq!(tier_of(0), Some(Tier::Micro), "pedestrian in micro tier");
     assert_eq!(
@@ -392,7 +399,7 @@ fn outage_detaches_and_releases_channel() {
     // Long enough to attach and then drive out of the strip.
     sim.run_until(SimTime::from_secs(120));
     let world = sim.into_model();
-    if world.mns.attached[0].is_none() {
+    if world.mns.hot[0].serving().is_none() {
         let in_use: u32 = world.cells.cells().map(|c| c.channels().in_use()).sum();
         assert_eq!(in_use, 0, "detached node must not hold a channel");
     }
@@ -551,6 +558,58 @@ fn route_cache_matches_routing_tables() {
             );
         }
     }
+}
+
+/// Runs `world` to `secs` in `checkpoints` slices and, at every stop and
+/// at the end, checks each row's handoff-in-flight flag against the
+/// payload column it summarizes. Returns how many in-flight rows the
+/// stops saw, so callers can tell the check was not vacuous.
+fn audit_handoff_flags(world: World, secs: u64, checkpoints: u64) -> (u64, SimReport) {
+    let mut sim = world.launch();
+    let mut seen_in_flight = 0;
+    for k in 1..=checkpoints {
+        sim.run_until(SimTime::from_millis(secs * 1000 * k / checkpoints));
+        let mns = &sim.model().mns;
+        for i in 0..mns.len() {
+            let flag = mns.hot[i].handoff_in_flight();
+            assert_eq!(
+                flag,
+                mns.pending[i].is_some(),
+                "row {i} at {:?}: flag and payload disagree",
+                sim.now()
+            );
+            seen_in_flight += u64::from(flag);
+        }
+    }
+    let events = sim.events_processed();
+    let report = sim
+        .into_model()
+        .finish_report(SimDuration::from_secs(secs), events);
+    (seen_in_flight, report)
+}
+
+#[test]
+fn handoff_flag_mirrors_pending_payload_in_a_city() {
+    // The busiest of the city families: channel contention, fallbacks
+    // and rejections on top of plain handoffs.
+    let spec = crate::spec::ScenarioSpec::dense_urban();
+    let (in_flight, report) = audit_handoff_flags(spec.build(42), 30, 499);
+    assert!(report.handoffs.total() > 20, "{:?}", report.handoffs);
+    assert!(in_flight > 0, "no checkpoint caught a handoff in flight");
+    // The sliced run is the same run.
+    assert_eq!(
+        report.fingerprint(),
+        spec.build(42).run(SimDuration::from_secs(30)).fingerprint()
+    );
+}
+
+#[test]
+fn handoff_flag_mirrors_pending_payload_in_a_metro() {
+    let mut spec = crate::spec::ScenarioSpec::metro_smoke();
+    spec.duration_s = 20.0;
+    let (in_flight, report) = audit_handoff_flags(spec.build(42), 20, 499);
+    assert!(report.handoffs.total() > 1000, "{:?}", report.handoffs);
+    assert!(in_flight > 0, "no checkpoint caught a handoff in flight");
 }
 
 // ----------------------------------------------------------------------

@@ -138,7 +138,7 @@ mod tests {
             Point::new(50.0, 0.0)
         );
         // Always moving at configured speed.
-        assert_eq!(traj.speed(SimTime::from_secs(17), &mut r), 10.0);
+        assert_eq!(traj.speed(SimTime::from_secs(27), &mut r), 10.0);
     }
 
     #[test]

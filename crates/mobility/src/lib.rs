@@ -13,8 +13,10 @@
 //! * [`LinearCommute`] — a straight constant-speed path (domain-crossing
 //!   experiments, Figs 3.2–3.3).
 //! * [`Stationary`] — a node that never moves.
-//! * [`Trajectory`] — lazily materialized legs with O(log n) position
-//!   queries at arbitrary times.
+//! * [`Trajectory`] — a model plus the one leg it is currently on: O(1)
+//!   position-and-speed queries at non-decreasing times, constant memory.
+//! * [`LegCursor`] — that current leg alone (56 bytes, `Copy`), for tables
+//!   that keep it inline in a hot row and the boxed model elsewhere.
 //!
 //! ```
 //! use mtnet_mobility::{LinearCommute, Point, Trajectory};
@@ -40,6 +42,6 @@ mod waypoint;
 pub use commute::LinearCommute;
 pub use geometry::{Point, Rect, Vec2};
 pub use manhattan::ManhattanGrid;
-pub use model::{Leg, MobilityModel, Stationary, Trajectory};
+pub use model::{Leg, LegCursor, MobilityModel, Stationary, Trajectory};
 pub use speed::SpeedClass;
 pub use waypoint::RandomWaypoint;

@@ -2,6 +2,7 @@
 
 use crate::geometry::Point;
 use mtnet_sim::{RngStream, SimDuration, SimTime};
+use std::num::NonZeroU64;
 
 /// One straight constant-speed segment of a trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,6 +69,19 @@ pub trait MobilityModel {
     fn start(&self) -> Point;
 }
 
+/// A boxed model is a model, so code generic over `M: MobilityModel` can
+/// be handed the box itself and dereference it only when it asks for a
+/// leg.
+impl<M: MobilityModel + ?Sized> MobilityModel for Box<M> {
+    fn next_leg(&mut self, current: Point, rng: &mut RngStream) -> Leg {
+        (**self).next_leg(current, rng)
+    }
+
+    fn start(&self) -> Point {
+        (**self).start()
+    }
+}
+
 /// A node that never moves — the degenerate mobility model.
 #[derive(Debug, Clone, Copy)]
 pub struct Stationary {
@@ -91,156 +105,180 @@ impl MobilityModel for Stationary {
     }
 }
 
-/// A trajectory: legs materialized on demand from a [`MobilityModel`],
-/// with position and speed queries at (per-trajectory non-decreasing)
-/// times.
+/// Shortest time a leg occupies on the trajectory's clock: zero-length
+/// legs would stall materialization forever.
+const MIN_LEG: SimDuration = SimDuration::from_millis(1);
+
+/// The leg a trajectory is currently on.
+#[derive(Debug, Clone, Copy)]
+struct CurrentLeg {
+    leg: Leg,
+    /// End of the leg in simulated nanoseconds. Every leg occupies at
+    /// least [`MIN_LEG`], so an end is never zero — which is what lets
+    /// `Option<CurrentLeg>` spend no extra byte on "nothing materialized".
+    /// The start is derived (`end − max(duration, MIN_LEG)`), exact short
+    /// of the clock saturating at `SimTime::MAX` (584 simulated years).
+    end: NonZeroU64,
+}
+
+impl CurrentLeg {
+    /// Pulls the leg that follows one ending at `start` in `from`.
+    fn pull<M: MobilityModel + ?Sized>(
+        from: Point,
+        start: SimTime,
+        model: &mut M,
+        rng: &mut RngStream,
+    ) -> CurrentLeg {
+        let leg = model.next_leg(from, rng);
+        let end = start + leg.duration.max(MIN_LEG);
+        CurrentLeg {
+            leg,
+            end: NonZeroU64::new(end.as_nanos()).expect("a leg ends after it starts"),
+        }
+    }
+
+    fn end(&self) -> SimTime {
+        SimTime::from_nanos(self.end.get())
+    }
+
+    fn start(&self) -> SimTime {
+        self.end() - self.leg.duration.max(MIN_LEG)
+    }
+}
+
+/// The moving part of a trajectory: the one leg that covers the latest
+/// query, without the model that generates legs. 56 bytes and `Copy`, so
+/// a population table can keep it inline in a hot row and the boxed
+/// model in a cold column that only leg rollover touches.
 ///
-/// Memory is **O(1) per trajectory**, not proportional to simulated
-/// time: simulation queries are non-decreasing, so once the cursor has
-/// moved far enough past a leg it is pruned from the cached window
-/// (the metro tier carries 10^6 of these — an ever-growing leg history
-/// would dominate the whole world's footprint). Queries may still go
-/// backwards *within* the retained window (same-instant re-queries,
-/// short replays); a query before the window is a caller bug and
-/// trips a debug assertion.
+/// Queries are **per-cursor non-decreasing** in time. A same-instant
+/// re-query and a backwards query *inside the current leg* stay exact;
+/// a query before the current leg's start is a caller bug (the leg that
+/// covered it is gone) and trips a debug assertion. Nothing accumulates:
+/// a rollover overwrites the leg in place, so memory per trajectory is
+/// constant by construction.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LegCursor {
+    /// `None` until the first query pulls the first leg. Explicit state:
+    /// a first leg of zero duration starting at time zero is a legal leg,
+    /// not an empty cursor.
+    current: Option<CurrentLeg>,
+}
+
+const _: () = assert!(std::mem::size_of::<LegCursor>() == 56);
+
+impl LegCursor {
+    /// A cursor that has not materialized any leg yet.
+    pub const fn new() -> Self {
+        LegCursor { current: None }
+    }
+
+    /// Position and instantaneous speed (m/s) at time `t`, pulling legs
+    /// from `model` until one ends strictly after `t`. `model` and `rng`
+    /// must be the same pair on every call; neither is touched while `t`
+    /// stays inside the current leg.
+    #[inline]
+    pub fn sample<M: MobilityModel + ?Sized>(
+        &mut self,
+        t: SimTime,
+        model: &mut M,
+        rng: &mut RngStream,
+    ) -> (Point, f64) {
+        let cur = match self.current {
+            Some(cur) if t < cur.end() => cur,
+            _ => self.roll_to(t, model, rng),
+        };
+        let start = cur.start();
+        debug_assert!(
+            t >= start,
+            "trajectory query at {t:?} is before the current leg \
+             (start {start:?}): queries must be non-decreasing"
+        );
+        (
+            cur.leg.position_at(t.saturating_since(start)),
+            cur.leg.speed,
+        )
+    }
+
+    /// Leg rollover: replaces the current leg until one covers `t`. The
+    /// first leg starts at time zero from `model.start()`, every later
+    /// one where and when its predecessor ended.
+    #[cold]
+    fn roll_to<M: MobilityModel + ?Sized>(
+        &mut self,
+        t: SimTime,
+        model: &mut M,
+        rng: &mut RngStream,
+    ) -> CurrentLeg {
+        let mut cur = match self.current {
+            Some(cur) => cur,
+            None => CurrentLeg::pull(model.start(), SimTime::ZERO, model, rng),
+        };
+        while cur.end() <= t {
+            cur = CurrentLeg::pull(cur.leg.to, cur.end(), model, rng);
+        }
+        self.current = Some(cur);
+        cur
+    }
+
+    /// End of the current leg (`SimTime::ZERO` before the first query).
+    fn horizon(&self) -> SimTime {
+        self.current.map_or(SimTime::ZERO, |c| c.end())
+    }
+}
+
+/// A trajectory: a [`MobilityModel`] and the [`LegCursor`] walking it,
+/// with position and speed queries at per-trajectory non-decreasing
+/// times (see [`LegCursor`] for the exact contract).
 pub struct Trajectory {
     model: Box<dyn MobilityModel + Send>,
-    /// Cumulative end time of each cached leg.
-    ends: Vec<SimTime>,
-    legs: Vec<Leg>,
-    /// Start time of `legs[0]`: `SimTime::ZERO` until pruning discards
-    /// consumed history, then the end of the last pruned leg.
-    origin: SimTime,
-    /// Index of the leg that answered the last query. Simulation queries
-    /// are (per-trajectory) non-decreasing in time, so the next answer is
-    /// almost always this leg or the one after — an O(1) forward step
-    /// instead of a binary search per query.
-    cursor: usize,
+    cursor: LegCursor,
 }
 
 impl std::fmt::Debug for Trajectory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Trajectory")
-            .field("cached_legs", &self.legs.len())
-            .field(
-                "horizon",
-                &self.ends.last().copied().unwrap_or(SimTime::ZERO),
-            )
+            .field("horizon", &self.cursor.horizon())
             .finish()
     }
 }
 
 impl Trajectory {
-    /// Legs already consumed by the advancing cursor are pruned once this
-    /// many pile up. Large enough that a trajectory serving ordinary
-    /// monotone queries never reallocates after warm-up, small enough
-    /// that the retained window stays a few KiB per node.
-    const PRUNE_THRESHOLD: usize = 32;
-
-    /// Wraps a model into an empty trajectory.
+    /// Wraps a model into a trajectory with no leg materialized yet.
     pub fn new(model: Box<dyn MobilityModel + Send>) -> Self {
         Trajectory {
             model,
-            ends: Vec::new(),
-            legs: Vec::new(),
-            origin: SimTime::ZERO,
-            cursor: 0,
+            cursor: LegCursor::new(),
         }
     }
 
-    /// Drops legs the cursor has fully passed. The current leg (and
-    /// everything after it) is always retained, so monotone and
-    /// same-instant queries are unaffected; only a query that travels
-    /// backwards past the retained window would notice — see the type
-    /// docs.
-    fn prune(&mut self) {
-        if self.cursor < Self::PRUNE_THRESHOLD {
-            return;
-        }
-        self.origin = self.ends[self.cursor - 1];
-        self.ends.drain(..self.cursor);
-        self.legs.drain(..self.cursor);
-        self.cursor = 0;
-    }
-
-    /// Extends the cached legs to cover time `t`.
-    fn materialize_to(&mut self, t: SimTime, rng: &mut RngStream) {
-        let mut horizon = self.ends.last().copied().unwrap_or(self.origin);
-        while horizon <= t {
-            let current = self
-                .legs
-                .last()
-                .map(|l| l.to)
-                .unwrap_or_else(|| self.model.start());
-            let leg = self.model.next_leg(current, rng);
-            // Zero-length legs would stall materialization forever.
-            let duration = leg.duration.max(SimDuration::from_millis(1));
-            horizon += duration;
-            self.ends.push(horizon);
-            self.legs.push(leg);
-        }
-    }
-
-    /// Index of the first leg whose end is strictly after `t` (clamped
-    /// to the last leg) — `partition_point(ends, e <= t)`, served from
-    /// the monotone-query cursor when possible.
-    fn leg_index_at(&mut self, t: SimTime) -> usize {
-        debug_assert!(
-            t >= self.origin,
-            "trajectory query at {t:?} is before the retained window \
-             (origin {:?}): backwards queries must stay within it",
-            self.origin
-        );
-        let n = self.legs.len();
-        let mut i = self.cursor.min(n - 1);
-        let start = if i == 0 {
-            self.origin
-        } else {
-            self.ends[i - 1]
-        };
-        if t < start {
-            // Backwards query (tests, short replays) within the retained
-            // window: full binary search.
-            i = self.ends.partition_point(|e| *e <= t).min(n - 1);
-        } else {
-            while i < n - 1 && self.ends[i] <= t {
-                i += 1;
-            }
-        }
-        self.cursor = i;
-        i
+    /// Position and instantaneous speed (m/s) at time `t`, from one leg
+    /// lookup.
+    #[inline]
+    pub fn sample(&mut self, t: SimTime, rng: &mut RngStream) -> (Point, f64) {
+        self.cursor.sample(t, &mut self.model, rng)
     }
 
     /// Position at time `t` (materializing legs as needed).
     pub fn position(&mut self, t: SimTime, rng: &mut RngStream) -> Point {
-        self.prune();
-        self.materialize_to(t, rng);
-        let i = self.leg_index_at(t);
-        let leg_start = if i == 0 {
-            self.origin
-        } else {
-            self.ends[i - 1]
-        };
-        self.legs[i].position_at(t.saturating_since(leg_start))
+        self.sample(t, rng).0
     }
 
     /// Instantaneous speed (m/s) at time `t`.
     pub fn speed(&mut self, t: SimTime, rng: &mut RngStream) -> f64 {
-        self.prune();
-        self.materialize_to(t, rng);
-        let i = self.leg_index_at(t);
-        self.legs[i].speed
-    }
-
-    /// Number of legs currently cached.
-    pub fn cached_legs(&self) -> usize {
-        self.legs.len()
+        self.sample(t, rng).1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commute::LinearCommute;
+    use crate::geometry::Rect;
+    use crate::manhattan::ManhattanGrid;
+    use crate::speed::SpeedClass;
+    use crate::waypoint::RandomWaypoint;
+    use proptest::prelude::*;
 
     fn rng() -> RngStream {
         RngStream::derive(1, "trajectory-test")
@@ -290,6 +328,7 @@ mod tests {
     }
 
     /// A scripted model emitting fixed legs, for deterministic tests.
+    #[derive(Clone)]
     struct Scripted {
         legs: Vec<Leg>,
         i: usize,
@@ -315,22 +354,17 @@ mod tests {
         ];
         let mut traj = Trajectory::new(Box::new(Scripted { legs, i: 0 }));
         let mut r = rng();
-        assert_eq!(
-            traj.position(SimTime::from_secs(5), &mut r),
-            Point::new(50.0, 0.0)
-        );
-        assert_eq!(
-            traj.position(SimTime::from_secs(12), &mut r),
-            Point::new(100.0, 0.0)
-        );
-        assert_eq!(
-            traj.position(SimTime::from_secs(20), &mut r),
-            Point::new(100.0, 25.0)
-        );
-        // Speeds per segment.
-        assert_eq!(traj.speed(SimTime::from_secs(5), &mut r), 10.0);
-        assert_eq!(traj.speed(SimTime::from_secs(12), &mut r), 0.0);
-        assert_eq!(traj.speed(SimTime::from_secs(20), &mut r), 5.0);
+        // Position and speed together, at non-decreasing times: one per leg.
+        for (secs, pos, speed) in [
+            (5, Point::new(50.0, 0.0), 10.0),
+            (12, Point::new(100.0, 0.0), 0.0),
+            (20, Point::new(100.0, 25.0), 5.0),
+        ] {
+            let t = SimTime::from_secs(secs);
+            assert_eq!(traj.sample(t, &mut r), (pos, speed), "at {t:?}");
+            assert_eq!(traj.position(t, &mut r), pos, "position at {t:?}");
+            assert_eq!(traj.speed(t, &mut r), speed, "speed at {t:?}");
+        }
     }
 
     #[test]
@@ -348,12 +382,57 @@ mod tests {
         assert!((early.x - 10.0).abs() < 1e-9);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn pruning_keeps_cache_bounded_and_answers_bit_exact() {
-        use crate::geometry::Rect;
-        use crate::speed::SpeedClass;
-        use crate::waypoint::RandomWaypoint;
+    #[should_panic(expected = "before the current leg")]
+    fn query_before_the_current_leg_is_a_caller_bug() {
+        let legs = vec![
+            Leg::travel(Point::new(0.0, 0.0), Point::new(100.0, 0.0), 10.0), // 10 s
+            Leg::pause(Point::new(100.0, 0.0), SimDuration::from_secs(5)),
+        ];
+        let mut traj = Trajectory::new(Box::new(Scripted { legs, i: 0 }));
+        let mut r = rng();
+        traj.position(SimTime::from_secs(12), &mut r);
+        traj.position(SimTime::from_secs(5), &mut r);
+    }
 
+    #[test]
+    fn zero_length_first_leg_is_pulled_once() {
+        // "Nothing materialized yet" must be explicit state: a first leg of
+        // zero duration starting at time zero looks exactly like an empty
+        // cursor to anything that infers emptiness from the leg's fields.
+        let here = Point::new(3.0, 4.0);
+        let there = Point::new(3.0, 5.0);
+        let mut model = Scripted {
+            legs: vec![
+                Leg::pause(here, SimDuration::ZERO),
+                Leg::travel(here, there, 1000.0), // 1 ms
+                Leg::pause(there, SimDuration::from_secs(1)),
+            ],
+            i: 0,
+        };
+        let mut cursor = LegCursor::new();
+        let mut r = rng();
+        let us = SimTime::from_micros;
+        for (t, pulled, pos, speed) in [
+            (us(0), 1, here, 0.0),
+            (us(0), 1, here, 0.0),
+            (us(500), 1, here, 0.0), // still inside the 1 ms floor
+            (us(1000), 2, here, 1000.0),
+            (us(2000), 3, there, 0.0),
+        ] {
+            assert_eq!(
+                cursor.sample(t, &mut model, &mut r),
+                (pos, speed),
+                "at {t:?}"
+            );
+            assert_eq!(model.i, pulled, "legs pulled by {t:?}");
+        }
+        assert_eq!(cursor.horizon(), us(2000) + SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn dense_and_sparse_queries_answer_bit_exact() {
         let mk = || {
             Trajectory::new(Box::new(
                 RandomWaypoint::new(Rect::square(1000.0), SpeedClass::Pedestrian)
@@ -362,9 +441,9 @@ mod tests {
         };
         let (mut dense, mut sparse) = (mk(), mk());
         let (mut rd, mut rs) = (rng(), rng());
-        // Dense queries every second prune the cache over and over; sparse
-        // checkpoint queries never trigger pruning between checkpoints. Both
-        // must materialize identical legs and answer bit for bit.
+        // Dense queries land many times in every leg; sparse checkpoint
+        // queries skip thousands of legs at a stride. Both must pull
+        // identical legs and answer bit for bit.
         for secs in 0..=20_000u64 {
             let t = SimTime::from_secs(secs);
             let p = dense.position(t, &mut rd);
@@ -377,13 +456,10 @@ mod tests {
                 );
             }
         }
-        // A pedestrian crosses a 1 km square in minutes: 20 000 s of walking
-        // is thousands of legs. The dense cache must stay a small window.
-        assert!(
-            dense.cached_legs() < 2 * Trajectory::PRUNE_THRESHOLD,
-            "dense cache holds {} legs",
-            dense.cached_legs()
-        );
+        assert_eq!(rd, rs, "both consumed the same draws");
+        // Constant memory per trajectory: the model box plus one inline
+        // leg, no heap-side history to grow with simulated time.
+        assert!(std::mem::size_of::<Trajectory>() <= 80);
     }
 
     #[test]
@@ -391,7 +467,117 @@ mod tests {
         let mut traj = Trajectory::new(Box::new(Stationary::new(Point::ORIGIN)));
         let mut r = rng();
         traj.position(SimTime::from_secs(1), &mut r);
-        assert!(format!("{traj:?}").contains("cached_legs"));
-        assert!(traj.cached_legs() >= 1);
+        let shown = format!("{traj:?}");
+        assert!(shown.contains("horizon"), "got: {shown}");
+        assert!(shown.contains("3600"), "got: {shown}");
+    }
+
+    /// The retired `Vec`-of-legs trajectory, kept as the reference the
+    /// cursor is checked against: every leg ever pulled stays cached and
+    /// each query is a binary search over the cumulative end times.
+    struct Oracle<M> {
+        model: M,
+        ends: Vec<SimTime>,
+        legs: Vec<Leg>,
+    }
+
+    impl<M: MobilityModel> Oracle<M> {
+        fn new(model: M) -> Self {
+            Oracle {
+                model,
+                ends: Vec::new(),
+                legs: Vec::new(),
+            }
+        }
+
+        fn sample(&mut self, t: SimTime, rng: &mut RngStream) -> (Point, f64) {
+            let mut horizon = self.ends.last().copied().unwrap_or(SimTime::ZERO);
+            while horizon <= t {
+                let current = self
+                    .legs
+                    .last()
+                    .map(|l| l.to)
+                    .unwrap_or_else(|| self.model.start());
+                let leg = self.model.next_leg(current, rng);
+                horizon += leg.duration.max(SimDuration::from_millis(1));
+                self.ends.push(horizon);
+                self.legs.push(leg);
+            }
+            let i = self.ends.partition_point(|e| *e <= t);
+            let start = if i == 0 {
+                SimTime::ZERO
+            } else {
+                self.ends[i - 1]
+            };
+            let leg = &self.legs[i];
+            (leg.position_at(t.saturating_since(start)), leg.speed)
+        }
+    }
+
+    /// Runs one non-decreasing query schedule through the cursor and the
+    /// oracle over clones of `model`; answers and RNG states must match
+    /// bit for bit.
+    fn check_against_oracle<M>(model: M, seed: u64, steps_ms: &[u64]) -> Result<(), TestCaseError>
+    where
+        M: MobilityModel + Clone,
+    {
+        let mut oracle = Oracle::new(model.clone());
+        let (mut model, mut cursor) = (model, LegCursor::new());
+        let mut rc = RngStream::derive(seed, "cursor-vs-oracle");
+        let mut ro = rc.clone();
+        let mut t = SimTime::ZERO;
+        for &step in steps_ms {
+            t += SimDuration::from_millis(step);
+            let got = cursor.sample(t, &mut model, &mut rc);
+            let want = oracle.sample(t, &mut ro);
+            prop_assert_eq!(got.0.x.to_bits(), want.0.x.to_bits(), "x at {t:?}");
+            prop_assert_eq!(got.0.y.to_bits(), want.0.y.to_bits(), "y at {t:?}");
+            prop_assert_eq!(got.1.to_bits(), want.1.to_bits(), "speed at {t:?}");
+            prop_assert_eq!(&rc, &ro, "rng state at {t:?}");
+        }
+        Ok(())
+    }
+
+    /// A drawn `(kind, gap)` pair as the milliseconds between two
+    /// consecutive queries: a repeated instant, the dense 1 s cadence, a
+    /// sparse 1000 s checkpoint, or an arbitrary gap.
+    fn step_ms((kind, gap): (u8, u64)) -> u64 {
+        match kind {
+            0 => 0,
+            1 => 1_000,
+            2 => 1_000_000,
+            _ => gap,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn cursor_matches_the_vec_of_legs_oracle(
+            seed in any::<u64>(),
+            draws in prop::collection::vec((0u8..4, 1u64..5_000_000), 1..200),
+        ) {
+            let steps: Vec<u64> = draws.into_iter().map(step_ms).collect();
+            let area = Rect::square(1000.0);
+            let rwp = RandomWaypoint::new(area, SpeedClass::Pedestrian);
+            check_against_oracle(rwp.clone(), seed, &steps)?;
+            check_against_oracle(rwp.with_pause(SimDuration::from_secs(5)), seed, &steps)?;
+            // 500 m at 50 m/s: 10 s legs, so the 1 s cadence lands exactly on
+            // leg boundaries.
+            let commute = LinearCommute::new(Point::new(0.0, 0.0), Point::new(300.0, 400.0), 50.0);
+            check_against_oracle(commute.round_trip(), seed, &steps)?;
+            check_against_oracle(ManhattanGrid::new(1200.0, 100.0, SpeedClass::UrbanVehicle), seed, &steps)?;
+            check_against_oracle(Stationary::new(Point::new(5.0, 5.0)), seed, &steps)?;
+            // Whole-second legs of differing speeds, so queries land exactly
+            // on boundaries where the two neighbours answer differently, and
+            // a zero-length leg in mid-trajectory.
+            let (a, b) = (Point::new(0.0, 0.0), Point::new(30.0, 0.0));
+            let legs = vec![
+                Leg::travel(a, b, 10.0),
+                Leg::pause(b, SimDuration::from_secs(2)),
+                Leg::pause(b, SimDuration::ZERO),
+                Leg::travel(b, a, 30.0),
+            ];
+            check_against_oracle(Scripted { legs, i: 0 }, seed, &steps)?;
+        }
     }
 }
