@@ -264,46 +264,6 @@ fn bench_rssi_lanes(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial pops vs batched run-taking over a tie-heavy schedule — the
-/// speedup side of the `batched_runs_equal_serial_pops` property. Every
-/// instant carries an 8-way tie, the shape type-batched dispatch
-/// amortizes.
-fn bench_dispatch(c: &mut Criterion) {
-    let fill = |q: &mut Scheduler<u64>| {
-        for i in 0..4_096u64 {
-            q.schedule_at(SimTime::from_nanos(i / 8 * 1_000), i);
-        }
-    };
-    let mut group = c.benchmark_group("dispatch_4096events");
-    group.sample_size(20);
-    group.bench_function("serial_pops", |b| {
-        b.iter(|| {
-            let mut q = Scheduler::with_kind(SchedulerKind::Calendar);
-            fill(&mut q);
-            let mut acc = 0u64;
-            while let Some(e) = q.pop() {
-                acc ^= e.into_event();
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("batched_runs", |b| {
-        b.iter(|| {
-            let mut q = Scheduler::with_kind(SchedulerKind::Calendar);
-            fill(&mut q);
-            let mut acc = 0u64;
-            let mut run = Vec::new();
-            while q.take_run_at_or_before(SimTime::MAX, u64::MAX, &mut run) > 0 {
-                for e in run.drain(..) {
-                    acc ^= e;
-                }
-            }
-            black_box(acc)
-        })
-    });
-    group.finish();
-}
-
 /// Scheduler backends head to head on the event loop's own access
 /// pattern: a hold model (pop one, push one at `now + delay`) over a
 /// standing population, the delays mixing packet-scale gaps with
@@ -351,7 +311,6 @@ criterion_group!(
     bench_measure,
     bench_measure_batch,
     bench_rssi_lanes,
-    bench_dispatch,
     bench_scheduler,
     bench_flow_lookup
 );

@@ -130,18 +130,6 @@ impl PacketArena {
         pkt
     }
 
-    /// Warms the cache line holding `r`'s slot without validating the
-    /// handle. The batched dispatch path calls this for every packet in
-    /// a run before handling any of them, so the generation checks in
-    /// [`PacketArena::get`] walk already-hot lines instead of taking a
-    /// miss per packet. Stale or out-of-range handles are a no-op.
-    #[inline]
-    pub fn touch(&self, r: PacketRef) {
-        if let Some((generation, _)) = self.slots.get(r.index as usize) {
-            std::hint::black_box(*generation);
-        }
-    }
-
     /// Exclusive access to a live packet (tunnel push/pop, hop counts).
     ///
     /// # Panics

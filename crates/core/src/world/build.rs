@@ -481,6 +481,10 @@ impl WorldBuilder {
             arena: crate::arena::PacketArena::new(),
             measure_scratch: Vec::new(),
             candidate_scratch: Vec::new(),
+            move_wave: Vec::new(),
+            uplink_wave: Vec::new(),
+            #[cfg(test)]
+            wave_probe: Default::default(),
             fault_plan: Vec::new(),
             active_faults: 0,
             pending_recovery: Vec::new(),

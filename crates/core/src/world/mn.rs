@@ -234,6 +234,26 @@ impl MnTable {
         self.hot[i].cursor.sample(now, model, rng)
     }
 
+    /// Reads, and only reads, the columns an uplink tick walks for row
+    /// `i`, so a wave can overlap its members' cache misses before
+    /// running them.
+    #[inline]
+    pub(crate) fn warm_uplink(&self, i: usize) {
+        std::hint::black_box((
+            self.has_flow[i],
+            self.hot[i].serving,
+            self.home[i],
+            self.mip[i].state(),
+            self.last_paging_update[i],
+        ));
+    }
+
+    /// Row `i`'s leg cursor and RNG stream, rendered for equality checks.
+    #[cfg(test)]
+    pub(crate) fn motion_state(&self, i: usize) -> String {
+        format!("{:?} {:?}", self.hot[i].cursor, self.motion[i].rng)
+    }
+
     /// Records a decided handoff for row `i`: flag and payload together.
     pub(crate) fn begin_handoff(&mut self, i: usize, pending: PendingAttach) {
         debug_assert_eq!(self.hot[i].handoff_in_flight, self.pending[i].is_some());

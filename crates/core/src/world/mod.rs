@@ -36,6 +36,7 @@ use mtnet_mobileip::{
     AgentAdvertisement, ForeignAgent, HomeAgent, MipMessage, MnAction, RegistrationReply,
     RegistrationRequest,
 };
+use mtnet_mobility::Point;
 use mtnet_net::{
     Addr, FlowId, LinkId, NodeId, PacketId, Prefix, RouteCache, Topology, TransmitOutcome,
     TunnelKind,
@@ -87,17 +88,6 @@ pub struct WorldConfig {
     /// performance knob: the calendar queue (default) is O(1) amortized,
     /// the binary heap is the O(log n) reference.
     pub scheduler: SchedulerKind,
-    /// Type-batched event dispatch: the run loop hands consecutive
-    /// same-instant, same-variant events to [`Model::handle_run`]
-    /// together instead of popping one at a time. Ordering is identical
-    /// either way, so like `scheduler` this is purely a performance
-    /// knob — and one this workload cannot exploit: the paper's traffic
-    /// schedules events at distinct instants (measured mean run length
-    /// 1.003 over the full suite), so the default is off and the batched
-    /// path is kept for tie-heavy models (slotted MACs, quantized
-    /// timestamps). Overridable per-process via
-    /// [`shard::DISPATCH_BATCH_ENV`].
-    pub dispatch_batching: bool,
     /// World-level aggregate QoS (metro scale): per-flow trackers skip
     /// their delay distribution and every delivered packet's delay
     /// streams into one constant-memory
@@ -162,7 +152,6 @@ impl Default for WorldConfig {
             air_delay: SimDuration::from_millis(2),
             retune_delay: SimDuration::from_millis(10),
             scheduler: SchedulerKind::Calendar,
-            dispatch_batching: false,
             aggregate_qos: false,
             load_curve: None,
             idle_camping: false,
@@ -385,6 +374,15 @@ pub struct World {
     /// Reused handoff-candidate buffer (same lifecycle as
     /// `measure_scratch`).
     candidate_scratch: Vec<Candidate>,
+    /// Members of the `MoveSample` wave being run, each with the
+    /// position and speed sampled for it up front (`None`: a handoff is
+    /// in flight, the node is not sampled). Empty between waves.
+    move_wave: Vec<(MnId, Option<(Point, f64)>)>,
+    /// Members of the `Uplink` wave being run. Empty between waves.
+    uplink_wave: Vec<MnId>,
+    /// Test-only wave oracle switch and counters.
+    #[cfg(test)]
+    pub(crate) wave_probe: WaveProbe,
     /// Compiled fault plan, time-sorted; `Ev::Fault(i)` indexes into it.
     /// Empty unless the spec's `faults` section scheduled something.
     pub(crate) fault_plan: Vec<(SimTime, FaultAction)>,
@@ -1605,15 +1603,87 @@ impl World {
     // Mobility and handoff
     // ------------------------------------------------------------------
 
-    fn handle_move_sample(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId) {
+    /// True when tick handlers may take their same-instant ties (always,
+    /// outside the tests that run the one-event-at-a-time oracle).
+    #[inline]
+    fn takes_ties(&self) -> bool {
+        #[cfg(test)]
+        return !self.wave_probe.take_no_ties;
+        #[cfg(not(test))]
+        true
+    }
+
+    /// Wave front of the mobility sample. Metro worlds stagger their
+    /// nodes over the millisecond grid (`World::mn_start_times`), so
+    /// dozens of `MoveSample` events share every instant, every period,
+    /// each landing on a hot row that has long left the cache — a miss
+    /// waited out alone when handled one event at a time. The front
+    /// takes the consecutive `MoveSample` ties that follow `first`,
+    /// samples every member's own row in one pass (independent loads:
+    /// the misses overlap), then runs the members in order. Returns the
+    /// member count.
+    ///
+    /// Exact: a taken tie is the very next pop ([`Context::take_tie_if`];
+    /// the world never cancels and never requests a stop), a node occurs
+    /// at most once in a wave, and sampling row `i` touches only row
+    /// `i`'s cursor, model and RNG, which no other member's handler
+    /// touches. A member with a handoff in flight is not sampled — its
+    /// cursor and RNG stay put, as they do one event at a time — and the
+    /// flag is only ever written by the node's own events.
+    fn handle_move_sample(&mut self, ctx: &mut Context<'_, Ev>, first: MnId) -> usize {
         let now = ctx.now();
+        let mut wave = std::mem::take(&mut self.move_wave);
+        wave.push((first, None));
+        if self.takes_ties() {
+            while let Some(Ev::MoveSample(mn)) =
+                ctx.take_tie_if(|ev| matches!(ev, Ev::MoveSample(_)))
+            {
+                wave.push((mn, None));
+            }
+        }
+        for (mn, sampled) in &mut wave {
+            let i = mn.0 as usize;
+            if !self.mns.hot[i].handoff_in_flight() {
+                *sampled = Some(self.mns.sample(i, now));
+            }
+        }
+        debug_assert!(
+            wave.iter()
+                .enumerate()
+                .all(|(k, (mn, _))| wave[..k].iter().all(|(other, _)| other != mn)),
+            "a node occurs twice in one MoveSample wave"
+        );
+        #[cfg(test)]
+        {
+            self.wave_probe.move_waves += 1;
+            self.wave_probe.move_members += wave.len() as u64;
+            self.wave_probe.move_members_in_flight +=
+                wave.iter().filter(|(_, s)| s.is_none()).count() as u64;
+        }
+        for &(mn, sampled) in &wave {
+            self.move_sample_one(ctx, mn, sampled);
+        }
+        let members = wave.len();
+        wave.clear();
+        self.move_wave = wave;
+        members
+    }
+
+    /// One node's mobility sample: re-arm, measure, decide. `sampled` is
+    /// the node's position and speed at `now`, `None` while a handoff is
+    /// in flight.
+    fn move_sample_one(
+        &mut self,
+        ctx: &mut Context<'_, Ev>,
+        mn: MnId,
+        sampled: Option<(Point, f64)>,
+    ) {
         ctx.schedule_in(self.cfg.move_sample, Ev::MoveSample(mn));
         let i = mn.0 as usize;
         // A handoff already in flight: wait for it to complete.
-        if self.mns.hot[i].handoff_in_flight() {
+        let Some((pos, speed)) = sampled else {
             return;
-        }
-        let (pos, speed) = self.mns.sample(i, now);
+        };
         // Candidate set restricted by the deployed tiers. Both buffers are
         // scratch space owned by the world: the measurement pass and the
         // candidate list cost no allocation per sample.
@@ -1965,7 +2035,34 @@ impl World {
     // Periodic maintenance
     // ------------------------------------------------------------------
 
-    fn handle_uplink(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId) {
+    /// Wave front of the uplink tick: the same tie-taking as
+    /// [`World::handle_move_sample`], with a first pass that only reads
+    /// the columns the tick walks for each member so their misses
+    /// overlap. The pass writes nothing, so the members run exactly as
+    /// they would one event at a time. Returns the member count.
+    fn handle_uplink(&mut self, ctx: &mut Context<'_, Ev>, first: MnId) -> usize {
+        let mut wave = std::mem::take(&mut self.uplink_wave);
+        wave.push(first);
+        if self.takes_ties() {
+            while let Some(Ev::Uplink(mn)) = ctx.take_tie_if(|ev| matches!(ev, Ev::Uplink(_))) {
+                wave.push(mn);
+            }
+        }
+        if wave.len() > 1 {
+            for mn in &wave {
+                self.mns.warm_uplink(mn.0 as usize);
+            }
+        }
+        for &mn in &wave {
+            self.uplink_one(ctx, mn);
+        }
+        let members = wave.len();
+        wave.clear();
+        self.uplink_wave = wave;
+        members
+    }
+
+    fn uplink_one(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId) {
         let now = ctx.now();
         let i = mn.0 as usize;
         // A camping node's uplink exists only to refresh its paging-area
@@ -2147,11 +2244,8 @@ impl World {
                 .encapsulate(ha, coa, TunnelKind::HomeAgent);
         }
     }
-}
 
-impl World {
-    /// The [`Ev::Pkt`] arm of event dispatch, shared by the one-at-a-time
-    /// loop and the batched run handler.
+    /// The [`Ev::Pkt`] arm of event dispatch.
     fn dispatch_pkt(
         &mut self,
         ctx: &mut Context<'_, Ev>,
@@ -2173,59 +2267,29 @@ impl World {
         }
         self.handle_pkt(ctx, node, from, pkt);
     }
-
-    fn handle_event_inner(&mut self, ctx: &mut Context<'_, Ev>, event: Ev) {
-        match event {
-            Ev::Pkt { node, from, pkt } => self.dispatch_pkt(ctx, node, from, pkt),
-            Ev::AirDown { mn, cell, pkt } => self.handle_air_down(ctx, mn, cell, pkt),
-            Ev::MoveSample(mn) => self.handle_move_sample(ctx, mn),
-            Ev::Uplink(mn) => self.handle_uplink(ctx, mn),
-            Ev::LocationTick(mn) => self.handle_location_tick(ctx, mn),
-            Ev::FlowNext(fidx) => self.handle_flow_next(ctx, fidx),
-            Ev::Attach(mn) => self.handle_attach(ctx, mn),
-            Ev::Sweep => self.handle_sweep(ctx),
-            Ev::Fault(idx) => self.handle_fault(ctx, idx),
-        }
-    }
 }
 
 impl Model for World {
     type Event = Ev;
 
     fn handle_event(&mut self, ctx: &mut Context<'_, Ev>, event: Ev) {
-        if evprof::enabled() {
-            let slot = evprof::slot(&event);
-            let t0 = std::time::Instant::now();
-            self.handle_event_inner(ctx, event);
-            evprof::record(slot, t0.elapsed());
-            return;
+        let prof = evprof::enabled().then(|| (evprof::slot(&event), std::time::Instant::now()));
+        // How many events this dispatch handles: one, except for the tick
+        // handlers, which take their same-instant ties and run the wave.
+        let mut members = 1;
+        match event {
+            Ev::Pkt { node, from, pkt } => self.dispatch_pkt(ctx, node, from, pkt),
+            Ev::AirDown { mn, cell, pkt } => self.handle_air_down(ctx, mn, cell, pkt),
+            Ev::MoveSample(mn) => members = self.handle_move_sample(ctx, mn),
+            Ev::Uplink(mn) => members = self.handle_uplink(ctx, mn),
+            Ev::LocationTick(mn) => self.handle_location_tick(ctx, mn),
+            Ev::FlowNext(fidx) => self.handle_flow_next(ctx, fidx),
+            Ev::Attach(mn) => self.handle_attach(ctx, mn),
+            Ev::Sweep => self.handle_sweep(ctx),
+            Ev::Fault(idx) => self.handle_fault(ctx, idx),
         }
-        self.handle_event_inner(ctx, event);
-    }
-
-    /// Batched dispatch: one pass warms the arena slots every packet in
-    /// the run will hit, then the run drains through a packet fast path
-    /// that skips the full nine-way match. Runs are same-variant by
-    /// construction, so the fallback arm handles whole runs of the other
-    /// variants — `handle_event`'s match is the single source of truth
-    /// for those. The world never cancels same-instant events of the
-    /// same type from inside a handler, so the batched path's
-    /// already-committed-run semantics (see [`Model::handle_run`]) are
-    /// indistinguishable here.
-    fn handle_run(&mut self, ctx: &mut Context<'_, Ev>, run: &mut Vec<Ev>) {
-        if run.len() >= 4 {
-            for ev in run.iter() {
-                match ev {
-                    Ev::Pkt { pkt, .. } | Ev::AirDown { pkt, .. } => self.arena.touch(*pkt),
-                    _ => break,
-                }
-            }
-        }
-        for event in run.drain(..) {
-            match event {
-                Ev::Pkt { node, from, pkt } => self.dispatch_pkt(ctx, node, from, pkt),
-                other => self.handle_event(ctx, other),
-            }
+        if let Some((slot, t0)) = prof {
+            evprof::record(slot, members, t0.elapsed());
         }
     }
 }
@@ -2267,10 +2331,8 @@ impl World {
         self.cfg.idle_camping && !self.mns.has_flow[i]
     }
 
-    /// Initial `(MoveSample, Uplink, LocationTick)` times for node `i` —
-    /// the single source of truth shared by [`World::run`] and
-    /// `shard::into_replica` (bit-exactness across engines depends on
-    /// both using identical start times). A camping node gets no
+    /// Initial `(MoveSample, Uplink, LocationTick)` times for node `i`
+    /// (see [`World::schedule_initial`]). A camping node gets no
     /// `LocationTick` at all (`None`) and staggers its uplink over the
     /// paging period instead of the route-update period — the O(idle)
     /// event mass runs at paging cadence, not signaling cadence.
@@ -2324,16 +2386,24 @@ impl World {
 
     /// The world on its simulator with every periodic process and fault
     /// edge scheduled, nothing run yet.
-    ///
-    /// The initial schedule below is mirrored (with ownership filters) by
-    /// `shard::into_replica` — keep the two in sync, the sharded engine's
-    /// bit-exactness depends on identical program order.
     fn launch(self) -> Simulator<World> {
         let kind = self.cfg.scheduler;
-        let batched = shard::dispatch_batching_from_env().unwrap_or(self.cfg.dispatch_batching);
-        let mut sim = Simulator::new(self)
-            .with_scheduler(kind)
-            .with_batched_dispatch(batched);
+        let mut sim = Simulator::new(self).with_scheduler(kind);
+        World::schedule_initial(&mut sim, |_| true);
+        sim
+    }
+
+    /// Schedules the initial events `owns` accepts: the one spelling of
+    /// the start-up program order, shared by the sequential engine (owns
+    /// everything) and every sharded replica (owns its event classes) —
+    /// same-instant ties resolve by schedule order, so bit-exactness
+    /// across engines depends on there being exactly one.
+    pub(crate) fn schedule_initial(sim: &mut Simulator<World>, owns: impl Fn(&Ev) -> bool) {
+        let schedule = |sim: &mut Simulator<World>, at: SimTime, ev: Ev| {
+            if owns(&ev) {
+                sim.schedule_at(at, ev);
+            }
+        };
         // Kick off periodic machinery.
         let n_mns = sim.model().mns.len();
         let n_flows = sim.model().flows.len();
@@ -2341,23 +2411,23 @@ impl World {
             let mn = MnId(i as u32);
             // Stagger start times so nodes do not move in lockstep.
             let (t_move, t_up, t_loc) = sim.model().mn_start_times(i);
-            sim.schedule_at(t_move, Ev::MoveSample(mn));
-            sim.schedule_at(t_up, Ev::Uplink(mn));
+            schedule(sim, t_move, Ev::MoveSample(mn));
+            schedule(sim, t_up, Ev::Uplink(mn));
             if let Some(t_loc) = t_loc {
-                sim.schedule_at(t_loc, Ev::LocationTick(mn));
+                schedule(sim, t_loc, Ev::LocationTick(mn));
             }
         }
         for f in 0..n_flows {
-            sim.schedule_at(sim.model().flow_start_time(f), Ev::FlowNext(f));
+            let at = sim.model().flow_start_time(f);
+            schedule(sim, at, Ev::FlowNext(f));
         }
-        sim.schedule_at(SimTime::from_secs(5), Ev::Sweep);
+        schedule(sim, SimTime::from_secs(5), Ev::Sweep);
         // Fault edges last: same-instant ties against periodic machinery
         // resolve by schedule order, which this fixes once for every run.
-        let fault_times: Vec<SimTime> = sim.model().fault_plan.iter().map(|(t, _)| *t).collect();
-        for (idx, t) in fault_times.into_iter().enumerate() {
-            sim.schedule_at(t, Ev::Fault(idx));
+        for idx in 0..sim.model().fault_plan.len() {
+            let at = sim.model().fault_plan[idx].0;
+            schedule(sim, at, Ev::Fault(idx));
         }
-        sim
     }
 
     /// Extracts the final report from a finished world: the shared tail
@@ -2388,15 +2458,33 @@ impl World {
     }
 }
 
+/// What the wave tests need from inside a run: the switch that turns
+/// the world into its own one-event-at-a-time oracle, and enough counts
+/// to show the waves engaged.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct WaveProbe {
+    /// Tick handlers take no ties: every wave has one member.
+    pub(crate) take_no_ties: bool,
+    pub(crate) move_waves: u64,
+    pub(crate) move_members: u64,
+    /// Members found with a handoff in flight (not sampled).
+    pub(crate) move_members_in_flight: u64,
+}
+
 #[cfg(test)]
 mod tests;
 
 /// Opt-in event-handler profiling: set `MTNET_EVPROF=1` and every
-/// handler invocation accumulates wall time into a per-variant bucket;
-/// [`evprof::report`] renders the totals. Process-global (the counters
-/// sum across worlds), ~50ns of `Instant` overhead per event when
-/// enabled, a single cached-bool test when not — the tool of first
-/// resort when a metro-scale run's wall time needs explaining.
+/// dispatch accumulates wall time into a per-variant bucket;
+/// [`evprof::report`] renders the totals. A dispatch of a tick variant
+/// is a whole same-instant wave, so each bucket counts events and
+/// dispatches separately: averages stay per event, the counts sum to
+/// `events_processed`, and events ÷ dispatches is the mean wave length.
+/// Process-global (the counters sum across worlds), ~50ns of `Instant`
+/// overhead per dispatch when enabled, a single cached-bool test when
+/// not — the tool of first resort when a metro-scale run's wall time
+/// needs explaining.
 #[doc(hidden)]
 pub mod evprof {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -2404,6 +2492,7 @@ pub mod evprof {
 
     const N: usize = 10;
     static COUNT: [AtomicU64; N] = [const { AtomicU64::new(0) }; N];
+    static DISPATCHES: [AtomicU64; N] = [const { AtomicU64::new(0) }; N];
     static NANOS: [AtomicU64; N] = [const { AtomicU64::new(0) }; N];
     static ON: OnceLock<bool> = OnceLock::new();
 
@@ -2425,8 +2514,10 @@ pub mod evprof {
         }
     }
 
-    pub(crate) fn record(slot: usize, d: std::time::Duration) {
-        COUNT[slot].fetch_add(1, Ordering::Relaxed);
+    /// Books one dispatch that handled `events` events in `d`.
+    pub(crate) fn record(slot: usize, events: usize, d: std::time::Duration) {
+        COUNT[slot].fetch_add(events as u64, Ordering::Relaxed);
+        DISPATCHES[slot].fetch_add(1, Ordering::Relaxed);
         NANOS[slot].fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
@@ -2450,12 +2541,14 @@ pub mod evprof {
                 continue;
             }
             let ns = NANOS[i].load(Ordering::Relaxed);
+            let waves = DISPATCHES[i].load(Ordering::Relaxed);
             out.push_str(&format!(
-                "{:<14} {:>10}  total {:>8.3}s  avg {:>6}ns\n",
+                "{:<14} {:>10}  total {:>8.3}s  avg {:>6}ns  wave {:>5.2}\n",
                 NAMES[i],
                 c,
                 ns as f64 / 1e9,
-                ns / c
+                ns / c,
+                c as f64 / waves as f64
             ));
         }
         out

@@ -182,12 +182,11 @@ pub fn run_sharded(build: impl Fn() -> World, duration: SimDuration, shards: u32
     merge(sims, duration)
 }
 
-/// Wraps one world replica in a simulator and schedules its initial
-/// events. Mirrors `World::run`'s schedule **in the same program order**
-/// (so same-instant ties resolve exactly as they do sequentially within
-/// each replica), with each event class landing only on its owner —
-/// except the replicated classes (sweeps, fault edges), which land on
-/// every replica. Keep in sync with `World::run`.
+/// Wraps one world replica in a simulator and schedules the initial
+/// events it owns, in the sequential engine's program order
+/// ([`World::schedule_initial`]): each event class lands only on its
+/// owner — except the replicated classes (sweeps, fault edges), which
+/// land on every replica.
 fn into_replica(mut world: World, plan: &ShardPlan, own: u32) -> Simulator<World> {
     world.shard = Some(ShardCtx {
         own,
@@ -195,33 +194,12 @@ fn into_replica(mut world: World, plan: &ShardPlan, own: u32) -> Simulator<World
         outbox: Vec::new(),
     });
     let kind = world.cfg.scheduler;
-    let batched = dispatch_batching_from_env().unwrap_or(world.cfg.dispatch_batching);
-    let mut sim = Simulator::new(world)
-        .with_scheduler(kind)
-        .with_batched_dispatch(batched);
-    let n_mns = sim.model().mns.len();
-    let n_flows = sim.model().flows.len();
-    if own == ACCESS {
-        for i in 0..n_mns {
-            let mn = crate::messages::MnId(i as u32);
-            let (t_move, t_up, t_loc) = sim.model().mn_start_times(i);
-            sim.schedule_at(t_move, Ev::MoveSample(mn));
-            sim.schedule_at(t_up, Ev::Uplink(mn));
-            if let Some(t_loc) = t_loc {
-                sim.schedule_at(t_loc, Ev::LocationTick(mn));
-            }
-        }
-    }
-    if own == BACKBONE {
-        for f in 0..n_flows {
-            sim.schedule_at(sim.model().flow_start_time(f), Ev::FlowNext(f));
-        }
-    }
-    sim.schedule_at(SimTime::from_secs(5), Ev::Sweep);
-    let fault_times: Vec<SimTime> = sim.model().fault_plan.iter().map(|(t, _)| *t).collect();
-    for (idx, t) in fault_times.into_iter().enumerate() {
-        sim.schedule_at(t, Ev::Fault(idx));
-    }
+    let mut sim = Simulator::new(world).with_scheduler(kind);
+    World::schedule_initial(&mut sim, |ev| match ev {
+        Ev::MoveSample(_) | Ev::Uplink(_) | Ev::LocationTick(_) => own == ACCESS,
+        Ev::FlowNext(_) => own == BACKBONE,
+        _ => true,
+    });
     sim
 }
 
@@ -377,30 +355,6 @@ pub fn shards_from_env() -> Option<u32> {
             parse_shard_count(&v)
                 .unwrap_or_else(|()| panic!("{SHARDS_ENV} must be a positive integer, got {v:?}")),
         ),
-        _ => None,
-    }
-}
-
-/// Environment variable overriding
-/// [`WorldConfig::dispatch_batching`](super::WorldConfig::dispatch_batching)
-/// for every world built in this process — the A/B lever the determinism
-/// smoke flips without recompiling.
-pub const DISPATCH_BATCH_ENV: &str = "MTNET_DISPATCH_BATCH";
-
-/// The strict [`DISPATCH_BATCH_ENV`] override: unset or empty means "use
-/// the config's value"; `0` forces batching off, `1` forces it on.
-///
-/// # Panics
-///
-/// Panics on anything else — a typo must not silently run a different
-/// dispatch path than the one asked for.
-pub fn dispatch_batching_from_env() -> Option<bool> {
-    match std::env::var(DISPATCH_BATCH_ENV) {
-        Ok(v) if !v.trim().is_empty() => match v.trim() {
-            "0" => Some(false),
-            "1" => Some(true),
-            _ => panic!("{DISPATCH_BATCH_ENV} must be 0 or 1, got {v:?}"),
-        },
         _ => None,
     }
 }

@@ -766,3 +766,139 @@ fn spec_shards_knob_selects_the_parallel_engine() {
     let sharded = spec.clone().with_shards(4).run(42).fingerprint();
     assert_eq!(sequential, sharded);
 }
+
+// ----------------------------------------------------------------------
+// Tick waves (same-instant MoveSample / Uplink ties run together)
+// ----------------------------------------------------------------------
+
+fn mean_move_wave(probe: &WaveProbe) -> f64 {
+    probe.move_members as f64 / probe.move_waves as f64
+}
+
+/// Runs `spec` with tick waves and as its own one-event-at-a-time oracle,
+/// demands identical results, and hands back the waved run's probe and
+/// report.
+fn run_waved_and_serial(spec: &crate::spec::ScenarioSpec) -> (WaveProbe, SimReport) {
+    let duration = SimDuration::from_secs_f64(spec.duration_s);
+    let run = |take_no_ties: bool| {
+        let mut world = spec.build(42);
+        world.wave_probe.take_no_ties = take_no_ties;
+        let mut sim = world.launch();
+        sim.run_until(SimTime::ZERO + duration);
+        let events = sim.events_processed();
+        let mut world = sim.into_model();
+        let probe = std::mem::take(&mut world.wave_probe);
+        (probe, world.finish_report(duration, events))
+    };
+    let (serial_probe, serial) = run(true);
+    let (probe, waved) = run(false);
+    assert_eq!(serial_probe.move_waves, serial_probe.move_members);
+    assert_eq!(probe.move_members, serial_probe.move_members);
+    assert_eq!(waved.events_processed, serial.events_processed);
+    assert_eq!(waved.fingerprint(), serial.fingerprint());
+    (probe, waved)
+}
+
+/// 1 000 random-waypoint nodes sampled every 100 ms: past
+/// `LEGACY_STAGGER_MAX`, so the stagger wraps and ten nodes share every
+/// millisecond instant. They drive rather than walk, so legs roll over
+/// and cells change within seconds; nobody camps, so every handoff goes
+/// through channel admission, and every tenth node carries a voice call,
+/// so packets are in flight around the waves. The 250 ms semisoft delay
+/// keeps a handing-off node in flight across two of its own samples.
+fn wave_city_spec() -> crate::spec::ScenarioSpec {
+    crate::spec::ScenarioSpec {
+        n_domains: 4,
+        pedestrians: 1_000,
+        voice_every: 10,
+        move_sample_ms: Some(100),
+        pedestrian_class: mtnet_mobility::SpeedClass::UrbanVehicle,
+        pedestrian_pause_s: 0.5,
+        semisoft_delay_ms: Some(250),
+        idle_camping: false,
+        duration_s: 6.0,
+        load_curve: None,
+        ..crate::spec::ScenarioSpec::metro_smoke()
+    }
+}
+
+#[test]
+fn tick_waves_equal_one_at_a_time_in_a_metro() {
+    let mut spec = crate::spec::ScenarioSpec::metro_smoke();
+    spec.duration_s = 12.0;
+    let (probe, report) = run_waved_and_serial(&spec);
+    // 10 000 nodes over a 5 000 ms stagger: two per instant (a little
+    // under in the first cycle, where other initial events interleave).
+    assert!(mean_move_wave(&probe) > 1.5, "{probe:?}");
+    assert!(report.handoffs.total() > 500, "{:?}", report.handoffs);
+}
+
+#[test]
+fn tick_waves_equal_one_at_a_time_with_handoffs_in_flight() {
+    let (probe, report) = run_waved_and_serial(&wave_city_spec());
+    assert!(mean_move_wave(&probe) >= 4.0, "{probe:?}");
+    assert!(
+        probe.move_members_in_flight > 100,
+        "waves held too few members with a handoff in flight: {probe:?}"
+    );
+    assert!(report.handoffs.total() > 1000, "{:?}", report.handoffs);
+    assert!(report.aggregate_qos().received > 0, "voice flowed");
+}
+
+#[test]
+fn tick_waves_have_one_member_in_a_faulted_city() {
+    let spec = faulted_city_spec().with_duration_s(20.0);
+    let (probe, report) = run_waved_and_serial(&spec);
+    assert_eq!(
+        probe.move_waves, probe.move_members,
+        "legacy stagger never ties"
+    );
+    assert!(probe.move_waves > 0);
+    assert_eq!(report.faults.link_transitions, 6);
+}
+
+#[test]
+fn a_wave_member_with_a_handoff_in_flight_is_not_sampled() {
+    let spec = wave_city_spec();
+    let (t1, t2) = (SimTime::from_secs(1), SimTime::from_secs(4));
+    // Control run: find a node idle at t1 whose cursor or RNG moves by t2.
+    let mut control = spec.build(42).launch();
+    control.run_until(t1);
+    let n = control.model().mns.len();
+    let before: Vec<String> = (0..n)
+        .map(|i| control.model().mns.motion_state(i))
+        .collect();
+    let idle: Vec<bool> = (0..n)
+        .map(|i| !control.model().mns.hot[i].handoff_in_flight())
+        .collect();
+    control.run_until(t2);
+    let i = (0..n)
+        .find(|&i| idle[i] && control.model().mns.motion_state(i) != before[i])
+        .expect("some idle node rolls a leg within three seconds");
+    // Same run, but node i has a handoff in flight from t1 on (no Attach
+    // is scheduled, so it stays in flight): thirty waves pass over it.
+    let mut sim = spec.build(42).launch();
+    sim.run_until(t1);
+    assert_eq!(sim.model().mns.motion_state(i), before[i]);
+    let serving = sim.model().mns.hot[i].serving();
+    sim.model_mut().mns.begin_handoff(
+        i,
+        PendingAttach {
+            target: serving.unwrap_or(CellId(0)),
+            old: serving,
+            htype: None,
+            decided_at: t1,
+            holds_channel: false,
+        },
+    );
+    let skipped = sim.model().wave_probe.move_members_in_flight;
+    sim.run_until(t2);
+    assert_eq!(
+        sim.model().mns.motion_state(i),
+        before[i],
+        "an in-flight wave member had its cursor or RNG advanced"
+    );
+    let probe = &sim.model().wave_probe;
+    assert!(probe.move_members_in_flight >= skipped + 29, "{probe:?}");
+    assert!(mean_move_wave(probe) >= 4.0, "{probe:?}");
+}

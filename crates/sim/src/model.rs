@@ -17,34 +17,12 @@ pub trait Model {
     ///
     /// New events are scheduled through `ctx`; the engine executes them in
     /// `(time, scheduling-order)` order.
+    ///
+    /// A handler that wants the rest of a same-instant tie set — to warm
+    /// the state every member will touch before running them in order —
+    /// pulls it itself with [`Context::take_tie_if`]; the engine has one
+    /// run loop and never groups events on the model's behalf.
     fn handle_event(&mut self, ctx: &mut Context<'_, Self::Event>, event: Self::Event);
-
-    /// Handles a *run*: consecutive same-variant events at one simulated
-    /// instant, in scheduling order, delivered together by the
-    /// type-batched dispatch path (see
-    /// [`crate::Simulator::with_batched_dispatch`]).
-    ///
-    /// The default drains the buffer through [`Model::handle_event`] one
-    /// event at a time — semantically the engine's one-at-a-time loop,
-    /// so implementing `handle_event` alone is always correct. Models
-    /// with hot event types override this to hoist per-variant dispatch
-    /// out of the loop and warm caches across the run (e.g. touching an
-    /// arena slot per packet up front). Overrides must process every
-    /// event in buffer order and must not assume the run is a single
-    /// variant — the engine guarantees it, but arbitrary callers may
-    /// not.
-    ///
-    /// The engine considers every event in `run` fired the moment the
-    /// run is handed over: a handler cancelling a token for a later
-    /// event *in the same run* gets `false` where the one-at-a-time loop
-    /// would have suppressed the event. Models that cancel same-instant
-    /// events of their own type from handlers should keep batched
-    /// dispatch off.
-    fn handle_run(&mut self, ctx: &mut Context<'_, Self::Event>, run: &mut Vec<Self::Event>) {
-        for event in run.drain(..) {
-            self.handle_event(ctx, event);
-        }
-    }
 }
 
 /// Per-event execution context: the clock plus scheduling operations.
@@ -54,20 +32,26 @@ pub trait Model {
 #[derive(Debug)]
 pub struct Context<'a, E> {
     scheduler: &'a mut Scheduler<E>,
+    events_processed: &'a mut u64,
     events_emitted: &'a mut u64,
     stop_requested: &'a mut bool,
+    event_budget: u64,
 }
 
 impl<'a, E> Context<'a, E> {
     pub(crate) fn new(
         scheduler: &'a mut Scheduler<E>,
+        events_processed: &'a mut u64,
         events_emitted: &'a mut u64,
         stop_requested: &'a mut bool,
+        event_budget: u64,
     ) -> Self {
         Context {
             scheduler,
+            events_processed,
             events_emitted,
             stop_requested,
+            event_budget,
         }
     }
 
@@ -108,6 +92,28 @@ impl<'a, E> Context<'a, E> {
     /// Requests that the run loop stop after the current event completes.
     pub fn request_stop(&mut self) {
         *self.stop_requested = true;
+    }
+
+    /// Takes the next pending event iff the run loop's very next step
+    /// would dispatch it at this same instant and `pred` accepts it: it
+    /// fires at exactly [`Context::now`], the event budget has room and
+    /// no stop is pending. The taken event counts as processed; the
+    /// caller must handle it before anything else.
+    ///
+    /// This is exact, not a reordering: everything a handler schedules
+    /// gets a higher sequence number than everything already queued, so
+    /// the event handed back is the one the loop would have popped next
+    /// whatever the current handler goes on to schedule. The one thing a
+    /// taken event escapes is cancellation — like any popped event it
+    /// has fired — so a model that cancels same-instant events from its
+    /// handlers must not take them ahead of time.
+    pub fn take_tie_if(&mut self, pred: impl FnOnce(&E) -> bool) -> Option<E> {
+        if *self.events_processed >= self.event_budget || *self.stop_requested {
+            return None;
+        }
+        let event = self.scheduler.pop_tie_if(pred)?;
+        *self.events_processed += 1;
+        Some(event)
     }
 }
 

@@ -219,9 +219,7 @@ impl<E> Scheduler<E> {
     /// heap backend the one slab slot the token's placement hint names,
     /// so tearing down a large set of pending timers — e.g. a
     /// spec-driven fault plan — stays linear in the number of
-    /// cancellations rather than quadratic on either backend. Events
-    /// already taken by [`Scheduler::take_run_at_or_before`] are
-    /// committed, exactly like a popped event.
+    /// cancellations rather than quadratic on either backend.
     pub fn cancel(&mut self, token: EventToken) -> bool {
         if token.seq >= self.next_seq {
             return false;
@@ -260,45 +258,24 @@ impl<E> Scheduler<E> {
         self.queue.peek_min().map(|(time, _)| time)
     }
 
-    /// Fills `out` with the next *run* — the maximal sequence of
-    /// consecutive same-variant events at the earliest pending timestamp
-    /// (capped at `max`) — and advances `now` to that timestamp.
-    /// Returns the run length; `0` means nothing fires at or before
-    /// `horizon`.
+    /// Pops the next event iff it is a *tie* with the last popped one —
+    /// it fires at exactly [`Scheduler::now`] — and `pred` accepts its
+    /// payload; otherwise the queue is left exactly as it was.
     ///
-    /// This is the type-batched dispatch path. Both backends surface
-    /// same-time ties in seq order already, so the run is built by
-    /// popping directly while the next entry keeps the run's timestamp
-    /// and [`std::mem::discriminant`] — no staging buffer, no re-sort,
-    /// and the peek that stops the run leaves the backend's cached
-    /// position warm for the next call. Order is exactly the
-    /// one-at-a-time order: runs never reorder across a variant boundary
-    /// or a timestamp. Events in a returned run are committed (fired)
-    /// from the scheduler's point of view — exactly like popped events —
-    /// while everything not yet handed out stays resident and
-    /// cancellable.
-    pub fn take_run_at_or_before(&mut self, horizon: SimTime, max: u64, out: &mut Vec<E>) -> usize {
-        out.clear();
-        if max == 0 {
-            return 0;
+    /// Both backends surface same-time ties in seq order already, so a
+    /// caller looping on this consumes the tie set in precisely the
+    /// order plain pops would, and the peek that ends the loop leaves
+    /// the backend's cached minimum warm for the pop that follows.
+    /// A taken event has fired (its token no longer cancels); everything
+    /// not taken stays resident and cancellable.
+    pub fn pop_tie_if(&mut self, pred: impl FnOnce(&E) -> bool) -> Option<E> {
+        match self.queue.peek_min_event() {
+            Some((time, event)) if time == self.now && pred(event) => {}
+            _ => return None,
         }
-        let Some((time, _, first)) = self.queue.pop_min_at_or_before(horizon.as_nanos()) else {
-            return 0;
-        };
-        let disc = std::mem::discriminant(&first);
-        out.push(first);
-        while (out.len() as u64) < max {
-            match self.queue.peek_min_event() {
-                Some((t, ev)) if t == time && std::mem::discriminant(ev) == disc => {
-                    let (_, _, ev) = self.queue.pop_min().expect("just peeked a live entry");
-                    out.push(ev);
-                }
-                _ => break,
-            }
-        }
-        self.live -= out.len();
-        self.now = time;
-        out.len()
+        let (_, _, event) = self.queue.pop_min().expect("just peeked a live entry");
+        self.live -= 1;
+        Some(event)
     }
 }
 
@@ -494,11 +471,19 @@ mod tests {
         });
     }
 
-    /// Two-variant payload for run-boundary tests.
+    /// Two-variant payload for tie-boundary tests.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum T {
         A(u32),
         B(u32),
+    }
+
+    fn is_a(e: &T) -> bool {
+        matches!(e, T::A(_))
+    }
+
+    fn is_b(e: &T) -> bool {
+        matches!(e, T::B(_))
     }
 
     #[test]
@@ -506,55 +491,32 @@ mod tests {
         both(|kind| {
             let mut q = Scheduler::with_kind(kind);
             let t = SimTime::from_secs(1);
-            // Interleaved variants at one timestamp: runs must follow seq
-            // order exactly, never regroup across a boundary.
+            // Interleaved variants at one timestamp: ties must come out
+            // in seq order exactly, never regrouped across a boundary.
             q.schedule_at(t, T::A(0));
             q.schedule_at(t, T::A(1));
             q.schedule_at(t, T::B(2));
             q.schedule_at(t, T::A(3));
             q.schedule_at(SimTime::from_secs(2), T::B(4));
-            let horizon = SimTime::from_secs(9);
-            let mut run = Vec::new();
-            assert_eq!(q.take_run_at_or_before(horizon, u64::MAX, &mut run), 2);
-            assert_eq!(run, [T::A(0), T::A(1)]);
-            assert_eq!(q.now(), t, "now advances with the first run");
-            assert_eq!(q.take_run_at_or_before(horizon, u64::MAX, &mut run), 1);
-            assert_eq!(run, [T::B(2)]);
-            assert_eq!(q.take_run_at_or_before(horizon, u64::MAX, &mut run), 1);
-            assert_eq!(run, [T::A(3)]);
-            // Next timestamp only after the tie set is exhausted.
-            assert_eq!(q.take_run_at_or_before(horizon, u64::MAX, &mut run), 1);
-            assert_eq!(run, [T::B(4)]);
-            assert_eq!(q.now(), SimTime::from_secs(2));
-            assert_eq!(q.take_run_at_or_before(horizon, u64::MAX, &mut run), 0);
-            assert!(q.is_empty());
-        });
-    }
-
-    #[test]
-    fn take_run_respects_horizon_and_budget_cap() {
-        both(|kind| {
-            let mut q = Scheduler::with_kind(kind);
-            let t = SimTime::from_secs(5);
-            for i in 0..6 {
-                q.schedule_at(t, T::A(i));
-            }
-            let mut run = Vec::new();
+            assert_eq!(q.pop_tie_if(is_a), None, "nothing at now = 0 to tie with");
+            assert_eq!(q.pop().unwrap().into_event(), T::A(0));
+            assert_eq!(q.now(), t);
+            assert_eq!(q.pop_tie_if(is_a), Some(T::A(1)));
             assert_eq!(
-                q.take_run_at_or_before(SimTime::from_secs(4), u64::MAX, &mut run),
-                0,
-                "nothing fires before the horizon"
+                q.pop_tie_if(is_a),
+                None,
+                "B(2) is next: A(3) stays behind it"
             );
-            // A budget cap of 4 leaves a live leftover tie set…
-            assert_eq!(q.take_run_at_or_before(t, 4, &mut run), 4);
-            assert_eq!(run, [T::A(0), T::A(1), T::A(2), T::A(3)]);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(t), "leftovers stay visible");
-            // …which a later call resumes, even under a smaller budget.
-            assert_eq!(q.take_run_at_or_before(t, 1, &mut run), 1);
-            assert_eq!(run, [T::A(4)]);
-            assert_eq!(q.take_run_at_or_before(t, 1, &mut run), 1);
-            assert_eq!(run, [T::A(5)]);
+            assert_eq!(q.len(), 3, "a refused tie stays queued");
+            assert_eq!(q.pop_tie_if(is_b), Some(T::B(2)));
+            assert_eq!(q.pop_tie_if(is_b), None);
+            assert_eq!(q.pop_tie_if(is_a), Some(T::A(3)));
+            // The next timestamp is never a tie, whatever the predicate.
+            assert_eq!(q.pop_tie_if(|_| true), None);
+            assert_eq!(q.now(), t, "a refused tie does not advance the clock");
+            assert_eq!(q.pop().unwrap().into_event(), T::B(4));
+            assert_eq!(q.now(), SimTime::from_secs(2));
+            assert_eq!(q.pop_tie_if(|_| true), None);
             assert!(q.is_empty());
         });
     }
@@ -565,19 +527,21 @@ mod tests {
             let mut q = Scheduler::with_kind(kind);
             let t = SimTime::from_secs(1);
             q.schedule_at(t, T::A(0));
-            let doomed = q.schedule_at(t, T::A(1));
-            q.schedule_at(t, T::A(2));
-            let mut run = Vec::new();
-            // Budget 1 dispatches only A(0); the rest of the tie set
-            // stays resident in the backend.
-            assert_eq!(q.take_run_at_or_before(t, 1, &mut run), 1);
-            assert_eq!(run, [T::A(0)]);
-            assert!(q.cancel(doomed), "not-yet-dispatched is still live");
+            let taken = q.schedule_at(t, T::A(1));
+            let doomed = q.schedule_at(t, T::A(2));
+            q.schedule_at(t, T::A(3));
+            assert_eq!(q.pop().unwrap().into_event(), T::A(0));
+            assert_eq!(q.pop_tie_if(is_a), Some(T::A(1)));
+            assert!(!q.cancel(taken), "a taken tie has fired");
+            assert!(q.cancel(doomed), "not-yet-taken is still live");
             assert!(!q.cancel(doomed), "double cancel rejected");
             assert_eq!(q.len(), 1);
             assert_eq!(q.cancelled_total(), 1);
-            assert_eq!(q.take_run_at_or_before(t, u64::MAX, &mut run), 1);
-            assert_eq!(run, [T::A(2)], "the cancelled entry never surfaces");
+            assert_eq!(
+                q.pop_tie_if(is_a),
+                Some(T::A(3)),
+                "the cancelled entry never surfaces"
+            );
             assert!(q.is_empty());
         });
     }
@@ -589,33 +553,26 @@ mod tests {
             let t = SimTime::from_secs(1);
             q.schedule_at(t, T::A(0));
             q.schedule_at(t, T::B(1));
-            let mut run = Vec::new();
-            assert_eq!(q.take_run_at_or_before(t, u64::MAX, &mut run), 1);
+            q.schedule_at(SimTime::from_secs(2), T::B(3));
+            assert_eq!(q.pop().unwrap().into_event(), T::A(0));
+            assert_eq!(q.pop_tie_if(is_a), None);
             // New same-time work arrives while the tie set is partially
-            // dispatched: it files behind the leftovers (larger seq).
+            // consumed: it files behind the leftovers (larger seq).
             q.schedule_at(t, T::A(2));
             // Mixed-mode consumption: plain pops must see the leftover
-            // B(1) first, then the newly pushed A(2).
+            // B(1) first, then the newly pushed A(2) — which a tie pop
+            // after a plain pop takes just as well.
             assert_eq!(q.pop().unwrap().into_event(), T::B(1));
-            assert_eq!(q.pop_at_or_before(t).unwrap().into_event(), T::A(2));
+            assert_eq!(q.pop_tie_if(is_a), Some(T::A(2)));
+            assert_eq!(q.pop_tie_if(|_| true), None, "B(3) fires later");
+            assert_eq!(
+                q.pop_at_or_before(SimTime::from_secs(2))
+                    .unwrap()
+                    .into_event(),
+                T::B(3)
+            );
             assert!(q.is_empty());
             assert_eq!(q.pop(), None);
-        });
-    }
-
-    #[test]
-    fn take_run_after_pop_consumption_sees_remaining_events() {
-        both(|kind| {
-            let mut q = Scheduler::with_kind(kind);
-            q.schedule_at(SimTime::from_secs(1), T::A(0));
-            q.schedule_at(SimTime::from_secs(2), T::B(1));
-            assert_eq!(q.pop().unwrap().into_event(), T::A(0));
-            let mut run = Vec::new();
-            assert_eq!(
-                q.take_run_at_or_before(SimTime::from_secs(2), u64::MAX, &mut run),
-                1
-            );
-            assert_eq!(run, [T::B(1)]);
         });
     }
 

@@ -29,12 +29,6 @@ pub struct Simulator<M: Model> {
     events_emitted: u64,
     event_budget: u64,
     stop_requested: bool,
-    /// Whether [`Simulator::run_until`] dispatches type-batched runs
-    /// (see [`Simulator::with_batched_dispatch`]).
-    batched: bool,
-    /// Reused run buffer for the batched loop — grows once to the
-    /// largest same-type run and then costs no allocation.
-    run_scratch: Vec<M::Event>,
 }
 
 impl<M: Model> Simulator<M> {
@@ -49,26 +43,11 @@ impl<M: Model> Simulator<M> {
             // zero-delay loops without ever tripping in legitimate runs.
             event_budget: u64::MAX,
             stop_requested: false,
-            batched: false,
-            run_scratch: Vec::new(),
         }
     }
 
-    /// Switches [`Simulator::run_until`] between one-at-a-time dispatch
-    /// (`false`, the default and the property-tested reference) and
-    /// type-batched dispatch (`true`): same-timestamp events are drained
-    /// from the queue in one sweep and delivered to
-    /// [`Model::handle_run`] in consecutive same-variant runs. Execution
-    /// order is identical either way — batching amortizes dispatch, it
-    /// never reorders — with one documented exception for handlers that
-    /// cancel same-instant events of their own type (see
-    /// [`Model::handle_run`]).
-    pub fn with_batched_dispatch(mut self, batched: bool) -> Self {
-        self.batched = batched;
-        self
-    }
-
-    /// Caps the total number of events processed across all `run*` calls.
+    /// Caps the total number of events processed across all `run*` calls
+    /// (ties a handler takes through [`Context::take_tie_if`] included).
     /// Useful as a runaway guard in property tests.
     pub fn with_event_budget(mut self, budget: u64) -> Self {
         self.event_budget = budget;
@@ -154,14 +133,18 @@ impl<M: Model> Simulator<M> {
         self.events_processed += 1;
         let mut ctx = Context::new(
             &mut self.scheduler,
+            &mut self.events_processed,
             &mut self.events_emitted,
             &mut self.stop_requested,
+            self.event_budget,
         );
         self.model.handle_event(&mut ctx, event);
         time
     }
 
-    /// Executes a single event, if one is pending. Returns its firing time.
+    /// Executes a single event, if one is pending, plus whatever
+    /// same-instant ties its handler takes ([`Context::take_tie_if`]).
+    /// Returns the firing time.
     pub fn step(&mut self) -> Option<SimTime> {
         let entry = self.scheduler.pop()?;
         Some(self.dispatch(entry))
@@ -177,9 +160,6 @@ impl<M: Model> Simulator<M> {
     /// queue drains, the model requests a stop, or the event budget is
     /// exhausted. Time never advances past the last executed event.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        if self.batched {
-            return self.run_until_batched(horizon);
-        }
         self.stop_requested = false;
         loop {
             if self.events_processed >= self.event_budget {
@@ -194,57 +174,6 @@ impl<M: Model> Simulator<M> {
                 };
             };
             self.dispatch(entry);
-            if self.stop_requested {
-                return RunOutcome::Stopped;
-            }
-        }
-    }
-
-    /// The type-batched twin of the loop above: same termination rules,
-    /// same execution order, but events arrive in same-variant runs via
-    /// [`Model::handle_run`]. The budget caps each run's length, so an
-    /// exhausted budget leaves the rest of the tie set resident in the
-    /// scheduler for a later call to resume; stop requests take effect
-    /// at run granularity (the run that requested the stop completes —
-    /// a model needing event-granular stops runs unbatched).
-    fn run_until_batched(&mut self, horizon: SimTime) -> RunOutcome {
-        self.stop_requested = false;
-        loop {
-            if self.events_processed >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
-            }
-            let remaining = self.event_budget - self.events_processed;
-            let n = self
-                .scheduler
-                .take_run_at_or_before(horizon, remaining, &mut self.run_scratch);
-            if n == 0 {
-                return if self.scheduler.is_empty() {
-                    RunOutcome::QueueEmpty
-                } else {
-                    RunOutcome::HorizonReached
-                };
-            }
-            self.events_processed += n as u64;
-            #[cfg(feature = "runstats")]
-            {
-                use std::sync::atomic::{AtomicU64, Ordering};
-                static RUNS: AtomicU64 = AtomicU64::new(0);
-                static EVS: AtomicU64 = AtomicU64::new(0);
-                let r = RUNS.fetch_add(1, Ordering::Relaxed) + 1;
-                let e = EVS.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
-                if r % 1_000_000 == 0 {
-                    eprintln!(
-                        "[runstats] runs={r} events={e} avg={:.3}",
-                        e as f64 / r as f64
-                    );
-                }
-            }
-            let mut ctx = Context::new(
-                &mut self.scheduler,
-                &mut self.events_emitted,
-                &mut self.stop_requested,
-            );
-            self.model.handle_run(&mut ctx, &mut self.run_scratch);
             if self.stop_requested {
                 return RunOutcome::Stopped;
             }
@@ -355,83 +284,100 @@ mod tests {
         assert_eq!(m.ticks, 3);
     }
 
-    /// Records every handled event as `(now, tag)` and fans out new
-    /// work with same-instant ties — a trace-equality probe for the
-    /// batched loop.
+    /// Logs every handled tag as `(now, tag)`; even tags fan out a
+    /// same-instant tag and two later ones that tie with each other.
+    /// With `drain` set the handler keeps taking the next same-instant
+    /// tie itself instead of returning to the run loop — a
+    /// trace-equality probe against the same model left to the loop.
+    /// (Variant boundaries are the scheduler tests' and the integration
+    /// property's business.)
     struct Tracer {
+        drain: bool,
+        stop_at: Option<u32>,
         trace: Vec<(SimTime, u32)>,
-        runs: Vec<usize>,
     }
 
     impl Model for Tracer {
         type Event = u32;
         fn handle_event(&mut self, ctx: &mut Context<'_, u32>, ev: u32) {
-            self.trace.push((ctx.now(), ev));
-            // Fan out: even tags spawn a same-instant odd tag and a
-            // later even one, so ties and cross-timestamp chains form.
-            if ev % 2 == 0 && ev < 40 {
-                ctx.schedule_now(ev + 1);
-                ctx.schedule_in(SimDuration::from_millis(u64::from(ev % 7) + 1), ev + 2);
-            }
-        }
-        fn handle_run(&mut self, ctx: &mut Context<'_, u32>, run: &mut Vec<u32>) {
-            self.runs.push(run.len());
-            for ev in run.drain(..) {
-                self.handle_event(ctx, ev);
+            let mut next = Some(ev);
+            while let Some(ev) = next {
+                self.trace.push((ctx.now(), ev));
+                if ev % 2 == 0 && ev < 40 {
+                    ctx.schedule_now(ev + 1);
+                    let later = SimDuration::from_millis(u64::from(ev % 3) + 1);
+                    ctx.schedule_in(later, ev + 2);
+                    ctx.schedule_in(later, ev + 4);
+                }
+                if self.stop_at == Some(ev) {
+                    ctx.request_stop();
+                }
+                next = ctx.take_tie_if(|_| self.drain);
             }
         }
     }
 
-    fn traced(batched: bool) -> Simulator<Tracer> {
+    fn traced(drain: bool, stop_at: Option<u32>) -> Simulator<Tracer> {
         let mut sim = Simulator::new(Tracer {
+            drain,
+            stop_at,
             trace: vec![],
-            runs: vec![],
-        })
-        .with_batched_dispatch(batched);
-        for i in 0..4 {
-            sim.schedule_at(
-                SimTime::from_millis(i),
-                u32::from(u16::try_from(i).unwrap()) * 2,
-            );
+        });
+        for tag in [0, 2, 16, 6] {
+            sim.schedule_at(SimTime::from_millis(u64::from(tag / 8)), tag);
         }
         sim
     }
 
     #[test]
-    fn batched_dispatch_matches_the_reference_loop() {
-        let mut reference = traced(false);
+    fn tie_draining_matches_the_reference_loop() {
+        let mut reference = traced(false, None);
         assert_eq!(reference.run(), RunOutcome::QueueEmpty);
-        let mut batched = traced(true);
-        assert_eq!(batched.run(), RunOutcome::QueueEmpty);
-        assert_eq!(batched.model().trace, reference.model().trace);
-        assert_eq!(batched.events_processed(), reference.events_processed());
-        assert_eq!(batched.events_emitted(), reference.events_emitted());
-        assert_eq!(batched.now(), reference.now());
-        assert!(
-            reference.model().runs.is_empty(),
-            "the reference loop never calls handle_run"
-        );
-        let batched_total: usize = batched.model().runs.iter().sum();
-        assert_eq!(batched_total as u64, batched.events_processed());
+        let mut drained = traced(true, None);
+        assert_eq!(drained.step(), Some(SimTime::ZERO));
+        assert!(drained.events_processed() > 3, "one step ran a whole wave");
+        assert_eq!(drained.run(), RunOutcome::QueueEmpty);
+        assert_eq!(drained.model().trace, reference.model().trace);
+        assert_eq!(drained.events_processed(), reference.events_processed());
+        assert_eq!(drained.events_emitted(), reference.events_emitted());
+        assert_eq!(drained.now(), reference.now());
     }
 
     #[test]
-    fn batched_budget_exhaustion_is_resumable_mid_tie_set() {
-        let mut sim = traced(true).with_event_budget(5);
-        assert_eq!(sim.run(), RunOutcome::EventBudgetExhausted);
-        assert_eq!(sim.events_processed(), 5);
-        let mut reference = traced(false);
+    fn budget_exhaustion_is_resumable_mid_tie_set() {
+        let mut reference = traced(false, None);
         reference.run();
-        // The first five handled events match the reference prefix even
-        // though the budget cut a run short…
-        assert_eq!(sim.model().trace, reference.model().trace[..5]);
-        // …and lifting the budget finishes the identical tail.
-        let mut sim = Simulator {
-            event_budget: u64::MAX,
-            ..sim
-        };
-        assert_eq!(sim.run(), RunOutcome::QueueEmpty);
-        assert_eq!(sim.model().trace, reference.model().trace);
+        for budget in 1..12 {
+            // A wave never takes a tie the budget has no room for: the
+            // handled events are exactly the reference prefix…
+            let mut sim = traced(true, None).with_event_budget(budget);
+            assert_eq!(sim.run(), RunOutcome::EventBudgetExhausted);
+            assert_eq!(sim.events_processed(), budget);
+            assert_eq!(
+                sim.model().trace,
+                reference.model().trace[..budget as usize]
+            );
+            // …the rest of the tie set stays queued, and lifting the
+            // budget finishes the identical tail.
+            let mut sim = sim.with_event_budget(u64::MAX);
+            assert_eq!(sim.run(), RunOutcome::QueueEmpty);
+            assert_eq!(sim.model().trace, reference.model().trace);
+        }
+    }
+
+    #[test]
+    fn a_stop_request_ends_the_wave() {
+        let mut reference = traced(false, Some(2));
+        assert_eq!(reference.run(), RunOutcome::Stopped);
+        let mut drained = traced(true, Some(2));
+        assert_eq!(drained.run(), RunOutcome::Stopped);
+        assert_eq!(drained.model().trace, reference.model().trace);
+        assert_eq!(drained.pending_events(), reference.pending_events());
+        for sim in [&mut drained, &mut reference] {
+            sim.model_mut().stop_at = None;
+            assert_eq!(sim.run(), RunOutcome::QueueEmpty);
+        }
+        assert_eq!(drained.model().trace, reference.model().trace);
     }
 
     #[test]

@@ -11,15 +11,64 @@ use mtnet_metrics::{Histogram, Summary};
 use mtnet_mobility::Point;
 use mtnet_net::{Addr, LinkConfig, NodeId, Prefix, RouteCache, RoutingTable, Topology};
 use mtnet_radio::{CallKind, Cell, CellId, CellKind, CellMap, ChannelPool, LaneSelect};
-use mtnet_sim::{RngStream, Scheduler, SimDuration, SimTime};
+use mtnet_sim::{Context, Model, RngStream, Scheduler, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
 
-/// Two-variant event for the batched-dispatch property: runs must split
-/// at variant boundaries, so the payload needs more than one.
+/// Two-variant event for the tie-draining property: a wave must stop at
+/// a variant boundary, so the payload needs more than one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BatchEv {
-    A(usize),
-    B(usize),
+enum TieEv {
+    A(u64),
+    B(u64),
+}
+
+/// Logs every handled event and fans out follow-ups on a coarse time
+/// grid, so same-instant ties of both variants keep forming. With
+/// `drain` set the handler takes the same-variant ties that follow and
+/// runs them itself, in order; without, the run loop pops them one by
+/// one. Everything else is identical, so the two must be
+/// indistinguishable from outside.
+struct TieModel {
+    drain: bool,
+    trace: Vec<(SimTime, TieEv)>,
+    /// Members per dispatch (all ones when not draining).
+    waves: Vec<usize>,
+}
+
+impl TieModel {
+    fn one(&mut self, ctx: &mut Context<'_, TieEv>, ev: TieEv) {
+        self.trace.push((ctx.now(), ev));
+        let (TieEv::A(n) | TieEv::B(n)) = ev;
+        if n >= 4 {
+            // Two children: the low bit picks the variant, the next two
+            // the delay in 64 µs slots (0 = same instant).
+            for child in [n / 2, n / 3] {
+                let next = if child % 2 == 0 {
+                    TieEv::A(child / 2)
+                } else {
+                    TieEv::B(child / 2)
+                };
+                ctx.schedule_in(SimDuration::from_micros(64 * (child / 2 % 4)), next);
+            }
+        }
+    }
+}
+
+impl Model for TieModel {
+    type Event = TieEv;
+    fn handle_event(&mut self, ctx: &mut Context<'_, TieEv>, ev: TieEv) {
+        let variant = std::mem::discriminant(&ev);
+        let mut wave = vec![ev];
+        if self.drain {
+            while let Some(tie) = ctx.take_tie_if(|e| std::mem::discriminant(e) == variant) {
+                wave.push(tie);
+            }
+        }
+        self.waves.push(wave.len());
+        for ev in wave {
+            self.one(ctx, ev);
+        }
+    }
 }
 
 proptest! {
@@ -533,87 +582,62 @@ proptest! {
     }
 
     // ---------------------------------------------------------------
-    // Type-batched dispatch: consuming a scheduler through
-    // `take_run_at_or_before` yields exactly the event sequence serial
-    // pops yield, under arbitrary schedule/cancel/consume interleavings
-    // and budget caps, on both backends. Runs never mix variants.
+    // Tie draining: a handler that takes its same-variant, same-instant
+    // ties through `Context::take_tie_if` and runs them itself is
+    // indistinguishable from the run loop popping them one by one — same
+    // trace, same counters, same clock — on both scheduler backends,
+    // over random tie-heavy schedules cut by horizons and event budgets.
+    // A wave never crosses a variant boundary, a later instant or an
+    // exhausted budget; what it leaves stays queued and a later `run`
+    // resumes it.
     // ---------------------------------------------------------------
     #[test]
-    fn batched_runs_equal_serial_pops(
-        ops in prop::collection::vec((0u8..8, any::<u64>()), 1..300),
+    fn tie_draining_equals_serial_dispatch(
+        initial in prop::collection::vec((0u64..6, any::<u64>()), 1..40),
+        cuts in prop::collection::vec((0u64..400, 1u64..80), 0..12),
         kind_pick in 0usize..2,
     ) {
-        use mtnet_sim::SchedulerKind;
+        use mtnet_sim::{RunOutcome, SchedulerKind};
         let kind = [SchedulerKind::Calendar, SchedulerKind::Heap][kind_pick];
-        let mut serial = Scheduler::with_kind(kind);
-        let mut batched = Scheduler::with_kind(kind);
-        let mut tokens = Vec::new();
-        let mut run = Vec::new();
-        for (i, &(op, raw)) in ops.iter().enumerate() {
-            match op {
-                // Schedule with heavy quantization → same-instant ties,
-                // mixed variants.
-                0..=3 => {
-                    let d = SimDuration::from_nanos((raw % 500_000) / 1024 * 1024);
-                    let ev = if raw % 2 == 0 { BatchEv::A(i) } else { BatchEv::B(i) };
-                    let (ts, tb) = (serial.schedule_in(d, ev), batched.schedule_in(d, ev));
-                    prop_assert_eq!(ts, tb, "tokens diverged");
-                    tokens.push((ts, tb));
-                }
-                // Cancel a remembered token: drained-but-untaken batch
-                // entries must stay cancellable, so verdicts agree even
-                // when the cancel lands mid-tie-set.
-                4 | 5 => {
-                    if !tokens.is_empty() {
-                        let (ts, tb) = tokens[(raw as usize) % tokens.len()];
-                        prop_assert_eq!(
-                            serial.cancel(ts), batched.cancel(tb),
-                            "cancel verdicts diverged at op {}", i
-                        );
-                    }
-                }
-                // Take one run (budget-capped), then pop the same count
-                // serially: same events, same order, same instant.
-                _ => {
-                    let horizon = batched.now() + SimDuration::from_nanos(raw % 1_000_000);
-                    let max = raw % 5 + 1;
-                    let n = batched.take_run_at_or_before(horizon, max, &mut run);
-                    prop_assert!(n as u64 <= max, "run overran its budget");
-                    if n == 0 {
-                        prop_assert!(
-                            serial.pop_at_or_before(horizon).is_none(),
-                            "serial found an event the batch missed at op {}", i
-                        );
-                    } else {
-                        prop_assert!(
-                            run.iter().all(|e| {
-                                std::mem::discriminant(e) == std::mem::discriminant(&run[0])
-                            }),
-                            "a run mixed variants"
-                        );
-                        for (j, ev) in run.iter().enumerate() {
-                            let popped = serial.pop_at_or_before(horizon);
-                            prop_assert!(popped.is_some(), "serial ran dry at {}/{}", j, n);
-                            let popped = popped.unwrap();
-                            prop_assert_eq!(popped.time(), batched.now(), "run instant diverged");
-                            prop_assert_eq!(&popped.into_event(), ev);
-                        }
-                    }
-                }
+        let start = |drain: bool| {
+            let mut sim = Simulator::new(TieModel { drain, trace: vec![], waves: vec![] })
+                .with_scheduler(kind);
+            for &(slot, raw) in &initial {
+                let n = raw % 512;
+                let ev = if raw % 2 == 0 { TieEv::A(n) } else { TieEv::B(n) };
+                sim.schedule_at(SimTime::from_micros(64 * slot), ev);
             }
-            prop_assert_eq!(serial.len(), batched.len(), "len diverged after op {}", i);
+            sim
+        };
+        let (mut serial, mut drained) = (start(false), start(true));
+        // Run both through the same sequence of (horizon, budget) cuts,
+        // then to completion; compare everything observable at each stop.
+        let cuts = cuts.iter().map(|&(us, budget)| (SimTime::from_micros(us), budget));
+        for (k, (horizon, budget)) in cuts.chain([(SimTime::MAX, u64::MAX)]).enumerate() {
+            serial = serial.with_event_budget(budget);
+            drained = drained.with_event_budget(budget);
+            let outcome = serial.run_until(horizon);
+            prop_assert_eq!(drained.run_until(horizon), outcome, "outcome diverged at stop {}", k);
+            prop_assert_eq!(&drained.model().trace, &serial.model().trace, "trace diverged at stop {}", k);
+            prop_assert_eq!(drained.events_processed(), serial.events_processed());
+            prop_assert_eq!(drained.events_emitted(), serial.events_emitted());
+            prop_assert_eq!(drained.pending_events(), serial.pending_events());
+            prop_assert_eq!(drained.now(), serial.now());
         }
-        // Drain both to the end through their own consumption paths.
-        loop {
-            let n = batched.take_run_at_or_before(SimTime::MAX, u64::MAX, &mut run);
-            if n == 0 { break; }
-            for ev in run.iter() {
-                let popped = serial.pop();
-                prop_assert!(popped.is_some(), "tail lengths diverged");
-                prop_assert_eq!(&popped.unwrap().into_event(), ev);
-            }
+        prop_assert_eq!(serial.run(), RunOutcome::QueueEmpty);
+        // Every event was dispatched exactly once, and each wave is one
+        // variant at one instant.
+        let model = drained.model();
+        prop_assert_eq!(model.waves.iter().sum::<usize>(), model.trace.len());
+        let mut at = 0;
+        for &n in &model.waves {
+            let wave = &model.trace[at..at + n];
+            prop_assert!(wave.iter().all(|(t, e)| {
+                *t == wave[0].0 && std::mem::discriminant(e) == std::mem::discriminant(&wave[0].1)
+            }), "a wave mixed variants or instants: {:?}", wave);
+            at += n;
         }
-        prop_assert!(serial.pop().is_none(), "serial tail outlived the batched one");
+        prop_assert!(serial.model().waves.iter().all(|&n| n == 1));
     }
 
     // ---------------------------------------------------------------
