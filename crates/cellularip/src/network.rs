@@ -47,7 +47,7 @@ impl PageOutcome {
 /// Per the protocol, *data* packets from a mobile node refresh routing
 /// caches exactly like route-update packets do — use
 /// [`CipNetwork::route_update`] for both.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CipNetwork {
     tree: CipTree,
     config: CipConfig,

@@ -28,7 +28,7 @@ pub struct Located {
 /// micro cell `B` (with chain `B → A → R1 → R3`) leaves records
 /// `(X, B)` at `B`, `(X, B)` at `A`, `(X, A)` at `R1` and `(X, R1)` at
 /// `R3` — each BS remembers the *child cell leading toward the node*.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LocationDirectory {
     tables: HashMap<CellId, CellTable>,
     lifetime: SimDuration,

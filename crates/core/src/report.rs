@@ -215,7 +215,7 @@ impl Default for AggregateQos {
 }
 
 /// Everything one simulation run produces.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SimReport {
     /// Simulated duration.
     pub duration: SimDuration,

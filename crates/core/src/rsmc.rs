@@ -27,7 +27,7 @@ use mtnet_radio::CellId;
 use mtnet_sim::{SimDuration, SimTime};
 
 /// Per-domain RSMC state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Rsmc {
     addr: Addr,
     /// Combined gateway/BS location cache: MN → serving cell. Lifetime is

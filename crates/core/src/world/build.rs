@@ -466,6 +466,7 @@ impl WorldBuilder {
             rsmc_addr_domain,
             rsmc_node_domain,
             ha,
+            internet_node: self.internet_node,
             ha_node: self.ha_node,
             cn_node: self.cn_node,
             cn_addr: self.cn_addr,
@@ -490,6 +491,7 @@ impl WorldBuilder {
             pending_recovery: Vec::new(),
             shard: None,
             replicated_events: 0,
+            evprof: None,
             report,
         }
     }

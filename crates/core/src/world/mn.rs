@@ -226,6 +226,20 @@ impl MnTable {
         id
     }
 
+    /// The table the backbone half of a split world holds (see
+    /// [`World::backbone_twin`](super::World::backbone_twin)): who each
+    /// row is — home address, whether it sources a flow, generation —
+    /// and no other column. Mobility, attachment and protocol state stay
+    /// on the access half alone.
+    pub(crate) fn identity_twin(&self) -> MnTable {
+        MnTable {
+            home: self.home.clone(),
+            has_flow: self.has_flow.clone(),
+            gen: self.gen.clone(),
+            ..MnTable::default()
+        }
+    }
+
     /// Position and speed (m/s) of row `i` at `now` — one hot-row read
     /// unless the leg rolls over.
     #[inline]

@@ -160,7 +160,7 @@ impl Default for WorldConfig {
 }
 
 /// Per-domain protocol state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DomainState {
     pub(crate) id: DomainId,
     pub(crate) rsmc: Rsmc,
@@ -194,6 +194,7 @@ struct PendingLatency {
     decided_at: SimTime,
 }
 
+#[derive(Clone)]
 enum FlowGen {
     Cbr(Cbr),
     Vbr(OnOffVbr),
@@ -210,6 +211,7 @@ impl FlowGen {
     }
 }
 
+#[derive(Clone)]
 struct FlowSim {
     flow: FlowId,
     /// Generation-checked reference to the flow's mobile node.
@@ -343,6 +345,9 @@ pub struct World {
     /// RSMC/gateway node → domain index.
     pub(crate) rsmc_node_domain: FxHashMap<NodeId, usize>,
     pub(crate) ha: HomeAgent,
+    /// The Internet core every domain's RSMC and the home network hang
+    /// off (Fig 4.1).
+    pub(crate) internet_node: NodeId,
     pub(crate) ha_node: NodeId,
     pub(crate) cn_node: NodeId,
     pub(crate) cn_addr: Addr,
@@ -393,14 +398,19 @@ pub struct World {
     /// the recovery-latency measurement points.
     pending_recovery: Vec<SimTime>,
     /// Sharded-execution context: `None` under the sequential engine,
-    /// `Some` on a replica run by [`shard::run_sharded`] (switches
-    /// `forward_wired` into diverting boundary crossings to the outbox).
+    /// `Some` on either half of a world split by [`shard::run_sharded`]
+    /// (switches `forward_wired` into diverting boundary crossings to
+    /// the outbox).
     pub(crate) shard: Option<shard::ShardCtx>,
     /// Executions of replicated event classes (sweeps, fault edges) —
     /// the duplicates the sharded merge subtracts from the event count.
     /// Maintained (cheaply) under the sequential engine too, but unused
     /// there.
     pub(crate) replicated_events: u64,
+    /// This world's share of the [`evprof`] totals, allocated by the
+    /// first profiled dispatch and folded into the process-wide counters
+    /// when the run ends.
+    evprof: Option<Box<evprof::Counters>>,
     pub(crate) report: SimReport,
 }
 
@@ -537,7 +547,7 @@ impl World {
             TransmitOutcome::Delivered { at } => {
                 self.arena.get_mut(pkt).record_hop();
                 // Sharded execution: a hop to a node another shard owns
-                // leaves this replica entirely — the packet travels by
+                // leaves this half entirely — the packet travels by
                 // value through the outbox and lands in the owner's
                 // queue at the next window edge (see `shard`).
                 if self.shard.as_ref().is_some_and(|s| s.diverts(next)) {
@@ -678,17 +688,13 @@ impl World {
         let jitter_root = RngStream::from_seed(self.cfg.seed);
         for (i, f) in faults.link_flaps.iter().enumerate() {
             let rsmc_node = self.domains[f.domain as usize].rsmc_node;
-            let internet = self
-                .topo
-                .node_by_addr("1.0.0.1".parse().expect("static addr"))
-                .expect("internet node exists");
             let fwd = self
                 .topo
-                .link_between(internet, rsmc_node)
+                .link_between(self.internet_node, rsmc_node)
                 .expect("domain uplink exists");
             let rev = self
                 .topo
-                .link_between(rsmc_node, internet)
+                .link_between(rsmc_node, self.internet_node)
                 .expect("domain uplink exists");
             let mut rng = jitter_root.child(&format!("faults/flap{i}"));
             for k in 0..f.count {
@@ -2289,7 +2295,9 @@ impl Model for World {
             Ev::Fault(idx) => self.handle_fault(ctx, idx),
         }
         if let Some((slot, t0)) = prof {
-            evprof::record(slot, members, t0.elapsed());
+            self.evprof
+                .get_or_insert_with(Box::default)
+                .record(slot, members, t0.elapsed());
         }
     }
 }
@@ -2395,7 +2403,7 @@ impl World {
 
     /// Schedules the initial events `owns` accepts: the one spelling of
     /// the start-up program order, shared by the sequential engine (owns
-    /// everything) and every sharded replica (owns its event classes) —
+    /// everything) and each half of a sharded world (owns its classes) —
     /// same-instant ties resolve by schedule order, so bit-exactness
     /// across engines depends on there being exactly one.
     pub(crate) fn schedule_initial(sim: &mut Simulator<World>, owns: impl Fn(&Ev) -> bool) {
@@ -2430,9 +2438,70 @@ impl World {
         }
     }
 
+    /// Splits a world that has not run yet along Fig 4.1's seam: returns
+    /// the **backbone half** and leaves `self` the **access half** (see
+    /// [`shard`]). The deployment-sized infrastructure is cloned —
+    /// replicated sweeps and fault edges keep it in step on both sides.
+    /// What scales with subscribers lives on one side only: the twin's
+    /// [`MnTable`] says who a row is and nothing else, and the columns
+    /// only the backbone touches (`cn_route`, `mnld`) are moved out of
+    /// `self`. Every run-time field of an unrun world is still empty, so
+    /// the twin equals a second build wherever the backbone looks, and a
+    /// read from the wrong side is an index panic, not stale data.
+    pub(crate) fn backbone_twin(&mut self) -> World {
+        World {
+            cfg: self.cfg,
+            topo: self.topo.clone(),
+            routes: self.routes.clone(),
+            prefixes: self.prefixes.clone(),
+            prefix_probe: self.prefix_probe.clone(),
+            cells: self.cells.clone(),
+            cell_node: self.cell_node.clone(),
+            node_cell: self.node_cell.clone(),
+            hierarchy: self.hierarchy.clone(),
+            locdir: self.locdir.clone(),
+            domains: self.domains.clone(),
+            cell_domain: self.cell_domain.clone(),
+            node_domain: self.node_domain.clone(),
+            rsmc_addr_domain: self.rsmc_addr_domain.clone(),
+            rsmc_node_domain: self.rsmc_node_domain.clone(),
+            ha: self.ha.clone(),
+            internet_node: self.internet_node,
+            ha_node: self.ha_node,
+            cn_node: self.cn_node,
+            cn_addr: self.cn_addr,
+            mnld: std::mem::take(&mut self.mnld),
+            bs_fas: self.bs_fas.clone(),
+            mns: self.mns.identity_twin(),
+            flows: self.flows.clone(),
+            flow_index: self.flow_index.clone(),
+            cn_route: std::mem::take(&mut self.cn_route),
+            engine: self.engine.clone(),
+            pending_latency: FxHashMap::default(),
+            next_packet_id: 0,
+            arena: PacketArena::new(),
+            measure_scratch: Vec::new(),
+            candidate_scratch: Vec::new(),
+            move_wave: Vec::new(),
+            uplink_wave: Vec::new(),
+            #[cfg(test)]
+            wave_probe: Default::default(),
+            fault_plan: self.fault_plan.clone(),
+            active_faults: 0,
+            pending_recovery: Vec::new(),
+            shard: None,
+            replicated_events: 0,
+            evprof: None,
+            report: self.report.clone(),
+        }
+    }
+
     /// Extracts the final report from a finished world: the shared tail
-    /// of the sequential [`World::run`] and each sharded replica.
+    /// of the sequential [`World::run`] and each half of a sharded one.
     fn finish_report(mut self, duration: SimDuration, events: u64) -> SimReport {
+        if let Some(counters) = self.evprof.take() {
+            counters.fold();
+        }
         self.report.duration = duration;
         self.report.events_processed = events;
         self.report.flows = self.flows.iter().map(|f| (f.flow, f.qos.clone())).collect();
@@ -2484,7 +2553,9 @@ mod tests;
 /// Process-global (the counters sum across worlds), ~50ns of `Instant`
 /// overhead per dispatch when enabled, a single cached-bool test when
 /// not — the tool of first resort when a metro-scale run's wall time
-/// needs explaining.
+/// needs explaining. A world books into counters of its own and adds
+/// them to the totals once, when it finishes — the halves of a sharded
+/// world would otherwise pass the totals' cache lines back and forth.
 #[doc(hidden)]
 pub mod evprof {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -2495,6 +2566,32 @@ pub mod evprof {
     static DISPATCHES: [AtomicU64; N] = [const { AtomicU64::new(0) }; N];
     static NANOS: [AtomicU64; N] = [const { AtomicU64::new(0) }; N];
     static ON: OnceLock<bool> = OnceLock::new();
+
+    /// One world's counts, per variant slot.
+    #[derive(Default)]
+    pub(crate) struct Counters {
+        count: [u64; N],
+        dispatches: [u64; N],
+        nanos: [u64; N],
+    }
+
+    impl Counters {
+        /// Books one dispatch that handled `events` events in `d`.
+        pub(crate) fn record(&mut self, slot: usize, events: usize, d: std::time::Duration) {
+            self.count[slot] += events as u64;
+            self.dispatches[slot] += 1;
+            self.nanos[slot] += d.as_nanos() as u64;
+        }
+
+        /// Adds this world's counts to the process-wide totals.
+        pub(crate) fn fold(&self) {
+            for i in 0..N {
+                COUNT[i].fetch_add(self.count[i], Ordering::Relaxed);
+                DISPATCHES[i].fetch_add(self.dispatches[i], Ordering::Relaxed);
+                NANOS[i].fetch_add(self.nanos[i], Ordering::Relaxed);
+            }
+        }
+    }
 
     pub(crate) fn enabled() -> bool {
         *ON.get_or_init(|| std::env::var_os("MTNET_EVPROF").is_some())
@@ -2512,13 +2609,6 @@ pub mod evprof {
             super::Ev::Sweep => 7,
             super::Ev::Fault(_) => 8,
         }
-    }
-
-    /// Books one dispatch that handled `events` events in `d`.
-    pub(crate) fn record(slot: usize, events: usize, d: std::time::Duration) {
-        COUNT[slot].fetch_add(events as u64, Ordering::Relaxed);
-        DISPATCHES[slot].fetch_add(1, Ordering::Relaxed);
-        NANOS[slot].fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     pub fn report() -> String {

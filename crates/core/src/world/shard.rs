@@ -1,21 +1,26 @@
 //! Conservative time-window parallel execution of one world.
 //!
-//! One [`World`] is sharded by **replicating** it: every shard holds a
-//! full copy of the world built from the same spec and seed, but executes
-//! only the event classes it *owns*. Ownership follows the wired
-//! topology's natural cut:
+//! One built [`World`] is **split**, not replicated: before it runs,
+//! `World::backbone_twin` cuts it along the wired topology's natural
+//! seam (Fig 4.1) into two halves, each executing only the event classes
+//! it *owns*:
 //!
-//! * the **backbone shard** owns everything that happens at the Internet
+//! * the **backbone half** owns everything that happens at the Internet
 //!   core, the Home Agent and the Correspondent Node — flow generation
 //!   ([`Ev::FlowNext`]), HA interception/registration, CN route
 //!   optimization, and every wired hop at those nodes;
-//! * the **access shard** owns the mobile side — mobility sampling,
+//! * the **access half** owns the mobile side — mobility sampling,
 //!   uplinks, location ticks, attaches, air deliveries, and every wired
 //!   hop inside the CIP domain trees, their RSMCs and upper BSs.
 //!
-//! Two event classes are **replicated** on every shard instead of owned:
+//! Anything that scales with subscribers lives on exactly one side: the
+//! access half keeps the whole `MnTable`; the backbone half takes the
+//! CN's route column and the MNLD, and of the population holds only who
+//! a row is (`home`, `has_flow`, the row generation). The
+//! deployment-sized infrastructure exists on both sides, kept in step by
+//! the two event classes that are **replicated** instead of owned:
 //! periodic cache sweeps ([`Ev::Sweep`]) and fault-plan edges
-//! ([`Ev::Fault`]). Replicating them keeps each copy's shared
+//! ([`Ev::Fault`]). Replicating them keeps each half's shared
 //! *environment* — link admin state, cell outage state, topology
 //! generation, the active-fault balance — bit-identical to the sequential
 //! engine's, without any cross-shard state protocol. Their duplicate
@@ -24,16 +29,32 @@
 //! ## Lookahead and windows
 //!
 //! The only links crossing the cut are the Internet ↔ RSMC wide-area
-//! pairs, so any packet one shard emits toward the other arrives no
+//! pairs, so any packet one half emits toward the other arrives no
 //! earlier than its emission time plus the minimum boundary propagation
 //! delay `L` ([`mtnet_net::Topology::min_cross_partition_delay`]). That makes the
 //! half-open window `[t, t + L)` — with `t` the earliest pending event
-//! across shards — safe to execute in parallel with no communication at
-//! all: a classic conservative (lookahead-based) round. At each window
-//! edge the shards' outboxes are drained **in shard order** and
-//! stable-sorted by arrival time, so the injection order is a pure
-//! function of the simulation state — identical no matter how many OS
-//! threads ran the window.
+//! or crossing on either side — safe to execute with no communication
+//! at all: a classic conservative (lookahead-based) round. At each window
+//! edge a half's outbox is stable-sorted by arrival time and injected
+//! into the other half before that half's next window, so the injection
+//! order is a pure function of the simulation state — identical no
+//! matter which thread ran the window.
+//!
+//! ## One worker, and when it is used
+//!
+//! The halves share nothing inside a window, so *where* a window runs
+//! cannot change results — it is a cost decision, taken per window. One
+//! scoped worker thread lives for the whole run and executes the
+//! backbone half; the calling thread keeps the access half, the heavy
+//! one, because the world was built there and its allocations then stay
+//! in the allocator arena they came from (the other way round the
+//! 200 000-subscriber metro world peaked at 150.3 MiB instead of 132.6).
+//! A window is handed over through the mutex-guarded `Mailbox` and a
+//! turn flag the waiting side watches, yielding, for a bounded time
+//! before it parks (`YIELDS_BEFORE_PARK`) — but only when both halves have
+//! enough to do (`MIN_WINDOW_EVENTS`); otherwise both run back to back
+//! on the calling thread, the same loop minus the handoff and the only
+//! path on a single-core box.
 //!
 //! ## Determinism contract
 //!
@@ -44,37 +65,62 @@
 //! enforces this, and CI diffs full fingerprint dumps). This is possible
 //! because the ownership cut splits the *metric* state exactly: every
 //! counter, histogram and float summary is written by events of a single
-//! shard (flow `sent` on the backbone, everything air-side on the access
-//! shard, signaling per emission site…), so the merge is field-wise
+//! half (flow `sent` on the backbone, everything air-side on the access
+//! half, signaling per emission site…), so the merge is field-wise
 //! adoption and integer sums — no float re-accumulation, no reordering.
 //!
-//! ## When one shard beats two
+//! ## What two groups can give
 //!
-//! The partition has exactly two ownership groups, and the backbone group
-//! executes a small fraction of the events (flow generation plus a few
-//! wired hops per packet). Speed-up is therefore bounded by the backbone
-//! share and the per-window barrier cost; small worlds or short windows
-//! (dense event horizons) can run *slower* sharded than sequential.
-//! Requesting more shards than ownership groups clamps to the group
-//! count.
+//! With two ownership groups a run's critical path is Σ max(backbone,
+//! access) over its windows. On the metro world with every 100th node in
+//! a call the backbone half runs 5.08 M of the 7.04 M events (0.71–0.84 s
+//! busy, the access half 0.57–0.65 s; critical path 0.82–0.95 s against
+//! 1.28–1.48 s for the sum), so the cut caps the gain at 1.55× there
+//! however cheap the handoff. Requesting more shards than ownership
+//! groups clamps to the group count.
 
 use super::{Ev, World};
 use crate::messages::Payload;
 use crate::report::SimReport;
 use mtnet_net::{NodeId, Packet};
 use mtnet_sim::{SimDuration, SimTime, Simulator};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Mutex;
+use std::thread::Thread;
 
-/// Shard id of the Internet-core / HA / CN replica.
+/// Shard id of the Internet-core / HA / CN half.
 pub(crate) const BACKBONE: u32 = 0;
-/// Shard id of the access-network replica (authoritative for every
+/// Shard id of the access-network half (authoritative for every
 /// mobility, handoff and fault resilience metric).
 pub(crate) const ACCESS: u32 = 1;
-/// Ownership groups the node partition produces (see module docs).
-const GROUPS: u32 = 2;
 
-/// A packet in transit between shards: extracted by value from the
-/// emitting replica's arena at the boundary link, re-inserted into the
-/// owning replica's arena at the next window edge.
+/// Fewest events the lighter half must have run in the previous window
+/// for the next one to go to the worker: below that a handoff costs more
+/// than the window. On the 2-vCPU recording box the quick suite at
+/// `--threads 1 --shards 2` took 1.03–1.76 s with every window handed
+/// over and 0.91–1.03 s with this rule (sequential 0.77–0.91 s; at
+/// `--threads 4` 0.86–0.95 s against 0.55–0.60 s); 1 173 of the metro
+/// world's 1 201 windows clear it. Results are identical at any value.
+const MIN_WINDOW_EVENTS: u64 = 256;
+
+/// Looks at the turn flag, with a yield after each, before a waiting
+/// side parks. Between the windows of a large world neither side should
+/// sleep: on a busy host an idle vCPU counts as preempted, the guest
+/// scheduler then wakes the sleeper on the waker's core, and both halves
+/// share one core until the balancer notices (seen for minutes on end
+/// when the wait parked after 2 000 plain spins: metro run phase
+/// 1.45–1.7 s instead of 0.9 s). Yielding makes the wait free whenever
+/// something else wants the core. Benchmark `metro_busy_x2`, 9
+/// interleaved 20 s runs each on the 2-vCPU box: 2 000 spins then park
+/// 34.4 sim s/s (28.3–36.0), this 38.6 (32.3–41.3), ahead in 9 of 9;
+/// three sharded metro runs at once 2.8–4.1 s against 2.8–3.1 s, and
+/// 3.5–3.7 s with 20 000 spins that do not yield. More in
+/// EXPERIMENTS.md § Intra-world sharding.
+const YIELDS_BEFORE_PARK: u32 = 20_000;
+
+/// A packet in transit between the halves: extracted by value from the
+/// emitting half's arena at the boundary link, re-inserted into the
+/// owning half's arena at the next window edge.
 pub(crate) struct Crossing {
     /// Wire-level arrival time at the destination node.
     pub(crate) at: SimTime,
@@ -86,11 +132,11 @@ pub(crate) struct Crossing {
     pub(crate) packet: Packet<Payload>,
 }
 
-/// Per-replica sharding context. `None` on a sequentially-run world;
+/// Per-half sharding context. `None` on a sequentially-run world;
 /// `Some` switches `World::forward_wired` into diverting boundary
 /// crossings to the outbox instead of scheduling them locally.
 pub(crate) struct ShardCtx {
-    /// This replica's shard id.
+    /// This half's shard id.
     pub(crate) own: u32,
     /// Owning shard of every node, indexed densely by `NodeId`.
     pub(crate) node_shard: Vec<u32>,
@@ -121,10 +167,7 @@ impl ShardPlan {
     /// sequential engine.
     fn for_world(world: &World) -> Option<ShardPlan> {
         let mut node_shard = vec![ACCESS; world.topo.node_count()];
-        let internet = world
-            .topo
-            .node_by_addr("1.0.0.1".parse().expect("static addr"));
-        for node in internet.into_iter().chain([world.ha_node, world.cn_node]) {
+        for node in [world.internet_node, world.ha_node, world.cn_node] {
             node_shard[node.0 as usize] = BACKBONE;
         }
         let lookahead = world
@@ -140,54 +183,110 @@ impl ShardPlan {
 /// Runs one world sharded across cores, producing a report
 /// byte-identical to `build().run(duration)`.
 ///
-/// `build` must be a pure constructor (same world every call): each shard
-/// runs its own replica built by it. `shards` is the requested shard
-/// count; values above the partition's ownership-group count clamp, and
-/// `shards <= 1` (or an unshardable world) runs the sequential engine.
-pub fn run_sharded(build: impl Fn() -> World, duration: SimDuration, shards: u32) -> SimReport {
-    let first = build();
-    if shards <= 1 {
-        return first.run(duration);
-    }
-    let Some(plan) = ShardPlan::for_world(&first) else {
-        return first.run(duration);
+/// `build` is called exactly once. `shards` is the requested shard
+/// count; any value above 1 runs the two ownership groups the partition
+/// has, and `shards <= 1` (or an unshardable world) runs the sequential
+/// engine.
+pub fn run_sharded(build: impl FnOnce() -> World, duration: SimDuration, shards: u32) -> SimReport {
+    // With one core a handoff can only add waiting: never hand over.
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let min_window_events = if cores > 1 {
+        MIN_WINDOW_EVENTS
+    } else {
+        u64::MAX
     };
-    let n = GROUPS.min(shards);
-    let mut sims: Vec<Simulator<World>> = Vec::with_capacity(n as usize);
-    let mut seed_world = Some(first);
-    for shard in 0..n {
-        let world = seed_world.take().unwrap_or_else(&build);
-        sims.push(into_replica(world, &plan, shard));
-    }
-
-    // One worker per extra shard is all the parallelism the partition
-    // offers; on a single-core box the windows just run inline.
-    let parallel = std::thread::available_parallelism().map_or(1, |p| p.get()) > 1;
-    let horizon = SimTime::ZERO + duration;
-    loop {
-        let Some(start) = sims.iter_mut().filter_map(|s| s.next_event_time()).min() else {
-            break;
-        };
-        if start > horizon {
-            break;
-        }
-        // Everything in [start, start + L) is safe: a packet emitted at
-        // u >= start over a boundary link of propagation >= L arrives at
-        // u + L or later — strictly after this window.
-        let end = SimTime::from_nanos((start + plan.lookahead).as_nanos() - 1).min(horizon);
-        run_window(&mut sims, end, parallel);
-        exchange(&mut sims, &plan);
-    }
-
-    merge(sims, duration)
+    run_sharded_with(build, duration, shards, min_window_events)
 }
 
-/// Wraps one world replica in a simulator and schedules the initial
-/// events it owns, in the sequential engine's program order
+/// [`run_sharded`] with the handoff threshold ([`MIN_WINDOW_EVENTS`])
+/// as a parameter, so tests can force every window down either path.
+pub(crate) fn run_sharded_with(
+    build: impl FnOnce() -> World,
+    duration: SimDuration,
+    shards: u32,
+    min_window_events: u64,
+) -> SimReport {
+    let mut world = build();
+    let plan = (shards > 1).then(|| ShardPlan::for_world(&world)).flatten();
+    let Some(plan) = plan else {
+        return world.run(duration);
+    };
+    let backbone = into_half(world.backbone_twin(), &plan, BACKBONE);
+    let mut access = into_half(world, &plan, ACCESS);
+
+    let horizon = SimTime::ZERO + duration;
+    let mailbox = Mutex::new(Mailbox {
+        sim: backbone,
+        posted: None,
+        ran: None,
+    });
+    let turn = AtomicU8::new(CALLER);
+    std::thread::scope(|scope| {
+        let caller = std::thread::current();
+        let worker = scope.spawn(|| run_posted_windows(&mailbox, &turn, caller));
+        // Dropped when this closure returns or unwinds, before the scope
+        // joins the worker.
+        let _quit = SetTurnOnDrop {
+            turn: &turn,
+            to: QUIT,
+            wake: worker.thread(),
+        };
+        let lock = || mailbox.lock().expect("backbone half panicked");
+
+        // Before the first window: nothing ran, nothing crossed.
+        let idle = |sim: &mut Simulator<World>| Window {
+            outbox: Vec::new(),
+            events: 0,
+            next: sim.next_event_time(),
+        };
+        let (mut bb, mut ac) = (idle(&mut lock().sim), idle(&mut access));
+        loop {
+            // The earliest thing pending anywhere: an event in either
+            // queue, or a crossing not yet injected (outboxes are sorted).
+            let pending = [
+                bb.next,
+                ac.next,
+                bb.outbox.first().map(|c| c.at),
+                ac.outbox.first().map(|c| c.at),
+            ];
+            let Some(start) = pending.into_iter().flatten().min() else {
+                break;
+            };
+            if start > horizon {
+                break;
+            }
+            // Everything in [start, start + L) is safe: a packet emitted at
+            // u >= start over a boundary link of propagation >= L arrives at
+            // u + L or later — strictly after this window.
+            let end = SimTime::from_nanos((start + plan.lookahead).as_nanos() - 1).min(horizon);
+            let hand_over = bb.events.min(ac.events) >= min_window_events;
+            let (to_backbone, to_access) = (ac.outbox, bb.outbox);
+            if hand_over {
+                #[cfg(test)]
+                HANDED_OVER.with(|n| n.set(n.get() + 1));
+                lock().posted = Some((to_backbone, end));
+                turn.store(WORKER, Ordering::Release);
+                worker.thread().unpark();
+                ac = advance(&mut access, to_access, end);
+                wait_while(&turn, WORKER);
+                bb = lock().ran.take().expect("the worker ran the posted window");
+            } else {
+                bb = advance(&mut lock().sim, to_backbone, end);
+                ac = advance(&mut access, to_access, end);
+            }
+        }
+    });
+
+    let backbone = mailbox.into_inner().expect("backbone half panicked").sim;
+    merge(vec![backbone, access], duration)
+}
+
+/// Wraps one half of the split world in a simulator and schedules the
+/// initial events it owns, in the sequential engine's program order
 /// ([`World::schedule_initial`]): each event class lands only on its
 /// owner — except the replicated classes (sweeps, fault edges), which
-/// land on every replica.
-fn into_replica(mut world: World, plan: &ShardPlan, own: u32) -> Simulator<World> {
+/// land on both halves.
+fn into_half(mut world: World, plan: &ShardPlan, own: u32) -> Simulator<World> {
     world.shard = Some(ShardCtx {
         own,
         node_shard: plan.node_shard.clone(),
@@ -203,48 +302,21 @@ fn into_replica(mut world: World, plan: &ShardPlan, own: u32) -> Simulator<World
     sim
 }
 
-/// Advances every shard to `end` (inclusive), in parallel when the box
-/// has the cores for it. Which branch runs cannot affect results: the
-/// shards share nothing within a window.
-fn run_window(sims: &mut [Simulator<World>], end: SimTime, parallel: bool) {
-    if !parallel || sims.len() < 2 {
-        for sim in sims.iter_mut() {
-            sim.run_until(end);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut rest = sims.iter_mut();
-        let first = rest.next().expect("at least one shard");
-        let spawned: Vec<_> = rest
-            .map(|sim| {
-                scope.spawn(move || {
-                    sim.run_until(end);
-                })
-            })
-            .collect();
-        first.run_until(end);
-        for handle in spawned {
-            handle.join().expect("shard thread panicked");
-        }
-    });
+/// What one half hands back from one window.
+struct Window {
+    /// The boundary crossings it emitted, stable-sorted by arrival time
+    /// (same-instant crossings keep their emission order).
+    outbox: Vec<Crossing>,
+    /// Events it ran.
+    events: u64,
+    /// Its earliest pending event afterwards.
+    next: Option<SimTime>,
 }
 
-/// Moves every boundary crossing emitted during the last window into its
-/// owning shard's event queue. Outboxes drain in shard order and the
-/// concatenation is stable-sorted by arrival time, so same-instant
-/// crossings keep a fixed (shard, emission) order — the injection
-/// sequence is deterministic regardless of thread count.
-fn exchange(sims: &mut [Simulator<World>], plan: &ShardPlan) {
-    let mut crossings: Vec<Crossing> = Vec::new();
-    for sim in sims.iter_mut() {
-        let ctx = sim.model_mut().shard.as_mut().expect("replica context");
-        crossings.append(&mut ctx.outbox);
-    }
-    crossings.sort_by_key(|c| c.at);
-    for c in crossings {
-        let dest = plan.node_shard[c.node.0 as usize] as usize;
-        let sim = &mut sims[dest];
+/// Injects the other half's crossings into `sim`'s queue, in order, and
+/// advances it to `end` (inclusive).
+fn advance(sim: &mut Simulator<World>, inbox: Vec<Crossing>, end: SimTime) -> Window {
+    for c in inbox {
         let pkt = sim.model_mut().arena.insert(c.packet);
         sim.schedule_at(
             c.at,
@@ -255,23 +327,122 @@ fn exchange(sims: &mut [Simulator<World>], plan: &ShardPlan) {
             },
         );
     }
+    let before = sim.events_processed();
+    sim.run_until(end);
+    let ctx = sim.model_mut().shard.as_mut().expect("shard context");
+    let mut outbox = std::mem::take(&mut ctx.outbox);
+    outbox.sort_by_key(|c| c.at);
+    Window {
+        outbox,
+        events: sim.events_processed() - before,
+        next: sim.next_event_time(),
+    }
 }
 
-/// Combines the replicas' reports into the sequential run's report.
+/// The backbone half, and what the calling thread and the worker pass
+/// each other about it. Both sides lock it, never at the same time: the
+/// turn flag says whose it is.
+struct Mailbox {
+    sim: Simulator<World>,
+    /// A window for the worker: its inbox and its inclusive end.
+    posted: Option<(Vec<Crossing>, SimTime)>,
+    /// What the worker's last window handed back.
+    ran: Option<Window>,
+}
+
+/// Turn flag values: the mailbox is the calling thread's (also while it
+/// runs the backbone half itself); a window is posted and the mailbox is
+/// the worker's; the run is over and the worker returns.
+const CALLER: u8 = 0;
+const WORKER: u8 = 1;
+const QUIT: u8 = 2;
+
+/// The worker thread: runs every window the caller posts, on the
+/// backbone half, until told to quit.
+///
+/// The turn flag pairs `Release` stores with `Acquire` loads; the data
+/// itself travels under the mailbox mutex.
+fn run_posted_windows(mailbox: &Mutex<Mailbox>, turn: &AtomicU8, caller: Thread) {
+    // A panic in here must not leave the caller parked: give the turn
+    // back on the way out, and the caller finds the mutex poisoned.
+    let _wake = SetTurnOnDrop {
+        turn,
+        to: CALLER,
+        wake: &caller,
+    };
+    while wait_while(turn, CALLER) == WORKER {
+        {
+            let mut m = mailbox.lock().expect("calling thread panicked");
+            let (inbox, end) = m.posted.take().expect("a posted window");
+            m.ran = Some(advance(&mut m.sim, inbox, end));
+        }
+        // Fails only against QUIT, stored by a caller that is unwinding.
+        if turn
+            .compare_exchange(WORKER, CALLER, Ordering::Release, Ordering::Relaxed)
+            .is_err()
+        {
+            return;
+        }
+        caller.unpark();
+    }
+}
+
+/// Sets the turn flag and wakes the other side when dropped — on return
+/// and on unwind alike, so a panic on one side cannot leave the other
+/// parked forever.
+struct SetTurnOnDrop<'a> {
+    turn: &'a AtomicU8,
+    to: u8,
+    wake: &'a Thread,
+}
+
+impl Drop for SetTurnOnDrop<'_> {
+    fn drop(&mut self) {
+        self.turn.store(self.to, Ordering::Release);
+        self.wake.unpark();
+    }
+}
+
+/// Waits until the turn flag is no longer `from` and returns what it
+/// became: [`YIELDS_BEFORE_PARK`] looks with a yield after each, then
+/// parked between looks (whoever flips the flag unparks the waiter).
+fn wait_while(turn: &AtomicU8, from: u8) -> u8 {
+    let mut looks = 0;
+    loop {
+        let now = turn.load(Ordering::Acquire);
+        if now != from {
+            return now;
+        }
+        if looks < YIELDS_BEFORE_PARK {
+            looks += 1;
+            std::thread::yield_now();
+        } else {
+            std::thread::park();
+        }
+    }
+}
+
+// Windows the calling thread handed to the worker, per calling thread.
+#[cfg(test)]
+thread_local! {
+    pub(crate) static HANDED_OVER: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Combines the two halves' reports into the sequential run's report.
 ///
 /// The ownership cut makes every metric single-writer, so the merge is
 /// exact — no float accumulation happens here:
 ///
 /// * **flows** — receive side (delays, jitter, throughput) lives on the
-///   access replica; only the `sent` counter is adopted from the
-///   backbone replica's tracker ([`mtnet_traffic::FlowQos::adopt_sent`]);
+///   access half; only the `sent` counter is adopted from the
+///   backbone half's tracker ([`mtnet_traffic::FlowQos::adopt_sent`]);
 /// * **handoffs, calls, fault transitions, re-registrations, recovery
-///   latency** — access replica only (the backbone replica never touches
+///   latency** — access half only (the backbone half never touches
 ///   them, which `debug_assert`s below check);
 /// * **signaling, drops, outage drops** — integer sums: each increment
-///   site executes on exactly one replica;
-/// * **events** — the sum over replicas minus the duplicate executions
-///   of replicated events (sweeps, fault edges) on non-access replicas.
+///   site executes on exactly one half;
+/// * **events** — the sum over the halves minus the duplicate executions
+///   of replicated events (sweeps, fault edges) on the backbone half.
 fn merge(sims: Vec<Simulator<World>>, duration: SimDuration) -> SimReport {
     let mut events: u64 = 0;
     let mut access: Option<SimReport> = None;
@@ -279,7 +450,7 @@ fn merge(sims: Vec<Simulator<World>>, duration: SimDuration) -> SimReport {
     for sim in sims {
         events += sim.events_processed();
         let world = sim.into_model();
-        let own = world.shard.as_ref().expect("replica context").own;
+        let own = world.shard.as_ref().expect("shard context").own;
         if own == ACCESS {
             access = Some(world.finish_report(duration, 0));
         } else {

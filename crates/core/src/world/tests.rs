@@ -744,19 +744,151 @@ fn sharded_run_is_byte_identical_to_sequential() {
     assert_eq!(sequential, one);
 }
 
+/// Runs `spec` sharded down both window paths — every window handed to
+/// the worker thread (threshold 0) and every window inline on the
+/// calling thread (threshold `u64::MAX`) — and demands the sequential
+/// engine's fingerprint from each. Unit-test worlds never reach the
+/// production threshold on their own, so the paths are forced and the
+/// hand-over counter proves which one ran. Returns the fingerprint.
+fn assert_both_window_paths_match_sequential(spec: &crate::spec::ScenarioSpec) -> String {
+    use super::shard::{run_sharded_with, HANDED_OVER};
+    let duration = SimDuration::from_secs_f64(spec.duration_s);
+    let sequential = spec.build(42).run(duration).fingerprint();
+    for (min_window_events, hands_over) in [(0, true), (u64::MAX, false)] {
+        let before = HANDED_OVER.with(|n| n.get());
+        let sharded = run_sharded_with(|| spec.build(42), duration, 2, min_window_events);
+        let handed_over = HANDED_OVER.with(|n| n.get()) - before;
+        assert_eq!(
+            sequential,
+            sharded.fingerprint(),
+            "{} at threshold {min_window_events}",
+            spec.name
+        );
+        assert_eq!(
+            handed_over > 0,
+            hands_over,
+            "{} at threshold {min_window_events}: {handed_over} windows handed over",
+            spec.name
+        );
+    }
+    sequential
+}
+
 #[test]
 fn sharded_run_is_byte_identical_under_faults() {
-    // Fault edges are replicated on every shard: link state, cell state
+    // Fault edges are replicated on both halves: link state, cell state
     // and every resilience metric must still merge exactly.
     let spec = faulted_city_spec().with_duration_s(20.0);
-    let duration = SimDuration::from_secs(20);
-    let sequential = spec.build(42).run(duration).fingerprint();
-    let sharded = run_sharded(|| spec.build(42), duration, 2).fingerprint();
-    assert_eq!(sequential, sharded);
+    let sequential = assert_both_window_paths_match_sequential(&spec);
     assert!(
         sequential.contains("faults: cells=2"),
         "fault machinery fired in the comparison:\n{sequential}"
     );
+}
+
+#[test]
+fn both_window_paths_match_sequential_on_every_architecture() {
+    for arch in [
+        ArchKind::multi_tier(),
+        ArchKind::multi_tier_hard(),
+        ArchKind::PureMobileIp,
+        ArchKind::FlatCellularIp,
+    ] {
+        let spec = crate::spec::ScenarioSpec::small_city()
+            .with_arch(arch)
+            .with_duration_s(12.0);
+        assert_both_window_paths_match_sequential(&spec);
+    }
+}
+
+#[test]
+fn both_window_paths_match_sequential_in_a_metro() {
+    let spec = crate::spec::ScenarioSpec::metro_smoke().with_duration_s(12.0);
+    assert_both_window_paths_match_sequential(&spec);
+}
+
+#[test]
+fn run_sharded_builds_its_world_exactly_once() {
+    let spec = crate::spec::ScenarioSpec::small_city().with_duration_s(2.0);
+    let duration = SimDuration::from_secs(2);
+    for shards in [1u32, 2, 4, 8] {
+        let builds = std::cell::Cell::new(0);
+        run_sharded(
+            || {
+                builds.set(builds.get() + 1);
+                spec.build(42)
+            },
+            duration,
+            shards,
+        );
+        assert_eq!(builds.get(), 1, "shards={shards}");
+    }
+    // A world without a domain has no link across the cut: it cannot be
+    // sharded and runs on the sequential engine.
+    let builds = std::cell::Cell::new(0);
+    run_sharded(
+        || {
+            builds.set(builds.get() + 1);
+            WorldBuilder::new(WorldConfig::default()).build()
+        },
+        duration,
+        2,
+    );
+    assert_eq!(builds.get(), 1, "unshardable world");
+}
+
+/// Runs a sabotaged small city sharded with every window handed over: a
+/// panic on either thread must come back as a panic, not leave the other
+/// side parked (a hang here is the failure).
+fn run_sharded_sabotaged(sabotage: impl FnOnce(&mut World)) {
+    let spec = crate::spec::ScenarioSpec::small_city().with_duration_s(2.0);
+    let build = || {
+        let mut world = spec.build(42);
+        sabotage(&mut world);
+        world
+    };
+    super::shard::run_sharded_with(build, SimDuration::from_secs(2), 2, 0);
+}
+
+#[test]
+#[should_panic(expected = "backbone half panicked")]
+fn a_panic_on_the_worker_thread_reaches_the_caller() {
+    // The CN's route column moves to the backbone half, whose first
+    // `FlowNext` then indexes past its end — on the worker.
+    run_sharded_sabotaged(|world| world.cn_route.clear());
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn a_panic_on_the_calling_thread_releases_the_worker() {
+    // The access half's first `MoveSample` indexes an empty hot column
+    // while the worker holds, or waits for, a window.
+    run_sharded_sabotaged(|world| world.mns.hot.clear());
+}
+
+#[test]
+fn the_split_puts_every_subscriber_column_on_one_side() {
+    let mut world = crate::spec::ScenarioSpec::small_city().build(42);
+    let n = world.mns.len();
+    assert!(n > 0 && world.cn_route.len() == n);
+    let twin = world.backbone_twin();
+    // The backbone half knows who each row is and nothing else about it.
+    let t = &twin.mns;
+    assert!(t.hot.is_empty() && t.mip.is_empty() && t.cip.is_empty());
+    assert!(t.pending.is_empty() && t.auth.is_empty());
+    assert!(t.prev_cell.is_empty() && t.channel_cell.is_empty());
+    assert!(t.last_paging_update.is_empty());
+    assert_eq!(t.len(), n);
+    for i in 0..n {
+        let handle = world.mns.handle(MnId(i as u32));
+        assert_eq!(t.resolve(handle), world.mns.resolve(handle), "row {i}");
+        assert_eq!(t.home[i], world.mns.home[i], "row {i}");
+        assert_eq!(t.has_flow[i], world.mns.has_flow[i], "row {i}");
+    }
+    // The CN's route column went with it; the access half keeps none.
+    assert_eq!(twin.cn_route.len(), n);
+    assert!(world.cn_route.is_empty());
+    assert_eq!(world.mns.hot.len(), n, "the access half keeps its rows");
 }
 
 #[test]

@@ -63,7 +63,7 @@ struct NodeEntry {
     out: Vec<(NodeId, LinkId)>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LinkEntry {
     from: NodeId,
     to: NodeId,
@@ -86,7 +86,7 @@ struct LinkEntry {
 /// topo.connect(a, b, LinkConfig::backbone());
 /// assert_eq!(topo.next_hop_on_path(a, b), Some(b));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Topology {
     nodes: Vec<NodeEntry>,
     links: Vec<LinkEntry>,

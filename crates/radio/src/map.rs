@@ -121,7 +121,7 @@ impl GridIndex {
 /// can contain the query point are inspected — the full scan survives as
 /// [`CellMap::measure_full_scan`], the reference implementation the
 /// property tests hold the grid against.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CellMap {
     /// Cells indexed densely by id (`None` in gaps) — the per-packet
     /// `cell`/`rssi_dbm` probes are array reads.
@@ -147,7 +147,7 @@ pub struct CellMap {
 /// Structure-of-arrays mirror for [`CellMap::measure_batch`]: one flat
 /// `f64` lane per static field, swept by the explicit lane code in
 /// [`crate::lanes`].
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct CellSoa {
     x: Vec<f64>,
     y: Vec<f64>,

@@ -163,9 +163,9 @@ impl FlowQos {
 
     /// Overwrites the sent-side counters from `other`, keeping every
     /// receive-side figure untouched. Used when the send and receive
-    /// ends of one flow were tracked by different replicas of the same
-    /// world (sharded execution): the sink replica's tracker adopts the
-    /// source replica's sent count and the result equals a single
+    /// ends of one flow were tracked by different halves of the same
+    /// world (sharded execution): the sink half's tracker adopts the
+    /// source half's sent count and the result equals a single
     /// tracker that saw both ends.
     pub fn adopt_sent(&mut self, other: &FlowQos) {
         self.sent = other.sent;
@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn adopt_sent_reunites_a_split_flow() {
-        // Source end tracked by one replica, sink end by another.
+        // Source end tracked by one half, sink end by the other.
         let mut source_end = FlowQos::new();
         let mut sink_end = FlowQos::new();
         for seq in 0..10u64 {
