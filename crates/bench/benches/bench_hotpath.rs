@@ -4,10 +4,11 @@
 //! cells), per-packet flow lookup (persistent index vs linear scan), and
 //! scheduler backends (calendar queue vs binary heap on a hold-model
 //! churn). Each pair documents the speed relationship the code relies
-//! on — the optimized variant ahead, or (for the scheduler pair) the
-//! crossover that motivates the per-world backend choice: the heap's
-//! constant factor wins tiny pending sets, the calendar's O(1) wins the
-//! thousands-pending populations the experiment suite actually runs.
+//! on — the optimized variant ahead, or (for the scheduler pair) why
+//! worlds run the calendar queue and the heap stays the test reference:
+//! the heap's constant factor wins tiny pending sets, the calendar's
+//! O(1) wins the thousands-pending populations the experiment suite
+//! actually runs.
 //! The equivalence of each pair's *answers* is enforced by property
 //! tests (`tests/properties.rs`), so these benches only argue speed.
 //!
@@ -227,50 +228,13 @@ fn bench_measure_batch(c: &mut Criterion) {
     }
 }
 
-/// The explicit lane widths head to head on the SoA sweep — the speedup
-/// side of the lane-width half of the `measure_batch ≡ full scan`
-/// property. Scalar is the exact original loop; W4/W8 are the portable
-/// vector pre-filters feeding the same scalar tail.
-fn bench_rssi_lanes(c: &mut Criterion) {
-    use mtnet_radio::LaneSelect;
-    let n = 1_000usize;
-    let map = build_cells_n(n);
-    let extent = (n as f64).sqrt().ceil() * 400.0;
-    let probe = |k: u64| {
-        mtnet_mobility::Point::new(
-            (k % 37) as f64 / 37.0 * extent,
-            (k % 53) as f64 / 53.0 * extent,
-        )
-    };
-    let mut group = c.benchmark_group(format!("rssi_lanes_{n}cells"));
-    group.sample_size(20);
-    for (name, sel) in [
-        ("scalar_x10k", LaneSelect::Scalar),
-        ("w4_x10k", LaneSelect::W4),
-        ("w8_x10k", LaneSelect::W8),
-    ] {
-        group.bench_function(name, |b| {
-            let mut scratch = Vec::new();
-            b.iter(|| {
-                let mut audible = 0usize;
-                for k in 0..BATCH {
-                    map.measure_batch_lanes(probe(k), None, &mut scratch, sel);
-                    audible += scratch.len();
-                }
-                black_box(audible)
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Scheduler backends head to head on the event loop's own access
 /// pattern: a hold model (pop one, push one at `now + delay`) over a
 /// standing population, the delays mixing packet-scale gaps with
 /// occasional far-future timers (the overflow-ladder case). The small
 /// population shows the heap's constant-factor advantage, the large one
-/// the calendar's O(1) scaling — the crossover behind
-/// `SchedulerKind` being selectable per world.
+/// the calendar's O(1) scaling — why every world runs the calendar queue
+/// and `SchedulerKind::Heap` is the reference the tests compare against.
 fn bench_scheduler(c: &mut Criterion) {
     let run = |kind: SchedulerKind, standing: usize| {
         let mut q = Scheduler::with_kind(kind);
@@ -310,7 +274,6 @@ criterion_group!(
     bench_next_hop,
     bench_measure,
     bench_measure_batch,
-    bench_rssi_lanes,
     bench_scheduler,
     bench_flow_lookup
 );

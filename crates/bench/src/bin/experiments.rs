@@ -11,12 +11,14 @@
 //! ```
 //!
 //! Experiment arms and replications run concurrently through
-//! `mtnet_sim::runner::BatchRunner`; `--threads N` (or `MTNET_THREADS=N`)
-//! pins the pool width, and `--threads 1` forces the sequential path.
-//! `--shards N` (or `MTNET_SHARDS=N`) additionally splits each world
-//! across conservative time-window shards. The printed tables are
-//! byte-identical at any thread or shard count; per-experiment
-//! wall-clock timings go to stderr so stdout stays recordable.
+//! `mtnet_sim::runner::BatchRunner`; `--threads N` pins the pool width
+//! (default: one worker per core), and `--threads 1` forces the
+//! sequential path. `--shards N` additionally splits each world across
+//! conservative time-window shards. Both reach the runners as
+//! `mtnet_bench::RunOptions` fields; no environment variable is read.
+//! The printed tables are byte-identical at any thread or shard count;
+//! per-experiment wall-clock timings go to stderr so stdout stays
+//! recordable.
 //!
 //! `--bench-json <path>` records the perf trajectory machine-readably: one
 //! JSON object per experiment with `{experiment, effort, wall_ms, events,
@@ -29,8 +31,9 @@
 //! diffing two dumps proves a refactor changed nothing observable.
 
 use mtnet_bench::benchjson::{self, BenchRow};
-use mtnet_bench::{cli, rss, run_one, Effort, ALL_IDS};
-use mtnet_sim::runner::BatchRunner;
+use mtnet_bench::{cli, rss, run_one, Effort, RunOptions, ALL_IDS};
+use mtnet_core::world::shard::parse_shard_count;
+use mtnet_sim::runner::{parse_thread_count, BatchRunner};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -51,15 +54,23 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_json = cli::take_value(&mut args, "--bench-json").unwrap_or_else(|e| fail(&e));
-    let fingerprint_path =
-        cli::take_value(&mut args, "--fingerprints").unwrap_or_else(|e| fail(&e));
+    let take =
+        |args: &mut Vec<String>, flag| cli::take_value(args, flag).unwrap_or_else(|e| fail(&e));
+    let bench_json = take(&mut args, "--bench-json");
+    let fingerprint_path = take(&mut args, "--fingerprints");
     // `--pgo` tags every emitted row as coming from the
     // profile-guided-optimized artifact (`scripts/pgo_build`); PGO rows
     // form their own trajectory in BENCH.json.
     let pgo = cli::take_switch(&mut args, "--pgo");
-    cli::apply_threads_flag(&mut args).unwrap_or_else(|e| fail(&e));
-    cli::apply_shards_flag(&mut args).unwrap_or_else(|e| fail(&e));
+    // Resolved here (0 = one worker per core), so the header and the
+    // bench rows name the pool width the runners get.
+    let threads = take(&mut args, "--threads")
+        .map_or(0, |v| parse_thread_count(&v).unwrap_or_else(|e| fail(&e)));
+    let threads = BatchRunner::new(threads).threads();
+    let shards = take(&mut args, "--shards").map(|v| {
+        parse_shard_count(&v)
+            .unwrap_or_else(|()| fail(&format!("--shards needs a positive integer, got {v:?}")))
+    });
     // Every remaining argument must be an effort word or a known
     // experiment id — an unknown id or a stray flag must fail loudly, not
     // silently run nothing (or everything).
@@ -87,10 +98,15 @@ fn main() {
         }
     }
     let seed = 42;
-    let threads = BatchRunner::from_env().threads();
+    let opts = RunOptions {
+        effort,
+        seed,
+        threads,
+        shards,
+    };
     // Specs in the suite all default to one shard, so the effective
-    // count is the env override (set above by --shards) or 1.
-    let shards = mtnet_core::world::shard::shards_from_env().unwrap_or(1);
+    // count is the `--shards` value or 1.
+    let shards = shards.unwrap_or(1);
     println!(
         "mtnet experiment suite — effort: {effort:?}, seed: {seed}, threads: {threads}, \
          shards: {shards}\n"
@@ -106,7 +122,7 @@ fn main() {
         // own run's peak, not the largest experiment before it.
         rss::reset_peak();
         let start = Instant::now();
-        let result = run_one(id, effort, seed).expect("known id");
+        let result = run_one(id, opts).expect("known id");
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let max_rss_bytes = rss::peak_bytes();
         println!("{}", result.render());

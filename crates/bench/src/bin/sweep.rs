@@ -29,8 +29,11 @@
 //! than `--max-reclaims` times. The fleet's final pass prints the grid
 //! table plus `computed/loaded/quarantined/missing` counts and exits 0
 //! only when the grid is complete (3 = quarantined cells, 1 = missing
-//! cells — resume by re-invoking). `--lease-timeout-ms` (env
-//! `MTNET_LEASE_TIMEOUT_MS`) tunes crash-detection latency.
+//! cells — resume by re-invoking). `--lease-timeout-ms` tunes
+//! crash-detection latency. Every setting is a flag: fleet children get
+//! theirs through the argv the parent rebuilds for them, and no
+//! environment variable is read (the `MTNET_SWEEP_KILL_CELL` crash hook
+//! of the torture tests aside, see `mtnet_bench::coord`).
 //!
 //! **Report mode** (`--report`) aggregates a finished grid without
 //! computing anything: one row per grid point, mean ± 95% CI over its
@@ -44,7 +47,7 @@ use mtnet_bench::store::ResultStore;
 use mtnet_bench::sweep::{parse_axis, run_sweep, Axis, SweepPlan};
 use mtnet_bench::{cli, Effort};
 use mtnet_core::spec::ScenarioSpec;
-use mtnet_sim::runner::BatchRunner;
+use mtnet_sim::runner::{parse_thread_count, BatchRunner};
 use std::collections::HashSet;
 
 fn usage() -> ! {
@@ -117,19 +120,20 @@ fn main() {
         .unwrap_or(42);
     let no_store = cli::take_switch(&mut args, "--no-store");
     let store_dir = take(&mut args, "--store").unwrap_or_else(|| ".mtnet-store".into());
-    cli::apply_threads_flag(&mut args).unwrap_or_else(|e| fail(&e));
-    // Multi-worker / report knobs. The flags pin env vars validated by
-    // the same parsers the env-reading path uses, so a malformed
-    // MTNET_SWEEP_WORKERS or MTNET_LEASE_TIMEOUT_MS fails identically.
+    let threads = take(&mut args, "--threads")
+        .map_or(0, |v| parse_thread_count(&v).unwrap_or_else(|e| fail(&e)));
+    // Multi-worker / report knobs.
     let report_mode = cli::take_switch(&mut args, "--report");
     let worker_id = take(&mut args, "--worker-id");
-    cli::apply_workers_flag(&mut args).unwrap_or_else(|e| fail(&e));
-    cli::apply_lease_timeout_flag(&mut args).unwrap_or_else(|e| fail(&e));
+    let workers = take(&mut args, "--workers").map(|v| {
+        coord::parse_worker_count(&v).unwrap_or_else(|e| fail(&format!("--workers: {e}")))
+    });
+    let lease_timeout_ms = take(&mut args, "--lease-timeout-ms").map(|v| {
+        coord::parse_timeout_ms(&v).unwrap_or_else(|e| fail(&format!("--lease-timeout-ms: {e}")))
+    });
     let max_reclaims = take(&mut args, "--max-reclaims").map(|v| {
         coord::parse_max_reclaims(&v).unwrap_or_else(|e| fail(&format!("--max-reclaims: {e}")))
     });
-    let workers = coord::workers_from_env().unwrap_or_else(|e| fail(&e));
-    let lease_timeout_ms = coord::lease_timeout_from_env().unwrap_or_else(|e| fail(&e));
     if !args.is_empty() {
         eprintln!("sweep: unrecognized arguments: {}", args.join(" "));
         usage();
@@ -218,8 +222,7 @@ fn main() {
             coord_cfg.lease_timeout_ms, coord_cfg.max_reclaims,
         );
         // Children get the parent's argv minus the fleet flag, plus
-        // their worker identity; the env override is scrubbed so a
-        // child never becomes a second fleet parent.
+        // their worker identity.
         let child_args = cli::strip_value_flag(&raw, "--workers");
         let exe = std::env::current_exe().unwrap_or_else(|e| fail(&format!("current_exe: {e}")));
         let children: Vec<std::process::Child> = (0..n)
@@ -228,7 +231,6 @@ fn main() {
                     .args(&child_args)
                     .arg("--worker-id")
                     .arg(format!("w{i}"))
-                    .env_remove(coord::WORKERS_ENV)
                     .spawn()
                     .unwrap_or_else(|e| fail(&format!("spawn worker w{i}: {e}")))
             })
@@ -259,7 +261,7 @@ fn main() {
 
     // ---- classic single-process sweep ----
     let store = if no_store { None } else { Some(open_store()) };
-    let runner = BatchRunner::from_env();
+    let runner = BatchRunner::new(threads);
     println!(
         "mtnet sweep — family: {family}, effort: {effort:?}, seed: {master_seed}, threads: {}, store: {}",
         runner.threads(),

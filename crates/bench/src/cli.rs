@@ -1,11 +1,9 @@
 //! Tiny shared argument helpers for the harness binaries
 //! (`experiments`, `sweep`, `bench_check`) — one implementation of
-//! flag extraction and the `--threads` pool-width knob, so the
-//! binaries cannot drift apart.
-
-use crate::coord::{parse_timeout_ms, parse_worker_count, LEASE_TIMEOUT_ENV, WORKERS_ENV};
-use mtnet_core::world::shard::{parse_shard_count, SHARDS_ENV};
-use mtnet_sim::runner::{parse_thread_count, THREADS_ENV};
+//! flag extraction, so the binaries cannot drift apart. A binary's
+//! `main` validates what it extracted (`parse_thread_count`,
+//! `parse_shard_count`, `parse_worker_count`, `parse_timeout_ms`) and
+//! hands the value down as an argument.
 
 /// Extracts every `--flag <value>` occurrence, removing the consumed
 /// tokens. Errors when a final `--flag` has no value token.
@@ -38,55 +36,6 @@ pub fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
         seen = true;
     }
     seen
-}
-
-/// Consumes `--threads N` and pins the batch-runner pool width via the
-/// `MTNET_THREADS` environment variable, validated by the same
-/// [`parse_thread_count`] the runner itself uses (`0` = one per core).
-pub fn apply_threads_flag(args: &mut Vec<String>) -> Result<(), String> {
-    if let Some(threads) = take_value(args, "--threads")? {
-        let n = parse_thread_count(&threads)
-            .map_err(|_| format!("--threads needs a non-negative integer, got {threads:?}"))?;
-        std::env::set_var(THREADS_ENV, n.to_string());
-    }
-    Ok(())
-}
-
-/// Consumes `--shards N` and pins the intra-world shard count via the
-/// `MTNET_SHARDS` environment variable, validated by the same
-/// [`parse_shard_count`] the engine's own override path uses. The env
-/// override beats every spec's `shards` knob, so one flag shards the
-/// whole suite.
-pub fn apply_shards_flag(args: &mut Vec<String>) -> Result<(), String> {
-    if let Some(shards) = take_value(args, "--shards")? {
-        let n = parse_shard_count(&shards)
-            .map_err(|()| format!("--shards needs a positive integer, got {shards:?}"))?;
-        std::env::set_var(SHARDS_ENV, n.to_string());
-    }
-    Ok(())
-}
-
-/// Consumes `--workers N` and pins the sweep worker count via the
-/// `MTNET_SWEEP_WORKERS` environment variable, validated by the same
-/// [`parse_worker_count`] the env-reading path uses — a malformed flag
-/// and a malformed env value fail through one code path.
-pub fn apply_workers_flag(args: &mut Vec<String>) -> Result<(), String> {
-    if let Some(workers) = take_value(args, "--workers")? {
-        let n = parse_worker_count(&workers).map_err(|e| format!("--workers: {e}"))?;
-        std::env::set_var(WORKERS_ENV, n.to_string());
-    }
-    Ok(())
-}
-
-/// Consumes `--lease-timeout-ms N` and pins the lease timeout via the
-/// `MTNET_LEASE_TIMEOUT_MS` environment variable, validated by the same
-/// [`parse_timeout_ms`] the env-reading path uses.
-pub fn apply_lease_timeout_flag(args: &mut Vec<String>) -> Result<(), String> {
-    if let Some(timeout) = take_value(args, "--lease-timeout-ms")? {
-        let ms = parse_timeout_ms(&timeout).map_err(|e| format!("--lease-timeout-ms: {e}"))?;
-        std::env::set_var(LEASE_TIMEOUT_ENV, ms.to_string());
-    }
-    Ok(())
 }
 
 /// A copy of `args` with every `--flag <value>` pair removed — for
@@ -128,27 +77,11 @@ mod tests {
     }
 
     #[test]
-    fn switch_and_threads_validation() {
-        let mut a = args(&["--no-store", "rest"]);
+    fn take_switch_removes_every_occurrence() {
+        let mut a = args(&["--no-store", "rest", "--no-store"]);
         assert!(take_switch(&mut a, "--no-store"));
         assert!(!take_switch(&mut a, "--no-store"));
         assert_eq!(a, ["rest"]);
-        assert!(apply_threads_flag(&mut args(&["--threads", "zero"])).is_err());
-        assert!(apply_threads_flag(&mut args(&["--threads", "-1"])).is_err());
-    }
-
-    #[test]
-    fn workers_and_lease_timeout_flags_reject_malformed_values() {
-        // Only rejection paths here (accepting paths mutate the process
-        // environment; the sweep binary's integration tests cover them
-        // in child processes).
-        assert!(apply_workers_flag(&mut args(&["--workers", "two"])).is_err());
-        assert!(apply_workers_flag(&mut args(&["--workers", "0"])).is_err());
-        assert!(apply_workers_flag(&mut args(&["--workers", "-3"])).is_err());
-        assert!(apply_workers_flag(&mut args(&["--workers"])).is_err());
-        assert!(apply_lease_timeout_flag(&mut args(&["--lease-timeout-ms", "soon"])).is_err());
-        assert!(apply_lease_timeout_flag(&mut args(&["--lease-timeout-ms", "0"])).is_err());
-        assert!(apply_lease_timeout_flag(&mut args(&["--lease-timeout-ms"])).is_err());
     }
 
     #[test]
@@ -158,16 +91,5 @@ mod tests {
         // A trailing valueless flag strips cleanly too.
         let b = args(&["--seed", "42", "--workers"]);
         assert_eq!(strip_value_flag(&b, "--workers"), args(&["--seed", "42"]));
-    }
-
-    #[test]
-    fn shards_flag_rejects_malformed_values() {
-        // Only the rejection paths here — the accepting path mutates
-        // process-global environment, which the integration tests cover
-        // in a child process instead.
-        assert!(apply_shards_flag(&mut args(&["--shards", "two"])).is_err());
-        assert!(apply_shards_flag(&mut args(&["--shards", "0"])).is_err());
-        assert!(apply_shards_flag(&mut args(&["--shards", "-4"])).is_err());
-        assert!(apply_shards_flag(&mut args(&["--shards"])).is_err());
     }
 }

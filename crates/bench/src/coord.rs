@@ -55,16 +55,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// Environment override for the lease timeout in milliseconds
-/// (the `--lease-timeout-ms` flag sets this, same validation path).
-pub const LEASE_TIMEOUT_ENV: &str = "MTNET_LEASE_TIMEOUT_MS";
-
-/// Environment override for the worker count (the `--workers` flag sets
-/// this, same validation path).
-pub const WORKERS_ENV: &str = "MTNET_SWEEP_WORKERS";
-
 /// Testing hook: a worker that claims a cell whose label contains this
 /// value prints a marker and aborts, simulating a crash on that cell.
+/// One of the two environment variables the workspace reads: it has to
+/// reach every worker of a fleet, children included, without being an
+/// option a user could pass by accident — it is not a flag on purpose.
 pub const KILL_CELL_ENV: &str = "MTNET_SWEEP_KILL_CELL";
 
 /// Header line of the lease file format.
@@ -298,28 +293,6 @@ pub fn parse_max_reclaims(value: &str) -> Result<u32, String> {
         .trim()
         .parse::<u32>()
         .map_err(|_| format!("max reclaims must be a non-negative integer, got {value:?}"))
-}
-
-/// Reads [`WORKERS_ENV`]; `Err` on a malformed value (same validation
-/// as the `--workers` flag), `Ok(None)` when unset.
-pub fn workers_from_env() -> Result<Option<usize>, String> {
-    match std::env::var(WORKERS_ENV) {
-        Ok(v) => parse_worker_count(&v)
-            .map(Some)
-            .map_err(|e| format!("{WORKERS_ENV}: {e}")),
-        Err(_) => Ok(None),
-    }
-}
-
-/// Reads [`LEASE_TIMEOUT_ENV`]; `Err` on a malformed value (same
-/// validation as the `--lease-timeout-ms` flag), `Ok(None)` when unset.
-pub fn lease_timeout_from_env() -> Result<Option<u64>, String> {
-    match std::env::var(LEASE_TIMEOUT_ENV) {
-        Ok(v) => parse_timeout_ms(&v)
-            .map(Some)
-            .map_err(|e| format!("{LEASE_TIMEOUT_ENV}: {e}")),
-        Err(_) => Ok(None),
-    }
 }
 
 /// The quarantine record's path for a store key, if present.

@@ -13,7 +13,7 @@
 //! byte-identical at any thread count. The same specs are pinned
 //! textually by the golden tests in `tests/spec_golden.rs`.
 
-use crate::{Effort, ExperimentResult};
+use crate::{Effort, ExperimentResult, RunOptions};
 use mtnet_cellularip::{CipTree, HandoffKind};
 use mtnet_core::handoff::{HandoffFactors, HandoffType};
 use mtnet_core::hierarchy::Hierarchy;
@@ -38,29 +38,17 @@ fn ms(x: f64) -> String {
     format!("{x:.1}ms")
 }
 
-/// Thread-count override for in-process tests. The environment variable
-/// would be the natural knob, but `set_var` racing `getenv` in parallel
-/// test threads is undefined behavior — an atomic is not. 0 = defer to
-/// [`BatchRunner::from_env`].
-#[cfg(test)]
-static TEST_THREAD_OVERRIDE: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-
-fn batch_runner() -> BatchRunner {
-    #[cfg(test)]
-    {
-        let n = TEST_THREAD_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed);
-        if n > 0 {
-            return BatchRunner::new(n);
+/// Runs every spec job through a worker pool `opts.threads` wide, each
+/// at `opts.shards` shards when that is set; results come back in
+/// submission order.
+fn run_specs(opts: RunOptions, specs: Vec<ScenarioSpec>) -> Vec<SimReport> {
+    BatchRunner::new(opts.threads).run(specs, move |_, spec| {
+        match opts.shards {
+            Some(n) => spec.with_shards(n),
+            None => spec,
         }
-    }
-    BatchRunner::from_env()
-}
-
-/// Runs every spec job through the shared worker pool (`MTNET_THREADS`
-/// overrides the width); results come back in submission order.
-fn run_specs(master: u64, specs: Vec<ScenarioSpec>) -> Vec<SimReport> {
-    batch_runner().run(specs, move |_, spec| spec.run(master))
+        .run(opts.seed)
+    })
 }
 
 /// The declarative simulation arms of one experiment, in submission
@@ -402,7 +390,7 @@ fn e1_overlay_secs(effort: Effort) -> f64 {
 /// E1 — Fig 2.1: the multi-tier cellular architecture. Tier parameters,
 /// radio-effective ranges, the speed-based tier assignment, and the
 /// satellite overlay rescuing a rural macro coverage hole.
-pub fn e1_multitier_coverage(effort: Effort, seed: u64) -> ExperimentResult {
+pub fn e1_multitier_coverage(opts: RunOptions) -> ExperimentResult {
     let mut tiers = Table::new([
         "tier",
         "radius m",
@@ -448,8 +436,8 @@ pub fn e1_multitier_coverage(effort: Effort, seed: u64) -> ExperimentResult {
     // shuttle enters the hole around t = 104 s, so even the Quick run
     // must cover the first traversal (t ≈ 104–224 s) for the overlay to
     // have anything to rescue — hence the 240 s floor.
-    let secs = e1_overlay_secs(effort);
-    let reports = run_specs(seed, arm_specs("E1", effort));
+    let secs = e1_overlay_secs(opts.effort);
+    let reports = run_specs(opts, arm_specs("E1", opts.effort));
     let (events, fingerprints) = digest(&reports);
     let mut sat = Table::new(["overlay", "loss", "outage samples", "inter-domain handoffs"]);
     for ((label, _), r) in e1_arms().iter().zip(&reports) {
@@ -488,9 +476,9 @@ pub fn e1_multitier_coverage(effort: Effort, seed: u64) -> ExperimentResult {
 
 /// E2 — Fig 2.2: Mobile IP procedures. Registration cost and the
 /// triangle-routing penalty, against the RSMC-optimized path.
-pub fn e2_mobileip(effort: Effort, seed: u64) -> ExperimentResult {
-    let secs = effort.secs(300.0);
-    let mut reports = run_specs(seed, arm_specs("E2", effort));
+pub fn e2_mobileip(opts: RunOptions) -> ExperimentResult {
+    let secs = opts.effort.secs(300.0);
+    let mut reports = run_specs(opts, arm_specs("E2", opts.effort));
     let (events, fingerprints) = digest(&reports);
     let multi = reports.pop().expect("two arms");
     let pure = reports.pop().expect("two arms");
@@ -536,8 +524,8 @@ pub fn e2_mobileip(effort: Effort, seed: u64) -> ExperimentResult {
 
 /// E3 — Fig 2.3: Cellular IP access network. Route-update period vs
 /// signaling overhead and routing-state staleness.
-pub fn e3_cip_routing(effort: Effort, seed: u64) -> ExperimentResult {
-    let secs = effort.secs(300.0);
+pub fn e3_cip_routing(opts: RunOptions) -> ExperimentResult {
+    let secs = opts.effort.secs(300.0);
     let mut t = Table::new([
         "route-update period",
         "route updates",
@@ -546,7 +534,7 @@ pub fn e3_cip_routing(effort: Effort, seed: u64) -> ExperimentResult {
         "no-route drops",
         "paging drops",
     ]);
-    let reports = run_specs(seed, arm_specs("E3", effort));
+    let reports = run_specs(opts, arm_specs("E3", opts.effort));
     let (events, fingerprints) = digest(&reports);
     for (&period_ms, r) in e3_periods().iter().zip(&reports) {
         let q = r.aggregate_qos();
@@ -577,7 +565,7 @@ pub fn e3_cip_routing(effort: Effort, seed: u64) -> ExperimentResult {
 /// E4 — Fig 2.4: Cellular IP hard vs semisoft handoff. Analytic loss
 /// window vs crossover distance, plus measured loss on the cyclist
 /// workload.
-pub fn e4_cip_handoff(effort: Effort, seed: u64) -> ExperimentResult {
+pub fn e4_cip_handoff(opts: RunOptions) -> ExperimentResult {
     // Analytic part: a deep chain exposes the crossover-distance scaling.
     let mut chain = CipTree::new(NodeId(0));
     for i in 1..=6u32 {
@@ -615,7 +603,7 @@ pub fn e4_cip_handoff(effort: Effort, seed: u64) -> ExperimentResult {
         ]);
     }
     // Measured part: cyclists crossing micro cells.
-    let secs = effort.secs(400.0);
+    let secs = opts.effort.secs(400.0);
     let mut measured = Table::new([
         "scheme",
         "handoffs",
@@ -623,7 +611,7 @@ pub fn e4_cip_handoff(effort: Effort, seed: u64) -> ExperimentResult {
         "lost pkts",
         "duplicates (bicast cost)",
     ]);
-    let reports = run_specs(seed, arm_specs("E4", effort));
+    let reports = run_specs(opts, arm_specs("E4", opts.effort));
     let (events, fingerprints) = digest(&reports);
     for ((label, _), r) in e4_arms().iter().zip(&reports) {
         let q = r.aggregate_qos();
@@ -653,7 +641,7 @@ pub fn e4_cip_handoff(effort: Effort, seed: u64) -> ExperimentResult {
 
 /// E5 — Fig 3.1: hierarchical cell tables. Refresh period vs staleness and
 /// the micro-before-macro lookup order.
-pub fn e5_location(seed: u64) -> ExperimentResult {
+pub fn e5_location(opts: RunOptions) -> ExperimentResult {
     // Fig 3.1 geometry: R3 over R1, R2; two-level micros per domain.
     let mut h = Hierarchy::new();
     let r3 = h.add_upper_macro(CellId(100));
@@ -686,7 +674,7 @@ pub fn e5_location(seed: u64) -> ExperimentResult {
     ]);
     for period_s in [2u64, 4, 5, 8, 12] {
         let mut dir = LocationDirectory::new(&h, lifetime);
-        let mut rng = RngStream::derive(seed, &format!("e5/{period_s}"));
+        let mut rng = RngStream::derive(opts.seed, &format!("e5/{period_s}"));
         let all_micros: Vec<CellId> = micros_d1.iter().chain(micros_d2.iter()).copied().collect();
         let mut serving: Vec<CellId> = (0..n_mns)
             .map(|_| all_micros[rng.index(all_micros.len())])
@@ -790,9 +778,9 @@ fn handoff_table(r: &SimReport) -> Table {
 
 /// E6 — Fig 3.2: inter-domain handoff when both domains share the upper
 /// BS: the update travels over the shared BS, not the home network.
-pub fn e6_interdomain_same(effort: Effort, seed: u64) -> ExperimentResult {
-    let secs = effort.secs(500.0);
-    let reports = run_specs(seed, arm_specs("E6", effort));
+pub fn e6_interdomain_same(opts: RunOptions) -> ExperimentResult {
+    let secs = opts.effort.secs(500.0);
+    let reports = run_specs(opts, arm_specs("E6", opts.effort));
     let r = &reports[0];
     let (events, fingerprints) = digest(&reports);
     ExperimentResult {
@@ -810,9 +798,9 @@ pub fn e6_interdomain_same(effort: Effort, seed: u64) -> ExperimentResult {
 
 /// E7 — Fig 3.3: inter-domain handoff when the upper BSs differ: the
 /// update detours via the home network.
-pub fn e7_interdomain_diff(effort: Effort, seed: u64) -> ExperimentResult {
-    let secs = effort.secs(500.0);
-    let reports = run_specs(seed, arm_specs("E7", effort));
+pub fn e7_interdomain_diff(opts: RunOptions) -> ExperimentResult {
+    let secs = opts.effort.secs(500.0);
+    let reports = run_specs(opts, arm_specs("E7", opts.effort));
     let r = &reports[0];
     let (events, fingerprints) = digest(&reports);
     ExperimentResult {
@@ -829,9 +817,9 @@ pub fn e7_interdomain_diff(effort: Effort, seed: u64) -> ExperimentResult {
 }
 
 /// E8 — Fig 3.4: the three intra-domain handoff cases.
-pub fn e8_intradomain(effort: Effort, seed: u64) -> ExperimentResult {
-    let secs = effort.secs(600.0);
-    let reports = run_specs(seed, arm_specs("E8", effort));
+pub fn e8_intradomain(opts: RunOptions) -> ExperimentResult {
+    let secs = opts.effort.secs(600.0);
+    let reports = run_specs(opts, arm_specs("E8", opts.effort));
     let r = &reports[0];
     let (events, fingerprints) = digest(&reports);
     ExperimentResult {
@@ -849,8 +837,8 @@ pub fn e8_intradomain(effort: Effort, seed: u64) -> ExperimentResult {
 
 /// E9 — Fig 4.1: the RSMC. With vs without the combined
 /// gateway/cache/notifier.
-pub fn e9_rsmc(effort: Effort, seed: u64) -> ExperimentResult {
-    let secs = effort.secs(300.0);
+pub fn e9_rsmc(opts: RunOptions) -> ExperimentResult {
+    let secs = opts.effort.secs(300.0);
     let mut t = Table::new([
         "architecture",
         "loss",
@@ -860,7 +848,7 @@ pub fn e9_rsmc(effort: Effort, seed: u64) -> ExperimentResult {
         "no-route drops",
         "paging drops",
     ]);
-    let reports = run_specs(seed, arm_specs("E9", effort));
+    let reports = run_specs(opts, arm_specs("E9", opts.effort));
     let (events, fingerprints) = digest(&reports);
     for (&arch, r) in e9_arms().iter().zip(&reports) {
         let q = r.aggregate_qos();
@@ -890,14 +878,14 @@ pub fn e9_rsmc(effort: Effort, seed: u64) -> ExperimentResult {
 
 /// E10 — headline claim 1: improved QoS (handoff latency and delay) of
 /// the proposed architecture vs both baselines.
-pub fn e10_qos(effort: Effort, seed: u64) -> ExperimentResult {
-    let secs = effort.secs(300.0);
-    let reps = effort.replications();
+pub fn e10_qos(opts: RunOptions) -> ExperimentResult {
+    let secs = opts.effort.secs(300.0);
+    let reps = opts.effort.replications();
     let archs = e10_arms();
     // All (architecture, replication) runs fan out in one batch; each gets
     // its own (E10, arch, rep)-derived seed, so results are independent of
     // how the pool schedules them.
-    let reports = run_specs(seed, arm_specs("E10", effort));
+    let reports = run_specs(opts, arm_specs("E10", opts.effort));
     let (events, fingerprints) = digest(&reports);
     let mut t = Table::new([
         "architecture",
@@ -951,14 +939,14 @@ pub fn e10_qos(effort: Effort, seed: u64) -> ExperimentResult {
 
 /// E11 — headline claim 2: reduced data-packet loss for mobile multimedia,
 /// across population speeds.
-pub fn e11_loss(effort: Effort, seed: u64) -> ExperimentResult {
-    let secs = effort.secs(300.0);
+pub fn e11_loss(opts: RunOptions) -> ExperimentResult {
+    let secs = opts.effort.secs(300.0);
     let populations = e11_populations();
     let archs = e11_arms();
-    let reps = effort.replications();
+    let reps = opts.effort.replications();
     // One job per (population, architecture, replication); the arm label
     // in the seed path carries both the population and the architecture.
-    let reports = run_specs(seed, arm_specs("E11", effort));
+    let reports = run_specs(opts, arm_specs("E11", opts.effort));
     let (events, fingerprints) = digest(&reports);
     let mut t = Table::new([
         "population",
@@ -1008,8 +996,8 @@ pub fn e11_loss(effort: Effort, seed: u64) -> ExperimentResult {
 }
 
 /// E12 — §3.2 ablation: which of the three handoff factors matter.
-pub fn e12_ablation(effort: Effort, seed: u64) -> ExperimentResult {
-    let secs = effort.secs(300.0);
+pub fn e12_ablation(opts: RunOptions) -> ExperimentResult {
+    let secs = opts.effort.secs(300.0);
     let mut t = Table::new([
         "factors",
         "handoffs",
@@ -1019,7 +1007,7 @@ pub fn e12_ablation(effort: Effort, seed: u64) -> ExperimentResult {
         "outages",
         "loss",
     ]);
-    let reports = run_specs(seed, arm_specs("E12", effort));
+    let reports = run_specs(opts, arm_specs("E12", opts.effort));
     let (events, fingerprints) = digest(&reports);
     for ((label, _), r) in e12_arms().iter().zip(&reports) {
         let q = r.aggregate_qos();
@@ -1049,9 +1037,9 @@ pub fn e12_ablation(effort: Effort, seed: u64) -> ExperimentResult {
 /// E13 — resilience under infrastructure faults: the same outage, flap
 /// and failover schedule against the hierarchical architecture and pure
 /// Mobile IP, plus an eclipsed satellite overlay.
-pub fn e13_resilience(effort: Effort, seed: u64) -> ExperimentResult {
-    let secs = effort.secs(300.0);
-    let reports = run_specs(seed, arm_specs("E13", effort));
+pub fn e13_resilience(opts: RunOptions) -> ExperimentResult {
+    let secs = opts.effort.secs(300.0);
+    let reports = run_specs(opts, arm_specs("E13", opts.effort));
     let (events, fingerprints) = digest(&reports);
     let mut t = Table::new([
         "arm",
@@ -1107,8 +1095,8 @@ pub fn e13_resilience(effort: Effort, seed: u64) -> ExperimentResult {
 /// constant-memory aggregate histogram instead of per-flow
 /// distributions. The table reports the per-tier admission pressure and
 /// the aggregate delay percentiles the streaming accumulators exist for.
-pub fn e14_metro(effort: Effort, seed: u64) -> ExperimentResult {
-    let specs = arm_specs("E14", effort);
+pub fn e14_metro(opts: RunOptions) -> ExperimentResult {
+    let specs = arm_specs("E14", opts.effort);
     let spec = specs[0].clone();
     let secs = spec.duration_s;
     let subscribers = spec.pedestrians + spec.cyclists + spec.vehicles;
@@ -1127,7 +1115,7 @@ pub fn e14_metro(effort: Effort, seed: u64) -> ExperimentResult {
             0
         }
         + u32::from(spec.satellite);
-    let reports = run_specs(seed, specs);
+    let reports = run_specs(opts, specs);
     let (events, fingerprints) = digest(&reports);
     let r = &reports[0];
     let agg = r
@@ -1197,14 +1185,14 @@ mod tests {
 
     #[test]
     fn e1_is_complete() {
-        let r = e1_multitier_coverage(Effort::Quick, 1);
+        let r = e1_multitier_coverage(RunOptions::new(Effort::Quick, 1));
         assert_eq!(r.tables.len(), 3);
         assert_eq!(r.tables[0].1.len(), 4, "one row per tier");
     }
 
     #[test]
     fn e5_staleness_rises_past_lifetime() {
-        let r = e5_location(3);
+        let r = e5_location(RunOptions::new(Effort::Quick, 3));
         let rendered = r.render();
         // The 2 s row must show ~0 staleness; the 12 s row must not.
         assert!(rendered.contains("2s"));
@@ -1213,7 +1201,7 @@ mod tests {
 
     #[test]
     fn e4_analytic_monotone() {
-        let r = e4_cip_handoff(Effort::Quick, 3);
+        let r = e4_cip_handoff(RunOptions::new(Effort::Quick, 3));
         assert!(r.render().contains("hard loss window"));
     }
 
@@ -1271,16 +1259,13 @@ mod tests {
         // The rendered experiment output is part of the determinism
         // contract: sequential and parallel execution must agree byte for
         // byte. (The full report-level check lives in
-        // tests/determinism.rs; this guards the harness glue.) The
-        // override is a process-wide atomic; other tests seeing it
-        // mid-flight is harmless because thread count never changes
-        // results — the very property under test.
-        use std::sync::atomic::Ordering;
+        // tests/determinism.rs; this guards the harness glue.)
         let run_with = |threads: usize| {
-            TEST_THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
-            let rendered = e10_qos(Effort::Quick, 7).render();
-            TEST_THREAD_OVERRIDE.store(0, Ordering::Relaxed);
-            rendered
+            let opts = RunOptions {
+                threads,
+                ..RunOptions::new(Effort::Quick, 7)
+            };
+            e10_qos(opts).render()
         };
         assert_eq!(run_with(1), run_with(4));
     }
@@ -1294,7 +1279,6 @@ mod tests {
         // fingerprints bit for bit — on an E1-class legacy world and on a
         // metro-tier world (idle camping + aggregate QoS exercise the new
         // paths).
-        use std::sync::atomic::Ordering;
         let arms = || {
             let mut specs = arm_specs("E1", Effort::Quick);
             specs.push(
@@ -1305,11 +1289,12 @@ mod tests {
             specs
         };
         let run_with = |threads: usize, shards: u32| -> Vec<String> {
-            TEST_THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
-            let specs: Vec<ScenarioSpec> =
-                arms().into_iter().map(|s| s.with_shards(shards)).collect();
-            let reports = run_specs(42, specs);
-            TEST_THREAD_OVERRIDE.store(0, Ordering::Relaxed);
+            let opts = RunOptions {
+                threads,
+                shards: Some(shards),
+                ..RunOptions::new(Effort::Quick, 42)
+            };
+            let reports = run_specs(opts, arms());
             reports.iter().map(|r| r.fingerprint()).collect()
         };
         let reference = run_with(1, 1);

@@ -8,7 +8,7 @@
 //! Every experiment's arms and replications are declarative
 //! `mtnet_core::spec::ScenarioSpec`s (see [`experiments::arm_specs`])
 //! executed **concurrently** through `mtnet_sim::runner::BatchRunner`
-//! (set `MTNET_THREADS=1` to force the sequential path), with per-run
+//! ([`RunOptions::threads`]; 1 forces the sequential path), with per-run
 //! sub-seeds derived from the `(experiment, architecture, replication)`
 //! path via `mtnet_sim::rng::SeedTree` — so the printed tables are
 //! byte-identical at any thread count.
@@ -83,6 +83,35 @@ impl Effort {
     }
 }
 
+/// How an experiment is run — what [`run_one`] and every runner take.
+/// Nothing here changes a result: tables and fingerprints are
+/// byte-identical at any `threads` and `shards`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Simulated run length.
+    pub effort: Effort,
+    /// Master seed every arm's seed path resolves against.
+    pub seed: u64,
+    /// Batch-runner pool width (`--threads`): 0 = one worker per core,
+    /// 1 = the sequential path.
+    pub threads: usize,
+    /// `--shards N`: runs every arm at `N` intra-world shards instead of
+    /// its spec's own count.
+    pub shards: Option<u32>,
+}
+
+impl RunOptions {
+    /// One worker per core, every arm at its spec's own shard count.
+    pub fn new(effort: Effort, seed: u64) -> Self {
+        RunOptions {
+            effort,
+            seed,
+            threads: 0,
+            shards: None,
+        }
+    }
+}
+
 /// One experiment's rendered output.
 #[derive(Debug)]
 pub struct ExperimentResult {
@@ -133,32 +162,32 @@ pub const ALL_IDS: [&str; 14] = [
 
 /// Runs a single experiment by id (case-insensitive); `None` for unknown
 /// ids.
-pub fn run_one(id: &str, effort: Effort, seed: u64) -> Option<ExperimentResult> {
+pub fn run_one(id: &str, opts: RunOptions) -> Option<ExperimentResult> {
     let r = match id.to_ascii_uppercase().as_str() {
-        "E1" => experiments::e1_multitier_coverage(effort, seed),
-        "E2" => experiments::e2_mobileip(effort, seed),
-        "E3" => experiments::e3_cip_routing(effort, seed),
-        "E4" => experiments::e4_cip_handoff(effort, seed),
-        "E5" => experiments::e5_location(seed),
-        "E6" => experiments::e6_interdomain_same(effort, seed),
-        "E7" => experiments::e7_interdomain_diff(effort, seed),
-        "E8" => experiments::e8_intradomain(effort, seed),
-        "E9" => experiments::e9_rsmc(effort, seed),
-        "E10" => experiments::e10_qos(effort, seed),
-        "E11" => experiments::e11_loss(effort, seed),
-        "E12" => experiments::e12_ablation(effort, seed),
-        "E13" => experiments::e13_resilience(effort, seed),
-        "E14" => experiments::e14_metro(effort, seed),
+        "E1" => experiments::e1_multitier_coverage(opts),
+        "E2" => experiments::e2_mobileip(opts),
+        "E3" => experiments::e3_cip_routing(opts),
+        "E4" => experiments::e4_cip_handoff(opts),
+        "E5" => experiments::e5_location(opts),
+        "E6" => experiments::e6_interdomain_same(opts),
+        "E7" => experiments::e7_interdomain_diff(opts),
+        "E8" => experiments::e8_intradomain(opts),
+        "E9" => experiments::e9_rsmc(opts),
+        "E10" => experiments::e10_qos(opts),
+        "E11" => experiments::e11_loss(opts),
+        "E12" => experiments::e12_ablation(opts),
+        "E13" => experiments::e13_resilience(opts),
+        "E14" => experiments::e14_metro(opts),
         _ => return None,
     };
     Some(r)
 }
 
 /// Runs every experiment in order.
-pub fn run_all(effort: Effort, seed: u64) -> Vec<ExperimentResult> {
+pub fn run_all(opts: RunOptions) -> Vec<ExperimentResult> {
     ALL_IDS
         .iter()
-        .map(|id| run_one(id, effort, seed).expect("known id"))
+        .map(|id| run_one(id, opts).expect("known id"))
         .collect()
 }
 
@@ -181,7 +210,7 @@ mod tests {
 
     #[test]
     fn render_contains_id_and_tables() {
-        let r = experiments::e1_multitier_coverage(Effort::Quick, 1);
+        let r = experiments::e1_multitier_coverage(RunOptions::new(Effort::Quick, 1));
         let text = r.render();
         assert!(text.contains("E1"));
         assert!(text.contains("macro"));

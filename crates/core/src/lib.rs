@@ -20,17 +20,19 @@
 //! * the **MNLD** (Mobile Node Location Database, [`mnld`]).
 //!
 //! Everything runs inside a deterministic packet-level simulation
-//! ([`world`]), with scenario builders ([`scenario`]) for the proposed
-//! architecture and the baselines it is compared against (pure Mobile IP,
-//! flat Cellular IP), and a [`report`] module aggregating QoS, handoff and
-//! signaling statistics.
+//! ([`world`]), with declarative scenario specs ([`spec`]) run under the
+//! proposed architecture or the baselines it is compared against
+//! ([`scenario::ArchKind`]: pure Mobile IP, flat Cellular IP), and a
+//! [`report`] module aggregating QoS, handoff and signaling statistics.
 //!
 //! ```no_run
-//! use mtnet_core::scenario::{Scenario, ArchKind};
+//! use mtnet_core::{ArchKind, ScenarioSpec};
 //!
-//! let report = Scenario::small_city(42)
+//! let report = ScenarioSpec::small_city()
+//!     .with_raw_seed(42)
 //!     .with_arch(ArchKind::multi_tier())
-//!     .run_secs(60.0);
+//!     .with_duration_s(60.0)
+//!     .run(0);
 //! println!("voice loss: {:.3}%", report.aggregate_qos().loss_rate * 100.0);
 //! ```
 
@@ -56,7 +58,7 @@ pub use handoff::{HandoffDecision, HandoffEngine, HandoffFactors, HandoffType};
 pub use hierarchy::{Domain, DomainId, Hierarchy};
 pub use messages::{MnId, MtMessage, Payload};
 pub use report::SimReport;
-pub use scenario::{ArchKind, Scenario};
+pub use scenario::ArchKind;
 pub use spec::{ScenarioSpec, SeedSpec};
 pub use tables::CellTable;
 pub use tier::Tier;

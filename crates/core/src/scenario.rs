@@ -1,15 +1,9 @@
-//! Scenario presets: the proposed architecture and its baselines over
-//! shared geographies and populations.
+//! The architectures under comparison: the paper's proposal and its two
+//! baselines. Geographies and populations are
+//! [`crate::spec::ScenarioSpec`] presets.
 
-use crate::handoff::HandoffFactors;
-use crate::report::SimReport;
-use crate::spec::ScenarioSpec;
-use crate::world::{World, WorldConfig};
+use crate::world::WorldConfig;
 use mtnet_cellularip::HandoffKind;
-use mtnet_sim::SimDuration;
-
-/// Width of one domain strip, meters (mirrors the spec-layer default).
-const DOMAIN_WIDTH: f64 = 3_000.0;
 
 /// Which architecture an experiment arm runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,290 +131,19 @@ impl ArchKind {
     }
 }
 
-/// The population mix of a scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct Population {
-    /// Walking users on the street row (micro-tier customers).
-    pub pedestrians: usize,
-    /// Highway vehicles shuttling across all domains (macro-tier
-    /// customers, the inter-domain handoff drivers).
-    pub vehicles: usize,
-    /// Cyclists commuting along one domain's street row at ~6 m/s —
-    /// below the tier speed threshold, so they stay in the micro tier and
-    /// generate frequent micro→micro handoffs (the Fig 2.4 / Fig 3.4c
-    /// workload).
-    pub cyclists: usize,
-}
-
-impl Population {
-    /// Total node count.
-    pub fn total(&self) -> usize {
-        self.pedestrians + self.vehicles + self.cyclists
-    }
-}
-
-/// A complete experiment scenario.
-#[derive(Debug, Clone, Copy)]
-pub struct Scenario {
-    /// Master seed.
-    pub seed: u64,
-    /// Architecture under test.
-    pub arch: ArchKind,
-    /// Domains laid out left to right; consecutive pairs share an upper
-    /// BS (Fig 3.2's region), odd tail domains stand alone (Fig 3.3).
-    pub n_domains: usize,
-    /// Micro cells per domain.
-    pub micro_per_domain: usize,
-    /// Population mix.
-    pub population: Population,
-    /// Give every node a voice flow.
-    pub voice: bool,
-    /// Give every third node a video flow.
-    pub video: bool,
-    /// Give every fourth node a web flow.
-    pub web: bool,
-    /// §3.2 decision factors (ablations).
-    pub factors: HandoffFactors,
-    /// Consecutive domain pairs share an upper-layer BS (Fig 3.2). With
-    /// `false` every domain gets its own upper BS, so all inter-domain
-    /// handoffs are the Fig 3.3 different-upper case.
-    pub share_upper: bool,
-    /// Overrides the Cellular IP route-update period (E3 sweeps).
-    pub route_update_override: Option<SimDuration>,
-    /// Overrides the semisoft bicast delay (E4 sweeps).
-    pub semisoft_delay_override: Option<SimDuration>,
-    /// Overrides the cell-table record time-limitation (E5 sweeps).
-    pub table_lifetime_override: Option<SimDuration>,
-    /// Remove the middle domain's macro radio (rural coverage hole).
-    pub macro_hole: bool,
-    /// Add a satellite overlay domain covering the whole corridor
-    /// (Fig 2.1's outermost tier).
-    pub satellite: bool,
-}
-
-impl Scenario {
-    /// The standard three-domain city: domains 0 and 1 share an upper BS
-    /// (exercising Fig 3.2), domain 2 stands alone (Fig 3.3), mixed
-    /// pedestrian/vehicle population, voice + video traffic.
-    pub fn small_city(seed: u64) -> Scenario {
-        Scenario {
-            seed,
-            arch: ArchKind::multi_tier(),
-            n_domains: 3,
-            micro_per_domain: 4,
-            population: Population {
-                pedestrians: 6,
-                vehicles: 3,
-                cyclists: 0,
-            },
-            voice: true,
-            video: true,
-            web: false,
-            factors: HandoffFactors::all(),
-            share_upper: true,
-            route_update_override: None,
-            semisoft_delay_override: None,
-            table_lifetime_override: None,
-            macro_hole: false,
-            satellite: false,
-        }
-    }
-
-    /// A two-domain corridor with a single commuting vehicle — the
-    /// controlled inter-domain handoff scenario of Figs 3.2/3.3.
-    pub fn commute_corridor(seed: u64) -> Scenario {
-        Scenario {
-            seed,
-            arch: ArchKind::multi_tier(),
-            n_domains: 2,
-            micro_per_domain: 4,
-            population: Population {
-                pedestrians: 2,
-                vehicles: 1,
-                cyclists: 0,
-            },
-            voice: true,
-            video: false,
-            web: false,
-            factors: HandoffFactors::all(),
-            share_upper: true,
-            route_update_override: None,
-            semisoft_delay_override: None,
-            table_lifetime_override: None,
-            macro_hole: false,
-            satellite: false,
-        }
-    }
-
-    /// A single dense domain: intra-domain (Fig 3.4) handoffs only.
-    pub fn single_domain(seed: u64) -> Scenario {
-        Scenario {
-            seed,
-            arch: ArchKind::multi_tier(),
-            n_domains: 1,
-            micro_per_domain: 6,
-            population: Population {
-                pedestrians: 4,
-                vehicles: 0,
-                cyclists: 4,
-            },
-            voice: true,
-            video: true,
-            web: true,
-            factors: HandoffFactors::all(),
-            share_upper: true,
-            route_update_override: None,
-            semisoft_delay_override: None,
-            table_lifetime_override: None,
-            macro_hole: false,
-            satellite: false,
-        }
-    }
-
-    /// Replaces the architecture.
-    pub fn with_arch(mut self, arch: ArchKind) -> Scenario {
-        self.arch = arch;
-        self
-    }
-
-    /// Replaces the master seed (replication sweeps: derive per-run seeds
-    /// with `mtnet_sim::rng::SeedTree` and stamp them in here).
-    pub fn with_seed(mut self, seed: u64) -> Scenario {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the decision factors (E12 ablations).
-    pub fn with_factors(mut self, factors: HandoffFactors) -> Scenario {
-        self.factors = factors;
-        self
-    }
-
-    /// Replaces the population.
-    pub fn with_population(mut self, population: Population) -> Scenario {
-        self.population = population;
-        self
-    }
-
-    /// A rural corridor: three domains whose middle domain has **no macro
-    /// radio** — a coverage hole that fast nodes fall into — exercised
-    /// with and without the satellite overlay (Fig 2.1's outermost tier).
-    pub fn rural_corridor(seed: u64) -> Scenario {
-        Scenario {
-            macro_hole: true,
-            ..Scenario::small_city(seed)
-        }
-        .with_population(Population {
-            pedestrians: 0,
-            vehicles: 2,
-            cyclists: 0,
-        })
-    }
-
-    /// Adds the satellite overlay.
-    pub fn with_satellite(mut self) -> Scenario {
-        self.satellite = true;
-        self
-    }
-
-    /// Gives every domain its own upper BS (all inter-domain handoffs
-    /// become the Fig 3.3 different-upper case).
-    pub fn without_shared_upper(mut self) -> Scenario {
-        self.share_upper = false;
-        self
-    }
-
-    /// Overrides the route-update period (E3).
-    pub fn with_route_update(mut self, period: SimDuration) -> Scenario {
-        self.route_update_override = Some(period);
-        self
-    }
-
-    /// Overrides the semisoft bicast delay (E4).
-    pub fn with_semisoft_delay(mut self, delay: SimDuration) -> Scenario {
-        self.semisoft_delay_override = Some(delay);
-        self
-    }
-
-    /// Overrides the cell-table record time-limitation (E5).
-    pub fn with_table_lifetime(mut self, lifetime: SimDuration) -> Scenario {
-        self.table_lifetime_override = Some(lifetime);
-        self
-    }
-
-    /// Total width of the deployed corridor, meters.
-    pub fn corridor_width(&self) -> f64 {
-        self.n_domains as f64 * DOMAIN_WIDTH
-    }
-
-    /// The equivalent declarative [`ScenarioSpec`] (raw seed, so the
-    /// master seed is irrelevant). Durations default to the spec base;
-    /// callers that run the scenario set them explicitly.
-    ///
-    /// Millisecond-resolution overrides survive the conversion exactly;
-    /// sub-millisecond override precision (never used by the presets or
-    /// runners) is rounded **up** to the next millisecond — never down,
-    /// so a tiny override cannot degenerate to a 0 ms period that would
-    /// reschedule at the same simulated instant forever.
-    pub fn to_spec(&self) -> ScenarioSpec {
-        let ms = |d: SimDuration| d.as_nanos().div_ceil(1_000_000) as u64;
-        ScenarioSpec {
-            name: "scenario".into(),
-            seed: crate::spec::SeedSpec::Raw(self.seed),
-            arch: self.arch,
-            n_domains: self.n_domains as u32,
-            micro_per_domain: self.micro_per_domain as u32,
-            share_upper: self.share_upper,
-            macro_hole: self.macro_hole,
-            satellite: self.satellite,
-            pedestrians: self.population.pedestrians as u32,
-            cyclists: self.population.cyclists as u32,
-            vehicles: self.population.vehicles as u32,
-            voice_every: u32::from(self.voice),
-            video_every: if self.video { 3 } else { 0 },
-            web_every: if self.web { 4 } else { 0 },
-            factors: self.factors,
-            route_update_ms: self.route_update_override.map(ms),
-            semisoft_delay_ms: self.semisoft_delay_override.map(ms),
-            table_lifetime_ms: self.table_lifetime_override.map(ms),
-            ..ScenarioSpec::base()
-        }
-    }
-
-    /// Builds the world (via the declarative spec layer — see
-    /// [`World::from_spec`]).
-    pub fn build(&self) -> World {
-        World::from_spec(&self.to_spec(), 0)
-    }
-
-    /// Builds and runs for `secs` simulated seconds.
-    pub fn run_secs(&self, secs: f64) -> SimReport {
-        self.build().run(SimDuration::from_secs_f64(secs))
-    }
-
-    /// Builds and runs for `secs` simulated seconds, wrapping the result
-    /// with the run's identity (architecture label, seed, replication).
-    pub fn run_report(&self, secs: f64, replication: u64) -> crate::report::RunReport {
-        self.build().run_report(
-            SimDuration::from_secs_f64(secs),
-            self.arch.label(),
-            replication,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ScenarioSpec;
 
     #[test]
     fn presets_build() {
         for s in [
-            Scenario::small_city(1),
-            Scenario::commute_corridor(2),
-            Scenario::single_domain(3),
+            ScenarioSpec::small_city().with_raw_seed(1),
+            ScenarioSpec::commute_corridor().with_raw_seed(2),
+            ScenarioSpec::single_domain().with_raw_seed(3),
         ] {
-            let w = s.build();
+            let w = s.build(0);
             let dbg = format!("{w:?}");
             assert!(dbg.contains("World"), "{dbg}");
         }
@@ -443,13 +166,16 @@ mod tests {
 
     #[test]
     fn corridor_width_scales() {
-        assert_eq!(Scenario::small_city(1).corridor_width(), 9_000.0);
-        assert_eq!(Scenario::commute_corridor(1).corridor_width(), 6_000.0);
+        assert_eq!(ScenarioSpec::small_city().corridor_width(), 9_000.0);
+        assert_eq!(ScenarioSpec::commute_corridor().corridor_width(), 6_000.0);
     }
 
     #[test]
     fn smoke_run_multi_tier() {
-        let report = Scenario::commute_corridor(7).run_secs(20.0);
+        let report = ScenarioSpec::commute_corridor()
+            .with_raw_seed(7)
+            .with_duration_s(20.0)
+            .run(0);
         let qos = report.aggregate_qos();
         assert!(qos.sent > 100, "traffic flowed: {} sent", qos.sent);
         assert!(
@@ -467,7 +193,11 @@ mod tests {
     #[test]
     fn smoke_run_baselines() {
         for arch in [ArchKind::PureMobileIp, ArchKind::FlatCellularIp] {
-            let report = Scenario::commute_corridor(7).with_arch(arch).run_secs(15.0);
+            let report = ScenarioSpec::commute_corridor()
+                .with_raw_seed(7)
+                .with_arch(arch)
+                .with_duration_s(15.0)
+                .run(0);
             let qos = report.aggregate_qos();
             assert!(qos.sent > 50, "{}: no traffic", arch.label());
             assert!(
@@ -483,7 +213,10 @@ mod tests {
     fn vehicles_cause_handoffs() {
         // The corridor is 6 km; at 25 m/s the shuttle crosses the domain
         // boundary around t = 104 s and returns around t = 344 s.
-        let report = Scenario::commute_corridor(11).run_secs(250.0);
+        let report = ScenarioSpec::commute_corridor()
+            .with_raw_seed(11)
+            .with_duration_s(250.0)
+            .run(0);
         assert!(
             report.handoffs.total() >= 2,
             "a 25 m/s shuttle must hand off: {:?}",
@@ -502,8 +235,10 @@ mod tests {
 
     #[test]
     fn cyclists_generate_micro_micro_handoffs() {
-        let s = Scenario::single_domain(5);
-        let report = s.run_secs(200.0);
+        let report = ScenarioSpec::single_domain()
+            .with_raw_seed(5)
+            .with_duration_s(200.0)
+            .run(0);
         let micro_micro = report
             .handoffs
             .completed

@@ -3,11 +3,11 @@
 //! A [`ScenarioSpec`] **fully** describes one simulation run — tier
 //! layout and cell geometry, mobility mix with speed profiles, traffic
 //! mix, protocol knobs, duration and seed derivation — as plain data.
-//! [`ScenarioSpec::build`] (also reachable as `World::from_spec`) is the
-//! single world-assembly path: the [`crate::scenario::Scenario`] presets
-//! and every experiment runner go through it, so a run is reproducible
-//! from `(canonical spec text, master seed)` alone. That pair is exactly
-//! what the sweep engine's content-addressed result store keys on.
+//! [`ScenarioSpec::build`] is the single world-assembly path: the presets,
+//! every experiment runner and every sweep cell go through it, so a run
+//! is reproducible from `(canonical spec text, master seed)` alone. That
+//! pair is exactly what the sweep engine's content-addressed result store
+//! keys on.
 //!
 //! The text format is a deliberately small hand-rolled `key = value`
 //! line format (the vendored `serde` is marker-only, so there is no
@@ -524,8 +524,9 @@ impl ScenarioSpec {
     // Presets: the paper's scenario families…
     // ------------------------------------------------------------------
 
-    /// The standard three-domain city (see
-    /// [`crate::scenario::Scenario::small_city`]).
+    /// The standard three-domain city: domains 0 and 1 share an upper BS
+    /// (exercising Fig 3.2), domain 2 stands alone (Fig 3.3), mixed
+    /// pedestrian/vehicle population, voice + video traffic.
     pub fn small_city() -> ScenarioSpec {
         ScenarioSpec {
             name: "small-city".into(),
@@ -1384,16 +1385,13 @@ impl ScenarioSpec {
         world
     }
 
-    /// Builds and runs for the spec's duration. The spec's shard count —
-    /// overridable via the `MTNET_SHARDS` environment variable (see
-    /// [`crate::world::shard::shards_from_env`]) — selects between the
-    /// sequential engine and the conservative-window parallel engine;
-    /// both produce byte-identical reports.
+    /// Builds and runs for the spec's duration. The spec's shard count
+    /// selects between the sequential engine and the conservative-window
+    /// parallel engine; both produce byte-identical reports.
     pub fn run(&self, master_seed: u64) -> SimReport {
         let duration = SimDuration::from_secs_f64(self.duration_s);
-        let shards = crate::world::shard::shards_from_env().unwrap_or(self.shards);
-        if shards > 1 {
-            crate::world::run_sharded(|| self.build(master_seed), duration, shards)
+        if self.shards > 1 {
+            crate::world::run_sharded(|| self.build(master_seed), duration, self.shards)
         } else {
             self.build(master_seed).run(duration)
         }

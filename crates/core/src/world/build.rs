@@ -304,7 +304,7 @@ impl WorldBuilder {
 
     /// Adds a mobile node with the given mobility model and flows. Home
     /// addresses are arithmetic (dense, 250 per /24 from 10.0.2.1 — see
-    /// [`super::mn::home_addr`]); populations past the 10.0.0.0/16
+    /// `mn::home_addr`); populations past the 10.0.0.0/16
     /// capacity widen the home prefix to /8 at [`WorldBuilder::build`].
     pub fn add_mn(&mut self, model: Box<dyn MobilityModel + Send>, flows: &[FlowKind]) -> MnId {
         let idx = self.mns.len() as u32;

@@ -43,7 +43,7 @@ use mtnet_net::{
 };
 use mtnet_radio::{CallKind, CellId, CellKind, CellMap, Measurement};
 use mtnet_sim::FxHashMap;
-use mtnet_sim::{Context, Model, RngStream, SchedulerKind, SimDuration, SimTime, Simulator};
+use mtnet_sim::{Context, Model, RngStream, SimDuration, SimTime, Simulator};
 use mtnet_traffic::{ArrivalProcess, Cbr, FlowQos, OnOffVbr, ParetoWeb};
 
 /// Architecture and protocol switches for one experiment arm.
@@ -83,11 +83,6 @@ pub struct WorldConfig {
     pub air_delay: SimDuration,
     /// Radio retune time for a hard handoff.
     pub retune_delay: SimDuration,
-    /// Event-queue backend for this world's run loop. Both backends pop
-    /// in the identical `(time, seq)` order, so this is purely a
-    /// performance knob: the calendar queue (default) is O(1) amortized,
-    /// the binary heap is the O(log n) reference.
-    pub scheduler: SchedulerKind,
     /// World-level aggregate QoS (metro scale): per-flow trackers skip
     /// their delay distribution and every delivered packet's delay
     /// streams into one constant-memory
@@ -151,7 +146,6 @@ impl Default for WorldConfig {
             table_lifetime: SimDuration::from_secs(6),
             air_delay: SimDuration::from_millis(2),
             retune_delay: SimDuration::from_millis(10),
-            scheduler: SchedulerKind::Calendar,
             aggregate_qos: false,
             load_curve: None,
             idle_camping: false,
@@ -2314,15 +2308,6 @@ const _: () = {
 };
 
 impl World {
-    /// Builds the world a declarative [`crate::spec::ScenarioSpec`]
-    /// describes — the single assembly path every scenario preset,
-    /// experiment runner and sweep cell goes through. The spec's seed
-    /// derivation is resolved against `master_seed` (ignored for
-    /// [`crate::spec::SeedSpec::Raw`] seeds).
-    pub fn from_spec(spec: &crate::spec::ScenarioSpec, master_seed: u64) -> World {
-        spec.build(master_seed)
-    }
-
     /// Largest population the historical linear stagger formulas are kept
     /// for, bit for bit. Every cataloged scenario (E1–E13) sits at or
     /// below this; larger worlds fold the stagger back into each node's
@@ -2395,8 +2380,7 @@ impl World {
     /// The world on its simulator with every periodic process and fault
     /// edge scheduled, nothing run yet.
     fn launch(self) -> Simulator<World> {
-        let kind = self.cfg.scheduler;
-        let mut sim = Simulator::new(self).with_scheduler(kind);
+        let mut sim = Simulator::new(self);
         World::schedule_initial(&mut sim, |_| true);
         sim
     }
@@ -2507,24 +2491,6 @@ impl World {
         self.report.flows = self.flows.iter().map(|f| (f.flow, f.qos.clone())).collect();
         self.report
     }
-
-    /// Runs the world and wraps the report with the run's identity — the
-    /// config-in / [`crate::report::RunReport`]-out unit the parallel batch runner
-    /// collects in submission order.
-    pub fn run_report(
-        self,
-        duration: SimDuration,
-        label: impl Into<String>,
-        replication: u64,
-    ) -> crate::report::RunReport {
-        let seed = self.cfg.seed;
-        crate::report::RunReport {
-            label: label.into(),
-            seed,
-            replication,
-            report: self.run(duration),
-        }
-    }
 }
 
 /// What the wave tests need from inside a run: the switch that turns
@@ -2593,6 +2559,10 @@ pub mod evprof {
         }
     }
 
+    /// One of the two environment variables the workspace reads, and the
+    /// only one a library crate reads: a hidden diagnostic has no
+    /// argument path to arrive by until ROADMAP's perf-ledger item (b)
+    /// turns it into `experiments --profile`.
     pub(crate) fn enabled() -> bool {
         *ON.get_or_init(|| std::env::var_os("MTNET_EVPROF").is_some())
     }

@@ -292,8 +292,7 @@ fn into_half(mut world: World, plan: &ShardPlan, own: u32) -> Simulator<World> {
         node_shard: plan.node_shard.clone(),
         outbox: Vec::new(),
     });
-    let kind = world.cfg.scheduler;
-    let mut sim = Simulator::new(world).with_scheduler(kind);
+    let mut sim = Simulator::new(world);
     World::schedule_initial(&mut sim, |ev| match ev {
         Ev::MoveSample(_) | Ev::Uplink(_) | Ev::LocationTick(_) => own == ACCESS,
         Ev::FlowNext(_) => own == BACKBONE,
@@ -499,33 +498,11 @@ fn merge(sims: Vec<Simulator<World>>, duration: SimDuration) -> SimReport {
     out
 }
 
-/// Environment variable overriding the spec's shard count.
-pub const SHARDS_ENV: &str = "MTNET_SHARDS";
-
-/// Parses a shard count: a positive integer, nothing looser. The CLI
-/// `--shards` flag and [`shards_from_env`] share this so they cannot
-/// drift apart.
+/// Parses a shard count: a positive integer, nothing looser (the
+/// harness `--shards` flag's validation).
 pub fn parse_shard_count(v: &str) -> Result<u32, ()> {
     match v.trim().parse::<u32>() {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(()),
-    }
-}
-
-/// The strict [`SHARDS_ENV`] environment override: unset or empty means
-/// "use the spec's value"; anything else must parse as a positive
-/// integer.
-///
-/// # Panics
-///
-/// Panics on a malformed or zero value — a typo must not silently run a
-/// different engine than the one asked for.
-pub fn shards_from_env() -> Option<u32> {
-    match std::env::var(SHARDS_ENV) {
-        Ok(v) if !v.trim().is_empty() => Some(
-            parse_shard_count(&v)
-                .unwrap_or_else(|()| panic!("{SHARDS_ENV} must be a positive integer, got {v:?}")),
-        ),
-        _ => None,
     }
 }

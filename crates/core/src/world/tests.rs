@@ -2,13 +2,16 @@
 //! deployments.
 
 use super::*;
-use crate::scenario::{ArchKind, Population, Scenario};
+use crate::scenario::ArchKind;
+use crate::spec::ScenarioSpec;
 use mtnet_mobility::{LinearCommute, Point, Stationary};
 
 fn commute_world(arch: ArchKind, secs: f64, seed: u64) -> SimReport {
-    Scenario::commute_corridor(seed)
+    ScenarioSpec::commute_corridor()
+        .with_raw_seed(seed)
         .with_arch(arch)
-        .run_secs(secs)
+        .with_duration_s(secs)
+        .run(0)
 }
 
 #[test]
@@ -79,10 +82,11 @@ fn cn_route_optimization_reduces_delay() {
 
 #[test]
 fn semisoft_duplicates_only_with_semisoft() {
-    let report_semi = Scenario::single_domain(3).run_secs(150.0);
-    let report_hard = Scenario::single_domain(3)
-        .with_arch(ArchKind::multi_tier_hard())
-        .run_secs(150.0);
+    let base = ScenarioSpec::single_domain()
+        .with_raw_seed(3)
+        .with_duration_s(150.0);
+    let report_semi = base.run(0);
+    let report_hard = base.with_arch(ArchKind::multi_tier_hard()).run(0);
     assert_eq!(
         report_hard.aggregate_qos().duplicates,
         0,
@@ -99,10 +103,11 @@ fn semisoft_duplicates_only_with_semisoft() {
 
 #[test]
 fn hard_handoff_loses_at_least_semisoft() {
-    let semi = Scenario::single_domain(11).run_secs(300.0);
-    let hard = Scenario::single_domain(11)
-        .with_arch(ArchKind::multi_tier_hard())
-        .run_secs(300.0);
+    let base = ScenarioSpec::single_domain()
+        .with_raw_seed(11)
+        .with_duration_s(300.0);
+    let semi = base.run(0);
+    let hard = base.with_arch(ArchKind::multi_tier_hard()).run(0);
     let (ls, lh) = (
         semi.aggregate_qos().loss_rate,
         hard.aggregate_qos().loss_rate,
@@ -116,9 +121,11 @@ fn hard_handoff_loses_at_least_semisoft() {
 #[test]
 fn inter_domain_same_upper_faster_than_different() {
     let same = commute_world(ArchKind::multi_tier(), 400.0, 21);
-    let diff = Scenario::commute_corridor(21)
+    let diff = ScenarioSpec::commute_corridor()
+        .with_raw_seed(21)
         .without_shared_upper()
-        .run_secs(400.0);
+        .with_duration_s(400.0)
+        .run(0);
     let same_lat = same
         .handoffs
         .latency_ms
@@ -159,25 +166,19 @@ fn pure_mobile_ip_registers_on_every_handoff() {
 
 #[test]
 fn flat_cip_fast_nodes_suffer_outage() {
-    let report = Scenario::commute_corridor(9)
+    let one_vehicle = ScenarioSpec::commute_corridor()
+        .with_raw_seed(9)
+        .with_population(0, 0, 1)
+        .with_duration_s(300.0);
+    let report = one_vehicle
+        .clone()
         .with_arch(ArchKind::FlatCellularIp)
-        .with_population(Population {
-            pedestrians: 0,
-            vehicles: 1,
-            cyclists: 0,
-        })
-        .run_secs(300.0);
+        .run(0);
     assert!(
         report.handoffs.outage_samples > 0,
         "a 25 m/s vehicle must outrun the micro strip"
     );
-    let multi = Scenario::commute_corridor(9)
-        .with_population(Population {
-            pedestrians: 0,
-            vehicles: 1,
-            cyclists: 0,
-        })
-        .run_secs(300.0);
+    let multi = one_vehicle.run(0);
     assert!(
         multi.handoffs.outage_samples < report.handoffs.outage_samples,
         "the macro umbrella must cover the gaps"
@@ -187,7 +188,10 @@ fn flat_cip_fast_nodes_suffer_outage() {
 #[test]
 fn deterministic_given_seed() {
     let run = || {
-        let r = Scenario::small_city(77).run_secs(60.0);
+        let r = ScenarioSpec::small_city()
+            .with_raw_seed(77)
+            .with_duration_s(60.0)
+            .run(0);
         let q = r.aggregate_qos();
         (
             q.sent,
@@ -203,8 +207,11 @@ fn deterministic_given_seed() {
 #[test]
 fn different_seeds_differ() {
     let run = |seed| {
-        let r = Scenario::small_city(seed).run_secs(60.0);
-        r.events_processed
+        ScenarioSpec::small_city()
+            .with_raw_seed(seed)
+            .with_duration_s(60.0)
+            .run(0)
+            .events_processed
     };
     assert_ne!(run(1), run(2), "seeds must actually matter");
 }
@@ -227,10 +234,10 @@ fn location_tables_track_attached_nodes() {
 fn channel_accounting_balances() {
     // After a run, every attached node holds exactly one channel; total
     // in-use equals the attached population.
-    let scenario = Scenario::small_city(13);
-    let world = scenario.build();
+    let world = ScenarioSpec::small_city().with_raw_seed(13).build(0);
+    let n = world.mns.len();
     let mut sim = mtnet_sim::Simulator::new(world);
-    for i in 0..scenario.population.total() {
+    for i in 0..n {
         sim.schedule_at(
             SimTime::from_millis(i as u64 * 7),
             Ev::MoveSample(MnId(i as u32)),
@@ -276,10 +283,10 @@ fn ha_intercepts_and_tunnels() {
 
 #[test]
 fn vehicle_prefers_macro_pedestrian_prefers_micro() {
-    let scenario = Scenario::commute_corridor(17);
-    let world = scenario.build();
+    let world = ScenarioSpec::commute_corridor().with_raw_seed(17).build(0);
+    let n = world.mns.len();
     let mut sim = mtnet_sim::Simulator::new(world);
-    for i in 0..scenario.population.total() {
+    for i in 0..n {
         sim.schedule_at(
             SimTime::from_millis(i as u64),
             Ev::MoveSample(MnId(i as u32)),
@@ -294,21 +301,16 @@ fn vehicle_prefers_macro_pedestrian_prefers_micro() {
             .map(|c| Tier::of_cell(world.cells.cell(c).expect("cell").kind()))
     };
     assert_eq!(tier_of(0), Some(Tier::Micro), "pedestrian in micro tier");
-    assert_eq!(
-        tier_of(scenario.population.total() - 1),
-        Some(Tier::Macro),
-        "vehicle in macro tier"
-    );
+    assert_eq!(tier_of(n - 1), Some(Tier::Macro), "vehicle in macro tier");
 }
 
 #[test]
 fn mnld_learns_domain_crossings() {
-    let scenario = Scenario::commute_corridor(23);
-    let world = scenario.build();
+    let world = ScenarioSpec::commute_corridor().with_raw_seed(23).build(0);
     let duration = SimDuration::from_secs(400);
     // Run manually to inspect final MNLD state.
+    let n = world.mns.len();
     let mut sim = mtnet_sim::Simulator::new(world);
-    let n = scenario.population.total();
     for i in 0..n {
         sim.schedule_at(
             SimTime::from_millis(i as u64 * 7),
@@ -329,20 +331,11 @@ fn mnld_learns_domain_crossings() {
 
 #[test]
 fn signaling_scales_with_population() {
-    let small = Scenario::small_city(31)
-        .with_population(Population {
-            pedestrians: 2,
-            vehicles: 0,
-            cyclists: 0,
-        })
-        .run_secs(60.0);
-    let large = Scenario::small_city(31)
-        .with_population(Population {
-            pedestrians: 8,
-            vehicles: 0,
-            cyclists: 0,
-        })
-        .run_secs(60.0);
+    let base = ScenarioSpec::small_city()
+        .with_raw_seed(31)
+        .with_duration_s(60.0);
+    let small = base.clone().with_population(2, 0, 0).run(0);
+    let large = base.with_population(8, 0, 0).run(0);
     assert!(
         large.signaling.route_updates > small.signaling.route_updates * 2,
         "route updates scale with nodes: {} vs {}",
@@ -386,14 +379,11 @@ fn queue_overflow_counted_under_congestion() {
 #[test]
 fn outage_detaches_and_releases_channel() {
     // One vehicle on a flat-CIP corridor: it will leave micro coverage.
-    let scenario = Scenario::commute_corridor(37)
+    let world = ScenarioSpec::commute_corridor()
+        .with_raw_seed(37)
         .with_arch(ArchKind::FlatCellularIp)
-        .with_population(Population {
-            pedestrians: 0,
-            vehicles: 1,
-            cyclists: 0,
-        });
-    let world = scenario.build();
+        .with_population(0, 0, 1)
+        .build(0);
     let mut sim = mtnet_sim::Simulator::new(world);
     sim.schedule_at(SimTime::ZERO, Ev::MoveSample(MnId(0)));
     // Long enough to attach and then drive out of the strip.
@@ -410,10 +400,11 @@ fn satellite_overlay_rescues_macro_hole() {
     // Fig 2.1's outermost tier: the rural corridor's middle domain has no
     // macro radio, so terrestrial-only vehicles hit a coverage hole; the
     // satellite overlay absorbs it.
-    let terrestrial = Scenario::rural_corridor(42).run_secs(300.0);
-    let with_sat = Scenario::rural_corridor(42)
-        .with_satellite()
-        .run_secs(300.0);
+    let base = ScenarioSpec::rural_corridor()
+        .with_raw_seed(42)
+        .with_duration_s(300.0);
+    let terrestrial = base.run(0);
+    let with_sat = base.with_satellite().run(0);
     assert!(
         terrestrial.handoffs.outage_samples > 10,
         "the macro hole must produce outages: {}",

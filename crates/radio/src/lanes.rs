@@ -1,107 +1,20 @@
-//! Explicit portable SIMD lanes for the RSSI d² pre-filter.
+//! The RSSI d² pre-filter sweep over structure-of-arrays position and
+//! radius lanes.
 //!
-//! `core::simd` is nightly-only and the build is offline, so the lanes
-//! are fixed-width `[f64; W]` chunks with straight-line, branch-free
-//! arithmetic — the shape LLVM reliably turns into packed vector code on
-//! stable Rust (4-wide maps to AVX2 `vmulpd`/`vcmppd`, 8-wide to two
-//! registers or AVX-512). The sweep computes a per-lane hit mask and
-//! only then branches, once per chunk, so the common all-miss chunk
-//! costs no mispredictions.
+//! A plain scalar loop on purpose: explicit 4- and 8-wide chunk sweeps
+//! measured no different from it end to end on any workload
+//! (EXPERIMENTS.md § Performance, rung 1).
 //!
-//! The hit decision is written as `!(d2 > r2)` — the *same* comparison,
-//! same operand order, as the scalar pre-filter it replaces — so lane
-//! width can never change which cells survive. Survivors are re-checked
-//! by the exact scalar tail (`hypot`/path loss/`total_cmp`), which is
-//! what makes the whole pipeline bit-identical across widths.
-
-use std::sync::OnceLock;
-
-/// Lane width selection for the RSSI pre-filter sweep.
-///
-/// All widths produce bit-identical measurement output (the sweep is a
-/// conservative pre-filter in front of an exact scalar tail); the knob
-/// exists so benches can compare widths and CI can diff fingerprints
-/// between the vector and scalar paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneSelect {
-    /// The plain scalar loop, kept as the property-tested reference.
-    Scalar,
-    /// 4-wide `[f64; 4]` chunks (one AVX2 register).
-    W4,
-    /// 8-wide `[f64; 8]` chunks (two AVX2 registers / one AVX-512).
-    W8,
-}
-
-/// Environment variable overriding the default lane width:
-/// `scalar`, `4` or `8`.
-pub const LANES_ENV: &str = "MTNET_RSSI_LANES";
-
-/// The strict [`LANES_ENV`] environment override: unset or empty means
-/// "use the built-in default"; anything else must be `scalar`, `4` or
-/// `8`.
-///
-/// # Panics
-///
-/// Panics on any other value — a typo must not silently measure a
-/// different code path than the one asked for.
-pub fn lanes_from_env() -> Option<LaneSelect> {
-    match std::env::var(LANES_ENV) {
-        Ok(v) if !v.trim().is_empty() => Some(match v.trim() {
-            "scalar" => LaneSelect::Scalar,
-            "4" => LaneSelect::W4,
-            "8" => LaneSelect::W8,
-            _ => panic!("{LANES_ENV} must be `scalar`, `4` or `8`, got {v:?}"),
-        }),
-        _ => None,
-    }
-}
-
-/// The process-wide lane width: [`LANES_ENV`] if set, else picked by
-/// runtime ISA detection — 8-wide where the CPU has AVX2 (two packed
-/// registers per chunk; on stock x86-64 builds the detection recovers
-/// the width the PGO `target-cpu=native` lane measured fastest), 4-wide
-/// everywhere else. Cached after first use — the measurement hot paths
-/// must not re-read the environment or re-probe CPUID per call.
-pub(crate) fn default_lanes() -> LaneSelect {
-    static SEL: OnceLock<LaneSelect> = OnceLock::new();
-    *SEL.get_or_init(|| lanes_from_env().unwrap_or(detected_lanes()))
-}
-
-/// ISA-driven width choice (see [`default_lanes`]). All widths are
-/// bit-identical, so this is purely a speed decision.
-fn detected_lanes() -> LaneSelect {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return LaneSelect::W8;
-        }
-    }
-    LaneSelect::W4
-}
+//! The hit decision is written as `!(d2 > r2)`, so a boundary-exact entry
+//! (d² == r²) and a NaN distance are both admitted: the sweep is a
+//! conservative pre-filter, and survivors are re-checked by the exact
+//! scalar tail (`hypot`/path loss/`total_cmp`) in [`crate::CellMap`].
 
 /// Sweeps the SoA position/radius lanes and calls `on_hit(i)` for every
 /// index whose widened squared-radius bound admits the query point, in
-/// ascending index order regardless of width.
+/// ascending index order.
 #[inline]
-pub(crate) fn sweep(
-    sel: LaneSelect,
-    xs: &[f64],
-    ys: &[f64],
-    r2s: &[f64],
-    px: f64,
-    py: f64,
-    on_hit: impl FnMut(usize),
-) {
-    match sel {
-        LaneSelect::Scalar => sweep_scalar(xs, ys, r2s, px, py, on_hit),
-        LaneSelect::W4 => sweep_lanes::<4>(xs, ys, r2s, px, py, on_hit),
-        LaneSelect::W8 => sweep_lanes::<8>(xs, ys, r2s, px, py, on_hit),
-    }
-}
-
-/// The reference sweep: one cell at a time, exactly the loop the lane
-/// version replaces.
-fn sweep_scalar(
+pub(crate) fn sweep_scalar(
     xs: &[f64],
     ys: &[f64],
     r2s: &[f64],
@@ -119,92 +32,21 @@ fn sweep_scalar(
     }
 }
 
-/// `W`-wide sweep. Each chunk is loaded as `[f64; W]` array references
-/// (no bounds checks inside the arithmetic), the hit mask is computed
-/// with straight-line lane ops, and the `any` reduction folds to a
-/// single packed compare + movemask so all-miss chunks take one
-/// predictable branch.
-fn sweep_lanes<const W: usize>(
-    xs: &[f64],
-    ys: &[f64],
-    r2s: &[f64],
-    px: f64,
-    py: f64,
-    mut on_hit: impl FnMut(usize),
-) {
-    debug_assert!(ys.len() == xs.len() && r2s.len() == xs.len());
-    let n = xs.len();
-    let tail = n - n % W;
-    let mut base = 0;
-    while base < tail {
-        let xa: &[f64; W] = xs[base..base + W].try_into().expect("exact chunk");
-        let ya: &[f64; W] = ys[base..base + W].try_into().expect("exact chunk");
-        let ra: &[f64; W] = r2s[base..base + W].try_into().expect("exact chunk");
-        let mut hit = [false; W];
-        for l in 0..W {
-            let dx = xa[l] - px;
-            let dy = ya[l] - py;
-            hit[l] = !(dx * dx + dy * dy > ra[l]);
-        }
-        if hit.iter().any(|&h| h) {
-            for (l, h) in hit.into_iter().enumerate() {
-                if h {
-                    on_hit(base + l);
-                }
-            }
-        }
-        base += W;
-    }
-    sweep_scalar(&xs[tail..], &ys[tail..], &r2s[tail..], px, py, |i| {
-        on_hit(tail + i);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn collect(
-        sel: LaneSelect,
-        xs: &[f64],
-        ys: &[f64],
-        r2s: &[f64],
-        px: f64,
-        py: f64,
-    ) -> Vec<usize> {
+    fn collect(xs: &[f64], ys: &[f64], r2s: &[f64], px: f64, py: f64) -> Vec<usize> {
         let mut out = Vec::new();
-        sweep(sel, xs, ys, r2s, px, py, |i| out.push(i));
+        sweep_scalar(xs, ys, r2s, px, py, |i| out.push(i));
         out
     }
 
     #[test]
-    fn widths_agree_on_awkward_lengths() {
-        // Lengths straddling every remainder class of 4 and 8, with a
-        // boundary-exact entry (d² == r²) that must be admitted by all
-        // widths (the filter keeps `!(d2 > r2)`).
-        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31] {
-            let xs: Vec<f64> = (0..n).map(|i| i as f64 * 10.0).collect();
-            let ys: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
-            let r2s: Vec<f64> = (0..n)
-                .map(|i| if i % 2 == 0 { 150.0 } else { 0.0 })
-                .collect();
-            let reference = collect(LaneSelect::Scalar, &xs, &ys, &r2s, 5.0, 0.0);
-            for sel in [LaneSelect::W4, LaneSelect::W8] {
-                assert_eq!(collect(sel, &xs, &ys, &r2s, 5.0, 0.0), reference, "n={n}");
-            }
-        }
-        // Exact-boundary case: distance² identical to the bound.
+    fn boundary_exact_distance_is_admitted() {
+        // Distance² identical to the bound: the filter keeps `!(d2 > r2)`.
         let (xs, ys, r2s) = (vec![3.0], vec![4.0], vec![25.0]);
-        for sel in [LaneSelect::Scalar, LaneSelect::W4, LaneSelect::W8] {
-            assert_eq!(collect(sel, &xs, &ys, &r2s, 0.0, 0.0), [0]);
-        }
-    }
-
-    #[test]
-    fn env_parse_accepts_the_three_widths() {
-        // Parsing only — the accepting env path mutates process-global
-        // state, so the CI fingerprint smoke covers it end to end.
-        assert_eq!(lanes_from_env(), None, "unset in the test environment");
+        assert_eq!(collect(&xs, &ys, &r2s, 0.0, 0.0), [0]);
     }
 
     #[test]
@@ -213,9 +55,7 @@ mod tests {
         let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let ys = vec![0.0; n];
         let r2s = vec![1e9; n];
-        for sel in [LaneSelect::Scalar, LaneSelect::W4, LaneSelect::W8] {
-            let hits = collect(sel, &xs, &ys, &r2s, 0.0, 0.0);
-            assert_eq!(hits, (0..n).collect::<Vec<_>>());
-        }
+        let hits = collect(&xs, &ys, &r2s, 0.0, 0.0);
+        assert_eq!(hits, (0..n).collect::<Vec<_>>());
     }
 }

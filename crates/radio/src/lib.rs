@@ -39,6 +39,5 @@ mod propagation;
 
 pub use cell::{Cell, CellId, CellKind};
 pub use channels::{AdmitError, CallKind, ChannelPool};
-pub use lanes::{lanes_from_env, LaneSelect, LANES_ENV};
 pub use map::{CellMap, Measurement};
 pub use propagation::{PathLoss, SENSITIVITY_DBM};

@@ -1,7 +1,7 @@
 //! Cell placement and best-server selection.
 
 use crate::cell::{Cell, CellId, CellKind};
-use crate::lanes::{self, LaneSelect};
+use crate::lanes;
 use crate::propagation::{PathLoss, SENSITIVITY_DBM};
 use mtnet_mobility::Point;
 use mtnet_sim::FxHashMap;
@@ -47,8 +47,8 @@ struct GridIndex {
 }
 
 /// One grid bucket's members as flat position/radius lanes plus the id
-/// column, so a point query's candidate filter runs the same lane sweep
-/// as [`CellMap::measure_batch`] instead of chasing `Cell` structs.
+/// column, so a point query's candidate filter runs the same sweep as
+/// [`CellMap::measure_batch`] instead of chasing `Cell` structs.
 #[derive(Debug, Clone, Default)]
 struct BucketSoa {
     x: Vec<f64>,
@@ -98,13 +98,13 @@ impl GridIndex {
 
     /// Calls `f` with every cell whose footprint can contain `at` (a
     /// superset: callers still make the exact coverage check). Bucket
-    /// members go through the lane pre-filter — an id is only reported
+    /// members go through the d² pre-filter — an id is only reported
     /// when its widened radius bound admits `at` — while the handful of
     /// broad cells are always reported, in registration order after the
-    /// bucket, exactly where the old iterator yielded them.
-    fn for_each_candidate(&self, at: Point, sel: LaneSelect, mut f: impl FnMut(CellId)) {
+    /// bucket.
+    fn for_each_candidate(&self, at: Point, mut f: impl FnMut(CellId)) {
         if let Some(b) = self.buckets.get(&Self::bucket_of(at)) {
-            lanes::sweep(sel, &b.x, &b.y, &b.filter_r2, at.x, at.y, |i| f(b.id[i]));
+            lanes::sweep_scalar(&b.x, &b.y, &b.filter_r2, at.x, at.y, |i| f(b.id[i]));
         }
         for &id in &self.broad {
             f(id);
@@ -145,8 +145,7 @@ pub struct CellMap {
 }
 
 /// Structure-of-arrays mirror for [`CellMap::measure_batch`]: one flat
-/// `f64` lane per static field, swept by the explicit lane code in
-/// [`crate::lanes`].
+/// `f64` lane per static field, swept by [`crate::lanes`].
 #[derive(Debug, Default, Clone)]
 struct CellSoa {
     x: Vec<f64>,
@@ -171,7 +170,7 @@ impl CellSoa {
 impl CellMap {
     /// Largest deployment [`CellMap::measure_batch`] still full-sweeps;
     /// bigger maps route batch measurements through the spatial grid
-    /// (bit-identical — see `measure_batch_lanes`).
+    /// (bit-identical — see [`CellMap::measure_batch`]).
     const BATCH_FULL_SWEEP_MAX: usize = 256;
 
     /// Creates an empty map with default (shadowed urban) propagation.
@@ -370,18 +369,8 @@ impl CellMap {
     /// per-event measurement costs no allocation once the buffer has grown
     /// to the deployment's audible-cell count.
     pub fn measure_into(&self, at: Point, tier: Option<CellKind>, out: &mut Vec<Measurement>) {
-        self.measure_into_lanes(at, tier, out, lanes::default_lanes());
-    }
-
-    fn measure_into_lanes(
-        &self,
-        at: Point,
-        tier: Option<CellKind>,
-        out: &mut Vec<Measurement>,
-        sel: LaneSelect,
-    ) {
         out.clear();
-        self.grid.for_each_candidate(at, sel, |id| {
+        self.grid.for_each_candidate(at, |id| {
             out.extend(self.measure_one(id, at, tier));
         });
         out.sort_by(|a, b| b.rssi_dbm.total_cmp(&a.rssi_dbm).then(a.cell.cmp(&b.cell)));
@@ -389,48 +378,30 @@ impl CellMap {
 
     /// Batched variant of [`CellMap::measure_into`]: evaluates every
     /// cell's coverage in one pass over flat structure-of-arrays lanes
-    /// (x, y, squared radius) — an explicit `[f64; W]` chunk sweep with a
-    /// branch-free per-lane hit mask — then runs the exact scalar radio
-    /// math only for the handful of cells whose footprint can contain
-    /// `at`. Lane width comes from [`crate::lanes_from_env`] (default
-    /// [`LaneSelect::W4`]).
+    /// (x, y, squared radius), then runs the exact scalar radio math
+    /// only for the handful of cells whose footprint can contain `at`.
     ///
     /// Output is identical to [`CellMap::measure_into`] and
-    /// [`CellMap::measure_full_scan`] bit for bit, at every lane width:
-    /// the lane sweep is a *conservative* pre-filter (its radius bound
-    /// is widened far beyond its few-ulp rounding slack, so it never
-    /// rejects a covered cell), and every survivor goes through the same
-    /// `hypot`/path-loss arithmetic and the same `total_cmp` sort as the
-    /// scalar paths. Property tests hold all three pairwise equal at
-    /// every width; the experiment harness uses this one for the
-    /// per-sample handoff scans.
+    /// [`CellMap::measure_full_scan`] bit for bit: the sweep is a
+    /// *conservative* pre-filter (its radius bound is widened far beyond
+    /// its few-ulp rounding slack, so it never rejects a covered cell),
+    /// and every survivor goes through the same `hypot`/path-loss
+    /// arithmetic and the same `total_cmp` sort as the other paths.
+    /// Property tests hold all three pairwise equal; the experiment
+    /// harness uses this one for the per-sample handoff scans.
     pub fn measure_batch(&self, at: Point, tier: Option<CellKind>, out: &mut Vec<Measurement>) {
-        self.measure_batch_lanes(at, tier, out, lanes::default_lanes());
-    }
-
-    /// [`CellMap::measure_batch`] with an explicit lane width — the
-    /// entry point benches and property tests use to compare widths
-    /// inside one process (the env default is cached process-wide).
-    pub fn measure_batch_lanes(
-        &self,
-        at: Point,
-        tier: Option<CellKind>,
-        out: &mut Vec<Measurement>,
-        sel: LaneSelect,
-    ) {
         // Metro-scale deployments: past a few hundred cells the full SoA
         // sweep loses to the spatial grid (the sweep is O(cells) per
         // sample; the grid visits one bucket plus the broad list). The
-        // two paths are property-tested pairwise bit-identical at every
-        // lane width, so the cutover is purely a speed decision.
+        // two paths are property-tested bit-identical, so the cutover is
+        // purely a speed decision.
         if self.soa.id.len() > Self::BATCH_FULL_SWEEP_MAX {
-            self.measure_into_lanes(at, tier, out, sel);
+            self.measure_into(at, tier, out);
             return;
         }
         out.clear();
         let n = self.soa.id.len();
-        lanes::sweep(
-            sel,
+        lanes::sweep_scalar(
             &self.soa.x[..n],
             &self.soa.y[..n],
             &self.soa.filter_r2[..n],
@@ -488,19 +459,10 @@ impl CellMap {
     }
 
     /// Strongest audible cell at `at`, optionally restricted to one tier.
-    /// Single lane-filtered pass over the grid bucket, no allocation.
+    /// Single pre-filtered pass over the grid bucket, no allocation.
     pub fn best_cell(&self, at: Point, tier: Option<CellKind>) -> Option<CellId> {
-        self.best_cell_lanes(at, tier, lanes::default_lanes())
-    }
-
-    fn best_cell_lanes(
-        &self,
-        at: Point,
-        tier: Option<CellKind>,
-        sel: LaneSelect,
-    ) -> Option<CellId> {
         let mut best: Option<Measurement> = None;
-        self.grid.for_each_candidate(at, sel, |id| {
+        self.grid.for_each_candidate(at, |id| {
             if let Some(m) = self.measure_one(id, at, tier) {
                 if best.as_ref().is_none_or(|b| Self::outranks(&m, b)) {
                     best = Some(m);
@@ -525,20 +487,9 @@ impl CellMap {
         hysteresis_db: f64,
         tier: Option<CellKind>,
     ) -> Option<CellId> {
-        self.best_cell_hysteresis_lanes(at, current, hysteresis_db, tier, lanes::default_lanes())
-    }
-
-    fn best_cell_hysteresis_lanes(
-        &self,
-        at: Point,
-        current: CellId,
-        hysteresis_db: f64,
-        tier: Option<CellKind>,
-        sel: LaneSelect,
-    ) -> Option<CellId> {
         let mut best: Option<Measurement> = None;
         let mut current_rssi: Option<f64> = None;
-        self.grid.for_each_candidate(at, sel, |id| {
+        self.grid.for_each_candidate(at, |id| {
             if let Some(m) = self.measure_one(id, at, tier) {
                 if m.cell == current {
                     current_rssi = Some(m.rssi_dbm);
@@ -731,9 +682,9 @@ mod tests {
         assert!(map.rssi_if_covered(CellId(0), p).is_some());
     }
 
-    /// A deployment big enough that 4- and 8-wide chunks, remainders and
-    /// the broad (satellite) list all participate: a 7×5 micro lattice
-    /// under three macros and one satellite overlay.
+    /// A deployment where the bucket pre-filter and the broad
+    /// (satellite) list both participate: a 7×5 micro lattice under
+    /// three macros and one satellite overlay.
     fn lattice_with_overlay() -> CellMap {
         let mut map = CellMap::new(7);
         let mut next = 0u32;
@@ -773,23 +724,15 @@ mod tests {
             let at = Point::new(f64::from(step) * 37.5 - 100.0, f64::from(step % 7) * 151.0);
             for tier in [None, Some(CellKind::Micro), Some(CellKind::Macro)] {
                 let reference = map.measure_full_scan(at, tier);
-                let best_ref = reference.first().map(|m| m.cell);
-                for sel in [LaneSelect::Scalar, LaneSelect::W4, LaneSelect::W8] {
-                    map.measure_batch_lanes(at, tier, &mut batch, sel);
-                    assert_eq!(batch, reference, "batch {sel:?} at {at:?}");
-                    map.measure_into_lanes(at, tier, &mut grid, sel);
-                    assert_eq!(grid, reference, "grid {sel:?} at {at:?}");
-                    assert_eq!(map.best_cell_lanes(at, tier, sel), best_ref, "{sel:?}");
-                    for current in [CellId(0), CellId(12), CellId(17)] {
-                        for hyst in [0.0, 6.0] {
-                            assert_eq!(
-                                map.best_cell_hysteresis_lanes(at, current, hyst, tier, sel),
-                                map.best_cell_hysteresis(at, current, hyst, tier),
-                                "hysteresis {sel:?} at {at:?}"
-                            );
-                        }
-                    }
-                }
+                map.measure_batch(at, tier, &mut batch);
+                assert_eq!(batch, reference, "batch at {at:?}");
+                map.measure_into(at, tier, &mut grid);
+                assert_eq!(grid, reference, "grid at {at:?}");
+                assert_eq!(
+                    map.best_cell(at, tier),
+                    reference.first().map(|m| m.cell),
+                    "best cell at {at:?}"
+                );
             }
         }
     }

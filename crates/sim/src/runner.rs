@@ -27,10 +27,6 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Environment variable overriding the worker-thread count
-/// (`MTNET_THREADS=1` forces the sequential path).
-pub const THREADS_ENV: &str = "MTNET_THREADS";
-
 /// A fixed-width scoped thread pool executing job batches in submission
 /// order. See the [module docs](self) for the determinism contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,26 +44,6 @@ impl BatchRunner {
             threads
         };
         BatchRunner { threads }
-    }
-
-    /// A runner sized from the environment: [`THREADS_ENV`] if set,
-    /// otherwise one worker per available core. A malformed variable is
-    /// an error — use this in binaries that want to surface it.
-    pub fn try_from_env() -> Result<Self, String> {
-        match std::env::var(THREADS_ENV) {
-            Ok(v) if !v.trim().is_empty() => Ok(Self::new(parse_thread_count(&v)?)),
-            _ => Ok(Self::new(0)),
-        }
-    }
-
-    /// [`BatchRunner::try_from_env`], failing loudly: a malformed
-    /// [`THREADS_ENV`] prints the error and exits with status 2 rather
-    /// than being silently ignored.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
     }
 
     /// The number of worker threads this runner uses.
@@ -121,8 +97,9 @@ impl BatchRunner {
 }
 
 impl Default for BatchRunner {
+    /// One worker per available core.
     fn default() -> Self {
-        Self::from_env()
+        Self::new(0)
     }
 }
 
@@ -134,13 +111,13 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The one validated thread-count parser every consumer of
-/// [`THREADS_ENV`] (and the harness `--threads` flag) shares: a
-/// non-negative integer, where `0` means "one worker per available
-/// core". Anything else is an error naming the expected form.
+/// The validated thread-count parser behind the harness `--threads`
+/// flag: a non-negative integer, where `0` means "one worker per
+/// available core". Anything else is an error naming the flag and the
+/// expected form.
 pub fn parse_thread_count(value: &str) -> Result<usize, String> {
     value.trim().parse::<usize>().map_err(|_| {
-        format!("{THREADS_ENV} must be a non-negative integer (0 = one per core), got {value:?}")
+        format!("--threads needs a non-negative integer (0 = one per core), got {value:?}")
     })
 }
 
@@ -208,7 +185,7 @@ mod tests {
         assert_eq!(parse_thread_count(" 12 "), Ok(12));
         assert_eq!(parse_thread_count("0"), Ok(0));
         let err = parse_thread_count("lots").unwrap_err();
-        assert!(err.contains(THREADS_ENV) && err.contains("lots"), "{err}");
+        assert!(err.contains("--threads") && err.contains("lots"), "{err}");
         assert!(parse_thread_count("-2").is_err());
         assert!(parse_thread_count("1.5").is_err());
     }

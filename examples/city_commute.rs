@@ -8,21 +8,20 @@
 //! cargo run -p mtnet-examples --bin city_commute --release
 //! ```
 
-use mtnet_core::scenario::{ArchKind, Population, Scenario};
+use mtnet_core::{ArchKind, ScenarioSpec};
 
 fn main() {
     // Domains 0 and 1 share an upper BS; domain 2 stands alone, so the
     // 1→2 boundary forces the expensive home-network procedure.
-    let scenario = Scenario::small_city(99).with_population(Population {
-        pedestrians: 0,
-        vehicles: 2,
-        cyclists: 0,
-    });
     let secs = 720.0; // one full out-and-back across the 9 km corridor
+    let base = ScenarioSpec::small_city()
+        .with_raw_seed(99)
+        .with_population(0, 0, 2)
+        .with_duration_s(secs);
 
     println!("two commuters, 9 km corridor, 3 domains, {secs:.0} s simulated\n");
     for arch in [ArchKind::multi_tier(), ArchKind::PureMobileIp] {
-        let report = scenario.with_arch(arch).run_secs(secs);
+        let report = base.clone().with_arch(arch).run(0);
         let q = report.aggregate_qos();
         println!("=== {} ===", arch.label());
         println!(

@@ -9,15 +9,14 @@
 //! cargo run -p mtnet-examples --bin multimedia_handoff --release
 //! ```
 
-use mtnet_core::scenario::{ArchKind, Population, Scenario};
+use mtnet_core::{ArchKind, ScenarioSpec};
 
 fn main() {
-    let base = Scenario::single_domain(7).with_population(Population {
-        pedestrians: 0,
-        vehicles: 0,
-        cyclists: 4,
-    });
     let secs = 400.0;
+    let base = ScenarioSpec::single_domain()
+        .with_raw_seed(7)
+        .with_population(0, 4, 0)
+        .with_duration_s(secs);
 
     println!("four cyclists, voice+video, {secs:.0} s simulated\n");
     println!(
@@ -25,7 +24,7 @@ fn main() {
         "scheme", "handoffs", "loss %", "jitter ms", "lost pkts", "duplicates"
     );
     for arch in [ArchKind::multi_tier_hard(), ArchKind::multi_tier()] {
-        let report = base.with_arch(arch).run_secs(secs);
+        let report = base.clone().with_arch(arch).run(0);
         let q = report.aggregate_qos();
         println!(
             "{:<22} {:>9} {:>9.3} {:>10.2} {:>11} {:>11}",

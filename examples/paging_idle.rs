@@ -9,23 +9,24 @@
 //! cargo run -p mtnet-examples --bin paging_idle --release
 //! ```
 
-use mtnet_core::scenario::{ArchKind, Population, Scenario};
+use mtnet_core::{ArchKind, ScenarioSpec};
 
 fn main() {
     let secs = 600.0;
-    // Web-only traffic: long idle gaps between bursts.
-    let mut scenario = Scenario::single_domain(5).with_population(Population {
-        pedestrians: 6,
-        vehicles: 0,
-        cyclists: 0,
-    });
-    scenario.voice = false;
-    scenario.video = false;
-    scenario.web = true;
+    // Web-only traffic (the preset's every-fourth-node web flows, voice
+    // and video off): long idle gaps between bursts.
+    let base = ScenarioSpec {
+        voice_every: 0,
+        video_every: 0,
+        ..ScenarioSpec::single_domain()
+    }
+    .with_raw_seed(5)
+    .with_population(6, 0, 0)
+    .with_duration_s(secs);
 
     println!("six browsing pedestrians, {secs:.0} s simulated\n");
     for arch in [ArchKind::multi_tier(), ArchKind::multi_tier_no_rsmc()] {
-        let report = scenario.with_arch(arch).run_secs(secs);
+        let report = base.clone().with_arch(arch).run(0);
         let q = report.aggregate_qos();
         println!("=== {} ===", arch.label());
         println!("web goodput          : {:.0} bit/s", q.throughput_bps);

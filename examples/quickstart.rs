@@ -5,22 +5,24 @@
 //! cargo run -p mtnet-examples --bin quickstart
 //! ```
 
-use mtnet_core::scenario::Scenario;
+use mtnet_core::ScenarioSpec;
 
 fn main() {
     // The standard three-domain city: domains 0 and 1 share an upper-layer
     // BS (the paper's R3), domain 2 stands alone; pedestrians walk the
     // street rows, vehicles shuttle the corridor. Everyone carries a voice
     // call; every third node streams video.
-    let scenario = Scenario::small_city(42);
+    let spec = ScenarioSpec::small_city()
+        .with_raw_seed(42)
+        .with_duration_s(60.0);
     println!(
         "running `{}` over {} domains ({} m corridor)…",
-        scenario.arch.label(),
-        scenario.n_domains,
-        scenario.corridor_width()
+        spec.arch.label(),
+        spec.n_domains,
+        spec.corridor_width()
     );
 
-    let report = scenario.run_secs(60.0);
+    let report = spec.run(0);
 
     let qos = report.aggregate_qos();
     println!("\n--- aggregate QoS over 60 simulated seconds ---");

@@ -9,7 +9,7 @@
 //! to the last ulp.
 
 use mtnet_core::report::RunReport;
-use mtnet_core::scenario::{ArchKind, Scenario};
+use mtnet_core::scenario::ArchKind;
 use mtnet_core::spec::ScenarioSpec;
 use mtnet_sim::rng::replication_seed;
 use mtnet_sim::runner::BatchRunner;
@@ -18,8 +18,9 @@ const MASTER_SEED: u64 = 42;
 const SECS: f64 = 12.0;
 
 /// The E10-shaped batch: every architecture × two replications, each run
-/// seeded purely from its (experiment, architecture, replication) path.
-fn e10_style_jobs() -> Vec<Scenario> {
+/// seeded purely from its (experiment, architecture, replication) path
+/// and labelled with its architecture.
+fn e10_style_jobs() -> Vec<ScenarioSpec> {
     let mut jobs = Vec::new();
     for arch in [
         ArchKind::multi_tier(),
@@ -27,17 +28,21 @@ fn e10_style_jobs() -> Vec<Scenario> {
         ArchKind::FlatCellularIp,
     ] {
         for rep in 0..2u64 {
-            let seed = replication_seed(MASTER_SEED, "E10", arch.label(), rep);
-            jobs.push(Scenario::small_city(seed).with_arch(arch));
+            let spec = ScenarioSpec {
+                name: arch.label().into(),
+                ..ScenarioSpec::small_city()
+            }
+            .with_arch(arch)
+            .with_duration_s(SECS)
+            .with_seed_path("E10", arch.label(), rep);
+            jobs.push(spec);
         }
     }
     jobs
 }
 
-fn run_jobs(threads: usize, jobs: Vec<Scenario>) -> Vec<RunReport> {
-    BatchRunner::new(threads).run(jobs, |i, scenario| {
-        scenario.run_report(SECS, (i % 2) as u64)
-    })
+fn run_jobs(threads: usize, jobs: Vec<ScenarioSpec>) -> Vec<RunReport> {
+    BatchRunner::new(threads).run(jobs, |_, spec| spec.run_report(MASTER_SEED))
 }
 
 fn fingerprints(reports: &[RunReport]) -> Vec<String> {
@@ -67,7 +72,7 @@ fn a_run_is_unaffected_by_its_batch_mates() {
     // reproduce exactly what it produced inside the full batch.
     let batch = run_jobs(4, e10_style_jobs());
     let lone_jobs = vec![e10_style_jobs().remove(3)];
-    let lone = BatchRunner::new(1).run(lone_jobs, |_, s| s.run_report(SECS, 1));
+    let lone = run_jobs(1, lone_jobs);
     assert_eq!(batch[3].fingerprint(), lone[0].fingerprint());
 }
 
@@ -179,7 +184,7 @@ fn an_empty_fault_section_is_a_no_op() {
 
 // ----------------------------------------------------------------------
 // Determinism under intra-world sharding: splitting one world across
-// conservative time-window shards (`spec.shards` / `MTNET_SHARDS`) is a
+// conservative time-window shards (`spec.shards`, `--shards`) is a
 // pure execution strategy — fingerprints must match the sequential
 // engine byte-for-byte at every shard × thread combination, including
 // when batch workers and shard threads are live at the same time.

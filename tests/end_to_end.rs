@@ -3,7 +3,7 @@
 //! `EXPERIMENTS.md`). These are the slowest tests in the suite; they use
 //! moderate windows and release-friendly populations.
 
-use mtnet_core::scenario::{ArchKind, Population, Scenario};
+use mtnet_core::{ArchKind, ScenarioSpec};
 
 #[test]
 fn all_architectures_deliver_traffic() {
@@ -14,7 +14,11 @@ fn all_architectures_deliver_traffic() {
         ArchKind::PureMobileIp,
         ArchKind::FlatCellularIp,
     ] {
-        let r = Scenario::small_city(1).with_arch(arch).run_secs(45.0);
+        let r = ScenarioSpec::small_city()
+            .with_raw_seed(1)
+            .with_arch(arch)
+            .with_duration_s(45.0)
+            .run(0);
         let q = r.aggregate_qos();
         assert!(q.sent > 1000, "{}: traffic generated", arch.label());
         assert!(
@@ -35,10 +39,13 @@ fn all_architectures_deliver_traffic() {
 #[test]
 fn multi_tier_beats_pure_mobile_ip_on_delay() {
     // Triangle routing vs RSMC route optimization (the E2/E10 shape).
-    let multi = Scenario::small_city(2).run_secs(60.0).aggregate_qos();
-    let pure = Scenario::small_city(2)
+    let base = ScenarioSpec::small_city()
+        .with_raw_seed(2)
+        .with_duration_s(60.0);
+    let multi = base.run(0).aggregate_qos();
+    let pure = base
         .with_arch(ArchKind::PureMobileIp)
-        .run_secs(60.0)
+        .run(0)
         .aggregate_qos();
     assert!(
         multi.mean_delay_ms + 10.0 < pure.mean_delay_ms,
@@ -52,16 +59,12 @@ fn multi_tier_beats_pure_mobile_ip_on_delay() {
 fn multi_tier_beats_flat_cip_for_fast_nodes() {
     // The macro umbrella is the whole point of the multi-tier design
     // (the E11 shape): fast nodes outrun a micro-only deployment.
-    let pop = Population {
-        pedestrians: 0,
-        vehicles: 2,
-        cyclists: 0,
-    };
-    let multi = Scenario::small_city(3).with_population(pop).run_secs(120.0);
-    let flat = Scenario::small_city(3)
-        .with_arch(ArchKind::FlatCellularIp)
-        .with_population(pop)
-        .run_secs(120.0);
+    let base = ScenarioSpec::small_city()
+        .with_raw_seed(3)
+        .with_population(0, 0, 2)
+        .with_duration_s(120.0);
+    let multi = base.run(0);
+    let flat = base.with_arch(ArchKind::FlatCellularIp).run(0);
     assert!(
         multi.aggregate_qos().loss_rate < flat.aggregate_qos().loss_rate,
         "multi-tier loss {:.4} must beat flat CIP {:.4}",
@@ -76,10 +79,13 @@ fn multi_tier_beats_flat_cip_for_fast_nodes() {
 
 #[test]
 fn rsmc_reduces_delay_vs_no_rsmc() {
-    let with = Scenario::small_city(4).run_secs(60.0).aggregate_qos();
-    let without = Scenario::small_city(4)
+    let base = ScenarioSpec::small_city()
+        .with_raw_seed(4)
+        .with_duration_s(60.0);
+    let with = base.run(0).aggregate_qos();
+    let without = base
         .with_arch(ArchKind::multi_tier_no_rsmc())
-        .run_secs(60.0)
+        .run(0)
         .aggregate_qos();
     assert!(
         with.mean_delay_ms < without.mean_delay_ms,
@@ -91,13 +97,11 @@ fn rsmc_reduces_delay_vs_no_rsmc() {
 
 #[test]
 fn handoff_reports_are_internally_consistent() {
-    let r = Scenario::small_city(5)
-        .with_population(Population {
-            pedestrians: 4,
-            vehicles: 2,
-            cyclists: 2,
-        })
-        .run_secs(120.0);
+    let r = ScenarioSpec::small_city()
+        .with_raw_seed(5)
+        .with_population(4, 2, 2)
+        .with_duration_s(120.0)
+        .run(0);
     // Every latency sample belongs to a completed handoff type.
     for (ht, summary) in &r.handoffs.latency_ms {
         let completed = r.handoffs.completed.get(ht).copied().unwrap_or(0);
@@ -116,7 +120,10 @@ fn handoff_reports_are_internally_consistent() {
 #[test]
 fn longer_runs_do_not_leak_state() {
     // Soft state must stay bounded: run long, verify caches swept.
-    let r = Scenario::single_domain(6).run_secs(240.0);
+    let r = ScenarioSpec::single_domain()
+        .with_raw_seed(6)
+        .with_duration_s(240.0)
+        .run(0);
     let q = r.aggregate_qos();
     assert!(
         q.loss_rate < 0.05,
@@ -134,8 +141,11 @@ fn longer_runs_do_not_leak_state() {
 #[test]
 fn seeded_reproducibility_across_architectures() {
     for arch in [ArchKind::multi_tier(), ArchKind::FlatCellularIp] {
-        let a = Scenario::commute_corridor(9).with_arch(arch).run_secs(30.0);
-        let b = Scenario::commute_corridor(9).with_arch(arch).run_secs(30.0);
+        let spec = ScenarioSpec::commute_corridor()
+            .with_raw_seed(9)
+            .with_arch(arch)
+            .with_duration_s(30.0);
+        let (a, b) = (spec.run(0), spec.run(0));
         assert_eq!(a.events_processed, b.events_processed, "{}", arch.label());
         assert_eq!(
             a.aggregate_qos().received,

@@ -10,7 +10,7 @@ use mtnet_core::tier::Tier;
 use mtnet_metrics::{Histogram, Summary};
 use mtnet_mobility::Point;
 use mtnet_net::{Addr, LinkConfig, NodeId, Prefix, RouteCache, RoutingTable, Topology};
-use mtnet_radio::{CallKind, Cell, CellId, CellKind, CellMap, ChannelPool, LaneSelect};
+use mtnet_radio::{CallKind, Cell, CellId, CellKind, CellMap, ChannelPool};
 use mtnet_sim::{Context, Model, RngStream, Scheduler, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
 
@@ -678,17 +678,6 @@ proptest! {
             map.measure_batch(at, tier, &mut batch);
             let scan = map.measure_full_scan(at, tier);
             prop_assert_eq!(&batch, &scan, "batch and scan disagree at {:?}", at);
-            // Every explicit lane width is bit-identical too — the SIMD
-            // pre-filter may only discard cells the exact scalar tail
-            // would also discard, at any vector width.
-            let mut lane_out = Vec::new();
-            for sel in [LaneSelect::Scalar, LaneSelect::W4, LaneSelect::W8] {
-                map.measure_batch_lanes(at, tier, &mut lane_out, sel);
-                prop_assert_eq!(
-                    &lane_out, &scan,
-                    "lane width {:?} diverged from the full scan at {:?}", sel, at
-                );
-            }
             // Hysteresis: rebuild the decision from the (batch) list and
             // hold it against the single-pass implementation, for both a
             // current cell drawn from the deployment and a ghost.
