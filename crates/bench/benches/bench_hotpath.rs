@@ -1,14 +1,11 @@
 //! Criterion benches for the hot-path layers: cached routing
-//! (`RouteCache` vs per-call Dijkstra), spatial radio measurement (grid
-//! index vs full scan, and the batched SoA sweep vs both, at 10/100/1k
-//! cells), per-packet flow lookup (persistent index vs linear scan), and
-//! scheduler backends (calendar queue vs binary heap on a hold-model
-//! churn). Each pair documents the speed relationship the code relies
-//! on — the optimized variant ahead, or (for the scheduler pair) why
-//! worlds run the calendar queue and the heap stays the test reference:
-//! the heap's constant factor wins tiny pending sets, the calendar's
-//! O(1) wins the thousands-pending populations the experiment suite
-//! actually runs.
+//! (`RouteCache` vs per-call Dijkstra) and spatial radio measurement
+//! (grid index vs full scan, and the batched SoA sweep vs both, at
+//! 10/100/1k cells). Each pair documents the speed relationship the
+//! code relies on — the optimized variant ahead of its reference. The
+//! event queue has no pair here: the repository benchmark's
+//! `sim.scheduler.hold_ns` and `sim.scheduler.tickwave_ns` time it at
+//! each workload's own shape.
 //! The equivalence of each pair's *answers* is enforced by property
 //! tests (`tests/properties.rs`), so these benches only argue speed.
 //!
@@ -17,9 +14,8 @@
 //! the vendored criterion stand-in times one closure call per sample.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mtnet_net::{Addr, FlowId, LinkConfig, NodeId, RouteCache, Topology};
+use mtnet_net::{Addr, LinkConfig, NodeId, RouteCache, Topology};
 use mtnet_radio::{Cell, CellId, CellKind, CellMap};
-use mtnet_sim::{FxHashMap, Scheduler, SchedulerKind, SimDuration, SimTime};
 
 const BATCH: u64 = 10_000;
 
@@ -133,35 +129,6 @@ fn bench_measure(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_flow_lookup(c: &mut Criterion) {
-    const FLOWS: u64 = 64;
-    let flows: Vec<FlowId> = (1..=FLOWS).map(FlowId).collect();
-    let index: FxHashMap<FlowId, usize> = flows.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-    let mut group = c.benchmark_group("flow_lookup");
-    group.sample_size(50);
-    group.bench_function("linear_position_scan_x10k", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for k in 0..BATCH {
-                let want = FlowId(k % FLOWS + 1);
-                hits += usize::from(flows.iter().position(|&f| f == want).is_some());
-            }
-            black_box(hits)
-        })
-    });
-    group.bench_function("indexed_x10k", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for k in 0..BATCH {
-                let want = FlowId(k % FLOWS + 1);
-                hits += usize::from(index.get(&want).is_some());
-            }
-            black_box(hits)
-        })
-    });
-    group.finish();
-}
-
 /// A deployment of roughly `n` cells: a micro grid under macro umbrellas
 /// (1:25 macro:micro, like the city scenarios).
 fn build_cells_n(n: usize) -> CellMap {
@@ -228,53 +195,5 @@ fn bench_measure_batch(c: &mut Criterion) {
     }
 }
 
-/// Scheduler backends head to head on the event loop's own access
-/// pattern: a hold model (pop one, push one at `now + delay`) over a
-/// standing population, the delays mixing packet-scale gaps with
-/// occasional far-future timers (the overflow-ladder case). The small
-/// population shows the heap's constant-factor advantage, the large one
-/// the calendar's O(1) scaling — why every world runs the calendar queue
-/// and `SchedulerKind::Heap` is the reference the tests compare against.
-fn bench_scheduler(c: &mut Criterion) {
-    let run = |kind: SchedulerKind, standing: usize| {
-        let mut q = Scheduler::with_kind(kind);
-        for i in 0..standing as u64 {
-            q.schedule_at(SimTime::from_nanos(i * 1_000), i);
-        }
-        let mut acc = 0u64;
-        for k in 0..BATCH {
-            let e = q
-                .pop_at_or_before(SimTime::MAX)
-                .expect("standing population");
-            acc ^= e.into_event();
-            let delay = if k % 64 == 0 {
-                SimDuration::from_secs(2) // periodic-timer scale
-            } else {
-                SimDuration::from_nanos(50_000 + k % 7 * 13_000) // packet scale
-            };
-            q.schedule_in(delay, k);
-        }
-        acc
-    };
-    let mut group = c.benchmark_group("scheduler_hold_model");
-    group.sample_size(20);
-    for standing in [256usize, 4_096] {
-        group.bench_function(&format!("heap_{standing}pending_x10k"), |b| {
-            b.iter(|| black_box(run(SchedulerKind::Heap, standing)))
-        });
-        group.bench_function(&format!("calendar_{standing}pending_x10k"), |b| {
-            b.iter(|| black_box(run(SchedulerKind::Calendar, standing)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_next_hop,
-    bench_measure,
-    bench_measure_batch,
-    bench_scheduler,
-    bench_flow_lookup
-);
+criterion_group!(benches, bench_next_hop, bench_measure, bench_measure_batch);
 criterion_main!(benches);

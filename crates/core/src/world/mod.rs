@@ -1623,13 +1623,12 @@ impl World {
     /// the misses overlap), then runs the members in order. Returns the
     /// member count.
     ///
-    /// Exact: a taken tie is the very next pop ([`Context::take_tie_if`];
-    /// the world never cancels and never requests a stop), a node occurs
-    /// at most once in a wave, and sampling row `i` touches only row
-    /// `i`'s cursor, model and RNG, which no other member's handler
-    /// touches. A member with a handoff in flight is not sampled — its
-    /// cursor and RNG stay put, as they do one event at a time — and the
-    /// flag is only ever written by the node's own events.
+    /// Exact: a taken tie is the very next pop ([`Context::take_tie_if`]),
+    /// a node occurs at most once in a wave, and sampling row `i` touches
+    /// only row `i`'s cursor, model and RNG, which no other member's
+    /// handler touches. A member with a handoff in flight is not sampled
+    /// — its cursor and RNG stay put, as they do one event at a time —
+    /// and the flag is only ever written by the node's own events.
     fn handle_move_sample(&mut self, ctx: &mut Context<'_, Ev>, first: MnId) -> usize {
         let now = ctx.now();
         let mut wave = std::mem::take(&mut self.move_wave);

@@ -531,7 +531,6 @@ fn route_cache_matches_routing_tables() {
         &[FlowKind::Voice],
     );
     let mut world = b.build();
-    let tables = world.topo.build_all_routing_tables(&world.prefixes);
     // Probe every (router, destination) pair the simulation can see:
     // node addresses, MN home addresses, and the CN/HA endpoints.
     let mut dsts: Vec<Addr> = (0..world.topo.node_count() as u32)
@@ -541,10 +540,11 @@ fn route_cache_matches_routing_tables() {
     dsts.push(world.cn_addr);
     for node in 0..world.topo.node_count() as u32 {
         let node = NodeId(node);
+        let table = world.topo.build_routing_table(node, &world.prefixes);
         for &dst in &dsts {
             assert_eq!(
                 world.wired_next_hop(node, dst),
-                tables[&node].lookup(dst),
+                table.lookup(dst),
                 "divergence at {node} -> {dst:?}"
             );
         }

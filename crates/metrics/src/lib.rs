@@ -3,7 +3,6 @@
 //! Self-contained, allocation-light statistics used by every experiment in
 //! the multi-tier mobility reproduction:
 //!
-//! * [`Counter`] — monotone event counters with rate helpers.
 //! * [`Summary`] — streaming mean/variance/min/max (Welford) with merge and
 //!   normal-approximation confidence intervals.
 //! * [`Replicates`] — named scalar metrics aggregated across independent
@@ -12,9 +11,6 @@
 //!   (HdrHistogram-style, base-2 with linear sub-buckets).
 //! * [`FixedHistogram`] — uniform fixed-bucket histogram with a constant
 //!   footprint, for world-level streaming accumulators.
-//! * [`TimeWeighted`] — integrates a piecewise-constant value over simulated
-//!   time (queue occupancy, channel usage, …).
-//! * [`TimeSeries`] — (t, value) samples with downsampling.
 //! * [`Table`] — fixed-width text tables for experiment output.
 //!
 //! ```
@@ -28,20 +24,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counter;
 mod fixed;
 mod histogram;
 mod replicates;
-mod series;
 mod summary;
 mod table;
-mod timeweighted;
 
-pub use counter::Counter;
 pub use fixed::FixedHistogram;
 pub use histogram::Histogram;
 pub use replicates::Replicates;
-pub use series::{SeriesPoint, TimeSeries};
 pub use summary::Summary;
 pub use table::{fmt_f64, Table};
-pub use timeweighted::TimeWeighted;

@@ -6,7 +6,7 @@ use crate::link::{Link, LinkConfig};
 use crate::routing::RoutingTable;
 use mtnet_sim::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Identifier of a node (router, host, base station…) in a [`Topology`].
@@ -354,17 +354,6 @@ impl Topology {
         table
     }
 
-    /// Builds routing tables for every node at once.
-    pub fn build_all_routing_tables(
-        &self,
-        prefixes: &[(Prefix, NodeId)],
-    ) -> HashMap<NodeId, RoutingTable> {
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .map(|n| (n, self.build_routing_table(n, prefixes)))
-            .collect()
-    }
-
     /// Resets all link queues and statistics.
     pub fn reset_links(&mut self) {
         for e in &mut self.links {
@@ -486,9 +475,7 @@ mod tests {
         assert_eq!(table.lookup(addr(3)), Some(b), "should prefer fast path");
         // No route to self.
         assert_eq!(table.lookup(addr(1)), None);
-        let all = t.build_all_routing_tables(&[]);
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[&c].lookup(addr(1)), Some(b));
+        assert_eq!(t.build_routing_table(c, &[]).lookup(addr(1)), Some(b));
     }
 
     #[test]

@@ -1,63 +1,11 @@
-//! Internal event-queue entries and cancellation tokens.
+//! The entry a [`crate::Scheduler`] hands back when an event fires.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
 
-/// Opaque handle identifying a scheduled event, usable to cancel it before
-/// it fires.
-///
-/// Tokens are unique for the lifetime of a [`crate::Scheduler`]; cancelling a
-/// token that already fired (or was already cancelled) is a harmless no-op.
-/// The token carries the event's identity in the scheduler's
-/// `(time, seq)` total order: the sequence number names the event, and
-/// the (clamp-adjusted) firing time lets the calendar backend jump
-/// straight to the event's bucket on cancellation instead of walking
-/// every bucket (see [`crate::Scheduler::cancel`]) — the schedule/pop
-/// fast path still carries no per-event cancellation bookkeeping.
-///
-/// The token additionally carries an opaque backend placement hint
-/// (the heap backend's slab slot), letting that backend cancel with one
-/// slot probe instead of a slab walk. The hint is *not* part of the
-/// token's identity: equality, ordering and hashing cover `(seq, time)`
-/// only, so tokens for the same event compare equal across backends.
-#[derive(Debug, Clone, Copy)]
-pub struct EventToken {
-    pub(crate) seq: u64,
-    pub(crate) time: SimTime,
-    pub(crate) slot: u32,
-}
-
-impl PartialEq for EventToken {
-    fn eq(&self, other: &Self) -> bool {
-        (self.seq, self.time) == (other.seq, other.time)
-    }
-}
-
-impl Eq for EventToken {}
-
-impl std::hash::Hash for EventToken {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        (self.seq, self.time).hash(state);
-    }
-}
-
-impl PartialOrd for EventToken {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EventToken {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.seq, self.time).cmp(&(other.seq, other.time))
-    }
-}
-
-/// A scheduled event: payload plus its firing time and tie-break sequence.
+/// A fired event: the payload plus the instant it fires at.
 #[derive(Debug)]
 pub struct ScheduledEvent<E> {
     pub(crate) time: SimTime,
-    pub(crate) seq: u64,
     pub(crate) event: E,
 }
 
@@ -73,55 +21,14 @@ impl<E> ScheduledEvent<E> {
     }
 }
 
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for ScheduledEvent<E> {}
-
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for ScheduledEvent<E> {
-    /// Orders by `(time, seq)`. Used inside a max-heap via `Reverse`, so the
-    /// earliest-scheduled event at the earliest time pops first —
-    /// deterministic FIFO among simultaneous events.
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time
-            .cmp(&other.time)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(t: u64, seq: u64) -> ScheduledEvent<()> {
-        ScheduledEvent {
-            time: SimTime::from_nanos(t),
-            seq,
-            event: (),
-        }
-    }
-
-    #[test]
-    fn orders_by_time_then_seq() {
-        assert!(ev(1, 5) < ev(2, 0));
-        assert!(ev(1, 0) < ev(1, 1));
-        assert_eq!(ev(1, 1).cmp(&ev(1, 1)), Ordering::Equal);
-    }
 
     #[test]
     fn accessors() {
         let e = ScheduledEvent {
             time: SimTime::from_secs(1),
-            seq: 3,
             event: 42u32,
         };
         assert_eq!(e.time(), SimTime::from_secs(1));

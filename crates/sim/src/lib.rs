@@ -10,12 +10,12 @@
 //!   from a single master seed, so a run is a pure function of
 //!   `(model, seed)`.
 //! * **No wall clock, no threads inside a run.** Simulated time is an
-//!   integer nanosecond counter; the engine is a single loop over a binary
-//!   heap. Parallelism lives *between* runs: [`runner::BatchRunner`] fans
-//!   independent simulations across cores, and [`rng::SeedTree`] splits a
-//!   master seed into per-run streams that are pure functions of the
-//!   `(experiment, architecture, replication)` path, so results are
-//!   byte-identical at any thread count.
+//!   integer nanosecond counter; the engine is a single loop over a
+//!   calendar queue. Parallelism lives *between* runs:
+//!   [`runner::BatchRunner`] fans independent simulations across cores,
+//!   and [`rng::SeedTree`] splits a master seed into per-run streams that
+//!   are pure functions of the `(experiment, architecture, replication)`
+//!   path, so results are byte-identical at any thread count.
 //! * **Model-agnostic.** The engine knows nothing about networks: users
 //!   implement [`Model`] with their own event type and mutate their own
 //!   world state.
@@ -58,11 +58,11 @@ mod scheduler;
 mod simulator;
 mod time;
 
-pub use event::{EventToken, ScheduledEvent};
+pub use event::ScheduledEvent;
 pub use hash::{FxHashMap, FxHashSet};
 pub use model::{Context, Model};
 pub use rng::{RngStream, SeedTree};
 pub use runner::BatchRunner;
-pub use scheduler::{Scheduler, SchedulerKind};
+pub use scheduler::Scheduler;
 pub use simulator::{RunOutcome, Simulator};
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,6 @@
 //! The [`Model`] trait — the user-supplied world — and the [`Context`]
 //! handed to it on every event.
 
-use crate::event::EventToken;
 use crate::scheduler::Scheduler;
 use crate::time::{SimDuration, SimTime};
 
@@ -27,31 +26,19 @@ pub trait Model {
 
 /// Per-event execution context: the clock plus scheduling operations.
 ///
-/// A `Context` borrows the engine's scheduler for the duration of one
-/// [`Model::handle_event`] call.
+/// A `Context` borrows the engine's scheduler and its processed-event
+/// count for the duration of one [`Model::handle_event`] call.
 #[derive(Debug)]
 pub struct Context<'a, E> {
     scheduler: &'a mut Scheduler<E>,
     events_processed: &'a mut u64,
-    events_emitted: &'a mut u64,
-    stop_requested: &'a mut bool,
-    event_budget: u64,
 }
 
 impl<'a, E> Context<'a, E> {
-    pub(crate) fn new(
-        scheduler: &'a mut Scheduler<E>,
-        events_processed: &'a mut u64,
-        events_emitted: &'a mut u64,
-        stop_requested: &'a mut bool,
-        event_budget: u64,
-    ) -> Self {
+    pub(crate) fn new(scheduler: &'a mut Scheduler<E>, events_processed: &'a mut u64) -> Self {
         Context {
             scheduler,
             events_processed,
-            events_emitted,
-            stop_requested,
-            event_budget,
         }
     }
 
@@ -61,56 +48,37 @@ impl<'a, E> Context<'a, E> {
     }
 
     /// Schedules an event at an absolute instant (clamped to `now` if in
-    /// the past) and returns a cancellation token.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventToken {
-        *self.events_emitted += 1;
+    /// the past).
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         self.scheduler.schedule_at(time, event)
     }
 
     /// Schedules an event after `delay` from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventToken {
-        *self.events_emitted += 1;
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.scheduler.schedule_in(delay, event)
     }
 
     /// Schedules an event to run after all other events at the current
     /// instant (zero-delay continuation).
-    pub fn schedule_now(&mut self, event: E) -> EventToken {
+    pub fn schedule_now(&mut self, event: E) {
         self.schedule_in(SimDuration::ZERO, event)
     }
 
-    /// Cancels a previously scheduled event. No-op if already fired.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        self.scheduler.cancel(token)
-    }
-
-    /// Number of live pending events.
+    /// Number of pending events.
     pub fn pending_events(&self) -> usize {
         self.scheduler.len()
     }
 
-    /// Requests that the run loop stop after the current event completes.
-    pub fn request_stop(&mut self) {
-        *self.stop_requested = true;
-    }
-
     /// Takes the next pending event iff the run loop's very next step
     /// would dispatch it at this same instant and `pred` accepts it: it
-    /// fires at exactly [`Context::now`], the event budget has room and
-    /// no stop is pending. The taken event counts as processed; the
-    /// caller must handle it before anything else.
+    /// fires at exactly [`Context::now`]. The taken event counts as
+    /// processed; the caller must handle it before anything else.
     ///
     /// This is exact, not a reordering: everything a handler schedules
     /// gets a higher sequence number than everything already queued, so
     /// the event handed back is the one the loop would have popped next
-    /// whatever the current handler goes on to schedule. The one thing a
-    /// taken event escapes is cancellation — like any popped event it
-    /// has fired — so a model that cancels same-instant events from its
-    /// handlers must not take them ahead of time.
+    /// whatever the current handler goes on to schedule.
     pub fn take_tie_if(&mut self, pred: impl FnOnce(&E) -> bool) -> Option<E> {
-        if *self.events_processed >= self.event_budget || *self.stop_requested {
-            return None;
-        }
         let event = self.scheduler.pop_tie_if(pred)?;
         *self.events_processed += 1;
         Some(event)
@@ -124,7 +92,6 @@ mod tests {
 
     struct PingPong {
         pings: u32,
-        limit: u32,
     }
 
     #[derive(Debug)]
@@ -139,11 +106,7 @@ mod tests {
             match ev {
                 Ev::Ping => {
                     self.pings += 1;
-                    if self.pings >= self.limit {
-                        ctx.request_stop();
-                    } else {
-                        ctx.schedule_in(SimDuration::from_millis(10), Ev::Pong);
-                    }
+                    ctx.schedule_in(SimDuration::from_millis(10), Ev::Pong);
                 }
                 Ev::Pong => {
                     ctx.schedule_now(Ev::Ping);
@@ -153,11 +116,13 @@ mod tests {
     }
 
     #[test]
-    fn request_stop_halts_run() {
-        let mut sim = Simulator::new(PingPong { pings: 0, limit: 5 });
+    fn the_horizon_ends_a_self_sustaining_run() {
+        let mut sim = Simulator::new(PingPong { pings: 0 });
         sim.schedule_at(SimTime::ZERO, Ev::Ping);
-        sim.run();
+        // Pings at 0, 10, 20, 30 and 40 ms; the pong at 50 ms stays queued.
+        sim.run_until(SimTime::from_millis(45));
         assert_eq!(sim.model().pings, 5);
+        assert_eq!(sim.pending_events(), 1);
     }
 
     #[test]

@@ -11,19 +11,17 @@
 //! resizes, so occupancy stays near a few events per bucket across
 //! workload phases.
 //!
-//! Unlike the binary-heap reference (whose sift operations move an entry
-//! O(log n) times, so it keeps payloads in a side slab), a calendar entry
-//! moves O(1) times — into its bucket, within the one-time bucket sort,
-//! and out — so payloads live **inline** in the buckets: no slab, no
-//! free-list, no per-event indirection.
+//! A calendar entry moves O(1) times — into its bucket, within the
+//! one-time bucket sort, and out — so payloads live **inline** in the
+//! buckets: no slab, no free-list, no per-event indirection.
 //!
-//! Ordering is the same `(time, seq)` total order as the heap backend:
-//! within the active bucket, entries are kept sorted (descending, so the
-//! minimum pops from the tail in O(1)); across buckets, the cursor walk
-//! and the single-lap invariant make the first non-empty bucket hold the
-//! minimum; the overflow top is compared against the wheel candidate on
-//! every peek. Property tests drive this backend and the heap through
-//! identical interleavings and require identical pop sequences.
+//! Ordering is the `(time, seq)` total order: within the active bucket,
+//! entries are kept sorted (descending, so the minimum pops from the
+//! tail in O(1)); across buckets, the cursor walk and the single-lap
+//! invariant make the first non-empty bucket hold the minimum; the
+//! overflow top is compared against the wheel candidate on every peek.
+//! A property test drives the facade and a `std` binary-heap model
+//! through identical interleavings and requires identical pop sequences.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -104,7 +102,7 @@ pub(crate) struct CalendarQueue<E> {
     /// (the resize policy's width signal). Zero until the first gap.
     gap_ema_ns: u64,
     /// Cached key and location of the current minimum (valid until a push
-    /// undercuts it, a pop consumes it, or a cancel hits).
+    /// undercuts it or a pop consumes it).
     cached: Option<((SimTime, u64), MinLoc)>,
     /// Pushes+pops since the last rebuild (rebuild-thrash guard).
     ops_since_rebuild: u64,
@@ -116,9 +114,6 @@ pub(crate) struct CalendarQueue<E> {
     resize_check_in: u32,
     /// Total rebuilds (monitoring/debugging aid, exercised in tests).
     rebuilds: u64,
-    /// Entries examined by `cancel` probes (test-only cost pin).
-    #[cfg(test)]
-    cancel_probes: u64,
 }
 
 /// Smallest wheel: 64 buckets.
@@ -135,12 +130,6 @@ const MAX_SHIFT: u32 = 34;
 const SCAN_LIMIT: u64 = 256;
 /// Pushes between resize-policy evaluations.
 const RESIZE_CHECK_PERIOD: u32 = 256;
-
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 impl<E> CalendarQueue<E> {
     pub(crate) fn new() -> Self {
@@ -161,12 +150,10 @@ impl<E> CalendarQueue<E> {
             ops_since_rebuild: 0,
             resize_check_in: RESIZE_CHECK_PERIOD,
             rebuilds: 0,
-            #[cfg(test)]
-            cancel_probes: 0,
         }
     }
 
-    #[cfg(test)]
+    /// Pending entries, wheel and overflow ladder together.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -380,64 +367,6 @@ impl<E> CalendarQueue<E> {
         Some((time, &entry.event))
     }
 
-    /// Removes the entry with sequence number `seq` scheduled at `time`,
-    /// returning it if it was pending.
-    ///
-    /// The firing time pins the search to one bucket. Invariant: a live
-    /// wheel entry's absolute bucket is exactly `max(time >> shift,
-    /// cursor)` — it files there ([`Self::bucket_index`] clamps exactly
-    /// so), rebuilds refile it with the same clamp, and the cursor never
-    /// advances past a non-empty bucket (the peek scan stops at the
-    /// first occupied one and the sparse jump targets the wheel
-    /// minimum). So cancellation probes that single bucket, falling back
-    /// to the overflow ladder, instead of walking every bucket — which
-    /// made spec-driven teardown of large pending timer sets (fault
-    /// plans) quadratic. A 10k-pending test pins the cost.
-    pub(crate) fn cancel(&mut self, seq: u64, time: SimTime) -> Option<E> {
-        let ab = self.bucket_index(time);
-        if ab < self.cursor + self.n_buckets() as u64 {
-            let idx = (ab & self.mask as u64) as usize;
-            #[cfg(test)]
-            {
-                self.cancel_probes += self.buckets[idx].len() as u64;
-            }
-            let bucket = &mut self.buckets[idx];
-            if let Some(pos) = bucket.iter().position(|e| e.seq == seq) {
-                debug_assert_eq!(bucket[pos].time, time, "token time differs from entry");
-                // `remove` (not swap_remove) keeps a sorted active bucket
-                // sorted; elsewhere order within the bucket is free.
-                let entry = bucket.remove(pos);
-                Self::release_if_drained(bucket);
-                self.wheel_len -= 1;
-                self.len -= 1;
-                self.cached = None;
-                return Some(entry.event);
-            }
-        }
-        // Not in the wheel bucket its time names: the entry is either
-        // riding the overflow ladder (filed before the span reached it)
-        // or has already fired / been cancelled.
-        #[cfg(test)]
-        {
-            self.cancel_probes += self.overflow.len() as u64;
-        }
-        if self.overflow.iter().any(|l| l.0.seq == seq) {
-            let mut found = None;
-            let drained: Vec<Ladder<E>> = std::mem::take(&mut self.overflow).into_vec();
-            for l in drained {
-                if l.0.seq == seq {
-                    found = Some(l.0.event);
-                } else {
-                    self.overflow.push(l);
-                }
-            }
-            self.len -= 1;
-            self.cached = None;
-            return found;
-        }
-        None
-    }
-
     /// Frees a drained bucket's backing allocation once it grew past the
     /// minimal first-push capacity. Periodic timer populations (metro:
     /// millions of ticks on 5 s / 60 s cadences) sweep an occupancy wave
@@ -623,63 +552,6 @@ mod tests {
         assert_eq!(q.peek_min(), Some((SimTime::from_nanos(1_000), 1)));
         assert_eq!(q.pop_min().map(|(_, _, e)| e), Some(1));
         assert_eq!(q.pop_min().map(|(_, _, e)| e), Some(0));
-    }
-
-    #[test]
-    fn cancel_removes_from_wheel_and_ladder() {
-        let mut q = CalendarQueue::new();
-        q.push(SimTime::from_nanos(1_000), 0, 0);
-        q.push(SimTime::from_nanos(2_000), 1, 1);
-        q.push(SimTime::from_nanos(3_600_000_000_000), 2, 2); // ladder
-        assert_eq!(q.cancel(0, SimTime::from_nanos(1_000)), Some(0));
-        assert_eq!(q.cancel(0, SimTime::from_nanos(1_000)), None, "cancelled");
-        assert_eq!(
-            q.cancel(2, SimTime::from_nanos(3_600_000_000_000)),
-            Some(2),
-            "ladder entry cancellable"
-        );
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_min().map(|(_, _, e)| e), Some(1));
-        assert_eq!(q.cancel(1, SimTime::from_nanos(2_000)), None, "popped");
-    }
-
-    #[test]
-    fn cancel_finds_entries_clamped_below_the_cursor() {
-        // A push below the cursor's window files into the *current*
-        // bucket; its cancel hint must clamp the same way.
-        let mut q = CalendarQueue::new();
-        q.push(SimTime::from_nanos(1_000), 0, 0);
-        assert!(q.pop_min().is_some());
-        q.push(SimTime::from_nanos(500_000_000), 1, 1);
-        assert!(q.peek_min().is_some()); // drags the cursor forward
-        q.push(SimTime::from_nanos(2_000), 2, 2); // clamped entry
-        assert_eq!(q.cancel(2, SimTime::from_nanos(2_000)), Some(2));
-        assert_eq!(q.pop_min().map(|(_, _, e)| e), Some(1));
-        assert_eq!(q.pop_min(), None);
-    }
-
-    #[test]
-    fn cancel_cost_is_bucket_local_on_a_10k_wheel() {
-        // Teardown of a large pending set (a spec-driven fault plan)
-        // cancels every timer. The bucket hint makes that linear: the
-        // old full-wheel walk examined O(pending) entries per cancel,
-        // ~n²/2 ≈ 5·10⁷ total here; bucket-local probing stays within a
-        // small constant per cancel.
-        let mut q = CalendarQueue::new();
-        let n: u64 = 10_000;
-        for i in 0..n {
-            q.push(SimTime::from_nanos(i * 50_000), i, i);
-        }
-        assert!(q.rebuilds() > 0, "10k entries must have retuned the wheel");
-        for i in 0..n {
-            assert_eq!(q.cancel(i, SimTime::from_nanos(i * 50_000)), Some(i));
-        }
-        assert_eq!(q.len(), 0);
-        assert!(
-            q.cancel_probes <= 40 * n,
-            "cancel examined {} entries across {n} cancels — not bucket-local",
-            q.cancel_probes
-        );
     }
 
     #[test]

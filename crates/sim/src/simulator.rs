@@ -1,8 +1,7 @@
 //! The run loop tying a [`Model`] to a [`Scheduler`].
 
-use crate::event::EventToken;
 use crate::model::{Context, Model};
-use crate::scheduler::{Scheduler, SchedulerKind};
+use crate::scheduler::Scheduler;
 use crate::time::{SimDuration, SimTime};
 
 /// Why a call to [`Simulator::run_until`] returned.
@@ -12,10 +11,6 @@ pub enum RunOutcome {
     QueueEmpty,
     /// The time horizon was reached with events still pending.
     HorizonReached,
-    /// The model called [`Context::request_stop`].
-    Stopped,
-    /// The configured event budget was exhausted (runaway-loop guard).
-    EventBudgetExhausted,
 }
 
 /// Sequential discrete-event simulator.
@@ -26,9 +21,6 @@ pub struct Simulator<M: Model> {
     model: M,
     scheduler: Scheduler<M::Event>,
     events_processed: u64,
-    events_emitted: u64,
-    event_budget: u64,
-    stop_requested: bool,
 }
 
 impl<M: Model> Simulator<M> {
@@ -38,38 +30,7 @@ impl<M: Model> Simulator<M> {
             model,
             scheduler: Scheduler::new(),
             events_processed: 0,
-            events_emitted: 0,
-            // Large default: protects against accidental infinite
-            // zero-delay loops without ever tripping in legitimate runs.
-            event_budget: u64::MAX,
-            stop_requested: false,
         }
-    }
-
-    /// Caps the total number of events processed across all `run*` calls
-    /// (ties a handler takes through [`Context::take_tie_if`] included).
-    /// Useful as a runaway guard in property tests.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
-    }
-
-    /// Selects the event-queue backend (see [`SchedulerKind`]). Both
-    /// backends implement the identical `(time, seq)` total order, so
-    /// results are bit-for-bit the same either way — this is a
-    /// performance knob, selectable per simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events have already been scheduled (the backend cannot
-    /// be swapped under a populated queue).
-    pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
-        assert!(
-            self.scheduler.is_empty() && self.scheduler.scheduled_total() == 0,
-            "select the scheduler backend before scheduling events"
-        );
-        self.scheduler = Scheduler::with_kind(kind);
-        self
     }
 
     /// Current simulated time.
@@ -97,12 +58,7 @@ impl<M: Model> Simulator<M> {
         self.events_processed
     }
 
-    /// Number of events scheduled by the model so far.
-    pub fn events_emitted(&self) -> u64 {
-        self.events_emitted
-    }
-
-    /// Number of live pending events.
+    /// Number of pending events.
     pub fn pending_events(&self) -> usize {
         self.scheduler.len()
     }
@@ -115,12 +71,12 @@ impl<M: Model> Simulator<M> {
     }
 
     /// Schedules an event from outside the model (initial conditions).
-    pub fn schedule_at(&mut self, time: SimTime, event: M::Event) -> EventToken {
+    pub fn schedule_at(&mut self, time: SimTime, event: M::Event) {
         self.scheduler.schedule_at(time, event)
     }
 
     /// Schedules an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) -> EventToken {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) {
         self.scheduler.schedule_in(delay, event)
     }
 
@@ -131,13 +87,7 @@ impl<M: Model> Simulator<M> {
         let time = entry.time();
         let event = entry.into_event();
         self.events_processed += 1;
-        let mut ctx = Context::new(
-            &mut self.scheduler,
-            &mut self.events_processed,
-            &mut self.events_emitted,
-            &mut self.stop_requested,
-            self.event_budget,
-        );
+        let mut ctx = Context::new(&mut self.scheduler, &mut self.events_processed);
         self.model.handle_event(&mut ctx, event);
         time
     }
@@ -150,33 +100,23 @@ impl<M: Model> Simulator<M> {
         Some(self.dispatch(entry))
     }
 
-    /// Runs until the queue drains, the model requests a stop, or the event
-    /// budget is exhausted.
+    /// Runs until the queue drains.
     pub fn run(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
     }
 
-    /// Runs until `horizon` (inclusive: events **at** the horizon fire), the
-    /// queue drains, the model requests a stop, or the event budget is
-    /// exhausted. Time never advances past the last executed event.
+    /// Runs until `horizon` (inclusive: events **at** the horizon fire) or
+    /// until the queue drains. Time never advances past the last executed
+    /// event.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        self.stop_requested = false;
-        loop {
-            if self.events_processed >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
-            }
-            // Single heap walk per event (peek and pop fused).
-            let Some(entry) = self.scheduler.pop_at_or_before(horizon) else {
-                return if self.scheduler.is_empty() {
-                    RunOutcome::QueueEmpty
-                } else {
-                    RunOutcome::HorizonReached
-                };
-            };
+        // Single queue walk per event (peek and pop fused).
+        while let Some(entry) = self.scheduler.pop_at_or_before(horizon) {
             self.dispatch(entry);
-            if self.stop_requested {
-                return RunOutcome::Stopped;
-            }
+        }
+        if self.scheduler.is_empty() {
+            RunOutcome::QueueEmpty
+        } else {
+            RunOutcome::HorizonReached
         }
     }
 }
@@ -241,13 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_guards_runaway() {
-        let mut sim = metronome().with_event_budget(100);
-        assert_eq!(sim.run(), RunOutcome::EventBudgetExhausted);
-        assert_eq!(sim.events_processed(), 100);
-    }
-
-    #[test]
     fn next_event_time_peeks_without_popping() {
         let mut sim = metronome();
         assert_eq!(sim.next_event_time(), Some(SimTime::ZERO));
@@ -269,14 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn emitted_counter_tracks_model_scheduling() {
-        let mut sim = metronome();
-        sim.run_until(SimTime::from_secs(3));
-        // Each handled tick emits exactly one follow-up.
-        assert_eq!(sim.events_emitted(), sim.events_processed());
-    }
-
-    #[test]
     fn into_model_returns_state() {
         let mut sim = metronome();
         sim.run_until(SimTime::from_secs(2));
@@ -293,7 +218,6 @@ mod tests {
     /// property's business.)
     struct Tracer {
         drain: bool,
-        stop_at: Option<u32>,
         trace: Vec<(SimTime, u32)>,
     }
 
@@ -309,18 +233,14 @@ mod tests {
                     ctx.schedule_in(later, ev + 2);
                     ctx.schedule_in(later, ev + 4);
                 }
-                if self.stop_at == Some(ev) {
-                    ctx.request_stop();
-                }
                 next = ctx.take_tie_if(|_| self.drain);
             }
         }
     }
 
-    fn traced(drain: bool, stop_at: Option<u32>) -> Simulator<Tracer> {
+    fn traced(drain: bool) -> Simulator<Tracer> {
         let mut sim = Simulator::new(Tracer {
             drain,
-            stop_at,
             trace: vec![],
         });
         for tag in [0, 2, 16, 6] {
@@ -331,53 +251,15 @@ mod tests {
 
     #[test]
     fn tie_draining_matches_the_reference_loop() {
-        let mut reference = traced(false, None);
+        let mut reference = traced(false);
         assert_eq!(reference.run(), RunOutcome::QueueEmpty);
-        let mut drained = traced(true, None);
+        let mut drained = traced(true);
         assert_eq!(drained.step(), Some(SimTime::ZERO));
         assert!(drained.events_processed() > 3, "one step ran a whole wave");
         assert_eq!(drained.run(), RunOutcome::QueueEmpty);
         assert_eq!(drained.model().trace, reference.model().trace);
         assert_eq!(drained.events_processed(), reference.events_processed());
-        assert_eq!(drained.events_emitted(), reference.events_emitted());
         assert_eq!(drained.now(), reference.now());
-    }
-
-    #[test]
-    fn budget_exhaustion_is_resumable_mid_tie_set() {
-        let mut reference = traced(false, None);
-        reference.run();
-        for budget in 1..12 {
-            // A wave never takes a tie the budget has no room for: the
-            // handled events are exactly the reference prefix…
-            let mut sim = traced(true, None).with_event_budget(budget);
-            assert_eq!(sim.run(), RunOutcome::EventBudgetExhausted);
-            assert_eq!(sim.events_processed(), budget);
-            assert_eq!(
-                sim.model().trace,
-                reference.model().trace[..budget as usize]
-            );
-            // …the rest of the tie set stays queued, and lifting the
-            // budget finishes the identical tail.
-            let mut sim = sim.with_event_budget(u64::MAX);
-            assert_eq!(sim.run(), RunOutcome::QueueEmpty);
-            assert_eq!(sim.model().trace, reference.model().trace);
-        }
-    }
-
-    #[test]
-    fn a_stop_request_ends_the_wave() {
-        let mut reference = traced(false, Some(2));
-        assert_eq!(reference.run(), RunOutcome::Stopped);
-        let mut drained = traced(true, Some(2));
-        assert_eq!(drained.run(), RunOutcome::Stopped);
-        assert_eq!(drained.model().trace, reference.model().trace);
-        assert_eq!(drained.pending_events(), reference.pending_events());
-        for sim in [&mut drained, &mut reference] {
-            sim.model_mut().stop_at = None;
-            assert_eq!(sim.run(), RunOutcome::QueueEmpty);
-        }
-        assert_eq!(drained.model().trace, reference.model().trace);
     }
 
     #[test]

@@ -213,14 +213,14 @@ fn sharded_runs_are_byte_identical_across_architectures() {
         .collect()
     };
     let baseline = run_specs(1, jobs(1));
-    for shards in [2u32, 4] {
-        for threads in [1usize, 4] {
-            assert_eq!(
-                baseline,
-                run_specs(threads, jobs(shards)),
-                "shards={shards} threads={threads} diverged from the sequential engine"
-            );
-        }
+    // Two shards is every sharded configuration: a larger count clamps
+    // to the two ownership groups.
+    for threads in [1usize, 4] {
+        assert_eq!(
+            baseline,
+            run_specs(threads, jobs(2)),
+            "shards=2 threads={threads} diverged from the sequential engine"
+        );
     }
 }
 

@@ -13,6 +13,8 @@ use mtnet_net::{Addr, LinkConfig, NodeId, Prefix, RouteCache, RoutingTable, Topo
 use mtnet_radio::{CallKind, Cell, CellId, CellKind, CellMap, ChannelPool};
 use mtnet_sim::{Context, Model, RngStream, Scheduler, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Two-variant event for the tie-draining property: a wave must stop at
 /// a variant boundary, so the payload needs more than one.
@@ -68,6 +70,43 @@ impl Model for TieModel {
         for ev in wave {
             self.one(ctx, ev);
         }
+    }
+}
+
+/// The reference for the scheduler's `(time, seq)` order: a `std` binary
+/// heap of `(time, seq, payload)` plus the clock. `seq` is unique, so the
+/// payload never decides an ordering.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    next_seq: u64,
+    now: SimTime,
+}
+
+impl HeapModel {
+    fn schedule_in(&mut self, delay: SimDuration, event: usize) {
+        let key = (self.now + delay, self.next_seq, event);
+        self.heap.push(Reverse(key));
+        self.next_seq += 1;
+    }
+
+    fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, usize)> {
+        let &Reverse((time, _, event)) = self.heap.peek()?;
+        if time > horizon {
+            return None;
+        }
+        self.heap.pop();
+        self.now = time;
+        Some((time, event))
+    }
+
+    fn pop_tie_if(&mut self, pred: impl FnOnce(&usize) -> bool) -> Option<usize> {
+        let &Reverse((time, _, event)) = self.heap.peek()?;
+        if time != self.now || !pred(&event) {
+            return None;
+        }
+        self.heap.pop();
+        Some(event)
     }
 }
 
@@ -504,80 +543,65 @@ proptest! {
     }
 
     // ---------------------------------------------------------------
-    // Scheduler backends: the calendar queue and the binary-heap
-    // reference produce identical observable behavior on arbitrary
-    // schedule / cancel / pop / pop-at-or-before interleavings — same
-    // pop order (including `seq` FIFO ties), same cancel verdicts, same
-    // lengths, same peeked times.
+    // Scheduler reference: the calendar queue behind `Scheduler` and a
+    // `std` binary heap over `(time, seq, payload)` produce identical
+    // observable behavior on arbitrary schedule / pop / pop-at-or-before
+    // / pop-tie-if interleavings — same pop order (including `seq` FIFO
+    // ties), same tie verdicts, same lengths, same clock, same peeked
+    // times.
     // ---------------------------------------------------------------
     #[test]
-    fn calendar_scheduler_equals_heap_reference(
+    fn scheduler_equals_a_binary_heap_model(
         ops in prop::collection::vec((0u8..6, any::<u64>()), 1..400,)
     ) {
-        use mtnet_sim::SchedulerKind;
-        let mut cal = Scheduler::with_kind(SchedulerKind::Calendar);
-        let mut heap = Scheduler::with_kind(SchedulerKind::Heap);
-        let mut tokens = Vec::new();
+        let mut cal = Scheduler::new();
+        let mut model = HeapModel::default();
+        let fired = |e: mtnet_sim::ScheduledEvent<usize>| (e.time(), e.into_event());
         for (i, &(op, raw)) in ops.iter().enumerate() {
             match op {
-                // Near-future schedule (µs..ms range, with same-time
-                // collisions since the divisor quantizes heavily).
-                0 | 1 => {
-                    let d = SimDuration::from_nanos((raw % 1_000_000) / 64 * 64);
-                    let (tc, th) = (cal.schedule_in(d, i), heap.schedule_in(d, i));
-                    prop_assert_eq!(tc, th, "tokens diverged");
-                    tokens.push((tc, th));
-                }
-                // Far-future schedule: exercises the overflow ladder and
-                // its interplay with the wheel cursor.
-                2 => {
-                    let d = SimDuration::from_nanos(raw % 20_000_000_000);
-                    let (tc, th) = (cal.schedule_in(d, i), heap.schedule_in(d, i));
-                    prop_assert_eq!(tc, th, "tokens diverged");
-                    tokens.push((tc, th));
+                0..=2 => {
+                    let d = match op {
+                        // Near future, µs..ms range.
+                        0 => SimDuration::from_nanos((raw % 1_000_000) / 64 * 64),
+                        // Coarse grid, zero delay included: same-instant
+                        // ties form, some with the last popped event.
+                        1 => SimDuration::from_micros(64 * (raw % 4)),
+                        // Far future: exercises the overflow ladder and
+                        // its interplay with the wheel cursor.
+                        _ => SimDuration::from_nanos(raw % 20_000_000_000),
+                    };
+                    cal.schedule_in(d, i);
+                    model.schedule_in(d, i);
                 }
                 // Pop and compare everything observable.
-                3 => {
-                    let (ec, eh) = (cal.pop(), heap.pop());
-                    prop_assert_eq!(ec.is_some(), eh.is_some());
-                    if let (Some(ec), Some(eh)) = (ec, eh) {
-                        prop_assert_eq!(ec.time(), eh.time());
-                        prop_assert_eq!(ec.into_event(), eh.into_event());
-                    }
-                }
+                3 => prop_assert_eq!(cal.pop().map(fired), model.pop_at_or_before(SimTime::MAX)),
                 // Bounded pop at an arbitrary horizon past now.
                 4 => {
                     let h = cal.now() + SimDuration::from_nanos(raw % 2_000_000);
-                    let (ec, eh) = (cal.pop_at_or_before(h), heap.pop_at_or_before(h));
-                    prop_assert_eq!(ec.is_some(), eh.is_some(), "horizon verdicts diverged");
-                    if let (Some(ec), Some(eh)) = (ec, eh) {
-                        prop_assert_eq!(ec.time(), eh.time());
-                        prop_assert_eq!(ec.into_event(), eh.into_event());
-                    }
+                    prop_assert_eq!(
+                        cal.pop_at_or_before(h).map(fired),
+                        model.pop_at_or_before(h),
+                        "horizon verdicts diverged"
+                    );
                 }
-                // Cancel a remembered token (possibly already fired or
-                // already cancelled — verdicts must agree). Each backend
-                // gets the token *it* issued: tokens compare equal by
-                // `(seq, time)` but also carry a backend-private
-                // placement hint that makes heap cancellation one probe.
+                // Tie pop under a random predicate on the payload: taken
+                // only at the instant of the last pop, in seq order.
                 _ => {
-                    if !tokens.is_empty() {
-                        let (tc, th) = tokens[(raw as usize) % tokens.len()];
-                        prop_assert_eq!(cal.cancel(tc), heap.cancel(th));
-                    }
+                    let pred = |e: &usize| (*e as u64 ^ raw) % 3 != 0;
+                    prop_assert_eq!(cal.pop_tie_if(pred), model.pop_tie_if(pred), "tie verdicts diverged");
                 }
             }
-            prop_assert_eq!(cal.len(), heap.len(), "len diverged after op {}", i);
-            prop_assert_eq!(cal.now(), heap.now(), "now diverged after op {}", i);
+            prop_assert_eq!(cal.len(), model.heap.len(), "len diverged after op {}", i);
+            prop_assert_eq!(cal.now(), model.now, "now diverged after op {}", i);
         }
         // Drain both: the tails must match event for event.
-        prop_assert_eq!(cal.peek_time(), heap.peek_time());
+        prop_assert_eq!(cal.peek_time(), model.heap.peek().map(|e| e.0.0));
         loop {
-            let (ec, eh) = (cal.pop(), heap.pop());
-            prop_assert_eq!(ec.is_some(), eh.is_some(), "tail lengths diverged");
-            let (Some(ec), Some(eh)) = (ec, eh) else { break };
-            prop_assert_eq!(ec.time(), eh.time());
-            prop_assert_eq!(ec.into_event(), eh.into_event());
+            let got = cal.pop().map(fired);
+            prop_assert_eq!(got, model.pop_at_or_before(SimTime::MAX), "tails diverged");
+            if got.is_none() {
+                break;
+            }
         }
     }
 
@@ -585,23 +609,19 @@ proptest! {
     // Tie draining: a handler that takes its same-variant, same-instant
     // ties through `Context::take_tie_if` and runs them itself is
     // indistinguishable from the run loop popping them one by one — same
-    // trace, same counters, same clock — on both scheduler backends,
-    // over random tie-heavy schedules cut by horizons and event budgets.
-    // A wave never crosses a variant boundary, a later instant or an
-    // exhausted budget; what it leaves stays queued and a later `run`
+    // trace, same counters, same clock — over random tie-heavy schedules
+    // cut by horizons. A wave never crosses a variant boundary or a
+    // later instant; what it leaves stays queued and a later `run`
     // resumes it.
     // ---------------------------------------------------------------
     #[test]
     fn tie_draining_equals_serial_dispatch(
         initial in prop::collection::vec((0u64..6, any::<u64>()), 1..40),
-        cuts in prop::collection::vec((0u64..400, 1u64..80), 0..12),
-        kind_pick in 0usize..2,
+        cuts in prop::collection::vec(0u64..400, 0..12),
     ) {
-        use mtnet_sim::{RunOutcome, SchedulerKind};
-        let kind = [SchedulerKind::Calendar, SchedulerKind::Heap][kind_pick];
+        use mtnet_sim::RunOutcome;
         let start = |drain: bool| {
-            let mut sim = Simulator::new(TieModel { drain, trace: vec![], waves: vec![] })
-                .with_scheduler(kind);
+            let mut sim = Simulator::new(TieModel { drain, trace: vec![], waves: vec![] });
             for &(slot, raw) in &initial {
                 let n = raw % 512;
                 let ev = if raw % 2 == 0 { TieEv::A(n) } else { TieEv::B(n) };
@@ -610,17 +630,14 @@ proptest! {
             sim
         };
         let (mut serial, mut drained) = (start(false), start(true));
-        // Run both through the same sequence of (horizon, budget) cuts,
-        // then to completion; compare everything observable at each stop.
-        let cuts = cuts.iter().map(|&(us, budget)| (SimTime::from_micros(us), budget));
-        for (k, (horizon, budget)) in cuts.chain([(SimTime::MAX, u64::MAX)]).enumerate() {
-            serial = serial.with_event_budget(budget);
-            drained = drained.with_event_budget(budget);
+        // Run both through the same sequence of horizon cuts, then to
+        // completion; compare everything observable at each stop.
+        let cuts = cuts.iter().map(|&us| SimTime::from_micros(us));
+        for (k, horizon) in cuts.chain([SimTime::MAX]).enumerate() {
             let outcome = serial.run_until(horizon);
             prop_assert_eq!(drained.run_until(horizon), outcome, "outcome diverged at stop {}", k);
             prop_assert_eq!(&drained.model().trace, &serial.model().trace, "trace diverged at stop {}", k);
             prop_assert_eq!(drained.events_processed(), serial.events_processed());
-            prop_assert_eq!(drained.events_emitted(), serial.events_emitted());
             prop_assert_eq!(drained.pending_events(), serial.pending_events());
             prop_assert_eq!(drained.now(), serial.now());
         }
