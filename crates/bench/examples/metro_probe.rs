@@ -7,18 +7,8 @@
 //! ```text
 //! cargo run --release --example metro_probe -- duration_s=12 pedestrians=10000 domains=8
 //! ```
+use mtnet_bench::rss;
 use mtnet_core::spec::ScenarioSpec;
-
-fn vm_hwm_bytes() -> Option<u64> {
-    let s = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in s.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches(" kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
 
 /// (minor, major) page faults of this process so far.
 fn faults() -> (u64, u64) {
@@ -49,7 +39,7 @@ fn main() {
         ran.as_secs_f64(),
         report.events_processed,
         report.events_processed as f64 / ran.as_secs_f64() / 1e6,
-        vm_hwm_bytes().unwrap_or(0) as f64 / (1024.0 * 1024.0),
+        rss::peak_bytes().unwrap_or(0) as f64 / (1024.0 * 1024.0),
         f1.0 - f0.0,
         f1.1 - f0.1,
     );

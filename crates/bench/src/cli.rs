@@ -1,5 +1,5 @@
 //! Tiny shared argument helpers for the harness binaries
-//! (`experiments`, `sweep`, `bench_check`) — one implementation of
+//! (`experiments`, `sweep`) — one implementation of
 //! flag extraction, so the binaries cannot drift apart. A binary's
 //! `main` validates what it extracted (`parse_thread_count`,
 //! `parse_shard_count`, `parse_worker_count`, `parse_timeout_ms`) and

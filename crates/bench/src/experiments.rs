@@ -469,7 +469,6 @@ pub fn e1_multitier_coverage(opts: RunOptions) -> ExperimentResult {
             "the satellite tier absorbs the macro hole: outages drop to ~0 at the cost of 32 kb/s service and ~2.7 ms orbital latency".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -517,7 +516,6 @@ pub fn e2_mobileip(opts: RunOptions) -> ExperimentResult {
             "expected shape: triangle delay > optimized delay; registrations higher without the hierarchy".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -557,7 +555,6 @@ pub fn e3_cip_routing(opts: RunOptions) -> ExperimentResult {
             "cache lifetime is 3x the period, so staleness appears via handoffs, not pure expiry".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -634,7 +631,6 @@ pub fn e4_cip_handoff(opts: RunOptions) -> ExperimentResult {
             "expected shape: hard window = crossover round-trip (paper); semisoft covers it at the cost of duplicates".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -659,9 +655,8 @@ pub fn e5_location(opts: RunOptions) -> ExperimentResult {
     let lifetime = SimDuration::from_secs(6);
     let n_mns = 40usize;
     let horizon = SimTime::from_secs(120);
-    // E5 is analytic (no discrete-event simulation), but its work is
-    // still deterministic: count location messages + directory queries
-    // so the perf gate's events-equality tripwire covers it too.
+    // E5 is analytic (no discrete-event simulation); its work count is
+    // location messages + directory queries, fixed by the loop bounds.
     let mut total_work = 0u64;
     let mut t = Table::new([
         "refresh period",
@@ -745,7 +740,6 @@ pub fn e5_location(opts: RunOptions) -> ExperimentResult {
                 .into(),
         ],
         events: total_work,
-        analytic: true,
         fingerprints: Vec::new(),
     }
 }
@@ -791,7 +785,6 @@ pub fn e6_interdomain_same(opts: RunOptions) -> ExperimentResult {
             "expected shape: inter-domain (same upper) latency well below the different-upper case of E7 — no home-network round trip".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -811,7 +804,6 @@ pub fn e7_interdomain_diff(opts: RunOptions) -> ExperimentResult {
             "expected shape: different-upper latency includes the home-network round trip (tens of ms of WAN)".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -830,7 +822,6 @@ pub fn e8_intradomain(opts: RunOptions) -> ExperimentResult {
             "expected shape: all intra cases complete within the access network (≈ semisoft delay + tree climb), far below inter-domain costs".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -871,7 +862,6 @@ pub fn e9_rsmc(opts: RunOptions) -> ExperimentResult {
             "expected shape: RSMC cuts mean delay (route optimization via CN notify) and loss (location-cache rescue of stale routes)".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -932,7 +922,6 @@ pub fn e10_qos(opts: RunOptions) -> ExperimentResult {
             "expected shape: multi-tier wins on delay (vs triangle-routing Mobile IP) and on loss/outage (vs coverage-limited flat Cellular IP)".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -990,7 +979,6 @@ pub fn e11_loss(opts: RunOptions) -> ExperimentResult {
             "semisoft ≤ hard loss for the micro-tier populations".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -1029,7 +1017,6 @@ pub fn e12_ablation(opts: RunOptions) -> ExperimentResult {
             "expected shape: dropping the speed factor strands fast nodes in micro cells (more handoffs); dropping signal raises ping-pong; dropping resources removes the fallback safety valve".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -1083,7 +1070,6 @@ pub fn e13_resilience(opts: RunOptions) -> ExperimentResult {
             "the eclipse arm re-opens the E1 macro hole while the overlay is dark — loss climbs toward the terrestrial-only arm of E1".into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }
@@ -1174,7 +1160,6 @@ pub fn e14_metro(opts: RunOptions) -> ExperimentResult {
                 .into(),
         ],
         events,
-        analytic: false,
         fingerprints,
     }
 }

@@ -3,7 +3,7 @@
 //! One runner per paper artifact (every figure of the evaluation-relevant
 //! sections plus the two headline claims), shared by the `experiments`
 //! binary (full-length runs, printed tables recorded in `EXPERIMENTS.md`)
-//! and the Criterion benches (short smoke-length runs).
+//! and the tests and CI smokes (short Quick-effort runs).
 //!
 //! Every experiment's arms and replications are declarative
 //! `mtnet_core::spec::ScenarioSpec`s (see [`experiments::arm_specs`])
@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod benchjson;
 pub mod cli;
 pub mod coord;
 pub mod experiments;
@@ -54,7 +53,7 @@ use mtnet_metrics::Table;
 /// How long the simulated runs should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
-    /// Short runs for Criterion benches and CI smoke tests.
+    /// Short runs for tests and CI smokes.
     Quick,
     /// Full-length runs for the recorded experiment tables.
     Full,
@@ -124,14 +123,11 @@ pub struct ExperimentResult {
     /// Interpretation notes (expected shape, caveats).
     pub notes: Vec<String>,
     /// Deterministic work count: total simulator events executed across
-    /// every run of the experiment, or — for analytic experiments — the
-    /// number of model operations performed (the run-cost denominator in
-    /// `BENCH.json`, and the perf gate's determinism tripwire).
+    /// every run of the experiment (the sum of its fingerprints'
+    /// `events=` lines), or — for E5, which runs no discrete-event
+    /// simulation — the number of model operations performed. The
+    /// `experiments` binary prints it on the per-experiment stderr line.
     pub events: u64,
-    /// True when the experiment runs no discrete-event simulation (its
-    /// work counter is analytic-model operations and its wall time is
-    /// noise — the perf gate skips wall comparisons for such rows).
-    pub analytic: bool,
     /// Bit-exact `SimReport::fingerprint` of every run, in submission
     /// order — the regression surface for "same results, faster" work
     /// (`experiments --fingerprints <path>` records them).

