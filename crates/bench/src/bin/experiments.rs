@@ -46,10 +46,8 @@ fn main() {
     let threads = take(&mut args, "--threads")
         .map_or(0, |v| parse_thread_count(&v).unwrap_or_else(|e| fail(&e)));
     let threads = BatchRunner::new(threads).threads();
-    let shards = take(&mut args, "--shards").map(|v| {
-        parse_shard_count(&v)
-            .unwrap_or_else(|()| fail(&format!("--shards needs a positive integer, got {v:?}")))
-    });
+    let shards =
+        take(&mut args, "--shards").map(|v| parse_shard_count(&v).unwrap_or_else(|e| fail(&e)));
     // Every remaining argument must be an effort word or a known
     // experiment id — an unknown id or a stray flag must fail loudly, not
     // silently run nothing (or everything).

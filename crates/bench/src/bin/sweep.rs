@@ -125,15 +125,12 @@ fn main() {
     // Multi-worker / report knobs.
     let report_mode = cli::take_switch(&mut args, "--report");
     let worker_id = take(&mut args, "--worker-id");
-    let workers = take(&mut args, "--workers").map(|v| {
-        coord::parse_worker_count(&v).unwrap_or_else(|e| fail(&format!("--workers: {e}")))
-    });
-    let lease_timeout_ms = take(&mut args, "--lease-timeout-ms").map(|v| {
-        coord::parse_timeout_ms(&v).unwrap_or_else(|e| fail(&format!("--lease-timeout-ms: {e}")))
-    });
-    let max_reclaims = take(&mut args, "--max-reclaims").map(|v| {
-        coord::parse_max_reclaims(&v).unwrap_or_else(|e| fail(&format!("--max-reclaims: {e}")))
-    });
+    let workers = take(&mut args, "--workers")
+        .map(|v| coord::parse_worker_count(&v).unwrap_or_else(|e| fail(&e)));
+    let lease_timeout_ms = take(&mut args, "--lease-timeout-ms")
+        .map(|v| coord::parse_timeout_ms(&v).unwrap_or_else(|e| fail(&e)));
+    let max_reclaims = take(&mut args, "--max-reclaims")
+        .map(|v| coord::parse_max_reclaims(&v).unwrap_or_else(|e| fail(&e)));
     if !args.is_empty() {
         eprintln!("sweep: unrecognized arguments: {}", args.join(" "));
         usage();

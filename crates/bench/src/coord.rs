@@ -49,6 +49,7 @@ use crate::store::{ResultStore, StoredRun};
 use crate::sweep::{fmt_metric, SweepPlan, TABLE_METRICS};
 use mtnet_metrics::{Replicates, Table};
 use mtnet_sim::rng::RngStream;
+use mtnet_sim::runner::parse_count;
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -266,33 +267,29 @@ impl CoordConfig {
     }
 }
 
-/// Validates a worker count: a positive integer.
+/// Validates the `--workers` count: a positive integer.
 pub fn parse_worker_count(value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "worker count must be a positive integer, got {value:?}"
-        )),
+    match parse_count::<usize>(value) {
+        Some(n) if n >= 1 => Ok(n),
+        _ => Err(format!("--workers needs a positive integer, got {value:?}")),
     }
 }
 
-/// Validates a lease timeout in milliseconds: a positive integer.
+/// Validates the `--lease-timeout-ms` value: a positive integer.
 pub fn parse_timeout_ms(value: &str) -> Result<u64, String> {
-    match value.trim().parse::<u64>() {
-        Ok(n) if n >= 1 => Ok(n),
+    match parse_count::<u64>(value) {
+        Some(n) if n >= 1 => Ok(n),
         _ => Err(format!(
-            "lease timeout must be a positive integer (milliseconds), got {value:?}"
+            "--lease-timeout-ms needs a positive integer (milliseconds), got {value:?}"
         )),
     }
 }
 
-/// Validates a reclaim limit: a non-negative integer (0 = quarantine on
-/// the first reclaim).
+/// Validates the `--max-reclaims` limit: a non-negative integer (0 =
+/// quarantine on the first reclaim).
 pub fn parse_max_reclaims(value: &str) -> Result<u32, String> {
-    value
-        .trim()
-        .parse::<u32>()
-        .map_err(|_| format!("max reclaims must be a non-negative integer, got {value:?}"))
+    parse_count(value)
+        .ok_or_else(|| format!("--max-reclaims needs a non-negative integer, got {value:?}"))
 }
 
 /// The quarantine record's path for a store key, if present.
@@ -1110,6 +1107,43 @@ mod tests {
         assert!(parse_timeout_ms("soon").is_err());
         assert_eq!(parse_max_reclaims("0").unwrap(), 0);
         assert!(parse_max_reclaims("-1").is_err());
+    }
+
+    /// What no count parser may accept, whatever its range.
+    fn hostile_counts() -> Vec<String> {
+        let mut bad: Vec<String> = [
+            "", " ", "+4", "-1", "1e3", "4 2", "\u{663}", // ARABIC-INDIC DIGIT THREE
+            "4\0", "\x004", "0x10",
+        ]
+        .map(String::from)
+        .into();
+        bad.push("9".repeat(20));
+        bad
+    }
+
+    #[test]
+    fn parse_worker_count_rejects_hostile_input() {
+        for bad in hostile_counts().iter().chain([&"0".to_string()]) {
+            let err = parse_worker_count(bad).expect_err(bad);
+            assert!(err.contains("--workers"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_timeout_ms_rejects_hostile_input() {
+        for bad in hostile_counts().iter().chain([&"0".to_string()]) {
+            let err = parse_timeout_ms(bad).expect_err(bad);
+            assert!(err.contains("--lease-timeout-ms"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_max_reclaims_rejects_hostile_input() {
+        for bad in &hostile_counts() {
+            let err = parse_max_reclaims(bad).expect_err(bad);
+            assert!(err.contains("--max-reclaims"), "{bad:?}: {err}");
+        }
+        assert_eq!(parse_max_reclaims(" 0 "), Ok(0));
     }
 
     #[test]

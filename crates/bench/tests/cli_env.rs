@@ -69,6 +69,21 @@ fn malformed_threads_flag_exits_2() {
 }
 
 #[test]
+fn signed_threads_flag_exits_2() {
+    // `str::parse` takes a `+` sign; the flag's contract does not.
+    let out = experiments()
+        .args(["quick", "E1", "--threads", "+2"])
+        .output()
+        .expect("spawn experiments binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--threads") && stderr.contains("+2"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn malformed_shards_flag_exits_2() {
     for bad in ["two", "0", "-4"] {
         let out = experiments()

@@ -6,7 +6,7 @@
 //! Cellular IP trees and RSMCs, Mobile IP entities, and the mobile-node
 //! population with its multimedia flows.
 
-use super::mn::{MnTable, NO_CELL};
+use super::mn::{MnActive, MnTable, NO_CELL};
 use super::{DomainState, World, WorldConfig};
 use crate::hierarchy::Hierarchy;
 use crate::location::LocationDirectory;
@@ -14,13 +14,13 @@ use crate::messages::MnId;
 use crate::mnld::Mnld;
 use crate::report::SimReport;
 use crate::rsmc::Rsmc;
-use mtnet_cellularip::{CipConfig, CipNetwork, MnCipState};
-use mtnet_mobileip::{ForeignAgent, HomeAgent, MobileNode};
+use mtnet_cellularip::{CipConfig, CipNetwork};
+use mtnet_mobileip::{ForeignAgent, HomeAgent};
 use mtnet_mobility::{MobilityModel, Point};
 use mtnet_net::{Addr, FlowId, LinkConfig, NodeId, Prefix, Topology};
 use mtnet_radio::{Cell, CellId, CellKind, CellMap};
 use mtnet_sim::FxHashMap;
-use mtnet_sim::{RngStream, SimDuration, SimTime};
+use mtnet_sim::{RngStream, SimDuration};
 use mtnet_traffic::{Cbr, OnOffVbr, ParetoWeb};
 
 /// The kind of multimedia flow to attach to a mobile node.
@@ -299,7 +299,10 @@ impl WorldBuilder {
     /// say so: the tables then allocate once instead of doubling (and
     /// copying) their way up.
     pub fn reserve_mns(&mut self, n: usize) {
-        self.mns.reserve(n);
+        // Without idle camping every node gets an active row; with it,
+        // who camps is only known once each node's flows are.
+        let active = if self.cfg.idle_camping { 0 } else { n };
+        self.mns.reserve(n, active);
     }
 
     /// Adds a mobile node with the given mobility model and flows. Home
@@ -309,13 +312,14 @@ impl WorldBuilder {
     pub fn add_mn(&mut self, model: Box<dyn MobilityModel + Send>, flows: &[FlowKind]) -> MnId {
         let idx = self.mns.len() as u32;
         let home = super::mn::home_addr(idx);
-        let ha_addr = self.ha.addr();
+        // A node that camps (`World::camps`) is its idle row alone.
+        let camps = self.cfg.idle_camping && flows.is_empty();
+        let active = (!camps).then(|| MnActive::new(home, self.ha.addr(), self.cfg.cip_timers));
         let id = self.mns.push(
             home,
             model,
             self.master_rng.child(&format!("mn{idx}/mobility")),
-            MobileNode::new(home, ha_addr),
-            MnCipState::new(self.cfg.cip_timers, SimTime::ZERO),
+            active,
         );
         if !flows.is_empty() {
             self.mns.has_flow[id.0 as usize] = true;

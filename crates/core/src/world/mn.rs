@@ -1,14 +1,38 @@
-//! Structure-of-arrays storage for the mobile-node population.
+//! Structure-of-arrays storage for the mobile-node population: an
+//! **idle row** for every subscriber, an **active row** only for the
+//! nodes that do not camp.
 //!
-//! A metro-scale world holds ~10^6 mobile nodes, of which only a small
-//! working set is hot at any instant (the nodes whose move sample,
-//! uplink tick or packet is being processed). The per-node state
-//! therefore lives in parallel columns — one `Vec` per field, indexed by
-//! the dense [`MnId`] — following the `CellMap` SoA lane idiom: each
-//! handler touches only the columns it needs, so a move sample never
-//! drags the Mobile IP state machine or the CIP timers through the cache.
+//! The paper's Cellular IP side rests on one asymmetry: an idle node
+//! costs the network a paging update per period and nothing else (§2.2,
+//! §3.1). The table is that asymmetry in memory. A metro-scale world
+//! holds ~10^6 mobile nodes, and under `WorldConfig::idle_camping` all
+//! but the few that source a flow *camp* (`World::camps`, fixed at
+//! build): they move, re-associate silently and send a paging update —
+//! they never hold a channel, register with Mobile IP, authenticate at an
+//! RSMC or consult their Cellular IP mode.
 //!
-//! Columns are split by *when* they are read, not only by field. On a
+//! * **The idle row** is what a camping node's own events touch, one
+//!   `Vec` per field indexed by the dense [`MnId`]: `home`, the
+//!   [`MnHot`] line, the cold [`MnMotion`] pair, `prev_cell`,
+//!   `last_paging_update`, `has_flow`, the row generation, and a `u32`
+//!   slot into the active rows. Every subscriber has one; it is all an
+//!   idle subscriber has.
+//! * **The active row** ([`MnActive`]) is the protocol kit — the Mobile
+//!   IP state machine, the Cellular IP timers, the channel the node
+//!   occupies, its RSMC authentications — in one dense `Vec` that gets an
+//!   entry at `WorldBuilder::add_mn` exactly when the node does not camp.
+//!   [`MnTable::active`] / [`MnTable::active_mut`] hand back `None` for a
+//!   camping row and the handlers skip: a camping node's Mobile IP state
+//!   never leaves `Home`/`Searching`, its CIP activity stamp is never
+//!   read, and channel and authentication are only written past
+//!   `handle_attach`'s camping return, so nothing observable is lost. A
+//!   world where nobody camps (every E1–E13 world) is fully dense, slot
+//!   `i` = row `i`.
+//! * **The in-flight handoff payload** is needed by camping nodes too,
+//!   but lives for milliseconds: it sits in a small map keyed by node,
+//!   read only when the hot row's flag says there is one.
+//!
+//! Within the idle row, columns are split by *when* they are read. On a
 //! metro world every event lands on a node whose state has long left the
 //! cache, so a handler pays one memory round trip per column it walks —
 //! and a chain of dependent loads (row → heap block → heap block) pays
@@ -17,8 +41,7 @@
 //! handoff is in flight — is therefore one 64-byte, 64-byte-aligned
 //! [`MnHot`] row: one cache line, no pointer to chase. The boxed mobility
 //! model and its RNG stream sit together in the cold [`MnMotion`] column
-//! that only a leg rollover dereferences, and the in-flight handoff's
-//! payload stays in `pending`, read only when the hot row's flag is set.
+//! that only a leg rollover dereferences.
 //!
 //! Three further rules keep the table a memory diet rather than just a
 //! transpose:
@@ -26,7 +49,8 @@
 //! * **Columns are sized once.** [`MnTable::reserve`] takes the
 //!   population before the first row: a 64-byte-aligned `Vec` cannot
 //!   grow in place, so unreserved pushes would copy the hot column at
-//!   every doubling.
+//!   every doubling. (The active rows grow by doubling: their count is
+//!   only known once every node's flows are.)
 //! * **Inactive nodes carry only their row.** Every per-MN map the world
 //!   used to key by *home address* (CN route cache, MNLD, RSMC auth
 //!   registry) is either a dense column here or epoch-tagged per-row
@@ -38,12 +62,12 @@
 
 use super::PendingAttach;
 use crate::messages::MnId;
-use mtnet_cellularip::MnCipState;
+use mtnet_cellularip::{CipTimers, MnCipState};
 use mtnet_mobileip::MobileNode;
 use mtnet_mobility::{LegCursor, MobilityModel, Point};
 use mtnet_net::Addr;
 use mtnet_radio::CellId;
-use mtnet_sim::{RngStream, SimTime};
+use mtnet_sim::{FxHashMap, RngStream, SimTime};
 
 /// Home addresses per /24 subnet (the last octet runs 1..=250, matching
 /// the historical single-subnet allocator bit for bit).
@@ -107,7 +131,7 @@ pub(crate) struct MnHot {
     /// spend 8 bytes and push the row past the line).
     serving: u32,
     /// True while a handoff is decided but the radio has not retuned:
-    /// exactly when `MnTable::pending` holds the payload for this row.
+    /// exactly when `MnTable::in_flight` holds the payload for this row.
     handoff_in_flight: bool,
 }
 
@@ -139,10 +163,41 @@ pub(crate) struct MnMotion {
     rng: RngStream,
 }
 
-/// The mobile-node population, one column per access pattern (see
-/// module docs).
+/// The protocol state of a node that does not camp (see module docs).
+#[derive(Debug)]
+pub(crate) struct MnActive {
+    pub(crate) mip: MobileNode,
+    pub(crate) cip: MnCipState,
+    /// Cell whose channel pool this node currently occupies.
+    pub(crate) channel_cell: Option<CellId>,
+    /// `(domain index, RSMC epoch)` pairs this node holds a valid
+    /// authentication for — at most one entry per visited domain. This
+    /// replaces the RSMCs' O(subscribers) `HashSet<Addr>` registries:
+    /// the RSMC only publishes its epoch (bumped on flush), the proof of
+    /// authentication rides on the node's own row.
+    pub(crate) auth: Vec<(u32, u32)>,
+}
+
+impl MnActive {
+    /// The protocol state of a node that has done nothing yet: at home
+    /// with home agent `ha`, CIP timers started at t = 0.
+    pub(crate) fn new(home: Addr, ha: Addr, timers: CipTimers) -> Self {
+        MnActive {
+            mip: MobileNode::new(home, ha),
+            cip: MnCipState::new(timers, SimTime::ZERO),
+            channel_cell: None,
+            auth: Vec::new(),
+        }
+    }
+}
+
+/// [`MnTable::slot`]'s "camps, no active row" encoding.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The mobile-node population: one column per access pattern for the
+/// idle row, one dense `Vec` of active rows (see module docs).
 ///
-/// Columns are `pub(crate)` and accessed positionally (`mns.mip[i]`);
+/// Columns are `pub(crate)` and accessed positionally (`mns.home[i]`);
 /// distinct columns borrow independently, which is exactly what the
 /// split-borrow sites (leg cursor + its model and RNG stream) need.
 #[derive(Default)]
@@ -150,29 +205,24 @@ pub(crate) struct MnTable {
     pub(crate) home: Vec<Addr>,
     pub(crate) hot: Vec<MnHot>,
     motion: Vec<MnMotion>,
-    pub(crate) mip: Vec<MobileNode>,
-    pub(crate) cip: Vec<MnCipState>,
-    /// Payload of the in-flight handoff; `Some` exactly when the hot
-    /// row's flag is set. Written only through [`MnTable::begin_handoff`]
-    /// and [`MnTable::take_pending`].
-    pub(crate) pending: Vec<Option<PendingAttach>>,
     /// Cell the node most recently left, for ping-pong detection.
     pub(crate) prev_cell: Vec<Option<(CellId, SimTime)>>,
-    /// Cell whose channel pool this node currently occupies.
-    pub(crate) channel_cell: Vec<Option<CellId>>,
     pub(crate) last_paging_update: Vec<SimTime>,
     /// True when the node sources at least one traffic flow. Under
     /// `WorldConfig::idle_camping` only these nodes go through channel
     /// admission — the idle majority camps without holding a channel.
     pub(crate) has_flow: Vec<bool>,
-    /// `(domain index, RSMC epoch)` pairs this node holds a valid
-    /// authentication for — at most one entry per visited domain. This
-    /// replaces the RSMCs' O(subscribers) `HashSet<Addr>` registries:
-    /// the RSMC only publishes its epoch (bumped on flush), the proof of
-    /// authentication rides on the node's own row.
-    pub(crate) auth: Vec<Vec<(u32, u32)>>,
     /// Row generations backing [`MnHandle`] checks.
     gen: Vec<u32>,
+    /// Index of the row's [`MnActive`] in `active`, [`NO_SLOT`] for a
+    /// camping row.
+    slot: Vec<u32>,
+    active: Vec<MnActive>,
+    /// Payload of each in-flight handoff; holds a row's entry exactly
+    /// when its hot row's flag is set. Written only through
+    /// [`MnTable::begin_handoff`] and [`MnTable::take_pending`], never
+    /// iterated.
+    in_flight: FxHashMap<MnId, PendingAttach>,
 }
 
 impl MnTable {
@@ -180,31 +230,30 @@ impl MnTable {
         self.home.len()
     }
 
-    /// Sizes every column for `additional` more rows.
-    pub(crate) fn reserve(&mut self, additional: usize) {
+    /// Sizes every idle-row column for `additional` more rows, and the
+    /// active rows for the `active` of them the caller knows will not
+    /// camp.
+    pub(crate) fn reserve(&mut self, additional: usize, active: usize) {
         self.home.reserve(additional);
         self.hot.reserve(additional);
         self.motion.reserve(additional);
-        self.mip.reserve(additional);
-        self.cip.reserve(additional);
-        self.pending.reserve(additional);
         self.prev_cell.reserve(additional);
-        self.channel_cell.reserve(additional);
         self.last_paging_update.reserve(additional);
         self.has_flow.reserve(additional);
-        self.auth.reserve(additional);
         self.gen.reserve(additional);
+        self.slot.reserve(additional);
+        self.active.reserve(active);
     }
 
     /// Appends a row; the caller supplies the identity/state columns,
-    /// the bookkeeping columns start empty.
+    /// the bookkeeping columns start empty. `active` is the node's
+    /// protocol state, `None` for a node that camps.
     pub(crate) fn push(
         &mut self,
         home: Addr,
         model: Box<dyn MobilityModel + Send>,
         rng: RngStream,
-        mip: MobileNode,
-        cip: MnCipState,
+        active: Option<MnActive>,
     ) -> MnId {
         let id = MnId(self.len() as u32);
         self.home.push(home);
@@ -214,16 +263,46 @@ impl MnTable {
             handoff_in_flight: false,
         });
         self.motion.push(MnMotion { model, rng });
-        self.mip.push(mip);
-        self.cip.push(cip);
-        self.pending.push(None);
         self.prev_cell.push(None);
-        self.channel_cell.push(None);
         self.last_paging_update.push(SimTime::ZERO);
         self.has_flow.push(false);
-        self.auth.push(Vec::new());
         self.gen.push(0);
+        self.slot.push(match active {
+            Some(active) => {
+                self.active.push(active);
+                self.active.len() as u32 - 1
+            }
+            None => NO_SLOT,
+        });
         id
+    }
+
+    /// Row `i`'s protocol state, `None` when the node camps ([`NO_SLOT`]
+    /// lies past the end of any `active`, so the bounds check is the
+    /// camping test).
+    #[inline]
+    pub(crate) fn active(&self, i: usize) -> Option<&MnActive> {
+        self.active.get(self.slot[i] as usize)
+    }
+
+    /// Mutable [`MnTable::active`].
+    #[inline]
+    pub(crate) fn active_mut(&mut self, i: usize) -> Option<&mut MnActive> {
+        self.active.get_mut(self.slot[i] as usize)
+    }
+
+    /// The dense-table oracle: gives every camping row the active row it
+    /// would have had if nobody camped. The handlers then run their
+    /// protocol-state arms for camping nodes too, and a run must not be
+    /// able to tell.
+    #[cfg(test)]
+    pub(crate) fn densify(&mut self, ha: Addr, timers: CipTimers) {
+        for i in 0..self.len() {
+            if self.slot[i] == NO_SLOT {
+                self.slot[i] = self.active.len() as u32;
+                self.active.push(MnActive::new(self.home[i], ha, timers));
+            }
+        }
     }
 
     /// The table the backbone half of a split world holds (see
@@ -257,9 +336,54 @@ impl MnTable {
             self.has_flow[i],
             self.hot[i].serving,
             self.home[i],
-            self.mip[i].state(),
+            self.active(i).map(|a| a.mip.state()),
             self.last_paging_update[i],
         ));
+    }
+
+    /// Whether the payload map holds an entry for row `i` — what the
+    /// flag audits compare the hot row to.
+    #[cfg(test)]
+    pub(crate) fn has_payload(&self, i: usize) -> bool {
+        self.in_flight.contains_key(&MnId(i as u32))
+    }
+
+    /// How many handoff payloads the map holds.
+    #[cfg(test)]
+    pub(crate) fn payloads(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    /// How many rows have protocol state.
+    #[cfg(test)]
+    pub(crate) fn active_rows(&self) -> usize {
+        self.active.len()
+    }
+
+    /// Heap bytes the table holds: every column's capacity × element
+    /// size, the boxed mobility models, and what the active rows and the
+    /// payload map own.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn column<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        column(&self.home)
+            + column(&self.hot)
+            + column(&self.motion)
+            + column(&self.prev_cell)
+            + column(&self.last_paging_update)
+            + column(&self.has_flow)
+            + column(&self.gen)
+            + column(&self.slot)
+            + column(&self.active)
+            + self
+                .motion
+                .iter()
+                .map(|m| std::mem::size_of_val(&*m.model))
+                .sum::<usize>()
+            + self.active.iter().map(|a| column(&a.auth)).sum::<usize>()
+            + self.in_flight.capacity() * std::mem::size_of::<(MnId, PendingAttach)>()
     }
 
     /// Row `i`'s leg cursor and RNG stream, rendered for equality checks.
@@ -270,30 +394,31 @@ impl MnTable {
 
     /// Records a decided handoff for row `i`: flag and payload together.
     pub(crate) fn begin_handoff(&mut self, i: usize, pending: PendingAttach) {
-        debug_assert_eq!(self.hot[i].handoff_in_flight, self.pending[i].is_some());
+        let replaced = self.in_flight.insert(MnId(i as u32), pending);
+        debug_assert_eq!(self.hot[i].handoff_in_flight, replaced.is_some());
         self.hot[i].handoff_in_flight = true;
-        self.pending[i] = Some(pending);
     }
 
     /// Completes row `i`'s in-flight handoff, if any: clears the flag and
     /// hands back the payload.
     pub(crate) fn take_pending(&mut self, i: usize) -> Option<PendingAttach> {
-        debug_assert_eq!(self.hot[i].handoff_in_flight, self.pending[i].is_some());
         if !self.hot[i].handoff_in_flight {
             return None;
         }
         self.hot[i].handoff_in_flight = false;
-        self.pending[i].take()
+        let pending = self.in_flight.remove(&MnId(i as u32));
+        debug_assert!(pending.is_some(), "row {i}: flag set without a payload");
+        pending
     }
 
-    /// Target cell of row `i`'s in-flight handoff. Reads the payload
-    /// column only when the hot row says there is one.
+    /// Target cell of row `i`'s in-flight handoff. Probes the payload
+    /// map only when the hot row says there is an entry.
     #[inline]
     pub(crate) fn pending_target(&self, i: usize) -> Option<CellId> {
         if !self.hot[i].handoff_in_flight {
             return None;
         }
-        self.pending[i].map(|p| p.target)
+        self.in_flight.get(&MnId(i as u32)).map(|p| p.target)
     }
 
     /// A generation-checked handle to row `id`.
@@ -374,9 +499,61 @@ mod tests {
             home_addr(idx),
             Box::new(mtnet_mobility::Stationary::new(Point::new(0.0, 0.0))),
             RngStream::from_seed(1),
-            MobileNode::new(home_addr(idx), "10.0.0.1".parse().unwrap()),
-            MnCipState::new(mtnet_cellularip::CipTimers::default(), SimTime::ZERO),
+            Some(MnActive::new(
+                home_addr(idx),
+                "10.0.0.1".parse().unwrap(),
+                CipTimers::default(),
+            )),
         )
+    }
+
+    fn push_camping_row(t: &mut MnTable) -> MnId {
+        let idx = t.len() as u32;
+        t.push(
+            home_addr(idx),
+            Box::new(mtnet_mobility::Stationary::new(Point::new(0.0, 0.0))),
+            RngStream::from_seed(1),
+            None,
+        )
+    }
+
+    #[test]
+    fn a_camping_row_has_no_protocol_state_until_densified() {
+        let mut t = MnTable::default();
+        let a = push_row(&mut t).0 as usize;
+        let b = push_camping_row(&mut t).0 as usize;
+        let c = push_row(&mut t).0 as usize;
+        assert!(t.active(a).is_some() && t.active(c).is_some());
+        assert!(t.active(b).is_none() && t.active_mut(b).is_none());
+        assert_eq!(t.active_rows(), 2);
+        // Active rows are per node, not shared.
+        t.active_mut(c).unwrap().channel_cell = Some(CellId(7));
+        assert_eq!(t.active(a).unwrap().channel_cell, None);
+        assert_eq!(t.active(c).unwrap().channel_cell, Some(CellId(7)));
+        t.densify("10.0.0.1".parse().unwrap(), CipTimers::default());
+        assert_eq!(t.active_rows(), 3);
+        assert_eq!(t.active(b).unwrap().mip.home_addr(), home_addr(b as u32));
+        assert_eq!(t.active(c).unwrap().channel_cell, Some(CellId(7)));
+    }
+
+    /// The diet's tier-1 tripwire: an all-camping population of
+    /// stationary nodes costs its idle row and nothing else — 173 B by
+    /// today's column sizes (64 hot + 48 motion + 16 boxed model + 24
+    /// prev_cell + 8 paging stamp + 4 home + 4 generation + 4 slot + 1
+    /// flag). The protocol kit this table used to give every row is
+    /// 200 B on its own, so it cannot come back under the budget.
+    #[test]
+    fn an_idle_row_fits_its_byte_budget() {
+        let n = 10_000;
+        let mut t = MnTable::default();
+        t.reserve(n, 0);
+        for _ in 0..n {
+            push_camping_row(&mut t);
+        }
+        let per_row = t.heap_bytes() / n;
+        assert!(per_row <= 192, "{per_row} B per idle row");
+        // And an active row on top of it does not fit.
+        assert!(per_row + std::mem::size_of::<MnActive>() > 192);
     }
 
     #[test]
@@ -415,7 +592,7 @@ mod tests {
     #[test]
     fn a_reserved_table_never_moves_its_aligned_column() {
         let mut t = MnTable::default();
-        t.reserve(1000);
+        t.reserve(1000, 1000);
         let hot = t.hot.as_ptr();
         for _ in 0..1000 {
             push_row(&mut t);

@@ -1542,7 +1542,9 @@ impl World {
                             .record_received(seq, created_at, now, payload_bytes);
                     }
                 }
-                self.mns.cip[i].touch(now);
+                if let Some(active) = self.mns.active_mut(i) {
+                    active.cip.touch(now);
+                }
                 // First delivered data packet after a restore closes every
                 // armed recovery-latency measurement.
                 if !self.pending_recovery.is_empty() {
@@ -1555,17 +1557,28 @@ impl World {
                 }
             }
             Payload::Mip(MipMessage::Reply(reply)) => {
-                let action = self.mns.mip[i].on_reply(&reply, now);
-                debug_assert!(matches!(action, MnAction::None));
+                if let Some(active) = self.mns.active_mut(i) {
+                    let action = active.mip.on_reply(&reply, now);
+                    debug_assert!(matches!(action, MnAction::None));
+                }
                 if reply.accepted() {
                     self.complete_latency_if(mn, now, |t| t.is_inter_domain());
                 }
             }
             Payload::Mip(MipMessage::Advertisement(adv)) => {
-                let action = self.mns.mip[i].on_advertisement(&adv, now);
-                self.perform_mn_action(ctx, mn, action);
+                self.advertise(ctx, mn, &adv);
             }
             _ => {}
+        }
+    }
+
+    /// Hands an agent advertisement to `mn`'s Mobile IP state machine and
+    /// performs what it answers. A camping node has none and stays silent.
+    fn advertise(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId, adv: &AgentAdvertisement) {
+        let now = ctx.now();
+        if let Some(active) = self.mns.active_mut(mn.0 as usize) {
+            let action = active.mip.on_advertisement(adv, now);
+            self.perform_mn_action(ctx, mn, action);
         }
     }
 
@@ -1728,12 +1741,14 @@ impl World {
                 // the channel, and let Mobile IP know the link dropped.
                 if self.mns.hot[i].serving().is_some() {
                     self.mns.hot[i].set_serving(None);
-                    if let Some(held) = self.mns.channel_cell[i].take() {
-                        if let Some(c) = self.cells.cell_mut(held) {
-                            c.channels_mut().release();
+                    if let Some(active) = self.mns.active_mut(i) {
+                        if let Some(held) = active.channel_cell.take() {
+                            if let Some(c) = self.cells.cell_mut(held) {
+                                c.channels_mut().release();
+                            }
                         }
+                        active.mip.on_link_lost();
                     }
-                    self.mns.mip[i].on_link_lost();
                 }
             }
             HandoffDecision::Handoff {
@@ -1877,20 +1892,22 @@ impl World {
                 self.report.handoffs.ping_pong += 1;
             }
         }
-        // Release the old channel.
-        if let Some(held) = self.mns.channel_cell[i].take() {
-            if let Some(c) = self.cells.cell_mut(held) {
-                c.channels_mut().release();
+        if let Some(active) = self.mns.active_mut(i) {
+            // Release the old channel.
+            if let Some(held) = active.channel_cell.take() {
+                if let Some(c) = self.cells.cell_mut(held) {
+                    c.channels_mut().release();
+                }
             }
-        }
-        if pending.holds_channel {
-            self.mns.channel_cell[i] = Some(target);
+            if pending.holds_channel {
+                active.channel_cell = Some(target);
+            }
+            active.cip.touch(now);
         }
         if let Some(o) = old {
             self.mns.prev_cell[i] = Some((o, now));
         }
         self.mns.hot[i].set_serving(Some(target));
-        self.mns.cip[i].touch(now);
 
         if let Some(htype) = pending.htype {
             *self.report.handoffs.completed.entry(htype).or_insert(0) += 1;
@@ -1965,11 +1982,13 @@ impl World {
                 if self.cfg.rsmc_enabled && self.domains[didx].rsmc_alive {
                     let epoch = self.domains[didx].rsmc.epoch();
                     let key = (didx as u32, epoch);
-                    let auth = &mut self.mns.auth[i];
-                    if !auth.contains(&key) {
-                        auth.retain(|&(d, _)| d != key.0);
-                        auth.push(key);
-                        let _auth_delay = self.domains[didx].rsmc.note_auth_performed();
+                    if let Some(active) = self.mns.active_mut(i) {
+                        let auth = &mut active.auth;
+                        if !auth.contains(&key) {
+                            auth.retain(|&(d, _)| d != key.0);
+                            auth.push(key);
+                            let _auth_delay = self.domains[didx].rsmc.note_auth_performed();
+                        }
                     }
                 }
             }
@@ -1999,8 +2018,7 @@ impl World {
                     seq: 0,
                 }
             };
-            let action = self.mns.mip[i].on_advertisement(&adv, now);
-            self.perform_mn_action(ctx, mn, action);
+            self.advertise(ctx, mn, &adv);
         }
 
         // Inter-domain update messages (Figs 3.2/3.3): same-upper travels
@@ -2080,12 +2098,19 @@ impl World {
         };
         let mn_addr = self.mns.home[i];
         // MIP retransmissions.
-        let action = self.mns.mip[i].poll_retransmit(now);
+        let action = self
+            .mns
+            .active_mut(i)
+            .map_or(MnAction::None, |a| a.mip.poll_retransmit(now));
         self.perform_mn_action(ctx, mn, action);
         // Periodic agent advertisements drive binding refresh: we fold the
         // advertisement into the maintenance tick (the MN state machine
         // only re-registers once the binding passes its half-life).
-        if let mtnet_mobileip::MnState::Registered { .. } = self.mns.mip[i].state() {
+        let registered = self
+            .mns
+            .active(i)
+            .is_some_and(|a| matches!(a.mip.state(), mtnet_mobileip::MnState::Registered { .. }));
+        if registered {
             let fa_addr = if self.cfg.mip_only {
                 self.bs_of_cell(cell).map(|n| self.topo.addr_of(n))
             } else {
@@ -2099,8 +2124,7 @@ impl World {
                     max_lifetime: SimDuration::from_secs(300),
                     seq: 0,
                 };
-                let action = self.mns.mip[i].on_advertisement(&adv, now);
-                self.perform_mn_action(ctx, mn, action);
+                self.advertise(ctx, mn, &adv);
             }
         }
 
@@ -2115,10 +2139,9 @@ impl World {
         // updates would advertise a data path nobody uses. Their CIP
         // mode can still read Active right after creation (the activity
         // timeout measures from t=0), so pin them to the paging branch.
-        let mode = if self.camps(i) {
-            MnMode::Idle
-        } else {
-            self.mns.cip[i].mode(now)
+        let mode = match self.mns.active(i) {
+            Some(active) if !self.camps(i) => active.cip.mode(now),
+            _ => MnMode::Idle,
         };
         match mode {
             MnMode::Active => {
@@ -2165,7 +2188,10 @@ impl World {
             .on_location_message(&self.hierarchy, mn_addr, cell, now);
     }
 
-    fn handle_flow_next(&mut self, ctx: &mut Context<'_, Ev>, fidx: usize) {
+    /// Emits flow `fidx`'s next packet and schedules the one after.
+    /// Returns how many events the call handled: two when it ran the
+    /// packet's arrival at the CN itself.
+    fn handle_flow_next(&mut self, ctx: &mut Context<'_, Ev>, fidx: usize) -> usize {
         let now = ctx.now();
         let (mn, flow_id, arrival) = {
             let f = &mut self.flows[fidx];
@@ -2182,7 +2208,7 @@ impl World {
         };
         ctx.schedule_in(gap, Ev::FlowNext(fidx));
         let Some(mn) = self.mns.resolve(mn) else {
-            return;
+            return 1;
         };
         let mn_addr = self.mns.home[mn.0 as usize];
         let seq = {
@@ -2200,11 +2226,20 @@ impl World {
                 .get_mut(pkt)
                 .encapsulate(cn, rsmc, TunnelKind::Rsmc);
         }
+        // The packet enters at the CN at this same instant. When nothing
+        // else is queued for it the run loop would pop that event straight
+        // back: claim it and run it here instead.
+        let node = self.cn_node;
+        if ctx.claim_now() {
+            self.dispatch_pkt(ctx, node, None, pkt);
+            return 2;
+        }
         ctx.schedule_now(Ev::Pkt {
-            node: self.cn_node,
+            node,
             from: None,
             pkt,
         });
+        1
     }
 
     fn handle_sweep(&mut self, ctx: &mut Context<'_, Ev>) {
@@ -2274,7 +2309,8 @@ impl Model for World {
     fn handle_event(&mut self, ctx: &mut Context<'_, Ev>, event: Ev) {
         let prof = evprof::enabled().then(|| (evprof::slot(&event), std::time::Instant::now()));
         // How many events this dispatch handles: one, except for the tick
-        // handlers, which take their same-instant ties and run the wave.
+        // handlers, which take their same-instant ties and run the wave,
+        // and a flow tick that runs its own zero-delay continuation.
         let mut members = 1;
         match event {
             Ev::Pkt { node, from, pkt } => self.dispatch_pkt(ctx, node, from, pkt),
@@ -2282,7 +2318,7 @@ impl Model for World {
             Ev::MoveSample(mn) => members = self.handle_move_sample(ctx, mn),
             Ev::Uplink(mn) => members = self.handle_uplink(ctx, mn),
             Ev::LocationTick(mn) => self.handle_location_tick(ctx, mn),
-            Ev::FlowNext(fidx) => self.handle_flow_next(ctx, fidx),
+            Ev::FlowNext(fidx) => members = self.handle_flow_next(ctx, fidx),
             Ev::Attach(mn) => self.handle_attach(ctx, mn),
             Ev::Sweep => self.handle_sweep(ctx),
             Ev::Fault(idx) => self.handle_fault(ctx, idx),

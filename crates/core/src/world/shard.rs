@@ -499,10 +499,10 @@ fn merge(sims: Vec<Simulator<World>>, duration: SimDuration) -> SimReport {
 }
 
 /// Parses a shard count: a positive integer, nothing looser (the
-/// harness `--shards` flag's validation).
-pub fn parse_shard_count(v: &str) -> Result<u32, ()> {
-    match v.trim().parse::<u32>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(()),
+/// harness `--shards` flag's validation). The error names the flag.
+pub fn parse_shard_count(v: &str) -> Result<u32, String> {
+    match mtnet_sim::runner::parse_count::<u32>(v) {
+        Some(n) if n >= 1 => Ok(n),
+        _ => Err(format!("--shards needs a positive integer, got {v:?}")),
     }
 }

@@ -553,7 +553,7 @@ fn route_cache_matches_routing_tables() {
 
 /// Runs `world` to `secs` in `checkpoints` slices and, at every stop and
 /// at the end, checks each row's handoff-in-flight flag against the
-/// payload column it summarizes. Returns how many in-flight rows the
+/// payload map it summarizes. Returns how many in-flight rows the
 /// stops saw, so callers can tell the check was not vacuous.
 fn audit_handoff_flags(world: World, secs: u64, checkpoints: u64) -> (u64, SimReport) {
     let mut sim = world.launch();
@@ -561,16 +561,19 @@ fn audit_handoff_flags(world: World, secs: u64, checkpoints: u64) -> (u64, SimRe
     for k in 1..=checkpoints {
         sim.run_until(SimTime::from_millis(secs * 1000 * k / checkpoints));
         let mns = &sim.model().mns;
+        let mut flagged = 0;
         for i in 0..mns.len() {
             let flag = mns.hot[i].handoff_in_flight();
             assert_eq!(
                 flag,
-                mns.pending[i].is_some(),
+                mns.has_payload(i),
                 "row {i} at {:?}: flag and payload disagree",
                 sim.now()
             );
-            seen_in_flight += u64::from(flag);
+            flagged += usize::from(flag);
         }
+        assert_eq!(flagged, mns.payloads(), "stale payloads");
+        seen_in_flight += flagged as u64;
     }
     let events = sim.events_processed();
     let report = sim
@@ -865,10 +868,13 @@ fn the_split_puts_every_subscriber_column_on_one_side() {
     let twin = world.backbone_twin();
     // The backbone half knows who each row is and nothing else about it.
     let t = &twin.mns;
-    assert!(t.hot.is_empty() && t.mip.is_empty() && t.cip.is_empty());
-    assert!(t.pending.is_empty() && t.auth.is_empty());
-    assert!(t.prev_cell.is_empty() && t.channel_cell.is_empty());
+    assert!(t.hot.is_empty() && t.prev_cell.is_empty());
     assert!(t.last_paging_update.is_empty());
+    assert_eq!(
+        t.active_rows(),
+        0,
+        "protocol state stays on the access half"
+    );
     assert_eq!(t.len(), n);
     for i in 0..n {
         let handle = world.mns.handle(MnId(i as u32));
@@ -888,6 +894,31 @@ fn spec_shards_knob_selects_the_parallel_engine() {
     let sequential = spec.run(42).fingerprint();
     let sharded = spec.clone().with_shards(4).run(42).fingerprint();
     assert_eq!(sequential, sharded);
+}
+
+#[test]
+fn parse_shard_count_rejects_hostile_input() {
+    use super::shard::parse_shard_count;
+    assert_eq!(parse_shard_count("2"), Ok(2));
+    assert_eq!(parse_shard_count(" 8 "), Ok(8));
+    let twenty_digits = "9".repeat(20);
+    for bad in [
+        "",
+        " ",
+        "0",
+        "+4",
+        "-1",
+        "1e3",
+        "4 2",
+        &twenty_digits,
+        "\u{663}", // ARABIC-INDIC DIGIT THREE
+        "4\0",
+        "\x004",
+        "0x10",
+    ] {
+        let err = parse_shard_count(bad).expect_err(bad);
+        assert!(err.contains("--shards"), "{bad:?}: {err}");
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1024,4 +1055,145 @@ fn a_wave_member_with_a_handoff_in_flight_is_not_sampled() {
     let probe = &sim.model().wave_probe;
     assert!(probe.move_members_in_flight >= skipped + 29, "{probe:?}");
     assert!(mean_move_wave(probe) >= 4.0, "{probe:?}");
+}
+
+// ----------------------------------------------------------------------
+// Idle rows and active rows (protocol state only for nodes that do not
+// camp)
+// ----------------------------------------------------------------------
+
+/// Runs `spec` as built and as its own dense-table oracle — every
+/// camping row given the protocol state it would have had if nobody
+/// camped, so the handlers run their `MnActive` arms for camping nodes
+/// too — and demands identical results. In the dense run a camping
+/// node's protocol state must also end where it started: the reason
+/// skipping it is exact. Returns how many nodes camped, and the report.
+fn run_sparse_and_dense(spec: &ScenarioSpec) -> (usize, SimReport) {
+    use mtnet_mobileip::MnState;
+    let duration = SimDuration::from_secs_f64(spec.duration_s);
+    let run = |dense: bool| {
+        let mut world = spec.build(42);
+        let n = world.mns.len();
+        let camping = (0..n).filter(|&i| world.camps(i)).count();
+        assert_eq!(world.mns.active_rows(), n - camping);
+        if dense {
+            world.mns.densify(world.ha.addr(), world.cfg.cip_timers);
+            assert_eq!(world.mns.active_rows(), n);
+        }
+        let mut sim = world.launch();
+        sim.run_until(SimTime::ZERO + duration);
+        let events = sim.events_processed();
+        let world = sim.into_model();
+        // Camping nodes went through `handle_attach`, not around it.
+        let attached = |i: &usize| world.camps(*i) && world.mns.hot[*i].serving().is_some();
+        assert!(camping == 0 || (0..n).filter(attached).count() > camping / 2);
+        for i in (0..n).filter(|&i| world.camps(i)) {
+            let Some(active) = world.mns.active(i) else {
+                assert!(!dense, "row {i} lost its densified state");
+                continue;
+            };
+            assert!(dense, "camping row {i} has protocol state");
+            assert!(
+                matches!(active.mip.state(), MnState::Home | MnState::Searching),
+                "camping row {i} reached {:?}",
+                active.mip.state()
+            );
+            assert_eq!(active.channel_cell, None, "camping row {i}");
+            assert!(active.auth.is_empty(), "camping row {i}");
+        }
+        (camping, world.finish_report(duration, events))
+    };
+    let (camping, sparse) = run(false);
+    let (_, dense) = run(true);
+    assert_eq!(sparse.events_processed, dense.events_processed);
+    assert_eq!(sparse.fingerprint(), dense.fingerprint(), "{}", spec.name);
+    (camping, sparse)
+}
+
+/// A small city where two nodes in three camp.
+fn camping_city_spec() -> ScenarioSpec {
+    ScenarioSpec {
+        voice_every: 3,
+        video_every: 0,
+        idle_camping: true,
+        ..ScenarioSpec::small_city()
+    }
+    .with_duration_s(120.0)
+}
+
+#[test]
+fn dense_table_oracle_matches_in_a_metro() {
+    let spec = ScenarioSpec::metro_smoke().with_duration_s(12.0);
+    let (camping, report) = run_sparse_and_dense(&spec);
+    assert!(camping > 9_000, "{camping} of 10 000 camp");
+    assert!(report.handoffs.total() > 500, "{:?}", report.handoffs);
+}
+
+#[test]
+fn dense_table_oracle_matches_in_a_camping_city() {
+    let (camping, report) = run_sparse_and_dense(&camping_city_spec());
+    assert_eq!(camping, 6);
+    assert!(report.handoffs.total() > 0, "{:?}", report.handoffs);
+    assert!(
+        report.aggregate_qos().received > 0,
+        "the callers' voice flowed"
+    );
+}
+
+#[test]
+fn dense_table_oracle_matches_in_a_faulted_city() {
+    // Cell outages push camping nodes through the outage arm of the move
+    // sample, RSMC failover through the authentication arm of the attach.
+    let spec = ScenarioSpec {
+        faults: faulted_city_spec().faults,
+        ..camping_city_spec()
+    };
+    let (camping, report) = run_sparse_and_dense(&spec);
+    assert_eq!(camping, 6);
+    assert_eq!(report.faults.rsmc_kills, 1);
+    // And the stock faulted city, where nobody camps: fully dense as
+    // built, so the oracle is the identity.
+    let (camping, _) = run_sparse_and_dense(&faulted_city_spec().with_duration_s(20.0));
+    assert_eq!(camping, 0);
+}
+
+#[test]
+fn a_row_has_protocol_state_exactly_when_it_does_not_camp() {
+    // Random populations and flow plans, with and without idle camping.
+    let mut rng = RngStream::derive(42, "active-slot-property");
+    for case in 0..64 {
+        let idle_camping = rng.chance(0.75);
+        let mut b = WorldBuilder::new(WorldConfig {
+            idle_camping,
+            ..WorldConfig::default()
+        });
+        b.add_domain(DomainSpec::default());
+        let n = rng.index(40);
+        if rng.chance(0.5) {
+            b.reserve_mns(n);
+        }
+        let kinds = [FlowKind::Voice, FlowKind::Video, FlowKind::Web];
+        let plans: Vec<Vec<FlowKind>> = (0..n)
+            .map(|_| {
+                // Half the nodes source nothing, the rest any subset.
+                let mask = if rng.chance(0.5) { 0 } else { rng.index(8) };
+                (0..3)
+                    .filter(|k| mask >> k & 1 == 1)
+                    .map(|k| kinds[k])
+                    .collect()
+            })
+            .collect();
+        for plan in &plans {
+            b.add_mn(Box::new(Stationary::new(Point::new(1500.0, 1500.0))), plan);
+        }
+        let world = b.build();
+        let mut active = 0;
+        for (i, plan) in plans.iter().enumerate() {
+            let camps = idle_camping && plan.is_empty();
+            assert_eq!(world.camps(i), camps, "case {case} row {i}");
+            assert_eq!(world.mns.active(i).is_none(), camps, "case {case} row {i}");
+            active += usize::from(!camps);
+        }
+        assert_eq!(world.mns.active_rows(), active, "case {case}");
+    }
 }

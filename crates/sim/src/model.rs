@@ -83,6 +83,25 @@ impl<'a, E> Context<'a, E> {
         *self.events_processed += 1;
         Some(event)
     }
+
+    /// The mirror of [`Context::take_tie_if`] for a zero-delay
+    /// continuation: true iff an event passed to
+    /// [`Context::schedule_now`] at this point would be the run loop's
+    /// very next dispatch — nothing is pending at or before
+    /// [`Context::now`]. The claim consumes the sequence number that
+    /// event would have taken and counts it as processed; the caller
+    /// must then handle it itself, as the last thing it does, instead of
+    /// scheduling it. On false nothing changed: schedule it as usual.
+    ///
+    /// Exact for the same reason: with nothing queued at `now`, the
+    /// continuation would have been popped straight back, and whatever
+    /// its handler schedules is numbered after the claimed sequence
+    /// number either way.
+    pub fn claim_now(&mut self) -> bool {
+        let claimed = self.scheduler.claim_now();
+        *self.events_processed += u64::from(claimed);
+        claimed
+    }
 }
 
 #[cfg(test)]

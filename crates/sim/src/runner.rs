@@ -111,12 +111,23 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Parses a count the way every count-valued flag documents it: ASCII
+/// decimal digits, surrounding whitespace allowed, that fit `T` — and
+/// nothing looser. `str::parse` alone would let a `+` sign through.
+pub fn parse_count<T: std::str::FromStr>(value: &str) -> Option<T> {
+    let digits = value.trim();
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
 /// The validated thread-count parser behind the harness `--threads`
 /// flag: a non-negative integer, where `0` means "one worker per
 /// available core". Anything else is an error naming the flag and the
 /// expected form.
 pub fn parse_thread_count(value: &str) -> Result<usize, String> {
-    value.trim().parse::<usize>().map_err(|_| {
+    parse_count(value).ok_or_else(|| {
         format!("--threads needs a non-negative integer (0 = one per core), got {value:?}")
     })
 }
@@ -188,6 +199,27 @@ mod tests {
         assert!(err.contains("--threads") && err.contains("lots"), "{err}");
         assert!(parse_thread_count("-2").is_err());
         assert!(parse_thread_count("1.5").is_err());
+    }
+
+    #[test]
+    fn parse_thread_count_rejects_hostile_input() {
+        let twenty_digits = "9".repeat(20);
+        for bad in [
+            "",
+            " ",
+            "+4",
+            "-1",
+            "1e3",
+            "4 2",
+            &twenty_digits,
+            "\u{663}", // ARABIC-INDIC DIGIT THREE
+            "4\0",
+            "\x004",
+            "0x10",
+        ] {
+            let err = parse_thread_count(bad).expect_err(bad);
+            assert!(err.contains("--threads"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

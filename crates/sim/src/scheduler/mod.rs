@@ -115,6 +115,20 @@ impl<E> Scheduler<E> {
         let (_, _, event) = self.queue.pop_min().expect("just peeked an entry");
         Some(event)
     }
+
+    /// The mirror of [`Scheduler::pop_tie_if`] for an event about to be
+    /// scheduled at `now`: true iff nothing is pending at or before
+    /// [`Scheduler::now`], i.e. the event would be the very next pop. The
+    /// sequence number it would have taken is consumed, so everything
+    /// scheduled afterwards is numbered as if it had been queued; on
+    /// false nothing changes.
+    pub fn claim_now(&mut self) -> bool {
+        if matches!(self.queue.peek_min(), Some((time, _)) if time <= self.now) {
+            return false;
+        }
+        self.next_seq += 1;
+        true
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +243,29 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_secs(2));
         assert_eq!(q.pop_tie_if(|_| true), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn claim_now_succeeds_only_when_the_event_would_pop_next() {
+        let mut q = Scheduler::new();
+        let t = SimTime::from_secs(1);
+        q.schedule_at(t, T::A(0));
+        q.schedule_at(t, T::A(1));
+        q.schedule_at(SimTime::from_secs(2), T::B(2));
+        assert_eq!(q.pop().unwrap().into_event(), T::A(0));
+        // A(1) is queued at now: a zero-delay event would file behind it.
+        assert!(!q.claim_now());
+        assert_eq!(q.len(), 2, "a refused claim leaves the queue alone");
+        assert_eq!(q.pop().unwrap().into_event(), T::A(1));
+        // Only later work is left: the claim stands, and what is
+        // scheduled at now afterwards still precedes the later event.
+        assert!(q.claim_now());
+        q.schedule_at(t, T::A(3));
+        assert!(!q.claim_now(), "A(3) is pending at now");
+        assert_eq!(q.pop().unwrap().into_event(), T::A(3));
+        assert_eq!(q.pop().unwrap().into_event(), T::B(2));
+        // An empty queue has nothing to run first.
+        assert!(q.claim_now());
     }
 
     #[test]

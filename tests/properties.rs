@@ -110,6 +110,58 @@ impl HeapModel {
     }
 }
 
+/// What handling event `n` schedules: up to two children, one in four
+/// at this same instant (so ties with `now` keep forming) and the rest
+/// scattered over the next 256 µs, and for two events in three a
+/// zero-delay continuation scheduled last.
+fn claim_fanout(n: usize) -> (Vec<(SimDuration, usize)>, Option<usize>) {
+    if n < 4 {
+        return (Vec::new(), None);
+    }
+    let delay = |child: usize| match child % 4 {
+        0 => SimDuration::ZERO,
+        _ => SimDuration::from_micros(child as u64 * 13 % 256),
+    };
+    let later = [n / 2, n / 3]
+        .into_iter()
+        .filter(|child| child % 5 != 0)
+        .map(|child| (delay(child), child))
+        .collect();
+    (later, (n % 3 != 0).then_some(n / 2 + 1))
+}
+
+/// Logs every handled event and fans out per [`claim_fanout`]; the
+/// continuation goes through `Context::claim_now`, and when the claim
+/// stands the handler runs it itself instead of scheduling it.
+#[derive(Default)]
+struct ClaimModel {
+    trace: Vec<(SimTime, usize)>,
+    claimed: u64,
+    refused: u64,
+}
+
+impl Model for ClaimModel {
+    type Event = usize;
+    fn handle_event(&mut self, ctx: &mut Context<'_, usize>, ev: usize) {
+        let mut next = Some(ev);
+        while let Some(ev) = next.take() {
+            self.trace.push((ctx.now(), ev));
+            let (later, continuation) = claim_fanout(ev);
+            for (delay, child) in later {
+                ctx.schedule_in(delay, child);
+            }
+            let Some(child) = continuation else { break };
+            if ctx.claim_now() {
+                self.claimed += 1;
+                next = Some(child);
+            } else {
+                self.refused += 1;
+                ctx.schedule_now(child);
+            }
+        }
+    }
+}
+
 proptest! {
     // ---------------------------------------------------------------
     // Radio grid index: bucketed measurement is observationally
@@ -655,6 +707,55 @@ proptest! {
             at += n;
         }
         prop_assert!(serial.model().waves.iter().all(|&n| n == 1));
+    }
+
+    // ---------------------------------------------------------------
+    // Claimed continuations: a handler that runs its zero-delay
+    // continuation itself whenever `Context::claim_now` says it would be
+    // the very next dispatch is indistinguishable from the reference
+    // heap popping every event one by one — same trace, same event
+    // count, same clock — over random tie-heavy schedules cut by
+    // horizons. A tie already queued at `now` must refuse the claim, and
+    // nothing else may: the verdicts are checked against the heap's own
+    // view of what is pending.
+    // ---------------------------------------------------------------
+    #[test]
+    fn claimed_continuations_equal_the_reference_heap(
+        initial in prop::collection::vec((0u64..6, any::<u64>()), 1..40),
+        cuts in prop::collection::vec(0u64..400, 0..12),
+    ) {
+        let mut sim = Simulator::new(ClaimModel::default());
+        let mut heap = HeapModel::default();
+        for &(slot, raw) in &initial {
+            let at = SimDuration::from_micros(64 * slot);
+            sim.schedule_in(at, (raw % 512) as usize);
+            heap.schedule_in(at, (raw % 512) as usize);
+        }
+        let mut trace = Vec::new();
+        let (mut claimable, mut blocked) = (0u64, 0u64);
+        let cuts = cuts.iter().map(|&us| SimTime::from_micros(us));
+        for (k, horizon) in cuts.chain([SimTime::MAX]).enumerate() {
+            sim.run_until(horizon);
+            while let Some((time, ev)) = heap.pop_at_or_before(horizon) {
+                trace.push((time, ev));
+                let (later, continuation) = claim_fanout(ev);
+                for (delay, child) in later {
+                    heap.schedule_in(delay, child);
+                }
+                if let Some(child) = continuation {
+                    let tie_at_now = heap.heap.peek().is_some_and(|e| e.0.0 <= heap.now);
+                    blocked += u64::from(tie_at_now);
+                    claimable += u64::from(!tie_at_now);
+                    heap.schedule_in(SimDuration::ZERO, child);
+                }
+            }
+            prop_assert_eq!(&sim.model().trace, &trace, "trace diverged at stop {}", k);
+            prop_assert_eq!(sim.events_processed(), trace.len() as u64);
+            prop_assert_eq!(sim.pending_events(), heap.heap.len());
+            prop_assert_eq!(sim.now(), heap.now);
+        }
+        prop_assert_eq!(sim.model().claimed, claimable, "a claim stood or fell wrongly");
+        prop_assert_eq!(sim.model().refused, blocked);
     }
 
     // ---------------------------------------------------------------
