@@ -191,7 +191,7 @@ fn main() {
         }
         // Same contract as the fleet: a degraded aggregate must not look
         // like a clean one to CI (3 = quarantined, 1 = missing).
-        std::process::exit(outcome.exit_code());
+        std::process::exit(coord::exit_code(outcome.quarantined, outcome.missing));
     }
 
     // ---- standalone worker: one lease-protocol worker, shared store ----
@@ -206,7 +206,7 @@ fn main() {
         let outcome = coord::run_worker(&plan, master_seed, &store, coord_cfg, &owner)
             .unwrap_or_else(|e| fail(&e));
         println!("{}", outcome.summary(&owner));
-        std::process::exit(if outcome.quarantined > 0 { 3 } else { 0 });
+        std::process::exit(coord::exit_code(outcome.quarantined, 0));
     }
 
     // ---- fleet mode: spawn N workers, wait, report the grid ----
@@ -253,7 +253,7 @@ fn main() {
         if failures > 0 {
             eprintln!("sweep: {failures} of {n} workers failed (resume by re-invoking)");
         }
-        std::process::exit(report.exit_code());
+        std::process::exit(coord::exit_code(report.quarantined, report.missing));
     }
 
     // ---- classic single-process sweep ----

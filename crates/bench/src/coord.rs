@@ -39,21 +39,29 @@
 //! is duplicate work, never corruption — both computes produce
 //! bit-identical bytes and the store save is an atomic rename.
 //!
+//! Lease and quarantine files are [`mtnet_core::kv`] records (every key
+//! required, counters parsed at `u32`), declared once in this module's
+//! `LEASE` and `POISON` field tables; [`cell_state`] is the one place a
+//! cell's files are read back into complete / leased / quarantined /
+//! missing.
+//!
 //! Testing hook: setting `MTNET_SWEEP_KILL_CELL=<substring>` makes a
 //! worker abort the moment it claims a cell whose label contains the
 //! substring — a deterministic stand-in for "this cell crashes its
 //! worker", used by the kill-torture tests and CI to exercise reclaim
 //! and quarantine without timing races.
 
-use crate::store::{ResultStore, StoredRun};
-use crate::sweep::{fmt_metric, SweepPlan, TABLE_METRICS};
+use crate::store::{tmp_sibling, write_atomic, Publish, ResultStore, StoredRun};
+use crate::sweep::{fmt_metric, grid_row, grid_table, SweepCell, SweepPlan};
+use mtnet_core::kv::{self, field, Kind, Presence::Required, Record};
+use mtnet_core::lens;
 use mtnet_metrics::{Replicates, Table};
-use mtnet_sim::rng::RngStream;
+use mtnet_sim::rng::{fnv1a, RngStream, FNV_OFFSET};
 use mtnet_sim::runner::parse_count;
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Testing hook: a worker that claims a cell whose label contains this
@@ -63,12 +71,6 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// option a user could pass by accident — it is not a flag on purpose.
 pub const KILL_CELL_ENV: &str = "MTNET_SWEEP_KILL_CELL";
 
-/// Header line of the lease file format.
-const LEASE_HEADER: &str = "mtnet-lease v1";
-
-/// Header line of the quarantine-record file format.
-const POISON_HEADER: &str = "mtnet-poison v1";
-
 /// Milliseconds since the unix epoch, for lease timestamps.
 pub fn now_unix_ms() -> u64 {
     SystemTime::now()
@@ -77,19 +79,8 @@ pub fn now_unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// FNV-1a 64 of a string — stable worker-local hashing (start offsets,
-/// jitter seeds).
-fn fnv64(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// One cell's lease, as stored in `<key>.lease`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Lease {
     /// Owner id (worker id + pid, unique per worker process).
     pub owner: String,
@@ -106,61 +97,33 @@ pub struct Lease {
     pub label: String,
 }
 
+/// The lease file. Every key is required: a file cut short is an error
+/// (and so falls back to mtime staleness), never a lease owned by `""`.
+#[rustfmt::skip]
+static LEASE: Record<Lease> = Record {
+    header: "mtnet-lease v1",
+    comments: false,
+    init: Lease::default,
+    fields: &[
+        field("owner", Required, Kind::Raw(lens!(owner))),
+        field("pid", Required, Kind::U32(lens!(pid), 0..=u32::MAX)),
+        field("claimed_ms", Required, Kind::U64(lens!(claimed_ms))),
+        field("heartbeat_ms", Required, Kind::U64(lens!(heartbeat_ms))),
+        field("reclaims", Required, Kind::U32(lens!(reclaims), 0..=u32::MAX)),
+        field("label", Required, Kind::Raw(lens!(label))),
+    ],
+    blocks: &[],
+};
+
 impl Lease {
     /// Serializes to the lease file format.
     pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "{LEASE_HEADER}");
-        let _ = writeln!(out, "owner = {}", self.owner);
-        let _ = writeln!(out, "pid = {}", self.pid);
-        let _ = writeln!(out, "claimed_ms = {}", self.claimed_ms);
-        let _ = writeln!(out, "heartbeat_ms = {}", self.heartbeat_ms);
-        let _ = writeln!(out, "reclaims = {}", self.reclaims);
-        let _ = writeln!(out, "label = {}", self.label);
-        out
+        LEASE.render(self)
     }
 
     /// Parses the lease file format.
-    pub fn parse(text: &str) -> Result<Lease, String> {
-        let mut lines = text.lines();
-        if lines.next().map(str::trim) != Some(LEASE_HEADER) {
-            return Err(format!("missing {LEASE_HEADER:?} header"));
-        }
-        let mut lease = Lease {
-            owner: String::new(),
-            pid: 0,
-            claimed_ms: 0,
-            heartbeat_ms: 0,
-            reclaims: 0,
-            label: String::new(),
-        };
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            // Values may themselves contain `=` (cell labels do), so
-            // only the first `=` splits.
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("unparseable lease line {line:?}"))?;
-            let value = value.trim();
-            let num = |what: &str| {
-                value
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad {what} {value:?}"))
-            };
-            match key.trim() {
-                "owner" => lease.owner = value.to_string(),
-                "pid" => lease.pid = num("pid")? as u32,
-                "claimed_ms" => lease.claimed_ms = num("claimed_ms")?,
-                "heartbeat_ms" => lease.heartbeat_ms = num("heartbeat_ms")?,
-                "reclaims" => lease.reclaims = num("reclaims")? as u32,
-                "label" => lease.label = value.to_string(),
-                other => return Err(format!("unknown lease key {other:?}")),
-            }
-        }
-        Ok(lease)
+    pub fn parse(text: &str) -> Result<Lease, kv::Error> {
+        LEASE.parse(text)
     }
 
     /// True when the last heartbeat is older than `timeout_ms` at `now`
@@ -173,7 +136,7 @@ impl Lease {
 }
 
 /// A quarantined cell's record, as stored in `<key>.poison`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Poison {
     /// How many times the cell's lease was reclaimed before giving up.
     pub failures: u32,
@@ -185,56 +148,30 @@ pub struct Poison {
     pub quarantined_ms: u64,
 }
 
+/// The quarantine record; every key is required, as for [`LEASE`].
+#[rustfmt::skip]
+static POISON: Record<Poison> = Record {
+    header: "mtnet-poison v1",
+    comments: false,
+    init: Poison::default,
+    fields: &[
+        field("failures", Required, Kind::U32(lens!(failures), 0..=u32::MAX)),
+        field("last_owner", Required, Kind::Raw(lens!(last_owner))),
+        field("label", Required, Kind::Raw(lens!(label))),
+        field("quarantined_ms", Required, Kind::U64(lens!(quarantined_ms))),
+    ],
+    blocks: &[],
+};
+
 impl Poison {
     /// Serializes to the quarantine-record file format.
     pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "{POISON_HEADER}");
-        let _ = writeln!(out, "failures = {}", self.failures);
-        let _ = writeln!(out, "last_owner = {}", self.last_owner);
-        let _ = writeln!(out, "label = {}", self.label);
-        let _ = writeln!(out, "quarantined_ms = {}", self.quarantined_ms);
-        out
+        POISON.render(self)
     }
 
     /// Parses the quarantine-record file format.
-    pub fn parse(text: &str) -> Result<Poison, String> {
-        let mut lines = text.lines();
-        if lines.next().map(str::trim) != Some(POISON_HEADER) {
-            return Err(format!("missing {POISON_HEADER:?} header"));
-        }
-        let mut poison = Poison {
-            failures: 0,
-            last_owner: String::new(),
-            label: String::new(),
-            quarantined_ms: 0,
-        };
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("unparseable poison line {line:?}"))?;
-            let value = value.trim();
-            match key.trim() {
-                "failures" => {
-                    poison.failures = value
-                        .parse()
-                        .map_err(|_| format!("bad failures {value:?}"))?;
-                }
-                "last_owner" => poison.last_owner = value.to_string(),
-                "label" => poison.label = value.to_string(),
-                "quarantined_ms" => {
-                    poison.quarantined_ms = value
-                        .parse()
-                        .map_err(|_| format!("bad quarantined_ms {value:?}"))?;
-                }
-                other => return Err(format!("unknown poison key {other:?}")),
-            }
-        }
-        Ok(poison)
+    pub fn parse(text: &str) -> Result<Poison, kv::Error> {
+        POISON.parse(text)
     }
 }
 
@@ -321,10 +258,6 @@ pub enum Claim {
     Quarantined(Poison),
 }
 
-/// Per-process uniquifier for temp-file names (pid alone is not enough:
-/// one process claims many cells concurrently across tests/threads).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
 /// The lease-protocol side of one worker: claim, heartbeat, release,
 /// reclaim and quarantine, all under one store directory.
 #[derive(Debug)]
@@ -359,14 +292,6 @@ impl Coordinator {
         self.dir.join(format!("{key}.lease"))
     }
 
-    /// A unique (per process × call) temp path that the store's orphan
-    /// GC recognizes by its `.tmp` suffix.
-    fn tmp_path(&self, key: &str) -> PathBuf {
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        self.dir
-            .join(format!("{key}.{}-{seq}.tmp", std::process::id()))
-    }
-
     /// Attempts to claim a cell. Exactly one concurrent claimant can win
     /// ([`Claim::Owned`]); stale leases are reclaimed in passing, and a
     /// cell over the reclaim budget is quarantined here.
@@ -375,37 +300,32 @@ impl Coordinator {
             return Ok(Claim::Quarantined(poison));
         }
         let lease_path = self.lease_path(key);
-        // Stale-lease reclaim: read the incumbent's heartbeat (a lease
-        // that does not parse — e.g. tampered with — falls back to file
-        // mtime, with an unknown reclaim history of 0).
-        let incumbent: Option<(u64, u32, String)> = match std::fs::read_to_string(&lease_path) {
-            Ok(text) => match Lease::parse(&text) {
-                Ok(l) => Some((l.heartbeat_ms, l.reclaims, l.owner)),
-                Err(_) => {
-                    let mtime = std::fs::metadata(&lease_path)
+        // Stale-lease reclaim: read the incumbent (a lease that does not
+        // parse — tampered with, cut short — falls back to file mtime as
+        // its heartbeat, with an unknown reclaim history of 0).
+        let incumbent = match std::fs::read_to_string(&lease_path) {
+            Ok(text) => Some(Lease::parse(&text).unwrap_or_else(|_| {
+                Lease {
+                    owner: "(unparseable lease)".into(),
+                    heartbeat_ms: std::fs::metadata(&lease_path)
                         .and_then(|m| m.modified())
                         .ok()
                         .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                        .map(|d| d.as_millis() as u64)
-                        .unwrap_or(0);
-                    Some((mtime, 0, "(unparseable lease)".into()))
+                        .map_or(0, |d| d.as_millis() as u64),
+                    ..Lease::default()
                 }
-            },
+            })),
             Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Err(e) => return Err(e),
         };
         let reclaims = match incumbent {
-            Some((heartbeat_ms, reclaims, last_owner)) => {
-                let probe = Lease {
-                    heartbeat_ms,
-                    ..self.fresh_lease(label, reclaims)
-                };
-                if !probe.is_stale(now_unix_ms(), self.cfg.lease_timeout_ms) {
+            Some(old) => {
+                if !old.is_stale(now_unix_ms(), self.cfg.lease_timeout_ms) {
                     return Ok(Claim::Busy);
                 }
                 // Rename the stale lease aside: atomic, so exactly one
                 // of any number of would-be reclaimers proceeds.
-                let graveyard = self.tmp_path(key);
+                let graveyard = tmp_sibling(&lease_path);
                 match std::fs::rename(&lease_path, &graveyard) {
                     Ok(()) => {
                         let _ = std::fs::remove_file(&graveyard);
@@ -413,11 +333,11 @@ impl Coordinator {
                     Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Claim::Busy),
                     Err(e) => return Err(e),
                 }
-                let failures = reclaims + 1;
+                let failures = old.reclaims.saturating_add(1);
                 if failures > self.cfg.max_reclaims {
                     let poison = Poison {
                         failures,
-                        last_owner,
+                        last_owner: old.owner,
                         label: label.to_string(),
                         quarantined_ms: now_unix_ms(),
                     };
@@ -428,14 +348,9 @@ impl Coordinator {
             }
             None => 0,
         };
-        // Atomic create: write to a unique temp file, hard-link it into
-        // place (fails if any other worker claimed first), drop the temp.
+        // Atomic create: fails if any other worker claimed first.
         let lease = self.fresh_lease(label, reclaims);
-        let tmp = self.tmp_path(key);
-        std::fs::write(&tmp, lease.render())?;
-        let linked = std::fs::hard_link(&tmp, &lease_path);
-        let _ = std::fs::remove_file(&tmp);
-        match linked {
+        match write_atomic(&lease_path, lease.render().as_bytes(), Publish::CreateNew) {
             Ok(()) => Ok(Claim::Owned(lease)),
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(Claim::Busy),
             Err(e) => Err(e),
@@ -455,16 +370,15 @@ impl Coordinator {
         }
     }
 
-    /// Refreshes an owned lease's heartbeat (temp + rename over our own
-    /// lease file — atomic, and only ever called while owning the key).
+    /// Refreshes an owned lease's heartbeat (atomically replacing our own
+    /// lease file — only ever called while owning the key).
     pub fn refresh(&self, key: &str, lease: &Lease) -> io::Result<()> {
         let beat = Lease {
             heartbeat_ms: now_unix_ms(),
             ..lease.clone()
         };
-        let tmp = self.tmp_path(key);
-        std::fs::write(&tmp, beat.render())?;
-        std::fs::rename(&tmp, self.lease_path(key))
+        let bytes = beat.render();
+        write_atomic(&self.lease_path(key), bytes.as_bytes(), Publish::Replace)
     }
 
     /// Releases an owned lease (after the result is saved).
@@ -472,11 +386,10 @@ impl Coordinator {
         std::fs::remove_file(self.lease_path(key))
     }
 
-    /// Writes a quarantine record (same temp+rename idiom as the store).
+    /// Writes a quarantine record.
     fn write_poison(&self, key: &str, poison: &Poison) -> io::Result<()> {
-        let tmp = self.tmp_path(key);
-        std::fs::write(&tmp, poison.render())?;
-        std::fs::rename(&tmp, poison_path(&self.dir, key))
+        let path = poison_path(&self.dir, key);
+        write_atomic(&path, poison.render().as_bytes(), Publish::Replace)
     }
 }
 
@@ -530,21 +443,23 @@ pub fn run_worker(
     let cells = plan.cells()?;
     let coord = Coordinator::new(store, owner, cfg);
     let kill_cell = std::env::var(KILL_CELL_ENV).ok().filter(|v| !v.is_empty());
-    let keyed: Vec<(String, String)> = cells
+    let keys: Vec<String> = cells
         .iter()
-        .map(|c| {
-            let text = c.spec.render();
-            let key = ResultStore::key(&text, master_seed);
-            (text, key)
-        })
+        .map(|c| ResultStore::key(&c.spec.render(), master_seed))
         .collect();
+    let complete = |i: usize| {
+        matches!(
+            cell_state(store, &cells[i], master_seed),
+            CellState::Complete(_)
+        )
+    };
     let mut fates: Vec<Option<Fate>> = vec![None; cells.len()];
     let offset = if cells.is_empty() {
         0
     } else {
-        fnv64(owner) as usize % cells.len()
+        fnv1a(FNV_OFFSET, owner.as_bytes()) as usize % cells.len()
     };
-    let mut jitter = RngStream::derive(fnv64(owner), "coord.jitter");
+    let mut jitter = RngStream::derive(fnv1a(FNV_OFFSET, owner.as_bytes()), "coord.jitter");
     let mut idle_rounds: u32 = 0;
     loop {
         let mut progress = false;
@@ -553,9 +468,8 @@ pub fn run_worker(
             if fates[i].is_some() {
                 continue;
             }
-            let (spec_text, key) = &keyed[i];
-            let label = &cells[i].label;
-            if store.load(spec_text, master_seed).is_some() {
+            let (key, label) = (&keys[i], &cells[i].label);
+            if complete(i) {
                 fates[i] = Some(Fate::Loaded);
                 progress = true;
                 continue;
@@ -577,7 +491,7 @@ pub fn run_worker(
                 Claim::Owned(lease) => {
                     // Claim-then-recheck: a peer may have completed the
                     // cell between our store probe and the claim.
-                    if store.load(spec_text, master_seed).is_some() {
+                    if complete(i) {
                         let _ = coord.release(key);
                         fates[i] = Some(Fate::Loaded);
                         progress = true;
@@ -628,9 +542,9 @@ pub fn run_worker(
     let count = |fate: Fate| fates.iter().filter(|f| **f == Some(fate)).count();
     let saved_keys = fates
         .iter()
-        .zip(&keyed)
+        .zip(&keys)
         .filter(|(f, _)| **f == Some(Fate::Computed))
-        .map(|(_, (_, key))| key.clone())
+        .map(|(_, key)| key.clone())
         .collect();
     Ok(WorkerOutcome {
         cells: cells.len(),
@@ -672,6 +586,50 @@ fn compute_with_heartbeats<R: Send>(
     })
 }
 
+/// What the store directory says about one cell.
+#[derive(Debug)]
+pub enum CellState {
+    /// `<key>.run` holds the cell's result.
+    Complete(StoredRun),
+    /// No result yet; a worker's lease (live or stale) is on the cell.
+    Leased(Lease),
+    /// No result; given up on after repeated worker deaths.
+    Quarantined(Poison),
+    /// No result, no quarantine record, no readable lease.
+    Missing,
+}
+
+/// Reads one cell's state back from the store directory — the single
+/// classification the sweep engine, the workers, the fleet's final
+/// table and `--report` all go through.
+pub fn cell_state(store: &ResultStore, cell: &SweepCell, master_seed: u64) -> CellState {
+    let spec_text = cell.spec.render();
+    if let Some(run) = store.load(&spec_text, master_seed) {
+        return CellState::Complete(run);
+    }
+    let key = ResultStore::key(&spec_text, master_seed);
+    if let Some(poison) = load_poison(store.dir(), &key) {
+        return CellState::Quarantined(poison);
+    }
+    let lease = std::fs::read_to_string(store.dir().join(format!("{key}.lease")));
+    match lease.ok().and_then(|text| Lease::parse(&text).ok()) {
+        Some(lease) => CellState::Leased(lease),
+        None => CellState::Missing,
+    }
+}
+
+/// The process exit code every coordinated mode shares: 0 when the grid
+/// is fully complete, 1 when cells are missing (crashed fleet — resume
+/// by re-invoking; missing outranks quarantined), 3 when quarantined
+/// cells degraded it.
+pub fn exit_code(quarantined: usize, missing: usize) -> i32 {
+    match (missing, quarantined) {
+        (0, 0) => 0,
+        (0, _) => 3,
+        _ => 1,
+    }
+}
+
 /// The fleet-level view of a grid after the workers drained it.
 #[derive(Debug)]
 pub struct GridReport {
@@ -699,19 +657,6 @@ impl GridReport {
             self.cells, self.computed, self.loaded, self.quarantined, self.missing
         )
     }
-
-    /// The process exit code the fleet contract prescribes: 0 when the
-    /// grid is fully complete, 3 when quarantined cells degraded it,
-    /// 1 when cells are simply missing (crashed fleet — resume).
-    pub fn exit_code(&self) -> i32 {
-        if self.missing > 0 {
-            1
-        } else if self.quarantined > 0 {
-            3
-        } else {
-            0
-        }
-    }
 }
 
 /// Collects a grid's state from the store after a fleet ran:
@@ -726,53 +671,43 @@ pub fn collect_grid(
     store: &ResultStore,
     preexisting: &HashSet<String>,
 ) -> Result<GridReport, String> {
-    let cells = plan.cells()?;
-    let mut header: Vec<String> = plan.axes.iter().map(|a| a.key.clone()).collect();
-    if header.is_empty() {
-        header.push("cell".into());
-    }
-    header.push("rep".into());
-    header.extend(TABLE_METRICS.iter().map(|m| m.to_string()));
-    header.push("status".into());
-    let mut table = Table::new(header);
-    let (mut computed, mut loaded, mut quarantined, mut missing) = (0, 0, 0, 0);
-    for cell in &cells {
-        let spec_text = cell.spec.render();
-        let key = ResultStore::key(&spec_text, master_seed);
-        let mut row: Vec<String> = if cell.assignments.is_empty() {
-            vec!["base".into()]
-        } else {
-            cell.assignments.iter().map(|(_, v)| v.clone()).collect()
-        };
-        row.push(cell.replication.to_string());
-        if let Some(run) = store.load(&spec_text, master_seed) {
-            row.extend(TABLE_METRICS.iter().map(|m| fmt_metric(&run, m)));
-            if preexisting.contains(&key) {
-                loaded += 1;
-                row.push("loaded".into());
-            } else {
-                computed += 1;
-                row.push("computed".into());
+    let mut grid = GridReport {
+        table: grid_table(plan, "rep", &["status"]),
+        cells: 0,
+        computed: 0,
+        loaded: 0,
+        quarantined: 0,
+        missing: 0,
+    };
+    for cell in plan.cells()? {
+        grid.cells += 1;
+        let (run, status) = match cell_state(store, &cell, master_seed) {
+            CellState::Complete(run) => {
+                let status = if preexisting.contains(&ResultStore::key(&run.spec_text, master_seed))
+                {
+                    grid.loaded += 1;
+                    "loaded"
+                } else {
+                    grid.computed += 1;
+                    "computed"
+                };
+                (Some(run), status.to_string())
             }
-        } else if let Some(poison) = load_poison(store.dir(), &key) {
-            quarantined += 1;
-            row.extend(TABLE_METRICS.iter().map(|_| "-".to_string()));
-            row.push(format!("quarantined ({} failures)", poison.failures));
-        } else {
-            missing += 1;
-            row.extend(TABLE_METRICS.iter().map(|_| "-".to_string()));
-            row.push("missing".into());
-        }
-        table.row(row);
+            CellState::Quarantined(poison) => {
+                grid.quarantined += 1;
+                (None, format!("quarantined ({} failures)", poison.failures))
+            }
+            CellState::Leased(_) | CellState::Missing => {
+                grid.missing += 1;
+                (None, "missing".to_string())
+            }
+        };
+        let metric = |m: &str| run.as_ref().map_or("-".into(), |run| fmt_metric(run, m));
+        let rep = cell.replication.to_string();
+        grid.table
+            .row(grid_row(&cell.assignments, rep, metric, Some(status)));
     }
-    Ok(GridReport {
-        table,
-        cells: cells.len(),
-        computed,
-        loaded,
-        quarantined,
-        missing,
-    })
+    Ok(grid)
 }
 
 /// The cross-cell analysis of a finished grid: per grid point (all
@@ -805,19 +740,6 @@ impl ReportOutcome {
             self.points, self.complete, self.quarantined, self.missing
         )
     }
-
-    /// The process exit code, same contract as [`GridReport::exit_code`]:
-    /// 0 for a fully complete grid, 1 when cells are missing (resume the
-    /// fleet), 3 when quarantined cells degraded the aggregate.
-    pub fn exit_code(&self) -> i32 {
-        if self.missing > 0 {
-            1
-        } else if self.quarantined > 0 {
-            3
-        } else {
-            0
-        }
-    }
 }
 
 /// Formats one aggregated metric column: mean ± normal-approximation
@@ -836,7 +758,8 @@ fn fmt_aggregate(name: &str, agg: &Replicates) -> String {
 }
 
 /// Aggregates a finished grid into an experiment-style table: cells are
-/// grouped by grid point (axis assignments), replications pool into a
+/// grouped by grid point (axis assignments; replications are innermost,
+/// so a point's cells are contiguous), replications pool into a
 /// [`Replicates`] per point, and each metric column reports
 /// mean ± 95% CI. Missing and quarantined cells are counted (and shrink
 /// a point's `n`) rather than failing the whole report.
@@ -845,63 +768,48 @@ pub fn report_sweep(
     master_seed: u64,
     store: &ResultStore,
 ) -> Result<ReportOutcome, String> {
-    let cells = plan.cells()?;
-    // Group cells by point, preserving expansion order (replications are
-    // innermost, so a point's cells are contiguous).
-    let mut points: Vec<(Vec<(String, String)>, Replicates, usize, usize)> = Vec::new();
-    let (mut complete, mut quarantined, mut missing) = (0, 0, 0);
-    let mut quarantined_cells = Vec::new();
-    for cell in &cells {
-        if points.last().map(|(a, ..)| a) != Some(&cell.assignments) {
-            points.push((cell.assignments.clone(), Replicates::new(), 0, 0));
-        }
-        let point = points.last_mut().expect("just pushed");
-        let spec_text = cell.spec.render();
-        let key = ResultStore::key(&spec_text, master_seed);
-        if let Some(run) = store.load(&spec_text, master_seed) {
-            complete += 1;
-            point.2 += 1;
-            for (name, value) in &run.metrics {
-                point.1.record(name, value.as_f64());
+    let mut out = ReportOutcome {
+        table: grid_table(plan, "n", &[]),
+        points: 0,
+        complete: 0,
+        quarantined: 0,
+        quarantined_cells: Vec::new(),
+        missing: 0,
+    };
+    for point in plan
+        .cells()?
+        .chunk_by(|a, b| a.assignments == b.assignments)
+    {
+        let mut agg = Replicates::new();
+        let (mut present, mut poisoned) = (0, 0);
+        for cell in point {
+            match cell_state(store, cell, master_seed) {
+                CellState::Complete(run) => {
+                    present += 1;
+                    for (name, value) in &run.metrics {
+                        agg.record(name, value.as_f64());
+                    }
+                }
+                CellState::Quarantined(_) => {
+                    poisoned += 1;
+                    out.quarantined_cells.push(cell.label.clone());
+                }
+                CellState::Leased(_) | CellState::Missing => out.missing += 1,
             }
-        } else if load_poison(store.dir(), &key).is_some() {
-            quarantined += 1;
-            point.3 += 1;
-            quarantined_cells.push(cell.label.clone());
-        } else {
-            missing += 1;
         }
-    }
-    let mut header: Vec<String> = plan.axes.iter().map(|a| a.key.clone()).collect();
-    if header.is_empty() {
-        header.push("cell".into());
-    }
-    header.push("n".into());
-    header.extend(TABLE_METRICS.iter().map(|m| m.to_string()));
-    let mut table = Table::new(header);
-    for (assignments, agg, present, poisoned) in &points {
-        let mut row: Vec<String> = if assignments.is_empty() {
-            vec!["base".into()]
-        } else {
-            assignments.iter().map(|(_, v)| v.clone()).collect()
-        };
-        let n = if *poisoned > 0 {
+        out.points += 1;
+        out.complete += present;
+        out.quarantined += poisoned;
+        let n = if poisoned > 0 {
             format!("{present} (q{poisoned})")
         } else {
             present.to_string()
         };
-        row.push(n);
-        row.extend(TABLE_METRICS.iter().map(|m| fmt_aggregate(m, agg)));
-        table.row(row);
+        let metric = |m: &str| fmt_aggregate(m, &agg);
+        out.table
+            .row(grid_row(&point[0].assignments, n, metric, None));
     }
-    Ok(ReportOutcome {
-        table,
-        points: points.len(),
-        complete,
-        quarantined,
-        quarantined_cells,
-        missing,
-    })
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -927,32 +835,45 @@ mod tests {
     }
 
     #[test]
-    fn lease_roundtrips_including_labels_with_equals() {
-        let lease = Lease {
-            owner: "w1@4242".into(),
-            pid: 4242,
-            claimed_ms: 1_700_000_000_000,
-            heartbeat_ms: 1_700_000_000_500,
-            reclaims: 3,
-            label: "arch=multi-tier+rsmc,domains=2 rep=1".into(),
+    fn counters_parse_at_their_width_and_every_key_is_required() {
+        let lease = |reclaims: &str| {
+            let dead = Lease {
+                owner: "dead@1".into(),
+                heartbeat_ms: 1,
+                ..Lease::default()
+            };
+            dead.render()
+                .replace("reclaims = 0", &format!("reclaims = {reclaims}"))
         };
-        let back = Lease::parse(&lease.render()).expect("parse back");
-        assert_eq!(back, lease);
-        assert!(Lease::parse("garbage").is_err());
+        assert_eq!(Lease::parse(&lease("7")).expect("valid").reclaims, 7);
+        // One past `u32::MAX` used to wrap to 0 and reset the budget.
+        assert!(Lease::parse(&lease("4294967296")).is_err());
+        assert!(Lease::parse(&lease("99999999999999999999")).is_err());
+        // A file cut after its header is an error, not an empty record.
+        assert!(Lease::parse("mtnet-lease v1\n").is_err());
+        assert!(Poison::parse("mtnet-poison v1\nfailures = 1\n").is_err());
         assert!(Lease::parse("mtnet-lease v1\nwarp = 9\n").is_err());
-    }
 
-    #[test]
-    fn poison_roundtrips() {
-        let poison = Poison {
-            failures: 4,
-            last_owner: "w2@777".into(),
-            label: "domains=2 rep=0".into(),
-            quarantined_ms: 1_700_000_001_000,
-        };
-        let back = Poison::parse(&poison.render()).expect("parse back");
-        assert_eq!(back, poison);
-        assert!(Poison::parse("mtnet-poison v1\nfailures = x\n").is_err());
+        let store = tmp_store("width");
+        let coord = Coordinator::new(&store, "alive", quick_cfg());
+        // An unparseable count falls back to mtime staleness: the file is
+        // fresh, so the cell is busy — not reclaimed with a zeroed count.
+        std::fs::write(coord.lease_path("aa"), lease("4294967296")).expect("plant");
+        assert!(matches!(
+            coord.try_claim("aa", "cell").expect("io"),
+            Claim::Busy
+        ));
+        // The largest count saturates into quarantine instead of overflowing.
+        std::fs::write(coord.lease_path("bb"), lease("4294967295")).expect("plant");
+        match coord.try_claim("bb", "cell").expect("io") {
+            Claim::Quarantined(poison) => assert_eq!(poison.failures, u32::MAX),
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+        // A truncated quarantine record still quarantines, history unknown.
+        std::fs::write(poison_path(store.dir(), "cc"), "mtnet-poison v1\n").expect("plant");
+        let record = load_poison(store.dir(), "cc").expect("present");
+        assert_eq!(record.last_owner, "(corrupt record)");
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -1182,8 +1103,16 @@ mod tests {
         std::fs::remove_file(store.path_of(&ResultStore::key(&victim_text, 42))).expect("rm");
         let partial = report_sweep(&plan, 42, &store).expect("partial report");
         assert_eq!((partial.complete, partial.missing), (3, 1));
-        assert_eq!(report.exit_code(), 0, "complete grid reports clean");
-        assert_eq!(partial.exit_code(), 1, "missing cells mean resume");
+        assert_eq!(
+            exit_code(report.quarantined, report.missing),
+            0,
+            "complete grid reports clean"
+        );
+        assert_eq!(
+            exit_code(partial.quarantined, partial.missing),
+            1,
+            "missing cells mean resume"
+        );
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -1215,7 +1144,11 @@ mod tests {
             (report.complete, report.quarantined, report.missing),
             (0, 4, 0)
         );
-        assert_eq!(report.exit_code(), 3, "all-poison grid must exit 3");
+        assert_eq!(
+            exit_code(report.quarantined, report.missing),
+            3,
+            "all-poison grid must exit 3"
+        );
         let labels: Vec<String> = cells.iter().map(|c| c.label.clone()).collect();
         assert_eq!(
             report.quarantined_cells, labels,
@@ -1227,7 +1160,7 @@ mod tests {
         std::fs::remove_file(poison_path(store.dir(), &key0)).expect("rm poison");
         let mixed = report_sweep(&plan, 42, &store).expect("mixed report");
         assert_eq!((mixed.quarantined, mixed.missing), (3, 1));
-        assert_eq!(mixed.exit_code(), 1);
+        assert_eq!(exit_code(mixed.quarantined, mixed.missing), 1);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 }

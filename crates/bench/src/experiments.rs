@@ -1,16 +1,19 @@
-//! The thirteen experiment runners. Each reproduces one paper artifact
-//! (E13 adds the resilience family the paper only argues qualitatively);
-//! see `EXPERIMENTS.md` for the recorded outputs and the paper-vs-measured
+//! The fourteen experiments, declared once in [`EXPERIMENTS`]. Each
+//! reproduces one paper artifact (E13 adds the resilience family the
+//! paper only argues qualitatively, E14 the metro tier); see
+//! `EXPERIMENTS.md` for the recorded outputs and the paper-vs-measured
 //! discussion.
 //!
-//! Every simulation arm is a declarative [`ScenarioSpec`] — family
-//! preset + knob assignments + duration + seed path — built by
-//! [`arm_specs`] and fanned out through [`BatchRunner`]; the runner
-//! itself is reduced to a thin metric-extraction closure over the
-//! returned reports. Seed paths are `(experiment, arm, replication)`
+//! An [`Experiment`] is its id, title and notes, an `arms` function —
+//! every simulation arm as a `(label, ScenarioSpec)` pair, the spec being
+//! a family preset with knob assignments, duration and seed path — and a
+//! `tabulate` function over the finished [`Run`]s. [`Experiment::run`]
+//! is the one runner: it fans the arms out through [`BatchRunner`],
+//! keeps label, spec and report *together*, and sums events and
+//! fingerprints. Seed paths are `(experiment, arm, replication)`
 //! resolved via `mtnet_sim::rng::seed_for_path`, so the jobs are
 //! independent of scheduling order and the rendered tables are
-//! byte-identical at any thread count. The same specs are pinned
+//! byte-identical at any thread count. The arm specs are pinned
 //! textually by the golden tests in `tests/spec_golden.rs`.
 
 use crate::{Effort, ExperimentResult, RunOptions};
@@ -18,17 +21,254 @@ use mtnet_cellularip::{CipTree, HandoffKind};
 use mtnet_core::handoff::{HandoffFactors, HandoffType};
 use mtnet_core::hierarchy::Hierarchy;
 use mtnet_core::location::LocationDirectory;
-use mtnet_core::report::SimReport;
+use mtnet_core::report::{DropCause, SimReport};
 use mtnet_core::scenario::ArchKind;
 use mtnet_core::spec::{
     CellOutage, EclipseWindow, FaultSpec, LinkFlap, RsmcFailover, ScenarioSpec,
 };
 use mtnet_core::tier::Tier;
-use mtnet_metrics::{fmt_f64, Replicates, Summary, Table};
+use mtnet_metrics::{fmt_f64, Summary, Table};
 use mtnet_net::{Addr, NodeId};
 use mtnet_radio::{CellId, CellKind, PathLoss, SENSITIVITY_DBM};
 use mtnet_sim::runner::BatchRunner;
 use mtnet_sim::{RngStream, SimDuration, SimTime};
+
+/// One arm before it runs: display label and spec.
+pub type Arm = (String, ScenarioSpec);
+
+/// One finished arm: its label, its spec and its report, together.
+#[derive(Debug)]
+pub struct Run {
+    /// The arm's display label (replications of an arm share it).
+    pub label: String,
+    /// The spec that ran.
+    pub spec: ScenarioSpec,
+    /// What it produced.
+    pub report: SimReport,
+}
+
+/// One experiment's whole declaration.
+#[derive(Debug)]
+pub struct Experiment {
+    /// Experiment id ("E4").
+    pub id: &'static str,
+    /// What the experiment reproduces.
+    pub title: &'static str,
+    /// Interpretation notes (expected shape, caveats).
+    pub notes: &'static [&'static str],
+    /// The simulation arms in submission order — the single place the
+    /// experiment's scenarios are defined. Replications of an arm are
+    /// consecutive and share its label; empty for the analytic E5.
+    pub arms: fn(Effort) -> Vec<Arm>,
+    /// Renders the finished runs into the result's `tables` — and, for
+    /// an analytic part, adds the model operations it performed in place
+    /// of simulator events to `events` (E5's messages and queries).
+    pub tabulate: fn(RunOptions, &[Run], &mut ExperimentResult),
+}
+
+impl Experiment {
+    /// Runs every arm and tabulates the results.
+    pub fn run(&self, opts: RunOptions) -> ExperimentResult {
+        let runs = run_arms(opts, (self.arms)(opts.effort));
+        let mut result = ExperimentResult {
+            id: self.id,
+            title: self.title,
+            tables: Vec::new(),
+            notes: self.notes,
+            events: runs.iter().map(|r| r.report.events_processed).sum(),
+            fingerprints: runs.iter().map(|r| r.report.fingerprint()).collect(),
+        };
+        (self.tabulate)(opts, &runs, &mut result);
+        result
+    }
+}
+
+/// Looks an experiment up by id (case-insensitive).
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id.eq_ignore_ascii_case(id))
+}
+
+/// The declarative simulation arms of one experiment, in submission
+/// order (empty for E5 and unknown ids). The golden test pins these
+/// texts; the sweep engine's families compose the same presets.
+pub fn arm_specs(id: &str, effort: Effort) -> Vec<ScenarioSpec> {
+    let arms = find(id).map_or_else(Vec::new, |e| (e.arms)(effort));
+    arms.into_iter().map(|(_, spec)| spec).collect()
+}
+
+/// Runs every arm through a worker pool `opts.threads` wide, each at
+/// `opts.shards` shards when that is set; the runs come back in
+/// submission order, label and spec still attached to their report.
+fn run_arms(opts: RunOptions, arms: Vec<Arm>) -> Vec<Run> {
+    BatchRunner::new(opts.threads).run(arms, move |_, (label, spec)| {
+        let sharded = opts.shards.map(|n| spec.clone().with_shards(n));
+        let report = sharded.as_ref().unwrap_or(&spec).run(opts.seed);
+        Run {
+            label,
+            spec,
+            report,
+        }
+    })
+}
+
+/// Every experiment, in suite order.
+pub const EXPERIMENTS: [Experiment; 14] = [
+    Experiment {
+        id: "E1",
+        title: "Fig 2.1 — multi-tier cellular architecture",
+        notes: &[
+            "radio range >= nominal radius for every tier, so footprints are servable",
+            "tier speed threshold: 8 m/s",
+            "the satellite tier absorbs the macro hole: outages drop to ~0 at the cost of 32 kb/s service and ~2.7 ms orbital latency",
+        ],
+        arms: e1_arms,
+        tabulate: e1_tables,
+    },
+    Experiment {
+        id: "E2",
+        title: "Fig 2.2 — Mobile IP procedures: registration and triangle routing",
+        notes: &[
+            "expected shape: triangle delay > optimized delay; registrations higher without the hierarchy",
+        ],
+        arms: e2_arms,
+        tabulate: e2_tables,
+    },
+    Experiment {
+        id: "E3",
+        title: "Fig 2.3 — Cellular IP: route-update rate vs overhead and staleness",
+        notes: &[
+            "expected shape: overhead falls linearly with the period; loss rises once caches outlive their refresh",
+            "cache lifetime is 3x the period, so staleness appears via handoffs, not pure expiry",
+        ],
+        arms: e3_arms,
+        tabulate: e3_tables,
+    },
+    Experiment {
+        id: "E4",
+        title: "Fig 2.4 — Cellular IP handoff: hard vs semisoft",
+        notes: &[
+            "expected shape: hard window = crossover round-trip (paper); semisoft covers it at the cost of duplicates",
+        ],
+        arms: e4_arms,
+        tabulate: e4_tables,
+    },
+    Experiment {
+        id: "E5",
+        title: "Fig 3.1 — micro_table/macro_table location management",
+        notes: &[
+            "expected shape: staleness ~0 while period < lifetime (6 s), then rises sharply",
+            "micro-sourced records dominate hits: the paper's micro-first search order pays off",
+        ],
+        arms: |_| Vec::new(),
+        tabulate: e5_tables,
+    },
+    Experiment {
+        id: "E6",
+        title: "Fig 3.2 — inter-domain handoff, same upper BS",
+        notes: &[
+            "expected shape: inter-domain (same upper) latency well below the different-upper case of E7 — no home-network round trip",
+        ],
+        arms: |effort| {
+            let corridor = ScenarioSpec::commute_corridor();
+            vec![arch_arm("E6", ArchKind::multi_tier(), 0, effort.secs(500.0), corridor)]
+        },
+        tabulate: |_, runs, out| handoff_tables("2 domains sharing an upper BS", &runs[0], out),
+    },
+    Experiment {
+        id: "E7",
+        title: "Fig 3.3 — inter-domain handoff, different upper BS",
+        notes: &[
+            "expected shape: different-upper latency includes the home-network round trip (tens of ms of WAN)",
+        ],
+        arms: |effort| {
+            let corridor = ScenarioSpec::commute_corridor().without_shared_upper();
+            vec![arch_arm("E7", ArchKind::multi_tier(), 0, effort.secs(500.0), corridor)]
+        },
+        tabulate: |_, runs, out| handoff_tables("2 domains with separate upper BSs", &runs[0], out),
+    },
+    Experiment {
+        id: "E8",
+        title: "Fig 3.4 — intra-domain handoffs (macro→micro, micro→macro, micro→micro)",
+        notes: &[
+            "expected shape: all intra cases complete within the access network (≈ semisoft delay + tree climb), far below inter-domain costs",
+        ],
+        arms: |effort| {
+            let city = ScenarioSpec::small_city().with_population(6, 3, 2);
+            vec![arch_arm("E8", ArchKind::multi_tier(), 0, effort.secs(600.0), city)]
+        },
+        tabulate: |_, runs, out| handoff_tables("small city, mixed population", &runs[0], out),
+    },
+    Experiment {
+        id: "E9",
+        title: "Fig 4.1 — RSMC: combined gateway cache + HA/CN notification",
+        notes: &[
+            "expected shape: RSMC cuts mean delay (route optimization via CN notify) and loss (location-cache rescue of stale routes)",
+        ],
+        arms: e9_arms,
+        tabulate: e9_tables,
+    },
+    Experiment {
+        id: "E10",
+        title: "Claim — multi-tier improves QoS over pure Mobile IP and flat Cellular IP",
+        notes: &[
+            "expected shape: multi-tier wins on delay (vs triangle-routing Mobile IP) and on loss/outage (vs coverage-limited flat Cellular IP)",
+        ],
+        arms: e10_arms,
+        tabulate: e10_tables,
+    },
+    Experiment {
+        id: "E11",
+        title: "Claim — multi-tier + semisoft + RSMC reduces multimedia packet loss",
+        notes: &[
+            "expected shape: fast populations break flat Cellular IP (outages) and stress pure Mobile IP (registration loss); the multi-tier architecture stays low across all speeds",
+            "semisoft ≤ hard loss for the micro-tier populations",
+        ],
+        arms: e11_arms,
+        tabulate: e11_tables,
+    },
+    Experiment {
+        id: "E12",
+        title: "Ablation — the three handoff factors of §3.2",
+        notes: &[
+            "expected shape: dropping the speed factor strands fast nodes in micro cells (more handoffs); dropping signal raises ping-pong; dropping resources removes the fallback safety valve",
+        ],
+        arms: e12_arms,
+        tabulate: e12_tables,
+    },
+    Experiment {
+        id: "E13",
+        title: "Resilience — spec-driven outages, flaps, failover and eclipse",
+        notes: &[
+            "expected shape: the hierarchy re-converges via soft-state refresh (bounded recovery latency); pure Mobile IP pays a re-registration storm per restore",
+            "the eclipse arm re-opens the E1 macro hole while the overlay is dark — loss climbs toward the terrestrial-only arm of E1",
+        ],
+        arms: e13_arms,
+        tabulate: e13_tables,
+    },
+    Experiment {
+        id: "E14",
+        title: "Metro tier — 10^6 subscribers, O(active) state, streaming QoS",
+        notes: &[
+            "state scales with the active set: per-flow delay histograms collapse into one 2048-bucket aggregate; RSMC auth and MNLD rows are O(population) columns, not O(subscribers) side maps",
+            "expected shape: idle subscribers cost only their periodic ticks (5 s move samples, 60 s location/paging); the pico street rows absorb the active calls and the macro umbrella takes the overflow",
+        ],
+        arms: e14_arms,
+        tabulate: e14_tables,
+    },
+];
+
+/// One arm: `spec` for `secs` simulated seconds on the
+/// `(experiment, label, rep)` seed path.
+fn arm(id: &str, label: &str, rep: u64, secs: f64, spec: ScenarioSpec) -> Arm {
+    let spec = spec.with_duration_s(secs).with_seed_path(id, label, rep);
+    (label.to_string(), spec)
+}
+
+/// [`arm`] for an architecture comparison: `spec` under `arch`,
+/// labelled by the architecture.
+fn arch_arm(id: &str, arch: ArchKind, rep: u64, secs: f64, spec: ScenarioSpec) -> Arm {
+    arm(id, arch.label(), rep, secs, spec.with_arch(arch))
+}
 
 fn pct(x: f64) -> String {
     format!("{:.3}%", x * 100.0)
@@ -38,334 +278,13 @@ fn ms(x: f64) -> String {
     format!("{x:.1}ms")
 }
 
-/// Runs every spec job through a worker pool `opts.threads` wide, each
-/// at `opts.shards` shards when that is set; results come back in
-/// submission order.
-fn run_specs(opts: RunOptions, specs: Vec<ScenarioSpec>) -> Vec<SimReport> {
-    BatchRunner::new(opts.threads).run(specs, move |_, spec| {
-        match opts.shards {
-            Some(n) => spec.with_shards(n),
-            None => spec,
-        }
-        .run(opts.seed)
-    })
-}
-
-/// The declarative simulation arms of one experiment, in submission
-/// order — the single place each experiment's scenario is defined.
-/// Empty for the analytic E5. The golden test pins these texts; the
-/// sweep engine's families compose the same presets.
-pub fn arm_specs(id: &str, effort: Effort) -> Vec<ScenarioSpec> {
-    match id.to_ascii_uppercase().as_str() {
-        "E1" => {
-            let secs = e1_overlay_secs(effort);
-            e1_arms()
-                .iter()
-                .map(|(label, satellite)| {
-                    let spec = ScenarioSpec::rural_corridor()
-                        .with_duration_s(secs)
-                        .with_seed_path("E1", label, 0);
-                    if *satellite {
-                        spec.with_satellite()
-                    } else {
-                        spec
-                    }
-                })
-                .collect()
-        }
-        "E2" => e2_arms()
-            .iter()
-            .map(|&arch| {
-                ScenarioSpec::commute_corridor()
-                    .with_arch(arch)
-                    .with_duration_s(effort.secs(300.0))
-                    .with_seed_path("E2", arch.label(), 0)
-            })
-            .collect(),
-        "E3" => e3_periods()
-            .iter()
-            .map(|&period_ms| {
-                ScenarioSpec::single_domain()
-                    .with_arch(ArchKind::FlatCellularIp)
-                    .with_route_update_ms(period_ms)
-                    .with_duration_s(effort.secs(300.0))
-                    .with_seed_path("E3", &format!("{period_ms}ms"), 0)
-            })
-            .collect(),
-        "E4" => e4_arms()
-            .iter()
-            .map(|(label, arch)| {
-                ScenarioSpec::single_domain()
-                    .with_arch(*arch)
-                    .with_duration_s(effort.secs(400.0))
-                    .with_seed_path("E4", label, 0)
-            })
-            .collect(),
-        "E5" => Vec::new(),
-        "E6" => {
-            let arch = ArchKind::multi_tier();
-            vec![ScenarioSpec::commute_corridor()
-                .with_arch(arch)
-                .with_duration_s(effort.secs(500.0))
-                .with_seed_path("E6", arch.label(), 0)]
-        }
-        "E7" => {
-            let arch = ArchKind::multi_tier();
-            vec![ScenarioSpec::commute_corridor()
-                .with_arch(arch)
-                .without_shared_upper()
-                .with_duration_s(effort.secs(500.0))
-                .with_seed_path("E7", arch.label(), 0)]
-        }
-        "E8" => {
-            let arch = ArchKind::multi_tier();
-            vec![ScenarioSpec::small_city()
-                .with_arch(arch)
-                .with_population(6, 3, 2)
-                .with_duration_s(effort.secs(600.0))
-                .with_seed_path("E8", arch.label(), 0)]
-        }
-        "E9" => e9_arms()
-            .iter()
-            .map(|&arch| {
-                ScenarioSpec::small_city()
-                    .with_arch(arch)
-                    .with_duration_s(effort.secs(300.0))
-                    .with_seed_path("E9", arch.label(), 0)
-            })
-            .collect(),
-        "E10" => {
-            let mut specs = Vec::new();
-            for arch in e10_arms() {
-                for rep in 0..effort.replications() {
-                    specs.push(
-                        ScenarioSpec::small_city()
-                            .with_arch(arch)
-                            .with_duration_s(effort.secs(300.0))
-                            .with_seed_path("E10", arch.label(), rep),
-                    );
-                }
-            }
-            specs
-        }
-        "E11" => {
-            let mut specs = Vec::new();
-            for (pname, pop) in e11_populations() {
-                for arch in e11_arms() {
-                    for rep in 0..effort.replications() {
-                        let arm = format!("{pname}/{}", arch.label());
-                        specs.push(
-                            ScenarioSpec::small_city()
-                                .with_arch(arch)
-                                .with_population(pop.0, pop.1, pop.2)
-                                .with_duration_s(effort.secs(300.0))
-                                .with_seed_path("E11", &arm, rep),
-                        );
-                    }
-                }
-            }
-            specs
-        }
-        "E12" => e12_arms()
-            .iter()
-            .map(|(label, factors)| {
-                ScenarioSpec::small_city()
-                    .with_population(6, 3, 3)
-                    .with_factors(*factors)
-                    .with_duration_s(effort.secs(300.0))
-                    .with_seed_path("E12", label, 0)
-            })
-            .collect(),
-        "E13" => {
-            let mut specs: Vec<ScenarioSpec> = e13_arms()
-                .iter()
-                .map(|&arch| {
-                    ScenarioSpec::small_city()
-                        .with_arch(arch)
-                        .with_faults(e13_fault_schedule())
-                        .with_duration_s(effort.secs(300.0))
-                        .with_seed_path("E13", arch.label(), 0)
-                })
-                .collect();
-            // Overlay arm: the E1 rural corridor with the satellite tier,
-            // eclipsed exactly while the shuttle crosses the macro hole
-            // (t ≈ 104–224 s) — the horizon floor matches E1's.
-            specs.push(
-                ScenarioSpec::rural_corridor()
-                    .with_satellite()
-                    .with_faults(e13_eclipse_schedule())
-                    .with_duration_s(e1_overlay_secs(effort))
-                    .with_seed_path("E13", "satellite-eclipse", 0),
-            );
-            specs
-        }
-        "E14" => {
-            // The metro tier scales with effort: Full is the headline
-            // 10^6-subscriber world; Quick is the same knobs at CI size
-            // (10k nodes, 8 domains) so the suite and the smoke test
-            // stay bounded. Both run the identical code paths — SoA
-            // tables, aggregate QoS, modular stagger, load curve.
-            let base = match effort {
-                Effort::Quick => ScenarioSpec::metro_smoke(),
-                Effort::Full => ScenarioSpec::metro(),
-            };
-            vec![base
-                .with_duration_s(effort.secs(120.0))
-                .with_seed_path("E14", "metro", 0)]
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// E1's arms: `(label, satellite overlay?)`.
-fn e1_arms() -> [(&'static str, bool); 2] {
-    [("terrestrial only", false), ("with satellite", true)]
-}
-
-/// E2's arms: triangle-routing baseline vs the optimized architecture.
-fn e2_arms() -> [ArchKind; 2] {
-    [ArchKind::PureMobileIp, ArchKind::multi_tier()]
-}
-
-/// E3's route-update periods, ms.
-fn e3_periods() -> [u64; 5] {
-    [500, 1000, 2000, 4000, 8000]
-}
-
-/// E4's measured arms.
-fn e4_arms() -> [(&'static str, ArchKind); 2] {
-    [
-        ("hard", ArchKind::multi_tier_hard()),
-        ("semisoft", ArchKind::multi_tier()),
-    ]
-}
-
-/// E9's arms: RSMC on vs off.
-fn e9_arms() -> [ArchKind; 2] {
-    [ArchKind::multi_tier(), ArchKind::multi_tier_no_rsmc()]
-}
-
-/// E10's arms: the proposal vs both baselines.
-fn e10_arms() -> [ArchKind; 3] {
-    [
-        ArchKind::multi_tier(),
-        ArchKind::PureMobileIp,
-        ArchKind::FlatCellularIp,
-    ]
-}
-
-/// E11's populations: `(label, (pedestrians, cyclists, vehicles))`.
-fn e11_populations() -> [(&'static str, (u32, u32, u32)); 3] {
-    [
-        ("pedestrians", (8, 0, 0)),
-        ("cyclists", (0, 8, 0)),
-        ("vehicles", (0, 0, 4)),
-    ]
-}
-
-/// E11's architecture arms.
-fn e11_arms() -> [ArchKind; 4] {
-    [
-        ArchKind::multi_tier(),
-        ArchKind::multi_tier_hard(),
-        ArchKind::PureMobileIp,
-        ArchKind::FlatCellularIp,
-    ]
-}
-
-/// E12's factor-ablation arms.
-fn e12_arms() -> [(&'static str, HandoffFactors); 5] {
-    [
-        ("all three (paper)", HandoffFactors::all()),
-        ("signal only", HandoffFactors::signal_only()),
-        (
-            "no speed",
-            HandoffFactors {
-                speed: false,
-                signal: true,
-                resources: true,
-            },
-        ),
-        (
-            "no signal",
-            HandoffFactors {
-                speed: true,
-                signal: false,
-                resources: true,
-            },
-        ),
-        (
-            "no resources",
-            HandoffFactors {
-                speed: true,
-                signal: true,
-                resources: false,
-            },
-        ),
-    ]
-}
-
-/// E13's architecture comparison arms, hit by the identical
-/// [`e13_fault_schedule`].
-fn e13_arms() -> [ArchKind; 2] {
-    [ArchKind::multi_tier(), ArchKind::PureMobileIp]
-}
-
-/// E13's shared infrastructure-fault schedule. Cell 1 is domain 0's
-/// macro umbrella — the only radio cell whose id means the same thing
-/// under both architectures (pure Mobile IP deploys no micro row). All
-/// windows land inside the Quick horizon (30 s).
-fn e13_fault_schedule() -> FaultSpec {
-    FaultSpec {
-        cell_outages: vec![CellOutage {
-            cell: 1,
-            start_s: 8.0,
-            end_s: 16.0,
-        }],
-        link_flaps: vec![LinkFlap {
-            domain: 1,
-            start_s: 5.0,
-            period_s: 8.0,
-            duty: 0.5,
-            jitter_s: 0.5,
-            count: 2,
-        }],
-        rsmc_failovers: vec![RsmcFailover {
-            domain: 2,
-            at_s: 18.0,
-            takeover_s: Some(5.0),
-        }],
-        eclipses: Vec::new(),
-    }
-}
-
-/// E13's satellite-overlay schedule: one eclipse swallowing part of the
-/// rural shuttle's macro-hole traversal.
-fn e13_eclipse_schedule() -> FaultSpec {
-    FaultSpec {
-        eclipses: vec![EclipseWindow {
-            start_s: 120.0,
-            end_s: 180.0,
-        }],
-        ..FaultSpec::default()
-    }
-}
-
-/// Total event count and bit-exact per-run fingerprints for an
-/// experiment's reports, in submission order.
-fn digest(reports: &[SimReport]) -> (u64, Vec<String>) {
-    (
-        reports.iter().map(|r| r.events_processed).sum(),
-        reports.iter().map(SimReport::fingerprint).collect(),
-    )
+fn drops(r: &SimReport, cause: DropCause) -> String {
+    r.drops.get(&cause).copied().unwrap_or(0).to_string()
 }
 
 /// `mean ± ci95` rendering for a cross-replication summary (plain mean
 /// when only one replication contributed).
-fn pm(s: Option<&Summary>, unit: fn(f64) -> String) -> String {
-    let Some(s) = s else {
-        return "-".into();
-    };
+fn pm(s: &Summary, unit: fn(f64) -> String) -> String {
     if s.count() <= 1 {
         unit(s.mean())
     } else {
@@ -381,6 +300,45 @@ fn count_fmt(x: f64) -> String {
     }
 }
 
+/// A per-run column: its header and the cell one run renders to.
+type Column = (&'static str, fn(&Run) -> String);
+
+/// One row per run: the run's label under `first`, then every column.
+fn per_run(first: &'static str, columns: &[Column], runs: &[Run]) -> Table {
+    let mut t = Table::new([first].into_iter().chain(columns.iter().map(|c| c.0)));
+    for run in runs {
+        let cells = columns.iter().map(|(_, cell)| cell(run));
+        t.row([run.label.clone()].into_iter().chain(cells));
+    }
+    t
+}
+
+/// A per-arm column: its header, the value one replication contributes,
+/// and the unit its cross-replication mean ± 95% CI renders in.
+type Stat = (&'static str, fn(&SimReport) -> f64, fn(f64) -> String);
+
+/// One row per arm (consecutive runs sharing a label are its
+/// replications): the label, split at `/` under `firsts`, then every
+/// stat over the arm's replications.
+fn per_arm(firsts: &[&'static str], stats: &[Stat], runs: &[Run]) -> Table {
+    let mut t = Table::new(firsts.iter().copied().chain(stats.iter().map(|s| s.0)));
+    for reps in runs.chunk_by(|a, b| a.label == b.label) {
+        let cells = stats.iter().map(|(_, value, unit)| {
+            let summary = Summary::from_iter(reps.iter().map(|run| value(&run.report)));
+            pm(&summary, *unit)
+        });
+        t.row(reps[0].label.split('/').map(String::from).chain(cells));
+    }
+    t
+}
+
+/// `{secs}s{per}, {n} replications (mean±95% CI)`, from the first arm.
+fn replicated_for(runs: &[Run], per: &str) -> String {
+    let reps = runs.iter().take_while(|r| r.label == runs[0].label).count();
+    let secs = runs[0].spec.duration_s;
+    format!("{secs:.0}s{per}, {reps} replications (mean±95% CI)")
+}
+
 /// Horizon for E1's satellite-overlay sub-experiment: long enough at any
 /// effort for the highway shuttle to actually cross the macro hole.
 fn e1_overlay_secs(effort: Effort) -> f64 {
@@ -389,8 +347,20 @@ fn e1_overlay_secs(effort: Effort) -> f64 {
 
 /// E1 — Fig 2.1: the multi-tier cellular architecture. Tier parameters,
 /// radio-effective ranges, the speed-based tier assignment, and the
-/// satellite overlay rescuing a rural macro coverage hole.
-pub fn e1_multitier_coverage(opts: RunOptions) -> ExperimentResult {
+/// satellite overlay rescuing a rural macro coverage hole. The shuttle
+/// enters the hole around t = 104 s, so even the Quick run must cover
+/// the first traversal (t ≈ 104–224 s) for the overlay to have anything
+/// to rescue — hence the 240 s floor of [`e1_overlay_secs`].
+fn e1_arms(effort: Effort) -> Vec<Arm> {
+    let rural = ScenarioSpec::rural_corridor();
+    let secs = e1_overlay_secs(effort);
+    vec![
+        arm("E1", "terrestrial only", 0, secs, rural.clone()),
+        arm("E1", "with satellite", 0, secs, rural.with_satellite()),
+    ]
+}
+
+fn e1_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
     let mut tiers = Table::new([
         "tier",
         "radius m",
@@ -431,56 +401,52 @@ pub fn e1_multitier_coverage(opts: RunOptions) -> ExperimentResult {
             Tier::preferred_for_speed(v).to_string(),
         ]);
     }
-    // The outermost tier at work: a rural corridor whose middle domain
-    // has no macro radio, with and without the satellite overlay. The
-    // shuttle enters the hole around t = 104 s, so even the Quick run
-    // must cover the first traversal (t ≈ 104–224 s) for the overlay to
-    // have anything to rescue — hence the 240 s floor.
-    let secs = e1_overlay_secs(opts.effort);
-    let reports = run_specs(opts, arm_specs("E1", opts.effort));
-    let (events, fingerprints) = digest(&reports);
-    let mut sat = Table::new(["overlay", "loss", "outage samples", "inter-domain handoffs"]);
-    for ((label, _), r) in e1_arms().iter().zip(&reports) {
-        let inter: u64 = r
-            .handoffs
-            .completed
-            .iter()
-            .filter(|(t, _)| t.is_inter_domain())
-            .map(|(_, c)| *c)
-            .sum();
-        sat.row([
-            label.to_string(),
-            pct(r.aggregate_qos().loss_rate),
-            r.handoffs.outage_samples.to_string(),
-            inter.to_string(),
-        ]);
-    }
-    ExperimentResult {
-        id: "E1",
-        title: "Fig 2.1 — multi-tier cellular architecture",
-        tables: vec![
-            ("Tier parameters (radio-consistent footprints)".into(), tiers),
-            ("Speed-based tier assignment (§3.2 factor 1)".into(), speeds),
-            (format!("Satellite overlay over a rural macro hole, {secs:.0}s"), sat),
+    let inter_domain = |run: &Run| {
+        let completed = run.report.handoffs.completed.iter();
+        let inter = completed.filter(|(t, _)| t.is_inter_domain());
+        inter.map(|(_, c)| *c).sum::<u64>().to_string()
+    };
+    let sat = per_run(
+        "overlay",
+        &[
+            ("loss", |r| pct(r.report.aggregate_qos().loss_rate)),
+            ("outage samples", |r| {
+                r.report.handoffs.outage_samples.to_string()
+            }),
+            ("inter-domain handoffs", inter_domain),
         ],
-        notes: vec![
-            "radio range >= nominal radius for every tier, so footprints are servable".into(),
-            format!("tier speed threshold: {} m/s", Tier::SPEED_THRESHOLD_MPS),
-            "the satellite tier absorbs the macro hole: outages drop to ~0 at the cost of 32 kb/s service and ~2.7 ms orbital latency".into(),
-        ],
-        events,
-        fingerprints,
-    }
+        runs,
+    );
+    let secs = runs[0].spec.duration_s;
+    let caption = format!("Satellite overlay over a rural macro hole, {secs:.0}s");
+    out.tables.extend([
+        (
+            "Tier parameters (radio-consistent footprints)".into(),
+            tiers,
+        ),
+        ("Speed-based tier assignment (§3.2 factor 1)".into(), speeds),
+        (caption, sat),
+    ]);
 }
 
 /// E2 — Fig 2.2: Mobile IP procedures. Registration cost and the
 /// triangle-routing penalty, against the RSMC-optimized path.
-pub fn e2_mobileip(opts: RunOptions) -> ExperimentResult {
-    let secs = opts.effort.secs(300.0);
-    let mut reports = run_specs(opts, arm_specs("E2", opts.effort));
-    let (events, fingerprints) = digest(&reports);
-    let multi = reports.pop().expect("two arms");
-    let pure = reports.pop().expect("two arms");
+fn e2_arms(effort: Effort) -> Vec<Arm> {
+    [ArchKind::PureMobileIp, ArchKind::multi_tier()]
+        .map(|arch| {
+            arch_arm(
+                "E2",
+                arch,
+                0,
+                effort.secs(300.0),
+                ScenarioSpec::commute_corridor(),
+            )
+        })
+        .into()
+}
+
+fn e2_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
+    let (pure, multi) = (&runs[0].report, &runs[1].report);
     let mut t = Table::new([
         "metric",
         "pure mobile-ip (triangle)",
@@ -508,61 +474,61 @@ pub fn e2_mobileip(opts: RunOptions) -> ExperimentResult {
         ms(pure.handoffs.latency_all().mean()),
         ms(multi.handoffs.latency_all().mean()),
     ]);
-    ExperimentResult {
-        id: "E2",
-        title: "Fig 2.2 — Mobile IP procedures: registration and triangle routing",
-        tables: vec![(format!("commute corridor, {secs:.0}s simulated"), t)],
-        notes: vec![
-            "expected shape: triangle delay > optimized delay; registrations higher without the hierarchy".into(),
-        ],
-        events,
-        fingerprints,
-    }
+    let secs = runs[0].spec.duration_s;
+    out.tables
+        .push((format!("commute corridor, {secs:.0}s simulated"), t));
 }
 
 /// E3 — Fig 2.3: Cellular IP access network. Route-update period vs
 /// signaling overhead and routing-state staleness.
-pub fn e3_cip_routing(opts: RunOptions) -> ExperimentResult {
-    let secs = opts.effort.secs(300.0);
-    let mut t = Table::new([
+fn e3_arms(effort: Effort) -> Vec<Arm> {
+    let flat = ScenarioSpec::single_domain().with_arch(ArchKind::FlatCellularIp);
+    [500, 1000, 2000, 4000, 8000]
+        .map(|period_ms| {
+            let spec = flat.clone().with_route_update_ms(period_ms);
+            arm("E3", &format!("{period_ms}ms"), 0, effort.secs(300.0), spec)
+        })
+        .into()
+}
+
+fn e3_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
+    fn updates(r: &Run) -> u64 {
+        r.report.signaling.route_updates
+    }
+    let t = per_run(
         "route-update period",
-        "route updates",
-        "updates/s",
-        "loss",
-        "no-route drops",
-        "paging drops",
-    ]);
-    let reports = run_specs(opts, arm_specs("E3", opts.effort));
-    let (events, fingerprints) = digest(&reports);
-    for (&period_ms, r) in e3_periods().iter().zip(&reports) {
-        let q = r.aggregate_qos();
-        let drops = |c| r.drops.get(&c).copied().unwrap_or(0);
-        t.row([
-            format!("{period_ms}ms"),
-            r.signaling.route_updates.to_string(),
-            fmt_f64(r.signaling.route_updates as f64 / secs),
-            pct(q.loss_rate),
-            drops(mtnet_core::report::DropCause::NoRoute).to_string(),
-            drops(mtnet_core::report::DropCause::Paging).to_string(),
-        ]);
-    }
-    ExperimentResult {
-        id: "E3",
-        title: "Fig 2.3 — Cellular IP: route-update rate vs overhead and staleness",
-        tables: vec![(format!("flat Cellular IP, single domain, {secs:.0}s"), t)],
-        notes: vec![
-            "expected shape: overhead falls linearly with the period; loss rises once caches outlive their refresh".into(),
-            "cache lifetime is 3x the period, so staleness appears via handoffs, not pure expiry".into(),
+        &[
+            ("route updates", |r| updates(r).to_string()),
+            ("updates/s", |r| {
+                fmt_f64(updates(r) as f64 / r.spec.duration_s)
+            }),
+            ("loss", |r| pct(r.report.aggregate_qos().loss_rate)),
+            ("no-route drops", |r| drops(&r.report, DropCause::NoRoute)),
+            ("paging drops", |r| drops(&r.report, DropCause::Paging)),
         ],
-        events,
-        fingerprints,
-    }
+        runs,
+    );
+    let secs = runs[0].spec.duration_s;
+    out.tables
+        .push((format!("flat Cellular IP, single domain, {secs:.0}s"), t));
 }
 
 /// E4 — Fig 2.4: Cellular IP hard vs semisoft handoff. Analytic loss
 /// window vs crossover distance, plus measured loss on the cyclist
 /// workload.
-pub fn e4_cip_handoff(opts: RunOptions) -> ExperimentResult {
+fn e4_arms(effort: Effort) -> Vec<Arm> {
+    [
+        ("hard", ArchKind::multi_tier_hard()),
+        ("semisoft", ArchKind::multi_tier()),
+    ]
+    .map(|(label, arch)| {
+        let spec = ScenarioSpec::single_domain().with_arch(arch);
+        arm("E4", label, 0, effort.secs(400.0), spec)
+    })
+    .into()
+}
+
+fn e4_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
     // Analytic part: a deep chain exposes the crossover-distance scaling.
     let mut chain = CipTree::new(NodeId(0));
     for i in 1..=6u32 {
@@ -600,44 +566,33 @@ pub fn e4_cip_handoff(opts: RunOptions) -> ExperimentResult {
         ]);
     }
     // Measured part: cyclists crossing micro cells.
-    let secs = opts.effort.secs(400.0);
-    let mut measured = Table::new([
+    let measured = per_run(
         "scheme",
-        "handoffs",
-        "loss",
-        "lost pkts",
-        "duplicates (bicast cost)",
-    ]);
-    let reports = run_specs(opts, arm_specs("E4", opts.effort));
-    let (events, fingerprints) = digest(&reports);
-    for ((label, _), r) in e4_arms().iter().zip(&reports) {
-        let q = r.aggregate_qos();
-        measured.row([
-            label.to_string(),
-            r.handoffs.total().to_string(),
-            pct(q.loss_rate),
-            (q.sent - q.received).to_string(),
-            q.duplicates.to_string(),
-        ]);
-    }
-    ExperimentResult {
-        id: "E4",
-        title: "Fig 2.4 — Cellular IP handoff: hard vs semisoft",
-        tables: vec![
-            ("Analytic loss window vs crossover distance (5 ms/hop)".into(), analytic),
-            (format!("Measured, cyclist workload, {secs:.0}s"), measured),
+        &[
+            ("handoffs", |r| r.report.handoffs.total().to_string()),
+            ("loss", |r| pct(r.report.aggregate_qos().loss_rate)),
+            ("lost pkts", |r| {
+                let q = r.report.aggregate_qos();
+                (q.sent - q.received).to_string()
+            }),
+            ("duplicates (bicast cost)", |r| {
+                r.report.aggregate_qos().duplicates.to_string()
+            }),
         ],
-        notes: vec![
-            "expected shape: hard window = crossover round-trip (paper); semisoft covers it at the cost of duplicates".into(),
-        ],
-        events,
-        fingerprints,
-    }
+        runs,
+    );
+    let secs = runs[0].spec.duration_s;
+    let caption = "Analytic loss window vs crossover distance (5 ms/hop)".into();
+    out.tables.push((caption, analytic));
+    let caption = format!("Measured, cyclist workload, {secs:.0}s");
+    out.tables.push((caption, measured));
 }
 
 /// E5 — Fig 3.1: hierarchical cell tables. Refresh period vs staleness and
-/// the micro-before-macro lookup order.
-pub fn e5_location(opts: RunOptions) -> ExperimentResult {
+/// the micro-before-macro lookup order. Analytic (no discrete-event
+/// simulation): its work count is location messages + directory queries,
+/// fixed by the loop bounds.
+fn e5_tables(opts: RunOptions, _: &[Run], out: &mut ExperimentResult) {
     // Fig 3.1 geometry: R3 over R1, R2; two-level micros per domain.
     let mut h = Hierarchy::new();
     let r3 = h.add_upper_macro(CellId(100));
@@ -727,21 +682,9 @@ pub fn e5_location(opts: RunOptions) -> ExperimentResult {
             macro_hits.to_string(),
         ]);
     }
-    ExperimentResult {
-        id: "E5",
-        title: "Fig 3.1 — micro_table/macro_table location management",
-        tables: vec![(
-            format!("{n_mns} nodes, 6 micro cells in 2 domains, table lifetime {lifetime}"),
-            t,
-        )],
-        notes: vec![
-            "expected shape: staleness ~0 while period < lifetime (6 s), then rises sharply".into(),
-            "micro-sourced records dominate hits: the paper's micro-first search order pays off"
-                .into(),
-        ],
-        events: total_work,
-        fingerprints: Vec::new(),
-    }
+    let caption = format!("{n_mns} nodes, 6 micro cells in 2 domains, table lifetime {lifetime}");
+    out.events += total_work;
+    out.tables.push((caption, t));
 }
 
 fn handoff_table(r: &SimReport) -> Table {
@@ -770,308 +713,283 @@ fn handoff_table(r: &SimReport) -> Table {
     t
 }
 
-/// E6 — Fig 3.2: inter-domain handoff when both domains share the upper
-/// BS: the update travels over the shared BS, not the home network.
-pub fn e6_interdomain_same(opts: RunOptions) -> ExperimentResult {
-    let secs = opts.effort.secs(500.0);
-    let reports = run_specs(opts, arm_specs("E6", opts.effort));
-    let r = &reports[0];
-    let (events, fingerprints) = digest(&reports);
-    ExperimentResult {
-        id: "E6",
-        title: "Fig 3.2 — inter-domain handoff, same upper BS",
-        tables: vec![(format!("2 domains sharing an upper BS, {secs:.0}s"), handoff_table(r))],
-        notes: vec![
-            "expected shape: inter-domain (same upper) latency well below the different-upper case of E7 — no home-network round trip".into(),
-        ],
-        events,
-        fingerprints,
-    }
-}
-
-/// E7 — Fig 3.3: inter-domain handoff when the upper BSs differ: the
-/// update detours via the home network.
-pub fn e7_interdomain_diff(opts: RunOptions) -> ExperimentResult {
-    let secs = opts.effort.secs(500.0);
-    let reports = run_specs(opts, arm_specs("E7", opts.effort));
-    let r = &reports[0];
-    let (events, fingerprints) = digest(&reports);
-    ExperimentResult {
-        id: "E7",
-        title: "Fig 3.3 — inter-domain handoff, different upper BS",
-        tables: vec![(format!("2 domains with separate upper BSs, {secs:.0}s"), handoff_table(r))],
-        notes: vec![
-            "expected shape: different-upper latency includes the home-network round trip (tens of ms of WAN)".into(),
-        ],
-        events,
-        fingerprints,
-    }
-}
-
-/// E8 — Fig 3.4: the three intra-domain handoff cases.
-pub fn e8_intradomain(opts: RunOptions) -> ExperimentResult {
-    let secs = opts.effort.secs(600.0);
-    let reports = run_specs(opts, arm_specs("E8", opts.effort));
-    let r = &reports[0];
-    let (events, fingerprints) = digest(&reports);
-    ExperimentResult {
-        id: "E8",
-        title: "Fig 3.4 — intra-domain handoffs (macro→micro, micro→macro, micro→micro)",
-        tables: vec![(format!("small city, mixed population, {secs:.0}s"), handoff_table(r))],
-        notes: vec![
-            "expected shape: all intra cases complete within the access network (≈ semisoft delay + tree climb), far below inter-domain costs".into(),
-        ],
-        events,
-        fingerprints,
-    }
+/// E6–E8 — Figs 3.2–3.4: one multi-tier run each, tabulated by handoff
+/// type: inter-domain under a shared upper BS (the update travels over
+/// it, not the home network), inter-domain under separate upper BSs
+/// (the update detours via the home network), and the three
+/// intra-domain cases.
+fn handoff_tables(scene: &str, run: &Run, out: &mut ExperimentResult) {
+    let caption = format!("{scene}, {:.0}s", run.spec.duration_s);
+    out.tables.push((caption, handoff_table(&run.report)));
 }
 
 /// E9 — Fig 4.1: the RSMC. With vs without the combined
 /// gateway/cache/notifier.
-pub fn e9_rsmc(opts: RunOptions) -> ExperimentResult {
-    let secs = opts.effort.secs(300.0);
-    let mut t = Table::new([
+fn e9_arms(effort: Effort) -> Vec<Arm> {
+    [ArchKind::multi_tier(), ArchKind::multi_tier_no_rsmc()]
+        .map(|arch| {
+            arch_arm(
+                "E9",
+                arch,
+                0,
+                effort.secs(300.0),
+                ScenarioSpec::small_city(),
+            )
+        })
+        .into()
+}
+
+fn e9_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
+    let t = per_run(
         "architecture",
-        "loss",
-        "mean delay",
-        "p95 delay",
-        "rsmc notifications",
-        "no-route drops",
-        "paging drops",
-    ]);
-    let reports = run_specs(opts, arm_specs("E9", opts.effort));
-    let (events, fingerprints) = digest(&reports);
-    for (&arch, r) in e9_arms().iter().zip(&reports) {
-        let q = r.aggregate_qos();
-        let drops = |c| r.drops.get(&c).copied().unwrap_or(0);
-        t.row([
-            arch.label().to_string(),
-            pct(q.loss_rate),
-            ms(q.mean_delay_ms),
-            ms(q.p95_delay_ms),
-            r.signaling.rsmc_notifications.to_string(),
-            drops(mtnet_core::report::DropCause::NoRoute).to_string(),
-            drops(mtnet_core::report::DropCause::Paging).to_string(),
-        ]);
-    }
-    ExperimentResult {
-        id: "E9",
-        title: "Fig 4.1 — RSMC: combined gateway cache + HA/CN notification",
-        tables: vec![(format!("small city, {secs:.0}s"), t)],
-        notes: vec![
-            "expected shape: RSMC cuts mean delay (route optimization via CN notify) and loss (location-cache rescue of stale routes)".into(),
+        &[
+            ("loss", |r| pct(r.report.aggregate_qos().loss_rate)),
+            ("mean delay", |r| ms(r.report.aggregate_qos().mean_delay_ms)),
+            ("p95 delay", |r| ms(r.report.aggregate_qos().p95_delay_ms)),
+            ("rsmc notifications", |r| {
+                r.report.signaling.rsmc_notifications.to_string()
+            }),
+            ("no-route drops", |r| drops(&r.report, DropCause::NoRoute)),
+            ("paging drops", |r| drops(&r.report, DropCause::Paging)),
         ],
-        events,
-        fingerprints,
-    }
+        runs,
+    );
+    let secs = runs[0].spec.duration_s;
+    out.tables.push((format!("small city, {secs:.0}s"), t));
 }
 
 /// E10 — headline claim 1: improved QoS (handoff latency and delay) of
-/// the proposed architecture vs both baselines.
-pub fn e10_qos(opts: RunOptions) -> ExperimentResult {
-    let secs = opts.effort.secs(300.0);
-    let reps = opts.effort.replications();
-    let archs = e10_arms();
-    // All (architecture, replication) runs fan out in one batch; each gets
-    // its own (E10, arch, rep)-derived seed, so results are independent of
-    // how the pool schedules them.
-    let reports = run_specs(opts, arm_specs("E10", opts.effort));
-    let (events, fingerprints) = digest(&reports);
-    let mut t = Table::new([
-        "architecture",
-        "loss",
-        "mean delay",
-        "p95 delay",
-        "jitter",
-        "handoffs",
-        "handoff latency",
-        "signaling msgs",
-    ]);
-    for (a, arch) in archs.iter().enumerate() {
-        let runs = &reports[a * reps as usize..][..reps as usize];
-        let mut agg = Replicates::new();
-        for r in runs {
-            let q = r.aggregate_qos();
-            agg.record("loss", q.loss_rate);
-            agg.record("mean_delay", q.mean_delay_ms);
-            agg.record("p95_delay", q.p95_delay_ms);
-            agg.record("jitter", q.jitter_ms);
-            agg.record("handoffs", r.handoffs.total() as f64);
-            agg.record("latency", r.handoffs.latency_all().mean());
-            agg.record("signaling", r.signaling.total_messages() as f64);
+/// the proposed architecture vs both baselines. All (architecture,
+/// replication) runs fan out in one batch; each gets its own
+/// (E10, arch, rep)-derived seed, so results are independent of how the
+/// pool schedules them.
+fn e10_arms(effort: Effort) -> Vec<Arm> {
+    let archs = [
+        ArchKind::multi_tier(),
+        ArchKind::PureMobileIp,
+        ArchKind::FlatCellularIp,
+    ];
+    let mut arms = Vec::new();
+    for arch in archs {
+        for rep in 0..effort.replications() {
+            let city = ScenarioSpec::small_city();
+            arms.push(arch_arm("E10", arch, rep, effort.secs(300.0), city));
         }
-        t.row([
-            arch.label().to_string(),
-            pm(agg.get("loss"), pct),
-            pm(agg.get("mean_delay"), ms),
-            pm(agg.get("p95_delay"), ms),
-            pm(agg.get("jitter"), ms),
-            pm(agg.get("handoffs"), count_fmt),
-            pm(agg.get("latency"), ms),
-            pm(agg.get("signaling"), count_fmt),
-        ]);
     }
-    ExperimentResult {
-        id: "E10",
-        title: "Claim — multi-tier improves QoS over pure Mobile IP and flat Cellular IP",
-        tables: vec![(
-            format!("small city, mixed population, {secs:.0}s, {reps} replications (mean±95% CI)"),
-            t,
-        )],
-        notes: vec![
-            "expected shape: multi-tier wins on delay (vs triangle-routing Mobile IP) and on loss/outage (vs coverage-limited flat Cellular IP)".into(),
+    arms
+}
+
+fn e10_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
+    let t = per_arm(
+        &["architecture"],
+        &[
+            ("loss", |r| r.aggregate_qos().loss_rate, pct),
+            ("mean delay", |r| r.aggregate_qos().mean_delay_ms, ms),
+            ("p95 delay", |r| r.aggregate_qos().p95_delay_ms, ms),
+            ("jitter", |r| r.aggregate_qos().jitter_ms, ms),
+            ("handoffs", |r| r.handoffs.total() as f64, count_fmt),
+            ("handoff latency", |r| r.handoffs.latency_all().mean(), ms),
+            (
+                "signaling msgs",
+                |r| r.signaling.total_messages() as f64,
+                count_fmt,
+            ),
         ],
-        events,
-        fingerprints,
-    }
+        runs,
+    );
+    let caption = format!("small city, mixed population, {}", replicated_for(runs, ""));
+    out.tables.push((caption, t));
 }
 
 /// E11 — headline claim 2: reduced data-packet loss for mobile multimedia,
-/// across population speeds.
-pub fn e11_loss(opts: RunOptions) -> ExperimentResult {
-    let secs = opts.effort.secs(300.0);
-    let populations = e11_populations();
-    let archs = e11_arms();
-    let reps = opts.effort.replications();
-    // One job per (population, architecture, replication); the arm label
-    // in the seed path carries both the population and the architecture.
-    let reports = run_specs(opts, arm_specs("E11", opts.effort));
-    let (events, fingerprints) = digest(&reports);
-    let mut t = Table::new([
-        "population",
-        "architecture",
-        "loss",
-        "jitter",
-        "handoffs",
-        "outage samples",
-    ]);
-    let mut next = reports.chunks(reps as usize);
-    for (pname, _) in populations {
+/// across population speeds. One job per (population, architecture,
+/// replication); the arm label carries both the population and the
+/// architecture, as `population/architecture`.
+fn e11_arms(effort: Effort) -> Vec<Arm> {
+    let populations = [
+        ("pedestrians", (8, 0, 0)),
+        ("cyclists", (0, 8, 0)),
+        ("vehicles", (0, 0, 4)),
+    ];
+    let archs = [
+        ArchKind::multi_tier(),
+        ArchKind::multi_tier_hard(),
+        ArchKind::PureMobileIp,
+        ArchKind::FlatCellularIp,
+    ];
+    let mut arms = Vec::new();
+    for (pname, (p, c, v)) in populations {
         for arch in archs {
-            let runs = next.next().expect("one chunk per (population, arch)");
-            let mut agg = Replicates::new();
-            for r in runs {
-                let q = r.aggregate_qos();
-                agg.record("loss", q.loss_rate);
-                agg.record("jitter", q.jitter_ms);
-                agg.record("handoffs", r.handoffs.total() as f64);
-                agg.record("outages", r.handoffs.outage_samples as f64);
+            for rep in 0..effort.replications() {
+                let city = ScenarioSpec::small_city()
+                    .with_arch(arch)
+                    .with_population(p, c, v);
+                let label = format!("{pname}/{}", arch.label());
+                arms.push(arm("E11", &label, rep, effort.secs(300.0), city));
             }
-            t.row([
-                pname.to_string(),
-                arch.label().to_string(),
-                pm(agg.get("loss"), pct),
-                pm(agg.get("jitter"), ms),
-                pm(agg.get("handoffs"), count_fmt),
-                pm(agg.get("outages"), count_fmt),
-            ]);
         }
     }
-    ExperimentResult {
-        id: "E11",
-        title: "Claim — multi-tier + semisoft + RSMC reduces multimedia packet loss",
-        tables: vec![(
-            format!("small city, {secs:.0}s per cell, {reps} replications (mean±95% CI)"),
-            t,
-        )],
-        notes: vec![
-            "expected shape: fast populations break flat Cellular IP (outages) and stress pure Mobile IP (registration loss); the multi-tier architecture stays low across all speeds".into(),
-            "semisoft ≤ hard loss for the micro-tier populations".into(),
+    arms
+}
+
+fn e11_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
+    let t = per_arm(
+        &["population", "architecture"],
+        &[
+            ("loss", |r| r.aggregate_qos().loss_rate, pct),
+            ("jitter", |r| r.aggregate_qos().jitter_ms, ms),
+            ("handoffs", |r| r.handoffs.total() as f64, count_fmt),
+            (
+                "outage samples",
+                |r| r.handoffs.outage_samples as f64,
+                count_fmt,
+            ),
         ],
-        events,
-        fingerprints,
-    }
+        runs,
+    );
+    let caption = format!("small city, {}", replicated_for(runs, " per cell"));
+    out.tables.push((caption, t));
 }
 
 /// E12 — §3.2 ablation: which of the three handoff factors matter.
-pub fn e12_ablation(opts: RunOptions) -> ExperimentResult {
-    let secs = opts.effort.secs(300.0);
-    let mut t = Table::new([
+fn e12_arms(effort: Effort) -> Vec<Arm> {
+    let factors = |speed, signal, resources| HandoffFactors {
+        speed,
+        signal,
+        resources,
+    };
+    [
+        ("all three (paper)", HandoffFactors::all()),
+        ("signal only", HandoffFactors::signal_only()),
+        ("no speed", factors(false, true, true)),
+        ("no signal", factors(true, false, true)),
+        ("no resources", factors(true, true, false)),
+    ]
+    .map(|(label, factors)| {
+        let city = ScenarioSpec::small_city()
+            .with_population(6, 3, 3)
+            .with_factors(factors);
+        arm("E12", label, 0, effort.secs(300.0), city)
+    })
+    .into()
+}
+
+fn e12_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
+    let t = per_run(
         "factors",
-        "handoffs",
-        "ping-pong",
-        "rejected",
-        "fallback used",
-        "outages",
-        "loss",
-    ]);
-    let reports = run_specs(opts, arm_specs("E12", opts.effort));
-    let (events, fingerprints) = digest(&reports);
-    for ((label, _), r) in e12_arms().iter().zip(&reports) {
-        let q = r.aggregate_qos();
-        t.row([
-            label.to_string(),
-            r.handoffs.total().to_string(),
-            r.handoffs.ping_pong.to_string(),
-            r.handoffs.rejected.to_string(),
-            r.handoffs.fallback_used.to_string(),
-            r.handoffs.outage_samples.to_string(),
-            pct(q.loss_rate),
-        ]);
-    }
-    ExperimentResult {
-        id: "E12",
-        title: "Ablation — the three handoff factors of §3.2",
-        tables: vec![(format!("small city, mixed population, {secs:.0}s"), t)],
-        notes: vec![
-            "expected shape: dropping the speed factor strands fast nodes in micro cells (more handoffs); dropping signal raises ping-pong; dropping resources removes the fallback safety valve".into(),
+        &[
+            ("handoffs", |r| r.report.handoffs.total().to_string()),
+            ("ping-pong", |r| r.report.handoffs.ping_pong.to_string()),
+            ("rejected", |r| r.report.handoffs.rejected.to_string()),
+            ("fallback used", |r| {
+                r.report.handoffs.fallback_used.to_string()
+            }),
+            ("outages", |r| r.report.handoffs.outage_samples.to_string()),
+            ("loss", |r| pct(r.report.aggregate_qos().loss_rate)),
         ],
-        events,
-        fingerprints,
-    }
+        runs,
+    );
+    let secs = runs[0].spec.duration_s;
+    out.tables
+        .push((format!("small city, mixed population, {secs:.0}s"), t));
 }
 
 /// E13 — resilience under infrastructure faults: the same outage, flap
 /// and failover schedule against the hierarchical architecture and pure
 /// Mobile IP, plus an eclipsed satellite overlay.
-pub fn e13_resilience(opts: RunOptions) -> ExperimentResult {
-    let secs = opts.effort.secs(300.0);
-    let reports = run_specs(opts, arm_specs("E13", opts.effort));
-    let (events, fingerprints) = digest(&reports);
-    let mut t = Table::new([
+///
+/// In the shared schedule, cell 1 is domain 0's macro umbrella — the
+/// only radio cell whose id means the same thing under both
+/// architectures (pure Mobile IP deploys no micro row) — and all windows
+/// land inside the Quick horizon (30 s). The overlay arm is the E1 rural
+/// corridor with the satellite tier, eclipsed while the shuttle crosses
+/// the macro hole (t ≈ 104–224 s); its horizon floor matches E1's.
+fn e13_arms(effort: Effort) -> Vec<Arm> {
+    let schedule = FaultSpec {
+        cell_outages: vec![CellOutage {
+            cell: 1,
+            start_s: 8.0,
+            end_s: 16.0,
+        }],
+        link_flaps: vec![LinkFlap {
+            domain: 1,
+            start_s: 5.0,
+            period_s: 8.0,
+            duty: 0.5,
+            jitter_s: 0.5,
+            count: 2,
+        }],
+        rsmc_failovers: vec![RsmcFailover {
+            domain: 2,
+            at_s: 18.0,
+            takeover_s: Some(5.0),
+        }],
+        eclipses: Vec::new(),
+    };
+    let eclipse = FaultSpec {
+        eclipses: vec![EclipseWindow {
+            start_s: 120.0,
+            end_s: 180.0,
+        }],
+        ..FaultSpec::default()
+    };
+    let faulted = |label: &str, arch: ArchKind| {
+        let spec = ScenarioSpec::small_city()
+            .with_arch(arch)
+            .with_faults(schedule.clone())
+            .with_duration_s(effort.secs(300.0))
+            .with_seed_path("E13", arch.label(), 0);
+        (label.to_string(), spec)
+    };
+    let overlay = ScenarioSpec::rural_corridor()
+        .with_satellite()
+        .with_faults(eclipse)
+        .with_duration_s(e1_overlay_secs(effort))
+        .with_seed_path("E13", "satellite-eclipse", 0);
+    vec![
+        faulted("multi-tier", ArchKind::multi_tier()),
+        faulted("pure mobile-ip", ArchKind::PureMobileIp),
+        ("satellite eclipse".to_string(), overlay),
+    ]
+}
+
+fn e13_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
+    let t = per_run(
         "arm",
-        "fault events",
-        "loss",
-        "outage drops",
-        "re-registrations",
-        "recoveries",
-        "recovery mean",
-        "recovery max",
-    ]);
-    let labels = ["multi-tier", "pure mobile-ip", "satellite eclipse"];
-    for (label, r) in labels.iter().zip(&reports) {
-        let q = r.aggregate_qos();
-        let f = &r.faults;
-        let rec = &f.recovery_latency_ms;
-        t.row([
-            label.to_string(),
-            f.total_transitions().to_string(),
-            pct(q.loss_rate),
-            f.outage_drops.to_string(),
-            f.reregistrations.to_string(),
-            rec.count().to_string(),
-            if rec.count() > 0 {
-                ms(rec.mean())
-            } else {
-                "-".into()
-            },
-            rec.max().map_or("-".into(), ms),
-        ]);
-    }
-    ExperimentResult {
-        id: "E13",
-        title: "Resilience — spec-driven outages, flaps, failover and eclipse",
-        tables: vec![(
-            format!("identical fault schedules per arm, {secs:.0}s (overlay arm: E1 horizon)"),
-            t,
-        )],
-        notes: vec![
-            "expected shape: the hierarchy re-converges via soft-state refresh (bounded recovery latency); pure Mobile IP pays a re-registration storm per restore".into(),
-            "the eclipse arm re-opens the E1 macro hole while the overlay is dark — loss climbs toward the terrestrial-only arm of E1".into(),
+        &[
+            ("fault events", |r| {
+                r.report.faults.total_transitions().to_string()
+            }),
+            ("loss", |r| pct(r.report.aggregate_qos().loss_rate)),
+            ("outage drops", |r| r.report.faults.outage_drops.to_string()),
+            ("re-registrations", |r| {
+                r.report.faults.reregistrations.to_string()
+            }),
+            ("recoveries", |r| {
+                r.report.faults.recovery_latency_ms.count().to_string()
+            }),
+            ("recovery mean", |r| {
+                let rec = &r.report.faults.recovery_latency_ms;
+                if rec.count() > 0 {
+                    ms(rec.mean())
+                } else {
+                    "-".into()
+                }
+            }),
+            ("recovery max", |r| {
+                r.report
+                    .faults
+                    .recovery_latency_ms
+                    .max()
+                    .map_or("-".into(), ms)
+            }),
         ],
-        events,
-        fingerprints,
-    }
+        runs,
+    );
+    let secs = runs[0].spec.duration_s;
+    let caption =
+        format!("identical fault schedules per arm, {secs:.0}s (overlay arm: E1 horizon)");
+    out.tables.push((caption, t));
 }
 
 /// E14 — the metro tier: a million-subscriber world carried with
@@ -1081,9 +999,22 @@ pub fn e13_resilience(opts: RunOptions) -> ExperimentResult {
 /// constant-memory aggregate histogram instead of per-flow
 /// distributions. The table reports the per-tier admission pressure and
 /// the aggregate delay percentiles the streaming accumulators exist for.
-pub fn e14_metro(opts: RunOptions) -> ExperimentResult {
-    let specs = arm_specs("E14", opts.effort);
-    let spec = specs[0].clone();
+///
+/// The metro tier scales with effort: Full is the headline
+/// 10^6-subscriber world; Quick is the same knobs at CI size (10k nodes,
+/// 8 domains) so the suite and the smoke test stay bounded. Both run the
+/// identical code paths — SoA tables, aggregate QoS, modular stagger,
+/// load curve.
+fn e14_arms(effort: Effort) -> Vec<Arm> {
+    let base = match effort {
+        Effort::Quick => ScenarioSpec::metro_smoke(),
+        Effort::Full => ScenarioSpec::metro(),
+    };
+    vec![arm("E14", "metro", 0, effort.secs(120.0), base)]
+}
+
+fn e14_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
+    let (spec, r) = (&runs[0].spec, &runs[0].report);
     let secs = spec.duration_s;
     let subscribers = spec.pedestrians + spec.cyclists + spec.vehicles;
     let flows = if spec.voice_every > 0 {
@@ -1101,9 +1032,6 @@ pub fn e14_metro(opts: RunOptions) -> ExperimentResult {
             0
         }
         + u32::from(spec.satellite);
-    let reports = run_specs(opts, specs);
-    let (events, fingerprints) = digest(&reports);
-    let r = &reports[0];
     let agg = r
         .aggregate
         .as_ref()
@@ -1139,29 +1067,11 @@ pub fn e14_metro(opts: RunOptions) -> ExperimentResult {
         "location messages".into(),
         r.signaling.location_messages.to_string(),
     ]);
-    ExperimentResult {
-        id: "E14",
-        title: "Metro tier — 10^6 subscribers, O(active) state, streaming QoS",
-        tables: vec![(
-            format!(
-                "{} domains + satellite overlay, commute-hour load curve, {secs:.0}s",
-                spec.n_domains
-            ),
-            t,
-        )],
-        notes: vec![
-            "state scales with the active set: per-flow delay histograms collapse into one \
-             2048-bucket aggregate; RSMC auth and MNLD rows are O(population) columns, not \
-             O(subscribers) side maps"
-                .into(),
-            "expected shape: idle subscribers cost only their periodic ticks (5 s move samples, \
-             60 s location/paging); the pico street rows absorb the active calls and the macro \
-             umbrella takes the overflow"
-                .into(),
-        ],
-        events,
-        fingerprints,
-    }
+    let caption = format!(
+        "{} domains + satellite overlay, commute-hour load curve, {secs:.0}s",
+        spec.n_domains
+    );
+    out.tables.push((caption, t));
 }
 
 #[cfg(test)]
@@ -1170,14 +1080,35 @@ mod tests {
 
     #[test]
     fn e1_is_complete() {
-        let r = e1_multitier_coverage(RunOptions::new(Effort::Quick, 1));
+        let r = find("E1").unwrap().run(RunOptions::new(Effort::Quick, 1));
         assert_eq!(r.tables.len(), 3);
         assert_eq!(r.tables[0].1.len(), 4, "one row per tier");
+        let threshold = format!("threshold: {} m/s", Tier::SPEED_THRESHOLD_MPS);
+        assert!(r.notes[1].ends_with(&threshold), "{}", r.notes[1]);
+    }
+
+    #[test]
+    fn arm_labels_are_unique_and_arm_specs_is_the_table() {
+        for e in &EXPERIMENTS {
+            let arms = (e.arms)(Effort::Quick);
+            let mut seen = std::collections::HashSet::new();
+            for (label, spec) in &arms {
+                let rep = spec.seed.replication();
+                assert!(
+                    seen.insert((label, rep)),
+                    "{}: {label} rep {rep} twice",
+                    e.id
+                );
+            }
+            let specs: Vec<ScenarioSpec> = arms.iter().map(|(_, s)| s.clone()).collect();
+            assert_eq!(arm_specs(&e.id.to_lowercase(), Effort::Quick), specs);
+        }
+        assert_eq!(crate::ALL_IDS.len(), EXPERIMENTS.len());
     }
 
     #[test]
     fn e5_staleness_rises_past_lifetime() {
-        let r = e5_location(RunOptions::new(Effort::Quick, 3));
+        let r = find("E5").unwrap().run(RunOptions::new(Effort::Quick, 3));
         let rendered = r.render();
         // The 2 s row must show ~0 staleness; the 12 s row must not.
         assert!(rendered.contains("2s"));
@@ -1186,7 +1117,7 @@ mod tests {
 
     #[test]
     fn e4_analytic_monotone() {
-        let r = e4_cip_handoff(RunOptions::new(Effort::Quick, 3));
+        let r = find("E4").unwrap().run(RunOptions::new(Effort::Quick, 3));
         assert!(r.render().contains("hard loss window"));
     }
 
@@ -1250,7 +1181,7 @@ mod tests {
                 threads,
                 ..RunOptions::new(Effort::Quick, 7)
             };
-            e10_qos(opts).render()
+            find("E10").unwrap().run(opts).render()
         };
         assert_eq!(run_with(1), run_with(4));
     }
@@ -1265,13 +1196,10 @@ mod tests {
         // metro-tier world (idle camping + aggregate QoS exercise the new
         // paths).
         let arms = || {
-            let mut specs = arm_specs("E1", Effort::Quick);
-            specs.push(
-                ScenarioSpec::metro_smoke()
-                    .with_duration_s(30.0)
-                    .with_seed_path("parity", "metro", 0),
-            );
-            specs
+            let mut arms = e1_arms(Effort::Quick);
+            let metro = ScenarioSpec::metro_smoke();
+            arms.push(arm("parity", "metro", 0, 30.0, metro));
+            arms
         };
         let run_with = |threads: usize, shards: u32| -> Vec<String> {
             let opts = RunOptions {
@@ -1279,8 +1207,8 @@ mod tests {
                 shards: Some(shards),
                 ..RunOptions::new(Effort::Quick, 42)
             };
-            let reports = run_specs(opts, arms());
-            reports.iter().map(|r| r.fingerprint()).collect()
+            let runs = run_arms(opts, arms());
+            runs.iter().map(|r| r.report.fingerprint()).collect()
         };
         let reference = run_with(1, 1);
         assert!(reference.len() >= 3, "E1 arms plus the metro world");

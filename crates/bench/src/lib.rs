@@ -21,22 +21,9 @@
 //! lease files with heartbeats, work-stealing reclaim of dead workers'
 //! cells, and quarantine of cells that keep killing their owners.
 //!
-//! | id  | paper artifact | runner |
-//! |-----|----------------|--------|
-//! | E1  | Fig 2.1 multi-tier architecture      | [`experiments::e1_multitier_coverage`] |
-//! | E2  | Fig 2.2 Mobile IP procedures         | [`experiments::e2_mobileip`] |
-//! | E3  | Fig 2.3 Cellular IP access network   | [`experiments::e3_cip_routing`] |
-//! | E4  | Fig 2.4 Cellular IP handoff          | [`experiments::e4_cip_handoff`] |
-//! | E5  | Fig 3.1 hierarchical location tables | [`experiments::e5_location`] |
-//! | E6  | Fig 3.2 inter-domain same upper      | [`experiments::e6_interdomain_same`] |
-//! | E7  | Fig 3.3 inter-domain different upper | [`experiments::e7_interdomain_diff`] |
-//! | E8  | Fig 3.4 intra-domain handoffs        | [`experiments::e8_intradomain`] |
-//! | E9  | Fig 4.1 RSMC architecture            | [`experiments::e9_rsmc`] |
-//! | E10 | claim: improved QoS                  | [`experiments::e10_qos`] |
-//! | E11 | claim: reduced packet loss           | [`experiments::e11_loss`] |
-//! | E12 | §3.2 factor ablation                 | [`experiments::e12_ablation`] |
-//! | E13 | resilience under infrastructure faults | [`experiments::e13_resilience`] |
-//! | E14 | metro tier: 10^6 subscribers, O(active) state | [`experiments::e14_metro`] |
+//! The fourteen experiments — id, paper artifact, arms, tables — are
+//! declared once, in [`experiments::EXPERIMENTS`]; [`ALL_IDS`],
+//! [`run_one`] and [`experiments::arm_specs`] are lookups into it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -121,7 +108,7 @@ pub struct ExperimentResult {
     /// One or more captioned tables.
     pub tables: Vec<(String, Table)>,
     /// Interpretation notes (expected shape, caveats).
-    pub notes: Vec<String>,
+    pub notes: &'static [&'static str],
     /// Deterministic work count: total simulator events executed across
     /// every run of the experiment (the sum of its fingerprints'
     /// `events=` lines), or — for E5, which runs no discrete-event
@@ -144,7 +131,7 @@ impl ExperimentResult {
             let _ = writeln!(out, "\n{caption}");
             let _ = write!(out, "{table}");
         }
-        for note in &self.notes {
+        for note in self.notes {
             let _ = writeln!(out, "note: {note}");
         }
         out
@@ -152,39 +139,20 @@ impl ExperimentResult {
 }
 
 /// Every experiment id, in suite order.
-pub const ALL_IDS: [&str; 14] = [
-    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14",
-];
+pub const ALL_IDS: [&str; 14] = {
+    let mut ids = [""; 14];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = experiments::EXPERIMENTS[i].id;
+        i += 1;
+    }
+    ids
+};
 
 /// Runs a single experiment by id (case-insensitive); `None` for unknown
 /// ids.
 pub fn run_one(id: &str, opts: RunOptions) -> Option<ExperimentResult> {
-    let r = match id.to_ascii_uppercase().as_str() {
-        "E1" => experiments::e1_multitier_coverage(opts),
-        "E2" => experiments::e2_mobileip(opts),
-        "E3" => experiments::e3_cip_routing(opts),
-        "E4" => experiments::e4_cip_handoff(opts),
-        "E5" => experiments::e5_location(opts),
-        "E6" => experiments::e6_interdomain_same(opts),
-        "E7" => experiments::e7_interdomain_diff(opts),
-        "E8" => experiments::e8_intradomain(opts),
-        "E9" => experiments::e9_rsmc(opts),
-        "E10" => experiments::e10_qos(opts),
-        "E11" => experiments::e11_loss(opts),
-        "E12" => experiments::e12_ablation(opts),
-        "E13" => experiments::e13_resilience(opts),
-        "E14" => experiments::e14_metro(opts),
-        _ => return None,
-    };
-    Some(r)
-}
-
-/// Runs every experiment in order.
-pub fn run_all(opts: RunOptions) -> Vec<ExperimentResult> {
-    ALL_IDS
-        .iter()
-        .map(|id| run_one(id, opts).expect("known id"))
-        .collect()
+    experiments::find(id).map(|e| e.run(opts))
 }
 
 #[cfg(test)]
@@ -206,7 +174,7 @@ mod tests {
 
     #[test]
     fn render_contains_id_and_tables() {
-        let r = experiments::e1_multitier_coverage(RunOptions::new(Effort::Quick, 1));
+        let r = run_one("e1", RunOptions::new(Effort::Quick, 1)).expect("known id");
         let text = r.render();
         assert!(text.contains("E1"));
         assert!(text.contains("macro"));

@@ -17,21 +17,42 @@
 //! `tests/sweep_store.rs`). Loads verify the stored spec text and master
 //! seed before trusting a slot, so a hash collision degrades to a
 //! recompute, never a wrong result.
+//!
+//! The slot file is a [`mtnet_core::kv`] record — the scalar block is
+//! declared in this module's `RUN` field table, the metric, spec and
+//! fingerprint lines are its prefixed blocks — and every file the store
+//! directory holds (slots here, leases and quarantine records in
+//! [`crate::coord`]) is published through the one `write_atomic`.
 
+use mtnet_core::kv::{self, field, Kind, Presence::Required, Record};
+use mtnet_core::lens;
 use mtnet_core::report::SimReport;
 use mtnet_core::spec::ScenarioSpec;
+use mtnet_sim::rng::{fnv1a, FNV_OFFSET};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// One extracted metric value: exact counters or bit-exact floats.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum MetricValue {
     /// A counter.
     U(u64),
     /// A float, serialized as its IEEE-754 bit pattern.
     F(f64),
+}
+
+/// Floats compare by bit pattern, as they are stored: a NaN metric
+/// equals itself, and `0.0` is not `-0.0`.
+impl PartialEq for MetricValue {
+    fn eq(&self, other: &MetricValue) -> bool {
+        match (*self, *other) {
+            (MetricValue::U(a), MetricValue::U(b)) => a == b,
+            (MetricValue::F(a), MetricValue::F(b)) => a.to_bits() == b.to_bits(),
+            _ => false,
+        }
+    }
 }
 
 impl MetricValue {
@@ -108,7 +129,7 @@ pub fn extract_metrics(report: &SimReport) -> Vec<(&'static str, MetricValue)> {
 /// One completed sweep cell as stored on disk: the run's identity, its
 /// extracted metric surface and bit-exact fingerprint, plus the exact
 /// `(spec text, master seed)` pair it was computed from.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StoredRun {
     /// Cell label (axis assignments + replication).
     pub label: String,
@@ -127,8 +148,36 @@ pub struct StoredRun {
     pub metrics: Vec<(String, MetricValue)>,
 }
 
-/// Header line of the store file format.
-const RUN_HEADER: &str = "mtnet-run v1";
+/// Appends one `spec | ` / `fp | ` line to its text.
+fn push_line(text: &mut String, line: &str) -> Option<()> {
+    text.push_str(line);
+    text.push('\n');
+    Some(())
+}
+
+/// The slot file: four required scalars, then the `metric <name> = …`,
+/// `spec | …` and `fp | …` lines [`StoredRun::render`] appends.
+#[rustfmt::skip]
+static RUN: Record<StoredRun> = Record {
+    header: "mtnet-run v1",
+    comments: false,
+    init: StoredRun::default,
+    fields: &[
+        field("label", Required, Kind::Raw(lens!(label))),
+        field("seed", Required, Kind::Hex64(lens!(seed))),
+        field("replication", Required, Kind::U64(lens!(replication))),
+        field("master_seed", Required, Kind::U64(lens!(master_seed))),
+    ],
+    blocks: &[
+        ("metric ", |run, line| {
+            let (name, value) = line.split_once('=')?;
+            run.metrics.push((name.trim().to_string(), MetricValue::parse(value.trim())?));
+            Some(())
+        }),
+        ("spec | ", |run, line| push_line(&mut run.spec_text, line)),
+        ("fp | ", |run, line| push_line(&mut run.fingerprint, line)),
+    ],
+};
 
 impl StoredRun {
     /// Captures a finished run.
@@ -163,12 +212,7 @@ impl StoredRun {
     /// Serializes to the store file format.
     pub fn render(&self) -> String {
         use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "{RUN_HEADER}");
-        let _ = writeln!(out, "label = {}", self.label);
-        let _ = writeln!(out, "seed = {:016x}", self.seed);
-        let _ = writeln!(out, "replication = {}", self.replication);
-        let _ = writeln!(out, "master_seed = {}", self.master_seed);
+        let mut out = RUN.render(self);
         for (name, value) in &self.metrics {
             let _ = writeln!(out, "metric {name} = {}", value.render());
         }
@@ -181,60 +225,10 @@ impl StoredRun {
         out
     }
 
-    /// Parses the store file format.
-    pub fn parse(text: &str) -> Result<StoredRun, String> {
-        let mut lines = text.lines();
-        if lines.next().map(str::trim) != Some(RUN_HEADER) {
-            return Err(format!("missing {RUN_HEADER:?} header"));
-        }
-        let mut run = StoredRun {
-            label: String::new(),
-            seed: 0,
-            replication: 0,
-            master_seed: 0,
-            spec_text: String::new(),
-            fingerprint: String::new(),
-            metrics: Vec::new(),
-        };
-        for line in lines {
-            if let Some(rest) = line.strip_prefix("spec | ") {
-                run.spec_text.push_str(rest);
-                run.spec_text.push('\n');
-            } else if let Some(rest) = line.strip_prefix("fp | ") {
-                run.fingerprint.push_str(rest);
-                run.fingerprint.push('\n');
-            } else if let Some(rest) = line.strip_prefix("metric ") {
-                let (name, value) = rest
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad metric line {line:?}"))?;
-                let value = MetricValue::parse(value.trim())
-                    .ok_or_else(|| format!("bad metric value {line:?}"))?;
-                run.metrics.push((name.trim().to_string(), value));
-            } else if let Some((key, value)) = line.split_once('=') {
-                let value = value.trim();
-                match key.trim() {
-                    "label" => run.label = value.to_string(),
-                    "seed" => {
-                        run.seed = u64::from_str_radix(value, 16)
-                            .map_err(|_| format!("bad seed {value:?}"))?;
-                    }
-                    "replication" => {
-                        run.replication = value
-                            .parse()
-                            .map_err(|_| format!("bad replication {value:?}"))?;
-                    }
-                    "master_seed" => {
-                        run.master_seed = value
-                            .parse()
-                            .map_err(|_| format!("bad master_seed {value:?}"))?;
-                    }
-                    other => return Err(format!("unknown key {other:?}")),
-                }
-            } else if !line.trim().is_empty() {
-                return Err(format!("unparseable line {line:?}"));
-            }
-        }
-        Ok(run)
+    /// Parses the store file format; a file missing any scalar key (one
+    /// truncated after its header, say) is an error, hence a store miss.
+    pub fn parse(text: &str) -> Result<StoredRun, kv::Error> {
+        RUN.parse(text)
     }
 }
 
@@ -244,10 +238,41 @@ pub struct ResultStore {
     dir: PathBuf,
 }
 
-/// Per-process sequence for temp-file names: concurrent saves of the
-/// same key from different threads (or the coordinator's lease writes)
-/// must never share a temp path.
+/// Per-process sequence for temp-file names: concurrent writers of the
+/// same path from different threads must never share a temp path.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A unique (per process × call) sibling of `path` that the orphan GC
+/// recognizes by its `.tmp` suffix: `<stem>.<pid>-<seq>.tmp`.
+pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("{}-{seq}.tmp", std::process::id()))
+}
+
+/// How [`write_atomic`] puts the finished temp file in place.
+pub(crate) enum Publish {
+    /// Rename over whatever is there: last writer wins.
+    Replace,
+    /// Hard-link into place: `AlreadyExists` when the path is taken, so
+    /// exactly one of any number of racing creators succeeds.
+    CreateNew,
+}
+
+/// The one way a file appears in the store directory: written in full to
+/// a [`tmp_sibling`], then published atomically — a reader (or a resume
+/// after a kill) sees the old content or the new, never half of either.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8], publish: Publish) -> io::Result<()> {
+    let tmp = tmp_sibling(path);
+    std::fs::write(&tmp, bytes)?;
+    match publish {
+        Publish::Replace => std::fs::rename(&tmp, path),
+        Publish::CreateNew => {
+            let linked = std::fs::hard_link(&tmp, path);
+            let _ = std::fs::remove_file(&tmp);
+            linked
+        }
+    }
+}
 
 /// How old an orphaned `*.tmp` file must be before the startup sweep
 /// garbage-collects it. Live writers hold a temp file for milliseconds
@@ -298,16 +323,8 @@ impl ResultStore {
     /// The content address of a `(canonical spec text, master seed)`
     /// pair: 16 hex digits of FNV-1a 64.
     pub fn key(spec_text: &str, master_seed: u64) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut absorb = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        absorb(spec_text.as_bytes());
-        absorb(&master_seed.to_le_bytes());
-        format!("{h:016x}")
+        let h = fnv1a(FNV_OFFSET, spec_text.as_bytes());
+        format!("{:016x}", fnv1a(h, &master_seed.to_le_bytes()))
     }
 
     /// The file path a key maps to.
@@ -332,14 +349,8 @@ impl ResultStore {
     /// writing the same key concurrently never collide on the temp file
     /// — last rename wins, and both renames carry identical bytes.
     pub fn save(&self, run: &StoredRun) -> io::Result<PathBuf> {
-        let key = Self::key(&run.spec_text, run.master_seed);
-        let path = self.path_of(&key);
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!("{key}.{}-{seq}.tmp", std::process::id()));
-        std::fs::write(&tmp, run.render())?;
-        std::fs::rename(&tmp, &path)?;
+        let path = self.path_of(&Self::key(&run.spec_text, run.master_seed));
+        write_atomic(&path, run.render().as_bytes(), Publish::Replace)?;
         Ok(path)
     }
 
@@ -363,14 +374,7 @@ impl ResultStore {
 
     /// Number of completed cells currently stored.
     pub fn len(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "run"))
-                    .count()
-            })
-            .unwrap_or(0)
+        self.keys().len()
     }
 
     /// True when no cells are stored.
@@ -396,19 +400,6 @@ mod tests {
             .with_seed_path("store-test", "arm", 1);
         let report = spec.run(42);
         StoredRun::from_report("arm rep=1", &spec, 42, &report)
-    }
-
-    #[test]
-    fn stored_run_roundtrips() {
-        let run = sample_run();
-        let back = StoredRun::parse(&run.render()).expect("parse back");
-        assert_eq!(back, run);
-        // The float metrics are bit-exact across the round trip.
-        let loss = run.metric("loss_rate").unwrap().as_f64();
-        assert_eq!(
-            back.metric("loss_rate").unwrap().as_f64().to_bits(),
-            loss.to_bits()
-        );
     }
 
     #[test]
@@ -505,6 +496,11 @@ mod tests {
         let path = store.save(&run).expect("save");
         std::fs::write(&path, "garbage").expect("corrupt");
         assert!(store.load(&run.spec_text, 42).is_none());
+        // A slot cut short anywhere in its scalar block is no record.
+        let text = run.render();
+        let cut = text.find("master_seed").expect("scalar block");
+        assert!(StoredRun::parse(&text[..cut]).is_err());
+        assert!(StoredRun::parse(&text).is_ok());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 }

@@ -7,7 +7,8 @@
 //! never crashed.
 
 use mtnet_bench::coord::{
-    collect_grid, load_poison, poison_path, run_worker, CoordConfig, Coordinator, Lease, Poison,
+    collect_grid, exit_code, load_poison, poison_path, run_worker, CoordConfig, Coordinator, Lease,
+    Poison,
 };
 use mtnet_bench::store::ResultStore;
 use mtnet_bench::sweep::{parse_axis, run_sweep, SweepPlan};
@@ -196,7 +197,7 @@ fn quarantined_cell_degrades_the_grid_instead_of_wedging_the_worker() {
         ),
         (4, 3, 0, 1, 0)
     );
-    assert_eq!(grid.exit_code(), 3);
+    assert_eq!(exit_code(grid.quarantined, grid.missing), 3);
     let table = grid.table.to_string();
     assert!(table.contains("quarantined (3 failures)"), "{table}");
 
@@ -251,7 +252,11 @@ fn collect_grid_accounts_preexisting_cells_as_loaded_and_gaps_as_missing() {
         (grid.computed, grid.loaded, grid.quarantined, grid.missing),
         (1, 2, 0, 1)
     );
-    assert_eq!(grid.exit_code(), 1, "missing cells mean resume, exit 1");
+    assert_eq!(
+        exit_code(grid.quarantined, grid.missing),
+        1,
+        "missing cells mean resume, exit 1"
+    );
     let summary = grid.summary("commute-corridor");
     assert!(
         summary.contains("computed 1, loaded 2, quarantined 0, missing 1"),

@@ -11,9 +11,9 @@
 //! intentional change updates the constants below; the failure message
 //! prints the fresh text to paste.
 
-use mtnet_bench::experiments::{arm_specs, e5_location};
+use mtnet_bench::experiments::arm_specs;
 use mtnet_bench::store::ResultStore;
-use mtnet_bench::{Effort, RunOptions, ALL_IDS};
+use mtnet_bench::{run_one, Effort, RunOptions, ALL_IDS};
 
 /// E2's first arm (the pure-Mobile-IP baseline) at Quick effort, in full.
 const E2_ARM0_QUICK: &str = "\
@@ -187,7 +187,9 @@ fn every_experiments_spec_texts_are_pinned() {
 
 #[test]
 fn e5_rendered_table_is_pinned() {
-    let text = e5_location(RunOptions::new(Effort::Quick, 42)).render();
+    let text = run_one("E5", RunOptions::new(Effort::Quick, 42))
+        .expect("known id")
+        .render();
     let fresh = ResultStore::key(&text, 0);
     assert_eq!(
         fresh, E5_QUICK_RENDER_DIGEST,

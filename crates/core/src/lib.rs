@@ -42,6 +42,7 @@
 pub mod arena;
 pub mod handoff;
 pub mod hierarchy;
+pub mod kv;
 pub mod location;
 pub mod messages;
 pub mod mnld;

@@ -9,15 +9,19 @@
 //! pair is exactly what the sweep engine's content-addressed result store
 //! keys on.
 //!
-//! The text format is a deliberately small hand-rolled `key = value`
-//! line format (the vendored `serde` is marker-only, so there is no
-//! derive-based serializer to lean on): [`ScenarioSpec::render`] emits
-//! the canonical form — every field, fixed order, round-trip-exact
-//! floats — and [`ScenarioSpec::parse`] reads it back such that
-//! `parse(render(s)) == s` for every valid spec. [`ScenarioSpec::set`]
-//! applies one `key = value` assignment and is shared by the parser and
-//! the sweep engine's axis expansion, so an axis can sweep any field the
-//! format names.
+//! The text format is the `key = value` line format of [`crate::kv`]
+//! (the vendored `serde` is marker-only, so there is no derive-based
+//! serializer to lean on). Every key is declared once, in this module's
+//! `SPEC` field table — key, field, value kind with its legal range,
+//! rendered always or only when set — and [`ScenarioSpec::render`],
+//! [`ScenarioSpec::parse`], [`ScenarioSpec::set`] and the per-key half
+//! of [`ScenarioSpec::validate`] are `kv`'s generic loops over it:
+//! `render` emits the canonical form — every field, fixed order,
+//! round-trip-exact floats — `parse` reads it back such that
+//! `parse(render(s)) == s` for every valid spec, and `set` applies one
+//! assignment for the parser and the sweep engine's axis expansion
+//! alike, so an axis can sweep any field the format names and no key
+//! can miss its range check.
 //!
 //! ```
 //! use mtnet_core::spec::ScenarioSpec;
@@ -30,6 +34,11 @@
 //! ```
 
 use crate::handoff::{DecisionConfig, HandoffFactors};
+pub use crate::kv::Error as SpecError;
+use crate::kv::Kind::{Codec, Millis, Quoted, Switch, F64, U32};
+use crate::kv::Presence::{Always, Never, NonDefault};
+use crate::kv::{err, field, quote, tokens, Real, Record};
+use crate::lens;
 use crate::report::{RunReport, SimReport};
 use crate::scenario::ArchKind;
 use crate::world::{DomainSpec, FlowKind, LoadCurve, World, WorldBuilder, WorldConfig};
@@ -38,6 +47,7 @@ use mtnet_mobility::{LinearCommute, Point, RandomWaypoint, Rect, SpeedClass};
 use mtnet_radio::CellKind;
 use mtnet_sim::rng::seed_for_path;
 use mtnet_sim::SimDuration;
+use std::ops::RangeInclusive;
 
 /// How a spec's world seed is derived at run time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -338,143 +348,251 @@ pub struct ScenarioSpec {
     pub faults: FaultSpec,
 }
 
-/// A parse/assignment error: which line (1-based, 0 for non-line errors)
-/// and what went wrong.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError {
-    /// 1-based line number within the parsed text, 0 when not line-bound.
-    pub line: usize,
-    /// Human-readable message.
-    pub message: String,
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.line > 0 {
-            write!(f, "line {}: {}", self.line, self.message)
-        } else {
-            f.write_str(&self.message)
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-fn err(message: impl Into<String>) -> SpecError {
-    SpecError {
-        line: 0,
-        message: message.into(),
-    }
-}
-
-/// Quotes a string for the spec format (`"` and `\` escaped).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        if c == '"' || c == '\\' {
-            out.push('\\');
-        }
-        out.push(c);
-    }
-    out.push('"');
-    out
-}
-
-/// [`tokens`] with `none` meaning "no entries" — every `fault.*` key
-/// accepts it so a sweep axis can carry an off arm.
-fn fault_tokens(value: &str) -> Result<Vec<String>, SpecError> {
-    if value.trim() == "none" {
-        return Ok(Vec::new());
-    }
-    tokens(value)
-}
-
-/// Splits a value into whitespace-separated tokens, honoring quoting.
-fn tokens(value: &str) -> Result<Vec<String>, SpecError> {
-    let mut out = Vec::new();
-    let mut chars = value.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c == '"' {
-            chars.next();
-            let mut tok = String::new();
-            loop {
-                match chars.next() {
-                    Some('\\') => match chars.next() {
-                        Some(e @ ('"' | '\\')) => tok.push(e),
-                        _ => return Err(err("bad escape in quoted string")),
-                    },
-                    Some('"') => break,
-                    Some(c) => tok.push(c),
-                    None => return Err(err("unterminated quoted string")),
-                }
-            }
-            out.push(tok);
-        } else {
-            let mut tok = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_whitespace() {
-                    break;
-                }
-                tok.push(c);
-                chars.next();
-            }
-            out.push(tok);
-        }
-    }
-    Ok(out)
-}
-
-/// The single string a quoted value must contain.
-fn one_string(value: &str) -> Result<String, SpecError> {
-    let toks = tokens(value)?;
-    match <[String; 1]>::try_from(toks) {
-        Ok([s]) => Ok(s),
-        Err(toks) => Err(err(format!(
-            "expected one string, got {} tokens",
-            toks.len()
-        ))),
-    }
-}
-
-fn parse_bool(value: &str) -> Result<bool, SpecError> {
-    match value {
-        "on" | "true" => Ok(true),
-        "off" | "false" => Ok(false),
-        other => Err(err(format!("expected on/off, got {other:?}"))),
-    }
-}
-
-fn parse_f64(value: &str) -> Result<f64, SpecError> {
-    value
-        .parse::<f64>()
-        .map_err(|_| err(format!("expected a number, got {value:?}")))
-}
-
-fn parse_u32(value: &str) -> Result<u32, SpecError> {
-    value
-        .parse::<u32>()
-        .map_err(|_| err(format!("expected a non-negative integer, got {value:?}")))
-}
-
-fn parse_opt_ms(value: &str) -> Result<Option<u64>, SpecError> {
+/// Parses a `fault.*` list: `none`, or whitespace-separated entries of
+/// `:`-separated parts — every schedule accepts `none` so a sweep axis
+/// can carry an off arm.
+fn entries<E>(value: &str, entry: fn(&[&str]) -> Option<E>) -> Option<Vec<E>> {
     if value == "none" {
-        return Ok(None);
+        return Some(Vec::new());
     }
-    value
-        .parse::<u64>()
-        .map(Some)
-        .map_err(|_| err(format!("expected milliseconds or none, got {value:?}")))
+    let parts = |tok: &String| entry(&tok.split(':').collect::<Vec<_>>());
+    tokens(value)?.iter().map(parts).collect()
 }
 
-fn render_opt_ms(v: Option<u64>) -> String {
-    v.map_or_else(|| "none".into(), |ms| ms.to_string())
+/// Renders a `fault.*` list the way [`entries`] reads it.
+fn entries_text<E>(list: &[E], entry: fn(&E) -> String) -> String {
+    if list.is_empty() {
+        return "none".into();
+    }
+    list.iter().map(entry).collect::<Vec<_>>().join(" ")
 }
 
-/// Header line of the canonical format.
-const HEADER: &str = "mtnet-spec v1";
+impl CellOutage {
+    fn parse(parts: &[&str]) -> Option<CellOutage> {
+        let [cell, start, end] = parts else {
+            return None;
+        };
+        Some(CellOutage {
+            cell: cell.parse().ok()?,
+            start_s: start.parse().ok()?,
+            end_s: end.parse().ok()?,
+        })
+    }
+
+    fn text(&self) -> String {
+        format!("{}:{:?}:{:?}", self.cell, self.start_s, self.end_s)
+    }
+}
+
+impl LinkFlap {
+    fn parse(parts: &[&str]) -> Option<LinkFlap> {
+        let [domain, start, period, duty, jitter, count] = parts else {
+            return None;
+        };
+        Some(LinkFlap {
+            domain: domain.parse().ok()?,
+            start_s: start.parse().ok()?,
+            period_s: period.parse().ok()?,
+            duty: duty.parse().ok()?,
+            jitter_s: jitter.parse().ok()?,
+            count: count.parse().ok()?,
+        })
+    }
+
+    fn text(&self) -> String {
+        format!(
+            "{}:{:?}:{:?}:{:?}:{:?}:{}",
+            self.domain, self.start_s, self.period_s, self.duty, self.jitter_s, self.count
+        )
+    }
+}
+
+impl RsmcFailover {
+    fn parse(parts: &[&str]) -> Option<RsmcFailover> {
+        let [domain, at, takeover] = parts else {
+            return None;
+        };
+        Some(RsmcFailover {
+            domain: domain.parse().ok()?,
+            at_s: at.parse().ok()?,
+            takeover_s: match *takeover {
+                "none" => None,
+                t => Some(t.parse().ok()?),
+            },
+        })
+    }
+
+    fn text(&self) -> String {
+        let takeover = self
+            .takeover_s
+            .map_or_else(|| "none".to_string(), |t| format!("{t:?}"));
+        format!("{}:{:?}:{takeover}", self.domain, self.at_s)
+    }
+}
+
+impl EclipseWindow {
+    fn parse(parts: &[&str]) -> Option<EclipseWindow> {
+        let [start, end] = parts else {
+            return None;
+        };
+        Some(EclipseWindow {
+            start_s: start.parse().ok()?,
+            end_s: end.parse().ok()?,
+        })
+    }
+
+    fn text(&self) -> String {
+        format!("{:?}:{:?}", self.start_s, self.end_s)
+    }
+}
+
+fn parse_seed(spec: &mut ScenarioSpec, value: &str) -> Option<()> {
+    let toks = tokens(value)?;
+    spec.seed = match toks.split_first()? {
+        (kind, [seed]) if kind == "raw" => SeedSpec::Raw(seed.parse().ok()?),
+        (kind, [path @ .., rep, n]) if kind == "path" && rep == "rep" && !path.is_empty() => {
+            SeedSpec::Path {
+                path: path.to_vec(),
+                replication: n.parse().ok()?,
+            }
+        }
+        _ => return None,
+    };
+    Some(())
+}
+
+fn parse_load_curve(spec: &mut ScenarioSpec, value: &str) -> Option<()> {
+    spec.load_curve = match value {
+        "none" => None,
+        curve => {
+            let (period, factor) = curve.split_once(':')?;
+            Some((period.parse().ok()?, factor.parse().ok()?))
+        }
+    };
+    Some(())
+}
+
+fn seed_text(spec: &ScenarioSpec) -> String {
+    match &spec.seed {
+        SeedSpec::Raw(seed) => format!("raw {seed}"),
+        SeedSpec::Path { path, replication } => {
+            let segs: Vec<String> = path.iter().map(|s| quote(s)).collect();
+            format!("path {} rep {replication}", segs.join(" "))
+        }
+    }
+}
+
+/// The codec of a field whose type has a `parse_label`; `$text` renders
+/// the label it reads.
+macro_rules! label {
+    ($field:ident: $ty:ty, $grammar:literal, $text:expr) => {
+        Codec {
+            grammar: $grammar,
+            parse: |s, v| {
+                s.$field = <$ty>::parse_label(v)?;
+                Some(())
+            },
+            text: $text,
+        }
+    };
+}
+
+/// The codec of one `fault.*` schedule.
+macro_rules! schedule {
+    ($field:ident: $ty:ty, $grammar:literal) => {
+        Codec {
+            grammar: $grammar,
+            parse: |s, v| {
+                s.faults.$field = entries(v, <$ty>::parse)?;
+                Some(())
+            },
+            text: |s| entries_text(&s.faults.$field, <$ty>::text),
+        }
+    };
+}
+
+/// Any `u32`.
+const ANY: RangeInclusive<u32> = 0..=u32::MAX;
+
+/// The spec's field table: the one declaration that `render`, `parse`,
+/// `set`, the per-key half of `validate` and the key table of
+/// EXPERIMENTS.md § sweeps are derived from. Rendering order is table
+/// order. Keys after `paging_update_ms` arrived with later subsystems
+/// (metro tier, sharding, faults) and render only when set, so canonical
+/// texts — and store keys — written before them are unchanged.
+#[rustfmt::skip]
+static SPEC: Record<ScenarioSpec> = Record {
+    header: "mtnet-spec v1",
+    comments: true,
+    init: ScenarioSpec::base,
+    fields: &[
+        field("name", Always, Quoted(lens!(name))),
+        field("seed", Always, Codec {
+            grammar: "raw <u64> | path <segment>… rep <u64>", parse: parse_seed, text: seed_text,
+        }),
+        field("duration_s", Always, F64(lens!(duration_s), Real::Positive)),
+        field("arch", Always, label!(arch: ArchKind, "multi-tier+rsmc | multi-tier(hard) | \
+            multi-tier-no-rsmc | multi-tier-no-rsmc(hard) | pure-mobile-ip | flat-cellular-ip",
+            |s| s.arch.canonical().into())),
+        // The satellite overlay takes the last `u8` domain index, and a
+        // street row's BS addresses are `20.d.1.(i+1)`.
+        field("domains", Always, U32(lens!(n_domains), 1..=255)),
+        field("micro_per_domain", Always, U32(lens!(micro_per_domain), 0..=255)),
+        field("micro_kind", Always, label!(micro_kind: CellKind,
+            "pico | micro | macro | satellite", |s| s.micro_kind.to_string())),
+        field("micro_spacing_m", Always, F64(lens!(micro_spacing_m), Real::Positive)),
+        field("domain_width_m", Always, F64(lens!(domain_width_m), Real::Positive)),
+        field("street_y_m", Always, F64(lens!(street_y_m), Real::Finite)),
+        field("share_upper", Always, Switch(lens!(share_upper))),
+        field("macro_hole", Always, Switch(lens!(macro_hole))),
+        field("satellite", Always, Switch(lens!(satellite))),
+        field("pedestrians", Always, U32(lens!(pedestrians), ANY)),
+        field("cyclists", Always, U32(lens!(cyclists), ANY)),
+        field("vehicles", Always, U32(lens!(vehicles), ANY)),
+        field("pedestrian_class", Always,
+            label!(pedestrian_class: SpeedClass, "pedestrian | urban-vehicle | highway",
+                |s| s.pedestrian_class.to_string())),
+        field("pedestrian_pause_s", Always, F64(lens!(pedestrian_pause_s), Real::NonNegative)),
+        field("cyclist_speed_mps", Always, F64(lens!(cyclist_speed_mps), Real::Positive)),
+        field("vehicle_speed_mps", Always, F64(lens!(vehicle_speed_mps), Real::Positive)),
+        field("voice_every", Always, U32(lens!(voice_every), ANY)),
+        field("video_every", Always, U32(lens!(video_every), ANY)),
+        field("web_every", Always, U32(lens!(web_every), ANY)),
+        field("factors", Always,
+            label!(factors: HandoffFactors, "speed+signal+resources | any subset | none",
+                |s| s.factors.canonical())),
+        // A zero period re-arms its timer at the same instant forever; a
+        // zero semisoft delay is an immediate switch and legal.
+        field("route_update_ms", Always, Millis(lens!(route_update_ms), 1)),
+        field("semisoft_delay_ms", Always, Millis(lens!(semisoft_delay_ms), 0)),
+        field("table_lifetime_ms", Always, Millis(lens!(table_lifetime_ms), 1)),
+        field("paging_update_ms", Always, Millis(lens!(paging_update_ms), 1)),
+        field("move_sample_ms", NonDefault, Millis(lens!(move_sample_ms), 1)),
+        field("location_update_ms", NonDefault, Millis(lens!(location_update_ms), 1)),
+        field("aggregate_qos", NonDefault, Switch(lens!(aggregate_qos))),
+        field("idle_camping", NonDefault, Switch(lens!(idle_camping))),
+        field("load_curve", NonDefault, Codec {
+            grammar: "<period_s>:<off_peak_factor> | none", parse: parse_load_curve,
+            text: |s| s.load_curve.map_or_else(|| "none".into(), |(p, f)| format!("{p:?}:{f:?}")),
+        }),
+        field("shards", NonDefault, U32(lens!(shards), 1..=u32::MAX)),
+        // Sweep-axis escape hatch: clears every schedule at once.
+        field("faults", Never, Codec {
+            grammar: "none (the fault.* keys add schedules)",
+            parse: |s, v| (v == "none").then(|| s.faults = FaultSpec::default()),
+            text: |_| "none".into(),
+        }),
+        field("fault.cell_outages", NonDefault,
+            schedule!(cell_outages: CellOutage, "<cell>:<start_s>:<end_s> … | none")),
+        field("fault.link_flaps", NonDefault, schedule!(link_flaps: LinkFlap,
+            "<domain>:<start_s>:<period_s>:<duty>:<jitter_s>:<count> … | none")),
+        field("fault.rsmc_failover", NonDefault,
+            schedule!(rsmc_failovers: RsmcFailover, "<domain>:<at_s>:<takeover_s|none> … | none")),
+        field("fault.eclipses", NonDefault,
+            schedule!(eclipses: EclipseWindow, "<start_s>:<end_s> … | none")),
+    ],
+    blocks: &[],
+};
 
 impl ScenarioSpec {
     /// The neutral base every preset starts from: one empty domain of the
@@ -765,12 +883,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Overrides the semisoft bicast delay.
-    pub fn with_semisoft_delay_ms(mut self, ms: u64) -> ScenarioSpec {
-        self.semisoft_delay_ms = Some(ms);
-        self
-    }
-
     /// Gives every domain its own upper BS.
     pub fn without_shared_upper(mut self) -> ScenarioSpec {
         self.share_upper = false;
@@ -797,7 +909,7 @@ impl ScenarioSpec {
     }
 
     // ------------------------------------------------------------------
-    // Canonical text format.
+    // Canonical text format: generic loops over the `SPEC` field table.
     // ------------------------------------------------------------------
 
     /// Renders the canonical text: every field, fixed order, exact
@@ -805,388 +917,30 @@ impl ScenarioSpec {
     /// text (plus the master seed), so two specs share a store slot iff
     /// they are field-for-field equal.
     pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "{HEADER}");
-        let _ = writeln!(out, "name = {}", quote(&self.name));
-        match &self.seed {
-            SeedSpec::Raw(seed) => {
-                let _ = writeln!(out, "seed = raw {seed}");
-            }
-            SeedSpec::Path { path, replication } => {
-                let segs: Vec<String> = path.iter().map(|s| quote(s)).collect();
-                let _ = writeln!(out, "seed = path {} rep {replication}", segs.join(" "));
-            }
-        }
-        let _ = writeln!(out, "duration_s = {:?}", self.duration_s);
-        let _ = writeln!(out, "arch = {}", self.arch.canonical());
-        let _ = writeln!(out, "domains = {}", self.n_domains);
-        let _ = writeln!(out, "micro_per_domain = {}", self.micro_per_domain);
-        let _ = writeln!(out, "micro_kind = {}", self.micro_kind);
-        let _ = writeln!(out, "micro_spacing_m = {:?}", self.micro_spacing_m);
-        let _ = writeln!(out, "domain_width_m = {:?}", self.domain_width_m);
-        let _ = writeln!(out, "street_y_m = {:?}", self.street_y_m);
-        let _ = writeln!(
-            out,
-            "share_upper = {}",
-            if self.share_upper { "on" } else { "off" }
-        );
-        let _ = writeln!(
-            out,
-            "macro_hole = {}",
-            if self.macro_hole { "on" } else { "off" }
-        );
-        let _ = writeln!(
-            out,
-            "satellite = {}",
-            if self.satellite { "on" } else { "off" }
-        );
-        let _ = writeln!(out, "pedestrians = {}", self.pedestrians);
-        let _ = writeln!(out, "cyclists = {}", self.cyclists);
-        let _ = writeln!(out, "vehicles = {}", self.vehicles);
-        let _ = writeln!(out, "pedestrian_class = {}", self.pedestrian_class);
-        let _ = writeln!(out, "pedestrian_pause_s = {:?}", self.pedestrian_pause_s);
-        let _ = writeln!(out, "cyclist_speed_mps = {:?}", self.cyclist_speed_mps);
-        let _ = writeln!(out, "vehicle_speed_mps = {:?}", self.vehicle_speed_mps);
-        let _ = writeln!(out, "voice_every = {}", self.voice_every);
-        let _ = writeln!(out, "video_every = {}", self.video_every);
-        let _ = writeln!(out, "web_every = {}", self.web_every);
-        let _ = writeln!(out, "factors = {}", self.factors.canonical());
-        let _ = writeln!(
-            out,
-            "route_update_ms = {}",
-            render_opt_ms(self.route_update_ms)
-        );
-        let _ = writeln!(
-            out,
-            "semisoft_delay_ms = {}",
-            render_opt_ms(self.semisoft_delay_ms)
-        );
-        let _ = writeln!(
-            out,
-            "table_lifetime_ms = {}",
-            render_opt_ms(self.table_lifetime_ms)
-        );
-        let _ = writeln!(
-            out,
-            "paging_update_ms = {}",
-            render_opt_ms(self.paging_update_ms)
-        );
-        // The metro-tier knobs render only when set, so pre-metro
-        // canonical texts (and their store keys) are byte-identical to
-        // those produced before the E14 family existed.
-        if let Some(ms) = self.move_sample_ms {
-            let _ = writeln!(out, "move_sample_ms = {ms}");
-        }
-        if let Some(ms) = self.location_update_ms {
-            let _ = writeln!(out, "location_update_ms = {ms}");
-        }
-        if self.aggregate_qos {
-            let _ = writeln!(out, "aggregate_qos = on");
-        }
-        if self.idle_camping {
-            let _ = writeln!(out, "idle_camping = on");
-        }
-        if let Some((period_s, factor)) = self.load_curve {
-            let _ = writeln!(out, "load_curve = {period_s:?}:{factor:?}");
-        }
-        // The shard count renders only when sharding is requested, so
-        // single-shard canonical texts (and their store keys) are
-        // byte-identical to those produced before the parallel engine
-        // existed.
-        if self.shards != 1 {
-            let _ = writeln!(out, "shards = {}", self.shards);
-        }
-        // Fault lines render only when non-empty, so fault-free canonical
-        // texts (and their store keys) are byte-identical to those
-        // produced before the fault subsystem existed.
-        if !self.faults.cell_outages.is_empty() {
-            let toks: Vec<String> = self
-                .faults
-                .cell_outages
-                .iter()
-                .map(|o| format!("{}:{:?}:{:?}", o.cell, o.start_s, o.end_s))
-                .collect();
-            let _ = writeln!(out, "fault.cell_outages = {}", toks.join(" "));
-        }
-        if !self.faults.link_flaps.is_empty() {
-            let toks: Vec<String> = self
-                .faults
-                .link_flaps
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{}:{:?}:{:?}:{:?}:{:?}:{}",
-                        f.domain, f.start_s, f.period_s, f.duty, f.jitter_s, f.count
-                    )
-                })
-                .collect();
-            let _ = writeln!(out, "fault.link_flaps = {}", toks.join(" "));
-        }
-        if !self.faults.rsmc_failovers.is_empty() {
-            let toks: Vec<String> = self
-                .faults
-                .rsmc_failovers
-                .iter()
-                .map(|r| {
-                    let takeover = r
-                        .takeover_s
-                        .map_or_else(|| "none".to_string(), |t| format!("{t:?}"));
-                    format!("{}:{:?}:{takeover}", r.domain, r.at_s)
-                })
-                .collect();
-            let _ = writeln!(out, "fault.rsmc_failover = {}", toks.join(" "));
-        }
-        if !self.faults.eclipses.is_empty() {
-            let toks: Vec<String> = self
-                .faults
-                .eclipses
-                .iter()
-                .map(|e| format!("{:?}:{:?}", e.start_s, e.end_s))
-                .collect();
-            let _ = writeln!(out, "fault.eclipses = {}", toks.join(" "));
-        }
-        out
+        SPEC.render(self)
     }
 
     /// Parses a spec text (canonical or hand-written: blank lines and
     /// `#` comments are allowed, keys may repeat — last wins).
     pub fn parse(text: &str) -> Result<ScenarioSpec, SpecError> {
-        let mut lines = text.lines().enumerate();
-        let header = loop {
-            match lines.next() {
-                Some((_, l)) if l.trim().is_empty() || l.trim_start().starts_with('#') => continue,
-                Some((_, l)) => break l.trim(),
-                None => return Err(err("empty spec text")),
-            }
-        };
-        if header != HEADER {
-            return Err(err(format!("expected header {HEADER:?}, got {header:?}")));
-        }
-        let mut spec = ScenarioSpec::base();
-        for (idx, raw) in lines {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| SpecError {
-                line: idx + 1,
-                message: format!("expected key = value, got {line:?}"),
-            })?;
-            spec.set(key.trim(), value.trim()).map_err(|mut e| {
-                e.line = idx + 1;
-                e
-            })?;
-        }
-        spec.validate().map_err(|mut e| {
-            e.line = 0;
-            e
-        })?;
+        let spec = SPEC.parse(text)?;
+        spec.validate()?;
         Ok(spec)
     }
 
     /// Applies one `key = value` assignment — the operation the parser
     /// and sweep-axis expansion share. Keys are exactly the canonical
-    /// render keys.
+    /// render keys; a value outside its key's range is an error here.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
-        match key {
-            "name" => self.name = one_string(value)?,
-            "seed" => {
-                let toks = tokens(value)?;
-                match toks.split_first() {
-                    Some((kind, rest)) if kind == "raw" => {
-                        let [seed] = rest else {
-                            return Err(err("seed = raw <u64>"));
-                        };
-                        self.seed =
-                            SeedSpec::Raw(seed.parse().map_err(|_| err("seed = raw <u64>"))?);
-                    }
-                    Some((kind, rest)) if kind == "path" => {
-                        let Some(rep_pos) = rest.iter().rposition(|t| t == "rep") else {
-                            return Err(err("seed = path <segments…> rep <u64>"));
-                        };
-                        let (segs, rep) = rest.split_at(rep_pos);
-                        let [_, rep_val] = rep else {
-                            return Err(err("seed = path <segments…> rep <u64>"));
-                        };
-                        if segs.is_empty() {
-                            return Err(err("seed path needs at least one segment"));
-                        }
-                        self.seed = SeedSpec::Path {
-                            path: segs.to_vec(),
-                            replication: rep_val
-                                .parse()
-                                .map_err(|_| err("seed = path <segments…> rep <u64>"))?,
-                        };
-                    }
-                    _ => return Err(err("seed = raw <u64> | path <segments…> rep <u64>")),
-                }
-            }
-            "duration_s" => self.duration_s = parse_f64(value)?,
-            "arch" => {
-                self.arch = ArchKind::parse_label(value)
-                    .ok_or_else(|| err(format!("unknown architecture {value:?}")))?;
-            }
-            "domains" => self.n_domains = parse_u32(value)?,
-            "micro_per_domain" => self.micro_per_domain = parse_u32(value)?,
-            "micro_kind" => {
-                self.micro_kind = CellKind::parse_label(value)
-                    .ok_or_else(|| err(format!("unknown cell kind {value:?}")))?;
-            }
-            "micro_spacing_m" => self.micro_spacing_m = parse_f64(value)?,
-            "domain_width_m" => self.domain_width_m = parse_f64(value)?,
-            "street_y_m" => self.street_y_m = parse_f64(value)?,
-            "share_upper" => self.share_upper = parse_bool(value)?,
-            "macro_hole" => self.macro_hole = parse_bool(value)?,
-            "satellite" => self.satellite = parse_bool(value)?,
-            "pedestrians" => self.pedestrians = parse_u32(value)?,
-            "cyclists" => self.cyclists = parse_u32(value)?,
-            "vehicles" => self.vehicles = parse_u32(value)?,
-            "pedestrian_class" => {
-                self.pedestrian_class = SpeedClass::parse_label(value)
-                    .ok_or_else(|| err(format!("unknown speed class {value:?}")))?;
-            }
-            "pedestrian_pause_s" => self.pedestrian_pause_s = parse_f64(value)?,
-            "cyclist_speed_mps" => self.cyclist_speed_mps = parse_f64(value)?,
-            "vehicle_speed_mps" => self.vehicle_speed_mps = parse_f64(value)?,
-            "voice_every" => self.voice_every = parse_u32(value)?,
-            "video_every" => self.video_every = parse_u32(value)?,
-            "web_every" => self.web_every = parse_u32(value)?,
-            "factors" => {
-                self.factors = HandoffFactors::parse_label(value)
-                    .ok_or_else(|| err(format!("unknown factor set {value:?}")))?;
-            }
-            "route_update_ms" => self.route_update_ms = parse_opt_ms(value)?,
-            "semisoft_delay_ms" => self.semisoft_delay_ms = parse_opt_ms(value)?,
-            "table_lifetime_ms" => self.table_lifetime_ms = parse_opt_ms(value)?,
-            "paging_update_ms" => self.paging_update_ms = parse_opt_ms(value)?,
-            "move_sample_ms" => self.move_sample_ms = parse_opt_ms(value)?,
-            "location_update_ms" => self.location_update_ms = parse_opt_ms(value)?,
-            "aggregate_qos" => self.aggregate_qos = parse_bool(value)?,
-            "idle_camping" => self.idle_camping = parse_bool(value)?,
-            "load_curve" => {
-                if value == "none" {
-                    self.load_curve = None;
-                } else {
-                    let Some((period, factor)) = value.split_once(':') else {
-                        return Err(err("load_curve = <period_s>:<off_peak_factor> | none"));
-                    };
-                    self.load_curve = Some((parse_f64(period)?, parse_f64(factor)?));
-                }
-            }
-            "shards" => self.shards = parse_u32(value)?,
-            "faults" => {
-                // Sweep-axis escape hatch: clear every schedule at once.
-                if value != "none" {
-                    return Err(err(
-                        "faults = none clears all schedules; use fault.* keys to add them",
-                    ));
-                }
-                self.faults = FaultSpec::default();
-            }
-            // Each fault.* key also accepts `none` to clear just that
-            // schedule — the natural "off" arm of a sweep axis.
-            "fault.cell_outages" => {
-                let mut outages = Vec::new();
-                for tok in fault_tokens(value)? {
-                    let parts: Vec<&str> = tok.split(':').collect();
-                    let [cell, start, end] = parts[..] else {
-                        return Err(err("fault.cell_outages = <cell>:<start_s>:<end_s> …"));
-                    };
-                    outages.push(CellOutage {
-                        cell: parse_u32(cell)?,
-                        start_s: parse_f64(start)?,
-                        end_s: parse_f64(end)?,
-                    });
-                }
-                self.faults.cell_outages = outages;
-            }
-            "fault.link_flaps" => {
-                let mut flaps = Vec::new();
-                for tok in fault_tokens(value)? {
-                    let parts: Vec<&str> = tok.split(':').collect();
-                    let [domain, start, period, duty, jitter, count] = parts[..] else {
-                        return Err(err("fault.link_flaps = \
-                             <domain>:<start_s>:<period_s>:<duty>:<jitter_s>:<count> …"));
-                    };
-                    flaps.push(LinkFlap {
-                        domain: parse_u32(domain)?,
-                        start_s: parse_f64(start)?,
-                        period_s: parse_f64(period)?,
-                        duty: parse_f64(duty)?,
-                        jitter_s: parse_f64(jitter)?,
-                        count: parse_u32(count)?,
-                    });
-                }
-                self.faults.link_flaps = flaps;
-            }
-            "fault.rsmc_failover" => {
-                let mut failovers = Vec::new();
-                for tok in fault_tokens(value)? {
-                    let parts: Vec<&str> = tok.split(':').collect();
-                    let [domain, at, takeover] = parts[..] else {
-                        return Err(err(
-                            "fault.rsmc_failover = <domain>:<at_s>:<takeover_s|none> …",
-                        ));
-                    };
-                    failovers.push(RsmcFailover {
-                        domain: parse_u32(domain)?,
-                        at_s: parse_f64(at)?,
-                        takeover_s: if takeover == "none" {
-                            None
-                        } else {
-                            Some(parse_f64(takeover)?)
-                        },
-                    });
-                }
-                self.faults.rsmc_failovers = failovers;
-            }
-            "fault.eclipses" => {
-                let mut eclipses = Vec::new();
-                for tok in fault_tokens(value)? {
-                    let parts: Vec<&str> = tok.split(':').collect();
-                    let [start, end] = parts[..] else {
-                        return Err(err("fault.eclipses = <start_s>:<end_s> …"));
-                    };
-                    eclipses.push(EclipseWindow {
-                        start_s: parse_f64(start)?,
-                        end_s: parse_f64(end)?,
-                    });
-                }
-                self.faults.eclipses = eclipses;
-            }
-            other => return Err(err(format!("unknown key {other:?}"))),
-        }
-        Ok(())
+        SPEC.set(self, key, value)
     }
 
-    /// Checks internal consistency (positive geometry and duration, the
-    /// /24 home-subnet population cap, finite numbers).
+    /// Checks internal consistency: every key within its declared range
+    /// (fields are public, so [`ScenarioSpec::set`] may not have seen
+    /// them), then the cross-field rules — the home-address population
+    /// cap, the load curve, the fault schedules against the domain count.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let finite_pos = [
-            ("duration_s", self.duration_s),
-            ("micro_spacing_m", self.micro_spacing_m),
-            ("domain_width_m", self.domain_width_m),
-            ("cyclist_speed_mps", self.cyclist_speed_mps),
-            ("vehicle_speed_mps", self.vehicle_speed_mps),
-        ];
-        for (name, v) in finite_pos {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(err(format!("{name} must be positive and finite")));
-            }
-        }
-        if !self.street_y_m.is_finite() {
-            return Err(err("street_y_m must be finite"));
-        }
-        if !(self.pedestrian_pause_s.is_finite() && self.pedestrian_pause_s >= 0.0) {
-            return Err(err("pedestrian_pause_s must be non-negative and finite"));
-        }
-        if self.n_domains == 0 {
-            return Err(err("domains must be >= 1"));
-        }
-        if self.shards == 0 {
-            return Err(err("shards must be >= 1"));
-        }
+        SPEC.check(self)?;
         // Home addresses are allocated arithmetically, 250 per /24 under
         // the (widened-as-needed) 10/8 home prefix — see
         // `crate::world::mn::home_addr`. 16M is the last population whose
@@ -1199,14 +953,6 @@ impl ScenarioSpec {
                 "population {population} exceeds the {MAX_POPULATION}-node home address space"
             )));
         }
-        for (name, v) in [
-            ("move_sample_ms", self.move_sample_ms),
-            ("location_update_ms", self.location_update_ms),
-        ] {
-            if v == Some(0) {
-                return Err(err(format!("{name} must be >= 1 (a zero period hangs)")));
-            }
-        }
         if let Some((period_s, factor)) = self.load_curve {
             if !(period_s.is_finite() && period_s > 0.0) {
                 return Err(err("load_curve period must be positive and finite"));
@@ -1216,8 +962,7 @@ impl ScenarioSpec {
             }
         }
         self.faults
-            .validate(self.n_domains + u32::from(self.satellite))?;
-        Ok(())
+            .validate(self.n_domains + u32::from(self.satellite))
     }
 
     // ------------------------------------------------------------------
@@ -1413,14 +1158,86 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
 
-    #[test]
-    fn presets_render_parse_roundtrip() {
-        for (name, preset) in ScenarioSpec::families() {
-            let spec = preset().with_seed_path("test", name, 2);
-            let text = spec.render();
-            let back = ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(back, spec, "{name} round-trip");
+    const HEADER: &str = SPEC.header;
+
+    /// The key table of EXPERIMENTS.md § Scenario sweeps, regenerated.
+    fn key_table() -> String {
+        let mut rows = String::from("| key | value | rendered |\n|---|---|---|\n");
+        for f in SPEC.fields {
+            let rendered = match f.presence {
+                Always => "always",
+                NonDefault => "when set",
+                _ => "never",
+            };
+            let kind = f.kind.describe().replace('|', "\\|");
+            rows += &format!("| `{}` | `{kind}` | {rendered} |\n", f.key);
         }
+        rows
+    }
+
+    #[test]
+    fn experiments_md_key_table_is_the_field_table() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+        let doc = std::fs::read_to_string(path).expect("EXPERIMENTS.md");
+        let table = key_table();
+        assert!(
+            doc.contains(&table),
+            "EXPERIMENTS.md drifted; fresh table:\n{table}"
+        );
+    }
+
+    #[test]
+    fn every_integer_key_runs_at_its_declared_bounds() {
+        // The bounds come from the table, so no key can be left out. The
+        // population keys stop at 1000 nodes: their cap is the 16M
+        // home-address space, a cross-field rule, not a per-key range.
+        for f in SPEC.fields {
+            let (lo, hi) = match &f.kind {
+                U32(_, range) => (u64::from(*range.start()), u64::from(*range.end())),
+                Millis(_, min) => (*min, u64::MAX),
+                _ => continue,
+            };
+            let hi = match f.key {
+                "pedestrians" | "cyclists" | "vehicles" => 1_000,
+                _ => hi,
+            };
+            for value in [lo, hi] {
+                let mut spec = ScenarioSpec::small_city().with_duration_s(1.0);
+                spec.set(f.key, &value.to_string())
+                    .unwrap_or_else(|e| panic!("{e}"));
+                spec.validate().unwrap_or_else(|e| panic!("{e}"));
+                let report = spec.run(42);
+                assert!(report.events_processed > 0, "{} = {value}", f.key);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_naming_the_key() {
+        // Each of these used to hang (`uplink_one` re-arming at the same
+        // instant), panic (`SoftStateCache` lifetime 0) or wrap a `u8`
+        // address octet into another domain's prefix.
+        for (key, value) in [
+            ("route_update_ms", "0"),
+            ("paging_update_ms", "0"),
+            ("table_lifetime_ms", "0"),
+            ("domains", "300"),
+            ("micro_per_domain", "300"),
+        ] {
+            let mut spec = ScenarioSpec::small_city();
+            let e = spec.set(key, value).expect_err(key);
+            assert!(e.message.contains(key), "{e}");
+            // A direct field write is caught by `validate` all the same.
+            let e = spec.validate().expect_err(key);
+            assert!(e.message.contains(key), "{e}");
+            let text = format!("{HEADER}\n{key} = {value}\n");
+            let e = ScenarioSpec::parse(&text).expect_err(key);
+            assert!(e.line == 2 && e.message.contains(key), "{e}");
+        }
+        let mut spec = ScenarioSpec::small_city();
+        spec.set("semisoft_delay_ms", "0")
+            .expect("an immediate switch is legal");
+        assert!(spec.validate().is_ok());
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl WorldBuilder {
     /// wired per Fig 4.1: RSMC under the Internet, BS tree under the RSMC.
     pub fn add_domain(&mut self, spec: DomainSpec) -> usize {
         let didx = self.domains.len();
-        let d = didx as u8;
+        let d = u8::try_from(didx).expect("at most 256 domains: the address plan is 20.<d>.x.x");
         let prefix: Prefix = Prefix::new(Addr::from_octets(20, d, 0, 0), 16);
         let rsmc_addr = Addr::from_octets(20, d, 0, 1);
         let rsmc_node = self.topo.add_node(rsmc_addr);
@@ -210,7 +210,8 @@ impl WorldBuilder {
                 cell
             } else {
                 let cell = self.alloc_cell();
-                let node = self.topo.add_node(Addr::from_octets(21, r as u8, 0, 1));
+                let r8 = u8::try_from(r).expect("region ids are domain indices");
+                let node = self.topo.add_node(Addr::from_octets(21, r8, 0, 1));
                 self.topo.connect(node, rsmc_node, LinkConfig::backbone());
                 self.hierarchy.add_upper_macro(cell);
                 self.region_upper.insert(r, (cell, node));
@@ -258,7 +259,8 @@ impl WorldBuilder {
             for i in 0..spec.n_micro {
                 let cell = self.alloc_cell();
                 let pos = Point::new(x0 + i as f64 * spec.micro_spacing, spec.center.y);
-                let node = self.topo.add_node(Addr::from_octets(20, d, 1, i as u8 + 1));
+                let host = u8::try_from(i + 1).expect("at most 255 street-row cells per domain");
+                let node = self.topo.add_node(Addr::from_octets(20, d, 1, host));
                 let (parent_cell, parent_node) = match (i % 2, prev) {
                     (1, Some(p)) => p,
                     _ => (macro_cell, bs_parent_node),
@@ -310,7 +312,7 @@ impl WorldBuilder {
     /// `mn::home_addr`); populations past the 10.0.0.0/16
     /// capacity widen the home prefix to /8 at [`WorldBuilder::build`].
     pub fn add_mn(&mut self, model: Box<dyn MobilityModel + Send>, flows: &[FlowKind]) -> MnId {
-        let idx = self.mns.len() as u32;
+        let idx = u32::try_from(self.mns.len()).expect("node ids are u32");
         let home = super::mn::home_addr(idx);
         // A node that camps (`World::camps`) is its idle row alone.
         let camps = self.cfg.idle_camping && flows.is_empty();
@@ -341,11 +343,6 @@ impl WorldBuilder {
             });
         }
         id
-    }
-
-    /// Number of domains added so far.
-    pub fn domain_count(&self) -> usize {
-        self.domains.len()
     }
 
     /// The radio cell map built so far (for geometry checks in tests).

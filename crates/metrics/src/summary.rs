@@ -13,7 +13,7 @@ use std::fmt;
 /// let mut s = Summary::new();
 /// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] { s.record(x); }
 /// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_std_dev(), 2.0);
+/// assert_eq!(s.population_variance(), 4.0);
 /// ```
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Summary {
@@ -115,11 +115,6 @@ impl Summary {
         } else {
             self.m2 / (self.count - 1) as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Sample standard deviation.

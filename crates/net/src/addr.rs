@@ -37,11 +37,6 @@ impl Addr {
         ]
     }
 
-    /// The raw 32-bit value.
-    pub const fn as_u32(self) -> u32 {
-        self.0
-    }
-
     /// True for the unspecified (0.0.0.0) address.
     pub const fn is_unspecified(self) -> bool {
         self.0 == 0

@@ -200,12 +200,6 @@ impl CellMap {
         }
     }
 
-    /// Overrides the propagation model.
-    pub fn with_path_loss(mut self, pl: PathLoss) -> Self {
-        self.path_loss = pl;
-        self
-    }
-
     /// Adds a cell.
     ///
     /// # Panics

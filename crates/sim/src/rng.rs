@@ -25,6 +25,21 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Initial state of [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `h` (start from
+/// [`FNV_OFFSET`]). The workspace's one stable string hash: stream
+/// labels here, store keys and worker offsets in `mtnet-bench`.
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 /// A named, independently seeded random stream.
 ///
 /// ```
@@ -63,12 +78,7 @@ impl RngStream {
     /// distinct labels yield (with overwhelming probability) uncorrelated
     /// streams.
     pub fn derive(master_seed: u64, label: &str) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in label.as_bytes() {
-            h ^= u64::from(*byte);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        let mut mix = master_seed ^ h;
+        let mut mix = master_seed ^ fnv1a(FNV_OFFSET, label.as_bytes());
         let folded = splitmix64(&mut mix) ^ splitmix64(&mut mix);
         Self::from_seed(folded)
     }
@@ -237,12 +247,7 @@ impl SeedTree {
 
     /// The child namespace addressed by a string label.
     pub fn label(self, label: &str) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in label.as_bytes() {
-            h ^= u64::from(*byte);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        let mut mix = self.state ^ h ^ SEED_TAG_LABEL;
+        let mut mix = self.state ^ fnv1a(FNV_OFFSET, label.as_bytes()) ^ SEED_TAG_LABEL;
         let _ = splitmix64(&mut mix);
         let mut mix2 = mix ^ (label.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SeedTree {
