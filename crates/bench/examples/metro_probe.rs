@@ -2,10 +2,10 @@
 //! overrides from the command line and prints wall time, event count,
 //! events/s, peak RSS and page-fault counts — the quickest way to answer
 //! "what does this knob cost at scale" without editing an experiment.
-//! Set `MTNET_EVPROF=1` for a per-event-type cost breakdown.
+//! `--profile` adds a per-event-type cost breakdown.
 //!
 //! ```text
-//! cargo run --release --example metro_probe -- duration_s=12 pedestrians=10000 domains=8
+//! cargo run --release --example metro_probe -- --profile duration_s=12 pedestrians=10000 domains=8
 //! ```
 use mtnet_bench::rss;
 use mtnet_core::spec::ScenarioSpec;
@@ -20,8 +20,13 @@ fn faults() -> (u64, u64) {
 
 fn main() {
     let mut spec = ScenarioSpec::metro().with_seed_path("E14", "metro", 0);
+    let mut profile = false;
     for arg in std::env::args().skip(1) {
-        let (k, v) = arg.split_once('=').expect("key=value");
+        if arg == "--profile" {
+            profile = true;
+            continue;
+        }
+        let (k, v) = arg.split_once('=').expect("--profile or key=value");
         spec.set(k, v).expect("valid override");
     }
     spec.validate().expect("valid spec");
@@ -30,7 +35,13 @@ fn main() {
     let built = t0.elapsed();
     let f0 = faults();
     let t1 = std::time::Instant::now();
-    let report = world.run(mtnet_sim::SimDuration::from_secs_f64(spec.duration_s));
+    let duration = mtnet_sim::SimDuration::from_secs_f64(spec.duration_s);
+    let (report, prof) = if profile {
+        let (report, prof) = world.run_profiled(duration);
+        (report, Some(prof))
+    } else {
+        (world.run(duration), None)
+    };
     let ran = t1.elapsed();
     let f1 = faults();
     eprintln!(
@@ -43,8 +54,7 @@ fn main() {
         f1.0 - f0.0,
         f1.1 - f0.1,
     );
-    let prof = mtnet_core::world::evprof::report();
-    if !prof.is_empty() {
+    if let Some(prof) = prof {
         eprint!("{prof}");
     }
 }

@@ -19,8 +19,7 @@ use mtnet_mobileip::{ForeignAgent, HomeAgent};
 use mtnet_mobility::{MobilityModel, Point};
 use mtnet_net::{Addr, FlowId, LinkConfig, NodeId, Prefix, Topology};
 use mtnet_radio::{Cell, CellId, CellKind, CellMap};
-use mtnet_sim::FxHashMap;
-use mtnet_sim::{RngStream, SimDuration};
+use mtnet_sim::{FxHashMap, RngStream, SimDuration};
 use mtnet_traffic::{Cbr, OnOffVbr, ParetoWeb};
 
 /// The kind of multimedia flow to attach to a mobile node.
@@ -137,18 +136,11 @@ impl WorldBuilder {
         );
         let home_prefix: Prefix = "10.0.0.0/16".parse().expect("static prefix");
         let ha = HomeAgent::new(ha_addr, home_prefix);
-        let cells = if cfg.seed == 0 {
-            CellMap::without_shadowing()
-        } else {
-            // Controlled experiments disable shadowing for exact geometry;
-            // population experiments keep it.
-            CellMap::without_shadowing()
-        };
         WorldBuilder {
             master_rng: RngStream::from_seed(cfg.seed),
             cfg,
             topo,
-            cells,
+            cells: CellMap::without_shadowing(),
             hierarchy: Hierarchy::new(),
             domains: Vec::new(),
             cell_node: FxHashMap::default(),
@@ -318,7 +310,6 @@ impl WorldBuilder {
         let camps = self.cfg.idle_camping && flows.is_empty();
         let active = (!camps).then(|| MnActive::new(home, self.ha.addr(), self.cfg.cip_timers));
         let id = self.mns.push(
-            home,
             model,
             self.master_rng.child(&format!("mn{idx}/mobility")),
             active,
@@ -335,7 +326,7 @@ impl WorldBuilder {
             };
             self.flows.push(super::FlowSim {
                 flow: FlowId(fidx + 1),
-                mn: self.mns.handle(id),
+                mn: id,
                 gen,
                 qos: mtnet_traffic::FlowQos::new(),
                 seq: 0,

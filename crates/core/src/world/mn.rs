@@ -12,11 +12,10 @@
 //! RSMC or consult their Cellular IP mode.
 //!
 //! * **The idle row** is what a camping node's own events touch, one
-//!   `Vec` per field indexed by the dense [`MnId`]: `home`, the
-//!   [`MnHot`] line, the cold [`MnMotion`] pair, `prev_cell`,
-//!   `last_paging_update`, `has_flow`, the row generation, and a `u32`
-//!   slot into the active rows. Every subscriber has one; it is all an
-//!   idle subscriber has.
+//!   `Vec` per field indexed by the dense [`MnId`]: the [`MnHot`] line,
+//!   the cold [`MnMotion`] pair, `prev_cell`, `last_paging_update`,
+//!   `has_flow`, and a `u32` slot into the active rows. Every subscriber
+//!   has one; it is all an idle subscriber has.
 //! * **The active row** ([`MnActive`]) is the protocol kit — the Mobile
 //!   IP state machine, the Cellular IP timers, the channel the node
 //!   occupies, its RSMC authentications — in one dense `Vec` that gets an
@@ -57,8 +56,8 @@
 //!   state — nothing grows O(subscribers) on the side.
 //! * **Addresses are arithmetic.** Home addresses are allocated densely
 //!   (250 per /24 starting at 10.0.2.1), so `MnId` ↔ `Addr` conversion
-//!   is a handful of integer ops in both directions — no map, no 256-slot
-//!   octet index, no per-/24 cap.
+//!   is a handful of integer ops in both directions — no column, no map,
+//!   no 256-slot octet index, no per-/24 cap.
 
 use super::PendingAttach;
 use crate::messages::MnId;
@@ -105,16 +104,6 @@ pub(crate) fn mn_of_home(addr: Addr, count: usize) -> Option<MnId> {
     }
     let idx = (u64::from(off) >> 8) * u64::from(MN_PER_SUBNET) + u64::from(rem);
     (idx < count as u64).then(|| MnId(idx as u32))
-}
-
-/// A generation-checked reference to a table row. Long-lived references
-/// (flow → source node) hold one of these instead of a bare [`MnId`]: if
-/// a future world recycles rows, a stale handle resolves to `None`
-/// instead of silently reading the successor's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct MnHandle {
-    pub(crate) id: MnId,
-    gen: u32,
 }
 
 /// [`MnHot::serving`]'s "not attached" encoding. `WorldBuilder` never
@@ -197,12 +186,11 @@ const NO_SLOT: u32 = u32::MAX;
 /// The mobile-node population: one column per access pattern for the
 /// idle row, one dense `Vec` of active rows (see module docs).
 ///
-/// Columns are `pub(crate)` and accessed positionally (`mns.home[i]`);
+/// Columns are `pub(crate)` and accessed positionally (`mns.hot[i]`);
 /// distinct columns borrow independently, which is exactly what the
 /// split-borrow sites (leg cursor + its model and RNG stream) need.
 #[derive(Default)]
 pub(crate) struct MnTable {
-    pub(crate) home: Vec<Addr>,
     pub(crate) hot: Vec<MnHot>,
     motion: Vec<MnMotion>,
     /// Cell the node most recently left, for ping-pong detection.
@@ -212,8 +200,6 @@ pub(crate) struct MnTable {
     /// `WorldConfig::idle_camping` only these nodes go through channel
     /// admission — the idle majority camps without holding a channel.
     pub(crate) has_flow: Vec<bool>,
-    /// Row generations backing [`MnHandle`] checks.
-    gen: Vec<u32>,
     /// Index of the row's [`MnActive`] in `active`, [`NO_SLOT`] for a
     /// camping row.
     slot: Vec<u32>,
@@ -226,37 +212,35 @@ pub(crate) struct MnTable {
 }
 
 impl MnTable {
+    /// The population, on either half of a split world (`has_flow` is
+    /// the one column the [`MnTable::identity_twin`] carries).
     pub(crate) fn len(&self) -> usize {
-        self.home.len()
+        self.has_flow.len()
     }
 
     /// Sizes every idle-row column for `additional` more rows, and the
     /// active rows for the `active` of them the caller knows will not
     /// camp.
     pub(crate) fn reserve(&mut self, additional: usize, active: usize) {
-        self.home.reserve(additional);
         self.hot.reserve(additional);
         self.motion.reserve(additional);
         self.prev_cell.reserve(additional);
         self.last_paging_update.reserve(additional);
         self.has_flow.reserve(additional);
-        self.gen.reserve(additional);
         self.slot.reserve(additional);
         self.active.reserve(active);
     }
 
-    /// Appends a row; the caller supplies the identity/state columns,
-    /// the bookkeeping columns start empty. `active` is the node's
-    /// protocol state, `None` for a node that camps.
+    /// Appends a row; the caller supplies the state columns, the
+    /// bookkeeping columns start empty. `active` is the node's protocol
+    /// state, `None` for a node that camps.
     pub(crate) fn push(
         &mut self,
-        home: Addr,
         model: Box<dyn MobilityModel + Send>,
         rng: RngStream,
         active: Option<MnActive>,
     ) -> MnId {
         let id = MnId(self.len() as u32);
-        self.home.push(home);
         self.hot.push(MnHot {
             cursor: LegCursor::new(),
             serving: NO_CELL,
@@ -266,7 +250,6 @@ impl MnTable {
         self.prev_cell.push(None);
         self.last_paging_update.push(SimTime::ZERO);
         self.has_flow.push(false);
-        self.gen.push(0);
         self.slot.push(match active {
             Some(active) => {
                 self.active.push(active);
@@ -300,21 +283,20 @@ impl MnTable {
         for i in 0..self.len() {
             if self.slot[i] == NO_SLOT {
                 self.slot[i] = self.active.len() as u32;
-                self.active.push(MnActive::new(self.home[i], ha, timers));
+                self.active
+                    .push(MnActive::new(home_addr(i as u32), ha, timers));
             }
         }
     }
 
     /// The table the backbone half of a split world holds (see
-    /// [`World::backbone_twin`](super::World::backbone_twin)): who each
-    /// row is — home address, whether it sources a flow, generation —
-    /// and no other column. Mobility, attachment and protocol state stay
-    /// on the access half alone.
+    /// [`World::backbone_twin`](super::World::backbone_twin)): how many
+    /// rows there are and which source a flow (who a row is follows from
+    /// its index), and no other column. Mobility, attachment and protocol
+    /// state stay on the access half alone.
     pub(crate) fn identity_twin(&self) -> MnTable {
         MnTable {
-            home: self.home.clone(),
             has_flow: self.has_flow.clone(),
-            gen: self.gen.clone(),
             ..MnTable::default()
         }
     }
@@ -335,7 +317,6 @@ impl MnTable {
         std::hint::black_box((
             self.has_flow[i],
             self.hot[i].serving,
-            self.home[i],
             self.active(i).map(|a| a.mip.state()),
             self.last_paging_update[i],
         ));
@@ -368,13 +349,11 @@ impl MnTable {
         fn column<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        column(&self.home)
-            + column(&self.hot)
+        column(&self.hot)
             + column(&self.motion)
             + column(&self.prev_cell)
             + column(&self.last_paging_update)
             + column(&self.has_flow)
-            + column(&self.gen)
             + column(&self.slot)
             + column(&self.active)
             + self
@@ -419,20 +398,6 @@ impl MnTable {
             return None;
         }
         self.in_flight.get(&MnId(i as u32)).map(|p| p.target)
-    }
-
-    /// A generation-checked handle to row `id`.
-    pub(crate) fn handle(&self, id: MnId) -> MnHandle {
-        MnHandle {
-            id,
-            gen: self.gen[id.0 as usize],
-        }
-    }
-
-    /// The row a handle refers to, or `None` if the row was recycled
-    /// since the handle was taken.
-    pub(crate) fn resolve(&self, h: MnHandle) -> Option<MnId> {
-        (self.gen.get(h.id.0 as usize) == Some(&h.gen)).then_some(h.id)
     }
 }
 
@@ -496,7 +461,6 @@ mod tests {
     fn push_row(t: &mut MnTable) -> MnId {
         let idx = t.len() as u32;
         t.push(
-            home_addr(idx),
             Box::new(mtnet_mobility::Stationary::new(Point::new(0.0, 0.0))),
             RngStream::from_seed(1),
             Some(MnActive::new(
@@ -508,9 +472,7 @@ mod tests {
     }
 
     fn push_camping_row(t: &mut MnTable) -> MnId {
-        let idx = t.len() as u32;
         t.push(
-            home_addr(idx),
             Box::new(mtnet_mobility::Stationary::new(Point::new(0.0, 0.0))),
             RngStream::from_seed(1),
             None,
@@ -537,10 +499,9 @@ mod tests {
     }
 
     /// The diet's tier-1 tripwire: an all-camping population of
-    /// stationary nodes costs its idle row and nothing else — 173 B by
+    /// stationary nodes costs its idle row and nothing else — 165 B by
     /// today's column sizes (64 hot + 48 motion + 16 boxed model + 24
-    /// prev_cell + 8 paging stamp + 4 home + 4 generation + 4 slot + 1
-    /// flag). The protocol kit this table used to give every row is
+    /// prev_cell + 8 paging stamp + 4 slot + 1 flag). The protocol kit this table used to give every row is
     /// 200 B on its own, so it cannot come back under the budget.
     #[test]
     fn an_idle_row_fits_its_byte_budget() {
@@ -551,20 +512,9 @@ mod tests {
             push_camping_row(&mut t);
         }
         let per_row = t.heap_bytes() / n;
-        assert!(per_row <= 192, "{per_row} B per idle row");
+        assert!(per_row <= 184, "{per_row} B per idle row");
         // And an active row on top of it does not fit.
-        assert!(per_row + std::mem::size_of::<MnActive>() > 192);
-    }
-
-    #[test]
-    fn handles_are_generation_checked() {
-        let mut t = MnTable::default();
-        let id = push_row(&mut t);
-        let h = t.handle(id);
-        assert_eq!(t.resolve(h), Some(id));
-        // A bumped generation invalidates outstanding handles.
-        t.gen[id.0 as usize] += 1;
-        assert_eq!(t.resolve(h), None);
+        assert!(per_row + std::mem::size_of::<MnActive>() > 184);
     }
 
     #[test]

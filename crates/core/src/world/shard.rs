@@ -16,7 +16,7 @@
 //! Anything that scales with subscribers lives on exactly one side: the
 //! access half keeps the whole `MnTable`; the backbone half takes the
 //! CN's route column and the MNLD, and of the population holds only who
-//! a row is (`home`, `has_flow`, the row generation). The
+//! a row is (its index, and `has_flow`). The
 //! deployment-sized infrastructure exists on both sides, kept in step by
 //! the two event classes that are **replicated** instead of owned:
 //! periodic cache sweeps ([`Ev::Sweep`]) and fault-plan edges
@@ -133,7 +133,7 @@ pub(crate) struct Crossing {
 }
 
 /// Per-half sharding context. `None` on a sequentially-run world;
-/// `Some` switches `World::forward_wired` into diverting boundary
+/// `Some` switches `World::transmit` into diverting boundary
 /// crossings to the outbox instead of scheduling them locally.
 pub(crate) struct ShardCtx {
     /// This half's shard id.

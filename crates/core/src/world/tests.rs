@@ -1,9 +1,13 @@
 //! World-level unit tests: protocol interactions on small, controlled
 //! deployments.
 
+use super::mn::home_addr;
 use super::*;
+use crate::messages::{CipControl, Payload};
+use crate::report::DropCause;
 use crate::scenario::ArchKind;
 use crate::spec::ScenarioSpec;
+use crate::tier::Tier;
 use mtnet_mobility::{LinearCommute, Point, Stationary};
 
 fn commute_world(arch: ArchKind, secs: f64, seed: u64) -> SimReport {
@@ -489,19 +493,11 @@ fn persistent_indices_match_linear_scans() {
     }
     assert_eq!(world.rsmc_addr_domain.get(&world.cn_addr), None);
 
-    // MN owner probe ≡ scan over the population's home column.
-    for (i, &home) in world.mns.home.iter().enumerate() {
-        assert_eq!(
-            world.mn_of(home),
-            world
-                .mns
-                .home
-                .iter()
-                .position(|&h| h == home)
-                .map(|p| MnId(p as u32))
-        );
-        assert_eq!(world.mn_of(home), Some(MnId(i as u32)));
+    // MN owner probe ≡ the inverse of the home-address arithmetic.
+    for i in 0..world.mns.len() as u32 {
+        assert_eq!(world.mn_of(home_addr(i)), Some(MnId(i)));
     }
+    assert_eq!(world.mn_of(home_addr(world.mns.len() as u32)), None);
     assert_eq!(world.mn_of(world.cn_addr), None);
     assert_eq!(world.mn_of(world.ha.addr()), None);
 
@@ -536,7 +532,7 @@ fn route_cache_matches_routing_tables() {
     let mut dsts: Vec<Addr> = (0..world.topo.node_count() as u32)
         .map(|n| world.topo.addr_of(NodeId(n)))
         .collect();
-    dsts.extend(world.mns.home.iter().copied());
+    dsts.extend((0..world.mns.len() as u32).map(home_addr));
     dsts.push(world.cn_addr);
     for node in 0..world.topo.node_count() as u32 {
         let node = NodeId(node);
@@ -549,6 +545,146 @@ fn route_cache_matches_routing_tables() {
             );
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// One way onto a link, one way out of the arena
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_packet_refused_by_a_full_tree_link_leaves_the_arena_with_its_cause() {
+    use mtnet_net::{Link, LinkConfig};
+    // One domain, one caller parked on the first micro cell (cell 1,
+    // chained under the macro BS), nothing scheduled.
+    let mut b = WorldBuilder::new(WorldConfig::default());
+    b.add_domain(DomainSpec::default());
+    b.add_mn(
+        Box::new(Stationary::new(Point::new(900.0, 1500.0))),
+        &[FlowKind::Voice],
+    );
+    let mut world = b.build();
+    let cell = CellId(1);
+    let bs = world.node_of_cell(cell);
+    let tree = world.domains[0].cip.tree();
+    let (parent, gateway) = (tree.parent(bs).expect("a micro BS"), tree.gateway());
+    // Both directions of the BS's tree link carry one packet at a time,
+    // for most of a second, and queue none.
+    let mut links = Vec::new();
+    for (a, b) in [(bs, parent), (parent, bs)] {
+        let id = world.topo.link_between(a, b).expect("tree link");
+        *world.topo.link_mut(id).expect("known link") = Link::new(LinkConfig {
+            bandwidth_bps: 1_000,
+            queue_bytes: 0,
+            ..LinkConfig::access()
+        });
+        links.push(id);
+    }
+    world.mns.hot[0].set_serving(Some(cell));
+    let mn = home_addr(0);
+    let gw_addr = world.topo.addr_of(gateway);
+    let update = Payload::Cip(CipControl::RouteUpdate {
+        mn,
+        came_from_bs: true,
+    });
+    let cn = world.cn_addr;
+    let mut sim = Simulator::new(world);
+    let dropped = |sim: &Simulator<World>, link: usize| {
+        let stats = sim.model().topo.link(links[link]).expect("known link");
+        stats.stats().dropped_packets
+    };
+
+    // Two route updates enter at the BS together: the first climbs, the
+    // second finds the link busy. A refused update is control — freed,
+    // not a data drop.
+    for _ in 0..2 {
+        let pkt = sim
+            .model_mut()
+            .alloc_control(mn, gw_addr, SimTime::ZERO, update);
+        let (node, from) = (bs, None);
+        sim.schedule_at(SimTime::ZERO, Ev::Pkt { node, from, pkt });
+    }
+    sim.run_until(SimTime::from_secs(5));
+    assert_eq!(dropped(&sim, 0), 1, "the uplink refused the second update");
+    assert_eq!(
+        sim.model().arena.live(),
+        0,
+        "a refused update kept its slot"
+    );
+    assert_eq!(sim.model().report.total_drops(), 0);
+    assert!(
+        sim.model().domains[0].cip.locate(mn, sim.now()).is_some(),
+        "the first update reached the gateway"
+    );
+
+    // Two data packets descend from the parent together along the route
+    // the update installed: one is delivered, one overflows — booked once,
+    // as a queue overflow.
+    for seq in 0..2 {
+        let now = sim.now();
+        let pkt = sim
+            .model_mut()
+            .alloc_packet(FlowId(1), seq, cn, mn, 160, now, Payload::Data);
+        let (node, from) = (parent, Some(gateway));
+        sim.schedule_at(now, Ev::Pkt { node, from, pkt });
+    }
+    sim.run_until(SimTime::from_secs(10));
+    assert_eq!(
+        dropped(&sim, 1),
+        1,
+        "the downlink refused the second packet"
+    );
+    assert_eq!(
+        sim.model().arena.live(),
+        0,
+        "a refused packet kept its slot"
+    );
+    let world = sim.into_model();
+    let overflow = [(DropCause::QueueOverflow, 1)];
+    assert_eq!(world.report.drops, overflow.into_iter().collect());
+    assert_eq!(world.flows[0].qos.received(), 1, "the first was delivered");
+}
+
+#[test]
+fn a_full_bs_foreign_agent_denies_over_its_own_air_interface() {
+    use mtnet_mobileip::{ForeignAgent, MnState};
+    // Pure Mobile IP: the macro BS is the FA, and it has room for one
+    // visitor. Two nodes park under it.
+    let mut cfg = WorldConfig::default();
+    ArchKind::PureMobileIp.apply(&mut cfg);
+    let mut b = WorldBuilder::new(cfg);
+    b.add_domain(DomainSpec::default());
+    for _ in 0..2 {
+        b.add_mn(Box::new(Stationary::new(Point::new(1500.0, 1500.0))), &[]);
+    }
+    let mut world = b.build();
+    let (&cell, fa) = world.bs_fas.iter_mut().next().expect("one BS, one FA");
+    *fa = ForeignAgent::new(fa.addr()).with_max_visitors(1);
+    let mut sim = world.launch();
+    // Node 0 samples, attaches and registers 7 ms ahead of node 1, whose
+    // request finds the FA full. The denial has no tree to descend: it
+    // reaches node 1 over the BS's own radio and ends its registration
+    // attempt, long before the 1 s retransmission timer could.
+    sim.run_until(SimTime::from_millis(400));
+    let world = sim.into_model();
+    let state = |i: usize| world.mns.active(i).expect("nobody camps").mip.state();
+    assert_eq!(world.mns.hot[1].serving(), Some(cell));
+    assert!(
+        matches!(state(0), MnState::Registered { .. }),
+        "{:?}",
+        state(0)
+    );
+    assert_eq!(state(1), MnState::Searching, "the denial never arrived");
+    assert_eq!(world.bs_fas[&cell].visitor_count(), 1);
+    assert_eq!(
+        world.report.signaling.mip_requests, 3,
+        "two sent, one at the HA"
+    );
+    assert_eq!(
+        world.report.signaling.mip_replies, 1,
+        "only node 0's, from the HA"
+    );
+    assert_eq!(world.arena.live(), 0, "a control packet kept its slot");
+    assert_eq!(world.report.total_drops(), 0);
 }
 
 /// Runs `world` to `secs` in `checkpoints` slices and, at every stop and
@@ -876,12 +1012,7 @@ fn the_split_puts_every_subscriber_column_on_one_side() {
         "protocol state stays on the access half"
     );
     assert_eq!(t.len(), n);
-    for i in 0..n {
-        let handle = world.mns.handle(MnId(i as u32));
-        assert_eq!(t.resolve(handle), world.mns.resolve(handle), "row {i}");
-        assert_eq!(t.home[i], world.mns.home[i], "row {i}");
-        assert_eq!(t.has_flow[i], world.mns.has_flow[i], "row {i}");
-    }
+    assert_eq!(t.has_flow, world.mns.has_flow);
     // The CN's route column went with it; the access half keeps none.
     assert_eq!(twin.cn_route.len(), n);
     assert!(world.cn_route.is_empty());

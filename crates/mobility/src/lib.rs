@@ -9,7 +9,6 @@
 //! * [`SpeedClass`] — pedestrian / urban-vehicle / highway speed ranges.
 //! * [`MobilityModel`] — the leg-generator trait.
 //! * [`RandomWaypoint`] — the classic random-waypoint model.
-//! * [`ManhattanGrid`] — street-grid movement with turn probabilities.
 //! * [`LinearCommute`] — a straight constant-speed path (domain-crossing
 //!   experiments, Figs 3.2–3.3).
 //! * [`Stationary`] — a node that never moves.
@@ -34,14 +33,12 @@
 
 mod commute;
 mod geometry;
-mod manhattan;
 mod model;
 mod speed;
 mod waypoint;
 
 pub use commute::LinearCommute;
 pub use geometry::{Point, Rect, Vec2};
-pub use manhattan::ManhattanGrid;
 pub use model::{Leg, LegCursor, MobilityModel, Stationary, Trajectory};
 pub use speed::SpeedClass;
 pub use waypoint::RandomWaypoint;

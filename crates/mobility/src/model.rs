@@ -275,7 +275,6 @@ mod tests {
     use super::*;
     use crate::commute::LinearCommute;
     use crate::geometry::Rect;
-    use crate::manhattan::ManhattanGrid;
     use crate::speed::SpeedClass;
     use crate::waypoint::RandomWaypoint;
     use proptest::prelude::*;
@@ -565,7 +564,6 @@ mod tests {
             // leg boundaries.
             let commute = LinearCommute::new(Point::new(0.0, 0.0), Point::new(300.0, 400.0), 50.0);
             check_against_oracle(commute.round_trip(), seed, &steps)?;
-            check_against_oracle(ManhattanGrid::new(1200.0, 100.0, SpeedClass::UrbanVehicle), seed, &steps)?;
             check_against_oracle(Stationary::new(Point::new(5.0, 5.0)), seed, &steps)?;
             // Whole-second legs of differing speeds, so queries land exactly
             // on boundaries where the two neighbours answer differently, and

@@ -5,7 +5,7 @@
 //! Fig 3.2, and different upper BS, Fig 3.3).
 //!
 //! ```text
-//! cargo run -p mtnet-examples --bin city_commute --release
+//! cargo run -p mtnet-bench --example city_commute --release
 //! ```
 
 use mtnet_core::{ArchKind, ScenarioSpec};

@@ -6,7 +6,7 @@
 //! scheme and compare what the media streams experienced.
 //!
 //! ```text
-//! cargo run -p mtnet-examples --bin multimedia_handoff --release
+//! cargo run -p mtnet-bench --example multimedia_handoff --release
 //! ```
 
 use mtnet_core::{ArchKind, ScenarioSpec};

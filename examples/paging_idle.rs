@@ -6,7 +6,7 @@
 //! idle machinery saves and what paging costs in exchange.
 //!
 //! ```text
-//! cargo run -p mtnet-examples --bin paging_idle --release
+//! cargo run -p mtnet-bench --example paging_idle --release
 //! ```
 
 use mtnet_core::{ArchKind, ScenarioSpec};

@@ -2,7 +2,7 @@
 //! simulated multimedia traffic, and print the QoS report.
 //!
 //! ```text
-//! cargo run -p mtnet-examples --bin quickstart
+//! cargo run -p mtnet-bench --example quickstart
 //! ```
 
 use mtnet_core::ScenarioSpec;
