@@ -1,6 +1,7 @@
 //! Hostile bytes against the one `mtnet_core::kv` reader, through each
 //! of its four records: scenario specs, stored runs, leases and
-//! quarantine records. One deterministic byte-level mutation driver
+//! quarantine records — and against the command-line value parsers
+//! (`--axis` and the five counts). One deterministic byte-level mutation driver
 //! (seeded `RngStream`) takes valid texts and truncates them at every
 //! offset, flips bytes (invalid UTF-8 included, read lossily), splices
 //! two texts, duplicates key lines, swaps values for overflowing and
@@ -9,15 +10,20 @@
 //! satisfies `parse(render(x)) == x`, so no hostile text is silently a
 //! different record than it prints as. The valid texts go through the
 //! same check first, which makes this the render/parse round-trip test
-//! of all four formats.
+//! of all four formats. A flag value has no renderer of its own: a count
+//! renders as its digits, an axis as `key=v1,v2,…` (see [`render_axis`]).
 
+use mtnet_bench::coord::{parse_max_reclaims, parse_timeout_ms, parse_worker_count};
 use mtnet_bench::coord::{Lease, Poison};
 use mtnet_bench::experiments::arm_specs;
 use mtnet_bench::store::StoredRun;
+use mtnet_bench::sweep::{parse_axis, Axis};
 use mtnet_bench::Effort;
-use mtnet_core::kv;
 use mtnet_core::spec::ScenarioSpec;
+use mtnet_core::world::shard::parse_shard_count;
+use mtnet_sim::runner::parse_thread_count;
 use mtnet_sim::RngStream;
+use std::fmt::{Debug, Display};
 
 /// Values no numeric, switch or quoted field may choke on.
 const HOSTILE_VALUES: [&str; 14] = [
@@ -77,10 +83,10 @@ fn mutants(text: &str, other: &str, rng: &mut RngStream) -> Vec<String> {
 
 /// Runs the driver over one record type. Canonical texts (`canonical`)
 /// must also render back byte for byte.
-fn torture<T: PartialEq + std::fmt::Debug>(
+fn torture<T: PartialEq + Debug, E: PartialEq + Debug + Display>(
     record: &str,
     texts: &[(String, bool)],
-    parse: fn(&str) -> Result<T, kv::Error>,
+    parse: fn(&str) -> Result<T, E>,
     render: fn(&T) -> String,
 ) {
     let mut rng = RngStream::derive(0xbad_b17e5, record);
@@ -184,6 +190,47 @@ fn poison_records() {
     assert_eq!(Poison::parse(PARENT_POISON).expect("parent's").failures, 1);
     let texts = [(poison.render(), true), (PARENT_POISON.to_string(), true)];
     torture("poison", &texts, Poison::parse, Poison::render);
+}
+
+/// An axis as `--axis` text: a value holding a `,` or `..` is quoted,
+/// so a list never reads back as a range or as more values.
+fn render_axis(axis: &Axis) -> String {
+    let values: Vec<String> = axis
+        .values
+        .iter()
+        .map(|v| {
+            if v.contains(',') || v.contains("..") {
+                format!("\"{v}\"")
+            } else {
+                v.clone()
+            }
+        })
+        .collect();
+    format!("{}={}", axis.key, values.join(","))
+}
+
+#[test]
+fn axis_flags() {
+    let texts = [
+        ("route_update_ms=100,200".to_string(), true),
+        ("duration_s=1..3..1".to_string(), false),
+    ];
+    torture("--axis", &texts, parse_axis, render_axis);
+}
+
+#[test]
+fn count_flags() {
+    let texts = [("4".to_string(), true), ("10000".to_string(), true)];
+    torture("--threads", &texts, parse_thread_count, usize::to_string);
+    torture("--shards", &texts, parse_shard_count, u32::to_string);
+    torture("--workers", &texts, parse_worker_count, usize::to_string);
+    torture(
+        "--lease-timeout-ms",
+        &texts,
+        parse_timeout_ms,
+        u64::to_string,
+    );
+    torture("--max-reclaims", &texts, parse_max_reclaims, u32::to_string);
 }
 
 #[test]

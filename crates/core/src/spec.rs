@@ -1079,20 +1079,29 @@ impl ScenarioSpec {
             flows
         };
         b.reserve_mns(self.pedestrians as usize + self.cyclists as usize + self.vehicles as usize);
-        let mut idx = 0usize;
-        for p in 0..self.pedestrians as usize {
-            // Pedestrians wander the street row of one domain.
-            let d = p % n_domains;
+        // Pedestrians wander the street row of one domain: one shared
+        // random-waypoint model per domain (its area, the speed class, the
+        // pause), so a pedestrian is its start point and its own row.
+        let street_row = |d: usize| {
             let cx = width / 2.0 + d as f64 * width;
-            let area = Rect::new(
+            Rect::new(
                 Point::new(cx - 800.0, street_y - 250.0),
                 Point::new(cx + 800.0, street_y + 250.0),
-            );
+            )
+        };
+        let walks: Vec<_> = (0..n_domains.min(self.pedestrians as usize))
+            .map(|d| {
+                let walk = RandomWaypoint::new(street_row(d), self.pedestrian_class)
+                    .with_pause(SimDuration::from_secs_f64(self.pedestrian_pause_s));
+                b.add_model(Box::new(walk))
+            })
+            .collect();
+        let mut idx = 0usize;
+        for p in 0..self.pedestrians as usize {
+            let d = p % n_domains;
+            let cx = width / 2.0 + d as f64 * width;
             let start = Point::new(cx - 600.0 + (p as f64 * 163.0) % 1200.0, street_y);
-            let model = RandomWaypoint::new(area, self.pedestrian_class)
-                .with_pause(SimDuration::from_secs_f64(self.pedestrian_pause_s))
-                .with_start(start);
-            b.add_mn(Box::new(model), &flow_plan(idx));
+            b.add_mn(walks[d], street_row(d).clamp(start), &flow_plan(idx));
             idx += 1;
         }
         for c in 0..self.cyclists as usize {
@@ -1101,25 +1110,21 @@ impl ScenarioSpec {
             let cx = width / 2.0 + d as f64 * width;
             let span = self.micro_spacing_m * (self.micro_per_domain.saturating_sub(1)) as f64;
             let y = street_y + 20.0 * (c as f64);
-            let model = LinearCommute::new(
-                Point::new(cx - span / 2.0, y),
-                Point::new(cx + span / 2.0, y),
-                self.cyclist_speed_mps,
-            )
-            .round_trip();
-            b.add_mn(Box::new(model), &flow_plan(idx));
+            let from = Point::new(cx - span / 2.0, y);
+            let to = Point::new(cx + span / 2.0, y);
+            let ride = LinearCommute::new(from, to, self.cyclist_speed_mps).round_trip();
+            let model = b.add_model(Box::new(ride));
+            b.add_mn(model, from, &flow_plan(idx));
             idx += 1;
         }
         for v in 0..self.vehicles as usize {
             // Vehicles shuttle the whole corridor at highway speed.
             let y = street_y + 50.0 * (v as f64 - 1.0);
-            let model = LinearCommute::new(
-                Point::new(400.0, y),
-                Point::new(self.corridor_width() - 400.0, y),
-                self.vehicle_speed_mps,
-            )
-            .round_trip();
-            b.add_mn(Box::new(model), &flow_plan(idx));
+            let from = Point::new(400.0, y);
+            let to = Point::new(self.corridor_width() - 400.0, y);
+            let drive = LinearCommute::new(from, to, self.vehicle_speed_mps).round_trip();
+            let model = b.add_model(Box::new(drive));
+            b.add_mn(model, from, &flow_plan(idx));
             idx += 1;
         }
         let mut world = b.build();

@@ -33,6 +33,11 @@ pub enum FlowKind {
     Web,
 }
 
+/// A mobility model registered with [`WorldBuilder::add_model`]: any
+/// number of nodes can walk it (see [`WorldBuilder::add_mn`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ModelId(u32);
+
 /// One domain to deploy.
 #[derive(Debug, Clone, Copy)]
 pub struct DomainSpec {
@@ -299,21 +304,31 @@ impl WorldBuilder {
         self.mns.reserve(n, active);
     }
 
-    /// Adds a mobile node with the given mobility model and flows. Home
-    /// addresses are arithmetic (dense, 250 per /24 from 10.0.2.1 — see
-    /// `mn::home_addr`); populations past the 10.0.0.0/16
-    /// capacity widen the home prefix to /8 at [`WorldBuilder::build`].
-    pub fn add_mn(&mut self, model: Box<dyn MobilityModel + Send>, flows: &[FlowKind]) -> MnId {
+    /// Registers a mobility model for [`WorldBuilder::add_mn`]. A model
+    /// is a parameter set, not a walker: nodes that move alike (a
+    /// domain's pedestrians) should share one, and each keeps only its
+    /// start, RNG stream and progress in its own row.
+    pub fn add_model(&mut self, model: Box<dyn MobilityModel + Send>) -> ModelId {
+        ModelId(self.mns.add_model(model))
+    }
+
+    /// Adds a mobile node walking `model` from `start`, with the given
+    /// flows. Home addresses are arithmetic (dense, 250 per /24 from
+    /// 10.0.2.1 — see `mn::home_addr`); populations past the
+    /// 10.0.0.0/16 capacity widen the home prefix to /8 at
+    /// [`WorldBuilder::build`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model` was not registered with this builder.
+    pub fn add_mn(&mut self, model: ModelId, start: Point, flows: &[FlowKind]) -> MnId {
         let idx = u32::try_from(self.mns.len()).expect("node ids are u32");
         let home = super::mn::home_addr(idx);
         // A node that camps (`World::camps`) is its idle row alone.
         let camps = self.cfg.idle_camping && flows.is_empty();
         let active = (!camps).then(|| MnActive::new(home, self.ha.addr(), self.cfg.cip_timers));
-        let id = self.mns.push(
-            model,
-            self.master_rng.child(&format!("mn{idx}/mobility")),
-            active,
-        );
+        let rng = self.master_rng.child(format_args!("mn{idx}/mobility"));
+        let id = self.mns.push(model.0, start, rng, active);
         if !flows.is_empty() {
             self.mns.has_flow[id.0 as usize] = true;
         }
@@ -330,7 +345,7 @@ impl WorldBuilder {
                 gen,
                 qos: mtnet_traffic::FlowQos::new(),
                 seq: 0,
-                rng: self.master_rng.child(&format!("flow{fidx}/traffic")),
+                rng: self.master_rng.child(format_args!("flow{fidx}/traffic")),
             });
         }
         id

@@ -100,7 +100,7 @@ impl World {
             );
             let uplink = |a, b| self.topo.link_between(a, b).expect("domain uplink exists");
             let (fwd, rev) = (uplink(core, rsmc), uplink(rsmc, core));
-            let mut rng = jitter_root.child(&format!("faults/flap{i}"));
+            let mut rng = jitter_root.child(format_args!("faults/flap{i}"));
             for k in 0..f.count {
                 let base = f.start_s + f64::from(k) * f.period_s;
                 // Jitter < period * min(duty, 1-duty) (spec-validated), so

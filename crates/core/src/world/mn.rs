@@ -13,9 +13,16 @@
 //!
 //! * **The idle row** is what a camping node's own events touch, one
 //!   `Vec` per field indexed by the dense [`MnId`]: the [`MnHot`] line,
-//!   the cold [`MnMotion`] pair, `prev_cell`, `last_paging_update`,
+//!   the cold [`MnMotion`] triple, `prev_cell`, `last_paging_update`,
 //!   `has_flow`, and a `u32` slot into the active rows. Every subscriber
-//!   has one; it is all an idle subscriber has.
+//!   has one; it is all an idle subscriber has — 133 B.
+//! * **The model table** holds the distinct mobility models, boxed, once
+//!   each. A model is an immutable parameter set (an area, a speed range,
+//!   a pause): the 200 000 pedestrians of a metro world walk 50 of them,
+//!   one per domain. What makes one walker differ from another is its
+//!   own — its start point (the hot row's cursor stands there until the
+//!   first sample), its RNG stream and one phase word (in [`MnMotion`],
+//!   beside the model's index). No row owns a model.
 //! * **The active row** ([`MnActive`]) is the protocol kit — the Mobile
 //!   IP state machine, the Cellular IP timers, the channel the node
 //!   occupies, its RSMC authentications — in one dense `Vec` that gets an
@@ -38,9 +45,10 @@
 //! them one after another. Everything the common-case move sample needs
 //! from the node — the current mobility leg, the serving cell, whether a
 //! handoff is in flight — is therefore one 64-byte, 64-byte-aligned
-//! [`MnHot`] row: one cache line, no pointer to chase. The boxed mobility
-//! model and its RNG stream sit together in the cold [`MnMotion`] column
-//! that only a leg rollover dereferences.
+//! [`MnHot`] row: one cache line, no pointer to chase. The model's index,
+//! the phase word and the RNG stream sit together in the cold
+//! [`MnMotion`] column that only a leg rollover reads, and the few shared
+//! models it points into stay cached.
 //!
 //! Three further rules keep the table a memory diet rather than just a
 //! transpose:
@@ -63,7 +71,7 @@ use super::PendingAttach;
 use crate::messages::MnId;
 use mtnet_cellularip::{CipTimers, MnCipState};
 use mtnet_mobileip::MobileNode;
-use mtnet_mobility::{LegCursor, MobilityModel, Point};
+use mtnet_mobility::{Leg, LegCursor, MobilityModel, Point};
 use mtnet_net::Addr;
 use mtnet_radio::CellId;
 use mtnet_sim::{FxHashMap, RngStream, SimTime};
@@ -145,11 +153,41 @@ impl MnHot {
     }
 }
 
-/// What a leg rollover needs and nothing else does: the leg generator
-/// and the node's private random stream.
+/// What a leg rollover needs and nothing else does: which shared model
+/// the node walks, its progress through it and its private random
+/// stream.
 pub(crate) struct MnMotion {
-    model: Box<dyn MobilityModel + Send>,
     rng: RngStream,
+    /// Index into [`MnTable::models`].
+    model: u32,
+    /// The node's phase word (see [`MobilityModel::next_leg`]).
+    phase: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<MnMotion>() == 40);
+
+/// A row's model as its cursor sees it. The row's index is read only
+/// when the cursor pulls a leg, so a sample inside the current leg reads
+/// the hot row alone, as it did when the row owned its model.
+struct RowModel<'a> {
+    models: &'a [Box<dyn MobilityModel + Send>],
+    index: &'a u32,
+}
+
+impl RowModel<'_> {
+    fn get(&self) -> &dyn MobilityModel {
+        &*self.models[*self.index as usize]
+    }
+}
+
+impl MobilityModel for RowModel<'_> {
+    fn next_leg(&self, current: Point, phase: &mut u32, rng: &mut RngStream) -> Leg {
+        self.get().next_leg(current, phase, rng)
+    }
+
+    fn start(&self) -> Point {
+        self.get().start()
+    }
 }
 
 /// The protocol state of a node that does not camp (see module docs).
@@ -191,10 +229,15 @@ const NO_SLOT: u32 = u32::MAX;
 /// split-borrow sites (leg cursor + its model and RNG stream) need.
 #[derive(Default)]
 pub(crate) struct MnTable {
+    /// The distinct mobility models, each shared by every row that walks
+    /// it (see module docs).
+    models: Vec<Box<dyn MobilityModel + Send>>,
     pub(crate) hot: Vec<MnHot>,
     motion: Vec<MnMotion>,
-    /// Cell the node most recently left, for ping-pong detection.
-    pub(crate) prev_cell: Vec<Option<(CellId, SimTime)>>,
+    /// Cell id the node most recently left and when, for ping-pong
+    /// detection: [`NO_CELL`] until it first leaves one (16 B, where
+    /// `Option<(CellId, SimTime)>` spends 24).
+    pub(crate) prev_cell: Vec<(u32, SimTime)>,
     pub(crate) last_paging_update: Vec<SimTime>,
     /// True when the node sources at least one traffic flow. Under
     /// `WorldConfig::idle_camping` only these nodes go through channel
@@ -231,23 +274,39 @@ impl MnTable {
         self.active.reserve(active);
     }
 
-    /// Appends a row; the caller supplies the state columns, the
-    /// bookkeeping columns start empty. `active` is the node's protocol
-    /// state, `None` for a node that camps.
+    /// Adds a model rows can walk; returns its index.
+    pub(crate) fn add_model(&mut self, model: Box<dyn MobilityModel + Send>) -> u32 {
+        self.models.push(model);
+        u32::try_from(self.models.len() - 1).expect("model ids are u32")
+    }
+
+    /// Appends a row walking model `model` from `start`; the caller
+    /// supplies the state columns, the bookkeeping columns start empty.
+    /// `active` is the node's protocol state, `None` for a node that
+    /// camps.
     pub(crate) fn push(
         &mut self,
-        model: Box<dyn MobilityModel + Send>,
+        model: u32,
+        start: Point,
         rng: RngStream,
         active: Option<MnActive>,
     ) -> MnId {
+        assert!(
+            (model as usize) < self.models.len(),
+            "model {model} was never added"
+        );
         let id = MnId(self.len() as u32);
         self.hot.push(MnHot {
-            cursor: LegCursor::new(),
+            cursor: LegCursor::at(start),
             serving: NO_CELL,
             handoff_in_flight: false,
         });
-        self.motion.push(MnMotion { model, rng });
-        self.prev_cell.push(None);
+        self.motion.push(MnMotion {
+            rng,
+            model,
+            phase: 0,
+        });
+        self.prev_cell.push((NO_CELL, SimTime::ZERO));
         self.last_paging_update.push(SimTime::ZERO);
         self.has_flow.push(false);
         self.slot.push(match active {
@@ -292,8 +351,9 @@ impl MnTable {
     /// The table the backbone half of a split world holds (see
     /// [`World::backbone_twin`](super::World::backbone_twin)): how many
     /// rows there are and which source a flow (who a row is follows from
-    /// its index), and no other column. Mobility, attachment and protocol
-    /// state stay on the access half alone.
+    /// its index), and no other column. Mobility (the model table
+    /// included), attachment and protocol state stay on the access half
+    /// alone.
     pub(crate) fn identity_twin(&self) -> MnTable {
         MnTable {
             has_flow: self.has_flow.clone(),
@@ -305,8 +365,12 @@ impl MnTable {
     /// unless the leg rolls over.
     #[inline]
     pub(crate) fn sample(&mut self, i: usize, now: SimTime) -> (Point, f64) {
-        let MnMotion { model, rng } = &mut self.motion[i];
-        self.hot[i].cursor.sample(now, model, rng)
+        let MnMotion { rng, model, phase } = &mut self.motion[i];
+        let model = RowModel {
+            models: &self.models,
+            index: model,
+        };
+        self.hot[i].cursor.sample(now, &model, phase, rng)
     }
 
     /// Reads, and only reads, the columns an uplink tick walks for row
@@ -341,34 +405,43 @@ impl MnTable {
         self.active.len()
     }
 
+    /// How many distinct models the rows walk.
+    #[cfg(test)]
+    pub(crate) fn model_count(&self) -> usize {
+        self.models.len()
+    }
+
     /// Heap bytes the table holds: every column's capacity × element
-    /// size, the boxed mobility models, and what the active rows and the
-    /// payload map own.
+    /// size, the shared models, and what the active rows and the payload
+    /// map own.
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
         fn column<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        column(&self.hot)
+        column(&self.models)
+            + self
+                .models
+                .iter()
+                .map(|m| std::mem::size_of_val(&**m))
+                .sum::<usize>()
+            + column(&self.hot)
             + column(&self.motion)
             + column(&self.prev_cell)
             + column(&self.last_paging_update)
             + column(&self.has_flow)
             + column(&self.slot)
             + column(&self.active)
-            + self
-                .motion
-                .iter()
-                .map(|m| std::mem::size_of_val(&*m.model))
-                .sum::<usize>()
             + self.active.iter().map(|a| column(&a.auth)).sum::<usize>()
             + self.in_flight.capacity() * std::mem::size_of::<(MnId, PendingAttach)>()
     }
 
-    /// Row `i`'s leg cursor and RNG stream, rendered for equality checks.
+    /// Row `i`'s leg cursor, phase word and RNG stream, rendered for
+    /// equality checks.
     #[cfg(test)]
     pub(crate) fn motion_state(&self, i: usize) -> String {
-        format!("{:?} {:?}", self.hot[i].cursor, self.motion[i].rng)
+        let m = &self.motion[i];
+        format!("{:?} {} {:?}", self.hot[i].cursor, m.phase, m.rng)
     }
 
     /// Records a decided handoff for row `i`: flag and payload together.
@@ -458,25 +531,23 @@ mod tests {
         assert_eq!(first_outside, "10.1.0.1".parse().unwrap());
     }
 
+    /// A row parked at the origin on the table's first model, added on
+    /// first use.
+    fn push_parked(t: &mut MnTable, active: Option<MnActive>) -> MnId {
+        if t.models.is_empty() {
+            t.add_model(Box::new(mtnet_mobility::Stationary::new(Point::ORIGIN)));
+        }
+        t.push(0, Point::ORIGIN, RngStream::from_seed(1), active)
+    }
+
     fn push_row(t: &mut MnTable) -> MnId {
-        let idx = t.len() as u32;
-        t.push(
-            Box::new(mtnet_mobility::Stationary::new(Point::new(0.0, 0.0))),
-            RngStream::from_seed(1),
-            Some(MnActive::new(
-                home_addr(idx),
-                "10.0.0.1".parse().unwrap(),
-                CipTimers::default(),
-            )),
-        )
+        let home = home_addr(t.len() as u32);
+        let ha = "10.0.0.1".parse().unwrap();
+        push_parked(t, Some(MnActive::new(home, ha, CipTimers::default())))
     }
 
     fn push_camping_row(t: &mut MnTable) -> MnId {
-        t.push(
-            Box::new(mtnet_mobility::Stationary::new(Point::new(0.0, 0.0))),
-            RngStream::from_seed(1),
-            None,
-        )
+        push_parked(t, None)
     }
 
     #[test]
@@ -498,23 +569,45 @@ mod tests {
         assert_eq!(t.active(c).unwrap().channel_cell, Some(CellId(7)));
     }
 
+    #[test]
+    #[should_panic(expected = "model 1 was never added")]
+    fn a_row_walks_a_model_the_table_holds() {
+        let mut t = MnTable::default();
+        push_camping_row(&mut t);
+        t.push(1, Point::ORIGIN, RngStream::from_seed(1), None);
+    }
+
     /// The diet's tier-1 tripwire: an all-camping population of
-    /// stationary nodes costs its idle row and nothing else — 165 B by
-    /// today's column sizes (64 hot + 48 motion + 16 boxed model + 24
-    /// prev_cell + 8 paging stamp + 4 slot + 1 flag). The protocol kit this table used to give every row is
-    /// 200 B on its own, so it cannot come back under the budget.
+    /// pedestrians sharing one random-waypoint model — the row a metro
+    /// world pays for 200 000 times — costs its idle row and nothing
+    /// else: 133 B by today's column sizes (64 hot + 40 motion + 16
+    /// prev_cell + 8 paging stamp + 4 slot + 1 flag). A boxed model per
+    /// row (16 B pointer + the model) or the protocol kit this table used
+    /// to give every row (200 B) cannot come back under the budget.
     #[test]
     fn an_idle_row_fits_its_byte_budget() {
+        use mtnet_mobility::{RandomWaypoint, Rect, SpeedClass};
         let n = 10_000;
         let mut t = MnTable::default();
         t.reserve(n, 0);
-        for _ in 0..n {
-            push_camping_row(&mut t);
+        let walk = RandomWaypoint::new(Rect::square(1600.0), SpeedClass::Pedestrian)
+            .with_pause(mtnet_sim::SimDuration::from_secs(10));
+        let model = t.add_model(Box::new(walk.clone()));
+        for k in 0..n {
+            let start = Point::new(k as f64 % 1600.0, 250.0);
+            t.push(model, start, RngStream::from_seed(k as u64), None);
         }
         let per_row = t.heap_bytes() / n;
-        assert!(per_row <= 184, "{per_row} B per idle row");
-        // And an active row on top of it does not fit.
-        assert!(per_row + std::mem::size_of::<MnActive>() > 184);
+        assert!(per_row <= 144, "{per_row} B per idle row");
+        let boxed =
+            std::mem::size_of::<Box<dyn MobilityModel + Send>>() + std::mem::size_of_val(&walk);
+        assert!(per_row + boxed > 144, "a boxed model per row would fit");
+        assert!(per_row + std::mem::size_of::<MnActive>() > 144);
+        // And a metro world builds one model per domain, not per node.
+        let metro = crate::spec::ScenarioSpec::metro_smoke();
+        let world = metro.build(42);
+        assert_eq!(world.mns.len(), 10_000);
+        assert_eq!(world.mns.model_count(), metro.n_domains as usize);
     }
 
     #[test]

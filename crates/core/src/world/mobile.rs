@@ -306,11 +306,10 @@ impl World {
         let target = pending.target;
         let old = pending.old;
 
-        // Ping-pong accounting.
-        if let Some((prev, left_at)) = self.mns.prev_cell[i] {
-            if prev == target && now.saturating_since(left_at) < SimDuration::from_secs(5) {
-                self.report.handoffs.ping_pong += 1;
-            }
+        // Ping-pong accounting (`NO_CELL`, "never left one", is no target).
+        let (prev, left_at) = self.mns.prev_cell[i];
+        if prev == target.0 && now.saturating_since(left_at) < SimDuration::from_secs(5) {
+            self.report.handoffs.ping_pong += 1;
         }
         if let Some(active) = self.mns.active_mut(i) {
             release_channel(active, &mut self.cells);
@@ -320,7 +319,7 @@ impl World {
             active.cip.touch(now);
         }
         if let Some(o) = old {
-            self.mns.prev_cell[i] = Some((o, now));
+            self.mns.prev_cell[i] = (o.0, now);
         }
         self.mns.hot[i].set_serving(Some(target));
 

@@ -28,7 +28,7 @@ mod mobile;
 pub mod shard;
 mod wire;
 
-pub use build::{DomainSpec, FlowKind, WorldBuilder};
+pub use build::{DomainSpec, FlowKind, ModelId, WorldBuilder};
 pub use shard::run_sharded;
 
 use faults::FaultAction;

@@ -10,6 +10,12 @@ use crate::spec::ScenarioSpec;
 use crate::tier::Tier;
 use mtnet_mobility::{LinearCommute, Point, Stationary};
 
+/// Adds a node parked at `at`, on a model of its own.
+fn park(b: &mut WorldBuilder, at: Point, flows: &[FlowKind]) -> MnId {
+    let model = b.add_model(Box::new(Stationary::new(at)));
+    b.add_mn(model, at, flows)
+}
+
 fn commute_world(arch: ArchKind, secs: f64, seed: u64) -> SimReport {
     ScenarioSpec::commute_corridor()
         .with_raw_seed(seed)
@@ -23,10 +29,7 @@ fn stationary_node_registers_and_receives() {
     // A parked pedestrian population: no handoffs, near-zero loss.
     let mut b = WorldBuilder::new(WorldConfig::default());
     b.add_domain(DomainSpec::default());
-    b.add_mn(
-        Box::new(Stationary::new(Point::new(1500.0, 1500.0))),
-        &[FlowKind::Voice],
-    );
+    park(&mut b, Point::new(1500.0, 1500.0), &[FlowKind::Voice]);
     let report = b.build().run(SimDuration::from_secs(30));
     let q = report.aggregate_qos();
     assert!(q.sent > 1000, "voice flow ran: {}", q.sent);
@@ -45,10 +48,7 @@ fn stationary_node_registers_and_receives() {
 fn voice_delay_reflects_topology() {
     let mut b = WorldBuilder::new(WorldConfig::default());
     b.add_domain(DomainSpec::default());
-    b.add_mn(
-        Box::new(Stationary::new(Point::new(1500.0, 1500.0))),
-        &[FlowKind::Voice],
-    );
+    park(&mut b, Point::new(1500.0, 1500.0), &[FlowKind::Voice]);
     let report = b.build().run(SimDuration::from_secs(20));
     let q = report.aggregate_qos();
     // CN→internet(5ms)→RSMC(25ms)→tree(2ms×n)→air(2ms+ser):
@@ -67,10 +67,7 @@ fn cn_route_optimization_reduces_delay() {
         cfg.notify_cn = notify_cn;
         let mut b = WorldBuilder::new(cfg);
         b.add_domain(DomainSpec::default());
-        b.add_mn(
-            Box::new(Stationary::new(Point::new(1500.0, 1500.0))),
-            &[FlowKind::Voice],
-        );
+        park(&mut b, Point::new(1500.0, 1500.0), &[FlowKind::Voice]);
         b.build()
             .run(SimDuration::from_secs(30))
             .aggregate_qos()
@@ -224,10 +221,7 @@ fn different_seeds_differ() {
 fn location_tables_track_attached_nodes() {
     let mut b = WorldBuilder::new(WorldConfig::default());
     b.add_domain(DomainSpec::default());
-    b.add_mn(
-        Box::new(Stationary::new(Point::new(1500.0, 1500.0))),
-        &[FlowKind::Voice],
-    );
+    park(&mut b, Point::new(1500.0, 1500.0), &[FlowKind::Voice]);
     let world = b.build();
     let report = world.run(SimDuration::from_secs(20));
     // Location messages flowed and populated tables.
@@ -270,10 +264,7 @@ fn ha_intercepts_and_tunnels() {
     cfg.notify_cn = false;
     let mut b = WorldBuilder::new(cfg);
     b.add_domain(DomainSpec::default());
-    b.add_mn(
-        Box::new(Stationary::new(Point::new(1500.0, 1500.0))),
-        &[FlowKind::Voice],
-    );
+    park(&mut b, Point::new(1500.0, 1500.0), &[FlowKind::Voice]);
     let world = b.build();
     let mut sim = mtnet_sim::Simulator::new(world);
     sim.schedule_at(SimTime::ZERO, Ev::MoveSample(MnId(0)));
@@ -359,14 +350,10 @@ fn queue_overflow_counted_under_congestion() {
         ..DomainSpec::default()
     });
     for i in 0..20 {
-        b.add_mn(
-            Box::new(LinearCommute::new(
-                Point::new(1300.0 + i as f64, 1500.0),
-                Point::new(1700.0 + i as f64, 1500.0),
-                1.0,
-            )),
-            &[FlowKind::Video],
-        );
+        let from = Point::new(1300.0 + i as f64, 1500.0);
+        let to = Point::new(1700.0 + i as f64, 1500.0);
+        let model = b.add_model(Box::new(LinearCommute::new(from, to, 1.0)));
+        b.add_mn(model, from, &[FlowKind::Video]);
     }
     let report = b.build().run(SimDuration::from_secs(30));
     // 20 video flows ≈ 5 Mbit/s mean through one RSMC: some links and air
@@ -446,17 +433,15 @@ fn persistent_indices_match_linear_scans() {
         center: Point::new(4500.0, 1500.0),
         ..DomainSpec::default()
     });
-    b.add_mn(
-        Box::new(Stationary::new(Point::new(1500.0, 1500.0))),
+    park(
+        &mut b,
+        Point::new(1500.0, 1500.0),
         &[FlowKind::Voice, FlowKind::Web],
     );
-    b.add_mn(
-        Box::new(
-            LinearCommute::new(Point::new(900.0, 1500.0), Point::new(4500.0, 1500.0), 10.0)
-                .round_trip(),
-        ),
-        &[FlowKind::Video],
-    );
+    let from = Point::new(900.0, 1500.0);
+    let shuttle = LinearCommute::new(from, Point::new(4500.0, 1500.0), 10.0).round_trip();
+    let model = b.add_model(Box::new(shuttle));
+    b.add_mn(model, from, &[FlowKind::Video]);
     let world = b.build();
 
     // Flow index ≡ position scan.
@@ -522,10 +507,7 @@ fn route_cache_matches_routing_tables() {
         region: Some(1),
         ..DomainSpec::default()
     });
-    b.add_mn(
-        Box::new(Stationary::new(Point::new(1500.0, 1500.0))),
-        &[FlowKind::Voice],
-    );
+    park(&mut b, Point::new(1500.0, 1500.0), &[FlowKind::Voice]);
     let mut world = b.build();
     // Probe every (router, destination) pair the simulation can see:
     // node addresses, MN home addresses, and the CN/HA endpoints.
@@ -558,10 +540,7 @@ fn a_packet_refused_by_a_full_tree_link_leaves_the_arena_with_its_cause() {
     // chained under the macro BS), nothing scheduled.
     let mut b = WorldBuilder::new(WorldConfig::default());
     b.add_domain(DomainSpec::default());
-    b.add_mn(
-        Box::new(Stationary::new(Point::new(900.0, 1500.0))),
-        &[FlowKind::Voice],
-    );
+    park(&mut b, Point::new(900.0, 1500.0), &[FlowKind::Voice]);
     let mut world = b.build();
     let cell = CellId(1);
     let bs = world.node_of_cell(cell);
@@ -654,7 +633,7 @@ fn a_full_bs_foreign_agent_denies_over_its_own_air_interface() {
     let mut b = WorldBuilder::new(cfg);
     b.add_domain(DomainSpec::default());
     for _ in 0..2 {
-        b.add_mn(Box::new(Stationary::new(Point::new(1500.0, 1500.0))), &[]);
+        park(&mut b, Point::new(1500.0, 1500.0), &[]);
     }
     let mut world = b.build();
     let (&cell, fa) = world.bs_fas.iter_mut().next().expect("one BS, one FA");
@@ -1315,7 +1294,7 @@ fn a_row_has_protocol_state_exactly_when_it_does_not_camp() {
             })
             .collect();
         for plan in &plans {
-            b.add_mn(Box::new(Stationary::new(Point::new(1500.0, 1500.0))), plan);
+            park(&mut b, Point::new(1500.0, 1500.0), plan);
         }
         let world = b.build();
         let mut active = 0;
@@ -1327,4 +1306,53 @@ fn a_row_has_protocol_state_exactly_when_it_does_not_camp() {
         }
         assert_eq!(world.mns.active_rows(), active, "case {case}");
     }
+}
+
+/// A hand-built camping street: 120 nodes driving random waypoints over
+/// two domains' street rows with 2 s pauses, every 40th on a voice call.
+/// With `shared`, every node walks one registered model; without, each
+/// gets a model of its own, started where the node starts — the world
+/// before models were shared.
+fn camping_street(shared: bool) -> World {
+    use mtnet_mobility::{RandomWaypoint, Rect, SpeedClass};
+    let mut b = WorldBuilder::new(WorldConfig {
+        seed: 7,
+        idle_camping: true,
+        ..WorldConfig::default()
+    });
+    b.add_domain(DomainSpec::default());
+    b.add_domain(DomainSpec {
+        center: Point::new(4500.0, 1500.0),
+        ..DomainSpec::default()
+    });
+    let area = Rect::new(Point::new(700.0, 1250.0), Point::new(5300.0, 1750.0));
+    let walk =
+        RandomWaypoint::new(area, SpeedClass::UrbanVehicle).with_pause(SimDuration::from_secs(2));
+    let one = b.add_model(Box::new(walk.clone()));
+    for i in 0..120 {
+        let start = Point::new(700.0 + (i as f64 * 163.0) % 4600.0, 1500.0);
+        let model = if shared {
+            one
+        } else {
+            b.add_model(Box::new(walk.clone().with_start(start)))
+        };
+        let flows: &[FlowKind] = if i % 40 == 0 { &[FlowKind::Voice] } else { &[] };
+        b.add_mn(model, start, flows);
+    }
+    b.build()
+}
+
+#[test]
+fn nodes_sharing_one_model_run_as_nodes_with_their_own() {
+    let duration = SimDuration::from_secs(120);
+    let (shared, own) = (camping_street(true), camping_street(false));
+    assert_eq!((shared.mns.model_count(), own.mns.model_count()), (1, 121));
+    let (shared, own) = (shared.run(duration), own.run(duration));
+    assert_eq!(shared.events_processed, own.events_processed);
+    assert_eq!(shared.fingerprint(), own.fingerprint());
+    assert!(shared.handoffs.total() > 100, "{:?}", shared.handoffs);
+    assert!(
+        shared.aggregate_qos().received > 0,
+        "the callers' voice flowed"
+    );
 }

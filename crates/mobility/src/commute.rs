@@ -10,15 +10,15 @@ use mtnet_sim::{RngStream, SimDuration};
 ///
 /// With [`LinearCommute::round_trip`], the node shuttles back and forth
 /// forever — handy for generating a steady stream of handoffs.
+///
+/// The walker's phase word says which endpoint its next leg departs: 0
+/// for `from`, 1 for `to` (where a one-way commute stays parked).
 #[derive(Debug, Clone)]
 pub struct LinearCommute {
     from: Point,
     to: Point,
     speed: f64,
     round_trip: bool,
-    /// Which endpoint the *next* leg departs from (for round trips).
-    outbound: bool,
-    arrived: bool,
 }
 
 impl LinearCommute {
@@ -36,8 +36,6 @@ impl LinearCommute {
             to,
             speed,
             round_trip: false,
-            outbound: true,
-            arrived: false,
         }
     }
 
@@ -59,23 +57,25 @@ impl LinearCommute {
 }
 
 impl MobilityModel for LinearCommute {
-    fn next_leg(&mut self, current: Point, _rng: &mut RngStream) -> Leg {
+    fn next_leg(&self, _current: Point, phase: &mut u32, _rng: &mut RngStream) -> Leg {
+        // Legs run between the exact endpoints: `current` may differ from
+        // them by floating error.
+        let outbound = *phase == 0;
         if self.round_trip {
-            let (a, b) = if self.outbound {
+            *phase = u32::from(outbound);
+            let (a, b) = if outbound {
                 (self.from, self.to)
             } else {
                 (self.to, self.from)
             };
-            self.outbound = !self.outbound;
-            // `current` may differ from `a` by floating error; use exact endpoints.
-            let _ = current;
             return Leg::travel(a, b, self.speed);
         }
-        if self.arrived {
-            return Leg::pause(self.to, SimDuration::from_secs(3600));
+        *phase = 1;
+        if outbound {
+            Leg::travel(self.from, self.to, self.speed)
+        } else {
+            Leg::pause(self.to, SimDuration::from_secs(3600))
         }
-        self.arrived = true;
-        Leg::travel(self.from, self.to, self.speed)
     }
 
     fn start(&self) -> Point {

@@ -7,15 +7,20 @@
 //!
 //! * [`Point`] / [`Vec2`] — 2-D geometry in meters.
 //! * [`SpeedClass`] — pedestrian / urban-vehicle / highway speed ranges.
-//! * [`MobilityModel`] — the leg-generator trait.
+//! * [`MobilityModel`] — the leg-generator trait. A model is an immutable
+//!   parameter set that any number of nodes can walk at once: a node's
+//!   start point, its `RngStream` and one `u32` phase word of progress
+//!   live in the node's own row, not in the model.
 //! * [`RandomWaypoint`] — the classic random-waypoint model.
 //! * [`LinearCommute`] — a straight constant-speed path (domain-crossing
 //!   experiments, Figs 3.2–3.3).
 //! * [`Stationary`] — a node that never moves.
-//! * [`Trajectory`] — a model plus the one leg it is currently on: O(1)
-//!   position-and-speed queries at non-decreasing times, constant memory.
-//! * [`LegCursor`] — that current leg alone (56 bytes, `Copy`), for tables
-//!   that keep it inline in a hot row and the boxed model elsewhere.
+//! * [`Trajectory`] — a model of its own plus the phase word and the one
+//!   leg it is currently on: O(1) position-and-speed queries at
+//!   non-decreasing times, constant memory.
+//! * [`LegCursor`] — that current leg alone (56 bytes, `Copy`, standing at
+//!   its start point until the first query), for tables that keep it
+//!   inline in a hot row and share the models in a table of their own.
 //!
 //! ```
 //! use mtnet_mobility::{LinearCommute, Point, Trajectory};

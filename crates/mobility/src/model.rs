@@ -56,30 +56,24 @@ impl Leg {
 
 /// A generator of consecutive trajectory legs.
 ///
-/// Implementations must be deterministic given the `RngStream` handed in:
-/// all randomness comes from that stream.
+/// A model is a **parameter set**: immutable, and shared by every node
+/// that walks it. What makes one walker differ from another lives with
+/// the walker — its start point (read once, by [`LegCursor::at`]), its
+/// `RngStream`, and one `phase` word of progress through the model.
+/// Implementations must be deterministic given those: all randomness
+/// comes from the stream, all memory between legs from `phase`.
 pub trait MobilityModel {
-    /// Produces the next leg, starting wherever the previous leg ended.
+    /// Produces the next leg, starting at `current`, where the previous
+    /// leg ended (the walker's start point for the first leg).
     ///
-    /// The first call receives the model's configured start point via its
-    /// own state; subsequent calls continue from `current`.
-    fn next_leg(&mut self, current: Point, rng: &mut RngStream) -> Leg;
+    /// `phase` is the walker's own progress word, zero before its first
+    /// leg; the model reads and advances it (a pause toggle, a direction
+    /// bit, a script index) and keeps nothing else between calls.
+    fn next_leg(&self, current: Point, phase: &mut u32, rng: &mut RngStream) -> Leg;
 
-    /// The initial position of the node.
+    /// The model's default start point: where [`Trajectory::new`]
+    /// starts its walker.
     fn start(&self) -> Point;
-}
-
-/// A boxed model is a model, so code generic over `M: MobilityModel` can
-/// be handed the box itself and dereference it only when it asks for a
-/// leg.
-impl<M: MobilityModel + ?Sized> MobilityModel for Box<M> {
-    fn next_leg(&mut self, current: Point, rng: &mut RngStream) -> Leg {
-        (**self).next_leg(current, rng)
-    }
-
-    fn start(&self) -> Point {
-        (**self).start()
-    }
 }
 
 /// A node that never moves — the degenerate mobility model.
@@ -96,7 +90,7 @@ impl Stationary {
 }
 
 impl MobilityModel for Stationary {
-    fn next_leg(&mut self, _current: Point, _rng: &mut RngStream) -> Leg {
+    fn next_leg(&self, _current: Point, _phase: &mut u32, _rng: &mut RngStream) -> Leg {
         Leg::pause(self.at, SimDuration::from_secs(3600))
     }
 
@@ -115,7 +109,7 @@ struct CurrentLeg {
     leg: Leg,
     /// End of the leg in simulated nanoseconds. Every leg occupies at
     /// least [`MIN_LEG`], so an end is never zero — which is what lets
-    /// `Option<CurrentLeg>` spend no extra byte on "nothing materialized".
+    /// [`Walk`] keep its start point without spending a byte on the tag.
     /// The start is derived (`end − max(duration, MIN_LEG)`), exact short
     /// of the clock saturating at `SimTime::MAX` (584 simulated years).
     end: NonZeroU64,
@@ -126,10 +120,11 @@ impl CurrentLeg {
     fn pull<M: MobilityModel + ?Sized>(
         from: Point,
         start: SimTime,
-        model: &mut M,
+        model: &M,
+        phase: &mut u32,
         rng: &mut RngStream,
     ) -> CurrentLeg {
-        let leg = model.next_leg(from, rng);
+        let leg = model.next_leg(from, phase, rng);
         let end = start + leg.duration.max(MIN_LEG);
         CurrentLeg {
             leg,
@@ -146,10 +141,20 @@ impl CurrentLeg {
     }
 }
 
+/// Where a cursor stands: at its start point until the first query
+/// pulls a leg, on a leg from then on. Explicit state: a first leg of
+/// zero duration starting at time zero is a legal leg, not an empty
+/// cursor.
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    At(Point),
+    On(CurrentLeg),
+}
+
 /// The moving part of a trajectory: the one leg that covers the latest
 /// query, without the model that generates legs. 56 bytes and `Copy`, so
-/// a population table can keep it inline in a hot row and the boxed
-/// model in a cold column that only leg rollover touches.
+/// a population table can keep it inline in a hot row and the shared
+/// model in a table that only leg rollover reads.
 ///
 /// Queries are **per-cursor non-decreasing** in time. A same-instant
 /// re-query and a backwards query *inside the current leg* stay exact;
@@ -157,36 +162,38 @@ impl CurrentLeg {
 /// covered it is gone) and trips a debug assertion. Nothing accumulates:
 /// a rollover overwrites the leg in place, so memory per trajectory is
 /// constant by construction.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct LegCursor {
-    /// `None` until the first query pulls the first leg. Explicit state:
-    /// a first leg of zero duration starting at time zero is a legal leg,
-    /// not an empty cursor.
-    current: Option<CurrentLeg>,
+    walk: Walk,
 }
 
 const _: () = assert!(std::mem::size_of::<LegCursor>() == 56);
 
 impl LegCursor {
-    /// A cursor that has not materialized any leg yet.
-    pub const fn new() -> Self {
-        LegCursor { current: None }
+    /// A cursor standing at `start`: its first query pulls the first leg
+    /// from there, at time zero.
+    pub const fn at(start: Point) -> Self {
+        LegCursor {
+            walk: Walk::At(start),
+        }
     }
 
     /// Position and instantaneous speed (m/s) at time `t`, pulling legs
-    /// from `model` until one ends strictly after `t`. `model` and `rng`
-    /// must be the same pair on every call; neither is touched while `t`
-    /// stays inside the current leg.
+    /// from `model` until one ends strictly after `t`. `phase` and `rng`
+    /// are the walker's own and must be the same pair on every call (the
+    /// model may be shared with any number of other cursors); none of the
+    /// three is touched while `t` stays inside the current leg.
     #[inline]
     pub fn sample<M: MobilityModel + ?Sized>(
         &mut self,
         t: SimTime,
-        model: &mut M,
+        model: &M,
+        phase: &mut u32,
         rng: &mut RngStream,
     ) -> (Point, f64) {
-        let cur = match self.current {
-            Some(cur) if t < cur.end() => cur,
-            _ => self.roll_to(t, model, rng),
+        let cur = match self.walk {
+            Walk::On(cur) if t < cur.end() => cur,
+            _ => self.roll_to(t, model, phase, rng),
         };
         let start = cur.start();
         debug_assert!(
@@ -201,37 +208,43 @@ impl LegCursor {
     }
 
     /// Leg rollover: replaces the current leg until one covers `t`. The
-    /// first leg starts at time zero from `model.start()`, every later
-    /// one where and when its predecessor ended.
+    /// first leg starts at time zero from the cursor's start point, every
+    /// later one where and when its predecessor ended.
     #[cold]
     fn roll_to<M: MobilityModel + ?Sized>(
         &mut self,
         t: SimTime,
-        model: &mut M,
+        model: &M,
+        phase: &mut u32,
         rng: &mut RngStream,
     ) -> CurrentLeg {
-        let mut cur = match self.current {
-            Some(cur) => cur,
-            None => CurrentLeg::pull(model.start(), SimTime::ZERO, model, rng),
+        let mut cur = match self.walk {
+            Walk::On(cur) => cur,
+            Walk::At(start) => CurrentLeg::pull(start, SimTime::ZERO, model, phase, rng),
         };
         while cur.end() <= t {
-            cur = CurrentLeg::pull(cur.leg.to, cur.end(), model, rng);
+            cur = CurrentLeg::pull(cur.leg.to, cur.end(), model, phase, rng);
         }
-        self.current = Some(cur);
+        self.walk = Walk::On(cur);
         cur
     }
 
     /// End of the current leg (`SimTime::ZERO` before the first query).
     fn horizon(&self) -> SimTime {
-        self.current.map_or(SimTime::ZERO, |c| c.end())
+        match self.walk {
+            Walk::At(_) => SimTime::ZERO,
+            Walk::On(cur) => cur.end(),
+        }
     }
 }
 
-/// A trajectory: a [`MobilityModel`] and the [`LegCursor`] walking it,
-/// with position and speed queries at per-trajectory non-decreasing
-/// times (see [`LegCursor`] for the exact contract).
+/// A trajectory: a [`MobilityModel`] of its own, the phase word and the
+/// [`LegCursor`] walking it from the model's start, with position and
+/// speed queries at per-trajectory non-decreasing times (see
+/// [`LegCursor`] for the exact contract).
 pub struct Trajectory {
     model: Box<dyn MobilityModel + Send>,
+    phase: u32,
     cursor: LegCursor,
 }
 
@@ -247,8 +260,9 @@ impl Trajectory {
     /// Wraps a model into a trajectory with no leg materialized yet.
     pub fn new(model: Box<dyn MobilityModel + Send>) -> Self {
         Trajectory {
+            cursor: LegCursor::at(model.start()),
+            phase: 0,
             model,
-            cursor: LegCursor::new(),
         }
     }
 
@@ -256,7 +270,7 @@ impl Trajectory {
     /// lookup.
     #[inline]
     pub fn sample(&mut self, t: SimTime, rng: &mut RngStream) -> (Point, f64) {
-        self.cursor.sample(t, &mut self.model, rng)
+        self.cursor.sample(t, &*self.model, &mut self.phase, rng)
     }
 
     /// Position at time `t` (materializing legs as needed).
@@ -326,17 +340,17 @@ mod tests {
         }
     }
 
-    /// A scripted model emitting fixed legs, for deterministic tests.
+    /// A scripted model emitting fixed legs, for deterministic tests; the
+    /// phase word is the walker's index into the script.
     #[derive(Clone)]
     struct Scripted {
         legs: Vec<Leg>,
-        i: usize,
     }
 
     impl MobilityModel for Scripted {
-        fn next_leg(&mut self, _c: Point, _r: &mut RngStream) -> Leg {
-            let leg = self.legs[self.i % self.legs.len()];
-            self.i += 1;
+        fn next_leg(&self, _c: Point, phase: &mut u32, _r: &mut RngStream) -> Leg {
+            let leg = self.legs[*phase as usize % self.legs.len()];
+            *phase += 1;
             leg
         }
         fn start(&self) -> Point {
@@ -351,7 +365,7 @@ mod tests {
             Leg::pause(Point::new(100.0, 0.0), SimDuration::from_secs(5)),   // 5 s
             Leg::travel(Point::new(100.0, 0.0), Point::new(100.0, 50.0), 5.0), // 10 s
         ];
-        let mut traj = Trajectory::new(Box::new(Scripted { legs, i: 0 }));
+        let mut traj = Trajectory::new(Box::new(Scripted { legs }));
         let mut r = rng();
         // Position and speed together, at non-decreasing times: one per leg.
         for (secs, pos, speed) in [
@@ -373,7 +387,7 @@ mod tests {
             Point::new(100.0, 0.0),
             1.0,
         )];
-        let mut traj = Trajectory::new(Box::new(Scripted { legs, i: 0 }));
+        let mut traj = Trajectory::new(Box::new(Scripted { legs }));
         let mut r = rng();
         let late = traj.position(SimTime::from_secs(90), &mut r);
         let early = traj.position(SimTime::from_secs(10), &mut r);
@@ -389,7 +403,7 @@ mod tests {
             Leg::travel(Point::new(0.0, 0.0), Point::new(100.0, 0.0), 10.0), // 10 s
             Leg::pause(Point::new(100.0, 0.0), SimDuration::from_secs(5)),
         ];
-        let mut traj = Trajectory::new(Box::new(Scripted { legs, i: 0 }));
+        let mut traj = Trajectory::new(Box::new(Scripted { legs }));
         let mut r = rng();
         traj.position(SimTime::from_secs(12), &mut r);
         traj.position(SimTime::from_secs(5), &mut r);
@@ -402,16 +416,15 @@ mod tests {
         // cursor to anything that infers emptiness from the leg's fields.
         let here = Point::new(3.0, 4.0);
         let there = Point::new(3.0, 5.0);
-        let mut model = Scripted {
+        let model = Scripted {
             legs: vec![
                 Leg::pause(here, SimDuration::ZERO),
                 Leg::travel(here, there, 1000.0), // 1 ms
                 Leg::pause(there, SimDuration::from_secs(1)),
             ],
-            i: 0,
         };
-        let mut cursor = LegCursor::new();
-        let mut r = rng();
+        let mut cursor = LegCursor::at(model.start());
+        let (mut phase, mut r) = (0, rng());
         let us = SimTime::from_micros;
         for (t, pulled, pos, speed) in [
             (us(0), 1, here, 0.0),
@@ -421,11 +434,11 @@ mod tests {
             (us(2000), 3, there, 0.0),
         ] {
             assert_eq!(
-                cursor.sample(t, &mut model, &mut r),
+                cursor.sample(t, &model, &mut phase, &mut r),
                 (pos, speed),
                 "at {t:?}"
             );
-            assert_eq!(model.i, pulled, "legs pulled by {t:?}");
+            assert_eq!(phase, pulled, "legs pulled by {t:?}");
         }
         assert_eq!(cursor.horizon(), us(2000) + SimDuration::from_secs(1));
     }
@@ -456,8 +469,8 @@ mod tests {
             }
         }
         assert_eq!(rd, rs, "both consumed the same draws");
-        // Constant memory per trajectory: the model box plus one inline
-        // leg, no heap-side history to grow with simulated time.
+        // Constant memory per trajectory: the model box, the phase word and
+        // one inline leg, no heap-side history to grow with simulated time.
         assert!(std::mem::size_of::<Trajectory>() <= 80);
     }
 
@@ -476,6 +489,7 @@ mod tests {
     /// each query is a binary search over the cumulative end times.
     struct Oracle<M> {
         model: M,
+        phase: u32,
         ends: Vec<SimTime>,
         legs: Vec<Leg>,
     }
@@ -484,6 +498,7 @@ mod tests {
         fn new(model: M) -> Self {
             Oracle {
                 model,
+                phase: 0,
                 ends: Vec::new(),
                 legs: Vec::new(),
             }
@@ -497,7 +512,7 @@ mod tests {
                     .last()
                     .map(|l| l.to)
                     .unwrap_or_else(|| self.model.start());
-                let leg = self.model.next_leg(current, rng);
+                let leg = self.model.next_leg(current, &mut self.phase, rng);
                 horizon += leg.duration.max(SimDuration::from_millis(1));
                 self.ends.push(horizon);
                 self.legs.push(leg);
@@ -521,13 +536,13 @@ mod tests {
         M: MobilityModel + Clone,
     {
         let mut oracle = Oracle::new(model.clone());
-        let (mut model, mut cursor) = (model, LegCursor::new());
+        let (mut cursor, mut phase) = (LegCursor::at(model.start()), 0);
         let mut rc = RngStream::derive(seed, "cursor-vs-oracle");
         let mut ro = rc.clone();
         let mut t = SimTime::ZERO;
         for &step in steps_ms {
             t += SimDuration::from_millis(step);
-            let got = cursor.sample(t, &mut model, &mut rc);
+            let got = cursor.sample(t, &model, &mut phase, &mut rc);
             let want = oracle.sample(t, &mut ro);
             prop_assert_eq!(got.0.x.to_bits(), want.0.x.to_bits(), "x at {t:?}");
             prop_assert_eq!(got.0.y.to_bits(), want.0.y.to_bits(), "y at {t:?}");
@@ -549,6 +564,78 @@ mod tests {
         }
     }
 
+    /// Whole-second legs of differing speeds, so queries land exactly on
+    /// boundaries where the two neighbours answer differently, and a
+    /// zero-length leg in mid-trajectory.
+    fn script() -> Scripted {
+        let (a, b) = (Point::new(0.0, 0.0), Point::new(30.0, 0.0));
+        Scripted {
+            legs: vec![
+                Leg::travel(a, b, 10.0),
+                Leg::pause(b, SimDuration::from_secs(2)),
+                Leg::pause(b, SimDuration::ZERO),
+                Leg::travel(b, a, 30.0),
+            ],
+        }
+    }
+
+    /// Runs one walker per start over the one `model` they share — each
+    /// with its own cursor, phase word and stream — against independent
+    /// [`Trajectory`]s over per-walker copies (`copy(start)` is `model`
+    /// starting there), querying whichever walker each draw names at a
+    /// global non-decreasing clock. Answers and RNG states must match bit
+    /// for bit: sharing a model must be unobservable.
+    fn check_sharing<M>(
+        model: &M,
+        copy: impl Fn(Point) -> M,
+        starts: &[Point],
+        seed: u64,
+        draws: &[(usize, u64)],
+    ) -> Result<(), TestCaseError>
+    where
+        M: MobilityModel + Send + 'static,
+    {
+        let stream = |k: usize| RngStream::derive(seed, &format!("walker{k}"));
+        let mut walkers: Vec<(LegCursor, u32, RngStream)> = (0..starts.len())
+            .map(|k| (LegCursor::at(starts[k]), 0, stream(k)))
+            .collect();
+        let mut own: Vec<(Trajectory, RngStream)> = (0..starts.len())
+            .map(|k| (Trajectory::new(Box::new(copy(starts[k]))), stream(k)))
+            .collect();
+        let mut t = SimTime::ZERO;
+        for &(k, step) in draws {
+            t += SimDuration::from_millis(step);
+            let k = k % starts.len();
+            let (cursor, phase, rc) = &mut walkers[k];
+            let got = cursor.sample(t, model, phase, rc);
+            let (traj, ro) = &mut own[k];
+            let want = traj.sample(t, ro);
+            prop_assert_eq!(
+                got.0.x.to_bits(),
+                want.0.x.to_bits(),
+                "walker {} x at {:?}",
+                k,
+                t
+            );
+            prop_assert_eq!(
+                got.0.y.to_bits(),
+                want.0.y.to_bits(),
+                "walker {} y at {:?}",
+                k,
+                t
+            );
+            prop_assert_eq!(
+                got.1.to_bits(),
+                want.1.to_bits(),
+                "walker {} speed at {:?}",
+                k,
+                t
+            );
+            prop_assert_eq!(&*rc, &*ro, "walker {} rng state at {:?}", k, t);
+        }
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn cursor_matches_the_vec_of_legs_oracle(
@@ -565,17 +652,38 @@ mod tests {
             let commute = LinearCommute::new(Point::new(0.0, 0.0), Point::new(300.0, 400.0), 50.0);
             check_against_oracle(commute.round_trip(), seed, &steps)?;
             check_against_oracle(Stationary::new(Point::new(5.0, 5.0)), seed, &steps)?;
-            // Whole-second legs of differing speeds, so queries land exactly
-            // on boundaries where the two neighbours answer differently, and
-            // a zero-length leg in mid-trajectory.
-            let (a, b) = (Point::new(0.0, 0.0), Point::new(30.0, 0.0));
-            let legs = vec![
-                Leg::travel(a, b, 10.0),
-                Leg::pause(b, SimDuration::from_secs(2)),
-                Leg::pause(b, SimDuration::ZERO),
-                Leg::travel(b, a, 30.0),
-            ];
-            check_against_oracle(Scripted { legs, i: 0 }, seed, &steps)?;
+            check_against_oracle(script(), seed, &steps)?;
+        }
+
+        #[test]
+        fn walkers_sharing_a_model_match_walkers_with_their_own(
+            seed in any::<u64>(),
+            n in 2usize..6,
+            draws in prop::collection::vec((0usize..6, 0u8..4, 1u64..5_000_000), 1..300),
+        ) {
+            let draws: Vec<(usize, u64)> =
+                draws.into_iter().map(|(k, kind, gap)| (k, step_ms((kind, gap)))).collect();
+            // Random waypoint: every walker starts somewhere else.
+            let area = Rect::square(1000.0);
+            let mut at = RngStream::derive(seed, "starts");
+            let starts: Vec<Point> = (0..n)
+                .map(|_| Point::new(at.uniform(0.0, 1000.0), at.uniform(0.0, 1000.0)))
+                .collect();
+            for pause in [SimDuration::ZERO, SimDuration::from_secs(5)] {
+                let rwp = RandomWaypoint::new(area, SpeedClass::Pedestrian).with_pause(pause);
+                check_sharing(&rwp, |s| rwp.clone().with_start(s), &starts, seed, &draws)?;
+            }
+            // The rest start where their parameters say.
+            let (a, b) = (Point::new(0.0, 0.0), Point::new(300.0, 400.0));
+            let one_way = LinearCommute::new(a, b, 50.0);
+            let round_trip = one_way.clone().round_trip();
+            check_sharing(&one_way, |_| one_way.clone(), &vec![a; n], seed, &draws)?;
+            check_sharing(&round_trip, |_| round_trip.clone(), &vec![a; n], seed, &draws)?;
+            let here = Point::new(5.0, 5.0);
+            check_sharing(&Stationary::new(here), Stationary::new, &vec![here; n], seed, &draws)?;
+            let scripted = script();
+            let from = scripted.start();
+            check_sharing(&scripted, |_| scripted.clone(), &vec![from; n], seed, &draws)?;
         }
     }
 }

@@ -8,6 +8,9 @@ use mtnet_sim::{RngStream, SimDuration};
 /// Classic random waypoint: pick a uniform destination in the area, travel
 /// at a uniform speed from the class range, optionally pause, repeat.
 ///
+/// The walker's phase word is the pause toggle: set by a travel leg, so
+/// the next leg pauses when the model has a pause.
+///
 /// ```
 /// use mtnet_mobility::{RandomWaypoint, Rect, SpeedClass, Trajectory};
 /// use mtnet_sim::{RngStream, SimTime};
@@ -24,8 +27,6 @@ pub struct RandomWaypoint {
     speed_range: (f64, f64),
     pause: SimDuration,
     start: Point,
-    /// Alternates between travel and pause legs when pause > 0.
-    pause_next: bool,
 }
 
 impl RandomWaypoint {
@@ -37,7 +38,6 @@ impl RandomWaypoint {
             speed_range: class.range(),
             pause: SimDuration::ZERO,
             start: area.center(),
-            pause_next: false,
         }
     }
 
@@ -71,12 +71,12 @@ impl RandomWaypoint {
 }
 
 impl MobilityModel for RandomWaypoint {
-    fn next_leg(&mut self, current: Point, rng: &mut RngStream) -> Leg {
-        if self.pause_next && !self.pause.is_zero() {
-            self.pause_next = false;
+    fn next_leg(&self, current: Point, phase: &mut u32, rng: &mut RngStream) -> Leg {
+        if *phase != 0 && !self.pause.is_zero() {
+            *phase = 0;
             return Leg::pause(current, self.pause);
         }
-        self.pause_next = true;
+        *phase = 1;
         // Re-draw until destination differs measurably from current so that
         // Leg::travel always has a positive length.
         let mut dest = current;
@@ -140,10 +140,9 @@ mod tests {
     fn pause_legs_alternate() {
         let model = RandomWaypoint::new(Rect::square(100.0), SpeedClass::Pedestrian)
             .with_pause(SimDuration::from_secs(30));
-        let mut m = model;
-        let mut r = RngStream::derive(5, "rwp3");
-        let l1 = m.next_leg(Point::ORIGIN, &mut r);
-        let l2 = m.next_leg(l1.to, &mut r);
+        let (mut phase, mut r) = (0, RngStream::derive(5, "rwp3"));
+        let l1 = model.next_leg(Point::ORIGIN, &mut phase, &mut r);
+        let l2 = model.next_leg(l1.to, &mut phase, &mut r);
         assert!(l1.speed > 0.0, "first leg travels");
         assert_eq!(l2.speed, 0.0, "second leg pauses");
         assert_eq!(l2.duration, SimDuration::from_secs(30));

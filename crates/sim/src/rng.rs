@@ -14,6 +14,7 @@
 //! `rand` can be used on top.
 
 use rand::RngCore;
+use std::fmt;
 
 /// SplitMix64 step; used for seeding and label hashing.
 #[inline]
@@ -38,6 +39,18 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// A `fmt::Write` that folds what is written into an FNV-1a state: the
+/// hash of a formatted label without the label. FNV-1a is a byte stream,
+/// so the pieces hash exactly as their concatenation would.
+struct FnvSink(u64);
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(self.0, s.as_bytes());
+        Ok(())
+    }
 }
 
 /// A named, independently seeded random stream.
@@ -78,16 +91,30 @@ impl RngStream {
     /// distinct labels yield (with overwhelming probability) uncorrelated
     /// streams.
     pub fn derive(master_seed: u64, label: &str) -> Self {
-        let mut mix = master_seed ^ fnv1a(FNV_OFFSET, label.as_bytes());
+        Self::from_label_hash(master_seed, fnv1a(FNV_OFFSET, label.as_bytes()))
+    }
+
+    /// [`RngStream::derive`] from the label's FNV-1a hash.
+    fn from_label_hash(master_seed: u64, label_hash: u64) -> Self {
+        let mut mix = master_seed ^ label_hash;
         let folded = splitmix64(&mut mix) ^ splitmix64(&mut mix);
         Self::from_seed(folded)
     }
 
     /// Derives a child stream from this stream and a sub-label, without
-    /// advancing `self`.
-    pub fn child(&self, label: &str) -> Self {
-        let base = self.s[0] ^ self.s[1].rotate_left(17) ^ self.s[2].rotate_left(31) ^ self.s[3];
-        Self::derive(base, label)
+    /// advancing `self`: `derive(base, label)` for a base folded from this
+    /// stream's state. The label is hashed as it is formatted
+    /// (`format_args!("mn{idx}/mobility")`), so a builder deriving one
+    /// stream per node allocates no string for it.
+    pub fn child(&self, label: fmt::Arguments<'_>) -> Self {
+        let mut hash = FnvSink(FNV_OFFSET);
+        fmt::write(&mut hash, label).expect("hashing a label cannot fail");
+        Self::from_label_hash(self.fold(), hash.0)
+    }
+
+    /// The seed [`RngStream::child`] derives from.
+    fn fold(&self) -> u64 {
+        self.s[0] ^ self.s[1].rotate_left(17) ^ self.s[2].rotate_left(31) ^ self.s[3]
     }
 
     /// Core xoshiro256++ step.
@@ -355,11 +382,28 @@ mod tests {
     #[test]
     fn child_streams_are_stable_and_independent() {
         let parent = RngStream::derive(9, "p");
-        let mut c1 = parent.child("a");
-        let mut c2 = parent.child("a");
-        let mut c3 = parent.child("b");
+        let mut c1 = parent.child(format_args!("a"));
+        let mut c2 = parent.child(format_args!("a"));
+        let mut c3 = parent.child(format_args!("b"));
         assert_eq!(c1.next_u64(), c2.next_u64());
         assert_ne!(c1.next_u64(), c3.next_u64());
+    }
+
+    #[test]
+    fn a_formatted_child_label_hashes_as_its_string() {
+        let parent = RngStream::derive(42, "world");
+        for idx in [0u32, 9, 10, 249, 250, 99_999, u32::MAX] {
+            assert_eq!(
+                parent.child(format_args!("mn{idx}/mobility")),
+                RngStream::derive(parent.fold(), &format!("mn{idx}/mobility")),
+                "mn{idx}"
+            );
+            assert_eq!(
+                parent.child(format_args!("flow{idx}/traffic")),
+                RngStream::derive(parent.fold(), &format!("flow{idx}/traffic")),
+                "flow{idx}"
+            );
+        }
     }
 
     #[test]
