@@ -22,13 +22,13 @@
 //! run's deterministic event count, and its own peak RSS (the kernel
 //! watermark is rebased between runs; the figure is absent on platforms
 //! without `/proc`). `--fingerprints <path>` dumps the bit-exact
-//! `SimReport::fingerprint` of every run — diffing two dumps proves a
-//! refactor changed nothing observable.
+//! `SimReport::fingerprint` of every run — diffing two dumps (the
+//! `fingerprint-diff` binary names the first differing run and field)
+//! proves a refactor changed nothing observable.
 
 use mtnet_bench::{cli, rss, run_one, Effort, RunOptions, ALL_IDS};
 use mtnet_core::world::shard::parse_shard_count;
 use mtnet_sim::runner::{parse_thread_count, BatchRunner};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 fn fail(msg: &str) -> ! {
@@ -103,9 +103,7 @@ fn main() {
             rss::peak_bytes().map_or(String::new(), |b| format!(", peak RSS {} KiB", b / 1024));
         println!("{}", result.render());
         eprintln!("[{id}: {wall_s:.2}s, {} events{peak}]", result.events);
-        for (i, fp) in result.fingerprints.iter().enumerate() {
-            let _ = writeln!(fingerprint_dump, "== {id} run {i} ==\n{fp}");
-        }
+        fingerprint_dump.push_str(&result.fingerprint_dump());
     }
     eprintln!("[suite: {:.2}s]", suite_start.elapsed().as_secs_f64());
     if let Some(path) = fingerprint_path {

@@ -72,7 +72,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 pub const KILL_CELL_ENV: &str = "MTNET_SWEEP_KILL_CELL";
 
 /// Milliseconds since the unix epoch, for lease timestamps.
-pub fn now_unix_ms() -> u64 {
+fn now_unix_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -199,7 +199,7 @@ impl Default for CoordConfig {
 impl CoordConfig {
     /// Heartbeat refresh period: a quarter of the timeout, so a live
     /// owner gets ~4 chances to beat before being presumed dead.
-    pub fn heartbeat_interval_ms(&self) -> u64 {
+    fn heartbeat_interval_ms(&self) -> u64 {
         (self.lease_timeout_ms / 4).max(10)
     }
 }
@@ -295,7 +295,7 @@ impl Coordinator {
     /// Attempts to claim a cell. Exactly one concurrent claimant can win
     /// ([`Claim::Owned`]); stale leases are reclaimed in passing, and a
     /// cell over the reclaim budget is quarantined here.
-    pub fn try_claim(&self, key: &str, label: &str) -> io::Result<Claim> {
+    fn try_claim(&self, key: &str, label: &str) -> io::Result<Claim> {
         if let Some(poison) = load_poison(&self.dir, key) {
             return Ok(Claim::Quarantined(poison));
         }
@@ -742,8 +742,8 @@ impl ReportOutcome {
     }
 }
 
-/// Formats one aggregated metric column: mean ± normal-approximation
-/// 95% CI over the point's replications (loss rates as percentages,
+/// Formats one aggregated metric column: mean ± Student-t 95% CI over
+/// the point's replications (loss rates as percentages,
 /// like the per-cell tables).
 fn fmt_aggregate(name: &str, agg: &Replicates) -> String {
     match agg.get(name) {

@@ -31,6 +31,7 @@
 pub mod cli;
 pub mod coord;
 pub mod experiments;
+pub mod fpdiff;
 pub mod rss;
 pub mod store;
 pub mod sweep;
@@ -133,6 +134,18 @@ impl ExperimentResult {
         }
         for note in self.notes {
             let _ = writeln!(out, "note: {note}");
+        }
+        out
+    }
+
+    /// This experiment's block of an `experiments --fingerprints` dump:
+    /// per run, a `== <id> run <i> ==` header, its fingerprint and a blank
+    /// line (the format [`fpdiff::first_divergence`] reads).
+    pub fn fingerprint_dump(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (i, fp) in self.fingerprints.iter().enumerate() {
+            let _ = writeln!(out, "== {} run {i} ==\n{fp}", self.id);
         }
         out
     }

@@ -295,7 +295,7 @@ impl ResultStore {
     /// Removes `*.tmp` files older than `max_age`, returning how many
     /// were collected. Races with concurrent removers are benign (a
     /// missing file is already collected).
-    pub fn gc_orphan_tmps(&self, max_age: Duration) -> io::Result<usize> {
+    fn gc_orphan_tmps(&self, max_age: Duration) -> io::Result<usize> {
         let mut collected = 0;
         for entry in std::fs::read_dir(&self.dir)?.flatten() {
             let path = entry.path();

@@ -73,13 +73,6 @@ impl<K: Eq + Hash + Clone, V> SoftStateCache<K, V> {
         self.entries.get(key).map(|(v, _)| v)
     }
 
-    /// Age of the entry for `key` at `now`.
-    pub fn age(&self, key: &K, now: SimTime) -> Option<SimDuration> {
-        self.entries
-            .get(key)
-            .map(|(_, at)| now.saturating_since(*at))
-    }
-
     /// Removes an entry outright (the paper's "Delete Location Message").
     pub fn remove(&mut self, key: &K) -> Option<V> {
         self.entries.remove(key).map(|(v, _)| v)
@@ -125,14 +118,6 @@ impl<K: Eq + Hash + Clone, V> SoftStateCache<K, V> {
     /// accounting.
     pub fn counters(&self) -> (u64, u64) {
         (self.refreshes, self.expirations)
-    }
-
-    /// Iterates over live entries at `now`.
-    pub fn iter_live(&self, now: SimTime) -> impl Iterator<Item = (&K, &V)> {
-        self.entries
-            .iter()
-            .filter(move |(_, (_, at))| now.saturating_since(*at) < self.lifetime)
-            .map(|(k, (v, _))| (k, v))
     }
 }
 
@@ -205,23 +190,6 @@ mod tests {
         c.refresh("b", 2, secs(4));
         assert_eq!(c.len(), 2);
         assert_eq!(c.live_count(secs(6)), 1);
-    }
-
-    #[test]
-    fn age_reporting() {
-        let mut c = cache();
-        c.refresh("a", 1, secs(2));
-        assert_eq!(c.age(&"a", secs(5)), Some(SimDuration::from_secs(3)));
-        assert_eq!(c.age(&"zz", secs(5)), None);
-    }
-
-    #[test]
-    fn iter_live_filters() {
-        let mut c = cache();
-        c.refresh("a", 1, secs(0));
-        c.refresh("b", 2, secs(4));
-        let live: Vec<_> = c.iter_live(secs(6)).collect();
-        assert_eq!(live, vec![(&"b", &2)]);
     }
 
     #[test]

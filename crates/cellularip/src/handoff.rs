@@ -109,11 +109,6 @@ impl SemisoftController {
         self.windows.remove(&mn);
     }
 
-    /// Number of open windows.
-    pub fn open_windows(&self) -> usize {
-        self.windows.len()
-    }
-
     /// Total bicast packets duplicated (the semisoft overhead metric).
     pub fn bicast_count(&self) -> u64 {
         self.bicasts
@@ -202,7 +197,7 @@ mod tests {
             SimTime::ZERO,
             SimDuration::from_millis(100),
         );
-        assert_eq!(c.open_windows(), 1);
+        assert_eq!(c.windows.len(), 1);
         assert_eq!(
             c.bicast_targets(addr(), SimTime::from_millis(50)),
             Some((NodeId(3), NodeId(4)))
@@ -210,7 +205,7 @@ mod tests {
         assert_eq!(c.bicast_count(), 1);
         // Past the window: no bicast, entry garbage-collected.
         assert_eq!(c.bicast_targets(addr(), SimTime::from_millis(100)), None);
-        assert_eq!(c.open_windows(), 0);
+        assert_eq!(c.windows.len(), 0);
     }
 
     #[test]

@@ -237,19 +237,6 @@ impl CipNetwork {
         self.route_cache(node)?.get(&mn, now).copied()
     }
 
-    /// Clears the routing state for `mn` along the uplink path of `bs`
-    /// (explicit teardown after a handoff, if the scheme uses one).
-    pub fn clear_route(&mut self, mn: Addr, bs: NodeId) {
-        let mut path = std::mem::take(&mut self.path_scratch);
-        self.tree.uplink_path_into(bs, &mut path);
-        for &node in &path {
-            if let Some(c) = self.route_cache_mut(node) {
-                c.remove(&mn);
-            }
-        }
-        self.path_scratch = path;
-    }
-
     /// Pages an idle `mn`: follows paging caches from the gateway; if the
     /// chain breaks, the page floods to all base stations.
     pub fn page(&self, mn: Addr, now: SimTime) -> PageOutcome {
@@ -378,15 +365,6 @@ mod tests {
             n.next_hop(NodeId(3), mn, SimTime::from_millis(200)),
             Some(NodeId(3))
         );
-    }
-
-    #[test]
-    fn clear_route_removes_mappings() {
-        let mut n = net();
-        let mn = addr("20.0.1.9");
-        n.route_update(mn, NodeId(3), SimTime::ZERO);
-        n.clear_route(mn, NodeId(3));
-        assert!(n.downlink_path(mn, SimTime::ZERO).is_none());
     }
 
     #[test]

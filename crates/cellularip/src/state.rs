@@ -71,9 +71,6 @@ pub enum MnMode {
 pub struct MnCipState {
     timers: CipTimers,
     last_data: SimTime,
-    /// Transition counters.
-    activations: u64,
-    was_active: bool,
 }
 
 impl MnCipState {
@@ -82,8 +79,6 @@ impl MnCipState {
         MnCipState {
             timers,
             last_data: now,
-            activations: 1,
-            was_active: true,
         }
     }
 
@@ -94,10 +89,6 @@ impl MnCipState {
 
     /// Records data activity (sent or received) at `now`.
     pub fn touch(&mut self, now: SimTime) {
-        if !self.is_active(now) {
-            self.activations += 1;
-        }
-        self.was_active = true;
         self.last_data = self.last_data.max(now);
     }
 
@@ -122,11 +113,6 @@ impl MnCipState {
             MnMode::Active => self.timers.route_update,
             MnMode::Idle => self.timers.paging_update,
         }
-    }
-
-    /// How many idle→active transitions have occurred (paging load proxy).
-    pub fn activations(&self) -> u64 {
-        self.activations
     }
 }
 
@@ -161,16 +147,6 @@ mod tests {
         s.touch(secs(4));
         assert!(s.is_active(secs(8)));
         assert!(!s.is_active(secs(9)));
-    }
-
-    #[test]
-    fn reactivation_counted() {
-        let mut s = MnCipState::new(CipTimers::default(), secs(0));
-        assert_eq!(s.activations(), 1);
-        s.touch(secs(2)); // still active, no new activation
-        assert_eq!(s.activations(), 1);
-        s.touch(secs(100)); // was idle → reactivates
-        assert_eq!(s.activations(), 2);
     }
 
     #[test]

@@ -156,16 +156,6 @@ impl CipTree {
         }
         hops
     }
-
-    /// All base stations, in deterministic (id) order.
-    pub fn base_stations(&self) -> Vec<NodeId> {
-        self.parents
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_some())
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -238,7 +228,6 @@ mod tests {
         assert!(t.contains(NodeId(5)));
         assert!(!t.contains(NodeId(99)));
         assert_eq!(t.bs_count(), 5);
-        assert_eq!(t.base_stations().len(), 5);
         assert_eq!(t.parent(NodeId(5)), Some(NodeId(2)));
         assert_eq!(t.parent(NodeId(0)), None);
     }

@@ -46,13 +46,6 @@ impl HandoffType {
         )
     }
 
-    /// Whether the procedure requires contacting the home network (only
-    /// Fig 3.3: "the most upper layer BS needs to deliver this message to
-    /// home network of MN").
-    pub fn needs_home_network(&self) -> bool {
-        matches!(self, HandoffType::InterDomainDifferentUpper)
-    }
-
     /// Nominal control-message count of the procedure (request + accept +
     /// update/delete messages), used to sanity-check the simulation's
     /// measured signaling. Derived by reading the message sequences off
@@ -192,16 +185,6 @@ mod tests {
             HandoffType::InterDomainDifferentUpper,
             "domain 103 has no shared upper (Fig 3.3)"
         );
-    }
-
-    #[test]
-    fn home_network_only_for_different_upper() {
-        for t in HandoffType::ALL {
-            assert_eq!(
-                t.needs_home_network(),
-                t == HandoffType::InterDomainDifferentUpper
-            );
-        }
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl LocationDirectory {
         None
     }
 
-    /// Access to one BS's table (statistics).
-    pub fn table(&self, cell: CellId) -> Option<&CellTable> {
-        self.tables.get(&cell)
-    }
-
     /// Evicts expired records everywhere; returns total evictions.
     pub fn sweep(&mut self, now: SimTime) -> usize {
         self.tables.values_mut().map(|t| t.sweep(now)).sum()
@@ -215,17 +210,6 @@ impl LocationDirectory {
             self.update_messages,
             self.delete_messages,
         )
-    }
-
-    /// Total records currently stored across all tables.
-    pub fn total_records(&self) -> usize {
-        self.tables
-            .values()
-            .map(|t| {
-                let (a, b) = t.sizes();
-                a + b
-            })
-            .sum()
     }
 }
 
@@ -313,7 +297,7 @@ mod tests {
         d.on_location_message(&h, x, CellId(2), SimTime::ZERO);
         assert!(d.locate(&h, x, CellId(2), SimTime::from_secs(7)).is_none());
         assert!(d.sweep(SimTime::from_secs(7)) >= 4);
-        assert_eq!(d.total_records(), 0);
+        assert_eq!(d.sweep(SimTime::from_secs(7)), 0, "nothing left to evict");
     }
 
     #[test]

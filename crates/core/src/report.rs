@@ -145,7 +145,7 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// True when no fault machinery ever fired.
-    pub fn is_quiet(&self) -> bool {
+    fn is_quiet(&self) -> bool {
         self.cell_transitions == 0
             && self.link_transitions == 0
             && self.rsmc_kills == 0
@@ -267,16 +267,6 @@ impl SimReport {
     /// Records a drop.
     pub fn count_drop(&mut self, cause: DropCause) {
         *self.drops.entry(cause).or_insert(0) += 1;
-    }
-
-    /// Control messages per completed handoff (signaling efficiency).
-    pub fn signaling_per_handoff(&self) -> f64 {
-        let h = self.handoffs.total();
-        if h == 0 {
-            0.0
-        } else {
-            self.signaling.total_messages() as f64 / h as f64
-        }
     }
 
     /// A bit-exact textual digest of every metric in the report.
@@ -493,12 +483,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.total_messages(), 15);
-    }
-
-    #[test]
-    fn signaling_per_handoff_guard() {
-        let r = SimReport::default();
-        assert_eq!(r.signaling_per_handoff(), 0.0);
     }
 
     #[test]

@@ -724,7 +724,7 @@ impl ScenarioSpec {
     /// vehicles under a satellite overlay — every handoff is at the
     /// macro↔satellite tier boundary the paper's Fig 2.1 sketches but
     /// never measures.
-    pub fn highway_satellite() -> ScenarioSpec {
+    fn highway_satellite() -> ScenarioSpec {
         ScenarioSpec {
             name: "highway-satellite".into(),
             n_domains: 4,
@@ -741,7 +741,7 @@ impl ScenarioSpec {
     /// Mixed voice/video/data overload: the small-city geometry with a
     /// triple-role population where **every** node runs voice + video +
     /// web simultaneously — link queues and channel pools both saturate.
-    pub fn overload_mix() -> ScenarioSpec {
+    fn overload_mix() -> ScenarioSpec {
         ScenarioSpec {
             name: "overload-mix".into(),
             n_domains: 3,

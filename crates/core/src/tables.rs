@@ -119,15 +119,6 @@ impl CellTable {
             .refresh(mn, cell, now);
     }
 
-    /// Deletes the record for `mn` from both tables (the paper's
-    /// "Delete Location Message").
-    pub fn delete(&mut self, mn: Addr) {
-        self.micro.remove(&mn);
-        if let Some(m) = self.macro_.as_mut() {
-            m.remove(&mn);
-        }
-    }
-
     /// Deletes the record for `mn` only if it still marks a *direct
     /// attachment* at `here` (the stored cell equals this BS itself).
     ///
@@ -174,14 +165,6 @@ impl CellTable {
         n
     }
 
-    /// `(micro_records, macro_records)` currently stored (incl. stale).
-    pub fn sizes(&self) -> (usize, usize) {
-        (
-            self.micro.len(),
-            self.macro_.as_ref().map_or(0, SoftStateCache::len),
-        )
-    }
-
     /// `(lookups, micro_hits, macro_hits, misses)` statistics.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
         (self.lookups, self.micro_hits, self.macro_hits, self.misses)
@@ -204,7 +187,7 @@ mod tests {
     fn micro_bs_has_no_macro_table() {
         let t = CellTable::for_micro_bs(CellTable::DEFAULT_LIFETIME);
         assert!(!t.has_macro_table());
-        assert_eq!(t.sizes(), (0, 0));
+        assert!(t.micro.is_empty());
     }
 
     #[test]
@@ -262,12 +245,16 @@ mod tests {
 
     #[test]
     fn delete_erases_both_tables() {
+        // A node attached directly to this macro BS has its own cell in
+        // both tables; the Delete Location Message clears both.
+        let here = CellId(7);
         let mut t = CellTable::for_macro_bs(CellTable::DEFAULT_LIFETIME);
-        t.record_micro(mn(), CellId(3), SimTime::ZERO);
-        t.record_macro(mn(), CellId(7), SimTime::ZERO);
-        t.delete(mn());
+        t.record_micro(mn(), here, SimTime::ZERO);
+        t.record_macro(mn(), here, SimTime::ZERO);
+        t.delete_attachment(mn(), here);
         assert!(t.lookup(mn(), SimTime::ZERO).is_none());
-        assert_eq!(t.sizes(), (0, 0));
+        assert!(t.micro.is_empty());
+        assert!(t.macro_.as_ref().is_some_and(SoftStateCache::is_empty));
     }
 
     #[test]

@@ -460,7 +460,6 @@ impl WorldBuilder {
             cfg: self.cfg,
             topo: self.topo,
             routes: mtnet_net::RouteCache::new(),
-            prefixes,
             prefix_probe,
             cells: self.cells,
             cell_node,

@@ -45,7 +45,7 @@ use crate::rsmc::Rsmc;
 use mtnet_cellularip::{CipNetwork, CipTimers, HandoffKind, SemisoftController};
 use mtnet_mobileip::{ForeignAgent, HomeAgent};
 use mtnet_mobility::Point;
-use mtnet_net::{Addr, FlowId, NodeId, Prefix, RouteCache, Topology};
+use mtnet_net::{Addr, FlowId, NodeId, RouteCache, Topology};
 use mtnet_radio::{CellId, CellMap, Measurement};
 use mtnet_sim::{Context, FxHashMap, Model, RngStream, SimDuration, SimTime, Simulator};
 use mtnet_traffic::{ArrivalProcess, Cbr, FlowQos, OnOffVbr, ParetoWeb};
@@ -270,20 +270,15 @@ pub struct World {
     /// generation, O(1) next hops afterwards (replaces the per-node
     /// longest-prefix routing tables on the wired fast path).
     pub(crate) routes: RouteCache,
-    /// Prefix-owned address space (home network, per-domain subnets),
-    /// sorted longest prefix first: destinations that are not topology
-    /// nodes route toward the owner of the longest containing prefix
-    /// with a usable route. The hot path reads only the derived
-    /// `prefix_probe`; the raw list feeds the routing-table equivalence
-    /// tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) prefixes: Vec<(Prefix, NodeId)>,
-    /// Per-length masked maps over `prefixes`, longest length first:
-    /// `network → owner`. Equal-length prefixes are disjoint, so probing
-    /// one map per distinct length in descending order visits containing
-    /// prefixes in exactly the sorted scan's order — O(distinct lengths)
-    /// per lookup instead of O(prefix count) (249 entries in a metro
-    /// world, walked per forwarded hop).
+    /// Prefix-owned address space (home network, per-domain subnets):
+    /// destinations that are not topology nodes route toward the owner of
+    /// the longest containing prefix with a usable route. Stored as one
+    /// masked map `network → owner` per distinct prefix length, longest
+    /// length first. Equal-length prefixes are disjoint, so probing the
+    /// maps in order visits containing prefixes in exactly a
+    /// longest-first scan's order — O(distinct lengths) per lookup instead
+    /// of O(prefix count) (249 entries in a metro world, walked per
+    /// forwarded hop).
     pub(crate) prefix_probe: Vec<(u32, FxHashMap<u32, NodeId>)>,
     pub(crate) cells: CellMap,
     /// BS node of each cell, indexed densely by cell id (per-packet hot).
@@ -568,7 +563,6 @@ impl World {
             cfg: self.cfg,
             topo: self.topo.clone(),
             routes: self.routes.clone(),
-            prefixes: self.prefixes.clone(),
             prefix_probe: self.prefix_probe.clone(),
             cells: self.cells.clone(),
             cell_node: self.cell_node.clone(),

@@ -9,6 +9,7 @@ use crate::scenario::ArchKind;
 use crate::spec::ScenarioSpec;
 use crate::tier::Tier;
 use mtnet_mobility::{LinearCommute, Point, Stationary};
+use mtnet_net::Prefix;
 
 /// Adds a node parked at `at`, on a model of its own.
 fn park(b: &mut WorldBuilder, at: Point, flows: &[FlowKind]) -> MnId {
@@ -516,9 +517,21 @@ fn route_cache_matches_routing_tables() {
         .collect();
     dsts.extend((0..world.mns.len() as u32).map(home_addr));
     dsts.push(world.cn_addr);
+    // The prefix list the tables are built from, recovered from the
+    // probe maps the fast path reads.
+    let prefixes: Vec<(Prefix, NodeId)> = world
+        .prefix_probe
+        .iter()
+        .flat_map(|(mask, owners)| {
+            let len = mask.count_ones() as u8;
+            owners
+                .iter()
+                .map(move |(&net, &owner)| (Prefix::new(Addr(net), len), owner))
+        })
+        .collect();
     for node in 0..world.topo.node_count() as u32 {
         let node = NodeId(node);
-        let table = world.topo.build_routing_table(node, &world.prefixes);
+        let table = world.topo.build_routing_table(node, &prefixes);
         for &dst in &dsts {
             assert_eq!(
                 world.wired_next_hop(node, dst),

@@ -72,21 +72,13 @@ impl Histogram {
 
     /// Records one value.
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `n` occurrences of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
         let idx = Self::index_of(value);
         if idx >= self.buckets.len() {
             self.buckets.resize(idx + 1, 0);
         }
-        self.buckets[idx] += n;
-        self.count += n;
-        self.sum += u128::from(value) * u128::from(n);
+        self.buckets[idx] += 1;
+        self.count += 1;
+        self.sum += u128::from(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -276,8 +268,9 @@ mod tests {
     #[test]
     fn mean_is_exact() {
         let mut h = Histogram::new();
-        h.record_n(10, 3);
-        h.record(70);
+        for v in [10, 10, 10, 70] {
+            h.record(v);
+        }
         assert_eq!(h.mean(), 25.0);
         assert_eq!(h.count(), 4);
     }
@@ -300,13 +293,6 @@ mod tests {
         assert_eq!(a.percentile(50.0), whole.percentile(50.0));
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn record_n_zero_is_noop() {
-        let mut h = Histogram::new();
-        h.record_n(5, 0);
-        assert!(h.is_empty());
     }
 
     #[test]

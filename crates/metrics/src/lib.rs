@@ -4,7 +4,7 @@
 //! the multi-tier mobility reproduction:
 //!
 //! * [`Summary`] — streaming mean/variance/min/max (Welford) with merge and
-//!   normal-approximation confidence intervals.
+//!   Student-t confidence intervals.
 //! * [`Replicates`] — named scalar metrics aggregated across independent
 //!   replications (the cross-run layer over [`Summary`]).
 //! * [`Histogram`] — log-scale bucketed histogram with percentile queries

@@ -7,18 +7,18 @@ use mtnet_sim::{SimDuration, SimTime};
 
 /// One mobility binding: home address → care-of address, with lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Binding {
+struct Binding {
     /// Registered care-of address.
-    pub coa: Addr,
+    coa: Addr,
     /// When the binding was (re-)registered.
-    pub registered_at: SimTime,
+    registered_at: SimTime,
     /// Granted lifetime.
-    pub lifetime: SimDuration,
+    lifetime: SimDuration,
 }
 
 impl Binding {
     /// True if the binding is still valid at `now`.
-    pub fn is_valid(&self, now: SimTime) -> bool {
+    fn is_valid(&self, now: SimTime) -> bool {
         now.saturating_since(self.registered_at) < self.lifetime
     }
 }
@@ -30,7 +30,6 @@ impl Binding {
 pub struct HomeAgent {
     addr: Addr,
     home_prefix: Prefix,
-    max_lifetime: SimDuration,
     bindings: FxHashMap<Addr, Binding>,
     // Signaling counters for overhead experiments.
     registrations_accepted: u64,
@@ -39,26 +38,19 @@ pub struct HomeAgent {
 }
 
 impl HomeAgent {
-    /// Default maximum registration lifetime granted (RFC default scale).
-    pub const DEFAULT_MAX_LIFETIME: SimDuration = SimDuration::from_secs(300);
+    /// Maximum registration lifetime granted (RFC default scale).
+    pub const MAX_LIFETIME: SimDuration = SimDuration::from_secs(300);
 
     /// Creates a home agent at `addr` serving `home_prefix`.
     pub fn new(addr: Addr, home_prefix: Prefix) -> Self {
         HomeAgent {
             addr,
             home_prefix,
-            max_lifetime: Self::DEFAULT_MAX_LIFETIME,
             bindings: FxHashMap::default(),
             registrations_accepted: 0,
             registrations_denied: 0,
             packets_tunneled: 0,
         }
-    }
-
-    /// Overrides the maximum lifetime this HA grants.
-    pub fn with_max_lifetime(mut self, max: SimDuration) -> Self {
-        self.max_lifetime = max;
-        self
     }
 
     /// This agent's address.
@@ -101,7 +93,7 @@ impl HomeAgent {
                 id: req.id,
             };
         }
-        let granted = req.lifetime.min(self.max_lifetime);
+        let granted = req.lifetime.min(Self::MAX_LIFETIME);
         self.bindings.insert(
             req.mn_home,
             Binding {
@@ -137,11 +129,6 @@ impl HomeAgent {
             self.packets_tunneled += 1;
         }
         ep
-    }
-
-    /// The current binding for a mobile node, if any (may be expired).
-    pub fn binding(&self, mn_home: Addr) -> Option<&Binding> {
-        self.bindings.get(&mn_home)
     }
 
     /// Removes bindings that expired before `now`. Returns how many were
@@ -214,14 +201,14 @@ mod tests {
 
     #[test]
     fn lifetime_clamped_to_max() {
-        let mut h = ha().with_max_lifetime(SimDuration::from_secs(60));
+        let mut h = ha();
         let reply =
             h.process_registration(&request("10.0.0.9", "20.0.0.1", 10_000, 3), SimTime::ZERO);
         assert!(reply.accepted());
-        assert_eq!(reply.lifetime, SimDuration::from_secs(60));
+        assert_eq!(reply.lifetime, HomeAgent::MAX_LIFETIME);
         // Binding honors the clamped lifetime.
         assert_eq!(
-            h.tunnel_endpoint(addr("10.0.0.9"), SimTime::from_secs(61)),
+            h.tunnel_endpoint(addr("10.0.0.9"), SimTime::from_secs(301)),
             None
         );
     }
@@ -280,6 +267,6 @@ mod tests {
         let h = ha();
         assert_eq!(h.addr(), addr("10.0.0.1"));
         assert!(h.home_prefix().contains(addr("10.0.255.255")));
-        assert!(h.binding(addr("10.0.0.9")).is_none());
+        assert_eq!(h.binding_count(), 0);
     }
 }

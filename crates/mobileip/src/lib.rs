@@ -45,7 +45,7 @@ mod messages;
 mod mobile_node;
 
 pub use foreign_agent::{ForeignAgent, VisitorEntry};
-pub use home_agent::{Binding, HomeAgent};
+pub use home_agent::HomeAgent;
 pub use messages::{
     AgentAdvertisement, MipMessage, RegistrationReply, RegistrationRequest, ReplyCode,
 };

@@ -45,11 +45,6 @@ impl LinearCommute {
         self
     }
 
-    /// Travel time for one leg.
-    pub fn leg_duration(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.from.distance(self.to) / self.speed)
-    }
-
     /// The configured speed in m/s.
     pub fn speed(&self) -> f64 {
         self.speed
@@ -96,7 +91,6 @@ mod tests {
     #[test]
     fn one_way_reaches_and_parks() {
         let m = LinearCommute::new(Point::new(0.0, 0.0), Point::new(100.0, 0.0), 10.0);
-        assert_eq!(m.leg_duration(), SimDuration::from_secs(10));
         let mut traj = Trajectory::new(Box::new(m));
         let mut r = rng();
         assert_eq!(
@@ -144,12 +138,16 @@ mod tests {
     #[test]
     fn diagonal_path_geometry() {
         let m = LinearCommute::new(Point::new(0.0, 0.0), Point::new(300.0, 400.0), 50.0);
-        assert_eq!(m.leg_duration(), SimDuration::from_secs(10));
         let mut traj = Trajectory::new(Box::new(m));
         let mut r = rng();
         let mid = traj.position(SimTime::from_secs(5), &mut r);
         assert!((mid.x - 150.0).abs() < 1e-6);
         assert!((mid.y - 200.0).abs() < 1e-6);
+        // 500 m at 50 m/s: the node arrives at t = 10 s.
+        assert_eq!(
+            traj.position(SimTime::from_secs(10), &mut r),
+            Point::new(300.0, 400.0)
+        );
     }
 
     #[test]

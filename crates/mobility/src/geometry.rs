@@ -64,21 +64,6 @@ impl Vec2 {
     pub fn length(self) -> f64 {
         self.x.hypot(self.y)
     }
-
-    /// Unit vector in the same direction; zero vector if degenerate.
-    pub fn normalized(self) -> Vec2 {
-        let len = self.length();
-        if len <= f64::EPSILON {
-            Vec2::default()
-        } else {
-            Vec2::new(self.x / len, self.y / len)
-        }
-    }
-
-    /// A unit vector at `angle` radians from the +x axis.
-    pub fn from_angle(angle: f64) -> Vec2 {
-        Vec2::new(angle.cos(), angle.sin())
-    }
 }
 
 impl Sub for Point {
@@ -133,16 +118,6 @@ impl Rect {
         Rect::new(Point::ORIGIN, Point::new(side, side))
     }
 
-    /// Width in meters.
-    pub fn width(&self) -> f64 {
-        self.max.x - self.min.x
-    }
-
-    /// Height in meters.
-    pub fn height(&self) -> f64 {
-        self.max.y - self.min.y
-    }
-
     /// Center point.
     pub fn center(&self) -> Point {
         Point::new(
@@ -189,28 +164,12 @@ mod tests {
     fn vector_ops() {
         let v = Point::new(3.0, 4.0) - Point::ORIGIN;
         assert_eq!(v.length(), 5.0);
-        let u = v.normalized();
-        assert!((u.length() - 1.0).abs() < 1e-12);
         assert_eq!(Point::ORIGIN + v * 2.0, Point::new(6.0, 8.0));
-    }
-
-    #[test]
-    fn normalize_zero_is_zero() {
-        assert_eq!(Vec2::default().normalized(), Vec2::default());
-    }
-
-    #[test]
-    fn from_angle_unit_circle() {
-        let v = Vec2::from_angle(std::f64::consts::FRAC_PI_2);
-        assert!(v.x.abs() < 1e-12);
-        assert!((v.y - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn rect_queries() {
         let r = Rect::square(100.0);
-        assert_eq!(r.width(), 100.0);
-        assert_eq!(r.height(), 100.0);
         assert_eq!(r.center(), Point::new(50.0, 50.0));
         assert!(r.contains(Point::new(0.0, 100.0)));
         assert!(!r.contains(Point::new(-0.1, 50.0)));

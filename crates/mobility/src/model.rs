@@ -45,7 +45,7 @@ impl Leg {
     }
 
     /// Position `elapsed` into the leg.
-    pub fn position_at(&self, elapsed: SimDuration) -> Point {
+    fn position_at(&self, elapsed: SimDuration) -> Point {
         if self.duration.is_zero() {
             return self.to;
         }

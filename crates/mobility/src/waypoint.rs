@@ -47,17 +47,6 @@ impl RandomWaypoint {
         self
     }
 
-    /// Sets an explicit speed range in m/s, overriding the class range.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < min <= max`.
-    pub fn with_speed_range(mut self, min: f64, max: f64) -> Self {
-        assert!(min > 0.0 && min <= max, "invalid speed range");
-        self.speed_range = (min, max);
-        self
-    }
-
     /// Sets the start position (clamped into the area).
     pub fn with_start(mut self, start: Point) -> Self {
         self.start = self.area.clamp(start);
@@ -164,12 +153,6 @@ mod tests {
         let model = RandomWaypoint::new(Rect::square(100.0), SpeedClass::Pedestrian)
             .with_start(Point::new(-50.0, 50.0));
         assert_eq!(model.start(), Point::new(0.0, 50.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid speed range")]
-    fn bad_speed_range_rejected() {
-        RandomWaypoint::new(Rect::square(10.0), SpeedClass::Pedestrian).with_speed_range(5.0, 1.0);
     }
 
     #[test]

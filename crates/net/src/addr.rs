@@ -19,9 +19,6 @@ use std::str::FromStr;
 pub struct Addr(pub u32);
 
 impl Addr {
-    /// The all-zero (unspecified) address.
-    pub const UNSPECIFIED: Addr = Addr(0);
-
     /// Builds an address from four dotted-quad octets.
     pub const fn from_octets(a: u8, b: u8, c: u8, d: u8) -> Addr {
         Addr(((a as u32) << 24) | ((b as u32) << 16) | ((c as u32) << 8) | d as u32)
@@ -35,11 +32,6 @@ impl Addr {
             (self.0 >> 8) as u8,
             self.0 as u8,
         ]
-    }
-
-    /// True for the unspecified (0.0.0.0) address.
-    pub const fn is_unspecified(self) -> bool {
-        self.0 == 0
     }
 }
 
@@ -145,33 +137,9 @@ impl Prefix {
         self.len
     }
 
-    /// True only for the zero-length default prefix.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// True if `addr` falls inside this prefix.
     pub fn contains(&self, addr: Addr) -> bool {
         addr.0 & Self::mask(self.len) == self.network.0
-    }
-
-    /// The `i`-th host address inside this prefix (0 = network address).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` exceeds the prefix capacity.
-    pub fn host_at(&self, i: u32) -> Addr {
-        let capacity = if self.len == 32 {
-            1u64
-        } else {
-            1u64 << (32 - self.len)
-        };
-        assert!(
-            u64::from(i) < capacity,
-            "host index {i} out of range for /{}",
-            self.len
-        );
-        Addr(self.network.0 | i)
     }
 }
 
@@ -234,12 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn unspecified() {
-        assert!(Addr::UNSPECIFIED.is_unspecified());
-        assert!(!Addr::from_octets(1, 0, 0, 0).is_unspecified());
-    }
-
-    #[test]
     fn prefix_canonicalizes_host_bits() {
         let p = Prefix::new("10.1.2.3".parse().unwrap(), 16);
         assert_eq!(p.network().to_string(), "10.1.0.0");
@@ -258,7 +220,7 @@ mod tests {
     fn default_prefix_contains_everything() {
         assert!(Prefix::DEFAULT.contains(Addr(0)));
         assert!(Prefix::DEFAULT.contains(Addr(u32::MAX)));
-        assert!(Prefix::DEFAULT.is_default());
+        assert_eq!(Prefix::DEFAULT.len(), 0);
     }
 
     #[test]
@@ -268,21 +230,7 @@ mod tests {
         assert_eq!(p.len(), 32);
         assert!(p.contains(a));
         assert!(!p.contains("1.2.3.5".parse().unwrap()));
-        assert_eq!(p.host_at(0), a);
-    }
-
-    #[test]
-    fn host_at_indexing() {
-        let p: Prefix = "10.0.0.0/24".parse().unwrap();
-        assert_eq!(p.host_at(5).to_string(), "10.0.0.5");
-        assert_eq!(p.host_at(255).to_string(), "10.0.0.255");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn host_at_overflow_panics() {
-        let p: Prefix = "10.0.0.0/24".parse().unwrap();
-        p.host_at(256);
+        assert_eq!(p.network(), a);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   the paper).
 //! * [`Link`] — a bandwidth + propagation-delay + drop-tail-queue link model
 //!   computing per-packet delivery times.
-//! * [`RoutingTable`] — longest-prefix-match forwarding with a default route.
+//! * [`RoutingTable`] — longest-prefix-match forwarding, the reference
+//!   model the world's route cache is tested against.
 //! * [`Topology`] — a graph of nodes and links with Dijkstra shortest paths,
 //!   used to auto-populate routing tables.
 //! * [`RouteCache`] — a generation-keyed shortest-path cache answering

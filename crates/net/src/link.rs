@@ -76,18 +76,6 @@ pub struct LinkStats {
     pub dropped_packets: u64,
 }
 
-impl LinkStats {
-    /// Fraction of offered packets dropped.
-    pub fn drop_rate(&self) -> f64 {
-        let offered = self.tx_packets + self.dropped_packets;
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped_packets as f64 / offered as f64
-        }
-    }
-}
-
 /// The outcome of offering one packet to a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransmitOutcome {
@@ -176,7 +164,7 @@ impl Link {
 
     /// Instantaneous backlog (queueing delay a new arrival would see) at
     /// `now`.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
+    fn backlog(&self, now: SimTime) -> SimDuration {
         self.busy_until.saturating_since(now)
     }
 
@@ -203,12 +191,6 @@ impl Link {
         TransmitOutcome::Delivered {
             at: done + self.config.propagation,
         }
-    }
-
-    /// Resets queue state and statistics (between experiment repetitions).
-    pub fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
-        self.stats = LinkStats::default();
     }
 }
 
@@ -267,7 +249,6 @@ mod tests {
         assert!(delivered >= 3, "queue should hold several packets");
         assert_eq!(l.stats().dropped_packets, dropped);
         assert_eq!(l.stats().tx_packets, delivered);
-        assert!(l.stats().drop_rate() > 0.0);
     }
 
     #[test]
@@ -304,20 +285,6 @@ mod tests {
             assert!(!c.propagation.is_zero());
             assert!(c.queue_bytes > 0);
         }
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut l = one_mbps();
-        l.transmit(SimTime::ZERO, 1000);
-        l.reset();
-        assert_eq!(l.stats().tx_packets, 0);
-        assert_eq!(l.backlog(SimTime::ZERO), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn drop_rate_zero_when_unused() {
-        assert_eq!(LinkStats::default().drop_rate(), 0.0);
     }
 
     #[test]

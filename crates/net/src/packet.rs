@@ -147,27 +147,6 @@ impl<P> Packet<P> {
     pub fn record_hop(&mut self) {
         self.hops += 1;
     }
-
-    /// One-way delay experienced so far if delivered at `now`.
-    pub fn delay_at(&self, now: SimTime) -> mtnet_sim::SimDuration {
-        now.saturating_since(self.created_at)
-    }
-
-    /// Maps the payload, preserving every header field.
-    pub fn map_payload<Q>(self, f: impl FnOnce(P) -> Q) -> Packet<Q> {
-        Packet {
-            id: self.id,
-            flow: self.flow,
-            seq: self.seq,
-            src: self.src,
-            dst: self.dst,
-            payload_bytes: self.payload_bytes,
-            created_at: self.created_at,
-            hops: self.hops,
-            encap: self.encap,
-            payload: f(self.payload),
-        }
-    }
 }
 
 impl fmt::Display for PacketId {
@@ -243,23 +222,8 @@ mod tests {
         p.record_hop();
         p.record_hop();
         assert_eq!(p.hops, 2);
-        assert_eq!(
-            p.delay_at(SimTime::from_secs(3)),
-            mtnet_sim::SimDuration::from_secs(2)
-        );
-        // Delivery "before" creation saturates to zero rather than panicking.
-        assert_eq!(p.delay_at(SimTime::ZERO), mtnet_sim::SimDuration::ZERO);
-    }
-
-    #[test]
-    fn map_payload_preserves_headers() {
-        let mut p = packet();
-        p.encapsulate(addr("1.1.1.1"), addr("2.2.2.2"), TunnelKind::Rsmc);
-        let q = p.map_payload(|()| "hello");
-        assert_eq!(q.payload, "hello");
-        assert_eq!(q.id, PacketId(1));
-        assert_eq!(q.seq, 42);
-        assert!(q.is_encapsulated());
+        // Hops never touch the creation stamp delay is measured from.
+        assert_eq!(p.created_at, SimTime::from_secs(1));
     }
 
     #[test]

@@ -7,13 +7,16 @@ use std::collections::HashMap;
 /// A longest-prefix-match routing table mapping prefixes to next-hop nodes.
 ///
 /// Entries are stored per prefix length, so lookup scans at most 33 buckets
-/// from most- to least-specific — simple, predictable, and fast enough for
-/// the topology sizes the experiments use (tens of routers).
+/// from most- to least-specific — simple and obviously right, which is its
+/// job: no simulation path forwards through it. It is the reference model
+/// `route_cache_matches_routing_tables` (`mtnet_core`'s world tests) holds
+/// `World::wired_next_hop` against, and `lpm_most_specific_wins`
+/// (`tests/properties.rs`) pins its own longest-prefix rule.
 ///
 /// ```
-/// use mtnet_net::{RoutingTable, NodeId};
+/// use mtnet_net::{Prefix, RoutingTable, NodeId};
 /// let mut t = RoutingTable::new();
-/// t.set_default(NodeId(0));
+/// t.insert(Prefix::DEFAULT, NodeId(0));
 /// t.insert("10.0.0.0/8".parse().unwrap(), NodeId(1));
 /// assert_eq!(t.lookup("10.9.9.9".parse().unwrap()), Some(NodeId(1)));
 /// assert_eq!(t.lookup("8.8.8.8".parse().unwrap()), Some(NodeId(0)));
@@ -37,16 +40,6 @@ impl RoutingTable {
         self.buckets[prefix.len() as usize].insert(prefix.network(), next_hop)
     }
 
-    /// Installs the default route (`0.0.0.0/0`).
-    pub fn set_default(&mut self, next_hop: NodeId) -> Option<NodeId> {
-        self.insert(Prefix::DEFAULT, next_hop)
-    }
-
-    /// Removes a route. Returns the removed next hop, if present.
-    pub fn remove(&mut self, prefix: Prefix) -> Option<NodeId> {
-        self.buckets[prefix.len() as usize].remove(&prefix.network())
-    }
-
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, dst: Addr) -> Option<NodeId> {
         for len in (0..=32u8).rev() {
@@ -56,36 +49,6 @@ impl RoutingTable {
             }
         }
         None
-    }
-
-    /// The specific prefix that would match `dst`, with its next hop.
-    pub fn lookup_entry(&self, dst: Addr) -> Option<(Prefix, NodeId)> {
-        for len in (0..=32u8).rev() {
-            let p = Prefix::new(dst, len);
-            if let Some(&hop) = self.buckets[len as usize].get(&p.network()) {
-                return Some((p, hop));
-            }
-        }
-        None
-    }
-
-    /// Total number of routes (including the default, if set).
-    pub fn len(&self) -> usize {
-        self.buckets.iter().map(HashMap::len).sum()
-    }
-
-    /// True when the table has no routes at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates over all routes as `(prefix, next_hop)`.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, NodeId)> + '_ {
-        self.buckets.iter().enumerate().flat_map(|(len, bucket)| {
-            bucket
-                .iter()
-                .map(move |(&net, &hop)| (Prefix::new(net, len as u8), hop))
-        })
     }
 }
 
@@ -124,7 +87,7 @@ mod tests {
     #[test]
     fn default_route_catches_all() {
         let mut t = RoutingTable::new();
-        t.set_default(NodeId(7));
+        t.insert(Prefix::DEFAULT, NodeId(7));
         assert_eq!(t.lookup(addr("1.2.3.4")), Some(NodeId(7)));
         assert_eq!(t.lookup(addr("255.255.255.255")), Some(NodeId(7)));
     }
@@ -135,38 +98,6 @@ mod tests {
         assert_eq!(t.insert(pfx("10.0.0.0/8"), NodeId(1)), None);
         assert_eq!(t.insert(pfx("10.0.0.0/8"), NodeId(2)), Some(NodeId(1)));
         assert_eq!(t.lookup(addr("10.0.0.1")), Some(NodeId(2)));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn remove_route() {
-        let mut t = RoutingTable::new();
-        t.insert(pfx("10.0.0.0/8"), NodeId(1));
-        assert_eq!(t.remove(pfx("10.0.0.0/8")), Some(NodeId(1)));
-        assert_eq!(t.remove(pfx("10.0.0.0/8")), None);
-        assert!(t.is_empty());
-        assert_eq!(t.lookup(addr("10.0.0.1")), None);
-    }
-
-    #[test]
-    fn lookup_entry_reports_matched_prefix() {
-        let mut t = RoutingTable::new();
-        t.insert(pfx("10.1.0.0/16"), NodeId(2));
-        let (p, hop) = t.lookup_entry(addr("10.1.3.4")).unwrap();
-        assert_eq!(p, pfx("10.1.0.0/16"));
-        assert_eq!(hop, NodeId(2));
-    }
-
-    #[test]
-    fn iter_round_trips() {
-        let mut t = RoutingTable::new();
-        t.insert(pfx("10.0.0.0/8"), NodeId(1));
-        t.insert(pfx("20.0.0.0/8"), NodeId(2));
-        t.set_default(NodeId(0));
-        let mut routes: Vec<_> = t.iter().collect();
-        routes.sort_by_key(|(p, _)| (p.len(), p.network()));
-        assert_eq!(routes.len(), 3);
-        assert_eq!(routes[0].0, Prefix::DEFAULT);
     }
 
     #[test]

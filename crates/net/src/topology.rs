@@ -137,11 +137,6 @@ impl Topology {
         self.nodes.len()
     }
 
-    /// Number of unidirectional links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// The address assigned to `node`.
     ///
     /// # Panics
@@ -229,14 +224,6 @@ impl Topology {
         Ok(true)
     }
 
-    /// Endpoints of a link as `(from, to)`.
-    pub fn link_endpoints(&self, id: LinkId) -> Result<(NodeId, NodeId), TopologyError> {
-        self.links
-            .get(id.0 as usize)
-            .map(|e| (e.from, e.to))
-            .ok_or(TopologyError::UnknownLink(id))
-    }
-
     /// Outgoing neighbors of a node.
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes
@@ -280,7 +267,9 @@ impl Topology {
     }
 
     /// First hop on the min-delay path `src → dst`, or `None` if
-    /// unreachable (or `src == dst`).
+    /// unreachable (or `src == dst`). One Dijkstra per call: the reference
+    /// `route_cache_equals_naive_dijkstra` (`tests/properties.rs`) holds
+    /// [`crate::RouteCache::next_hop`] against.
     pub fn next_hop_on_path(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
         if src == dst {
             return None;
@@ -300,7 +289,9 @@ impl Topology {
         }
     }
 
-    /// Number of hops on the min-delay path, or `None` if unreachable.
+    /// Number of hops on the min-delay path, or `None` if unreachable —
+    /// the reference for [`crate::RouteCache::hop_count`] in the same
+    /// property test.
     pub fn hop_count(&self, src: NodeId, dst: NodeId) -> Option<u32> {
         if src == dst {
             return Some(0);
@@ -320,7 +311,9 @@ impl Topology {
 
     /// Builds a complete host-route routing table for `node`: one `/32`
     /// route per other node via the min-delay first hop, plus routes for
-    /// any `(prefix, owner)` pairs given in `prefixes`.
+    /// any `(prefix, owner)` pairs given in `prefixes`. Reference only:
+    /// `route_cache_matches_routing_tables` (`mtnet_core`'s world tests)
+    /// holds the world's cached wired forwarding against these tables.
     pub fn build_routing_table(&self, node: NodeId, prefixes: &[(Prefix, NodeId)]) -> RoutingTable {
         let mut table = RoutingTable::new();
         let best = self.dijkstra(node);
@@ -352,13 +345,6 @@ impl Topology {
             }
         }
         table
-    }
-
-    /// Resets all link queues and statistics.
-    pub fn reset_links(&mut self) {
-        for e in &mut self.links {
-            e.link.reset();
-        }
     }
 
     /// Minimum propagation delay over links whose endpoints `group`
@@ -425,9 +411,7 @@ mod tests {
         let a = t.add_node(addr(1));
         let b = t.add_node(addr(2));
         let (f, r) = t.connect(a, b, LinkConfig::backbone());
-        assert_eq!(t.link_count(), 2);
-        assert_eq!(t.link_endpoints(f).unwrap(), (a, b));
-        assert_eq!(t.link_endpoints(r).unwrap(), (b, a));
+        assert_ne!(f, r);
         assert_eq!(t.link_between(a, b), Some(f));
         assert_eq!(t.link_between(b, a), Some(r));
     }
@@ -557,17 +541,5 @@ mod tests {
         assert_eq!(d, Some(SimDuration::from_millis(1)));
         // Everything in one group: no crossing.
         assert_eq!(t.min_cross_partition_delay(|_| 0), None);
-    }
-
-    #[test]
-    fn reset_links_clears_stats() {
-        let (mut t, a, b, _) = line_plus_slow_direct();
-        let lid = t.link_between(a, b).unwrap();
-        t.link_mut(lid)
-            .unwrap()
-            .transmit(mtnet_sim::SimTime::ZERO, 100);
-        assert_eq!(t.link(lid).unwrap().stats().tx_packets, 1);
-        t.reset_links();
-        assert_eq!(t.link(lid).unwrap().stats().tx_packets, 0);
     }
 }

@@ -132,20 +132,6 @@ impl CellKind {
             _ => None,
         }
     }
-
-    /// True if `self` is a smaller (lower) tier than `other`.
-    pub fn is_below(self, other: CellKind) -> bool {
-        self.rank() < other.rank()
-    }
-
-    fn rank(self) -> u8 {
-        match self {
-            CellKind::Pico => 0,
-            CellKind::Micro => 1,
-            CellKind::Macro => 2,
-            CellKind::Satellite => 3,
-        }
-    }
 }
 
 impl fmt::Display for CellKind {
@@ -197,7 +183,9 @@ impl Cell {
         self.center
     }
 
-    /// The wired-network node hosting this base station.
+    /// The wired-network node hosting this base station (nothing reads
+    /// it back through the cell: worlds keep their own dense cell → node
+    /// table; it stays because [`Cell::new`] takes the node).
     pub fn bs_node(&self) -> NodeId {
         self.bs_node
     }
@@ -205,25 +193,6 @@ impl Cell {
     /// Nominal radius for this cell's tier.
     pub fn radius_m(&self) -> f64 {
         self.kind.radius_m()
-    }
-
-    /// Slant-range distance from the transmitter to `p`: ground distance
-    /// for terrestrial cells, hypotenuse with the orbital altitude for the
-    /// satellite tier. (`hypot(x, 0) == |x|` exactly per IEEE-754, so
-    /// skipping the libm call for terrestrial cells changes no bits.)
-    pub fn distance_to(&self, p: Point) -> f64 {
-        let ground = self.center.distance(p);
-        let altitude = self.kind.altitude_m();
-        if altitude == 0.0 {
-            ground
-        } else {
-            ground.hypot(altitude)
-        }
-    }
-
-    /// True if `p` lies within the nominal ground footprint.
-    pub fn covers(&self, p: Point) -> bool {
-        self.center.distance(p) <= self.radius_m()
     }
 
     /// The channel pool (admission control state).
@@ -266,20 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn tier_ordering() {
-        assert!(CellKind::Pico.is_below(CellKind::Micro));
-        assert!(CellKind::Micro.is_below(CellKind::Macro));
-        assert!(CellKind::Macro.is_below(CellKind::Satellite));
-        assert!(!CellKind::Macro.is_below(CellKind::Micro));
-        assert!(!CellKind::Micro.is_below(CellKind::Micro));
-    }
-
-    #[test]
     fn coverage_geometry() {
         let c = Cell::new(CellId(0), CellKind::Micro, Point::new(0.0, 0.0), NodeId(5));
-        assert!(c.covers(Point::new(299.0, 0.0)));
-        assert!(!c.covers(Point::new(301.0, 0.0)));
-        assert_eq!(c.distance_to(Point::new(300.0, 0.0)), 300.0);
+        assert_eq!(c.radius_m(), 300.0);
         assert_eq!(c.bs_node(), NodeId(5));
         assert_eq!(c.kind(), CellKind::Micro);
         assert_eq!(c.id(), CellId(0));

@@ -172,11 +172,6 @@ impl ChannelPool {
             self.handoff_dropped as f64 / attempts as f64
         }
     }
-
-    /// Total admission attempts of both kinds.
-    pub fn attempts(&self) -> u64 {
-        self.new_admitted + self.new_blocked + self.handoff_admitted + self.handoff_dropped
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +221,6 @@ mod tests {
         let _ = p.admit(CallKind::Handoff); // dropped
         assert!((p.blocking_probability() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(p.drop_probability(), 0.5);
-        assert_eq!(p.attempts(), 5);
     }
 
     #[test]

@@ -352,7 +352,7 @@ impl CellMap {
     /// `tier` restricts the scan to one tier.
     ///
     /// Allocates a fresh vector per call; event loops should hold a
-    /// scratch buffer and use [`CellMap::measure_into`].
+    /// scratch buffer and use [`CellMap::measure_batch`].
     pub fn measure(&self, at: Point, tier: Option<CellKind>) -> Vec<Measurement> {
         let mut out = Vec::new();
         self.measure_into(at, tier, &mut out);
@@ -362,7 +362,7 @@ impl CellMap {
     /// [`CellMap::measure`] into a caller-owned buffer (cleared first), so
     /// per-event measurement costs no allocation once the buffer has grown
     /// to the deployment's audible-cell count.
-    pub fn measure_into(&self, at: Point, tier: Option<CellKind>, out: &mut Vec<Measurement>) {
+    fn measure_into(&self, at: Point, tier: Option<CellKind>, out: &mut Vec<Measurement>) {
         out.clear();
         self.grid.for_each_candidate(at, |id| {
             out.extend(self.measure_one(id, at, tier));
@@ -370,12 +370,12 @@ impl CellMap {
         out.sort_by(|a, b| b.rssi_dbm.total_cmp(&a.rssi_dbm).then(a.cell.cmp(&b.cell)));
     }
 
-    /// Batched variant of [`CellMap::measure_into`]: evaluates every
+    /// Batched variant of [`CellMap::measure`]: evaluates every
     /// cell's coverage in one pass over flat structure-of-arrays lanes
     /// (x, y, squared radius), then runs the exact scalar radio math
     /// only for the handful of cells whose footprint can contain `at`.
     ///
-    /// Output is identical to [`CellMap::measure_into`] and
+    /// Output is identical to [`CellMap::measure`] and
     /// [`CellMap::measure_full_scan`] bit for bit: the sweep is a
     /// *conservative* pre-filter (its radius bound is widened far beyond
     /// its few-ulp rounding slack, so it never rejects a covered cell),
@@ -430,9 +430,10 @@ impl CellMap {
     }
 
     /// Reference implementation of [`CellMap::measure`] that scans every
-    /// cell instead of using the spatial index. Kept (and exercised by
-    /// property tests and benches) to prove the grid path observationally
-    /// identical; not for hot paths.
+    /// cell instead of using the spatial index; not for hot paths. The
+    /// grid and [`CellMap::measure_batch`] are held against it by
+    /// `grid_measure_equals_full_scan` and `measure_batch_equals_full_scan`
+    /// (`tests/properties.rs`).
     pub fn measure_full_scan(&self, at: Point, tier: Option<CellKind>) -> Vec<Measurement> {
         let mut out: Vec<Measurement> = self
             .cells()
@@ -464,46 +465,6 @@ impl CellMap {
             }
         });
         best.map(|m| m.cell)
-    }
-
-    /// Strongest audible cell with hysteresis: switch away from `current`
-    /// only if a candidate beats it by at least `hysteresis_db`, or if
-    /// `current` no longer covers `at`. Hysteresis suppresses ping-pong
-    /// handoffs at cell boundaries.
-    ///
-    /// The current cell's measurement is folded into the same single pass
-    /// that finds the strongest candidate — one bucket scan, no
-    /// allocation.
-    pub fn best_cell_hysteresis(
-        &self,
-        at: Point,
-        current: CellId,
-        hysteresis_db: f64,
-        tier: Option<CellKind>,
-    ) -> Option<CellId> {
-        let mut best: Option<Measurement> = None;
-        let mut current_rssi: Option<f64> = None;
-        self.grid.for_each_candidate(at, |id| {
-            if let Some(m) = self.measure_one(id, at, tier) {
-                if m.cell == current {
-                    current_rssi = Some(m.rssi_dbm);
-                }
-                if best.as_ref().is_none_or(|b| Self::outranks(&m, b)) {
-                    best = Some(m);
-                }
-            }
-        });
-        match (best, current_rssi) {
-            (None, _) => None,
-            (Some(best), None) => Some(best.cell), // lost current entirely
-            (Some(best), Some(cur)) => {
-                if best.cell != current && best.rssi_dbm >= cur + hysteresis_db {
-                    Some(best.cell)
-                } else {
-                    Some(current)
-                }
-            }
-        }
     }
 }
 
@@ -577,32 +538,6 @@ mod tests {
         let m = map.measure(p, None);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].cell, CellId(2));
-    }
-
-    #[test]
-    fn hysteresis_prevents_ping_pong() {
-        let map = two_micro_one_macro();
-        // Just past the midpoint toward cell 1: cell 1 is stronger, but not
-        // by a large margin — with high hysteresis we stay on cell 0.
-        let p = Point::new(210.0, 0.0);
-        let sticky = map.best_cell_hysteresis(p, CellId(0), 20.0, Some(CellKind::Micro));
-        assert_eq!(sticky, Some(CellId(0)));
-        // With zero hysteresis we switch.
-        let eager = map.best_cell_hysteresis(p, CellId(0), 0.0, Some(CellKind::Micro));
-        assert_eq!(eager, Some(CellId(1)));
-    }
-
-    #[test]
-    fn hysteresis_switches_when_coverage_lost() {
-        let map = two_micro_one_macro();
-        // Outside cell 0's 300 m footprint entirely.
-        let p = Point::new(380.0, 0.0);
-        let next = map.best_cell_hysteresis(p, CellId(0), 20.0, Some(CellKind::Micro));
-        assert_eq!(
-            next,
-            Some(CellId(1)),
-            "must leave a dead cell regardless of hysteresis"
-        );
     }
 
     #[test]

@@ -199,24 +199,6 @@ impl RngStream {
         -mean * u.ln()
     }
 
-    /// Standard normal via Box–Muller (single draw; the pair's partner is
-    /// discarded to keep the stream consumption per call fixed).
-    pub fn std_normal(&mut self) -> f64 {
-        let u1 = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Normal with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or not finite.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev.is_finite() && std_dev >= 0.0, "bad std_dev");
-        mean + std_dev * self.std_normal()
-    }
-
     /// Pareto-distributed value with scale `x_min > 0` and shape `alpha > 0`.
     ///
     /// # Panics
@@ -443,17 +425,6 @@ mod tests {
         let n = 50_000;
         let mean: f64 = (0..n).map(|_| r.exponential(2.0)).sum::<f64>() / n as f64;
         assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn normal_moments_close() {
-        let mut r = RngStream::derive(5, "norm");
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal(3.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.2, "var {var}");
     }
 
     #[test]

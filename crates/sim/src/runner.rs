@@ -105,7 +105,7 @@ impl Default for BatchRunner {
 
 /// Worker count for "use every core": `std::thread::available_parallelism`
 /// with a floor of 1.
-pub fn available_threads() -> usize {
+fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

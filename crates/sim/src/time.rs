@@ -102,23 +102,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Elapsed time since `earlier`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `earlier` is later than `self`.
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        debug_assert!(earlier.0 <= self.0, "time went backwards");
-        SimDuration(self.0 - earlier.0)
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
@@ -190,17 +173,6 @@ impl SimDuration {
     #[inline]
     pub const fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
-    }
-
-    /// Multiplies the span by a non-negative float (e.g. jitter factors).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    #[inline]
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(factor.is_finite() && factor >= 0.0, "invalid factor");
-        SimDuration((self.0 as f64 * factor).round() as u64)
     }
 }
 
@@ -373,7 +345,6 @@ mod tests {
         let d = SimDuration::from_millis(100);
         assert_eq!(d * 3, SimDuration::from_millis(300));
         assert_eq!(d / 2, SimDuration::from_millis(50));
-        assert_eq!(d.mul_f64(2.5), SimDuration::from_millis(250));
         assert!(SimDuration::ZERO.is_zero());
         assert!(!d.is_zero());
     }
@@ -403,17 +374,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(5).to_string(), "5.000ms");
         assert_eq!(SimTime::from_secs(5).to_string(), "5.000000s");
         assert_eq!(SimTime::MAX.to_string(), "inf");
-    }
-
-    #[test]
-    fn checked_add_overflow() {
-        assert!(SimTime::MAX
-            .checked_add(SimDuration::from_nanos(1))
-            .is_none());
-        assert_eq!(
-            SimTime::ZERO.checked_add(SimDuration::from_secs(1)),
-            Some(SimTime::from_secs(1))
-        );
     }
 
     #[test]

@@ -48,13 +48,6 @@ impl Cbr {
     pub fn voice() -> Self {
         Cbr::new(SimDuration::from_millis(20), 160)
     }
-
-    /// A paced stream at `rate_bps` using `bytes`-sized packets.
-    pub fn with_rate(rate_bps: u64, bytes: u32) -> Self {
-        assert!(rate_bps > 0, "rate must be positive");
-        let interval = SimDuration::from_secs_f64(f64::from(bytes) * 8.0 / rate_bps as f64);
-        Cbr::new(interval.max(SimDuration::from_nanos(1)), bytes)
-    }
 }
 
 impl ArrivalProcess for Cbr {
@@ -114,7 +107,7 @@ impl OnOffVbr {
     }
 
     /// Fraction of time the source is ON.
-    pub fn duty_cycle(&self) -> f64 {
+    fn duty_cycle(&self) -> f64 {
         self.mean_on / (self.mean_on + self.mean_off)
     }
 }
@@ -193,7 +186,7 @@ impl ParetoWeb {
     }
 
     /// Mean burst size in bytes.
-    pub fn mean_burst_bytes(&self) -> f64 {
+    fn mean_burst_bytes(&self) -> f64 {
         self.min_burst * self.alpha / (self.alpha - 1.0)
     }
 }
@@ -246,12 +239,6 @@ mod tests {
             assert_eq!(a.bytes, 160);
         }
         assert!((c.mean_rate_bps() - 64_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn cbr_with_rate_matches_request() {
-        let c = Cbr::with_rate(128_000, 320);
-        assert!((c.mean_rate_bps() - 128_000.0).abs() < 1.0);
     }
 
     #[test]

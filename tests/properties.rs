@@ -196,17 +196,8 @@ proptest! {
             let grid = map.measure(at, tier);
             let scan = map.measure_full_scan(at, tier);
             prop_assert_eq!(&grid, &scan, "grid and scan disagree at {:?}", at);
-            // Single-pass best-cell variants agree with the sorted list.
+            // The single-pass best cell agrees with the sorted list.
             prop_assert_eq!(map.best_cell(at, tier), scan.first().map(|m| m.cell));
-            if let Some(first) = scan.first() {
-                // Zero hysteresis from a non-covering current cell must
-                // pick the strongest candidate, like the list head.
-                let ghost = CellId(u32::MAX);
-                prop_assert_eq!(
-                    map.best_cell_hysteresis(at, ghost, 0.0, tier),
-                    Some(first.cell)
-                );
-            }
         }
     }
 
@@ -760,13 +751,10 @@ proptest! {
 
     // ---------------------------------------------------------------
     // Batched RSSI: the structure-of-arrays sweep is bit-identical to
-    // the full scan (and the grid) on arbitrary layouts, and the
-    // hysteresis decision built from its output matches
-    // `best_cell_hysteresis` across covered/uncovered currents and
-    // margins.
+    // the full scan (and the grid) on arbitrary layouts.
     // ---------------------------------------------------------------
     #[test]
-    fn measure_batch_equals_full_scan_incl_hysteresis(
+    fn measure_batch_equals_full_scan(
         cells in prop::collection::vec(
             (-20_000.0f64..20_000.0, -20_000.0f64..20_000.0, 0usize..4),
             0..40,
@@ -776,8 +764,6 @@ proptest! {
             1..16,
         ),
         tier_filter in 0usize..5,
-        hysteresis_db in 0.0f64..30.0,
-        current_pick in any::<usize>(),
     ) {
         let kinds = [CellKind::Pico, CellKind::Micro, CellKind::Macro, CellKind::Satellite];
         let mut map = CellMap::new(11);
@@ -796,36 +782,6 @@ proptest! {
             map.measure_batch(at, tier, &mut batch);
             let scan = map.measure_full_scan(at, tier);
             prop_assert_eq!(&batch, &scan, "batch and scan disagree at {:?}", at);
-            // Hysteresis: rebuild the decision from the (batch) list and
-            // hold it against the single-pass implementation, for both a
-            // current cell drawn from the deployment and a ghost.
-            let current = if cells.is_empty() {
-                CellId(u32::MAX)
-            } else {
-                CellId((current_pick % cells.len()) as u32)
-            };
-            for cur in [current, CellId(u32::MAX)] {
-                let reference = {
-                    let best = batch.first();
-                    let cur_rssi = batch.iter().find(|m| m.cell == cur).map(|m| m.rssi_dbm);
-                    match (best, cur_rssi) {
-                        (None, _) => None,
-                        (Some(b), None) => Some(b.cell),
-                        (Some(b), Some(c)) => {
-                            if b.cell != cur && b.rssi_dbm >= c + hysteresis_db {
-                                Some(b.cell)
-                            } else {
-                                Some(cur)
-                            }
-                        }
-                    }
-                };
-                prop_assert_eq!(
-                    map.best_cell_hysteresis(at, cur, hysteresis_db, tier),
-                    reference,
-                    "hysteresis path diverged at {:?} (current {:?})", at, cur
-                );
-            }
         }
     }
 }
