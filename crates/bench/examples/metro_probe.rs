@@ -1,8 +1,11 @@
 //! Metro-tier tuning probe: runs `ScenarioSpec::metro()` with `key=value`
 //! overrides from the command line and prints wall time, event count,
-//! events/s, peak RSS and page-fault counts — the quickest way to answer
-//! "what does this knob cost at scale" without editing an experiment.
-//! `--profile` adds a per-event-type cost breakdown.
+//! events/s, peak RSS after the build and at the end, and page-fault
+//! counts — the quickest way to answer "what does this knob cost at
+//! scale" without editing an experiment. The end peak minus the build
+//! peak is what launch and the run added on top of the built world (the
+//! scheduler's share, when the peak is set at launch). `--profile` adds
+//! a per-event-type cost breakdown.
 //!
 //! ```text
 //! cargo run --release --example metro_probe -- --profile duration_s=12 pedestrians=10000 domains=8
@@ -33,6 +36,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let world = spec.build(42);
     let built = t0.elapsed();
+    let built_peak = rss::peak_bytes().unwrap_or(0);
     let f0 = faults();
     let t1 = std::time::Instant::now();
     let duration = mtnet_sim::SimDuration::from_secs_f64(spec.duration_s);
@@ -44,13 +48,16 @@ fn main() {
     };
     let ran = t1.elapsed();
     let f1 = faults();
+    let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
     eprintln!(
-        "build {:.2}s  run {:.2}s  events {}  ev/s {:.2}M  rss {:.0} MiB  minflt {}  majflt {}",
+        "build {:.2}s  run {:.2}s  events {}  ev/s {:.2}M  rss after build {:.1} MiB  \
+         rss {:.1} MiB  minflt {}  majflt {}",
         built.as_secs_f64(),
         ran.as_secs_f64(),
         report.events_processed,
         report.events_processed as f64 / ran.as_secs_f64() / 1e6,
-        rss::peak_bytes().unwrap_or(0) as f64 / (1024.0 * 1024.0),
+        mib(built_peak),
+        mib(rss::peak_bytes().unwrap_or(0)),
         f1.0 - f0.0,
         f1.1 - f0.1,
     );

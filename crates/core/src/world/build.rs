@@ -498,6 +498,7 @@ impl WorldBuilder {
             shard: None,
             replicated_events: 0,
             evprof: None,
+            lanes: Default::default(),
             report,
         }
     }

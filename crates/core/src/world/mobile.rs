@@ -23,7 +23,7 @@ use mtnet_mobileip::{AgentAdvertisement, MipMessage, MnAction, MnState};
 use mtnet_mobility::Point;
 use mtnet_net::Addr;
 use mtnet_radio::{CallKind, CellId, CellMap};
-use mtnet_sim::{Context, SimDuration};
+use mtnet_sim::{Context, LaneId, SimDuration};
 
 impl World {
     /// True when node `i` camps: under
@@ -36,16 +36,26 @@ impl World {
         self.cfg.idle_camping && !self.mns.has_flow[i]
     }
 
-    /// How often node `i`'s uplink ticks. A camping node's uplink exists
-    /// only to refresh its paging-area state; ticking it faster than the
-    /// paging period would burn O(subscribers) events to do nothing.
-    pub(super) fn uplink_period(&self, i: usize) -> SimDuration {
-        if self.camps(i) {
+    /// How often a node's uplink ticks when it `camps` or not. A camping
+    /// node's uplink exists only to refresh its paging-area state;
+    /// ticking it faster than the paging period would burn
+    /// O(subscribers) events to do nothing.
+    pub(super) fn uplink_period(&self, camps: bool) -> SimDuration {
+        if camps {
             self.cfg.cip_timers.paging_update
         } else {
             self.cfg
                 .route_update_period
                 .unwrap_or(self.cfg.cip_timers.route_update)
+        }
+    }
+
+    /// The lane node `i`'s uplink ticks on.
+    pub(super) fn uplink_lane(&self, i: usize) -> LaneId {
+        if self.camps(i) {
+            self.lanes.uplink_camping
+        } else {
+            self.lanes.uplink
         }
     }
 
@@ -123,7 +133,7 @@ impl World {
         mn: MnId,
         sampled: Option<(Point, f64)>,
     ) {
-        ctx.schedule_in(self.cfg.move_sample, Ev::MoveSample(mn));
+        ctx.rearm(self.lanes.move_sample, mn.0);
         let i = mn.0 as usize;
         // A handoff already in flight: wait for it to complete.
         let Some((pos, speed)) = sampled else {
@@ -516,7 +526,7 @@ impl World {
     fn uplink_one(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId) {
         let now = ctx.now();
         let i = mn.0 as usize;
-        ctx.schedule_in(self.uplink_period(i), Ev::Uplink(mn));
+        ctx.rearm(self.uplink_lane(i), mn.0);
         let Some(cell) = self.mns.hot[i].serving() else {
             return;
         };
@@ -584,7 +594,7 @@ impl World {
 
     pub(super) fn handle_location_tick(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId) {
         let now = ctx.now();
-        ctx.schedule_in(self.cfg.location_period, Ev::LocationTick(mn));
+        ctx.rearm(self.lanes.location, mn.0);
         if self.cfg.mip_only {
             return;
         }

@@ -15,11 +15,13 @@
 //! event** along Fig 4.1's cut — `backbone` (CN, HA), `access` (a
 //! domain's tree, RSMC and radio), `mobile` (the nodes' own ticks),
 //! `faults` (replicated) and the `wire` they all share — each module's
-//! header naming its events and the columns it reads and writes. This
-//! file keeps the struct, [`Ev`] and its dispatch, the replicated sweep,
-//! and launch / twin / report.
+//! header naming its events and the columns it reads and writes; `audit`
+//! checks what a world between events must satisfy. This file keeps the
+//! struct, [`Ev`] and its dispatch, the replicated sweep, and launch /
+//! twin / report.
 
 mod access;
+mod audit;
 mod backbone;
 mod build;
 mod faults;
@@ -47,7 +49,7 @@ use mtnet_mobileip::{ForeignAgent, HomeAgent};
 use mtnet_mobility::Point;
 use mtnet_net::{Addr, FlowId, NodeId, RouteCache, Topology};
 use mtnet_radio::{CellId, CellMap, Measurement};
-use mtnet_sim::{Context, FxHashMap, Model, RngStream, SimDuration, SimTime, Simulator};
+use mtnet_sim::{Context, FxHashMap, LaneId, Model, RngStream, SimDuration, SimTime, Simulator};
 use mtnet_traffic::{ArrivalProcess, Cbr, FlowQos, OnOffVbr, ParetoWeb};
 
 /// Architecture and protocol switches for one experiment arm.
@@ -363,7 +365,23 @@ pub struct World {
     /// Per-[`Ev`]-variant dispatch costs, `Some` only under
     /// [`World::run_profiled`].
     evprof: Option<Box<EvProfile>>,
+    /// The scheduler lanes the nodes' periodic timers re-arm on,
+    /// registered by [`World::schedule_initial`].
+    lanes: TickLanes,
     pub(crate) report: SimReport,
+}
+
+/// One scheduler lane per periodic timer of a node (see
+/// [`mtnet_sim::Scheduler::add_lane`]): each is re-armed at a fixed
+/// period, so its pending ticks queue FIFO in 24 bytes apiece.
+#[derive(Debug, Clone, Copy, Default)]
+struct TickLanes {
+    move_sample: LaneId,
+    /// A node that holds a channel: every route-update period.
+    uplink: LaneId,
+    /// A camping node: every paging period.
+    uplink_camping: LaneId,
+    location: LaneId,
 }
 
 impl std::fmt::Debug for World {
@@ -446,7 +464,8 @@ impl World {
     /// paging period instead of the route-update period — the O(idle)
     /// event mass runs at paging cadence, not signaling cadence.
     pub(crate) fn mn_start_times(&self, i: usize) -> (SimTime, SimTime, Option<SimTime>) {
-        let (camps, uplink) = (self.camps(i), self.uplink_period(i));
+        let camps = self.camps(i);
+        let uplink = self.uplink_period(camps);
         let i = i as u64;
         if self.mns.len() <= Self::LEGACY_STAGGER_MAX {
             return (
@@ -499,6 +518,11 @@ impl World {
     fn run_to(self, duration: SimDuration) -> (World, u64) {
         let mut sim = self.launch();
         sim.run_until(SimTime::ZERO + duration);
+        if cfg!(debug_assertions) {
+            if let Err(e) = World::audit(&sim) {
+                panic!("world audit failed at {:?}: {e}", sim.now());
+            }
+        }
         let events = sim.events_processed();
         (sim.into_model(), events)
     }
@@ -511,28 +535,45 @@ impl World {
         sim
     }
 
-    /// Schedules the initial events `owns` accepts: the one spelling of
-    /// the start-up program order, shared by the sequential engine (owns
-    /// everything) and each half of a sharded world (owns its classes) —
-    /// same-instant ties resolve by schedule order, so bit-exactness
-    /// across engines depends on there being exactly one.
+    /// Registers the tick lanes and schedules the initial events `owns`
+    /// accepts: the one spelling of the start-up program order, shared
+    /// by the sequential engine (owns everything) and each half of a
+    /// sharded world (owns its classes) — same-instant ties resolve by
+    /// schedule order, so bit-exactness across engines depends on there
+    /// being exactly one. Every simulator registers the same lanes in the
+    /// same order.
     pub(crate) fn schedule_initial(sim: &mut Simulator<World>, owns: impl Fn(&Ev) -> bool) {
         let schedule = |sim: &mut Simulator<World>, at: SimTime, ev: Ev| {
             if owns(&ev) {
                 sim.schedule_at(at, ev);
             }
         };
-        // Kick off periodic machinery.
         let n_mns = sim.model().mns.len();
         let n_flows = sim.model().flows.len();
+        let (cfg, world) = (sim.model().cfg, sim.model());
+        let (uplink, uplink_camping) = (world.uplink_period(false), world.uplink_period(true));
+        let lanes = TickLanes {
+            move_sample: sim.add_lane(cfg.move_sample, |i| Ev::MoveSample(MnId(i))),
+            uplink: sim.add_lane(uplink, |i| Ev::Uplink(MnId(i))),
+            uplink_camping: sim.add_lane(uplink_camping, |i| Ev::Uplink(MnId(i))),
+            location: sim.add_lane(cfg.location_period, |i| Ev::LocationTick(MnId(i))),
+        };
+        sim.model_mut().lanes = lanes;
+        // Kick off periodic machinery.
         for i in 0..n_mns {
             let mn = MnId(i as u32);
             // Stagger start times so nodes do not move in lockstep.
             let (t_move, t_up, t_loc) = sim.model().mn_start_times(i);
-            schedule(sim, t_move, Ev::MoveSample(mn));
-            schedule(sim, t_up, Ev::Uplink(mn));
+            let uplink = sim.model().uplink_lane(i);
+            let mut tick = |lane: LaneId, at: SimTime, ev: Ev| {
+                if owns(&ev) {
+                    sim.schedule_lane_at(lane, at, mn.0);
+                }
+            };
+            tick(lanes.move_sample, t_move, Ev::MoveSample(mn));
+            tick(uplink, t_up, Ev::Uplink(mn));
             if let Some(t_loc) = t_loc {
-                schedule(sim, t_loc, Ev::LocationTick(mn));
+                tick(lanes.location, t_loc, Ev::LocationTick(mn));
             }
         }
         for f in 0..n_flows {
@@ -601,6 +642,7 @@ impl World {
             shard: None,
             replicated_events: 0,
             evprof: None,
+            lanes: TickLanes::default(),
             report: self.report.clone(),
         }
     }

@@ -236,6 +236,7 @@ fn channel_accounting_balances() {
     let world = ScenarioSpec::small_city().with_raw_seed(13).build(0);
     let n = world.mns.len();
     let mut sim = mtnet_sim::Simulator::new(world);
+    World::schedule_initial(&mut sim, |_| false); // the lanes, no events
     for i in 0..n {
         sim.schedule_at(
             SimTime::from_millis(i as u64 * 7),
@@ -268,6 +269,7 @@ fn ha_intercepts_and_tunnels() {
     park(&mut b, Point::new(1500.0, 1500.0), &[FlowKind::Voice]);
     let world = b.build();
     let mut sim = mtnet_sim::Simulator::new(world);
+    World::schedule_initial(&mut sim, |_| false); // the lanes, no events
     sim.schedule_at(SimTime::ZERO, Ev::MoveSample(MnId(0)));
     sim.schedule_at(SimTime::from_millis(50), Ev::Uplink(MnId(0)));
     sim.schedule_at(SimTime::from_millis(500), Ev::FlowNext(0));
@@ -282,6 +284,7 @@ fn vehicle_prefers_macro_pedestrian_prefers_micro() {
     let world = ScenarioSpec::commute_corridor().with_raw_seed(17).build(0);
     let n = world.mns.len();
     let mut sim = mtnet_sim::Simulator::new(world);
+    World::schedule_initial(&mut sim, |_| false); // the lanes, no events
     for i in 0..n {
         sim.schedule_at(
             SimTime::from_millis(i as u64),
@@ -307,6 +310,7 @@ fn mnld_learns_domain_crossings() {
     // Run manually to inspect final MNLD state.
     let n = world.mns.len();
     let mut sim = mtnet_sim::Simulator::new(world);
+    World::schedule_initial(&mut sim, |_| false); // the lanes, no events
     for i in 0..n {
         sim.schedule_at(
             SimTime::from_millis(i as u64 * 7),
@@ -377,6 +381,7 @@ fn outage_detaches_and_releases_channel() {
         .with_population(0, 0, 1)
         .build(0);
     let mut sim = mtnet_sim::Simulator::new(world);
+    World::schedule_initial(&mut sim, |_| false); // the lanes, no events
     sim.schedule_at(SimTime::ZERO, Ev::MoveSample(MnId(0)));
     // Long enough to attach and then drive out of the strip.
     sim.run_until(SimTime::from_secs(120));
@@ -732,6 +737,58 @@ fn handoff_flag_mirrors_pending_payload_in_a_metro() {
     let (in_flight, report) = audit_handoff_flags(spec.build(42), 20, 499);
     assert!(report.handoffs.total() > 1000, "{:?}", report.handoffs);
     assert!(in_flight > 0, "no checkpoint caught a handoff in flight");
+}
+
+#[test]
+fn worlds_audit_clean_between_events() {
+    // Legacy-stagger cities (early re-arms fall back from the lanes to
+    // the calendar), a faulted one, pure Mobile IP, and a camping metro
+    // on the wrapped stagger: audited at 40 stops each.
+    let worlds = [
+        ("dense_urban", ScenarioSpec::dense_urban(), 30),
+        ("faulted_city", faulted_city_spec(), 20),
+        (
+            "pure_mip_corridor",
+            ScenarioSpec::commute_corridor().with_arch(ArchKind::PureMobileIp),
+            30,
+        ),
+        ("metro_smoke", ScenarioSpec::metro_smoke(), 20),
+    ];
+    for (name, spec, secs) in worlds {
+        let mut sim = spec.build(42).launch();
+        for k in 1..=40 {
+            sim.run_until(SimTime::from_millis(secs * 1000 * k / 40));
+            assert_eq!(World::audit(&sim), Ok(()), "{name} at {:?}", sim.now());
+        }
+    }
+}
+
+#[test]
+fn the_audit_names_a_duplicate_tick_and_a_leaked_packet() {
+    use super::audit::AuditError;
+    let spec = ScenarioSpec::small_city();
+    let mut sim = spec.build(42).launch();
+    sim.run_until(SimTime::from_secs(2));
+    assert_eq!(World::audit(&sim), Ok(()));
+    sim.schedule_at(SimTime::from_secs(3), Ev::Uplink(MnId(3)));
+    let twice = AuditError::Ticks {
+        mn: MnId(3),
+        timer: "Uplink",
+        found: 2,
+        want: 1,
+    };
+    assert_eq!(World::audit(&sim), Err(twice.clone()));
+    assert_eq!(twice.to_string(), "node 3 has 2 pending Uplink, want 1");
+
+    let mut sim = spec.build(42).launch();
+    sim.run_until(SimTime::from_secs(2));
+    let (src, dst) = (home_addr(0), home_addr(1));
+    sim.model_mut()
+        .alloc_control(src, dst, SimTime::from_secs(2), Payload::Data);
+    match World::audit(&sim) {
+        Err(AuditError::Packets { live, held }) => assert_eq!(live, held + 1),
+        other => panic!("a leaked packet went unnoticed: {other:?}"),
+    }
 }
 
 // ----------------------------------------------------------------------

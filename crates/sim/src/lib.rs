@@ -11,7 +11,8 @@
 //!   `(model, seed)`.
 //! * **No wall clock, no threads inside a run.** Simulated time is an
 //!   integer nanosecond counter; the engine is a single loop over a
-//!   calendar queue. Parallelism lives *between* runs:
+//!   calendar queue and the FIFO lanes of fixed-period timers, merged
+//!   by `(time, seq)`. Parallelism lives *between* runs:
 //!   [`runner::BatchRunner`] fans independent simulations across cores,
 //!   and [`rng::SeedTree`] splits a master seed into per-run streams that
 //!   are pure functions of the `(experiment, architecture, replication)`
@@ -63,6 +64,6 @@ pub use hash::{FxHashMap, FxHashSet};
 pub use model::{Context, Model};
 pub use rng::{RngStream, SeedTree};
 pub use runner::BatchRunner;
-pub use scheduler::Scheduler;
+pub use scheduler::{LaneId, Scheduler};
 pub use simulator::{RunOutcome, Simulator};
 pub use time::{SimDuration, SimTime};

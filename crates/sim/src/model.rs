@@ -1,7 +1,7 @@
 //! The [`Model`] trait — the user-supplied world — and the [`Context`]
 //! handed to it on every event.
 
-use crate::scheduler::Scheduler;
+use crate::scheduler::{LaneId, Scheduler};
 use crate::time::{SimDuration, SimTime};
 
 /// The simulated world: owns all state and reacts to events.
@@ -56,6 +56,12 @@ impl<'a, E> Context<'a, E> {
     /// Schedules an event after `delay` from now.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.scheduler.schedule_in(delay, event)
+    }
+
+    /// Re-arms the periodic timer `id` on `lane` one lane period from
+    /// now ([`Scheduler::rearm`]).
+    pub fn rearm(&mut self, lane: LaneId, id: u32) {
+        self.scheduler.rearm(lane, id)
     }
 
     /// Schedules an event to run after all other events at the current

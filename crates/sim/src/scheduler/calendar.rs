@@ -8,8 +8,8 @@
 //! span wait in a binary-heap *overflow ladder* and surface when their
 //! time comes. The bucket width is retuned from the observed inter-event
 //! gap (an EMA over pop-to-pop time advances) whenever the structure
-//! resizes, so occupancy stays near a few events per bucket across
-//! workload phases.
+//! resizes, and whenever that gap drifts 4× from the width in use, so
+//! occupancy stays near a few events per bucket across workload phases.
 //!
 //! A calendar entry moves O(1) times — into its bucket, within the
 //! one-time bucket sort, and out — so payloads live **inline** in the
@@ -171,6 +171,14 @@ impl<E> CalendarQueue<E> {
         self.buckets.iter().map(|b| b.capacity()).sum()
     }
 
+    /// Calls `f` on every pending payload, in no particular order.
+    pub(crate) fn for_each(&self, f: &mut impl FnMut(&E)) {
+        let ladder = self.overflow.iter().map(|l| &l.0);
+        for entry in self.buckets.iter().flatten().chain(ladder) {
+            f(&entry.event);
+        }
+    }
+
     fn n_buckets(&self) -> usize {
         self.mask + 1
     }
@@ -199,6 +207,16 @@ impl<E> CalendarQueue<E> {
                 // The wheel span missed the workload's horizon: most
                 // entries sit in the overflow ladder degrading to heap
                 // behavior. Retune.
+                self.rebuild();
+            } else if self.gap_ema_ns > 0
+                && self.ops_since_rebuild > 4 * self.n_buckets() as u64
+                && self.shift.abs_diff(shift_for_gap(self.gap_ema_ns)) > 1
+            {
+                // The observed gap drifted 4× or more from the width the
+                // wheel was built with, at a size that triggers neither
+                // rule above — a wheel sized from its launch pushes
+                // before any gap was seen, say, whose buckets then hold
+                // thousands of entries each. Retune.
                 self.rebuild();
             }
         }
@@ -302,20 +320,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Pops the earliest entry only if it fires at or before `horizon` —
-    /// the fused peek-then-pop of a bounded run loop.
-    #[inline]
-    pub(crate) fn pop_min_at_or_before(&mut self, horizon_ns: u64) -> Option<(SimTime, u64, E)> {
-        let (time, _) = match self.cached {
-            Some((key, _)) => key,
-            None => self.peek_min()?,
-        };
-        if time.as_nanos() > horizon_ns {
-            return None;
-        }
-        self.pop_min()
-    }
-
     #[inline]
     pub(crate) fn pop_min(&mut self) -> Option<(SimTime, u64, E)> {
         let loc = match self.cached {
@@ -411,8 +415,10 @@ impl<E> CalendarQueue<E> {
     /// horizon.
     fn rebuild(&mut self) {
         let mut entries: Vec<Entry<E>> = Vec::with_capacity(self.len);
+        // Taken, not appended: each drained bucket's allocation goes
+        // back as it is emptied instead of outliving the refill.
         for b in &mut self.buckets {
-            entries.append(b);
+            entries.extend(std::mem::take(b));
         }
         entries.extend(
             std::mem::take(&mut self.overflow)
@@ -433,10 +439,7 @@ impl<E> CalendarQueue<E> {
             };
             (spread / n as u64).max(1)
         };
-        // Round the observed gap up to the next power of two, then widen
-        // by 4× (see the occupancy note above).
-        self.shift =
-            ((u64::BITS - (gap - 1).leading_zeros()).max(1) + 2).clamp(MIN_SHIFT, MAX_SHIFT);
+        self.shift = shift_for_gap(gap);
         if self.buckets.len() != new_n_buckets {
             self.buckets = std::iter::repeat_with(Vec::new)
                 .take(new_n_buckets)
@@ -461,6 +464,13 @@ impl<E> CalendarQueue<E> {
             self.len += 1;
         }
     }
+}
+
+/// Bucket width exponent for an inter-event gap of `gap` ns: the gap
+/// rounded up to a power of two, widened 4× so the once-per-bucket sort
+/// amortizes over several pops.
+fn shift_for_gap(gap: u64) -> u32 {
+    ((u64::BITS - (gap - 1).leading_zeros()).max(1) + 2).clamp(MIN_SHIFT, MAX_SHIFT)
 }
 
 #[cfg(test)]
@@ -620,12 +630,52 @@ mod tests {
     }
 
     #[test]
-    fn pop_at_or_before_respects_horizon() {
+    fn width_follows_the_observed_gap_at_a_steady_size() {
+        // 600 entries 10 ms apart: the growth rebuild sizes the wheel
+        // from their spread, before any pop. Then a 1 µs chain runs in
+        // front of them at a constant pending count, which neither the
+        // grow nor the shrink rule sees: only the gap can retune it.
         let mut q = CalendarQueue::new();
-        q.push(SimTime::from_nanos(1_000), 0, 0);
-        q.push(SimTime::from_nanos(5_000), 1, 1);
-        assert_eq!(q.pop_min_at_or_before(3_000).map(|(_, _, e)| e), Some(0));
-        assert_eq!(q.pop_min_at_or_before(3_000), None);
-        assert_eq!(q.pop_min_at_or_before(5_000).map(|(_, _, e)| e), Some(1));
+        for i in 0..600u64 {
+            q.push(SimTime::from_nanos(10_000_000 * (i + 1)), i, i);
+        }
+        let launch_shift = q.shift;
+        assert!(launch_shift >= 20, "built from the 10 ms spread");
+        q.push(SimTime::from_nanos(1_000), 600, 600);
+        for seq in 601..20_000 {
+            let (t, _, _) = q.pop_min().expect("the chain never drains");
+            q.push(t + crate::SimDuration::from_micros(1), seq, seq);
+        }
+        assert!(
+            q.shift <= MIN_SHIFT + 2,
+            "a 1 µs stream still sorts {} ns buckets",
+            1u64 << q.shift
+        );
+        assert_eq!(q.len(), 601);
+    }
+
+    #[test]
+    fn rebuild_frees_the_buckets_it_drains() {
+        // One bucket grows to a burst, then mostly drains: it keeps its
+        // capacity (it is not empty). A retune at the same bucket count
+        // must hand that capacity back, not refill beside it.
+        let mut q = CalendarQueue::new();
+        for i in 0..300u64 {
+            q.push(SimTime::from_nanos(1_000 + i), i, i);
+        }
+        for _ in 0..290 {
+            q.pop_min().expect("burst entry");
+        }
+        assert!(q.wheel_capacity() >= 300);
+        q.rebuild();
+        assert_eq!(q.n_buckets(), MIN_BUCKETS, "same bucket count");
+        assert!(
+            q.wheel_capacity() <= 4 * q.len(),
+            "a rebuild kept drained capacity: {} slots for {} entries",
+            q.wheel_capacity(),
+            q.len()
+        );
+        let order: Vec<u64> = drain(&mut q).into_iter().map(|(_, _, e)| e).collect();
+        assert_eq!(order, (290..300).collect::<Vec<_>>());
     }
 }

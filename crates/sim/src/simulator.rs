@@ -1,7 +1,7 @@
 //! The run loop tying a [`Model`] to a [`Scheduler`].
 
 use crate::model::{Context, Model};
-use crate::scheduler::Scheduler;
+use crate::scheduler::{LaneId, Scheduler};
 use crate::time::{SimDuration, SimTime};
 
 /// Why a call to [`Simulator::run_until`] returned.
@@ -78,6 +78,23 @@ impl<M: Model> Simulator<M> {
     /// Schedules an event `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) {
         self.scheduler.schedule_in(delay, event)
+    }
+
+    /// Registers a periodic-timer lane ([`Scheduler::add_lane`]).
+    pub fn add_lane(&mut self, period: SimDuration, make: fn(u32) -> M::Event) -> LaneId {
+        self.scheduler.add_lane(period, make)
+    }
+
+    /// Schedules a lane tick from outside the model
+    /// ([`Scheduler::schedule_lane_at`]).
+    pub fn schedule_lane_at(&mut self, lane: LaneId, time: SimTime, id: u32) {
+        self.scheduler.schedule_lane_at(lane, time, id)
+    }
+
+    /// Calls `f` on every pending event, in no particular order
+    /// ([`Scheduler::for_each_pending`]).
+    pub fn for_each_pending(&self, f: impl FnMut(&M::Event)) {
+        self.scheduler.for_each_pending(f)
     }
 
     /// Dispatches one popped event to the model: the single copy of the

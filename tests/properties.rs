@@ -11,18 +11,25 @@ use mtnet_metrics::{Histogram, Summary};
 use mtnet_mobility::Point;
 use mtnet_net::{Addr, LinkConfig, NodeId, Prefix, RouteCache, RoutingTable, Topology};
 use mtnet_radio::{CallKind, Cell, CellId, CellKind, CellMap, ChannelPool};
-use mtnet_sim::{Context, Model, RngStream, Scheduler, SimDuration, SimTime, Simulator};
+use mtnet_sim::{Context, LaneId, Model, RngStream, Scheduler, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Two-variant event for the tie-draining property: a wave must stop at
-/// a variant boundary, so the payload needs more than one.
+/// Three-variant event for the tie-draining property: a wave must stop
+/// at a variant boundary, so the payload needs more than one. `C` is a
+/// periodic timer on a scheduler lane, re-armed until it counts down to
+/// zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TieEv {
     A(u64),
     B(u64),
+    C(u64),
 }
+
+/// The period of the lane-borne events in the tie and claim properties:
+/// on their 64 µs grid, so lane ticks tie with calendar events.
+const LANE_PERIOD: SimDuration = SimDuration::from_micros(128);
 
 /// Logs every handled event and fans out follow-ups on a coarse time
 /// grid, so same-instant ties of both variants keep forming. With
@@ -35,12 +42,22 @@ struct TieModel {
     trace: Vec<(SimTime, TieEv)>,
     /// Members per dispatch (all ones when not draining).
     waves: Vec<usize>,
+    /// `C`'s lane.
+    lane: LaneId,
 }
 
 impl TieModel {
     fn one(&mut self, ctx: &mut Context<'_, TieEv>, ev: TieEv) {
         self.trace.push((ctx.now(), ev));
-        let (TieEv::A(n) | TieEv::B(n)) = ev;
+        let n = match ev {
+            TieEv::A(n) | TieEv::B(n) => n,
+            TieEv::C(n) => {
+                if n > 0 {
+                    ctx.rearm(self.lane, n as u32 - 1);
+                }
+                return;
+            }
+        };
         if n >= 4 {
             // Two children: the low bit picks the variant, the next two
             // the delay in 64 µs slots (0 = same instant).
@@ -130,14 +147,20 @@ fn claim_fanout(n: usize) -> (Vec<(SimDuration, usize)>, Option<usize>) {
     (later, (n % 3 != 0).then_some(n / 2 + 1))
 }
 
+/// Events from here up are lane ticks in the claim property: tick `id`
+/// is the event `LANE_EV + id`, re-armed with `id - 1` until zero.
+const LANE_EV: usize = 1 << 20;
+
 /// Logs every handled event and fans out per [`claim_fanout`]; the
 /// continuation goes through `Context::claim_now`, and when the claim
-/// stands the handler runs it itself instead of scheduling it.
+/// stands the handler runs it itself instead of scheduling it. Lane
+/// ticks only re-arm.
 #[derive(Default)]
 struct ClaimModel {
     trace: Vec<(SimTime, usize)>,
     claimed: u64,
     refused: u64,
+    lane: LaneId,
 }
 
 impl Model for ClaimModel {
@@ -146,6 +169,12 @@ impl Model for ClaimModel {
         let mut next = Some(ev);
         while let Some(ev) = next.take() {
             self.trace.push((ctx.now(), ev));
+            if ev >= LANE_EV {
+                if ev > LANE_EV {
+                    ctx.rearm(self.lane, (ev - LANE_EV - 1) as u32);
+                }
+                break;
+            }
             let (later, continuation) = claim_fanout(ev);
             for (delay, child) in later {
                 ctx.schedule_in(delay, child);
@@ -591,15 +620,36 @@ proptest! {
     // observable behavior on arbitrary schedule / pop / pop-at-or-before
     // / pop-tie-if interleavings — same pop order (including `seq` FIFO
     // ties), same tie verdicts, same lengths, same clock, same peeked
-    // times.
+    // times. Two or three periodic-timer lanes take part: initial ticks
+    // pushed in random order before the first read, re-arms one period
+    // on, and pushes at any time — those landing before a lane's back
+    // must fall back to the calendar. To the heap a lane push is a push.
     // ---------------------------------------------------------------
     #[test]
     fn scheduler_equals_a_binary_heap_model(
-        ops in prop::collection::vec((0u8..6, any::<u64>()), 1..400,)
+        periods in prop::collection::vec(1u64..2_000, 2..4),
+        initial in prop::collection::vec((any::<u64>(), 0u64..4_000_000), 0..60),
+        ops in prop::collection::vec((0u8..8, any::<u64>()), 1..400,)
     ) {
         let mut cal = Scheduler::new();
         let mut model = HeapModel::default();
         let fired = |e: mtnet_sim::ScheduledEvent<usize>| (e.time(), e.into_event());
+        // Periods in 1 µs steps up to 2 ms: a lane tick ties with the
+        // 64 µs grid below, and with other lanes, now and then.
+        let lanes: Vec<(LaneId, SimDuration)> = periods
+            .iter()
+            .map(|&us| {
+                let period = SimDuration::from_micros(us);
+                (cal.add_lane(period, |id| id as usize), period)
+            })
+            .collect();
+        let lane = |raw: u64| lanes[(raw % lanes.len() as u64) as usize];
+        // Initial ticks carry payloads past every op index.
+        for (payload, &(raw, ns)) in (ops.len()..).zip(&initial) {
+            let d = SimDuration::from_nanos(ns / 64 * 64);
+            cal.schedule_lane_at(lane(raw).0, SimTime::ZERO + d, payload as u32);
+            model.schedule_in(d, payload);
+        }
         for (i, &(op, raw)) in ops.iter().enumerate() {
             match op {
                 0..=2 => {
@@ -629,9 +679,22 @@ proptest! {
                 }
                 // Tie pop under a random predicate on the payload: taken
                 // only at the instant of the last pop, in seq order.
-                _ => {
+                5 => {
                     let pred = |e: &usize| (*e as u64 ^ raw) % 3 != 0;
                     prop_assert_eq!(cal.pop_tie_if(pred), model.pop_tie_if(pred), "tie verdicts diverged");
+                }
+                // A re-arm: one lane period from now.
+                6 => {
+                    let (id, period) = lane(raw);
+                    cal.rearm(id, i as u32);
+                    model.schedule_in(period, i);
+                }
+                // A lane push anywhere in the next 2 ms, often before
+                // the lane's back.
+                _ => {
+                    let d = SimDuration::from_nanos((raw >> 8) % 2_000_000 / 64 * 64);
+                    cal.schedule_lane_at(lane(raw).0, cal.now() + d, i as u32);
+                    model.schedule_in(d, i);
                 }
             }
             prop_assert_eq!(cal.len(), model.heap.len(), "len diverged after op {}", i);
@@ -653,9 +716,9 @@ proptest! {
     // ties through `Context::take_tie_if` and runs them itself is
     // indistinguishable from the run loop popping them one by one — same
     // trace, same counters, same clock — over random tie-heavy schedules
-    // cut by horizons. A wave never crosses a variant boundary or a
-    // later instant; what it leaves stays queued and a later `run`
-    // resumes it.
+    // cut by horizons, one event class riding a scheduler lane. A wave
+    // never crosses a variant boundary or a later instant; what it
+    // leaves stays queued and a later `run` resumes it.
     // ---------------------------------------------------------------
     #[test]
     fn tie_draining_equals_serial_dispatch(
@@ -664,11 +727,16 @@ proptest! {
     ) {
         use mtnet_sim::RunOutcome;
         let start = |drain: bool| {
-            let mut sim = Simulator::new(TieModel { drain, trace: vec![], waves: vec![] });
+            let lane = LaneId::default();
+            let mut sim = Simulator::new(TieModel { drain, trace: vec![], waves: vec![], lane });
+            sim.model_mut().lane = sim.add_lane(LANE_PERIOD, |id| TieEv::C(u64::from(id)));
             for &(slot, raw) in &initial {
-                let n = raw % 512;
-                let ev = if raw % 2 == 0 { TieEv::A(n) } else { TieEv::B(n) };
-                sim.schedule_at(SimTime::from_micros(64 * slot), ev);
+                let (n, at) = (raw % 512, SimTime::from_micros(64 * slot));
+                match raw % 3 {
+                    0 => sim.schedule_at(at, TieEv::A(n)),
+                    1 => sim.schedule_at(at, TieEv::B(n)),
+                    _ => sim.schedule_lane_at(sim.model().lane, at, (n % 6) as u32),
+                }
             }
             sim
         };
@@ -706,7 +774,8 @@ proptest! {
     // the very next dispatch is indistinguishable from the reference
     // heap popping every event one by one — same trace, same event
     // count, same clock — over random tie-heavy schedules cut by
-    // horizons. A tie already queued at `now` must refuse the claim, and
+    // horizons, lane ticks among them. A tie already queued at `now` —
+    // in the calendar or at a lane head — must refuse the claim, and
     // nothing else may: the verdicts are checked against the heap's own
     // view of what is pending.
     // ---------------------------------------------------------------
@@ -716,11 +785,18 @@ proptest! {
         cuts in prop::collection::vec(0u64..400, 0..12),
     ) {
         let mut sim = Simulator::new(ClaimModel::default());
+        sim.model_mut().lane = sim.add_lane(LANE_PERIOD, |id| LANE_EV + id as usize);
         let mut heap = HeapModel::default();
         for &(slot, raw) in &initial {
             let at = SimDuration::from_micros(64 * slot);
-            sim.schedule_in(at, (raw % 512) as usize);
-            heap.schedule_in(at, (raw % 512) as usize);
+            if raw % 4 == 0 {
+                let id = (raw >> 2) % 6;
+                sim.schedule_lane_at(sim.model().lane, SimTime::ZERO + at, id as u32);
+                heap.schedule_in(at, LANE_EV + id as usize);
+            } else {
+                sim.schedule_in(at, (raw % 512) as usize);
+                heap.schedule_in(at, (raw % 512) as usize);
+            }
         }
         let mut trace = Vec::new();
         let (mut claimable, mut blocked) = (0u64, 0u64);
@@ -729,6 +805,12 @@ proptest! {
             sim.run_until(horizon);
             while let Some((time, ev)) = heap.pop_at_or_before(horizon) {
                 trace.push((time, ev));
+                if ev >= LANE_EV {
+                    if ev > LANE_EV {
+                        heap.schedule_in(LANE_PERIOD, ev - 1);
+                    }
+                    continue;
+                }
                 let (later, continuation) = claim_fanout(ev);
                 for (delay, child) in later {
                     heap.schedule_in(delay, child);
