@@ -373,7 +373,7 @@ pub struct World {
 
 /// One scheduler lane per periodic timer of a node (see
 /// [`mtnet_sim::Scheduler::add_lane`]): each is re-armed at a fixed
-/// period, so its pending ticks queue FIFO in 24 bytes apiece.
+/// period, so its pending ticks queue FIFO in 16 bytes apiece.
 #[derive(Debug, Clone, Copy, Default)]
 struct TickLanes {
     move_sample: LaneId,

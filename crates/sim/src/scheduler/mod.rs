@@ -3,7 +3,8 @@
 //! *lanes* for timers re-armed at a fixed period.
 //!
 //! A lane holds one periodic timer kind — a mobility sample, an uplink
-//! refresh — as 24-byte `(time, seq, id)` ticks plus the period and a
+//! refresh — as 16-byte `(time, seq, id)` ticks (`seq` stored as a
+//! 32-bit offset from its block's base) plus the period and a
 //! `fn(u32) -> E` that rebuilds the event from `id`. A timer re-armed at
 //! `now + period` in the order its firings pop is pushed in
 //! non-decreasing `(time, seq)` order, so a FIFO already holds its
@@ -11,7 +12,10 @@
 //! in a 40-byte slot. Every read merges the calendar's minimum with the
 //! earliest lane head by the one `(time, seq)` key, and lane pushes draw
 //! their `seq` from the same counter as every other push, so pop order
-//! is exactly what one calendar holding everything would give.
+//! is exactly what one calendar holding everything would give. A tick a
+//! lane cannot hold in order — one behind its back, or one out of its
+//! block's `seq` reach — goes to the calendar as its event instead,
+//! which the same merge makes exact.
 
 mod calendar;
 mod ticks;
@@ -131,6 +135,12 @@ impl<E> Scheduler<E> {
         seq
     }
 
+    /// Skips `n` sequence numbers, as `n` pushes would.
+    #[cfg(test)]
+    fn skip_seqs(&mut self, n: u64) {
+        self.next_seq += n;
+    }
+
     /// Registers a lane for a timer re-armed every `period`, whose tick
     /// `id` stands for the event `make(id)`.
     pub fn add_lane(&mut self, period: SimDuration, make: fn(u32) -> E) -> LaneId {
@@ -148,7 +158,8 @@ impl<E> Scheduler<E> {
     /// Until the first read a lane takes ticks in any order. After it, a
     /// tick that would precede the lane's back goes to the calendar as
     /// `make(id)` instead — exact, since every read merges the two by
-    /// `(time, seq)` — so the lane stays sorted.
+    /// `(time, seq)` — so the lane stays sorted. So does a tick the lane
+    /// hands back as out of its tail block's `seq` reach.
     pub fn schedule_lane_at(&mut self, lane: LaneId, time: SimTime, id: u32) {
         let seq = self.take_seq();
         let tick = Tick {
@@ -164,13 +175,17 @@ impl<E> Scheduler<E> {
                     self.queue.push(tick.time, seq, (lane.make)(id));
                     return;
                 }
+                // An empty lane takes any tick.
                 None if self.lane_head.map_or(true, |(t, s, _)| tick.key() < (t, s)) => {
                     self.lane_head = Some((tick.time, seq, l));
                 }
                 _ => {}
             }
         }
-        lane.ticks.push_back(tick);
+        if lane.ticks.push_back(tick).is_err() {
+            self.queue.push(tick.time, seq, (lane.make)(id));
+            return;
+        }
         self.lane_len += 1;
     }
 
@@ -539,5 +554,44 @@ mod tests {
                 (SimTime::from_secs(5), T::A(2)),
             ]
         );
+    }
+
+    #[test]
+    fn a_tick_out_of_seq_reach_takes_the_calendar_until_its_lane_empties() {
+        const JUMP: u64 = 1 << 32;
+        let at = SimTime::from_secs;
+        let mut q = Scheduler::new();
+        let lane = q.add_lane(SimDuration::from_secs(1), T::A);
+        q.schedule_lane_at(lane, at(1), 0);
+        q.schedule_lane_at(lane, at(2), 1);
+        assert_eq!(q.peek_time(), Some(at(1)), "sealed");
+        q.skip_seqs(JUMP);
+        // 2^32 + 2 seqs past the lane's block base: the calendar takes it.
+        q.schedule_lane_at(lane, at(3), 2);
+        q.schedule_at(at(2), T::B(3));
+        q.schedule_lane_at(lane, at(3), 4);
+        let lane_and_calendar = |q: &Scheduler<T>| (q.lanes[0].ticks.iter().count(), q.queue.len());
+        assert_eq!(lane_and_calendar(&q), (2, 3), "out of reach: calendar");
+        let fired = |q: &mut Scheduler<T>| q.pop().map(|e| (e.time(), e.into_event()));
+        assert_eq!(fired(&mut q), Some((at(1), T::A(0))));
+        assert_eq!(fired(&mut q), Some((at(2), T::A(1))));
+        // The lane is empty: its block rebases to the next push and takes
+        // ticks again.
+        q.rearm(lane, 5);
+        q.rearm(lane, 6);
+        assert_eq!(lane_and_calendar(&q), (2, 3), "rebased: lane");
+        // The heap model: every push as `(time, seq, event)`, popped in
+        // `(time, seq)` order.
+        let mut model = vec![
+            (at(3), JUMP + 2, T::A(2)),
+            (at(2), JUMP + 3, T::B(3)),
+            (at(3), JUMP + 4, T::A(4)),
+            (at(3), JUMP + 5, T::A(5)),
+            (at(3), JUMP + 6, T::A(6)),
+        ];
+        model.sort_by_key(|&(time, seq, _)| (time, seq));
+        let model: Vec<_> = model.into_iter().map(|(time, _, e)| (time, e)).collect();
+        let tail: Vec<_> = std::iter::from_fn(|| fired(&mut q)).collect();
+        assert_eq!(tail, model);
     }
 }
