@@ -1,7 +1,7 @@
 //! What a world at rest must satisfy, checked from the pending-event set
-//! ([`mtnet_sim::Simulator::for_each_pending`], calendar and tick lanes
-//! alike). The sequential engine runs it at the end of every run in a
-//! debug build.
+//! ([`mtnet_sim::Simulator::for_each_pending`], heap and tick lanes
+//! alike) and the node table. The sequential engine runs it at the end
+//! of every run in a debug build.
 //!
 //! * **Timers** (owned by `mobile`): every node has exactly one pending
 //!   [`Ev::MoveSample`] and one [`Ev::Uplink`], and one
@@ -9,6 +9,12 @@
 //!   re-arms its own timer and nothing else schedules one, so a missing
 //!   tick is a node that stopped moving or signalling and a second one a
 //!   node that would run twice per period.
+//! * **Handoff flags** (owned by `mobile`): a row's hot
+//!   `handoff_in_flight` flag is set exactly when the payload map holds
+//!   a handoff for it, so the flagged rows are as many as the payloads.
+//!   The handoff path reads the flag and probes the map only when it is
+//!   set, so a flag left standing or a payload left behind would go
+//!   unseen there.
 //! * **Wire** (owned by `wire`): the arena's live count equals the packet
 //!   handles held by pending [`Ev::Pkt`] and [`Ev::AirDown`] events.
 //!   Those are the only holders between events: no handler parks a
@@ -30,6 +36,11 @@ pub(crate) enum AuditError {
         found: u32,
         want: u32,
     },
+    /// Node `mn`'s handoff-in-flight flag reads `flag`, but the payload
+    /// map holds an entry for it exactly when it reads the opposite.
+    HandoffFlag { mn: MnId, flag: bool },
+    /// `flagged` rows are in a handoff; the payload map holds `payloads`.
+    HandoffPayloads { flagged: usize, payloads: usize },
     /// The arena holds `live` packets; pending events hold `held`.
     Packets { live: usize, held: usize },
 }
@@ -43,6 +54,17 @@ impl std::fmt::Display for AuditError {
                 found,
                 want,
             } => write!(f, "node {} has {found} pending {timer}, want {want}", mn.0),
+            AuditError::HandoffFlag { mn, flag } => write!(
+                f,
+                "node {} has its handoff flag {}, but {} handoff payload",
+                mn.0,
+                if *flag { "set" } else { "clear" },
+                if *flag { "no" } else { "a" }
+            ),
+            AuditError::HandoffPayloads { flagged, payloads } => write!(
+                f,
+                "{flagged} rows are flagged in a handoff, the payload map holds {payloads}"
+            ),
             AuditError::Packets { live, held } => write!(
                 f,
                 "the arena holds {live} live packets, pending events {held}"
@@ -56,7 +78,7 @@ const TIMERS: [&str; 3] = ["MoveSample", "Uplink", "LocationTick"];
 
 impl World {
     /// Checks the laws in the module docs on a world between events;
-    /// the first broken one names the node or the packet counts.
+    /// the first broken one names the node or the counts.
     pub(crate) fn audit(sim: &Simulator<World>) -> Result<(), AuditError> {
         let world = sim.model();
         let mut ticks = vec![[0u32; 3]; world.mns.len()];
@@ -80,6 +102,20 @@ impl World {
                     });
                 }
             }
+        }
+        let mns = &world.mns;
+        let mut flagged = 0;
+        for i in 0..mns.len() {
+            let flag = mns.hot[i].handoff_in_flight();
+            if flag != mns.has_payload(i) {
+                let mn = MnId(i as u32);
+                return Err(AuditError::HandoffFlag { mn, flag });
+            }
+            flagged += usize::from(flag);
+        }
+        let payloads = mns.payloads();
+        if flagged != payloads {
+            return Err(AuditError::HandoffPayloads { flagged, payloads });
         }
         let live = world.arena.live();
         if live != held {

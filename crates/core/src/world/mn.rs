@@ -386,15 +386,13 @@ impl MnTable {
         ));
     }
 
-    /// Whether the payload map holds an entry for row `i` — what the
-    /// flag audits compare the hot row to.
-    #[cfg(test)]
+    /// Whether the payload map holds an entry for row `i` — what
+    /// [`World::audit`](super::World::audit) compares the hot row to.
     pub(crate) fn has_payload(&self, i: usize) -> bool {
         self.in_flight.contains_key(&MnId(i as u32))
     }
 
     /// How many handoff payloads the map holds.
-    #[cfg(test)]
     pub(crate) fn payloads(&self) -> usize {
         self.in_flight.len()
     }

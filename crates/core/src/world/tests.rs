@@ -684,49 +684,29 @@ fn a_full_bs_foreign_agent_denies_over_its_own_air_interface() {
     assert_eq!(world.report.total_drops(), 0);
 }
 
-/// Runs `world` to `secs` in `checkpoints` slices and, at every stop and
-/// at the end, checks each row's handoff-in-flight flag against the
-/// payload map it summarizes. Returns how many in-flight rows the
-/// stops saw, so callers can tell the check was not vacuous.
-fn audit_handoff_flags(world: World, secs: u64, checkpoints: u64) -> (u64, SimReport) {
-    let mut sim = world.launch();
-    let mut seen_in_flight = 0;
-    for k in 1..=checkpoints {
-        sim.run_until(SimTime::from_millis(secs * 1000 * k / checkpoints));
-        let mns = &sim.model().mns;
-        let mut flagged = 0;
-        for i in 0..mns.len() {
-            let flag = mns.hot[i].handoff_in_flight();
-            assert_eq!(
-                flag,
-                mns.has_payload(i),
-                "row {i} at {:?}: flag and payload disagree",
-                sim.now()
-            );
-            flagged += usize::from(flag);
-        }
-        assert_eq!(flagged, mns.payloads(), "stale payloads");
-        seen_in_flight += flagged as u64;
-    }
-    let events = sim.events_processed();
-    let report = sim
-        .into_model()
-        .finish_report(SimDuration::from_secs(secs), events);
-    (seen_in_flight, report)
-}
-
 #[test]
 fn handoff_flag_mirrors_pending_payload_in_a_city() {
     // The busiest of the city families: channel contention, fallbacks
-    // and rejections on top of plain handoffs.
+    // and rejections on top of plain handoffs. The audit at each of 499
+    // stops holds every row's handoff flag to the payload map; the
+    // payloads the stops saw show the check was not vacuous.
     let spec = crate::spec::ScenarioSpec::dense_urban();
-    let (in_flight, report) = audit_handoff_flags(spec.build(42), 30, 499);
-    assert!(report.handoffs.total() > 20, "{:?}", report.handoffs);
+    let mut sim = spec.build(42).launch();
+    let mut in_flight = 0;
+    for k in 1..=499 {
+        sim.run_until(SimTime::from_millis(30_000 * k / 499));
+        assert_eq!(World::audit(&sim), Ok(()), "at {:?}", sim.now());
+        in_flight += sim.model().mns.payloads();
+    }
     assert!(in_flight > 0, "no checkpoint caught a handoff in flight");
+    let events = sim.events_processed();
+    let duration = SimDuration::from_secs(30);
+    let report = sim.into_model().finish_report(duration, events);
+    assert!(report.handoffs.total() > 20, "{:?}", report.handoffs);
     // The sliced run is the same run.
     assert_eq!(
         report.fingerprint(),
-        spec.build(42).run(SimDuration::from_secs(30)).fingerprint()
+        spec.build(42).run(duration).fingerprint()
     );
 }
 
@@ -734,15 +714,25 @@ fn handoff_flag_mirrors_pending_payload_in_a_city() {
 fn handoff_flag_mirrors_pending_payload_in_a_metro() {
     let mut spec = crate::spec::ScenarioSpec::metro_smoke();
     spec.duration_s = 20.0;
-    let (in_flight, report) = audit_handoff_flags(spec.build(42), 20, 499);
-    assert!(report.handoffs.total() > 1000, "{:?}", report.handoffs);
+    let mut sim = spec.build(42).launch();
+    let mut in_flight = 0;
+    for k in 1..=499 {
+        sim.run_until(SimTime::from_millis(20_000 * k / 499));
+        assert_eq!(World::audit(&sim), Ok(()), "at {:?}", sim.now());
+        in_flight += sim.model().mns.payloads();
+    }
     assert!(in_flight > 0, "no checkpoint caught a handoff in flight");
+    let events = sim.events_processed();
+    let report = sim
+        .into_model()
+        .finish_report(SimDuration::from_secs(20), events);
+    assert!(report.handoffs.total() > 1000, "{:?}", report.handoffs);
 }
 
 #[test]
 fn worlds_audit_clean_between_events() {
     // Legacy-stagger cities (early re-arms fall back from the lanes to
-    // the calendar), a faulted one, pure Mobile IP, and a camping metro
+    // the heap), a faulted one, pure Mobile IP, and a camping metro
     // on the wrapped stagger: audited at 40 stops each.
     let worlds = [
         ("dense_urban", ScenarioSpec::dense_urban(), 30),

@@ -11,7 +11,7 @@
 //!   `(model, seed)`.
 //! * **No wall clock, no threads inside a run.** Simulated time is an
 //!   integer nanosecond counter; the engine is a single loop over a
-//!   calendar queue and the FIFO lanes of fixed-period timers, merged
+//!   binary heap and the FIFO lanes of fixed-period timers, merged
 //!   by `(time, seq)`. Parallelism lives *between* runs:
 //!   [`runner::BatchRunner`] fans independent simulations across cores,
 //!   and [`rng::SeedTree`] splits a master seed into per-run streams that

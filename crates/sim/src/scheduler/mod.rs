@@ -1,6 +1,5 @@
-//! The pending-event set: `(time, seq)`-ordered events in a calendar
-//! queue (bucketed timing wheel, O(1) amortized push/pop), beside FIFO
-//! *lanes* for timers re-armed at a fixed period.
+//! The pending-event set: `(time, seq)`-ordered events in a binary heap,
+//! beside FIFO *lanes* for timers re-armed at a fixed period.
 //!
 //! A lane holds one periodic timer kind — a mobility sample, an uplink
 //! refresh — as 16-byte `(time, seq, id)` ticks (`seq` stored as a
@@ -8,22 +7,55 @@
 //! `fn(u32) -> E` that rebuilds the event from `id`. A timer re-armed at
 //! `now + period` in the order its firings pop is pushed in
 //! non-decreasing `(time, seq)` order, so a FIFO already holds its
-//! pending set sorted, and the calendar need not store that order again
-//! in a 40-byte slot. Every read merges the calendar's minimum with the
+//! pending set sorted, and the heap need not store that order again in
+//! an entry of its own. Every read merges the heap's minimum with the
 //! earliest lane head by the one `(time, seq)` key, and lane pushes draw
 //! their `seq` from the same counter as every other push, so pop order
-//! is exactly what one calendar holding everything would give. A tick a
+//! is exactly what one heap holding everything would give. A tick a
 //! lane cannot hold in order — one behind its back, or one out of its
-//! block's `seq` reach — goes to the calendar as its event instead,
-//! which the same merge makes exact.
+//! block's `seq` reach — goes to the heap as its event instead, which
+//! the same merge makes exact.
 
-mod calendar;
 mod ticks;
 
 use crate::event::ScheduledEvent;
 use crate::time::{SimDuration, SimTime};
-use calendar::CalendarQueue;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use ticks::{Tick, Ticks};
+
+/// One event in the heap: the `(time, seq)` key plus the payload.
+#[derive(Debug)]
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+// Ordered on the key alone, reversed: `BinaryHeap` keeps its greatest
+// entry on top, and the payload need not be `Ord`.
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
 
 /// Handle to a periodic-timer lane, returned by [`Scheduler::add_lane`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,20 +73,19 @@ struct Lane<E> {
 /// Where the next event comes from.
 #[derive(Debug, Clone, Copy)]
 enum Source {
-    Calendar,
+    Heap,
     Lane(usize),
 }
 
 /// Priority queue of future events.
 ///
 /// Events are ordered by `(time, seq)` — deterministic FIFO among
-/// simultaneous events. Most are stored inline in the timing-wheel
-/// buckets of a calendar queue, so push and pop are O(1) amortized;
-/// periodic timers a model registers with [`Scheduler::add_lane`] queue
-/// in FIFO lanes instead (see the module docs), merged into the same
-/// order. An event, once scheduled, fires: there is no cancellation
-/// (every timer the models keep is soft state that re-checks its own
-/// expiry stamp).
+/// simultaneous events. Most are stored inline in a binary heap, so push
+/// and pop are O(log n) in the events it holds; periodic timers a model
+/// registers with [`Scheduler::add_lane`] queue in FIFO lanes instead
+/// (see the module docs), merged into the same order. An event, once
+/// scheduled, fires: there is no cancellation (every timer the models
+/// keep is soft state that re-checks its own expiry stamp).
 ///
 /// ```
 /// use mtnet_sim::{Scheduler, SimTime};
@@ -67,7 +98,7 @@ enum Source {
 /// ```
 #[derive(Debug)]
 pub struct Scheduler<E> {
-    queue: CalendarQueue<E>,
+    heap: BinaryHeap<Entry<E>>,
     lanes: Vec<Lane<E>>,
     /// Key and lane of the earliest lane head; kept current once sealed.
     lane_head: Option<(SimTime, u64, usize)>,
@@ -90,7 +121,7 @@ impl<E> Scheduler<E> {
     /// Creates an empty scheduler at time zero.
     pub fn new() -> Self {
         Scheduler {
-            queue: CalendarQueue::new(),
+            heap: BinaryHeap::new(),
             lanes: Vec::new(),
             lane_head: None,
             lane_len: 0,
@@ -107,7 +138,7 @@ impl<E> Scheduler<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.queue.len() + self.lane_len
+        self.heap.len() + self.lane_len
     }
 
     /// True if no events remain.
@@ -121,7 +152,8 @@ impl<E> Scheduler<E> {
     /// scheduling order); this keeps zero-delay message chains simple.
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
         let seq = self.take_seq();
-        self.queue.push(time.max(self.now), seq, event);
+        let time = time.max(self.now);
+        self.heap.push(Entry { time, seq, event });
     }
 
     /// Schedules `event` after the given delay from now.
@@ -156,7 +188,7 @@ impl<E> Scheduler<E> {
     /// numbered like any other push.
     ///
     /// Until the first read a lane takes ticks in any order. After it, a
-    /// tick that would precede the lane's back goes to the calendar as
+    /// tick that would precede the lane's back goes to the heap as
     /// `make(id)` instead — exact, since every read merges the two by
     /// `(time, seq)` — so the lane stays sorted. So does a tick the lane
     /// hands back as out of its tail block's `seq` reach.
@@ -172,7 +204,11 @@ impl<E> Scheduler<E> {
         if self.sealed {
             match lane.ticks.back() {
                 Some(back) if tick.key() < back.key() => {
-                    self.queue.push(tick.time, seq, (lane.make)(id));
+                    self.heap.push(Entry {
+                        time: tick.time,
+                        seq,
+                        event: (lane.make)(id),
+                    });
                     return;
                 }
                 // An empty lane takes any tick.
@@ -183,7 +219,11 @@ impl<E> Scheduler<E> {
             }
         }
         if lane.ticks.push_back(tick).is_err() {
-            self.queue.push(tick.time, seq, (lane.make)(id));
+            self.heap.push(Entry {
+                time: tick.time,
+                seq,
+                event: (lane.make)(id),
+            });
             return;
         }
         self.lane_len += 1;
@@ -195,10 +235,12 @@ impl<E> Scheduler<E> {
         self.schedule_lane_at(lane, at, id);
     }
 
-    /// Calls `f` on every pending event, calendar and lanes alike, in no
+    /// Calls `f` on every pending event, heap and lanes alike, in no
     /// particular order (a lane tick is rebuilt with its `make`).
     pub fn for_each_pending(&self, mut f: impl FnMut(&E)) {
-        self.queue.for_each(&mut f);
+        for entry in &self.heap {
+            f(&entry.event);
+        }
         for lane in &self.lanes {
             for tick in lane.ticks.iter() {
                 f(&(lane.make)(tick.id));
@@ -224,17 +266,17 @@ impl<E> Scheduler<E> {
             .min();
     }
 
-    /// Firing time and source of the next event: the calendar's minimum
-    /// or the earliest lane head, whichever is first by `(time, seq)`.
+    /// Firing time and source of the next event: the heap's minimum or
+    /// the earliest lane head, whichever is first by `(time, seq)`.
     #[inline]
     fn next(&mut self) -> Option<(SimTime, Source)> {
         if !self.sealed {
             self.seal();
         }
-        let calendar = self.queue.peek_min();
-        match (calendar, self.lane_head) {
-            (Some(c), Some((t, s, l))) if (t, s) < c => Some((t, Source::Lane(l))),
-            (Some((t, _)), _) => Some((t, Source::Calendar)),
+        let heap = self.heap.peek().map(Entry::key);
+        match (heap, self.lane_head) {
+            (Some(h), Some((t, s, l))) if (t, s) < h => Some((t, Source::Lane(l))),
+            (Some((t, _)), _) => Some((t, Source::Heap)),
             (None, Some((t, _, l))) => Some((t, Source::Lane(l))),
             (None, None) => None,
         }
@@ -243,9 +285,9 @@ impl<E> Scheduler<E> {
     /// Removes the next event, which `source` holds, and advances `now`.
     fn take(&mut self, source: Source) -> ScheduledEvent<E> {
         let (time, event) = match source {
-            Source::Calendar => {
-                let (time, _, event) = self.queue.pop_min().expect("peeked an entry");
-                (time, event)
+            Source::Heap => {
+                let entry = self.heap.pop().expect("peeked an entry");
+                (entry.time, entry.event)
             }
             Source::Lane(l) => {
                 let tick = self.take_tick(l);
@@ -270,10 +312,8 @@ impl<E> Scheduler<E> {
         Some(self.take(source))
     }
 
-    /// Pops the next event only if it fires at or before `horizon` — one
-    /// queue walk for the peek-then-pop pattern of a bounded run loop
-    /// (the queue caches the peeked position, so the pop that follows is
-    /// O(1)).
+    /// Pops the next event only if it fires at or before `horizon` — the
+    /// peek-then-pop pattern of a bounded run loop in one call.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<ScheduledEvent<E>> {
         match self.next()? {
             (time, _) if time > horizon => None,
@@ -292,20 +332,18 @@ impl<E> Scheduler<E> {
     ///
     /// Same-time ties surface in seq order already, so a caller looping
     /// on this consumes the tie set in precisely the order plain pops
-    /// would, and the peek that ends the loop leaves the queue's cached
-    /// minimum warm for the pop that follows.
+    /// would; the refused peek that ends the loop changes nothing.
     pub fn pop_tie_if(&mut self, pred: impl FnOnce(&E) -> bool) -> Option<E> {
         let (time, source) = self.next()?;
         if time != self.now {
             return None;
         }
         match source {
-            Source::Calendar => {
-                let (_, event) = self.queue.peek_min_event().expect("peeked an entry");
-                if !pred(event) {
+            Source::Heap => {
+                if !pred(&self.heap.peek().expect("peeked an entry").event) {
                     return None;
                 }
-                Some(self.queue.pop_min().expect("peeked an entry").2)
+                Some(self.heap.pop().expect("peeked an entry").event)
             }
             Source::Lane(l) => {
                 let lane = &self.lanes[l];
@@ -512,13 +550,13 @@ mod tests {
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop().unwrap().into_event(), T::A(2));
         assert_eq!(q.pop().unwrap().into_event(), T::A(0));
-        // B(1) is the calendar's, A(3) the lane's: seq decides the tie.
+        // B(1) is the heap's, A(3) the lane's: seq decides the tie.
         assert_eq!(q.pop_tie_if(is_a), None, "B(1) comes before A(3)");
         assert_eq!(q.pop_tie_if(is_b), Some(T::B(1)));
         assert!(!q.claim_now(), "A(3) is pending at now");
         assert_eq!(q.pop_tie_if(is_a), Some(T::A(3)));
         assert!(q.claim_now());
-        // A re-arm lands one period on; a calendar event at that instant
+        // A re-arm lands one period on; a heap event at that instant
         // pushed afterwards files behind it.
         q.rearm(lane, 3);
         q.schedule_at(SimTime::from_secs(2), T::B(4));
@@ -534,7 +572,7 @@ mod tests {
         let lane = q.add_lane(SimDuration::from_secs(10), T::A);
         q.schedule_lane_at(lane, SimTime::from_secs(5), 0);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-        // Sealed: a tick before the back (5 s) takes the calendar.
+        // Sealed: a tick before the back (5 s) takes the heap.
         q.schedule_lane_at(lane, SimTime::from_secs(3), 1);
         q.schedule_lane_at(lane, SimTime::from_secs(5), 2);
         assert_eq!(q.len(), 3);
@@ -566,12 +604,12 @@ mod tests {
         q.schedule_lane_at(lane, at(2), 1);
         assert_eq!(q.peek_time(), Some(at(1)), "sealed");
         q.skip_seqs(JUMP);
-        // 2^32 + 2 seqs past the lane's block base: the calendar takes it.
+        // 2^32 + 2 seqs past the lane's block base: the heap takes it.
         q.schedule_lane_at(lane, at(3), 2);
         q.schedule_at(at(2), T::B(3));
         q.schedule_lane_at(lane, at(3), 4);
-        let lane_and_calendar = |q: &Scheduler<T>| (q.lanes[0].ticks.iter().count(), q.queue.len());
-        assert_eq!(lane_and_calendar(&q), (2, 3), "out of reach: calendar");
+        let lane_and_heap = |q: &Scheduler<T>| (q.lanes[0].ticks.iter().count(), q.heap.len());
+        assert_eq!(lane_and_heap(&q), (2, 3), "out of reach: heap");
         let fired = |q: &mut Scheduler<T>| q.pop().map(|e| (e.time(), e.into_event()));
         assert_eq!(fired(&mut q), Some((at(1), T::A(0))));
         assert_eq!(fired(&mut q), Some((at(2), T::A(1))));
@@ -579,7 +617,7 @@ mod tests {
         // ticks again.
         q.rearm(lane, 5);
         q.rearm(lane, 6);
-        assert_eq!(lane_and_calendar(&q), (2, 3), "rebased: lane");
+        assert_eq!(lane_and_heap(&q), (2, 3), "rebased: lane");
         // The heap model: every push as `(time, seq, event)`, popped in
         // `(time, seq)` order.
         let mut model = vec![

@@ -6,11 +6,12 @@
 //! Blocks rather than one `VecDeque`: a metro lane holds 200 000 ticks.
 //! With one 4.8 MB buffer per lane, allocated at launch and freed at
 //! the end of the run, glibc coalesced the whole freed world into the
-//! heap's top chunk at teardown and trimmed it, so the next world built
-//! in the same process faulted its ≈ 27 MB in afresh: the benchmark's
-//! `metro_idle` `setup_s` read 31.6 ms against the calendar's 19.1 ms
-//! (10 of 10 interleaved pairs). Launch-time blocks are many small
-//! allocations, as the calendar's buckets were, and the heap is reused.
+//! top chunk of its arena at teardown and trimmed it, so the next world
+//! built in the same process faulted its ≈ 27 MB in afresh: the
+//! benchmark's `metro_idle` `setup_s` read 31.6 ms against 19.1 ms when
+//! the timers were entries of an event queue stored as many small
+//! allocations (10 of 10 interleaved pairs). Launch-time blocks are
+//! many small allocations too, and the freed memory is reused.
 //! For the same reason the one sort, at the seal, works inside the
 //! blocks: no buffer it allocates is larger than one block.
 //!
@@ -36,7 +37,7 @@ impl Tick {
 }
 
 /// A tick as a block stores it: `seq` less the block's base. 16 bytes
-/// where a calendar entry is 40.
+/// where an entry of the scheduler's heap is 40.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     time: SimTime,

@@ -28,7 +28,7 @@ enum TieEv {
 }
 
 /// The period of the lane-borne events in the tie and claim properties:
-/// on their 64 µs grid, so lane ticks tie with calendar events.
+/// on their 64 µs grid, so lane ticks tie with heap events.
 const LANE_PERIOD: SimDuration = SimDuration::from_micros(128);
 
 /// Logs every handled event and fans out follow-ups on a coarse time
@@ -615,15 +615,16 @@ proptest! {
     }
 
     // ---------------------------------------------------------------
-    // Scheduler reference: the calendar queue behind `Scheduler` and a
-    // `std` binary heap over `(time, seq, payload)` produce identical
-    // observable behavior on arbitrary schedule / pop / pop-at-or-before
-    // / pop-tie-if interleavings — same pop order (including `seq` FIFO
-    // ties), same tie verdicts, same lengths, same clock, same peeked
-    // times. Two or three periodic-timer lanes take part: initial ticks
-    // pushed in random order before the first read, re-arms one period
-    // on, and pushes at any time — those landing before a lane's back
-    // must fall back to the calendar. To the heap a lane push is a push.
+    // Scheduler reference: `Scheduler` — its heap, the lanes beside it
+    // and the merge of the two — behaves as one `std` binary heap over
+    // `(time, seq, payload)` holding every push, on arbitrary schedule /
+    // pop / pop-at-or-before / pop-tie-if interleavings: same pop order
+    // (including `seq` FIFO ties), same tie verdicts, same horizon
+    // verdicts, same lengths, same clock, same peeked times. Two or three
+    // periodic-timer lanes take part: initial ticks pushed in random
+    // order before the first read, re-arms one period on, and pushes at
+    // any time — those landing before a lane's back must fall back to
+    // the scheduler's heap. To the model a lane push is a push.
     // Up to 6 000 initial ticks: a lane's launch set spans one to three
     // 1 024-tick blocks, the last one partial, so the first read's sort
     // merges across block boundaries, an odd run count included.
@@ -662,8 +663,8 @@ proptest! {
                         // Coarse grid, zero delay included: same-instant
                         // ties form, some with the last popped event.
                         1 => SimDuration::from_micros(64 * (raw % 4)),
-                        // Far future: exercises the overflow ladder and
-                        // its interplay with the wheel cursor.
+                        // Far future, up to 20 s: a tail that stays
+                        // queued while near-future pops run ahead of it.
                         _ => SimDuration::from_nanos(raw % 20_000_000_000),
                     };
                     cal.schedule_in(d, i);
@@ -778,7 +779,7 @@ proptest! {
     // heap popping every event one by one — same trace, same event
     // count, same clock — over random tie-heavy schedules cut by
     // horizons, lane ticks among them. A tie already queued at `now` —
-    // in the calendar or at a lane head — must refuse the claim, and
+    // in the heap or at a lane head — must refuse the claim, and
     // nothing else may: the verdicts are checked against the heap's own
     // view of what is pending.
     // ---------------------------------------------------------------
