@@ -16,7 +16,7 @@
 //! byte-identical at any thread count. The arm specs are pinned
 //! textually by the golden tests in `tests/spec_golden.rs`.
 
-use crate::{Effort, ExperimentResult, RunOptions};
+use crate::{Effort, ExperimentResult, RunOptions, REPLICATIONS};
 use mtnet_cellularip::{CipTree, HandoffKind};
 use mtnet_core::handoff::{HandoffFactors, HandoffType};
 use mtnet_core::hierarchy::Hierarchy;
@@ -771,7 +771,7 @@ fn e10_arms(effort: Effort) -> Vec<Arm> {
     ];
     let mut arms = Vec::new();
     for arch in archs {
-        for rep in 0..effort.replications() {
+        for rep in 0..REPLICATIONS {
             let city = ScenarioSpec::small_city();
             arms.push(arch_arm("E10", arch, rep, effort.secs(300.0), city));
         }
@@ -820,7 +820,7 @@ fn e11_arms(effort: Effort) -> Vec<Arm> {
     let mut arms = Vec::new();
     for (pname, (p, c, v)) in populations {
         for arch in archs {
-            for rep in 0..effort.replications() {
+            for rep in 0..REPLICATIONS {
                 let city = ScenarioSpec::small_city()
                     .with_arch(arch)
                     .with_population(p, c, v);

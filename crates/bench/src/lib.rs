@@ -55,20 +55,15 @@ impl Effort {
             Effort::Full => full,
         }
     }
-
-    /// Independent replications per experiment arm for the headline
-    /// comparisons (E10/E11). Every `(experiment, architecture,
-    /// replication)` tuple gets its own sub-seed (see
-    /// `mtnet_sim::rng::SeedTree`) and the replications run concurrently
-    /// through `mtnet_sim::runner::BatchRunner`; tables report
-    /// mean ± 95% CI across them.
-    pub fn replications(self) -> u64 {
-        match self {
-            Effort::Quick => 3,
-            Effort::Full => 3,
-        }
-    }
 }
+
+/// Independent replications per experiment arm for the headline
+/// comparisons (E10/E11), at either effort. Every `(experiment,
+/// architecture, replication)` tuple gets its own sub-seed (see
+/// `mtnet_sim::rng::SeedTree`) and the replications run concurrently
+/// through `mtnet_sim::runner::BatchRunner`; tables report mean ± 95% CI
+/// across them.
+pub const REPLICATIONS: u64 = 3;
 
 /// How an experiment is run — what [`run_one`] and every runner take.
 /// Nothing here changes a result: tables and fingerprints are
@@ -181,8 +176,7 @@ mod tests {
 
     #[test]
     fn replication_counts_positive() {
-        assert!(Effort::Quick.replications() >= 2, "CIs need >= 2 reps");
-        assert!(Effort::Full.replications() >= Effort::Quick.replications());
+        assert!(REPLICATIONS >= 2, "CIs need >= 2 reps");
     }
 
     #[test]
