@@ -24,9 +24,11 @@
 //! processes sharing one `--store` directory) drains the grid through
 //! the lease protocol of `mtnet_bench::coord`: atomic `<key>.lease`
 //! claims with heartbeats, work-stealing reclaim of cells abandoned by
-//! killed workers (stale heartbeat), jittered exponential backoff on
-//! contention, and quarantine (`<key>.poison`) of cells reclaimed more
-//! than `--max-reclaims` times. The fleet's final pass prints the grid
+//! killed workers (a lease a worker has watched stay unchanged for
+//! `--lease-timeout-ms` on its own clock, so machine clocks need not
+//! agree), a jittered wait of one heartbeat period between passes that
+//! found every open cell held, and quarantine (`<key>.poison`) of cells
+//! reclaimed more than `--max-reclaims` times. The fleet's final pass prints the grid
 //! table plus `computed/loaded/quarantined/missing` counts and exits 0
 //! only when the grid is complete (3 = quarantined cells, 1 = missing
 //! cells — resume by re-invoking). `--lease-timeout-ms` tunes

@@ -11,15 +11,18 @@
 //!   [`std::fs::hard_link`]ed into place — link fails with
 //!   `AlreadyExists` when another worker holds the lease, so exactly one
 //!   claimant wins any race).
-//! * **Heartbeat** — while computing, the owner refreshes the lease's
-//!   heartbeat timestamp (temp file + rename over its own lease) every
-//!   quarter of the lease timeout from a background thread, so a slow
-//!   cell is never mistaken for a dead worker.
-//! * **Reclaim** — a lease whose heartbeat is older than the timeout is
-//!   presumed abandoned (worker killed mid-cell). Any live worker may
-//!   reclaim it work-stealing style: atomically rename the stale lease
-//!   aside (only one renamer can win), then re-claim through the same
-//!   atomic-create path with the reclaim count bumped.
+//! * **Heartbeat** — while computing, the owner bumps the lease's `beat`
+//!   counter (temp file + rename over its own lease) every quarter of
+//!   the lease timeout from a background thread, so a live lease's bytes
+//!   keep changing however slow the cell.
+//! * **Reclaim** — a lease is presumed abandoned (worker killed
+//!   mid-cell) once a worker has watched its bytes stay unchanged for
+//!   more than the timeout: each [`Coordinator`] remembers, per cell,
+//!   the lease bytes it last read and the instant (its own monotonic
+//!   clock) it first read them, and any change restarts that watch. The
+//!   watcher then reclaims it work-stealing style: atomically rename the
+//!   stale lease aside (only one renamer can win), then re-claim through
+//!   the same atomic-create path with the reclaim count bumped.
 //! * **Quarantine** — a cell abandoned more than
 //!   [`CoordConfig::max_reclaims`] times is presumed poisoned (it kills
 //!   whoever computes it). Instead of retrying forever, the reclaiming
@@ -32,12 +35,16 @@
 //!   keeps the store's exactly-once contract: each `.run` file is
 //!   written by exactly one successful compute.
 //!
-//! The staleness test is wall-clock (`SystemTime`), so on a shared
-//! directory the lease timeout must exceed worker clock skew plus the
-//! heartbeat interval. A live worker that stalls longer than the
-//! timeout (swap storm, debugger) can be falsely reclaimed; the result
-//! is duplicate work, never corruption — both computes produce
-//! bit-identical bytes and the store save is an atomic rename.
+//! No wall clock is read or written: every duration is measured by one
+//! worker between two of its own reads, so workers on machines whose
+//! clocks disagree never mistake each other for dead. A lease that does
+//! not parse (cut short, tampered with, written by an older format) is
+//! watched by the same rule, with an unknown reclaim history of 0. A
+//! live worker that stalls longer than the timeout (swap storm,
+//! debugger) can be falsely reclaimed; the result is duplicate work,
+//! never corruption — both computes produce bit-identical bytes, the
+//! store save is an atomic rename, and whichever duplicate releases
+//! second finds the lease already gone and is done.
 //!
 //! Lease and quarantine files are [`mtnet_core::kv`] records (every key
 //! required, counters parsed at `u32`), declared once in this module's
@@ -58,11 +65,11 @@ use mtnet_core::lens;
 use mtnet_metrics::{Replicates, Table};
 use mtnet_sim::rng::{fnv1a, RngStream, FNV_OFFSET};
 use mtnet_sim::runner::parse_count;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// Testing hook: a worker that claims a cell whose label contains this
 /// value prints a marker and aborts, simulating a crash on that cell.
@@ -71,25 +78,16 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// option a user could pass by accident — it is not a flag on purpose.
 pub const KILL_CELL_ENV: &str = "MTNET_SWEEP_KILL_CELL";
 
-/// Milliseconds since the unix epoch, for lease timestamps.
-fn now_unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
 /// One cell's lease, as stored in `<key>.lease`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Lease {
     /// Owner id (worker id + pid, unique per worker process).
     pub owner: String,
-    /// Owner's process id (diagnostics only — staleness is heartbeats).
+    /// Owner's process id (diagnostics only — staleness is watched bytes).
     pub pid: u32,
-    /// When the cell was first claimed (unix ms).
-    pub claimed_ms: u64,
-    /// Last heartbeat (unix ms); stale when older than the timeout.
-    pub heartbeat_ms: u64,
+    /// Heartbeats so far: the owner bumps it on every refresh, so a live
+    /// lease never reads the same twice a heartbeat period apart.
+    pub beat: u64,
     /// How many times this cell's lease has been reclaimed from a dead
     /// owner. Exceeding [`CoordConfig::max_reclaims`] quarantines it.
     pub reclaims: u32,
@@ -98,17 +96,16 @@ pub struct Lease {
 }
 
 /// The lease file. Every key is required: a file cut short is an error
-/// (and so falls back to mtime staleness), never a lease owned by `""`.
+/// (watched like any other bytes), never a lease owned by `""`.
 #[rustfmt::skip]
 static LEASE: Record<Lease> = Record {
-    header: "mtnet-lease v1",
+    header: "mtnet-lease v2",
     comments: false,
     init: Lease::default,
     fields: &[
         field("owner", Required, Kind::Raw(lens!(owner))),
         field("pid", Required, Kind::U32(lens!(pid), 0..=u32::MAX)),
-        field("claimed_ms", Required, Kind::U64(lens!(claimed_ms))),
-        field("heartbeat_ms", Required, Kind::U64(lens!(heartbeat_ms))),
+        field("beat", Required, Kind::U64(lens!(beat))),
         field("reclaims", Required, Kind::U32(lens!(reclaims), 0..=u32::MAX)),
         field("label", Required, Kind::Raw(lens!(label))),
     ],
@@ -125,14 +122,6 @@ impl Lease {
     pub fn parse(text: &str) -> Result<Lease, kv::Error> {
         LEASE.parse(text)
     }
-
-    /// True when the last heartbeat is older than `timeout_ms` at `now`
-    /// — the owner is presumed dead and the lease reclaimable. A
-    /// heartbeat exactly `timeout_ms` old is still live (strictly
-    /// older-than), so the boundary is deterministic.
-    pub fn is_stale(&self, now_ms: u64, timeout_ms: u64) -> bool {
-        now_ms.saturating_sub(self.heartbeat_ms) > timeout_ms
-    }
 }
 
 /// A quarantined cell's record, as stored in `<key>.poison`.
@@ -144,21 +133,18 @@ pub struct Poison {
     pub last_owner: String,
     /// Human-readable cell label.
     pub label: String,
-    /// When the cell was quarantined (unix ms).
-    pub quarantined_ms: u64,
 }
 
 /// The quarantine record; every key is required, as for [`LEASE`].
 #[rustfmt::skip]
 static POISON: Record<Poison> = Record {
-    header: "mtnet-poison v1",
+    header: "mtnet-poison v2",
     comments: false,
     init: Poison::default,
     fields: &[
         field("failures", Required, Kind::U32(lens!(failures), 0..=u32::MAX)),
         field("last_owner", Required, Kind::Raw(lens!(last_owner))),
         field("label", Required, Kind::Raw(lens!(label))),
-        field("quarantined_ms", Required, Kind::U64(lens!(quarantined_ms))),
     ],
     blocks: &[],
 };
@@ -178,12 +164,10 @@ impl Poison {
 /// Tuning knobs of the lease protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoordConfig {
-    /// A lease whose heartbeat is older than this is reclaimable.
+    /// A lease watched unchanged for longer than this is reclaimable.
     pub lease_timeout_ms: u64,
     /// A cell reclaimed more than this many times is quarantined.
     pub max_reclaims: u32,
-    /// Base of the jittered exponential backoff between claim passes.
-    pub backoff_base_ms: u64,
 }
 
 impl Default for CoordConfig {
@@ -191,16 +175,16 @@ impl Default for CoordConfig {
         CoordConfig {
             lease_timeout_ms: 10_000,
             max_reclaims: 3,
-            backoff_base_ms: 25,
         }
     }
 }
 
 impl CoordConfig {
     /// Heartbeat refresh period: a quarter of the timeout, so a live
-    /// owner gets ~4 chances to beat before being presumed dead.
-    fn heartbeat_interval_ms(&self) -> u64 {
-        (self.lease_timeout_ms / 4).max(10)
+    /// owner gets ~4 chances to beat before being presumed dead. Also
+    /// how long an idle worker waits between claim passes.
+    fn heartbeat_interval(&self) -> Duration {
+        Duration::from_millis((self.lease_timeout_ms / 4).max(10))
     }
 }
 
@@ -242,7 +226,6 @@ pub fn load_poison(dir: &Path, key: &str) -> Option<Poison> {
         failures: 0,
         last_owner: "(corrupt record)".into(),
         label: String::new(),
-        quarantined_ms: 0,
     }))
 }
 
@@ -251,8 +234,9 @@ pub fn load_poison(dir: &Path, key: &str) -> Option<Poison> {
 pub enum Claim {
     /// This worker now owns the cell and must compute + release it.
     Owned(Lease),
-    /// Another live worker holds the lease (or won a claim race) —
-    /// revisit after a backoff.
+    /// Another worker holds the lease and it has not been watched
+    /// unchanged for a timeout yet (or another claimant won a race) —
+    /// revisit on a later pass.
     Busy,
     /// The cell is quarantined; nobody will retry it.
     Quarantined(Poison),
@@ -265,6 +249,9 @@ pub struct Coordinator {
     dir: PathBuf,
     owner: String,
     cfg: CoordConfig,
+    /// Per key held by someone else: the lease bytes last read, and when
+    /// this worker first read exactly those bytes.
+    watched: HashMap<String, (Vec<u8>, Instant)>,
 }
 
 impl Coordinator {
@@ -274,17 +261,8 @@ impl Coordinator {
             dir: store.dir().to_path_buf(),
             owner: owner.into(),
             cfg,
+            watched: HashMap::new(),
         }
-    }
-
-    /// This worker's owner id.
-    pub fn owner(&self) -> &str {
-        &self.owner
-    }
-
-    /// The protocol configuration.
-    pub fn config(&self) -> &CoordConfig {
-        &self.cfg
     }
 
     /// The lease path for a store key.
@@ -292,37 +270,45 @@ impl Coordinator {
         self.dir.join(format!("{key}.lease"))
     }
 
-    /// Attempts to claim a cell. Exactly one concurrent claimant can win
-    /// ([`Claim::Owned`]); stale leases are reclaimed in passing, and a
+    /// Records that this worker read `bytes` as `key`'s lease at `now`,
+    /// and answers whether that lease is stale: the same bytes were
+    /// first read more than the lease timeout before `now`, on this
+    /// worker's own clock. Exactly one timeout is still live (strictly
+    /// longer-than), and any change in the bytes restarts the watch.
+    pub fn watch(&mut self, key: &str, bytes: &[u8], now: Instant) -> bool {
+        let timeout = Duration::from_millis(self.cfg.lease_timeout_ms);
+        match self.watched.get(key) {
+            Some((seen, since)) if seen == bytes => now.saturating_duration_since(*since) > timeout,
+            _ => {
+                self.watched.insert(key.to_string(), (bytes.to_vec(), now));
+                false
+            }
+        }
+    }
+
+    /// Attempts to claim a cell at `now`. Exactly one concurrent
+    /// claimant can win ([`Claim::Owned`]); a lease this worker has
+    /// [`watch`](Self::watch)ed go stale is reclaimed in passing, and a
     /// cell over the reclaim budget is quarantined here.
-    fn try_claim(&self, key: &str, label: &str) -> io::Result<Claim> {
+    pub fn try_claim(&mut self, key: &str, label: &str, now: Instant) -> io::Result<Claim> {
         if let Some(poison) = load_poison(&self.dir, key) {
             return Ok(Claim::Quarantined(poison));
         }
         let lease_path = self.lease_path(key);
-        // Stale-lease reclaim: read the incumbent (a lease that does not
-        // parse — tampered with, cut short — falls back to file mtime as
-        // its heartbeat, with an unknown reclaim history of 0).
-        let incumbent = match std::fs::read_to_string(&lease_path) {
-            Ok(text) => Some(Lease::parse(&text).unwrap_or_else(|_| {
-                Lease {
-                    owner: "(unparseable lease)".into(),
-                    heartbeat_ms: std::fs::metadata(&lease_path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                        .map_or(0, |d| d.as_millis() as u64),
-                    ..Lease::default()
-                }
-            })),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        let reclaims = match incumbent {
-            Some(old) => {
-                if !old.is_stale(now_unix_ms(), self.cfg.lease_timeout_ms) {
+        let reclaims = match std::fs::read(&lease_path) {
+            Ok(bytes) => {
+                if !self.watch(key, &bytes, now) {
                     return Ok(Claim::Busy);
                 }
+                // A lease that does not parse (tampered with, cut short,
+                // an older format) has an unknown reclaim history of 0.
+                let old = std::str::from_utf8(&bytes)
+                    .ok()
+                    .and_then(|text| Lease::parse(text).ok())
+                    .unwrap_or_else(|| Lease {
+                        owner: "(unparseable lease)".into(),
+                        ..Lease::default()
+                    });
                 // Rename the stale lease aside: atomic, so exactly one
                 // of any number of would-be reclaimers proceeds.
                 let graveyard = tmp_sibling(&lease_path);
@@ -339,17 +325,25 @@ impl Coordinator {
                         failures,
                         last_owner: old.owner,
                         label: label.to_string(),
-                        quarantined_ms: now_unix_ms(),
                     };
                     self.write_poison(key, &poison)?;
                     return Ok(Claim::Quarantined(poison));
                 }
                 failures
             }
-            None => 0,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+            Err(e) => return Err(e),
         };
+        // Missing or stale: this worker's watch on the lease is over.
+        self.watched.remove(key);
         // Atomic create: fails if any other worker claimed first.
-        let lease = self.fresh_lease(label, reclaims);
+        let lease = Lease {
+            owner: self.owner.clone(),
+            pid: std::process::id(),
+            beat: 0,
+            reclaims,
+            label: label.to_string(),
+        };
         match write_atomic(&lease_path, lease.render().as_bytes(), Publish::CreateNew) {
             Ok(()) => Ok(Claim::Owned(lease)),
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(Claim::Busy),
@@ -357,33 +351,22 @@ impl Coordinator {
         }
     }
 
-    /// A lease owned by this worker, claimed and beating now.
-    fn fresh_lease(&self, label: &str, reclaims: u32) -> Lease {
-        let now = now_unix_ms();
-        Lease {
-            owner: self.owner.clone(),
-            pid: std::process::id(),
-            claimed_ms: now,
-            heartbeat_ms: now,
-            reclaims,
-            label: label.to_string(),
-        }
-    }
-
-    /// Refreshes an owned lease's heartbeat (atomically replacing our own
-    /// lease file — only ever called while owning the key).
-    pub fn refresh(&self, key: &str, lease: &Lease) -> io::Result<()> {
-        let beat = Lease {
-            heartbeat_ms: now_unix_ms(),
-            ..lease.clone()
-        };
-        let bytes = beat.render();
+    /// Beats an owned lease: bumps its counter and atomically replaces
+    /// our own lease file with it (only ever called while owning the key).
+    pub fn refresh(&self, key: &str, lease: &mut Lease) -> io::Result<()> {
+        lease.beat = lease.beat.wrapping_add(1);
+        let bytes = lease.render();
         write_atomic(&self.lease_path(key), bytes.as_bytes(), Publish::Replace)
     }
 
-    /// Releases an owned lease (after the result is saved).
+    /// Releases an owned lease (after the result is saved). Releasing a
+    /// lease that is already gone succeeds: after a false reclaim two
+    /// owners compute the cell, and whichever finishes first deletes it.
     pub fn release(&self, key: &str) -> io::Result<()> {
-        std::fs::remove_file(self.lease_path(key))
+        match std::fs::remove_file(self.lease_path(key)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            done => done,
+        }
     }
 
     /// Writes a quarantine record.
@@ -429,10 +412,10 @@ impl WorkerOutcome {
 
 /// Runs one worker over the grid until every cell is resolved —
 /// computed by us, completed by a peer, or quarantined. Blocks while
-/// peers hold live leases (their heartbeats keep refreshing); reclaims
-/// the moment a lease goes stale. Cells are visited starting at an
-/// owner-specific offset so a fleet spreads its first claims instead of
-/// stampeding cell 0.
+/// peers hold live leases (their heartbeats keep changing them);
+/// reclaims once a lease has sat unchanged for a timeout. Cells are
+/// visited starting at an owner-specific offset so a fleet spreads its
+/// first claims instead of stampeding cell 0.
 pub fn run_worker(
     plan: &SweepPlan,
     master_seed: u64,
@@ -441,7 +424,7 @@ pub fn run_worker(
     owner: &str,
 ) -> Result<WorkerOutcome, String> {
     let cells = plan.cells()?;
-    let coord = Coordinator::new(store, owner, cfg);
+    let mut coord = Coordinator::new(store, owner, cfg);
     let kill_cell = std::env::var(KILL_CELL_ENV).ok().filter(|v| !v.is_empty());
     let keys: Vec<String> = cells
         .iter()
@@ -460,7 +443,6 @@ pub fn run_worker(
         fnv1a(FNV_OFFSET, owner.as_bytes()) as usize % cells.len()
     };
     let mut jitter = RngStream::derive(fnv1a(FNV_OFFSET, owner.as_bytes()), "coord.jitter");
-    let mut idle_rounds: u32 = 0;
     loop {
         let mut progress = false;
         for step in 0..cells.len() {
@@ -475,7 +457,7 @@ pub fn run_worker(
                 continue;
             }
             match coord
-                .try_claim(key, label)
+                .try_claim(key, label, Instant::now())
                 .map_err(|e| format!("claim {key}: {e}"))?
             {
                 Claim::Busy => {}
@@ -522,22 +504,12 @@ pub fn run_worker(
         if fates.iter().all(Option::is_some) {
             break;
         }
-        // Jittered exponential backoff: cheap spins while the fleet is
-        // making progress, longer (capped) waits while blocked on peers'
-        // leases. Jitter is deterministic per owner, so two workers
-        // never stay phase-locked.
-        idle_rounds = if progress {
-            0
-        } else {
-            idle_rounds.saturating_add(1)
-        };
-        let cap = (cfg.lease_timeout_ms / 2).max(cfg.backoff_base_ms);
-        let base = cfg
-            .backoff_base_ms
-            .saturating_mul(1u64 << idle_rounds.min(8))
-            .min(cap);
-        let ms = ((base as f64) * jitter.uniform(0.5, 1.5)).max(1.0) as u64;
-        std::thread::sleep(Duration::from_millis(ms));
+        // A pass that resolved a cell goes again at once; one blocked on
+        // peers' leases waits a heartbeat period, jittered per owner so
+        // two workers never stay phase-locked.
+        if !progress {
+            std::thread::sleep(cfg.heartbeat_interval().mul_f64(jitter.uniform(0.5, 1.5)));
+        }
     }
     let count = |fate: Fate| fates.iter().filter(|f| **f == Some(fate)).count();
     let saved_keys = fates
@@ -555,33 +527,27 @@ pub fn run_worker(
     })
 }
 
-/// Runs `compute` while a background thread refreshes the lease's
-/// heartbeat every [`CoordConfig::heartbeat_interval_ms`], so a long
-/// cell is never presumed abandoned while its worker is alive.
+/// Runs `compute` while a background thread beats the lease every
+/// [`CoordConfig::heartbeat_interval`], so a long cell is never presumed
+/// abandoned while its worker is alive. The beats stop when `compute`
+/// returns (or unwinds) and drops the channel's sender.
 fn compute_with_heartbeats<R: Send>(
     coord: &Coordinator,
     key: &str,
     lease: &Lease,
     compute: impl FnOnce() -> R + Send,
 ) -> R {
-    let stop = AtomicBool::new(false);
+    let (done, beats) = mpsc::channel::<()>();
+    let mut lease = lease.clone();
     std::thread::scope(|s| {
-        s.spawn(|| {
-            let interval = Duration::from_millis(coord.config().heartbeat_interval_ms());
-            let slice = interval
-                .min(Duration::from_millis(10))
-                .max(Duration::from_millis(1));
-            let mut last = Instant::now();
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(slice);
-                if last.elapsed() >= interval {
-                    let _ = coord.refresh(key, lease);
-                    last = Instant::now();
-                }
+        s.spawn(move || {
+            let interval = coord.cfg.heartbeat_interval();
+            while let Err(mpsc::RecvTimeoutError::Timeout) = beats.recv_timeout(interval) {
+                let _ = coord.refresh(key, &mut lease);
             }
         });
         let result = compute();
-        stop.store(true, Ordering::Relaxed);
+        drop(done);
         result
     })
 }
@@ -830,19 +796,40 @@ mod tests {
         CoordConfig {
             lease_timeout_ms: 200,
             max_reclaims: 2,
-            backoff_base_ms: 1,
         }
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// A lease of a worker that died before its first heartbeat.
+    fn dead(reclaims: u32) -> Lease {
+        Lease {
+            owner: "dead@1".into(),
+            pid: 1,
+            beat: 0,
+            reclaims,
+            label: "cell".into(),
+        }
+    }
+
+    /// Polls `key` at `t0` (which starts the watch) and again one
+    /// timeout and a millisecond later, when an unchanged lease is stale.
+    fn claim_after_watching(coord: &mut Coordinator, key: &str, t0: Instant) -> Claim {
+        let busy = coord.try_claim(key, "cell", t0).expect("claim io");
+        assert!(matches!(busy, Claim::Busy), "first sight: {busy:?}");
+        let timeout = coord.cfg.lease_timeout_ms;
+        coord
+            .try_claim(key, "cell", t0 + ms(timeout + 1))
+            .expect("claim io")
     }
 
     #[test]
     fn counters_parse_at_their_width_and_every_key_is_required() {
         let lease = |reclaims: &str| {
-            let dead = Lease {
-                owner: "dead@1".into(),
-                heartbeat_ms: 1,
-                ..Lease::default()
-            };
-            dead.render()
+            dead(0)
+                .render()
                 .replace("reclaims = 0", &format!("reclaims = {reclaims}"))
         };
         assert_eq!(Lease::parse(&lease("7")).expect("valid").reclaims, 7);
@@ -850,27 +837,28 @@ mod tests {
         assert!(Lease::parse(&lease("4294967296")).is_err());
         assert!(Lease::parse(&lease("99999999999999999999")).is_err());
         // A file cut after its header is an error, not an empty record.
-        assert!(Lease::parse("mtnet-lease v1\n").is_err());
-        assert!(Poison::parse("mtnet-poison v1\nfailures = 1\n").is_err());
-        assert!(Lease::parse("mtnet-lease v1\nwarp = 9\n").is_err());
+        assert!(Lease::parse("mtnet-lease v2\n").is_err());
+        assert!(Poison::parse("mtnet-poison v2\nfailures = 1\n").is_err());
+        assert!(Lease::parse("mtnet-lease v2\nwarp = 9\n").is_err());
 
         let store = tmp_store("width");
-        let coord = Coordinator::new(&store, "alive", quick_cfg());
-        // An unparseable count falls back to mtime staleness: the file is
-        // fresh, so the cell is busy — not reclaimed with a zeroed count.
+        let mut coord = Coordinator::new(&store, "alive", quick_cfg());
+        let t0 = Instant::now();
+        // An unparseable count is watched like any bytes: busy at first
+        // sight, and reclaimed with an unknown history, not a wrapped one.
         std::fs::write(coord.lease_path("aa"), lease("4294967296")).expect("plant");
-        assert!(matches!(
-            coord.try_claim("aa", "cell").expect("io"),
-            Claim::Busy
-        ));
+        match claim_after_watching(&mut coord, "aa", t0) {
+            Claim::Owned(lease) => assert_eq!(lease.reclaims, 1),
+            other => panic!("expected reclaim, got {other:?}"),
+        }
         // The largest count saturates into quarantine instead of overflowing.
         std::fs::write(coord.lease_path("bb"), lease("4294967295")).expect("plant");
-        match coord.try_claim("bb", "cell").expect("io") {
+        match claim_after_watching(&mut coord, "bb", t0) {
             Claim::Quarantined(poison) => assert_eq!(poison.failures, u32::MAX),
             other => panic!("expected quarantine, got {other:?}"),
         }
         // A truncated quarantine record still quarantines, history unknown.
-        std::fs::write(poison_path(store.dir(), "cc"), "mtnet-poison v1\n").expect("plant");
+        std::fs::write(poison_path(store.dir(), "cc"), "mtnet-poison v2\n").expect("plant");
         let record = load_poison(store.dir(), "cc").expect("present");
         assert_eq!(record.last_owner, "(corrupt record)");
         let _ = std::fs::remove_dir_all(store.dir());
@@ -878,19 +866,84 @@ mod tests {
 
     #[test]
     fn staleness_boundary_is_strictly_older_than() {
-        let lease = Lease {
-            owner: "w".into(),
-            pid: 1,
-            claimed_ms: 1_000,
-            heartbeat_ms: 1_000,
-            reclaims: 0,
-            label: String::new(),
+        let store = tmp_store("boundary");
+        let mut coord = Coordinator::new(&store, "alive", quick_cfg());
+        let key = "5ca1ab1e00000000";
+        std::fs::write(coord.lease_path(key), dead(0).render()).expect("plant");
+        let t0 = Instant::now();
+        // Unchanged for exactly the timeout: still live. One past: stale.
+        for at in [0, 1, 199, 200] {
+            let claim = coord.try_claim(key, "cell", t0 + ms(at)).expect("io");
+            assert!(matches!(claim, Claim::Busy), "+{at} ms: {claim:?}");
+        }
+        match coord.try_claim(key, "cell", t0 + ms(201)).expect("io") {
+            Claim::Owned(lease) => assert_eq!((lease.owner.as_str(), lease.reclaims), ("alive", 1)),
+            other => panic!("expected reclaim 1 ms past the timeout, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_heartbeat_restarts_the_watch() {
+        let store = tmp_store("restart");
+        let mut owner = Coordinator::new(&store, "slow", quick_cfg());
+        let mut watcher = Coordinator::new(&store, "eager", quick_cfg());
+        let key = "0b5e55ed00000000";
+        let t0 = Instant::now();
+        let Claim::Owned(mut lease) = owner.try_claim(key, "cell", t0).expect("io") else {
+            panic!("a free cell is claimed");
         };
-        // Exactly at the timeout: still live. One past: stale.
-        assert!(!lease.is_stale(1_000 + 500, 500));
-        assert!(lease.is_stale(1_000 + 501, 500));
-        // A heartbeat from the future (clock skew) is never stale.
-        assert!(!lease.is_stale(900, 500));
+        assert!(matches!(
+            watcher.try_claim(key, "cell", t0).expect("io"),
+            Claim::Busy
+        ));
+        // The owner beats 150 ms in: the watcher's clock restarts there.
+        owner.refresh(key, &mut lease).expect("beat");
+        for at in [150, 201, 350] {
+            let claim = watcher.try_claim(key, "cell", t0 + ms(at)).expect("io");
+            assert!(matches!(claim, Claim::Busy), "+{at} ms: {claim:?}");
+        }
+        assert!(matches!(
+            watcher.try_claim(key, "cell", t0 + ms(351)).expect("io"),
+            Claim::Owned(_)
+        ));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn unparseable_lease_follows_the_same_watch() {
+        let store = tmp_store("unparseable");
+        let mut coord = Coordinator::new(&store, "w", quick_cfg());
+        let t0 = Instant::now();
+        // Garbage (invalid UTF-8 too), and a lease in the format before
+        // `beat` replaced the wall-clock fields: both busy for a timeout,
+        // then reclaimed with an unknown history of 0.
+        let older = "mtnet-lease v1\nowner = w0@11672\npid = 11672\n\
+                     claimed_ms = 1791163734786\nheartbeat_ms = 1791163734786\n\
+                     reclaims = 2\nlabel = cell\n";
+        for (key, text) in [
+            ("0123456789abcdef", &b"not a lease\xff"[..]),
+            ("fedcba9876543210", older.as_bytes()),
+        ] {
+            std::fs::write(coord.lease_path(key), text).expect("plant");
+            for at in [0, 200] {
+                let claim = coord.try_claim(key, "cell", t0 + ms(at)).expect("io");
+                assert!(matches!(claim, Claim::Busy), "{key} +{at} ms: {claim:?}");
+            }
+            match coord.try_claim(key, "cell", t0 + ms(201)).expect("io") {
+                Claim::Owned(lease) => assert_eq!(lease.reclaims, 1, "{key}"),
+                other => panic!("{key}: expected reclaim, got {other:?}"),
+            }
+        }
+        // A quarantine record in the older format still quarantines.
+        let older_poison = "mtnet-poison v1\nfailures = 1\nlast_owner = w0@11672\n\
+                            label = cell\nquarantined_ms = 1791163735297\n";
+        std::fs::write(poison_path(store.dir(), "cc"), older_poison).expect("plant");
+        assert!(matches!(
+            coord.try_claim("cc", "cell", t0).expect("io"),
+            Claim::Quarantined(p) if p.last_owner == "(corrupt record)"
+        ));
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -902,10 +955,10 @@ mod tests {
                 .map(|i| {
                     let store = &store;
                     s.spawn(move || {
-                        let coord = Coordinator::new(store, format!("w{i}"), cfg);
+                        let mut coord = Coordinator::new(store, format!("w{i}"), cfg);
                         matches!(
                             coord
-                                .try_claim("deadbeef00000000", "cell")
+                                .try_claim("deadbeef00000000", "cell", Instant::now())
                                 .expect("claim io"),
                             Claim::Owned(_)
                         ) as usize
@@ -922,19 +975,12 @@ mod tests {
     fn stale_lease_is_reclaimed_with_bumped_count_then_quarantined() {
         let store = tmp_store("reclaim");
         let cfg = quick_cfg();
-        let coord = Coordinator::new(&store, "alive", cfg);
+        let mut coord = Coordinator::new(&store, "alive", cfg);
         let key = "feedface00000000";
-        // Plant a lease whose heartbeat is long past.
-        let dead = Lease {
-            owner: "dead@1".into(),
-            pid: 1,
-            claimed_ms: 1,
-            heartbeat_ms: 1,
-            reclaims: 0,
-            label: "cell".into(),
-        };
-        std::fs::write(coord.lease_path(key), dead.render()).expect("plant lease");
-        match coord.try_claim(key, "cell").expect("claim io") {
+        let t0 = Instant::now();
+        // Plant the lease of a worker that died before its first beat.
+        std::fs::write(coord.lease_path(key), dead(0).render()).expect("plant lease");
+        match claim_after_watching(&mut coord, key, t0) {
             Claim::Owned(lease) => {
                 assert_eq!(lease.reclaims, 1, "first reclaim bumps the count");
                 assert_eq!(lease.owner, "alive");
@@ -943,19 +989,14 @@ mod tests {
         }
         // A fresh (just-written) lease is not reclaimable.
         assert!(matches!(
-            coord.try_claim(key, "cell").expect("claim io"),
+            coord.try_claim(key, "cell", t0).expect("claim io"),
             Claim::Busy
         ));
         // Drive the reclaim count over the budget: each round plants a
-        // stale lease carrying the previous count.
+        // dead lease carrying the previous count and watches it go stale.
         for reclaims in 1..=cfg.max_reclaims {
-            let stale = Lease {
-                heartbeat_ms: 1,
-                reclaims,
-                ..dead.clone()
-            };
-            std::fs::write(coord.lease_path(key), stale.render()).expect("plant stale");
-            let claim = coord.try_claim(key, "cell").expect("claim io");
+            std::fs::write(coord.lease_path(key), dead(reclaims).render()).expect("plant stale");
+            let claim = claim_after_watching(&mut coord, key, t0);
             if reclaims < cfg.max_reclaims {
                 assert!(
                     matches!(claim, Claim::Owned(_)),
@@ -974,28 +1015,8 @@ mod tests {
         }
         // Once quarantined, every claim sees the poison record.
         assert!(matches!(
-            coord.try_claim(key, "cell").expect("claim io"),
+            coord.try_claim(key, "cell", t0).expect("claim io"),
             Claim::Quarantined(_)
-        ));
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn unparseable_lease_falls_back_to_mtime_staleness() {
-        let store = tmp_store("unparseable");
-        let coord = Coordinator::new(&store, "w", quick_cfg());
-        let key = "0123456789abcdef";
-        std::fs::write(coord.lease_path(key), "not a lease").expect("plant garbage");
-        // Freshly written: mtime is now, so the lease is busy, not free.
-        assert!(matches!(
-            coord.try_claim(key, "cell").expect("claim io"),
-            Claim::Busy
-        ));
-        // Once the mtime ages past the timeout it is reclaimed.
-        std::thread::sleep(Duration::from_millis(quick_cfg().lease_timeout_ms + 50));
-        assert!(matches!(
-            coord.try_claim(key, "cell").expect("claim io"),
-            Claim::Owned(_)
         ));
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -1003,17 +1024,42 @@ mod tests {
     #[test]
     fn release_frees_the_cell_for_the_next_claimant() {
         let store = tmp_store("release");
-        let coord = Coordinator::new(&store, "w", CoordConfig::default());
+        let mut coord = Coordinator::new(&store, "w", CoordConfig::default());
         let key = "cafebabe00000000";
+        let now = Instant::now();
         assert!(matches!(
-            coord.try_claim(key, "c").expect("io"),
+            coord.try_claim(key, "c", now).expect("io"),
             Claim::Owned(_)
         ));
         coord.release(key).expect("release");
         assert!(matches!(
-            coord.try_claim(key, "c").expect("io"),
+            coord.try_claim(key, "c", now).expect("io"),
             Claim::Owned(_)
         ));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_duplicate_owner_releasing_second_is_done_not_failed() {
+        // A live owner stalls past the timeout and is falsely reclaimed:
+        // both compute the cell, and the first release deletes the one
+        // lease file both think they own.
+        let store = tmp_store("double-release");
+        let mut a = Coordinator::new(&store, "a", quick_cfg());
+        let mut b = Coordinator::new(&store, "b", quick_cfg());
+        let key = "d0d0d0d000000000";
+        let t0 = Instant::now();
+        assert!(matches!(
+            a.try_claim(key, "cell", t0).expect("io"),
+            Claim::Owned(_)
+        ));
+        assert!(matches!(
+            claim_after_watching(&mut b, key, t0),
+            Claim::Owned(lease) if lease.reclaims == 1
+        ));
+        a.release(key).expect("first release");
+        b.release(key).expect("second release of the same cell");
+        assert!(!a.lease_path(key).exists());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -1135,7 +1181,6 @@ mod tests {
                 failures: 3,
                 last_owner: "dead@1".into(),
                 label: cell.label.clone(),
-                quarantined_ms: 1_700_000_000_000,
             };
             std::fs::write(poison_path(store.dir(), &key), poison.render()).expect("plant poison");
         }

@@ -2,13 +2,13 @@
 //! protocol worker drains a grid to the same bytes the single-process
 //! sweep engine produces, peers' completed cells are loaded not
 //! recomputed, quarantined cells degrade the grid instead of wedging
-//! it, and — the crash-recovery regression — a cell reclaimed from a
-//! dead worker's stale lease completes bit-identical to a cell that
-//! never crashed.
+//! it, a lease file's mtime never ages a lease, and — the
+//! crash-recovery regression — a cell reclaimed from a dead worker's
+//! stale lease completes bit-identical to a cell that never crashed.
 
 use mtnet_bench::coord::{
-    collect_grid, exit_code, load_poison, poison_path, run_worker, CoordConfig, Coordinator, Lease,
-    Poison,
+    collect_grid, exit_code, load_poison, poison_path, run_worker, Claim, CoordConfig, Coordinator,
+    Lease, Poison,
 };
 use mtnet_bench::store::ResultStore;
 use mtnet_bench::sweep::{parse_axis, run_sweep, SweepPlan};
@@ -17,6 +17,7 @@ use mtnet_core::spec::ScenarioSpec;
 use mtnet_sim::runner::BatchRunner;
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::time::{Duration, Instant, UNIX_EPOCH};
 
 struct TempStore {
     dir: PathBuf,
@@ -57,7 +58,6 @@ fn quick_cfg() -> CoordConfig {
     CoordConfig {
         lease_timeout_ms: 300,
         max_reclaims: 2,
-        backoff_base_ms: 1,
     }
 }
 
@@ -122,8 +122,9 @@ fn reclaimed_then_completed_cell_is_bit_identical_to_a_never_crashed_one() {
     run_sweep(&plan, 42, Some(&reference.store), &BatchRunner::new(1)).expect("engine sweep");
 
     // Crash story: a worker claimed the first cell and died — its lease
-    // sits there with a long-gone heartbeat. A live worker must steal
-    // the cell (reclaim), recompute it, and produce the same bytes.
+    // sits there and never beats again. A live worker must watch it go
+    // stale, steal the cell (reclaim), recompute it, and produce the
+    // same bytes.
     let tmp = TempStore::new("crashed");
     let cells = plan.cells().expect("cells");
     let victim_key = ResultStore::key(&cells[0].spec.render(), 42);
@@ -131,8 +132,7 @@ fn reclaimed_then_completed_cell_is_bit_identical_to_a_never_crashed_one() {
     let abandoned = Lease {
         owner: "dead@9".into(),
         pid: 9,
-        claimed_ms: 1,
-        heartbeat_ms: 1,
+        beat: 3,
         reclaims: 0,
         label: cells[0].label.clone(),
     };
@@ -156,6 +156,40 @@ fn reclaimed_then_completed_cell_is_bit_identical_to_a_never_crashed_one() {
 }
 
 #[test]
+fn a_lease_file_dated_1970_is_not_reclaimed_before_a_watch() {
+    // The file's mtime says nothing: a coordinator that has never seen
+    // this lease must watch it unchanged for a full timeout first.
+    let tmp = TempStore::new("mtime");
+    let mut coord = Coordinator::new(&tmp.store, "fresh@1", quick_cfg());
+    let key = "7e57ab1e00000000";
+    let lease = Lease {
+        owner: "old@2".into(),
+        pid: 2,
+        beat: 0,
+        reclaims: 0,
+        label: "cell".into(),
+    };
+    std::fs::write(coord.lease_path(key), lease.render()).expect("plant lease");
+    std::fs::File::options()
+        .write(true)
+        .open(coord.lease_path(key))
+        .and_then(|f| f.set_modified(UNIX_EPOCH))
+        .expect("age the file");
+    let t0 = Instant::now();
+    let timeout = quick_cfg().lease_timeout_ms;
+    for at in [0, timeout] {
+        let claim = coord
+            .try_claim(key, "cell", t0 + Duration::from_millis(at))
+            .expect("io");
+        assert!(matches!(claim, Claim::Busy), "+{at} ms: {claim:?}");
+    }
+    let claim = coord
+        .try_claim(key, "cell", t0 + Duration::from_millis(timeout + 1))
+        .expect("io");
+    assert!(matches!(claim, Claim::Owned(_)), "{claim:?}");
+}
+
+#[test]
 fn quarantined_cell_degrades_the_grid_instead_of_wedging_the_worker() {
     let tmp = TempStore::new("poison");
     let plan = small_plan();
@@ -165,7 +199,6 @@ fn quarantined_cell_degrades_the_grid_instead_of_wedging_the_worker() {
         failures: 3,
         last_owner: "dead@7".into(),
         label: cells[2].label.clone(),
-        quarantined_ms: 1,
     };
     std::fs::write(poison_path(tmp.store.dir(), &poisoned_key), record.render())
         .expect("plant poison");

@@ -10,8 +10,10 @@
 //! satisfies `parse(render(x)) == x`, so no hostile text is silently a
 //! different record than it prints as. The valid texts go through the
 //! same check first, which makes this the render/parse round-trip test
-//! of all four formats. A flag value has no renderer of its own: a count
-//! renders as its digits, an axis as `key=v1,v2,…` (see [`render_axis`]).
+//! of all four formats; texts of a retired format (the `v1` lease and
+//! quarantine record) must instead be an `Err`, and are mutated too. A
+//! flag value has no renderer of its own: a count renders as its digits,
+//! an axis as `key=v1,v2,…` (see [`render_axis`]).
 
 use mtnet_bench::coord::{parse_max_reclaims, parse_timeout_ms, parse_worker_count};
 use mtnet_bench::coord::{Lease, Poison};
@@ -81,20 +83,34 @@ fn mutants(text: &str, other: &str, rng: &mut RngStream) -> Vec<String> {
     out
 }
 
-/// Runs the driver over one record type. Canonical texts (`canonical`)
-/// must also render back byte for byte.
+/// What [`torture`] expects of a seed text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Seed {
+    /// Parses, and renders back byte for byte.
+    Canonical,
+    /// Parses (hand-written, so it may render differently).
+    Valid,
+    /// A retired format: must be an `Err`, but its mutants are driven
+    /// all the same.
+    Retired,
+}
+
+/// Runs the driver over one record type.
 fn torture<T: PartialEq + Debug, E: PartialEq + Debug + Display>(
     record: &str,
-    texts: &[(String, bool)],
+    texts: &[(String, Seed)],
     parse: fn(&str) -> Result<T, E>,
     render: fn(&T) -> String,
 ) {
     let mut rng = RngStream::derive(0xbad_b17e5, record);
     let (mut parsed, mut total) = (0usize, 0usize);
-    for (i, (text, canonical)) in texts.iter().enumerate() {
-        let valid = parse(text).unwrap_or_else(|e| panic!("{record} text {i}: {e}\n{text}"));
-        if *canonical {
-            assert_eq!(&render(&valid), text, "{record} text {i} is not canonical");
+    for (i, (text, seed)) in texts.iter().enumerate() {
+        match (parse(text), seed) {
+            (Ok(valid), Seed::Canonical) => {
+                assert_eq!(&render(&valid), text, "{record} text {i} is not canonical")
+            }
+            (Ok(_), Seed::Valid) | (Err(_), Seed::Retired) => {}
+            (got, _) => panic!("{record} text {i} ({seed:?}): {got:?}\n{text}"),
         }
         let other = &texts[(i + 1) % texts.len()].0;
         for mutant in std::iter::once(text.clone()).chain(mutants(text, other, &mut rng)) {
@@ -119,11 +135,14 @@ fn torture<T: PartialEq + Debug, E: PartialEq + Debug + Display>(
 
 #[test]
 fn scenario_specs() {
-    let mut texts: Vec<(String, bool)> = ScenarioSpec::families()
+    let mut texts: Vec<(String, Seed)> = ScenarioSpec::families()
         .iter()
-        .map(|(name, preset)| (preset().with_seed_path("hostile", name, 2).render(), true))
+        .map(|(name, preset)| {
+            let spec = preset().with_seed_path("hostile", name, 2);
+            (spec.render(), Seed::Canonical)
+        })
         .collect();
-    texts.push((arm_specs("E13", Effort::Quick)[0].render(), true));
+    texts.push((arm_specs("E13", Effort::Quick)[0].render(), Seed::Canonical));
     // The benchmark's hand-written workload files, read as input only.
     let workloads = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/workloads");
     let mut files: Vec<_> = std::fs::read_dir(workloads)
@@ -133,31 +152,33 @@ fn scenario_specs() {
         .collect();
     files.sort();
     assert_eq!(files.len(), 11, "{files:?}");
-    texts.extend(
-        files
-            .iter()
-            .map(|f| (std::fs::read_to_string(f).expect("workload spec"), false)),
-    );
+    texts.extend(files.iter().map(|f| {
+        (
+            std::fs::read_to_string(f).expect("workload spec"),
+            Seed::Valid,
+        )
+    }));
     torture("spec", &texts, ScenarioSpec::parse, ScenarioSpec::render);
 }
 
 #[test]
 fn stored_runs() {
-    let texts: Vec<(String, bool)> = [1, 2]
+    let texts: Vec<(String, Seed)> = [1, 2]
         .map(|rep| {
             let spec = ScenarioSpec::commute_corridor()
                 .with_duration_s(10.0)
                 .with_seed_path("hostile", "arm=1,x", rep);
             let run = StoredRun::from_report("arm=1,x rep=1", &spec, 42, &spec.run(42));
-            (run.render(), true)
+            (run.render(), Seed::Canonical)
         })
         .into();
     torture("run", &texts, StoredRun::parse, StoredRun::render);
 }
 
-/// A lease and a quarantine record exactly as the commit before the
-/// `kv` reader wrote them (`sweep --workers 1 --max-reclaims 0` under
-/// the kill hook).
+/// A lease and a quarantine record exactly as the `v1` formats wrote
+/// them (`sweep --workers 1 --max-reclaims 0` under the kill hook), before
+/// `beat` replaced their wall-clock fields. Both are retired: a leftover
+/// file must read as an error, never as a record.
 const PARENT_LEASE: &str = "mtnet-lease v1\nowner = w0@11672\npid = 11672\n\
     claimed_ms = 1791163734786\nheartbeat_ms = 1791163734786\nreclaims = 0\n\
     label = domains=2 rep=0\n";
@@ -166,29 +187,36 @@ const PARENT_POISON: &str = "mtnet-poison v1\nfailures = 1\nlast_owner = w0@1167
 
 #[test]
 fn leases() {
-    let lease = Lease {
+    let lease = |beat, reclaims, label: &str| Lease {
         owner: "w1@4242".into(),
         pid: u32::MAX,
-        claimed_ms: 1_700_000_000_000,
-        heartbeat_ms: u64::MAX,
-        reclaims: 3,
-        label: "arch=multi-tier+rsmc,domains=2 rep=1".into(),
+        beat,
+        reclaims,
+        label: label.into(),
     };
-    assert_eq!(Lease::parse(PARENT_LEASE).expect("parent's").pid, 11672);
-    let texts = [(lease.render(), true), (PARENT_LEASE.to_string(), true)];
+    let texts = [
+        (
+            lease(u64::MAX, 3, "arch=multi-tier+rsmc,domains=2 rep=1").render(),
+            Seed::Canonical,
+        ),
+        (lease(0, 0, "domains=2 rep=0").render(), Seed::Canonical),
+        (PARENT_LEASE.to_string(), Seed::Retired),
+    ];
     torture("lease", &texts, Lease::parse, Lease::render);
 }
 
 #[test]
 fn poison_records() {
-    let poison = Poison {
-        failures: 4,
+    let poison = |failures, label: &str| Poison {
+        failures,
         last_owner: "w2@777".into(),
-        label: String::new(),
-        quarantined_ms: 1_700_000_001_000,
+        label: label.into(),
     };
-    assert_eq!(Poison::parse(PARENT_POISON).expect("parent's").failures, 1);
-    let texts = [(poison.render(), true), (PARENT_POISON.to_string(), true)];
+    let texts = [
+        (poison(4, "").render(), Seed::Canonical),
+        (poison(1, "domains=2 rep=0").render(), Seed::Canonical),
+        (PARENT_POISON.to_string(), Seed::Retired),
+    ];
     torture("poison", &texts, Poison::parse, Poison::render);
 }
 
@@ -212,15 +240,18 @@ fn render_axis(axis: &Axis) -> String {
 #[test]
 fn axis_flags() {
     let texts = [
-        ("route_update_ms=100,200".to_string(), true),
-        ("duration_s=1..3..1".to_string(), false),
+        ("route_update_ms=100,200".to_string(), Seed::Canonical),
+        ("duration_s=1..3..1".to_string(), Seed::Valid),
     ];
     torture("--axis", &texts, parse_axis, render_axis);
 }
 
 #[test]
 fn count_flags() {
-    let texts = [("4".to_string(), true), ("10000".to_string(), true)];
+    let texts = [
+        ("4".to_string(), Seed::Canonical),
+        ("10000".to_string(), Seed::Canonical),
+    ];
     torture("--threads", &texts, parse_thread_count, usize::to_string);
     torture("--shards", &texts, parse_shard_count, u32::to_string);
     torture("--workers", &texts, parse_worker_count, usize::to_string);
