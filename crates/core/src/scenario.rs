@@ -2,9 +2,6 @@
 //! baselines. Geographies and populations are
 //! [`crate::spec::ScenarioSpec`] presets.
 
-use crate::world::WorldConfig;
-use mtnet_cellularip::HandoffKind;
-
 /// Which architecture an experiment arm runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchKind {
@@ -97,37 +94,30 @@ impl ArchKind {
         }
     }
 
-    pub(crate) fn apply(self, cfg: &mut WorldConfig) {
-        match self {
-            ArchKind::MultiTier { rsmc, semisoft } => {
-                cfg.has_macro = true;
-                cfg.has_micro = true;
-                cfg.mip_only = false;
-                cfg.rsmc_enabled = rsmc;
-                cfg.notify_cn = rsmc;
-                cfg.handoff_kind = if semisoft {
-                    HandoffKind::default_semisoft()
-                } else {
-                    HandoffKind::Hard
-                };
-            }
-            ArchKind::PureMobileIp => {
-                cfg.has_macro = true;
-                cfg.has_micro = false;
-                cfg.mip_only = true;
-                cfg.rsmc_enabled = false;
-                cfg.notify_cn = false;
-                cfg.handoff_kind = HandoffKind::Hard;
-            }
-            ArchKind::FlatCellularIp => {
-                cfg.has_macro = false;
-                cfg.has_micro = true;
-                cfg.mip_only = false;
-                cfg.rsmc_enabled = false;
-                cfg.notify_cn = false;
-                cfg.handoff_kind = HandoffKind::Hard;
-            }
-        }
+    /// Deploys macro cells: every architecture but flat Cellular IP.
+    pub fn has_macro(self) -> bool {
+        !matches!(self, ArchKind::FlatCellularIp)
+    }
+
+    /// Deploys micro cells under Cellular IP: every architecture but pure
+    /// Mobile IP.
+    pub fn has_micro(self) -> bool {
+        !matches!(self, ArchKind::PureMobileIp)
+    }
+
+    /// Pure Mobile IP: no Cellular IP at all, every BS its own FA.
+    pub fn mip_only(self) -> bool {
+        !self.has_micro()
+    }
+
+    /// RSMCs active: location cache plus HA and CN notification (§4).
+    pub fn rsmc(self) -> bool {
+        matches!(self, ArchKind::MultiTier { rsmc: true, .. })
+    }
+
+    /// Semisoft micro-tier handoff; every other arm hands off hard.
+    pub fn semisoft(self) -> bool {
+        matches!(self, ArchKind::MultiTier { semisoft: true, .. })
     }
 }
 
@@ -162,6 +152,33 @@ mod tests {
         .map(|a| a.label())
         .collect();
         assert_eq!(labels.len(), 5);
+    }
+
+    #[test]
+    fn every_architecture_answers_what_it_runs() {
+        // (label, macro, micro, Mobile-IP-only, RSMC, semisoft)
+        let table = [
+            ("multi-tier+rsmc", true, true, false, true, true),
+            ("multi-tier(hard)", true, true, false, true, false),
+            ("multi-tier-no-rsmc", true, true, false, false, true),
+            ("multi-tier-no-rsmc(hard)", true, true, false, false, false),
+            ("pure-mobile-ip", true, false, true, false, false),
+            ("flat-cellular-ip", false, true, false, false, false),
+        ];
+        for (label, mac, mic, mip, rsmc, semi) in table {
+            let a = ArchKind::parse_label(label).expect("a canonical label");
+            assert_eq!(
+                (
+                    a.has_macro(),
+                    a.has_micro(),
+                    a.mip_only(),
+                    a.rsmc(),
+                    a.semisoft()
+                ),
+                (mac, mic, mip, rsmc, semi),
+                "{a:?} ({label}): (macro, micro, Mobile-IP-only, RSMC, semisoft)"
+            );
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! assert!(report.aggregate_qos().sent > 0);
 //! ```
 
-use crate::handoff::{DecisionConfig, HandoffFactors};
+use crate::handoff::HandoffFactors;
 pub use crate::kv::Error as SpecError;
 use crate::kv::Kind::{Codec, Millis, Quoted, Switch, F64, U32};
 use crate::kv::Presence::{Always, Never, NonDefault};
@@ -42,7 +42,7 @@ use crate::lens;
 use crate::report::{RunReport, SimReport};
 use crate::scenario::ArchKind;
 use crate::world::{DomainSpec, FlowKind, LoadCurve, World, WorldBuilder, WorldConfig};
-use mtnet_cellularip::HandoffKind;
+use mtnet_cellularip::CipTimers;
 use mtnet_mobility::{LinearCommute, Point, RandomWaypoint, Rect, SpeedClass};
 use mtnet_radio::CellKind;
 use mtnet_sim::rng::seed_for_path;
@@ -988,43 +988,29 @@ impl ScenarioSpec {
         if let Err(e) = self.validate() {
             panic!("invalid scenario spec {:?}: {e}", self.name);
         }
-        let mut cfg = WorldConfig {
+        // An unset override keeps the world's default.
+        let d = WorldConfig::default();
+        let ms = SimDuration::from_millis;
+        let cfg = WorldConfig {
             seed: self.resolve_seed(master_seed),
+            arch: self.arch,
+            semisoft_delay: self.semisoft_delay_ms.map_or(d.semisoft_delay, ms),
             factors: self.factors,
-            decision: DecisionConfig::default(),
-            ..WorldConfig::default()
-        };
-        self.arch.apply(&mut cfg);
-        if let Some(ms) = self.route_update_ms {
-            cfg.route_update_period = Some(SimDuration::from_millis(ms));
-        }
-        if let Some(ms) = self.semisoft_delay_ms {
-            if matches!(cfg.handoff_kind, HandoffKind::Semisoft { .. }) {
-                cfg.handoff_kind = HandoffKind::Semisoft {
-                    delay: SimDuration::from_millis(ms),
-                };
-            }
-        }
-        if let Some(ms) = self.table_lifetime_ms {
-            cfg.table_lifetime = SimDuration::from_millis(ms);
-        }
-        if let Some(ms) = self.paging_update_ms {
-            cfg.cip_timers.paging_update = SimDuration::from_millis(ms);
-        }
-        if let Some(ms) = self.move_sample_ms {
-            cfg.move_sample = SimDuration::from_millis(ms);
-        }
-        if let Some(ms) = self.location_update_ms {
-            cfg.location_period = SimDuration::from_millis(ms);
-        }
-        cfg.aggregate_qos = self.aggregate_qos;
-        cfg.idle_camping = self.idle_camping;
-        if let Some((period_s, factor)) = self.load_curve {
-            cfg.load_curve = Some(LoadCurve {
+            cip_timers: CipTimers {
+                paging_update: self.paging_update_ms.map_or(d.cip_timers.paging_update, ms),
+                ..d.cip_timers
+            },
+            route_update_period: self.route_update_ms.map(ms),
+            move_sample: self.move_sample_ms.map_or(d.move_sample, ms),
+            location_period: self.location_update_ms.map_or(d.location_period, ms),
+            table_lifetime: self.table_lifetime_ms.map_or(d.table_lifetime, ms),
+            aggregate_qos: self.aggregate_qos,
+            load_curve: self.load_curve.map(|(period_s, factor)| LoadCurve {
                 period: SimDuration::from_secs_f64(period_s),
                 off_peak_factor: factor,
-            });
-        }
+            }),
+            idle_camping: self.idle_camping,
+        };
         let n_domains = self.n_domains as usize;
         let width = self.domain_width_m;
         let street_y = self.street_y_m;

@@ -18,7 +18,7 @@ use crate::arena::PacketRef;
 use crate::handoff::HandoffType;
 use crate::messages::{CipControl, MnId, MtMessage, Payload};
 use crate::report::DropCause;
-use mtnet_cellularip::{HandoffKind, PageOutcome};
+use mtnet_cellularip::PageOutcome;
 use mtnet_mobileip::{ForeignAgent, MipMessage, MnAction};
 use mtnet_net::{Addr, NodeId, TunnelKind};
 use mtnet_radio::CellId;
@@ -68,7 +68,7 @@ impl World {
                         && tree.contains(new_node)
                         && tree.crossover(old_node, new_node) == node
                     {
-                        if let HandoffKind::Semisoft { delay } = self.cfg.handoff_kind {
+                        if let Some(delay) = self.cfg.semisoft() {
                             self.domains[didx]
                                 .semisoft
                                 .begin(mn, old_node, new_node, now, delay);
@@ -106,7 +106,7 @@ impl World {
         mn: Addr,
         now: SimTime,
     ) {
-        if !self.cfg.rsmc_enabled || !self.domains[didx].rsmc_alive {
+        if !self.cfg.arch.rsmc() || !self.domains[didx].rsmc_alive {
             return;
         }
         let Some(cell) = self.domains[didx]
@@ -116,18 +116,15 @@ impl World {
         else {
             return;
         };
-        let targets = if self.cfg.notify_cn { 2 } else { 1 };
+        // §4: the RSMC notifies the HA and the CN together.
+        let ha_and_cn = [self.ha.addr(), self.cn_addr];
         let notifications = self.domains[didx]
             .rsmc
-            .on_route_update(mn, cell, now, targets);
+            .on_route_update(mn, cell, now, ha_and_cn.len());
         self.report.signaling.rsmc_notifications += notifications.len() as u64;
         let rsmc_node = self.domains[didx].rsmc_node;
         let rsmc_addr = self.domains[didx].rsmc.addr();
-        // One notification per target, the HA's first.
-        for (msg, dst) in notifications
-            .into_iter()
-            .zip([self.ha.addr(), self.cn_addr])
-        {
+        for (msg, dst) in notifications.into_iter().zip(ha_and_cn) {
             self.send_control(ctx, rsmc_node, rsmc_addr, dst, Payload::Mt(msg));
         }
     }
@@ -241,7 +238,7 @@ impl World {
             let hops = world.domains[didx].cip.tree().depth(bs) as u64;
             SimDuration::from_millis(2).saturating_mul(hops.max(1))
         };
-        if self.cfg.rsmc_enabled && self.domains[didx].rsmc_alive {
+        if self.cfg.arch.rsmc() && self.domains[didx].rsmc_alive {
             if let Some(cell) = self.domains[didx].rsmc.locate(mn_addr, now) {
                 if let Some(bs) = self.bs_of_cell(cell) {
                     if self.domains[didx].cip.tree().contains(bs) {
@@ -285,7 +282,9 @@ impl World {
         if let Some(&didx) = self.rsmc_node_domain.get(&node) {
             return Some(&mut self.domains[didx].fa);
         }
-        let cell = self.cell_of_node(node).filter(|_| self.cfg.mip_only)?;
+        let cell = self
+            .cell_of_node(node)
+            .filter(|_| self.cfg.arch.mip_only())?;
         Some(
             self.bs_fas
                 .get_mut(&cell)
@@ -404,7 +403,7 @@ impl World {
         // Semisoft: the node effectively listens to both the old cell and
         // the pending target; FlowQos de-duplicates.
         let attached_ok = self.mns.hot[i].serving() == Some(cell)
-            || self.mns.pending_target(i) == Some(cell) && !self.cfg.mip_only;
+            || self.mns.pending_target(i) == Some(cell) && !self.cfg.arch.mip_only();
         // Radio truth: the transmission only lands if the node is actually
         // inside the cell's radio range right now (one distance pass for
         // the footprint check and the path loss).

@@ -24,7 +24,7 @@ use mtnet_traffic::{Cbr, OnOffVbr, ParetoWeb};
 
 /// The kind of multimedia flow to attach to a mobile node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowKind {
+pub(crate) enum FlowKind {
     /// 64 kbit/s CBR voice.
     Voice,
     /// On/off VBR video (384 kbit/s peak).
@@ -36,11 +36,11 @@ pub enum FlowKind {
 /// A mobility model registered with [`WorldBuilder::add_model`]: any
 /// number of nodes can walk it (see [`WorldBuilder::add_mn`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModelId(u32);
+pub(crate) struct ModelId(u32);
 
 /// One domain to deploy.
 #[derive(Debug, Clone, Copy)]
-pub struct DomainSpec {
+pub(crate) struct DomainSpec {
     /// Center of the domain's macro cell.
     pub center: Point,
     /// Number of micro cells in the domain's street row.
@@ -77,8 +77,9 @@ impl Default for DomainSpec {
     }
 }
 
-/// Builds [`World`]s. See the [`crate::scenario`] module for presets.
-pub struct WorldBuilder {
+/// Builds [`World`]s by hand: [`crate::spec::ScenarioSpec::build`] and
+/// this crate's tests are its only callers.
+pub(crate) struct WorldBuilder {
     cfg: WorldConfig,
     topo: Topology,
     cells: CellMap,
@@ -100,15 +101,6 @@ pub struct WorldBuilder {
     flows: Vec<super::FlowSim>,
     next_cell: u32,
     master_rng: RngStream,
-}
-
-impl std::fmt::Debug for WorldBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorldBuilder")
-            .field("domains", &self.domains.len())
-            .field("mns", &self.mns.len())
-            .finish()
-    }
 }
 
 impl WorldBuilder {
@@ -226,7 +218,7 @@ impl WorldBuilder {
         } else {
             CellKind::Macro
         };
-        let bs_parent_node = if self.cfg.has_macro && spec.macro_radio {
+        let bs_parent_node = if self.cfg.arch.has_macro() && spec.macro_radio {
             let macro_node = self.topo.add_node(Addr::from_octets(20, d, 0, 10));
             self.topo
                 .connect(rsmc_node, macro_node, LinkConfig::backbone());
@@ -236,7 +228,7 @@ impl WorldBuilder {
             self.cell_node.insert(macro_cell, macro_node);
             self.node_cell.insert(macro_node, macro_cell);
             self.node_domain.insert(macro_node, didx);
-            if self.cfg.mip_only {
+            if self.cfg.arch.mip_only() {
                 self.bs_fas
                     .insert(macro_cell, ForeignAgent::new(self.topo.addr_of(macro_node)));
             }
@@ -249,7 +241,7 @@ impl WorldBuilder {
         // gateway), odd cells chain under their left neighbour — giving
         // the two-level micro tiers of Fig 3.1 and non-trivial crossover
         // base stations. Satellite overlays carry no micro row.
-        if self.cfg.has_micro && !spec.satellite {
+        if self.cfg.arch.has_micro() && !spec.satellite {
             let span = spec.micro_spacing * (spec.n_micro.saturating_sub(1)) as f64;
             let x0 = spec.center.x - span / 2.0;
             let mut prev: Option<(CellId, NodeId)> = None;
@@ -351,11 +343,6 @@ impl WorldBuilder {
         id
     }
 
-    /// The radio cell map built so far (for geometry checks in tests).
-    pub fn cells(&self) -> &CellMap {
-        &self.cells
-    }
-
     /// Finalizes the persistent lookup indices and produces the world.
     pub fn build(self) -> World {
         let locdir = LocationDirectory::new(&self.hierarchy, self.cfg.table_lifetime);
@@ -386,7 +373,10 @@ impl WorldBuilder {
             n_nodes,
             self.node_domain.iter().map(|(n, &d)| (n.0 as usize, d)),
         );
-        let engine = crate::handoff::HandoffEngine::new(self.cfg.decision, self.cfg.factors);
+        let engine = crate::handoff::HandoffEngine::new(
+            crate::handoff::DecisionConfig::default(),
+            self.cfg.factors,
+        );
         // Longest prefix first, so `World::wired_next_hop` can take the
         // first containing prefix with a usable route — the same
         // most-specific-wins-with-fall-through order the per-node LPM

@@ -18,7 +18,7 @@ use super::{Ev, PendingAttach, PendingLatency, World};
 use crate::handoff::{classify, Candidate, CurrentAttachment, HandoffDecision, HandoffType};
 use crate::messages::{CipControl, MnId, MtMessage, Payload};
 use crate::tier::Tier;
-use mtnet_cellularip::{HandoffKind, MnMode};
+use mtnet_cellularip::MnMode;
 use mtnet_mobileip::{AgentAdvertisement, MipMessage, MnAction, MnState};
 use mtnet_mobility::Point;
 use mtnet_net::Addr;
@@ -149,8 +149,8 @@ impl World {
         for meas in &measurements {
             let tier = Tier::of_cell(meas.kind);
             let allowed = match tier {
-                Tier::Micro => self.cfg.has_micro,
-                Tier::Macro => self.cfg.has_macro,
+                Tier::Micro => self.cfg.arch.has_micro(),
+                Tier::Macro => self.cfg.arch.has_macro(),
             };
             if allowed {
                 candidates.push(Candidate {
@@ -274,11 +274,9 @@ impl World {
 
         // Semisoft (a handoff inside one domain of a CIP architecture):
         // notify the new path before retuning.
-        let attach_delay = match (self.cfg.handoff_kind, self.domain_idx_of_cell(granted)) {
-            (HandoffKind::Semisoft { delay }, Some(didx))
-                if holds_channel
-                    && !self.cfg.mip_only
-                    && old.and_then(|o| self.domain_idx_of_cell(o)) == Some(didx) =>
+        let attach_delay = match (self.cfg.semisoft(), self.domain_idx_of_cell(granted)) {
+            (Some(delay), Some(didx))
+                if holds_channel && old.and_then(|o| self.domain_idx_of_cell(o)) == Some(didx) =>
             {
                 // The semisoft packet climbs from the new BS immediately.
                 let mn_addr = mn::home_addr(mn.0);
@@ -302,7 +300,7 @@ impl World {
                 );
                 delay
             }
-            _ => self.cfg.air_delay.saturating_mul(2) + self.cfg.retune_delay,
+            _ => super::AIR_DELAY.saturating_mul(2) + super::RETUNE_DELAY,
         };
         ctx.schedule_at(now + attach_delay, Ev::Attach(mn));
     }
@@ -364,7 +362,7 @@ impl World {
         let old_didx = old.and_then(|o| self.domain_idx_of_cell(o));
 
         // Multi-tier location management (§3.1/§3.2 messages).
-        if !self.cfg.mip_only {
+        if !self.cfg.arch.mip_only() {
             if let Some(o) = old {
                 self.report.signaling.update_messages += 1;
                 self.report.signaling.control_bytes += 32;
@@ -391,7 +389,7 @@ impl World {
                 // node's row as a (domain, epoch) pair; the RSMC only
                 // publishes its epoch (bumped on flush), so auth state on
                 // the RSMC side is O(1) rather than O(subscribers).
-                if self.cfg.rsmc_enabled && self.domains[didx].rsmc_alive {
+                if self.cfg.arch.rsmc() && self.domains[didx].rsmc_alive {
                     let epoch = self.domains[didx].rsmc.epoch();
                     let key = (didx as u32, epoch);
                     if let Some(active) = self.mns.active_mut(i) {
@@ -409,8 +407,8 @@ impl World {
         // Mobile IP: (re-)registration when the care-of address changes —
         // inter-domain movement, initial attach, or every handoff in pure
         // Mobile IP mode.
-        let coa_changed = self.cfg.mip_only && old != Some(target)
-            || (!self.cfg.mip_only && new_didx != old_didx);
+        let coa_changed = self.cfg.arch.mip_only() && old != Some(target)
+            || (!self.cfg.arch.mip_only() && new_didx != old_didx);
         if coa_changed {
             let agent = self
                 .agent_of_cell(target)
@@ -422,7 +420,7 @@ impl World {
         // over the shared upper BS link (cheap); different-upper detours
         // via the home network.
         if let (Some(ht), Some(new_didx), Some(old_didx)) = (pending.htype, new_didx, old_didx) {
-            if ht.is_inter_domain() && !self.cfg.mip_only {
+            if ht.is_inter_domain() && !self.cfg.arch.mip_only() {
                 let new_rsmc_node = self.domains[new_didx].rsmc_node;
                 let new_rsmc_addr = self.domains[new_didx].rsmc.addr();
                 let old_rsmc_addr = self.domains[old_didx].rsmc.addr();
@@ -449,7 +447,7 @@ impl World {
     /// serving BS itself, in the multi-tier architecture the domain's
     /// RSMC. Its address is the care-of address either way.
     fn agent_of_cell(&self, cell: CellId) -> Option<Addr> {
-        if self.cfg.mip_only {
+        if self.cfg.arch.mip_only() {
             self.bs_of_cell(cell).map(|n| self.topo.addr_of(n))
         } else {
             self.domain_idx_of_cell(cell)
@@ -549,7 +547,7 @@ impl World {
             }
         }
 
-        if self.cfg.mip_only {
+        if self.cfg.arch.mip_only() {
             return;
         }
         let Some(didx) = self.domain_idx_of_cell(cell) else {
@@ -595,7 +593,7 @@ impl World {
     pub(super) fn handle_location_tick(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId) {
         let now = ctx.now();
         ctx.rearm(self.lanes.location, mn.0);
-        if self.cfg.mip_only {
+        if self.cfg.arch.mip_only() {
             return;
         }
         let Some(cell) = self.mns.hot[mn.0 as usize].serving() else {

@@ -7,9 +7,9 @@
 //! mobile nodes with multimedia flows.
 //!
 //! The same world type runs the paper's architecture **and** the baselines
-//! (pure Mobile IP, flat Cellular IP) — the [`WorldConfig`] flags select
-//! which machinery is active, so comparisons differ only in the mechanism
-//! under test.
+//! (pure Mobile IP, flat Cellular IP) — its [`ArchKind`] selects which
+//! machinery is active, so comparisons differ only in the mechanism under
+//! test.
 //!
 //! `World` is one flat struct; its `impl` is split by **who owns the
 //! event** along Fig 4.1's cut — `backbone` (CN, HA), `access` (a
@@ -30,7 +30,7 @@ mod mobile;
 pub mod shard;
 mod wire;
 
-pub use build::{DomainSpec, FlowKind, ModelId, WorldBuilder};
+pub(crate) use build::{DomainSpec, FlowKind, WorldBuilder};
 pub use shard::run_sharded;
 
 use faults::FaultAction;
@@ -44,7 +44,8 @@ use crate::messages::MnId;
 use crate::mnld::Mnld;
 use crate::report::SimReport;
 use crate::rsmc::Rsmc;
-use mtnet_cellularip::{CipNetwork, CipTimers, HandoffKind, SemisoftController};
+use crate::scenario::ArchKind;
+use mtnet_cellularip::{CipNetwork, CipTimers, SemisoftController};
 use mtnet_mobileip::{ForeignAgent, HomeAgent};
 use mtnet_mobility::Point;
 use mtnet_net::{Addr, FlowId, NodeId, RouteCache, Topology};
@@ -52,27 +53,24 @@ use mtnet_radio::{CellId, CellMap, Measurement};
 use mtnet_sim::{Context, FxHashMap, LaneId, Model, RngStream, SimDuration, SimTime, Simulator};
 use mtnet_traffic::{ArrivalProcess, Cbr, FlowQos, OnOffVbr, ParetoWeb};
 
-/// Architecture and protocol switches for one experiment arm.
+/// One radio hop's air-interface latency (excluding serialization).
+const AIR_DELAY: SimDuration = SimDuration::from_millis(2);
+/// Radio retune time for a hard handoff.
+const RETUNE_DELAY: SimDuration = SimDuration::from_millis(10);
+
+/// Architecture and protocol settings for one experiment arm.
 #[derive(Debug, Clone, Copy)]
-pub struct WorldConfig {
+pub(crate) struct WorldConfig {
     /// Master seed for every random stream.
     pub seed: u64,
-    /// Deploy macro cells (macro-tier present).
-    pub has_macro: bool,
-    /// Deploy micro cells (micro-tier present).
-    pub has_micro: bool,
-    /// RSMCs active (location cache + HA/CN notification, §4).
-    pub rsmc_enabled: bool,
-    /// RSMC notifies the CN as well as the HA (route optimization).
-    pub notify_cn: bool,
-    /// Pure Mobile IP mode: no Cellular IP at all, every BS is its own FA.
-    pub mip_only: bool,
-    /// Micro-tier handoff scheme (hard vs semisoft).
-    pub handoff_kind: HandoffKind,
+    /// The architecture the world runs: which tiers it deploys, whether
+    /// RSMCs are active and how micro-tier handoffs go.
+    pub arch: ArchKind,
+    /// Bicast window of a semisoft handoff (read only when
+    /// [`ArchKind::semisoft`]).
+    pub semisoft_delay: SimDuration,
     /// Which §3.2 factors the decision engine uses.
     pub factors: crate::handoff::HandoffFactors,
-    /// Decision thresholds.
-    pub decision: crate::handoff::DecisionConfig,
     /// Cellular IP timers.
     pub cip_timers: CipTimers,
     /// Overrides the mobile node's route-update transmit period without
@@ -85,10 +83,6 @@ pub struct WorldConfig {
     pub location_period: SimDuration,
     /// Cell-table record time-limitation.
     pub table_lifetime: SimDuration,
-    /// One-way air-interface latency (excluding serialization).
-    pub air_delay: SimDuration,
-    /// Radio retune time for a hard handoff.
-    pub retune_delay: SimDuration,
     /// World-level aggregate QoS (metro scale): per-flow trackers skip
     /// their delay distribution and every delivered packet's delay
     /// streams into one constant-memory
@@ -137,25 +131,26 @@ impl Default for WorldConfig {
     fn default() -> Self {
         WorldConfig {
             seed: 1,
-            has_macro: true,
-            has_micro: true,
-            rsmc_enabled: true,
-            notify_cn: true,
-            mip_only: false,
-            handoff_kind: HandoffKind::default_semisoft(),
+            arch: ArchKind::multi_tier(),
+            // Cellular IP's usual window, `HandoffKind::default_semisoft`.
+            semisoft_delay: SimDuration::from_millis(100),
             factors: crate::handoff::HandoffFactors::all(),
-            decision: crate::handoff::DecisionConfig::default(),
             cip_timers: CipTimers::default(),
             route_update_period: None,
             move_sample: SimDuration::from_millis(200),
             location_period: SimDuration::from_secs(2),
             table_lifetime: SimDuration::from_secs(6),
-            air_delay: SimDuration::from_millis(2),
-            retune_delay: SimDuration::from_millis(10),
             aggregate_qos: false,
             load_curve: None,
             idle_camping: false,
         }
+    }
+}
+
+impl WorldConfig {
+    /// The semisoft bicast window, `None` when the arm hands off hard.
+    fn semisoft(&self) -> Option<SimDuration> {
+        self.arch.semisoft().then_some(self.semisoft_delay)
     }
 }
 
@@ -431,7 +426,6 @@ impl Model for World {
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<World>();
-    assert_send::<WorldConfig>();
     assert_send::<SimReport>();
 };
 

@@ -63,10 +63,13 @@ fn voice_delay_reflects_topology() {
 
 #[test]
 fn cn_route_optimization_reduces_delay() {
-    let run = |notify_cn: bool| {
-        let mut cfg = WorldConfig::default();
-        cfg.notify_cn = notify_cn;
-        let mut b = WorldBuilder::new(cfg);
+    // With the RSMC the CN learns the care-of address and sends direct;
+    // without it every packet takes the triangle through the HA.
+    let run = |arch: ArchKind| {
+        let mut b = WorldBuilder::new(WorldConfig {
+            arch,
+            ..WorldConfig::default()
+        });
         b.add_domain(DomainSpec::default());
         park(&mut b, Point::new(1500.0, 1500.0), &[FlowKind::Voice]);
         b.build()
@@ -74,8 +77,8 @@ fn cn_route_optimization_reduces_delay() {
             .aggregate_qos()
             .mean_delay_ms
     };
-    let optimized = run(true);
-    let triangle = run(false);
+    let optimized = run(ArchKind::multi_tier());
+    let triangle = run(ArchKind::multi_tier_no_rsmc());
     assert!(
         optimized + 5.0 < triangle,
         "CN notify should cut the HA detour: {optimized} !<< {triangle}"
@@ -261,10 +264,12 @@ fn channel_accounting_balances() {
 #[test]
 fn ha_intercepts_and_tunnels() {
     // After the run, the HA must have tunneled most CN traffic (unless the
-    // CN route cache bypassed it — so disable notify_cn).
-    let mut cfg = WorldConfig::default();
-    cfg.notify_cn = false;
-    let mut b = WorldBuilder::new(cfg);
+    // CN route cache bypassed it — so run without the RSMC that tells the
+    // CN where the node is).
+    let mut b = WorldBuilder::new(WorldConfig {
+        arch: ArchKind::multi_tier_no_rsmc(),
+        ..WorldConfig::default()
+    });
     b.add_domain(DomainSpec::default());
     park(&mut b, Point::new(1500.0, 1500.0), &[FlowKind::Voice]);
     let world = b.build();
@@ -347,9 +352,7 @@ fn signaling_scales_with_population() {
 #[test]
 fn queue_overflow_counted_under_congestion() {
     // Squeeze many video flows through one domain's access links.
-    let mut cfg = WorldConfig::default();
-    cfg.notify_cn = true;
-    let mut b = WorldBuilder::new(cfg);
+    let mut b = WorldBuilder::new(WorldConfig::default());
     b.add_domain(DomainSpec {
         n_micro: 2,
         ..DomainSpec::default()
@@ -646,9 +649,10 @@ fn a_full_bs_foreign_agent_denies_over_its_own_air_interface() {
     use mtnet_mobileip::{ForeignAgent, MnState};
     // Pure Mobile IP: the macro BS is the FA, and it has room for one
     // visitor. Two nodes park under it.
-    let mut cfg = WorldConfig::default();
-    ArchKind::PureMobileIp.apply(&mut cfg);
-    let mut b = WorldBuilder::new(cfg);
+    let mut b = WorldBuilder::new(WorldConfig {
+        arch: ArchKind::PureMobileIp,
+        ..WorldConfig::default()
+    });
     b.add_domain(DomainSpec::default());
     for _ in 0..2 {
         park(&mut b, Point::new(1500.0, 1500.0), &[]);

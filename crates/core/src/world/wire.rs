@@ -33,9 +33,7 @@ impl World {
         } else {
             SimDuration::from_secs_f64(altitude / 299_792_458.0)
         };
-        self.cfg.air_delay
-            + SimDuration::from_secs_f64(f64::from(bytes) * 8.0 / rate as f64)
-            + orbit
+        super::AIR_DELAY + SimDuration::from_secs_f64(f64::from(bytes) * 8.0 / rate as f64) + orbit
     }
 
     pub(super) fn alloc_packet(
@@ -298,7 +296,7 @@ impl World {
         //    at every node it passes — including the gateway it is
         //    addressed to, so this check precedes local consumption.
         if let Some(didx) = node_didx {
-            if !self.cfg.mip_only {
+            if !self.cfg.arch.mip_only() {
                 if let Payload::Cip(c) = payload {
                     self.handle_cip_climb(ctx, didx, node, from, c, pkt);
                     return;
@@ -315,7 +313,7 @@ impl World {
         // 4. Packet for a mobile node inside an access network this node
         //    belongs to: Cellular IP downlink / uplink handling.
         if let Some(didx) = node_didx {
-            if !self.cfg.mip_only {
+            if !self.cfg.arch.mip_only() {
                 if self.mn_of(dst).is_some() {
                     self.forward_downlink(ctx, didx, node, pkt);
                     return;
