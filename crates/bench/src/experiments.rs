@@ -372,11 +372,7 @@ fn e1_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
         "radio range m",
     ]);
     for kind in CellKind::ALL {
-        let pl = PathLoss {
-            exponent: kind.path_loss_exponent(),
-            ..PathLoss::clean(3.5)
-        };
-        let range = pl.range_for_threshold(kind.tx_power_dbm(), SENSITIVITY_DBM);
+        let range = PathLoss::of(kind).range_for_threshold(kind.tx_power_dbm(), SENSITIVITY_DBM);
         tiers.row([
             kind.to_string(),
             fmt_f64(kind.radius_m()),

@@ -26,6 +26,13 @@ use mtnet_core::spec::{ScenarioSpec, SeedSpec};
 use mtnet_metrics::Table;
 use mtnet_sim::runner::BatchRunner;
 
+/// Most cells one sweep may expand to — grid points times
+/// replications, and so also the most values one axis may hold. Sizes
+/// are counted with checked arithmetic before anything is allocated, so
+/// a hostile range or `--reps` is refused instead of aborting the
+/// process on a failed allocation.
+const MAX_SWEEP_CELLS: u64 = 100_000;
+
 /// One sweep axis: a spec key and the values it takes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Axis {
@@ -49,7 +56,7 @@ pub fn parse_axis(arg: &str) -> Result<Axis, String> {
     // unquoted, comma-free value containing `..` is a range.
     let is_range = values.contains("..") && !values.contains(',') && !values.contains('"');
     let expanded: Vec<String> = if is_range {
-        expand_range(arg, values)?
+        expand_range(arg, key, values)?
     } else {
         split_list(arg, values)?
     };
@@ -67,14 +74,21 @@ pub fn parse_axis(arg: &str) -> Result<Axis, String> {
 /// index multiplication `lo + k*step` — repeated addition would drift
 /// and drop or duplicate the endpoint cell when `(hi-lo)/step` is not
 /// exactly representable (e.g. `0.1..0.4..0.1` must yield 4 cells).
-fn expand_range(arg: &str, values: &str) -> Result<Vec<String>, String> {
+fn expand_range(arg: &str, key: &str, values: &str) -> Result<Vec<String>, String> {
     let (lo, rest) = values.split_once("..").expect("caller checked for ..");
     let (hi, step) = rest.split_once("..").unwrap_or((rest, "1"));
     let (lo, hi, step) = (lo.trim(), hi.trim(), step.trim());
+    let too_many =
+        || format!("axis {arg:?}: {key} must be a range of at most {MAX_SWEEP_CELLS} values");
     if let (Ok(lo), Ok(hi), Ok(step)) = (lo.parse::<i64>(), hi.parse::<i64>(), step.parse::<i64>())
     {
         if step <= 0 {
             return Err(format!("axis {arg:?}: step must be positive"));
+        }
+        // In i128 the span of any two i64s is exact.
+        let span = i128::from(hi) - i128::from(lo);
+        if span / i128::from(step) >= i128::from(MAX_SWEEP_CELLS) {
+            return Err(too_many());
         }
         return Ok((lo..=hi)
             .step_by(step as usize)
@@ -96,6 +110,9 @@ fn expand_range(arg: &str, values: &str) -> Result<Vec<String>, String> {
     let span = (fhi - flo) / fstep;
     if span < 0.0 {
         return Ok(Vec::new());
+    }
+    if span + 1e-9 >= MAX_SWEEP_CELLS as f64 {
+        return Err(too_many());
     }
     let count = (span + 1e-9).floor() as u64 + 1;
     // Render with the precision the user wrote, so 0.1+2*0.1 prints as
@@ -176,6 +193,25 @@ impl SweepPlan {
     pub fn cells(&self) -> Result<Vec<SweepCell>, String> {
         if self.replications == 0 {
             return Err("replications must be >= 1".into());
+        }
+        let mut points: u64 = 1;
+        for axis in &self.axes {
+            points = points
+                .checked_mul(axis.values.len() as u64)
+                .filter(|&n| n <= MAX_SWEEP_CELLS)
+                .ok_or_else(|| {
+                    format!(
+                        "{} must be narrower: the grid would pass {MAX_SWEEP_CELLS} cells",
+                        axis.key
+                    )
+                })?;
+        }
+        if points.saturating_mul(self.replications) > MAX_SWEEP_CELLS {
+            return Err(format!(
+                "--reps must be at most {} for {points} grid point(s), got {}",
+                MAX_SWEEP_CELLS / points,
+                self.replications
+            ));
         }
         let mut grid: Vec<Vec<(String, String)>> = vec![Vec::new()];
         for axis in &self.axes {
@@ -386,6 +422,19 @@ mod tests {
         assert!(parse_axis("noequals").is_err());
         assert!(parse_axis("x=").is_err());
         assert!(parse_axis("x=1..5..0").is_err());
+        // Sizes are counted before anything is allocated: the ceiling
+        // itself expands, one past it is refused naming the key.
+        let full = parse_axis(&format!("x=1..{MAX_SWEEP_CELLS}")).unwrap();
+        assert_eq!(full.values.len() as u64, MAX_SWEEP_CELLS);
+        for hostile in [
+            "domains=1..1000000000000",
+            &format!("domains=0..{MAX_SWEEP_CELLS}"),
+            "domains=-9223372036854775808..9223372036854775807",
+            "domains=0.0..1e300..1e-300",
+        ] {
+            let err = parse_axis(hostile).unwrap_err();
+            assert!(err.contains("domains must be"), "{hostile}: {err}");
+        }
     }
 
     #[test]
@@ -447,6 +496,27 @@ mod tests {
         };
         let err = plan.cells().unwrap_err();
         assert!(err.contains("replications"), "{err}");
+        // Too many is refused as early as none: checked counts, no
+        // allocation, and the message names the flag or the axis.
+        for replications in [1_000_000_000_000, u64::MAX] {
+            let err = SweepPlan {
+                replications,
+                ..plan.clone()
+            }
+            .cells()
+            .unwrap_err();
+            assert!(err.contains("--reps must be"), "{err}");
+        }
+        let wide = SweepPlan {
+            axes: vec![
+                parse_axis("domains=1..1000").unwrap(),
+                parse_axis("route_update_ms=1..1000").unwrap(),
+            ],
+            replications: 1,
+            ..plan
+        };
+        let err = wide.cells().unwrap_err();
+        assert!(err.contains("route_update_ms must be"), "{err}");
     }
 
     #[test]

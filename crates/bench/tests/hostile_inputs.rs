@@ -11,7 +11,8 @@
 //! different record than it prints as. The valid texts go through the
 //! same check first, which makes this the render/parse round-trip test
 //! of all four formats; texts of a retired format (the `v1` lease and
-//! quarantine record) must instead be an `Err`, and are mutated too. A
+//! quarantine record) or of a hostile size (an axis range past the
+//! sweep's cell ceiling) must instead be an `Err`, and are mutated too. A
 //! flag value has no renderer of its own: a count renders as its digits,
 //! an axis as `key=v1,v2,…` (see [`render_axis`]).
 
@@ -90,9 +91,9 @@ enum Seed {
     Canonical,
     /// Parses (hand-written, so it may render differently).
     Valid,
-    /// A retired format: must be an `Err`, but its mutants are driven
-    /// all the same.
-    Retired,
+    /// A retired format or a hostile size: must be an `Err`, but its
+    /// mutants are driven all the same.
+    Refused,
 }
 
 /// Runs the driver over one record type.
@@ -109,7 +110,7 @@ fn torture<T: PartialEq + Debug, E: PartialEq + Debug + Display>(
             (Ok(valid), Seed::Canonical) => {
                 assert_eq!(&render(&valid), text, "{record} text {i} is not canonical")
             }
-            (Ok(_), Seed::Valid) | (Err(_), Seed::Retired) => {}
+            (Ok(_), Seed::Valid) | (Err(_), Seed::Refused) => {}
             (got, _) => panic!("{record} text {i} ({seed:?}): {got:?}\n{text}"),
         }
         let other = &texts[(i + 1) % texts.len()].0;
@@ -200,7 +201,7 @@ fn leases() {
             Seed::Canonical,
         ),
         (lease(0, 0, "domains=2 rep=0").render(), Seed::Canonical),
-        (PARENT_LEASE.to_string(), Seed::Retired),
+        (PARENT_LEASE.to_string(), Seed::Refused),
     ];
     torture("lease", &texts, Lease::parse, Lease::render);
 }
@@ -215,7 +216,7 @@ fn poison_records() {
     let texts = [
         (poison(4, "").render(), Seed::Canonical),
         (poison(1, "domains=2 rep=0").render(), Seed::Canonical),
-        (PARENT_POISON.to_string(), Seed::Retired),
+        (PARENT_POISON.to_string(), Seed::Refused),
     ];
     torture("poison", &texts, Poison::parse, Poison::render);
 }
@@ -242,6 +243,8 @@ fn axis_flags() {
     let texts = [
         ("route_update_ms=100,200".to_string(), Seed::Canonical),
         ("duration_s=1..3..1".to_string(), Seed::Valid),
+        // Past the sweep's cell ceiling: refused before any allocation.
+        ("domains=1..1000000000000".to_string(), Seed::Refused),
     ];
     torture("--axis", &texts, parse_axis, render_axis);
 }

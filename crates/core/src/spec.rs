@@ -942,7 +942,7 @@ impl ScenarioSpec {
     pub fn validate(&self) -> Result<(), SpecError> {
         SPEC.check(self)?;
         // Home addresses are allocated arithmetically, 250 per /24 under
-        // the (widened-as-needed) 10/8 home prefix — see
+        // the HA's 10/8 home prefix — see
         // `crate::world::mn::home_addr`. 16M is the last population whose
         // subnet octets stay inside that prefix.
         const MAX_POPULATION: u64 = 16_000_000;

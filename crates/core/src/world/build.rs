@@ -131,7 +131,9 @@ impl WorldBuilder {
                 ..LinkConfig::backbone()
             },
         );
-        let home_prefix: Prefix = "10.0.0.0/16".parse().expect("static prefix");
+        // The HA owns all of 10/8, so every arithmetic home address is
+        // home at any population; nothing else is allocated there.
+        let home_prefix: Prefix = "10.0.0.0/8".parse().expect("static prefix");
         let ha = HomeAgent::new(ha_addr, home_prefix);
         WorldBuilder {
             master_rng: RngStream::from_seed(cfg.seed),
@@ -306,9 +308,7 @@ impl WorldBuilder {
 
     /// Adds a mobile node walking `model` from `start`, with the given
     /// flows. Home addresses are arithmetic (dense, 250 per /24 from
-    /// 10.0.2.1 — see `mn::home_addr`); populations past the
-    /// 10.0.0.0/16 capacity widen the home prefix to /8 at
-    /// [`WorldBuilder::build`].
+    /// 10.0.2.1 — see `mn::home_addr`) inside the HA's 10.0.0.0/8.
     ///
     /// # Panics
     ///
@@ -405,21 +405,6 @@ impl WorldBuilder {
             .enumerate()
             .map(|(i, f)| (f.flow, i))
             .collect();
-        // Metro populations overflow the default 10.0.0.0/16 home
-        // prefix; widen it to /8 so the HA still owns every arithmetic
-        // home address (routing only tests containment — nothing else
-        // reads the prefix length).
-        let mut ha = self.ha;
-        if self.mns.len() > super::mn::MAX_SLASH16_MNS {
-            let wide: Prefix = "10.0.0.0/8".parse().expect("static prefix");
-            ha = HomeAgent::new(ha.addr(), wide);
-            for p in &mut prefixes {
-                if p.1 == self.ha_node {
-                    p.0 = wide;
-                }
-            }
-            prefixes.sort_by(|a, b| b.0.len().cmp(&a.0.len()));
-        }
         // Per-length masked maps mirroring the sorted scan (see
         // `World::prefix_probe`): one `(mask, network → owner)` pair per
         // distinct prefix length, longest first.
@@ -461,7 +446,7 @@ impl WorldBuilder {
             node_domain,
             rsmc_addr_domain,
             rsmc_node_domain,
-            ha,
+            ha: self.ha,
             internet_node: self.internet_node,
             ha_node: self.ha_node,
             cn_node: self.cn_node,

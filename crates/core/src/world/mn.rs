@@ -83,11 +83,6 @@ const MN_PER_SUBNET: u32 = 250;
 /// First home address, 10.0.2.1 — subnet octets count up from here.
 const MN_BASE: u32 = (10 << 24) | (2 << 8) | 1;
 
-/// Largest population whose home addresses fit the default 10.0.0.0/16
-/// home prefix (subnet octet pairs 10.0.2.x .. 10.0.255.x). Beyond this
-/// the builder widens the home prefix to 10.0.0.0/8.
-pub(crate) const MAX_SLASH16_MNS: usize = 254 * MN_PER_SUBNET as usize;
-
 /// Home address of the `idx`-th mobile node. Dense: 250 nodes per /24,
 /// subnets counting up from 10.0.2.0/24 (identical to the historical
 /// allocator for the first 250 nodes).
@@ -522,10 +517,11 @@ mod tests {
 
     #[test]
     fn slash16_capacity_boundary() {
-        // The last /16-resident address is 10.0.255.250.
-        let last = home_addr(MAX_SLASH16_MNS as u32 - 1);
+        // Subnets 10.0.2.x .. 10.0.255.x hold 254 × 250 nodes; the next
+        // one rolls the second octet over.
+        let last = home_addr(254 * 250 - 1);
         assert_eq!(last, "10.0.255.250".parse().unwrap());
-        let first_outside = home_addr(MAX_SLASH16_MNS as u32);
+        let first_outside = home_addr(254 * 250);
         assert_eq!(first_outside, "10.1.0.1".parse().unwrap());
     }
 

@@ -7,8 +7,10 @@
 //! * [`CellKind`] — the four tiers with realistic default parameters.
 //! * [`Cell`] / [`CellId`] — one base station's coverage area and channel
 //!   pool.
-//! * [`PathLoss`] — log-distance path loss with deterministic per-location
-//!   shadowing, yielding received power in dBm.
+//! * [`PathLoss`] — log-distance path loss, one exponent per tier and no
+//!   shadowing: received power in dBm is the tier's transmit power minus
+//!   its [`PathLoss::of`] loss over the distance (the slant range for the
+//!   satellite).
 //! * [`ChannelPool`] — channels with guard-channel admission (handoff calls
 //!   get priority over new calls, the classic multi-tier admission scheme
 //!   of the paper's refs \[6]/\[7]).
@@ -20,7 +22,7 @@
 //! use mtnet_mobility::Point;
 //! use mtnet_net::NodeId;
 //!
-//! let mut map = CellMap::new(42);
+//! let mut map = CellMap::without_shadowing();
 //! map.add(Cell::new(CellId(0), CellKind::Macro, Point::new(0.0, 0.0), NodeId(0)));
 //! map.add(Cell::new(CellId(1), CellKind::Micro, Point::new(100.0, 0.0), NodeId(1)));
 //! // Right next to the micro BS, the micro cell is the best server.

@@ -128,9 +128,6 @@ pub struct CellMap {
     cells: Vec<Option<Cell>>,
     /// Number of `Some` entries in `cells`.
     count: usize,
-    path_loss: PathLoss,
-    /// Extra seed decorrelating shadowing between experiment repetitions.
-    shadow_seed: u64,
     /// Administrative outage flags, dense by id (fault injection: BS
     /// outages, satellite eclipses). A downed cell stays placed — its
     /// geometry, channels and grid entries survive — but every
@@ -173,27 +170,15 @@ impl CellMap {
     /// (bit-identical — see [`CellMap::measure_batch`]).
     const BATCH_FULL_SWEEP_MAX: usize = 256;
 
-    /// Creates an empty map with default (shadowed urban) propagation.
-    pub fn new(shadow_seed: u64) -> Self {
-        CellMap {
-            cells: Vec::new(),
-            count: 0,
-            path_loss: PathLoss::default(),
-            shadow_seed,
-            down: Vec::new(),
-            grid: GridIndex::default(),
-            soa: CellSoa::default(),
-        }
-    }
-
-    /// Creates a map with shadowing disabled — controlled experiments where
-    /// handoff points must be exactly reproducible from geometry.
+    /// Creates an empty map, the only constructor. A cell's received
+    /// power follows its tier's [`PathLoss::of`] with no shadowing term,
+    /// so handoff points are reproducible from geometry. The name is
+    /// older than that: a shadowed constructor once stood beside it,
+    /// and the repository benchmark still calls this one by name.
     pub fn without_shadowing() -> Self {
         CellMap {
             cells: Vec::new(),
             count: 0,
-            path_loss: PathLoss::clean(3.5),
-            shadow_seed: 0,
             down: Vec::new(),
             grid: GridIndex::default(),
             soa: CellSoa::default(),
@@ -255,9 +240,7 @@ impl CellMap {
     /// invisible to every measurement path — the `measure_one`-derived
     /// scans, [`CellMap::measure_batch`], and the per-packet
     /// [`CellMap::rssi_if_covered`] probe all report silence — so a cell
-    /// is never simultaneously "placed" and "audible-while-failed". The
-    /// raw physics probe [`CellMap::rssi_dbm`] is deliberately untouched:
-    /// outage is an administrative condition, not a propagation one.
+    /// is never simultaneously "placed" and "audible-while-failed".
     /// Returns whether the state changed.
     ///
     /// # Panics
@@ -274,38 +257,18 @@ impl CellMap {
         changed
     }
 
-    /// Received power of `cell` at `at`, in dBm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell id is unknown.
-    pub fn rssi_dbm(&self, cell: CellId, at: Point) -> f64 {
-        let c = self.cell(cell).expect("unknown cell id");
-        self.rssi_from_ground(c, c.center().distance(at), at)
-    }
-
-    /// Received power given the ground distance already computed (the
-    /// coverage check pays the `hypot`; this reuses it). Same arithmetic
-    /// as [`CellMap::rssi_dbm`], bit for bit.
-    fn rssi_from_ground(&self, c: &Cell, ground: f64, at: Point) -> f64 {
-        // The configured model supplies reference loss and shadowing; the
-        // exponent is tier-specific so nominal footprints are radio-true.
-        let pl = crate::PathLoss {
-            exponent: c.kind().path_loss_exponent(),
-            ..self.path_loss
-        };
-        if c.kind().altitude_m() > 0.0 {
-            // Orbital transmitter: free-space over the slant range, no
-            // terrestrial shadowing model.
-            c.kind().tx_power_dbm() - pl.mean_loss_db(ground.hypot(c.kind().altitude_m()))
+    /// Received power of `c`, in dBm, at a receiver `ground` meters
+    /// from its base station (the coverage check pays the `hypot`; this
+    /// reuses it). The loss runs over the slant range for an orbital
+    /// transmitter.
+    fn rssi_from_ground(c: &Cell, ground: f64) -> f64 {
+        let kind = c.kind();
+        let d = if kind.altitude_m() > 0.0 {
+            ground.hypot(kind.altitude_m())
         } else {
-            pl.rx_power_dbm_with_distance(
-                c.kind().tx_power_dbm(),
-                ground,
-                at,
-                u64::from(c.id().0) ^ self.shadow_seed,
-            )
-        }
+            ground
+        };
+        kind.tx_power_dbm() - PathLoss::of(kind).mean_loss_db(d)
     }
 
     /// Received power at `at` when `at` lies inside the cell's nominal
@@ -321,7 +284,7 @@ impl CellMap {
         if ground > c.radius_m() {
             return None;
         }
-        Some(self.rssi_from_ground(c, ground, at))
+        Some(Self::rssi_from_ground(c, ground))
     }
 
     /// One audible-cell measurement, or `None` if the cell fails the tier
@@ -341,7 +304,7 @@ impl CellMap {
         let m = Measurement {
             cell,
             kind: c.kind(),
-            rssi_dbm: self.rssi_from_ground(c, ground, at),
+            rssi_dbm: Self::rssi_from_ground(c, ground),
             free_ratio: c.free_resource_ratio(),
         };
         (m.rssi_dbm >= SENSITIVITY_DBM).then_some(m)
@@ -418,7 +381,7 @@ impl CellMap {
                 let m = Measurement {
                     cell: c.id(),
                     kind: c.kind(),
-                    rssi_dbm: self.rssi_from_ground(c, ground, at),
+                    rssi_dbm: Self::rssi_from_ground(c, ground),
                     free_ratio: c.free_resource_ratio(),
                 };
                 if m.rssi_dbm >= SENSITIVITY_DBM {
@@ -559,7 +522,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate cell id")]
     fn duplicate_id_rejected() {
-        let mut map = CellMap::new(0);
+        let mut map = CellMap::without_shadowing();
         map.add(Cell::new(
             CellId(0),
             CellKind::Pico,
@@ -615,7 +578,7 @@ mod tests {
     /// (satellite) list both participate: a 7×5 micro lattice under
     /// three macros and one satellite overlay.
     fn lattice_with_overlay() -> CellMap {
-        let mut map = CellMap::new(7);
+        let mut map = CellMap::without_shadowing();
         let mut next = 0u32;
         let mut add = |map: &mut CellMap, kind, p| {
             let id = CellId(next);
@@ -666,19 +629,37 @@ mod tests {
         }
     }
 
+    /// The one propagation model, pinned: each tier's received power is
+    /// `tx − (40 + 10·n·log10 d)` over the ground range (the slant range
+    /// for the satellite), bit for bit on the per-packet probe and in the
+    /// scan.
     #[test]
-    fn shadowing_decorrelates_repetitions() {
-        let mk = |seed| {
-            let mut m = CellMap::new(seed);
-            m.add(Cell::new(
-                CellId(0),
-                CellKind::Macro,
-                Point::ORIGIN,
-                NodeId(0),
-            ));
-            m.rssi_dbm(CellId(0), Point::new(500.0, 500.0))
-        };
-        assert_ne!(mk(1), mk(2));
-        assert_eq!(mk(1), mk(1));
+    fn received_power_is_the_tier_log_distance_model() {
+        let center = Point::new(1_000.0, -500.0);
+        for kind in CellKind::ALL {
+            let mut map = CellMap::without_shadowing();
+            let id = map.add(Cell::new(CellId(3), kind, center, NodeId(0)));
+            for f in [0.1, 0.5, 0.99] {
+                let r = f * kind.radius_m();
+                let at = Point::new(center.x + 0.6 * r, center.y - 0.8 * r);
+                let ground = center.distance(at);
+                let d = if kind == CellKind::Satellite {
+                    ground.hypot(kind.altitude_m())
+                } else {
+                    ground
+                };
+                let want =
+                    kind.tx_power_dbm() - (40.0 + 10.0 * kind.path_loss_exponent() * d.log10());
+                let probe = map.rssi_if_covered(id, at).expect("inside the footprint");
+                assert_eq!(probe.to_bits(), want.to_bits(), "{kind} probe at {at:?}");
+                let scan = map.measure_full_scan(at, None);
+                assert_eq!(scan.len(), 1, "{kind} audible at {at:?}");
+                assert_eq!(
+                    scan[0].rssi_dbm.to_bits(),
+                    want.to_bits(),
+                    "{kind} scan at {at:?}"
+                );
+            }
+        }
     }
 }

@@ -1,99 +1,35 @@
-//! Log-distance path loss with deterministic shadowing.
+//! Log-distance path loss, one exponent per tier.
 
-use mtnet_mobility::Point;
-use serde::{Deserialize, Serialize};
+use crate::cell::CellKind;
 
-/// Log-distance path-loss model with optional log-normal shadowing:
+/// Log-distance path-loss model:
 ///
-/// `PL(d) = PL(d0) + 10·n·log10(d/d0) + X_sigma`
+/// `PL(d) = PL(1 m) + 10·n·log10(d / 1 m)`
 ///
-/// Shadowing is **deterministic per (cell, location grid square)** — a hash
-/// of the transmitter id and the receiver's 10 m grid square seeds the
-/// shadowing sample. This captures the spatial correlation that matters for
-/// handoff (a node walking through a shadow sees it consistently, so
-/// hysteresis is actually exercised) while keeping runs reproducible
-/// without threading an RNG through every signal measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Every world computes received power as `tx − PL(d)` with the
+/// receiving tier's exponent (see [`PathLoss::of`]); there is no
+/// shadowing term, so a handoff point follows from geometry alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLoss {
     /// Path-loss exponent (2 free space … 4 dense urban).
     pub exponent: f64,
     /// Reference loss at 1 m, in dB.
     pub ref_loss_db: f64,
-    /// Shadowing standard deviation, in dB (0 disables shadowing).
-    pub shadow_sigma_db: f64,
-}
-
-impl Default for PathLoss {
-    /// Urban-ish defaults: exponent 3.5, 40 dB at 1 m, 6 dB shadowing.
-    fn default() -> Self {
-        PathLoss {
-            exponent: 3.5,
-            ref_loss_db: 40.0,
-            shadow_sigma_db: 6.0,
-        }
-    }
 }
 
 impl PathLoss {
-    /// Free-space-like propagation without shadowing (unit tests,
-    /// controlled experiments).
-    pub fn clean(exponent: f64) -> Self {
+    /// The model of one tier: its exponent over 40 dB at 1 m.
+    pub fn of(kind: CellKind) -> Self {
         PathLoss {
-            exponent,
+            exponent: kind.path_loss_exponent(),
             ref_loss_db: 40.0,
-            shadow_sigma_db: 0.0,
         }
     }
 
-    /// Mean path loss at distance `d` meters (no shadowing term).
+    /// Mean path loss at distance `d` meters.
     pub fn mean_loss_db(&self, d: f64) -> f64 {
         let d = d.max(1.0); // inside 1 m, use the reference loss
         self.ref_loss_db + 10.0 * self.exponent * d.log10()
-    }
-
-    /// Deterministic shadowing sample for a (transmitter, position) pair.
-    fn shadow_db(&self, tx_seed: u64, at: Point) -> f64 {
-        if self.shadow_sigma_db == 0.0 {
-            return 0.0;
-        }
-        // 10 m grid squares: same shadow while the node stays in a square.
-        let gx = (at.x / 10.0).floor() as i64;
-        let gy = (at.y / 10.0).floor() as i64;
-        let mut h = tx_seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(gx as u64)
-            .rotate_left(17)
-            .wrapping_add(gy as u64);
-        // splitmix-style finalize
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        // Two uniforms -> one Box-Muller normal.
-        let u1 = ((h >> 11) as f64 / (1u64 << 53) as f64).max(f64::MIN_POSITIVE);
-        let u2 = (h & 0xFFFF_FFFF) as f64 / 4294967296.0;
-        let n = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        n * self.shadow_sigma_db
-    }
-
-    /// Received power at `at` from a transmitter at `tx` radiating
-    /// `tx_power_dbm`, in dBm. `tx_seed` identifies the transmitter for
-    /// shadowing decorrelation (use the cell id).
-    pub fn rx_power_dbm(&self, tx_power_dbm: f64, tx: Point, at: Point, tx_seed: u64) -> f64 {
-        self.rx_power_dbm_with_distance(tx_power_dbm, tx.distance(at), at, tx_seed)
-    }
-
-    /// [`PathLoss::rx_power_dbm`] with the transmitter distance already in
-    /// hand — hot paths that needed the distance for a coverage check
-    /// reuse it instead of paying a second `hypot`. Identical arithmetic,
-    /// identical bits.
-    pub fn rx_power_dbm_with_distance(
-        &self,
-        tx_power_dbm: f64,
-        distance: f64,
-        at: Point,
-        tx_seed: u64,
-    ) -> f64 {
-        tx_power_dbm - self.mean_loss_db(distance) + self.shadow_db(tx_seed, at)
     }
 
     /// The distance at which mean received power falls to `threshold_dbm`
@@ -113,9 +49,16 @@ pub const SENSITIVITY_DBM: f64 = -100.0;
 mod tests {
     use super::*;
 
+    fn model(exponent: f64) -> PathLoss {
+        PathLoss {
+            exponent,
+            ref_loss_db: 40.0,
+        }
+    }
+
     #[test]
     fn loss_increases_with_distance() {
-        let pl = PathLoss::clean(3.0);
+        let pl = model(3.0);
         let l10 = pl.mean_loss_db(10.0);
         let l100 = pl.mean_loss_db(100.0);
         let l1000 = pl.mean_loss_db(1000.0);
@@ -127,91 +70,29 @@ mod tests {
 
     #[test]
     fn sub_meter_clamps_to_reference() {
-        let pl = PathLoss::clean(3.0);
+        let pl = model(3.0);
         assert_eq!(pl.mean_loss_db(0.0), pl.ref_loss_db);
         assert_eq!(pl.mean_loss_db(0.5), pl.ref_loss_db);
         assert_eq!(pl.mean_loss_db(1.0), pl.ref_loss_db);
     }
 
     #[test]
-    fn rx_power_monotone_without_shadowing() {
-        let pl = PathLoss::clean(3.5);
-        let tx = Point::ORIGIN;
-        let near = pl.rx_power_dbm(30.0, tx, Point::new(50.0, 0.0), 1);
-        let far = pl.rx_power_dbm(30.0, tx, Point::new(500.0, 0.0), 1);
-        assert!(near > far);
-    }
-
-    #[test]
-    fn shadowing_deterministic_per_grid_square() {
-        let pl = PathLoss::default();
-        let tx = Point::ORIGIN;
-        let a = pl.rx_power_dbm(30.0, tx, Point::new(101.0, 55.0), 7);
-        let b = pl.rx_power_dbm(30.0, tx, Point::new(101.0, 55.0), 7);
-        assert_eq!(a, b, "same location must give same power");
-        // Same grid square (10 m) -> same shadow, so difference equals the
-        // mean-loss difference only.
-        let c = pl.rx_power_dbm(30.0, tx, Point::new(102.0, 56.0), 7);
-        let mean_delta = pl.mean_loss_db(Point::new(102.0, 56.0).distance(tx))
-            - pl.mean_loss_db(Point::new(101.0, 55.0).distance(tx));
-        assert!(((a - c) - mean_delta).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shadowing_varies_across_squares_and_transmitters() {
-        let pl = PathLoss::default();
-        let tx = Point::ORIGIN;
-        let p1 = Point::new(100.0, 0.0);
-        let p2 = Point::new(200.0, 0.0);
-        let shadow = |p: Point, seed: u64| {
-            pl.rx_power_dbm(30.0, tx, p, seed) + pl.mean_loss_db(tx.distance(p)) - 30.0
-        };
-        assert_ne!(shadow(p1, 1), shadow(p2, 1), "different squares differ");
-        assert_ne!(
-            shadow(p1, 1),
-            shadow(p1, 2),
-            "different transmitters differ"
-        );
-    }
-
-    #[test]
-    fn shadowing_statistics_plausible() {
-        let pl = PathLoss {
-            shadow_sigma_db: 8.0,
-            ..PathLoss::default()
-        };
-        let tx = Point::ORIGIN;
-        let mut sum = 0.0;
-        let mut sum2 = 0.0;
-        let n = 2000;
-        for i in 0..n {
-            let p = Point::new(10.0 * i as f64 + 5.0, 10_000.0);
-            let s = pl.rx_power_dbm(30.0, tx, p, 3) + pl.mean_loss_db(tx.distance(p)) - 30.0;
-            sum += s;
-            sum2 += s * s;
-        }
-        let mean = sum / n as f64;
-        let var = sum2 / n as f64 - mean * mean;
-        assert!(mean.abs() < 1.0, "shadow mean {mean} should be ~0");
-        assert!(
-            (var.sqrt() - 8.0).abs() < 1.0,
-            "shadow sd {} should be ~8",
-            var.sqrt()
-        );
-    }
-
-    #[test]
     fn range_for_threshold_inverts_loss() {
-        let pl = PathLoss::clean(3.5);
-        let d = pl.range_for_threshold(43.0, SENSITIVITY_DBM);
-        let rx = pl.rx_power_dbm(43.0, Point::ORIGIN, Point::new(d, 0.0), 1);
-        assert!((rx - SENSITIVITY_DBM).abs() < 0.01, "rx at range: {rx}");
+        for kind in CellKind::ALL {
+            let pl = PathLoss::of(kind);
+            let d = pl.range_for_threshold(kind.tx_power_dbm(), SENSITIVITY_DBM);
+            let rx = kind.tx_power_dbm() - pl.mean_loss_db(d);
+            assert!(
+                (rx - SENSITIVITY_DBM).abs() < 0.01,
+                "{kind} rx at range: {rx}"
+            );
+        }
     }
 
     #[test]
     fn higher_exponent_shrinks_range() {
-        let loose = PathLoss::clean(2.5).range_for_threshold(30.0, -90.0);
-        let dense = PathLoss::clean(4.0).range_for_threshold(30.0, -90.0);
+        let loose = model(2.5).range_for_threshold(30.0, -90.0);
+        let dense = model(4.0).range_for_threshold(30.0, -90.0);
         assert!(dense < loose);
     }
 }

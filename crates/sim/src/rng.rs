@@ -1,6 +1,6 @@
 //! Deterministic random-number streams.
 //!
-//! Every stochastic component of a simulation (mobility, traffic, shadowing,
+//! Every stochastic component of a simulation (mobility, traffic, faults,
 //! …) draws from its own [`RngStream`], derived from a single master seed and
 //! a stable stream label. Two benefits:
 //!

@@ -210,7 +210,7 @@ proptest! {
         tier_filter in 0usize..5,
     ) {
         let kinds = [CellKind::Pico, CellKind::Micro, CellKind::Macro, CellKind::Satellite];
-        let mut map = CellMap::new(7);
+        let mut map = CellMap::without_shadowing();
         for (i, &(x, y, k)) in cells.iter().enumerate() {
             map.add(Cell::new(
                 CellId(i as u32),
@@ -852,7 +852,7 @@ proptest! {
         tier_filter in 0usize..5,
     ) {
         let kinds = [CellKind::Pico, CellKind::Micro, CellKind::Macro, CellKind::Satellite];
-        let mut map = CellMap::new(11);
+        let mut map = CellMap::without_shadowing();
         for (i, &(x, y, k)) in cells.iter().enumerate() {
             map.add(Cell::new(
                 CellId(i as u32),
@@ -1109,8 +1109,8 @@ proptest! {
         probe in (-12_000.0f64..12_000.0, -12_000.0f64..12_000.0),
     ) {
         let kinds = [CellKind::Pico, CellKind::Micro, CellKind::Macro, CellKind::Satellite];
-        let mut map = CellMap::new(5);
-        let mut reference = CellMap::new(5);
+        let mut map = CellMap::without_shadowing();
+        let mut reference = CellMap::without_shadowing();
         for (i, &(x, y, k)) in cells.iter().enumerate() {
             let cell = Cell::new(CellId(i as u32), kinds[k], Point::new(x, y), NodeId(i as u32));
             map.add(cell.clone());
