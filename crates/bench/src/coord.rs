@@ -558,7 +558,7 @@ pub enum CellState {
     /// `<key>.run` holds the cell's result.
     Complete(StoredRun),
     /// No result yet; a worker's lease (live or stale) is on the cell.
-    Leased(Lease),
+    Leased,
     /// No result; given up on after repeated worker deaths.
     Quarantined(Poison),
     /// No result, no quarantine record, no readable lease.
@@ -578,9 +578,10 @@ pub fn cell_state(store: &ResultStore, cell: &SweepCell, master_seed: u64) -> Ce
         return CellState::Quarantined(poison);
     }
     let lease = std::fs::read_to_string(store.dir().join(format!("{key}.lease")));
-    match lease.ok().and_then(|text| Lease::parse(&text).ok()) {
-        Some(lease) => CellState::Leased(lease),
-        None => CellState::Missing,
+    if lease.is_ok_and(|text| Lease::parse(&text).is_ok()) {
+        CellState::Leased
+    } else {
+        CellState::Missing
     }
 }
 
@@ -663,7 +664,7 @@ pub fn collect_grid(
                 grid.quarantined += 1;
                 (None, format!("quarantined ({} failures)", poison.failures))
             }
-            CellState::Leased(_) | CellState::Missing => {
+            CellState::Leased | CellState::Missing => {
                 grid.missing += 1;
                 (None, "missing".to_string())
             }
@@ -760,7 +761,7 @@ pub fn report_sweep(
                     poisoned += 1;
                     out.quarantined_cells.push(cell.label.clone());
                 }
-                CellState::Leased(_) | CellState::Missing => out.missing += 1,
+                CellState::Leased | CellState::Missing => out.missing += 1,
             }
         }
         out.points += 1;
@@ -1135,7 +1136,8 @@ mod tests {
         // The "events" column of point vehicles=1 must be the by-hand
         // mean ± ci95 of its two replications.
         let mut by_hand = Replicates::new();
-        for run in &outcome.runs[0..2] {
+        for cell in &plan.cells().unwrap()[0..2] {
+            let run = store.load(&cell.spec.render(), 42).expect("stored");
             by_hand.record("events", run.metric("events").unwrap().as_f64());
         }
         let expected = fmt_aggregate("events", &by_hand);

@@ -88,14 +88,6 @@ pub fn find(id: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.id.eq_ignore_ascii_case(id))
 }
 
-/// The declarative simulation arms of one experiment, in submission
-/// order (empty for E5 and unknown ids). The golden test pins these
-/// texts; the sweep engine's families compose the same presets.
-pub fn arm_specs(id: &str, effort: Effort) -> Vec<ScenarioSpec> {
-    let arms = find(id).map_or_else(Vec::new, |e| (e.arms)(effort));
-    arms.into_iter().map(|(_, spec)| spec).collect()
-}
-
 /// Runs every arm through a worker pool `opts.threads` wide, each at
 /// `opts.shards` shards when that is set; the runs come back in
 /// submission order, label and spec still attached to their report.
@@ -1074,11 +1066,20 @@ fn e14_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
 mod tests {
     use super::*;
 
+    /// The declarative simulation arms of one experiment, in submission
+    /// order (empty for E5).
+    fn arm_specs(id: &str, effort: Effort) -> Vec<ScenarioSpec> {
+        let arms = (find(id).expect("a known id").arms)(effort);
+        arms.into_iter().map(|(_, spec)| spec).collect()
+    }
+
     #[test]
     fn e1_is_complete() {
         let r = find("E1").unwrap().run(RunOptions::new(Effort::Quick, 1));
         assert_eq!(r.tables.len(), 3);
-        assert_eq!(r.tables[0].1.len(), 4, "one row per tier");
+        // Borders, the header and one row per tier.
+        let lines = r.tables[0].1.to_string().lines().count();
+        assert_eq!(lines, 4 + 4, "one row per tier");
         let threshold = format!("threshold: {} m/s", Tier::SPEED_THRESHOLD_MPS);
         assert!(r.notes[1].ends_with(&threshold), "{}", r.notes[1]);
     }
@@ -1096,8 +1097,8 @@ mod tests {
                     e.id
                 );
             }
-            let specs: Vec<ScenarioSpec> = arms.iter().map(|(_, s)| s.clone()).collect();
-            assert_eq!(arm_specs(&e.id.to_lowercase(), Effort::Quick), specs);
+            let lower = find(&e.id.to_lowercase()).map(|found| found.id);
+            assert_eq!(lower, Some(e.id), "ids look up case-insensitively");
         }
         assert_eq!(crate::ALL_IDS.len(), EXPERIMENTS.len());
     }
@@ -1148,7 +1149,7 @@ mod tests {
         // Every simulation arm across the whole suite resolves to a
         // distinct world seed, and the derivation matches the historical
         // (experiment, arm, replication) convention.
-        use mtnet_sim::rng::replication_seed;
+        use mtnet_sim::rng::seed_for_path;
         let mut seen = std::collections::HashMap::new();
         for id in crate::ALL_IDS {
             for (i, spec) in arm_specs(id, Effort::Quick).iter().enumerate() {
@@ -1161,7 +1162,7 @@ mod tests {
         let e2 = &arm_specs("E2", Effort::Quick)[0];
         assert_eq!(
             e2.resolve_seed(42),
-            replication_seed(42, "E2", "pure-mobile-ip", 0)
+            seed_for_path(42, &["E2", "pure-mobile-ip"], 0)
         );
         assert_ne!(e2.resolve_seed(42), e2.resolve_seed(43));
     }

@@ -6,7 +6,7 @@
 //! and the tests and CI smokes (short Quick-effort runs).
 //!
 //! Every experiment's arms and replications are declarative
-//! `mtnet_core::spec::ScenarioSpec`s (see [`experiments::arm_specs`])
+//! `mtnet_core::spec::ScenarioSpec`s (see [`experiments::Experiment`])
 //! executed **concurrently** through `mtnet_sim::runner::BatchRunner`
 //! ([`RunOptions::threads`]; 1 forces the sequential path), with per-run
 //! sub-seeds derived from the `(experiment, architecture, replication)`
@@ -23,7 +23,7 @@
 //!
 //! The fourteen experiments — id, paper artifact, arms, tables — are
 //! declared once, in [`experiments::EXPERIMENTS`]; [`ALL_IDS`],
-//! [`run_one`] and [`experiments::arm_specs`] are lookups into it.
+//! [`run_one`] and [`experiments::find`] are lookups into it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -82,9 +82,10 @@ pub struct RunOptions {
     pub shards: Option<u32>,
 }
 
+#[cfg(test)]
 impl RunOptions {
     /// One worker per core, every arm at its spec's own shard count.
-    pub fn new(effort: Effort, seed: u64) -> Self {
+    fn new(effort: Effort, seed: u64) -> Self {
         RunOptions {
             effort,
             seed,

@@ -371,16 +371,6 @@ impl ResultStore {
             })
             .unwrap_or_default()
     }
-
-    /// Number of completed cells currently stored.
-    pub fn len(&self) -> usize {
-        self.keys().len()
-    }
-
-    /// True when no cells are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -407,7 +397,7 @@ mod tests {
         let store = tmp_store("verify");
         let run = sample_run();
         store.save(&run).expect("save");
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.keys().len(), 1);
         let hit = store.load(&run.spec_text, 42).expect("hit");
         assert_eq!(hit, run);
         // Same key file, different master seed: must miss.

@@ -287,8 +287,6 @@ pub struct SweepOutcome {
     pub computed: usize,
     /// Cells answered from the result store.
     pub loaded: usize,
-    /// Per-cell stored runs, in cell order (fresh and loaded alike).
-    pub runs: Vec<StoredRun>,
 }
 
 impl SweepOutcome {
@@ -401,7 +399,6 @@ pub fn run_sweep(
         cells: cells.len(),
         computed: missing.len(),
         loaded,
-        runs: slots.into_iter().flatten().collect(),
         table,
     })
 }

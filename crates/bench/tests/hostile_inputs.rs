@@ -18,7 +18,7 @@
 
 use mtnet_bench::coord::{parse_max_reclaims, parse_timeout_ms, parse_worker_count};
 use mtnet_bench::coord::{Lease, Poison};
-use mtnet_bench::experiments::arm_specs;
+use mtnet_bench::experiments::find;
 use mtnet_bench::store::StoredRun;
 use mtnet_bench::sweep::{parse_axis, Axis};
 use mtnet_bench::Effort;
@@ -143,7 +143,12 @@ fn scenario_specs() {
             (spec.render(), Seed::Canonical)
         })
         .collect();
-    texts.push((arm_specs("E13", Effort::Quick)[0].render(), Seed::Canonical));
+    texts.push((
+        (find("E13").expect("E13").arms)(Effort::Quick)[0]
+            .1
+            .render(),
+        Seed::Canonical,
+    ));
     // The benchmark's hand-written workload files, read as input only.
     let workloads = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmark/workloads");
     let mut files: Vec<_> = std::fs::read_dir(workloads)

@@ -11,9 +11,17 @@
 //! intentional change updates the constants below; the failure message
 //! prints the fresh text to paste.
 
-use mtnet_bench::experiments::arm_specs;
+use mtnet_bench::experiments::find;
 use mtnet_bench::store::ResultStore;
 use mtnet_bench::{run_one, Effort, RunOptions, ALL_IDS};
+use mtnet_core::spec::ScenarioSpec;
+
+/// The declarative simulation arms of one experiment, in submission
+/// order (empty for E5).
+fn arm_specs(id: &str, effort: Effort) -> Vec<ScenarioSpec> {
+    let arms = (find(id).expect("a known id").arms)(effort);
+    arms.into_iter().map(|(_, spec)| spec).collect()
+}
 
 /// E2's first arm (the pure-Mobile-IP baseline) at Quick effort, in full.
 const E2_ARM0_QUICK: &str = "\
@@ -187,9 +195,17 @@ fn every_experiments_spec_texts_are_pinned() {
 
 #[test]
 fn e5_rendered_table_is_pinned() {
-    let text = run_one("E5", RunOptions::new(Effort::Quick, 42))
-        .expect("known id")
-        .render();
+    let text = run_one(
+        "E5",
+        RunOptions {
+            effort: Effort::Quick,
+            seed: 42,
+            threads: 0,
+            shards: None,
+        },
+    )
+    .expect("known id")
+    .render();
     let fresh = ResultStore::key(&text, 0);
     assert_eq!(
         fresh, E5_QUICK_RENDER_DIGEST,

@@ -67,20 +67,18 @@ fn sweep_cell_via_store_equals_direct_run() {
     let direct = run_sweep(&plan, 42, None, &runner).expect("direct run");
     assert_eq!((direct.computed, direct.loaded), (4, 0));
     assert_eq!(second.table.to_string(), direct.table.to_string());
-    for (loaded, fresh) in second.runs.iter().zip(&direct.runs) {
-        assert_eq!(loaded.fingerprint, fresh.fingerprint, "{}", loaded.label);
-        assert_eq!(loaded.metrics, fresh.metrics, "{}", loaded.label);
-        assert_eq!(loaded.seed, fresh.seed);
+    // Every stored cell equals a by-hand run outside the engine.
+    for cell in plan.cells().expect("cells") {
+        let loaded = tmp.store.load(&cell.spec.render(), 42).expect("stored");
+        let report = cell.spec.run(42);
+        assert_eq!(loaded.fingerprint, report.fingerprint(), "{}", loaded.label);
+        let by_hand: Vec<_> = extract_metrics(&report)
+            .into_iter()
+            .map(|(n, v)| (n.to_string(), v))
+            .collect();
+        assert_eq!(loaded.metrics, by_hand, "{}", loaded.label);
+        assert_eq!(loaded.seed, cell.spec.resolve_seed(42));
     }
-    // Cross-check one cell against a by-hand run outside the engine.
-    let cell = &plan.cells().expect("cells")[0];
-    let report = cell.spec.run(42);
-    assert_eq!(second.runs[0].fingerprint, report.fingerprint());
-    let by_hand: Vec<_> = extract_metrics(&report)
-        .into_iter()
-        .map(|(n, v)| (n.to_string(), v))
-        .collect();
-    assert_eq!(second.runs[0].metrics, by_hand);
 }
 
 #[test]
@@ -90,7 +88,7 @@ fn interrupted_and_extended_sweeps_recompute_only_missing_cells() {
     let plan = small_plan();
     let first = run_sweep(&plan, 42, Some(&tmp.store), &runner).expect("first");
     assert_eq!((first.cells, first.computed, first.loaded), (4, 4, 0));
-    assert_eq!(tmp.store.len(), 4);
+    assert_eq!(tmp.store.keys().len(), 4);
 
     // Simulate a kill mid-sweep: one completed slot vanishes.
     let victim = std::fs::read_dir(tmp.store.dir())
@@ -133,10 +131,14 @@ fn interrupted_and_extended_sweeps_recompute_only_missing_cells() {
 #[test]
 fn sweep_results_are_thread_count_independent() {
     let plan = small_plan();
-    let seq = run_sweep(&plan, 42, None, &BatchRunner::new(1)).expect("sequential");
-    let par = run_sweep(&plan, 42, None, &BatchRunner::new(4)).expect("parallel");
+    let (one, four) = (TempStore::new("threads-1"), TempStore::new("threads-4"));
+    let seq = run_sweep(&plan, 42, Some(&one.store), &BatchRunner::new(1)).expect("sequential");
+    let par = run_sweep(&plan, 42, Some(&four.store), &BatchRunner::new(4)).expect("parallel");
     assert_eq!(seq.table.to_string(), par.table.to_string());
-    for (a, b) in seq.runs.iter().zip(&par.runs) {
+    for cell in plan.cells().expect("cells") {
+        let text = cell.spec.render();
+        let a = one.store.load(&text, 42).expect("stored");
+        let b = four.store.load(&text, 42).expect("stored");
         assert_eq!(a.fingerprint, b.fingerprint, "{}", a.label);
     }
 }

@@ -47,11 +47,6 @@ impl<K: Eq + Hash + Clone, V> SoftStateCache<K, V> {
         }
     }
 
-    /// The configured entry lifetime.
-    pub fn lifetime(&self) -> SimDuration {
-        self.lifetime
-    }
-
     /// Inserts or refreshes an entry at `now`. Returns the previous value
     /// if one existed (expired or not).
     pub fn refresh(&mut self, key: K, value: V, now: SimTime) -> Option<V> {
@@ -95,30 +90,6 @@ impl<K: Eq + Hash + Clone, V> SoftStateCache<K, V> {
         self.expirations += evicted as u64;
         evicted
     }
-
-    /// Number of stored entries (live and stale-but-unswept).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no entries are stored at all.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of entries still live at `now`.
-    pub fn live_count(&self, now: SimTime) -> usize {
-        self.entries
-            .values()
-            .filter(|(_, at)| now.saturating_since(*at) < self.lifetime)
-            .count()
-    }
-
-    /// `(refreshes, expirations)` counters for signaling-overhead
-    /// accounting.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.refreshes, self.expirations)
-    }
 }
 
 #[cfg(test)]
@@ -156,10 +127,10 @@ mod tests {
         let mut c = cache();
         c.refresh("a", 1, secs(0));
         c.refresh("b", 2, secs(3));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         assert_eq!(c.sweep(secs(6)), 1); // a dead, b alive
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.counters(), (2, 1));
+        assert_eq!(c.entries.len(), 1);
+        assert_eq!((c.refreshes, c.expirations), (2, 1));
     }
 
     #[test]
@@ -168,7 +139,7 @@ mod tests {
         c.refresh("a", 1, secs(0));
         assert_eq!(c.remove(&"a"), Some(1));
         assert_eq!(c.get(&"a", secs(0)), None);
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
     }
 
     #[test]
@@ -178,9 +149,13 @@ mod tests {
         c.refresh("b", 2, secs(1));
         c.sweep(secs(5)); // "a" expires: counters now (2, 1)
         c.clear();
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
         assert_eq!(c.get(&"b", secs(1)), None);
-        assert_eq!(c.counters(), (2, 1), "history survives the crash");
+        assert_eq!(
+            (c.refreshes, c.expirations),
+            (2, 1),
+            "history survives the crash"
+        );
     }
 
     #[test]
@@ -188,8 +163,9 @@ mod tests {
         let mut c = cache();
         c.refresh("a", 1, secs(0));
         c.refresh("b", 2, secs(4));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.live_count(secs(6)), 1);
+        assert_eq!(c.entries.len(), 2);
+        let live = ["a", "b"].iter().filter(|k| c.get(k, secs(6)).is_some());
+        assert_eq!(live.count(), 1);
     }
 
     #[test]

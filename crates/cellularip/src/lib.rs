@@ -26,7 +26,8 @@
 //!
 //! let mn: Addr = "20.0.1.7".parse().unwrap();
 //! net.route_update(mn, NodeId(1), SimTime::ZERO);
-//! assert_eq!(net.downlink_path(mn, SimTime::ZERO), Some(vec![NodeId(0), NodeId(1)]));
+//! assert_eq!(net.locate(mn, SimTime::ZERO), Some(NodeId(1)));
+//! assert_eq!(net.next_hop(NodeId(0), mn, SimTime::ZERO), Some(NodeId(1)));
 //! ```
 
 #![forbid(unsafe_code)]

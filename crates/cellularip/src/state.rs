@@ -82,11 +82,6 @@ impl MnCipState {
         }
     }
 
-    /// The configured timers.
-    pub fn timers(&self) -> CipTimers {
-        self.timers
-    }
-
     /// Records data activity (sent or received) at `now`.
     pub fn touch(&mut self, now: SimTime) {
         self.last_data = self.last_data.max(now);
@@ -103,15 +98,6 @@ impl MnCipState {
             MnMode::Active
         } else {
             MnMode::Idle
-        }
-    }
-
-    /// The update period the node should currently use: route-update-time
-    /// while active, paging-update-time while idle.
-    pub fn update_period(&self, now: SimTime) -> SimDuration {
-        match self.mode(now) {
-            MnMode::Active => self.timers.route_update,
-            MnMode::Idle => self.timers.paging_update,
         }
     }
 }
@@ -147,14 +133,6 @@ mod tests {
         s.touch(secs(4));
         assert!(s.is_active(secs(8)));
         assert!(!s.is_active(secs(9)));
-    }
-
-    #[test]
-    fn update_period_switches_with_mode() {
-        let t = CipTimers::default();
-        let s = MnCipState::new(t, secs(0));
-        assert_eq!(s.update_period(secs(1)), t.route_update);
-        assert_eq!(s.update_period(secs(100)), t.paging_update);
     }
 
     #[test]

@@ -68,20 +68,9 @@ impl CipTree {
         self.parents.get(bs.0 as usize).copied().flatten()
     }
 
-    /// Path from `bs` up to and including the gateway: `[bs, …, gateway]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bs` is not in the tree.
-    pub fn uplink_path(&self, bs: NodeId) -> Vec<NodeId> {
-        let mut path = Vec::new();
-        self.uplink_path_into(bs, &mut path);
-        path
-    }
-
-    /// [`CipTree::uplink_path`] into a caller-owned buffer (cleared
-    /// first) — the arena-reuse variant the per-update climb paths use so
-    /// control-plane traffic stays off the allocator.
+    /// Path from `bs` up to and including the gateway, `[bs, …, gateway]`,
+    /// into a caller-owned buffer (cleared first), so the per-update climb
+    /// paths keep control-plane traffic off the allocator.
     ///
     /// # Panics
     ///
@@ -178,11 +167,11 @@ mod tests {
     #[test]
     fn uplink_paths() {
         let t = tree();
-        assert_eq!(
-            t.uplink_path(NodeId(3)),
-            vec![NodeId(3), NodeId(1), NodeId(0)]
-        );
-        assert_eq!(t.uplink_path(NodeId(0)), vec![NodeId(0)]);
+        let mut path = Vec::new();
+        t.uplink_path_into(NodeId(3), &mut path);
+        assert_eq!(path, [NodeId(3), NodeId(1), NodeId(0)]);
+        t.uplink_path_into(NodeId(0), &mut path);
+        assert_eq!(path, [NodeId(0)]);
         assert_eq!(t.depth(NodeId(3)), 2);
         assert_eq!(t.depth(NodeId(0)), 0);
     }

@@ -153,17 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn intra_macro_macro() {
-        let mut h = Hierarchy::new();
-        h.add_domain(CellId(10), None);
-        h.add_macro_under(CellId(11), CellId(10));
-        assert_eq!(
-            classify(&h, CellId(10), CellId(11)),
-            HandoffType::IntraMacroToMacro
-        );
-    }
-
-    #[test]
     fn inter_domain_same_upper() {
         let h = world();
         assert_eq!(

@@ -173,16 +173,6 @@ impl HandoffEngine {
         HandoffEngine { config, factors }
     }
 
-    /// The configured thresholds.
-    pub fn config(&self) -> &DecisionConfig {
-        &self.config
-    }
-
-    /// The enabled factors.
-    pub fn factors(&self) -> HandoffFactors {
-        self.factors
-    }
-
     /// Best usable candidate within a tier, honoring the signal and
     /// resource factors.
     fn best_in_tier(&self, tier: Tier, candidates: &[Candidate]) -> Option<Candidate> {
@@ -213,7 +203,7 @@ impl HandoffEngine {
     ///
     /// `speed_mps` is the node's current speed; `current` its attachment
     /// (if any); `candidates` every audible cell (typically from
-    /// `CellMap::measure`).
+    /// `CellMap::measure_batch`).
     pub fn decide(
         &self,
         speed_mps: f64,

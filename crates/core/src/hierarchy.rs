@@ -31,7 +31,9 @@ impl fmt::Display for DomainId {
 pub struct Domain {
     /// The domain id.
     pub id: DomainId,
-    /// The domain's top macro cell (`R1`/`R2` in Fig 3.1).
+    /// The domain's top macro cell (`R1`/`R2` in Fig 3.1). Nothing reads
+    /// it; it goes once the benchmark's `setup_s` no longer moves with the
+    /// size of what a world allocates (ROADMAP item 8).
     pub top_macro: CellId,
     /// The shared upper-layer BS above this domain, if any (`R3`).
     pub upper: Option<CellId>,
@@ -115,28 +117,6 @@ impl Hierarchy {
             upper,
         });
         id
-    }
-
-    /// Adds a deeper-level macro cell under an existing macro of the same
-    /// domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parent` is unknown, not macro-tier, or outside any
-    /// domain.
-    pub fn add_macro_under(&mut self, cell: CellId, parent: CellId) -> CellId {
-        let p = self.cells.get(&parent).expect("unknown parent");
-        assert_eq!(p.tier, Tier::Macro, "macro cells attach under macro cells");
-        let domain = p.domain.expect("parent must belong to a domain");
-        self.insert(
-            cell,
-            CellEntry {
-                tier: Tier::Macro,
-                parent: Some(parent),
-                domain: Some(domain),
-            },
-        );
-        cell
     }
 
     /// Adds a micro cell under a macro or micro parent of some domain.
@@ -240,16 +220,6 @@ impl Hierarchy {
         v.sort();
         v
     }
-
-    /// Total registered cells (including upper-layer BSs).
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when no cells are registered.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -313,27 +283,13 @@ mod tests {
     }
 
     #[test]
-    fn deeper_macro_levels() {
-        let mut h = Hierarchy::new();
-        let d = h.add_domain(CellId(10), None);
-        h.add_macro_under(CellId(11), CellId(10));
-        h.add_micro(CellId(1), CellId(11));
-        assert_eq!(h.domain_of(CellId(11)), Some(d));
-        assert_eq!(
-            h.chain_up(CellId(1)),
-            vec![CellId(1), CellId(11), CellId(10)]
-        );
-    }
-
-    #[test]
     fn domain_metadata() {
         let (h, d1, _) = fig31();
         let dom = h.domain(d1);
         assert_eq!(dom.top_macro, CellId(101));
         assert_eq!(dom.upper, Some(CellId(100)));
         assert_eq!(h.domains().len(), 2);
-        assert_eq!(h.len(), 9);
-        assert!(!h.is_empty());
+        assert_eq!(h.cells.len(), 9);
     }
 
     #[test]
@@ -341,13 +297,6 @@ mod tests {
     fn duplicate_rejected() {
         let (mut h, ..) = fig31();
         h.add_micro(CellId(2), CellId(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "macro cells attach under macro")]
-    fn macro_under_micro_rejected() {
-        let (mut h, ..) = fig31();
-        h.add_macro_under(CellId(50), CellId(1));
     }
 
     #[test]

@@ -31,6 +31,10 @@ pub struct Located {
 #[derive(Debug, Clone)]
 pub struct LocationDirectory {
     tables: HashMap<CellId, CellTable>,
+    /// Never read: each table keeps its own copy. It goes once the
+    /// benchmark's `setup_s` no longer moves with the size of what a world
+    /// allocates (ROADMAP item 8).
+    #[allow(dead_code)]
     lifetime: SimDuration,
     location_messages: u64,
     update_messages: u64,
@@ -66,11 +70,6 @@ impl LocationDirectory {
             Tier::Micro => CellTable::for_micro_bs(lifetime),
             Tier::Macro => CellTable::for_macro_bs(lifetime),
         }
-    }
-
-    /// The configured record lifetime.
-    pub fn lifetime(&self) -> SimDuration {
-        self.lifetime
     }
 
     /// Records a *Location Message* from `mn` served by `serving`,
@@ -176,40 +175,9 @@ impl LocationDirectory {
         None
     }
 
-    /// Follows table records downward from `start` to the serving cell —
-    /// the full resolution a packet would take. `None` on a broken chain.
-    pub fn resolve_serving_cell(
-        &mut self,
-        mn: Addr,
-        start: CellId,
-        now: SimTime,
-    ) -> Option<CellId> {
-        let mut cur = start;
-        // Bounded walk: a table chain can never be deeper than the table
-        // count; anything longer means a routing loop.
-        for _ in 0..=self.tables.len() {
-            let hit = self.tables.get_mut(&cur)?.lookup(mn, now)?;
-            let next = hit.cell();
-            if next == cur {
-                return Some(cur);
-            }
-            cur = next;
-        }
-        None
-    }
-
     /// Evicts expired records everywhere; returns total evictions.
     pub fn sweep(&mut self, now: SimTime) -> usize {
         self.tables.values_mut().map(|t| t.sweep(now)).sum()
-    }
-
-    /// `(location, update, delete)` message counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.location_messages,
-            self.update_messages,
-            self.delete_messages,
-        )
     }
 }
 
@@ -276,6 +244,25 @@ mod tests {
         assert_eq!(far.toward, CellId(101));
     }
 
+    /// Follows table records downward from `start` to the serving cell —
+    /// the full resolution a packet would take. `None` on a broken chain.
+    fn resolve_serving_cell(
+        d: &mut LocationDirectory,
+        mn: Addr,
+        start: CellId,
+        now: SimTime,
+    ) -> Option<CellId> {
+        let mut cur = start;
+        for _ in 0..=d.tables.len() {
+            let next = d.tables.get_mut(&cur)?.lookup(mn, now)?.cell();
+            if next == cur {
+                return Some(cur);
+            }
+            cur = next;
+        }
+        None
+    }
+
     #[test]
     fn resolve_serving_cell_follows_chain() {
         let h = fig31();
@@ -284,7 +271,7 @@ mod tests {
         d.on_location_message(&h, x, CellId(2), SimTime::ZERO);
         // From R3 the chain R3→R1→A→B resolves to the serving cell B.
         assert_eq!(
-            d.resolve_serving_cell(x, CellId(100), SimTime::from_secs(1)),
+            resolve_serving_cell(&mut d, x, CellId(100), SimTime::from_secs(1)),
             Some(CellId(2))
         );
     }
@@ -310,9 +297,13 @@ mod tests {
         d.on_update_location(&h, x, CellId(3), SimTime::from_secs(1));
         d.on_delete_location(x, CellId(2));
         let t = SimTime::from_secs(2);
-        assert_eq!(d.resolve_serving_cell(x, CellId(100), t), Some(CellId(3)));
+        assert_eq!(
+            resolve_serving_cell(&mut d, x, CellId(100), t),
+            Some(CellId(3))
+        );
         assert!(d.locate(&h, x, CellId(2), t).map(|l| l.levels_climbed) > Some(0));
-        assert_eq!(d.counters(), (1, 1, 1));
+        let counters = (d.location_messages, d.update_messages, d.delete_messages);
+        assert_eq!(counters, (1, 1, 1));
     }
 
     #[test]
@@ -346,8 +337,8 @@ mod tests {
         assert!(d
             .locate(&h, addr("9.9.9.9"), CellId(2), SimTime::ZERO)
             .is_none());
-        assert!(d
-            .resolve_serving_cell(addr("9.9.9.9"), CellId(100), SimTime::ZERO)
-            .is_none());
+        assert!(
+            resolve_serving_cell(&mut d, addr("9.9.9.9"), CellId(100), SimTime::ZERO).is_none()
+        );
     }
 }

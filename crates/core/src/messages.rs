@@ -45,49 +45,12 @@ pub enum CipControl {
 /// Multi-tier mobility-management messages (§3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MtMessage {
-    /// Periodic "Location Message" from the MN up the hierarchy, keeping
-    /// micro_table/macro_table records alive (§3.1).
-    LocationMessage {
-        /// The reporting node.
-        mn: Addr,
-        /// The cell currently serving it.
-        serving: CellId,
-    },
     /// "Update Location Message" after a successful handoff (§3.2).
     UpdateLocation {
         /// The node that moved.
         mn: Addr,
         /// Its new serving cell.
         new_cell: CellId,
-    },
-    /// "Delete Location Message" to the old BS (macro→micro case, §3.2a).
-    DeleteLocation {
-        /// The node that moved away.
-        mn: Addr,
-        /// The cell it left.
-        old_cell: CellId,
-    },
-    /// Handoff request from the MN to a candidate BS.
-    HandoffRequest {
-        /// The requesting node.
-        mn: Addr,
-        /// The requested target cell.
-        target: CellId,
-    },
-    /// BS grants the handoff (a channel was reserved).
-    HandoffAccept {
-        /// The requesting node.
-        mn: Addr,
-        /// The granted cell.
-        target: CellId,
-    },
-    /// BS rejects the handoff (no resources) — the MN falls back to the
-    /// other tier (§3.2).
-    HandoffReject {
-        /// The requesting node.
-        mn: Addr,
-        /// The cell that refused.
-        target: CellId,
     },
     /// RSMC → HA/CN movement notification (§4): lets correspondents send
     /// straight to the new RSMC without waiting for a full Mobile IP
@@ -105,12 +68,7 @@ impl MtMessage {
     /// range of the Mobile IP registration messages they complement.
     pub fn size_bytes(&self) -> u32 {
         match self {
-            MtMessage::LocationMessage { .. } => 32,
             MtMessage::UpdateLocation { .. } => 32,
-            MtMessage::DeleteLocation { .. } => 32,
-            MtMessage::HandoffRequest { .. } => 24,
-            MtMessage::HandoffAccept { .. } => 24,
-            MtMessage::HandoffReject { .. } => 24,
             MtMessage::RsmcNotify { .. } => 40,
         }
     }
@@ -157,29 +115,9 @@ mod tests {
     #[test]
     fn sizes_positive_for_control() {
         let msgs = [
-            MtMessage::LocationMessage {
-                mn: addr("1.1.1.1"),
-                serving: CellId(0),
-            },
             MtMessage::UpdateLocation {
                 mn: addr("1.1.1.1"),
                 new_cell: CellId(1),
-            },
-            MtMessage::DeleteLocation {
-                mn: addr("1.1.1.1"),
-                old_cell: CellId(0),
-            },
-            MtMessage::HandoffRequest {
-                mn: addr("1.1.1.1"),
-                target: CellId(1),
-            },
-            MtMessage::HandoffAccept {
-                mn: addr("1.1.1.1"),
-                target: CellId(1),
-            },
-            MtMessage::HandoffReject {
-                mn: addr("1.1.1.1"),
-                target: CellId(1),
             },
             MtMessage::RsmcNotify {
                 mn: addr("1.1.1.1"),

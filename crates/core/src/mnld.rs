@@ -86,26 +86,6 @@ impl Mnld {
     pub fn peek(&self, mn: MnId) -> Option<&MnldEntry> {
         self.entries.get(mn.0 as usize).and_then(Option::as_ref)
     }
-
-    /// Number of tracked nodes.
-    pub fn len(&self) -> usize {
-        self.tracked
-    }
-
-    /// True if no nodes are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.tracked == 0
-    }
-
-    /// `(updates, domain_changes, queries, query_hits)` counters.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.updates,
-            self.domain_changes,
-            self.queries,
-            self.query_hits,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +100,7 @@ mod tests {
     fn first_update_is_a_domain_change() {
         let mut m = Mnld::new();
         assert!(m.update(MnId(0), DomainId(0), addr("20.0.0.1"), SimTime::ZERO));
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.tracked, 1);
     }
 
     #[test]
@@ -139,7 +119,7 @@ mod tests {
             addr("20.1.0.1"),
             SimTime::from_secs(9)
         ));
-        assert_eq!(m.counters().1, 2, "two domain changes");
+        assert_eq!(m.domain_changes, 2, "two domain changes");
     }
 
     #[test]
@@ -150,7 +130,10 @@ mod tests {
         assert_eq!(e.domain, DomainId(0));
         assert_eq!(e.rsmc, addr("20.0.0.1"));
         assert!(m.query(MnId(99)).is_none());
-        assert_eq!(m.counters(), (1, 1, 2, 1));
+        assert_eq!(
+            (m.updates, m.domain_changes, m.queries, m.query_hits),
+            (1, 1, 2, 1)
+        );
     }
 
     #[test]
@@ -158,8 +141,8 @@ mod tests {
         let mut m = Mnld::new();
         m.update(MnId(0), DomainId(0), addr("20.0.0.1"), SimTime::ZERO);
         assert!(m.peek(MnId(0)).is_some());
-        assert_eq!(m.counters().2, 0);
-        assert!(!m.is_empty());
+        assert_eq!(m.queries, 0);
+        assert!(m.tracked != 0);
     }
 
     #[test]
@@ -181,6 +164,6 @@ mod tests {
         // A high id grows the column but only one node is tracked.
         m.update(MnId(1000), DomainId(2), addr("20.2.0.1"), SimTime::ZERO);
         m.update(MnId(1000), DomainId(3), addr("20.3.0.1"), SimTime::ZERO);
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.tracked, 1);
     }
 }

@@ -386,36 +386,6 @@ impl SimReport {
     }
 }
 
-/// One batch run's labelled result: which arm produced it, from which
-/// sub-seed, plus the full [`SimReport`] — the unit the parallel runner
-/// collects in submission order.
-#[derive(Debug)]
-pub struct RunReport {
-    /// Human-readable arm label (architecture, sweep point, …).
-    pub label: String,
-    /// The sub-seed the run's world was built from (see
-    /// `mtnet_sim::rng::SeedTree`).
-    pub seed: u64,
-    /// Replication index within the arm.
-    pub replication: u64,
-    /// The run's full metric report.
-    pub report: SimReport,
-}
-
-impl RunReport {
-    /// Bit-exact digest including the run's identity, for determinism
-    /// comparisons across thread counts.
-    pub fn fingerprint(&self) -> String {
-        format!(
-            "run label={} seed={:016x} rep={}\n{}",
-            self.label,
-            self.seed,
-            self.replication,
-            self.report.fingerprint()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,19 +516,5 @@ mod tests {
             loud.starts_with(&plain),
             "aggregate lines append, not reorder"
         );
-    }
-
-    #[test]
-    fn run_report_fingerprint_includes_identity() {
-        let run = RunReport {
-            label: "multi-tier+rsmc".into(),
-            seed: 0xabcd,
-            replication: 2,
-            report: SimReport::default(),
-        };
-        let fp = run.fingerprint();
-        assert!(fp.contains("label=multi-tier+rsmc"), "{fp}");
-        assert!(fp.contains("seed=000000000000abcd"), "{fp}");
-        assert!(fp.contains("rep=2"), "{fp}");
     }
 }

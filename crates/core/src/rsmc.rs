@@ -137,20 +137,6 @@ impl Rsmc {
     pub fn sweep(&mut self, now: SimTime) -> usize {
         self.location.sweep(now)
     }
-
-    /// Number of nodes with live location entries at `now`.
-    pub fn tracked(&self, now: SimTime) -> usize {
-        self.location.live_count(now)
-    }
-
-    /// `(notifications, authentications, packets_forwarded)` counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.notifications_sent,
-            self.auth_performed,
-            self.packets_forwarded,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +157,7 @@ mod tests {
         assert_eq!(r.epoch(), 0);
         // A node with a stale recorded epoch authenticates and is charged.
         assert_eq!(r.note_auth_performed(), Rsmc::AUTH_DELAY);
-        assert_eq!(r.counters().1, 1);
+        assert_eq!(r.auth_performed, 1);
         // The epoch is stable across ordinary operation, so a node whose
         // recorded epoch matches skips authentication entirely (the world
         // compares epochs and never calls note_auth_performed again).
@@ -191,7 +177,7 @@ mod tests {
         // Cell change: notify again.
         let n3 = r.on_route_update(mn, CellId(4), SimTime::from_secs(2), 2);
         assert_eq!(n3.len(), 2);
-        assert_eq!(r.counters().0, 4);
+        assert_eq!(r.notifications_sent, 4);
     }
 
     #[test]
@@ -201,7 +187,6 @@ mod tests {
         r.on_route_update(mn, CellId(3), SimTime::ZERO, 0);
         assert_eq!(r.locate(mn, SimTime::from_secs(100)), Some(CellId(3)));
         assert_eq!(r.locate(mn, SimTime::from_secs(180)), None, "expired");
-        assert_eq!(r.tracked(SimTime::from_secs(100)), 1);
         assert_eq!(r.sweep(SimTime::from_secs(180)), 1);
     }
 
@@ -215,8 +200,8 @@ mod tests {
         r.flush();
         assert_ne!(r.epoch(), epoch_before, "outstanding auths invalidated");
         assert_eq!(r.locate(mn, SimTime::ZERO), None, "location cache gone");
-        assert_eq!(r.counters().0, 2, "notification history survives");
-        assert_eq!(r.counters().1, 1, "auth history survives");
+        assert_eq!(r.notifications_sent, 2, "notification history survives");
+        assert_eq!(r.auth_performed, 1, "auth history survives");
         // The standby re-learns from scratch: next sighting notifies again.
         assert_eq!(r.note_auth_performed(), Rsmc::AUTH_DELAY);
         assert_eq!(r.on_route_update(mn, CellId(3), SimTime::ZERO, 2).len(), 2);
@@ -227,7 +212,7 @@ mod tests {
         let mut r = rsmc();
         r.count_forwarded();
         r.count_forwarded();
-        assert_eq!(r.counters().2, 2);
+        assert_eq!(r.packets_forwarded, 2);
     }
 
     #[test]

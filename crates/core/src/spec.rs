@@ -39,7 +39,7 @@ use crate::kv::Kind::{Codec, Millis, Quoted, Switch, F64, U32};
 use crate::kv::Presence::{Always, Never, NonDefault};
 use crate::kv::{err, field, quote, tokens, Real, Record};
 use crate::lens;
-use crate::report::{RunReport, SimReport};
+use crate::report::SimReport;
 use crate::scenario::ArchKind;
 use crate::world::{DomainSpec, FlowKind, LoadCurve, World, WorldBuilder, WorldConfig};
 use mtnet_cellularip::CipTimers;
@@ -842,8 +842,8 @@ impl ScenarioSpec {
     }
 
     /// Replaces the seed with the standard two-segment experiment path
-    /// (`(experiment, arm, replication)` — resolves to the same seed as
-    /// [`mtnet_sim::rng::replication_seed`]).
+    /// (`(experiment, arm, replication)`, resolved by
+    /// [`mtnet_sim::rng::seed_for_path`]).
     pub fn with_seed_path(mut self, experiment: &str, arm: &str, replication: u64) -> ScenarioSpec {
         self.seed = SeedSpec::Path {
             path: vec![experiment.into(), arm.into()],
@@ -1132,17 +1132,6 @@ impl ScenarioSpec {
             self.build(master_seed).run(duration)
         }
     }
-
-    /// Builds and runs, wrapping the result with the run's identity
-    /// (spec name, resolved seed, replication).
-    pub fn run_report(&self, master_seed: u64) -> RunReport {
-        RunReport {
-            label: self.name.clone(),
-            seed: self.resolve_seed(master_seed),
-            replication: self.seed.replication(),
-            report: self.run(master_seed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1272,7 +1261,7 @@ mod tests {
         let spec = ScenarioSpec::small_city().with_seed_path("E10", "multi-tier+rsmc", 1);
         assert_eq!(
             spec.resolve_seed(42),
-            mtnet_sim::rng::replication_seed(42, "E10", "multi-tier+rsmc", 1)
+            mtnet_sim::rng::seed_for_path(42, &["E10", "multi-tier+rsmc"], 1)
         );
         assert_eq!(spec.seed.replication(), 1);
         assert_eq!(ScenarioSpec::base().with_raw_seed(7).resolve_seed(42), 7);

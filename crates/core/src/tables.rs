@@ -68,10 +68,6 @@ pub struct CellTable {
 }
 
 impl CellTable {
-    /// The record time-limitation used when none is configured: a few
-    /// Location Message periods.
-    pub const DEFAULT_LIFETIME: SimDuration = SimDuration::from_secs(6);
-
     /// Table set for a micro-cell BS (micro_table only).
     pub fn for_micro_bs(lifetime: SimDuration) -> Self {
         CellTable {
@@ -164,11 +160,6 @@ impl CellTable {
         }
         n
     }
-
-    /// `(lookups, micro_hits, macro_hits, misses)` statistics.
-    pub fn stats(&self) -> (u64, u64, u64, u64) {
-        (self.lookups, self.micro_hits, self.macro_hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -183,23 +174,26 @@ mod tests {
         addr("10.0.2.9")
     }
 
+    /// A few Location Message periods.
+    const LIFETIME: SimDuration = SimDuration::from_secs(6);
+
     #[test]
     fn micro_bs_has_no_macro_table() {
-        let t = CellTable::for_micro_bs(CellTable::DEFAULT_LIFETIME);
+        let t = CellTable::for_micro_bs(LIFETIME);
         assert!(!t.has_macro_table());
-        assert!(t.micro.is_empty());
+        assert!(t.micro.get_even_stale(&mn()).is_none());
     }
 
     #[test]
     #[should_panic(expected = "no macro_table")]
     fn micro_bs_rejects_macro_records() {
-        let mut t = CellTable::for_micro_bs(CellTable::DEFAULT_LIFETIME);
+        let mut t = CellTable::for_micro_bs(LIFETIME);
         t.record_macro(mn(), CellId(1), SimTime::ZERO);
     }
 
     #[test]
     fn lookup_order_micro_first() {
-        let mut t = CellTable::for_macro_bs(CellTable::DEFAULT_LIFETIME);
+        let mut t = CellTable::for_macro_bs(LIFETIME);
         t.record_macro(mn(), CellId(7), SimTime::ZERO);
         t.record_micro(mn(), CellId(3), SimTime::ZERO);
         let hit = t.lookup(mn(), SimTime::from_secs(1)).unwrap();
@@ -213,13 +207,13 @@ mod tests {
 
     #[test]
     fn macro_table_is_fallback() {
-        let mut t = CellTable::for_macro_bs(CellTable::DEFAULT_LIFETIME);
+        let mut t = CellTable::for_macro_bs(LIFETIME);
         t.record_macro(mn(), CellId(7), SimTime::ZERO);
         let hit = t.lookup(mn(), SimTime::from_secs(1)).unwrap();
         assert_eq!(hit, TableHit::Macro(CellId(7)));
         assert_eq!(hit.cell(), CellId(7));
-        let (lookups, micro_hits, macro_hits, misses) = t.stats();
-        assert_eq!((lookups, micro_hits, macro_hits, misses), (1, 0, 1, 0));
+        let stats = (t.lookups, t.micro_hits, t.macro_hits, t.misses);
+        assert_eq!(stats, (1, 0, 1, 0));
     }
 
     #[test]
@@ -231,7 +225,7 @@ mod tests {
             t.lookup(mn(), SimTime::from_secs(4)).is_none(),
             "record erased"
         );
-        assert_eq!(t.stats().3, 1, "miss counted");
+        assert_eq!(t.misses, 1, "miss counted");
     }
 
     #[test]
@@ -248,13 +242,14 @@ mod tests {
         // A node attached directly to this macro BS has its own cell in
         // both tables; the Delete Location Message clears both.
         let here = CellId(7);
-        let mut t = CellTable::for_macro_bs(CellTable::DEFAULT_LIFETIME);
+        let mut t = CellTable::for_macro_bs(LIFETIME);
         t.record_micro(mn(), here, SimTime::ZERO);
         t.record_macro(mn(), here, SimTime::ZERO);
         t.delete_attachment(mn(), here);
         assert!(t.lookup(mn(), SimTime::ZERO).is_none());
-        assert!(t.micro.is_empty());
-        assert!(t.macro_.as_ref().is_some_and(SoftStateCache::is_empty));
+        assert!(t.micro.get_even_stale(&mn()).is_none());
+        let macro_ = t.macro_.as_ref().expect("a macro BS's table");
+        assert!(macro_.get_even_stale(&mn()).is_none());
     }
 
     #[test]
@@ -267,7 +262,7 @@ mod tests {
 
     #[test]
     fn update_replaces_cell() {
-        let mut t = CellTable::for_micro_bs(CellTable::DEFAULT_LIFETIME);
+        let mut t = CellTable::for_micro_bs(LIFETIME);
         t.record_micro(mn(), CellId(3), SimTime::ZERO);
         t.record_micro(mn(), CellId(4), SimTime::from_secs(1));
         assert_eq!(

@@ -21,9 +21,6 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Both tiers.
-    pub const ALL: [Tier; 2] = [Tier::Micro, Tier::Macro];
-
     /// The tier managing a given radio cell kind.
     ///
     /// Satellite cells are treated as macro-tier (they are the outermost
@@ -85,7 +82,7 @@ mod tests {
 
     #[test]
     fn other_is_involution() {
-        for t in Tier::ALL {
+        for t in [Tier::Micro, Tier::Macro] {
             assert_eq!(t.other().other(), t);
             assert_ne!(t.other(), t);
         }

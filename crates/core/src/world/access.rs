@@ -460,9 +460,6 @@ impl World {
                     self.complete_latency_if(mn, now, |t| t.is_inter_domain());
                 }
             }
-            Payload::Mip(MipMessage::Advertisement(adv)) => {
-                self.advertise(ctx, mn, &adv);
-            }
             _ => {}
         }
     }

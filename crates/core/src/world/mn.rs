@@ -529,9 +529,9 @@ mod tests {
     /// first use.
     fn push_parked(t: &mut MnTable, active: Option<MnActive>) -> MnId {
         if t.models.is_empty() {
-            t.add_model(Box::new(mtnet_mobility::Stationary::new(Point::ORIGIN)));
+            t.add_model(Box::new(super::super::tests::Parked(Point::new(0.0, 0.0))));
         }
-        t.push(0, Point::ORIGIN, RngStream::from_seed(1), active)
+        t.push(0, Point::new(0.0, 0.0), RngStream::from_seed(1), active)
     }
 
     fn push_row(t: &mut MnTable) -> MnId {
@@ -559,7 +559,20 @@ mod tests {
         assert_eq!(t.active(c).unwrap().channel_cell, Some(CellId(7)));
         t.densify("10.0.0.1".parse().unwrap(), CipTimers::default());
         assert_eq!(t.active_rows(), 3);
-        assert_eq!(t.active(b).unwrap().mip.home_addr(), home_addr(b as u32));
+        // The densified row registers under its own home address.
+        let mut mip = t.active(b).unwrap().mip.clone();
+        let agent = "20.0.0.1".parse().unwrap();
+        let adv = mtnet_mobileip::AgentAdvertisement {
+            agent,
+            coa: agent,
+            max_lifetime: mtnet_sim::SimDuration::from_secs(300),
+            seq: 0,
+        };
+        let mtnet_mobileip::MnAction::SendRequest(req) = mip.on_advertisement(&adv, SimTime::ZERO)
+        else {
+            panic!("a node away from home registers");
+        };
+        assert_eq!(req.mn_home, home_addr(b as u32));
         assert_eq!(t.active(c).unwrap().channel_cell, Some(CellId(7)));
     }
 
@@ -568,7 +581,7 @@ mod tests {
     fn a_row_walks_a_model_the_table_holds() {
         let mut t = MnTable::default();
         push_camping_row(&mut t);
-        t.push(1, Point::ORIGIN, RngStream::from_seed(1), None);
+        t.push(1, Point::new(0.0, 0.0), RngStream::from_seed(1), None);
     }
 
     /// The diet's tier-1 tripwire: an all-camping population of
@@ -584,8 +597,11 @@ mod tests {
         let n = 10_000;
         let mut t = MnTable::default();
         t.reserve(n, 0);
-        let walk = RandomWaypoint::new(Rect::square(1600.0), SpeedClass::Pedestrian)
-            .with_pause(mtnet_sim::SimDuration::from_secs(10));
+        let walk = RandomWaypoint::new(
+            Rect::new(Point::new(0.0, 0.0), Point::new(1600.0, 1600.0)),
+            SpeedClass::Pedestrian,
+        )
+        .with_pause(mtnet_sim::SimDuration::from_secs(10));
         let model = t.add_model(Box::new(walk.clone()));
         for k in 0..n {
             let start = Point::new(k as f64 % 1600.0, 250.0);

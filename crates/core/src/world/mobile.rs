@@ -456,7 +456,8 @@ impl World {
     }
 
     /// Has `mn` hear `agent`'s advertisement (every agent offers its own
-    /// address as care-of address, for 300 s).
+    /// address as care-of address, for 300 s) and performs what its Mobile
+    /// IP state machine answers. A camping node has none and stays silent.
     fn advertise_agent(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId, agent: Addr) {
         let adv = AgentAdvertisement {
             agent,
@@ -464,20 +465,9 @@ impl World {
             max_lifetime: SimDuration::from_secs(300),
             seq: 0,
         };
-        self.advertise(ctx, mn, &adv);
-    }
-
-    /// Hands an agent advertisement to `mn`'s Mobile IP state machine and
-    /// performs what it answers. A camping node has none and stays silent.
-    pub(super) fn advertise(
-        &mut self,
-        ctx: &mut Context<'_, Ev>,
-        mn: MnId,
-        adv: &AgentAdvertisement,
-    ) {
         let now = ctx.now();
         if let Some(active) = self.mns.active_mut(mn.0 as usize) {
-            let action = active.mip.on_advertisement(adv, now);
+            let action = active.mip.on_advertisement(&adv, now);
             self.perform_mn_action(ctx, mn, action);
         }
     }

@@ -8,12 +8,37 @@ use crate::report::DropCause;
 use crate::scenario::ArchKind;
 use crate::spec::ScenarioSpec;
 use crate::tier::Tier;
-use mtnet_mobility::{LinearCommute, Point, Stationary};
+use mtnet_mobility::{Leg, LinearCommute, MobilityModel, Point};
 use mtnet_net::Prefix;
+use mtnet_sim::RngStream;
+
+/// A node that never moves: one hour-long pause after another.
+pub(super) struct Parked(pub(super) Point);
+
+impl MobilityModel for Parked {
+    fn next_leg(&self, _current: Point, _phase: &mut u32, _rng: &mut RngStream) -> Leg {
+        Leg::pause(self.0, SimDuration::from_secs(3600))
+    }
+
+    fn start(&self) -> Point {
+        self.0
+    }
+}
+
+/// Channels held across every cell of `world`.
+fn channels_in_use(world: &mut World) -> u32 {
+    let ids: Vec<CellId> = world.cells.cells().map(|c| c.id()).collect();
+    ids.into_iter()
+        .map(|id| {
+            let cell = world.cells.cell_mut(id).expect("a placed cell");
+            cell.kind().channels() - cell.channels_mut().free()
+        })
+        .sum()
+}
 
 /// Adds a node parked at `at`, on a model of its own.
 fn park(b: &mut WorldBuilder, at: Point, flows: &[FlowKind]) -> MnId {
-    let model = b.add_model(Box::new(Stationary::new(at)));
+    let model = b.add_model(Box::new(Parked(at)));
     b.add_mn(model, at, flows)
 }
 
@@ -247,14 +272,14 @@ fn channel_accounting_balances() {
         );
     }
     sim.run_until(SimTime::from_secs(30));
-    let world = sim.into_model();
+    let mut world = sim.into_model();
     let attached = world
         .mns
         .hot
         .iter()
         .filter(|h| h.serving().is_some())
         .count();
-    let in_use: u32 = world.cells.cells().map(|c| c.channels().in_use()).sum();
+    let in_use = channels_in_use(&mut world);
     assert_eq!(
         in_use as usize, attached,
         "channels in use must equal attached nodes"
@@ -280,8 +305,15 @@ fn ha_intercepts_and_tunnels() {
     sim.schedule_at(SimTime::from_millis(500), Ev::FlowNext(0));
     sim.run_until(SimTime::from_secs(10));
     let world = sim.into_model();
-    let (_, _, tunneled) = world.ha.counters();
-    assert!(tunneled > 100, "HA tunneled CN traffic: {tunneled}");
+    // The home prefix routes to the HA, so what reaches the node went
+    // through the HA's tunnel to the FA's care-of address.
+    let coa = world.domains[0].fa.addr();
+    let bound = world
+        .ha
+        .tunnel_endpoint(home_addr(0), SimTime::from_secs(10));
+    assert_eq!(bound, Some(coa), "the HA tunnels to the FA");
+    let received = world.flows[0].qos.received();
+    assert!(received > 100, "HA tunneled CN traffic: {received}");
 }
 
 #[test]
@@ -311,8 +343,7 @@ fn vehicle_prefers_macro_pedestrian_prefers_micro() {
 #[test]
 fn mnld_learns_domain_crossings() {
     let world = ScenarioSpec::commute_corridor().with_raw_seed(23).build(0);
-    let duration = SimDuration::from_secs(400);
-    // Run manually to inspect final MNLD state.
+    // Run manually to inspect the MNLD's state as it goes.
     let n = world.mns.len();
     let mut sim = mtnet_sim::Simulator::new(world);
     World::schedule_initial(&mut sim, |_| false); // the lanes, no events
@@ -327,10 +358,23 @@ fn mnld_learns_domain_crossings() {
         );
     }
     sim.schedule_at(SimTime::from_secs(5), Ev::Sweep);
-    sim.run_until(SimTime::ZERO + duration);
-    let world = sim.into_model();
-    let (updates, changes, ..) = world.mnld.counters();
-    assert!(updates > 0, "MNLD must see RSMC notifications");
+    // The domain the MNLD holds for each node, read once a second for
+    // 400 s.
+    let mut domains = vec![None; n];
+    let mut changes = 0;
+    for s in 1..=400 {
+        sim.run_until(SimTime::from_secs(s));
+        for (i, last) in domains.iter_mut().enumerate() {
+            let now = sim.model().mnld.peek(MnId(i as u32)).map(|e| e.domain);
+            // A first sighting counts, as in the MNLD's own bookkeeping.
+            changes += usize::from(now.is_some() && now != *last);
+            *last = now.or(*last);
+        }
+    }
+    assert!(
+        domains.iter().any(Option::is_some),
+        "MNLD must see RSMC notifications"
+    );
     assert!(changes >= 2, "the shuttle crossed domains: {changes}");
 }
 
@@ -388,10 +432,13 @@ fn outage_detaches_and_releases_channel() {
     sim.schedule_at(SimTime::ZERO, Ev::MoveSample(MnId(0)));
     // Long enough to attach and then drive out of the strip.
     sim.run_until(SimTime::from_secs(120));
-    let world = sim.into_model();
+    let mut world = sim.into_model();
     if world.mns.hot[0].serving().is_none() {
-        let in_use: u32 = world.cells.cells().map(|c| c.channels().in_use()).sum();
-        assert_eq!(in_use, 0, "detached node must not hold a channel");
+        assert_eq!(
+            channels_in_use(&mut world),
+            0,
+            "detached node must not hold a channel"
+        );
     }
 }
 
@@ -569,7 +616,6 @@ fn a_packet_refused_by_a_full_tree_link_leaves_the_arena_with_its_cause() {
     let (parent, gateway) = (tree.parent(bs).expect("a micro BS"), tree.gateway());
     // Both directions of the BS's tree link carry one packet at a time,
     // for most of a second, and queue none.
-    let mut links = Vec::new();
     for (a, b) in [(bs, parent), (parent, bs)] {
         let id = world.topo.link_between(a, b).expect("tree link");
         *world.topo.link_mut(id).expect("known link") = Link::new(LinkConfig {
@@ -577,7 +623,6 @@ fn a_packet_refused_by_a_full_tree_link_leaves_the_arena_with_its_cause() {
             queue_bytes: 0,
             ..LinkConfig::access()
         });
-        links.push(id);
     }
     world.mns.hot[0].set_serving(Some(cell));
     let mn = home_addr(0);
@@ -588,9 +633,11 @@ fn a_packet_refused_by_a_full_tree_link_leaves_the_arena_with_its_cause() {
     });
     let cn = world.cn_addr;
     let mut sim = Simulator::new(world);
-    let dropped = |sim: &Simulator<World>, link: usize| {
-        let stats = sim.model().topo.link(links[link]).expect("known link");
-        stats.stats().dropped_packets
+    // Packets on a link: each one the link accepted is a pending arrival.
+    let in_flight = |sim: &Simulator<World>| {
+        let mut n = 0;
+        sim.for_each_pending(|ev| n += usize::from(matches!(ev, Ev::Pkt { .. })));
+        n
     };
 
     // Two route updates enter at the BS together: the first climbs, the
@@ -603,8 +650,9 @@ fn a_packet_refused_by_a_full_tree_link_leaves_the_arena_with_its_cause() {
         let (node, from) = (bs, None);
         sim.schedule_at(SimTime::ZERO, Ev::Pkt { node, from, pkt });
     }
+    sim.run_until(SimTime::ZERO);
+    assert_eq!(in_flight(&sim), 1, "the uplink refused the second update");
     sim.run_until(SimTime::from_secs(5));
-    assert_eq!(dropped(&sim, 0), 1, "the uplink refused the second update");
     assert_eq!(
         sim.model().arena.live(),
         0,
@@ -627,12 +675,10 @@ fn a_packet_refused_by_a_full_tree_link_leaves_the_arena_with_its_cause() {
         let (node, from) = (parent, Some(gateway));
         sim.schedule_at(now, Ev::Pkt { node, from, pkt });
     }
+    let now = sim.now();
+    sim.run_until(now);
+    assert_eq!(in_flight(&sim), 1, "the downlink refused the second packet");
     sim.run_until(SimTime::from_secs(10));
-    assert_eq!(
-        dropped(&sim, 1),
-        1,
-        "the downlink refused the second packet"
-    );
     assert_eq!(
         sim.model().arena.live(),
         0,
@@ -646,9 +692,10 @@ fn a_packet_refused_by_a_full_tree_link_leaves_the_arena_with_its_cause() {
 
 #[test]
 fn a_full_bs_foreign_agent_denies_over_its_own_air_interface() {
-    use mtnet_mobileip::{ForeignAgent, MnState};
+    use mtnet_mobileip::{ForeignAgent, MnState, RegistrationRequest};
     // Pure Mobile IP: the macro BS is the FA, and it has room for one
-    // visitor. Two nodes park under it.
+    // more visitor: every other slot holds a pending registration of a
+    // node that is not in the world. Two nodes park under it.
     let mut b = WorldBuilder::new(WorldConfig {
         arch: ArchKind::PureMobileIp,
         ..WorldConfig::default()
@@ -659,7 +706,19 @@ fn a_full_bs_foreign_agent_denies_over_its_own_air_interface() {
     }
     let mut world = b.build();
     let (&cell, fa) = world.bs_fas.iter_mut().next().expect("one BS, one FA");
-    *fa = ForeignAgent::new(fa.addr()).with_max_visitors(1);
+    let coa = fa.addr();
+    let pending = |id: u32| RegistrationRequest {
+        mn_home: Addr(0x0b00_0000 + id),
+        coa,
+        ha: "10.0.0.1".parse().unwrap(),
+        lifetime: SimDuration::from_secs(300),
+        id: u64::from(id),
+    };
+    for id in 1..ForeignAgent::DEFAULT_MAX_VISITORS as u32 {
+        fa.relay_registration(&pending(id), SimTime::ZERO)
+            .expect("room left");
+    }
+    let full = pending(0);
     let mut sim = world.launch();
     // Node 0 samples, attaches and registers 7 ms ahead of node 1, whose
     // request finds the FA full. The denial has no tree to descend: it
@@ -675,7 +734,12 @@ fn a_full_bs_foreign_agent_denies_over_its_own_air_interface() {
         state(0)
     );
     assert_eq!(state(1), MnState::Searching, "the denial never arrived");
-    assert_eq!(world.bs_fas[&cell].visitor_count(), 1);
+    let mut fa = world.bs_fas[&cell].clone();
+    assert!(
+        fa.relay_registration(&full, SimTime::from_millis(400))
+            .is_err(),
+        "node 0 took the last slot"
+    );
     assert_eq!(
         world.report.signaling.mip_requests, 3,
         "two sent, one at the HA"

@@ -47,11 +47,6 @@ impl FixedHistogram {
         }
     }
 
-    /// The configured upper bound.
-    pub fn upper(&self) -> f64 {
-        self.upper
-    }
-
     /// Records one value. Values below zero clamp into the first bucket,
     /// values at or above the upper bound into the last.
     #[inline]
@@ -64,11 +59,6 @@ impl FixedHistogram {
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// The `p`-th percentile (0–100), linearly interpolated inside the
@@ -92,25 +82,6 @@ impl FixedHistogram {
         }
         Some(self.upper)
     }
-
-    /// Adds every sample of `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the bounds differ — merging histograms with
-    /// different ranges silently misassigns buckets.
-    pub fn merge(&mut self, other: &FixedHistogram) {
-        assert!(
-            self.upper == other.upper,
-            "cannot merge FixedHistograms with different bounds ({} vs {})",
-            self.upper,
-            other.upper
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +97,7 @@ mod tests {
         }
         assert_eq!(h.count(), 100_000);
         assert_eq!(h.buckets.len(), before, "bucket table never grows");
-        assert_eq!(h.upper(), 2000.0);
+        assert_eq!(h.upper, 2000.0);
     }
 
     #[test]
@@ -140,7 +111,7 @@ mod tests {
         let p95 = h.percentile(95.0).unwrap();
         assert!((p95 - 95.0).abs() < 1.0, "p95 {p95}");
         assert_eq!(FixedHistogram::new(1.0).percentile(50.0), None);
-        assert!(FixedHistogram::new(1.0).is_empty());
+        assert_eq!(FixedHistogram::new(1.0).count(), 0);
     }
 
     #[test]
@@ -155,32 +126,5 @@ mod tests {
             1,
             "overflow folded into last bucket"
         );
-    }
-
-    #[test]
-    fn merge_is_exact() {
-        let mut a = FixedHistogram::new(100.0);
-        let mut b = FixedHistogram::new(100.0);
-        let mut whole = FixedHistogram::new(100.0);
-        for i in 0..50 {
-            a.record(i as f64);
-            whole.record(i as f64);
-        }
-        for i in 50..100 {
-            b.record(i as f64);
-            whole.record(i as f64);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        for p in [10.0, 50.0, 90.0, 99.0] {
-            assert_eq!(a.percentile(p), whole.percentile(p));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different bounds")]
-    fn merge_rejects_mismatched_bounds() {
-        let mut a = FixedHistogram::new(100.0);
-        a.merge(&FixedHistogram::new(200.0));
     }
 }

@@ -88,11 +88,6 @@ impl Histogram {
         self.count
     }
 
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Exact mean of recorded values (sums are kept exactly).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -100,16 +95,6 @@ impl Histogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Exact minimum recorded value.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Exact maximum recorded value.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
     }
 
     /// Value at or below which `pct` percent of observations fall
@@ -136,11 +121,6 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// Median (p50) convenience accessor.
-    pub fn median(&self) -> Option<u64> {
-        self.percentile(50.0)
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         if other.buckets.len() > self.buckets.len() {
@@ -155,15 +135,6 @@ impl Histogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-    }
-
-    /// Iterates over `(bucket_upper_bound, count)` for non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::value_of(i), c))
     }
 }
 
@@ -192,10 +163,8 @@ mod tests {
     #[test]
     fn empty_behaviour() {
         let h = Histogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(50.0), None);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.to_string(), "empty histogram");
     }
@@ -208,7 +177,7 @@ mod tests {
         }
         // Buckets below 32 are unit-width, so percentiles are exact.
         assert_eq!(h.percentile(100.0), Some(31));
-        assert_eq!(h.min(), Some(0));
+        assert_eq!(h.min, 0);
         assert_eq!(h.count(), 32);
     }
 
@@ -291,8 +260,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert_eq!(a.percentile(50.0), whole.percentile(50.0));
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
+        assert_eq!(a.min, whole.min);
+        assert_eq!(a.max, whole.max);
     }
 
     #[test]
@@ -301,16 +270,6 @@ mod tests {
         let mut h = Histogram::new();
         h.record(1);
         h.percentile(0.0);
-    }
-
-    #[test]
-    fn iter_skips_empty_buckets() {
-        let mut h = Histogram::new();
-        h.record(1);
-        h.record(1000);
-        let entries: Vec<_> = h.iter().collect();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0], (1, 1));
     }
 
     #[test]

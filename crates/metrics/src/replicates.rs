@@ -17,7 +17,7 @@ use std::fmt;
 ///     agg.record("loss", loss); // one replication each
 /// }
 /// assert_eq!(agg.get("loss").unwrap().count(), 3);
-/// assert!((agg.mean("loss") - 0.012).abs() < 1e-12);
+/// assert!((agg.get("loss").unwrap().mean() - 0.012).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Replicates {
@@ -45,39 +45,6 @@ impl Replicates {
     pub fn get(&self, name: &str) -> Option<&Summary> {
         self.metrics.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
-
-    /// The mean of `name` across replications; 0 when never recorded.
-    pub fn mean(&self, name: &str) -> f64 {
-        self.get(name).map_or(0.0, Summary::mean)
-    }
-
-    /// Number of distinct metric names.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Iterates `(name, summary)` in first-insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Summary)> {
-        self.metrics.iter().map(|(n, s)| (n.as_str(), s))
-    }
-
-    /// Merges another collector into this one (summaries of shared names
-    /// merge; new names append in the other's order). The result is the
-    /// same as if every observation had been recorded here.
-    pub fn merge(&mut self, other: &Replicates) {
-        for (name, s) in &other.metrics {
-            if let Some((_, mine)) = self.metrics.iter_mut().find(|(n, _)| n == name) {
-                mine.merge(s);
-            } else {
-                self.metrics.push((name.clone(), *s));
-            }
-        }
-    }
 }
 
 impl fmt::Display for Replicates {
@@ -102,11 +69,10 @@ mod tests {
         r.record("loss", 0.1);
         r.record("loss", 0.3);
         r.record("delay", 40.0);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.metrics.len(), 2);
         assert_eq!(r.get("loss").unwrap().count(), 2);
-        assert!((r.mean("loss") - 0.2).abs() < 1e-12);
-        assert_eq!(r.mean("delay"), 40.0);
-        assert_eq!(r.mean("missing"), 0.0);
+        assert!((r.get("loss").unwrap().mean() - 0.2).abs() < 1e-12);
+        assert_eq!(r.get("delay").unwrap().mean(), 40.0);
         assert!(r.get("missing").is_none());
     }
 
@@ -116,31 +82,9 @@ mod tests {
         for name in ["z", "a", "m"] {
             r.record(name, 1.0);
         }
-        let order: Vec<&str> = r.iter().map(|(n, _)| n).collect();
+        let text = r.to_string();
+        let order: Vec<&str> = text.lines().filter_map(|l| l.split(':').next()).collect();
         assert_eq!(order, ["z", "a", "m"]);
-    }
-
-    #[test]
-    fn merge_equals_sequential_recording() {
-        let mut all = Replicates::new();
-        let mut left = Replicates::new();
-        let mut right = Replicates::new();
-        for (i, x) in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0].iter().enumerate() {
-            all.record("m", *x);
-            if i < 3 {
-                left.record("m", *x);
-            } else {
-                right.record("m", *x);
-            }
-        }
-        right.record("extra", 9.0);
-        left.merge(&right);
-        assert_eq!(
-            left.get("m").unwrap().count(),
-            all.get("m").unwrap().count()
-        );
-        assert!((left.mean("m") - all.mean("m")).abs() < 1e-12);
-        assert_eq!(left.mean("extra"), 9.0);
     }
 
     #[test]
@@ -151,6 +95,5 @@ mod tests {
         assert!(text.contains("loss"), "{text}");
         assert!(text.contains("n=1"), "{text}");
         assert!(Replicates::new().to_string().is_empty());
-        assert!(Replicates::new().is_empty());
     }
 }

@@ -70,11 +70,6 @@ impl Summary {
         self.count
     }
 
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Arithmetic mean; 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -92,11 +87,6 @@ impl Summary {
     /// Maximum observation; `None` when empty.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
     }
 
     /// Sample variance (divides by `n - 1`); 0 when fewer than 2 samples.
@@ -208,7 +198,7 @@ mod tests {
     #[test]
     fn empty_summary_defaults() {
         let s = Summary::new();
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
@@ -222,7 +212,6 @@ mod tests {
         assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-        assert_eq!(s.sum(), 40.0);
     }
 
     #[test]

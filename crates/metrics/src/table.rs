@@ -59,16 +59,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
@@ -137,7 +127,7 @@ mod tests {
     #[test]
     fn empty_table_renders_headers() {
         let t = Table::new(["x"]);
-        assert!(t.is_empty());
+        assert!(t.rows.is_empty());
         assert!(t.to_string().contains("| x |"));
     }
 
@@ -158,7 +148,7 @@ mod tests {
     fn len_counts_rows() {
         let mut t = Table::new(["a"]);
         t.row(["1"]).row(["2"]);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The Foreign Agent: visitor list, registration relay, detunneling, and
 //! smooth-handoff forwarding.
 
-use crate::messages::{AgentAdvertisement, RegistrationReply, RegistrationRequest, ReplyCode};
+use crate::messages::{RegistrationReply, RegistrationRequest, ReplyCode};
 use mtnet_net::Addr;
 use mtnet_sim::FxHashMap;
 use mtnet_sim::{SimDuration, SimTime};
@@ -34,7 +34,12 @@ impl VisitorEntry {
 pub struct ForeignAgent {
     addr: Addr,
     max_visitors: usize,
+    /// Never read (the world builds its own advertisements), like
+    /// `adv_seq`. Both go once the benchmark's `setup_s` no longer moves
+    /// with the size of what a world allocates (ROADMAP item 8).
+    #[allow(dead_code)]
     max_lifetime: SimDuration,
+    #[allow(dead_code)]
     adv_seq: u64,
     visitors: FxHashMap<Addr, VisitorEntry>,
     /// Departed visitors whose traffic we still forward: MN → (new CoA,
@@ -68,26 +73,9 @@ impl ForeignAgent {
         }
     }
 
-    /// Caps the visitor list (FA-busy denials beyond it).
-    pub fn with_max_visitors(mut self, max: usize) -> Self {
-        self.max_visitors = max;
-        self
-    }
-
     /// This agent's (care-of) address.
     pub fn addr(&self) -> Addr {
         self.addr
-    }
-
-    /// Produces the next periodic agent advertisement (paper step 1(a)).
-    pub fn make_advertisement(&mut self) -> AgentAdvertisement {
-        self.adv_seq += 1;
-        AgentAdvertisement {
-            agent: self.addr,
-            coa: self.addr,
-            max_lifetime: self.max_lifetime,
-            seq: self.adv_seq,
-        }
     }
 
     /// Handles a registration request from a mobile node. On success the
@@ -137,25 +125,9 @@ impl ForeignAgent {
         *reply
     }
 
-    /// True if `mn` is a confirmed, unexpired visitor — i.e. detunneled
-    /// packets for it can be delivered on the local link.
-    pub fn has_visitor(&self, mn: Addr, now: SimTime) -> bool {
-        self.visitors.get(&mn).is_some_and(|v| v.is_active(now))
-    }
-
-    /// The visitor entry for `mn`, if present (possibly pending/expired).
-    pub fn visitor(&self, mn: Addr) -> Option<&VisitorEntry> {
-        self.visitors.get(&mn)
-    }
-
-    /// Number of visitor entries (active or pending).
-    pub fn visitor_count(&self) -> usize {
-        self.visitors.len()
-    }
-
     /// Installs a smooth-handoff forward: packets arriving for `mn` are
-    /// re-tunneled to `new_coa` (paper ref \[5]; triggered by a
-    /// `BindingUpdate`). Removes the visitor entry.
+    /// re-tunneled to `new_coa` (paper ref \[5]). Removes the visitor
+    /// entry.
     pub fn install_forward(&mut self, mn: Addr, new_coa: Addr, now: SimTime) {
         self.visitors.remove(&mn);
         self.forwards.insert(mn, (new_coa, now));
@@ -194,11 +166,6 @@ impl ForeignAgent {
             f_before - self.forwards.len(),
         )
     }
-
-    /// `(relayed_requests, forwarded_packets)` counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.relayed_requests, self.forwarded_packets)
-    }
 }
 
 #[cfg(test)]
@@ -211,6 +178,12 @@ mod tests {
 
     fn fa() -> ForeignAgent {
         ForeignAgent::new(addr("20.0.0.1"))
+    }
+
+    /// True if `mn` is a confirmed, unexpired visitor — i.e. detunneled
+    /// packets for it can be delivered on the local link.
+    fn has_visitor(f: &ForeignAgent, mn: Addr, now: SimTime) -> bool {
+        f.visitors.get(&mn).is_some_and(|v| v.is_active(now))
     }
 
     fn req(home: &str, id: u64) -> RegistrationRequest {
@@ -233,15 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn advertisement_sequence_increases() {
-        let mut f = fa();
-        let a1 = f.make_advertisement();
-        let a2 = f.make_advertisement();
-        assert_eq!(a1.coa, addr("20.0.0.1"));
-        assert!(a2.seq > a1.seq);
-    }
-
-    #[test]
     fn registration_lifecycle() {
         let mut f = fa();
         let relayed = f
@@ -249,11 +213,11 @@ mod tests {
             .unwrap();
         assert_eq!(relayed.coa, addr("20.0.0.1"));
         // Pending entries are not active yet.
-        assert!(!f.has_visitor(addr("10.0.0.9"), SimTime::ZERO));
+        assert!(!has_visitor(&f, addr("10.0.0.9"), SimTime::ZERO));
         f.process_reply(&ok_reply("10.0.0.9", 1), SimTime::from_millis(40));
-        assert!(f.has_visitor(addr("10.0.0.9"), SimTime::from_secs(1)));
-        assert_eq!(f.visitor_count(), 1);
-        assert_eq!(f.counters().0, 1);
+        assert!(has_visitor(&f, addr("10.0.0.9"), SimTime::from_secs(1)));
+        assert_eq!(f.visitors.len(), 1);
+        assert_eq!(f.relayed_requests, 1);
     }
 
     #[test]
@@ -268,7 +232,7 @@ mod tests {
             id: 2,
         };
         f.process_reply(&denial, SimTime::ZERO);
-        assert_eq!(f.visitor_count(), 0);
+        assert_eq!(f.visitors.len(), 0);
     }
 
     #[test]
@@ -278,8 +242,8 @@ mod tests {
             .unwrap();
         f.process_reply(&ok_reply("10.0.0.9", 999), SimTime::ZERO);
         // Still pending — stale reply must not activate the visitor.
-        assert!(!f.has_visitor(addr("10.0.0.9"), SimTime::ZERO));
-        assert!(f.visitor(addr("10.0.0.9")).unwrap().pending_id.is_some());
+        assert!(!has_visitor(&f, addr("10.0.0.9"), SimTime::ZERO));
+        assert!(f.visitors[&addr("10.0.0.9")].pending_id.is_some());
     }
 
     #[test]
@@ -288,15 +252,16 @@ mod tests {
         f.relay_registration(&req("10.0.0.9", 4), SimTime::ZERO)
             .unwrap();
         f.process_reply(&ok_reply("10.0.0.9", 4), SimTime::ZERO);
-        assert!(f.has_visitor(addr("10.0.0.9"), SimTime::from_secs(99)));
-        assert!(!f.has_visitor(addr("10.0.0.9"), SimTime::from_secs(101)));
+        assert!(has_visitor(&f, addr("10.0.0.9"), SimTime::from_secs(99)));
+        assert!(!has_visitor(&f, addr("10.0.0.9"), SimTime::from_secs(101)));
         let (v, _) = f.expire(SimTime::from_secs(101));
         assert_eq!(v, 1);
     }
 
     #[test]
     fn capacity_denial() {
-        let mut f = ForeignAgent::new(addr("20.0.0.1")).with_max_visitors(1);
+        let mut f = fa();
+        f.max_visitors = 1;
         f.relay_registration(&req("10.0.0.8", 5), SimTime::ZERO)
             .unwrap();
         let denied = f
@@ -317,12 +282,12 @@ mod tests {
         f.process_reply(&ok_reply("10.0.0.9", 8), SimTime::ZERO);
         // MN moves: binding update installs a forward.
         f.install_forward(addr("10.0.0.9"), addr("30.0.0.1"), SimTime::from_secs(10));
-        assert!(!f.has_visitor(addr("10.0.0.9"), SimTime::from_secs(10)));
+        assert!(!has_visitor(&f, addr("10.0.0.9"), SimTime::from_secs(10)));
         assert_eq!(
             f.forward_endpoint(addr("10.0.0.9"), SimTime::from_secs(11)),
             Some(addr("30.0.0.1"))
         );
-        assert_eq!(f.counters().1, 1);
+        assert_eq!(f.forwarded_packets, 1);
         // Forward expires after its lifetime.
         assert_eq!(
             f.forward_endpoint(addr("10.0.0.9"), SimTime::from_secs(16)),

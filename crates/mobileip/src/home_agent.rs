@@ -58,11 +58,6 @@ impl HomeAgent {
         self.addr
     }
 
-    /// The home network this agent serves.
-    pub fn home_prefix(&self) -> Prefix {
-        self.home_prefix
-    }
-
     /// Processes a registration request, updating the binding cache.
     ///
     /// Deregistrations (lifetime 0) remove the binding. Requests for
@@ -138,20 +133,6 @@ impl HomeAgent {
         self.bindings.retain(|_, b| b.is_valid(now));
         before - self.bindings.len()
     }
-
-    /// Number of live bindings (may include not-yet-expired stale entries).
-    pub fn binding_count(&self) -> usize {
-        self.bindings.len()
-    }
-
-    /// `(accepted, denied, tunneled)` signaling counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.registrations_accepted,
-            self.registrations_denied,
-            self.packets_tunneled,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -195,8 +176,8 @@ mod tests {
         let mut h = ha();
         let reply = h.process_registration(&request("99.0.0.1", "20.0.0.1", 100, 2), SimTime::ZERO);
         assert_eq!(reply.code, ReplyCode::DeniedUnknownHome);
-        assert_eq!(h.binding_count(), 0);
-        assert_eq!(h.counters().1, 1);
+        assert_eq!(h.bindings.len(), 0);
+        assert_eq!(h.registrations_denied, 1);
     }
 
     #[test]
@@ -224,7 +205,7 @@ mod tests {
             .tunnel_endpoint(addr("10.0.0.9"), SimTime::from_secs(100))
             .is_none());
         assert_eq!(h.expire(SimTime::from_secs(100)), 1);
-        assert_eq!(h.binding_count(), 0);
+        assert_eq!(h.bindings.len(), 0);
     }
 
     #[test]
@@ -239,17 +220,17 @@ mod tests {
             h.tunnel_endpoint(addr("10.0.0.9"), SimTime::from_secs(50)),
             Some(addr("30.0.0.1"))
         );
-        assert_eq!(h.binding_count(), 1);
+        assert_eq!(h.bindings.len(), 1);
     }
 
     #[test]
     fn deregistration_removes_binding() {
         let mut h = ha();
         h.process_registration(&request("10.0.0.9", "20.0.0.1", 100, 7), SimTime::ZERO);
-        let dereg = RegistrationRequest::deregistration(addr("10.0.0.9"), addr("10.0.0.1"), 8);
+        let dereg = request("10.0.0.9", "10.0.0.9", 0, 8);
         let reply = h.process_registration(&dereg, SimTime::from_secs(1));
         assert!(reply.accepted());
-        assert_eq!(h.binding_count(), 0);
+        assert_eq!(h.bindings.len(), 0);
     }
 
     #[test]
@@ -259,14 +240,14 @@ mod tests {
         h.tunnel_endpoint_counted(addr("10.0.0.9"), SimTime::ZERO);
         h.tunnel_endpoint_counted(addr("10.0.0.9"), SimTime::ZERO);
         h.tunnel_endpoint_counted(addr("10.0.0.99"), SimTime::ZERO); // miss
-        assert_eq!(h.counters().2, 2);
+        assert_eq!(h.packets_tunneled, 2);
     }
 
     #[test]
     fn accessors() {
         let h = ha();
         assert_eq!(h.addr(), addr("10.0.0.1"));
-        assert!(h.home_prefix().contains(addr("10.0.255.255")));
-        assert_eq!(h.binding_count(), 0);
+        assert!(h.home_prefix.contains(addr("10.0.255.255")));
+        assert_eq!(h.bindings.len(), 0);
     }
 }

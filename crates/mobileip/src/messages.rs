@@ -18,11 +18,6 @@ pub struct AgentAdvertisement {
     pub seq: u64,
 }
 
-impl AgentAdvertisement {
-    /// Wire size in bytes (ICMP router advertisement + mobility extension).
-    pub const SIZE_BYTES: u32 = 48;
-}
-
 /// Registration request MN → (FA) → HA (paper step 1(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegistrationRequest {
@@ -43,17 +38,6 @@ impl RegistrationRequest {
     /// Wire size in bytes (UDP registration request).
     pub const SIZE_BYTES: u32 = 60;
 
-    /// A deregistration (lifetime zero) request for returning home.
-    pub fn deregistration(mn_home: Addr, ha: Addr, id: u64) -> Self {
-        RegistrationRequest {
-            mn_home,
-            coa: mn_home,
-            ha,
-            lifetime: SimDuration::ZERO,
-            id,
-        }
-    }
-
     /// True if this request tears the binding down.
     pub fn is_deregistration(&self) -> bool {
         self.lifetime.is_zero()
@@ -67,8 +51,6 @@ pub enum ReplyCode {
     Accepted,
     /// Denied by the home agent: unknown mobile node.
     DeniedUnknownHome,
-    /// Denied: requested lifetime too long (granted lifetime returned).
-    DeniedLifetimeTooLong,
     /// Denied by the foreign agent: visitor table full.
     DeniedFaBusy,
 }
@@ -99,30 +81,18 @@ impl RegistrationReply {
 /// All Mobile IP control messages, as carried in simulation packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MipMessage {
-    /// Periodic agent advertisement.
-    Advertisement(AgentAdvertisement),
     /// Registration request (MN→FA or FA→HA leg).
     Request(RegistrationRequest),
     /// Registration reply (HA→FA or FA→MN leg).
     Reply(RegistrationReply),
-    /// Binding update to a previous FA: forward in-flight packets to the
-    /// new care-of address (smooth handoff, paper ref \[5]).
-    BindingUpdate {
-        /// The mobile node that moved.
-        mn_home: Addr,
-        /// Its new care-of address.
-        new_coa: Addr,
-    },
 }
 
 impl MipMessage {
     /// Wire size of the message payload in bytes.
     pub fn size_bytes(&self) -> u32 {
         match self {
-            MipMessage::Advertisement(_) => AgentAdvertisement::SIZE_BYTES,
             MipMessage::Request(_) => RegistrationRequest::SIZE_BYTES,
             MipMessage::Reply(_) => RegistrationReply::SIZE_BYTES,
-            MipMessage::BindingUpdate { .. } => 40,
         }
     }
 }
@@ -137,10 +107,20 @@ mod tests {
 
     #[test]
     fn deregistration_has_zero_lifetime() {
-        let r = RegistrationRequest::deregistration(addr("10.0.0.5"), addr("10.0.0.1"), 7);
+        let home = addr("10.0.0.5");
+        let r = RegistrationRequest {
+            mn_home: home,
+            coa: home,
+            ha: addr("10.0.0.1"),
+            lifetime: SimDuration::ZERO,
+            id: 7,
+        };
         assert!(r.is_deregistration());
-        assert_eq!(r.coa, r.mn_home, "CoA collapses to home address");
-        assert_eq!(r.id, 7);
+        let r = RegistrationRequest {
+            lifetime: SimDuration::from_secs(1),
+            ..r
+        };
+        assert!(!r.is_deregistration());
     }
 
     #[test]
@@ -161,26 +141,13 @@ mod tests {
 
     #[test]
     fn sizes_are_positive_and_distinct_enough() {
-        let adv = MipMessage::Advertisement(AgentAdvertisement {
-            agent: addr("1.1.1.1"),
-            coa: addr("1.1.1.1"),
-            max_lifetime: SimDuration::from_secs(300),
-            seq: 0,
+        let req = MipMessage::Request(RegistrationRequest {
+            mn_home: addr("1.1.1.2"),
+            coa: addr("1.1.1.2"),
+            ha: addr("1.1.1.1"),
+            lifetime: SimDuration::ZERO,
+            id: 0,
         });
-        let req = MipMessage::Request(RegistrationRequest::deregistration(
-            addr("1.1.1.2"),
-            addr("1.1.1.1"),
-            0,
-        ));
-        assert!(adv.size_bytes() > 0);
-        assert!(req.size_bytes() > adv.size_bytes() - 48);
-        assert_eq!(
-            MipMessage::BindingUpdate {
-                mn_home: addr("1.1.1.2"),
-                new_coa: addr("2.2.2.2")
-            }
-            .size_bytes(),
-            40
-        );
+        assert!(req.size_bytes() > 0);
     }
 }

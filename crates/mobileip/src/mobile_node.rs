@@ -84,33 +84,9 @@ impl MobileNode {
         }
     }
 
-    /// Overrides the requested lifetime.
-    pub fn with_lifetime(mut self, lifetime: SimDuration) -> Self {
-        self.desired_lifetime = lifetime;
-        self
-    }
-
-    /// The node's permanent home address.
-    pub fn home_addr(&self) -> Addr {
-        self.home_addr
-    }
-
     /// Current protocol state.
     pub fn state(&self) -> MnState {
         self.state
-    }
-
-    /// The confirmed care-of address, if registered and valid at `now`.
-    pub fn coa(&self, now: SimTime) -> Option<Addr> {
-        match self.state {
-            MnState::Registered { coa, expires_at } if now < expires_at => Some(coa),
-            _ => None,
-        }
-    }
-
-    /// `(registrations_sent, handoffs)` counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (self.registrations_sent, self.handoffs)
     }
 
     fn make_request(&mut self, coa: Addr, now: SimTime) -> RegistrationRequest {
@@ -240,6 +216,14 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The confirmed care-of address, if registered and valid at `now`.
+    fn coa(m: &MobileNode, now: SimTime) -> Option<Addr> {
+        match m.state() {
+            MnState::Registered { coa, expires_at } if now < expires_at => Some(coa),
+            _ => None,
+        }
+    }
+
     fn mn() -> MobileNode {
         MobileNode::new(addr("10.0.0.9"), addr("10.0.0.1"))
     }
@@ -273,7 +257,7 @@ mod tests {
         assert_eq!(req.coa, addr("20.0.0.1"));
         assert!(matches!(m.state(), MnState::Registering { .. }));
         m.on_reply(&accept(&req), SimTime::from_millis(40));
-        assert_eq!(m.coa(SimTime::from_secs(1)), Some(addr("20.0.0.1")));
+        assert_eq!(coa(&m, SimTime::from_secs(1)), Some(addr("20.0.0.1")));
     }
 
     #[test]
@@ -291,9 +275,9 @@ mod tests {
             panic!("handoff should trigger registration");
         };
         assert_eq!(r2.coa, addr("30.0.0.1"));
-        assert_eq!(m.counters().1, 1, "one handoff counted");
+        assert_eq!(m.handoffs, 1, "one handoff counted");
         m.on_reply(&accept(&r2), SimTime::from_secs(10));
-        assert_eq!(m.coa(SimTime::from_secs(11)), Some(addr("30.0.0.1")));
+        assert_eq!(coa(&m, SimTime::from_secs(11)), Some(addr("30.0.0.1")));
     }
 
     #[test]
@@ -340,7 +324,7 @@ mod tests {
         };
         m.on_reply(&denial, SimTime::from_millis(40));
         assert_eq!(m.state(), MnState::Searching);
-        assert_eq!(m.coa(SimTime::from_secs(1)), None);
+        assert_eq!(coa(&m, SimTime::from_secs(1)), None);
     }
 
     #[test]
@@ -385,14 +369,15 @@ mod tests {
 
     #[test]
     fn coa_expires() {
-        let mut m = mn().with_lifetime(SimDuration::from_secs(10));
+        let mut m = mn();
+        m.desired_lifetime = SimDuration::from_secs(10);
         let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO)
         else {
             panic!()
         };
         m.on_reply(&accept(&r), SimTime::ZERO);
-        assert!(m.coa(SimTime::from_secs(9)).is_some());
-        assert!(m.coa(SimTime::from_secs(10)).is_none());
+        assert!(coa(&m, SimTime::from_secs(9)).is_some());
+        assert!(coa(&m, SimTime::from_secs(10)).is_none());
     }
 
     #[test]

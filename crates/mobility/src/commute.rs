@@ -44,11 +44,6 @@ impl LinearCommute {
         self.round_trip = true;
         self
     }
-
-    /// The configured speed in m/s.
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
 }
 
 impl MobilityModel for LinearCommute {
@@ -106,7 +101,7 @@ mod tests {
             traj.position(SimTime::from_secs(1000), &mut r),
             Point::new(100.0, 0.0)
         );
-        assert_eq!(traj.speed(SimTime::from_secs(1000), &mut r), 0.0);
+        assert_eq!(traj.sample(SimTime::from_secs(1000), &mut r).1, 0.0);
     }
 
     #[test]
@@ -132,7 +127,7 @@ mod tests {
             Point::new(50.0, 0.0)
         );
         // Always moving at configured speed.
-        assert_eq!(traj.speed(SimTime::from_secs(27), &mut r), 10.0);
+        assert_eq!(traj.sample(SimTime::from_secs(27), &mut r).1, 10.0);
     }
 
     #[test]
@@ -153,19 +148,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn speed_validation() {
-        LinearCommute::new(Point::ORIGIN, Point::new(1.0, 0.0), -1.0);
+        LinearCommute::new(Point::new(0.0, 0.0), Point::new(1.0, 0.0), -1.0);
     }
 
     #[test]
     #[should_panic(expected = "differ")]
     fn distinct_endpoints_required() {
-        LinearCommute::new(Point::ORIGIN, Point::ORIGIN, 1.0);
+        LinearCommute::new(Point::new(0.0, 0.0), Point::new(0.0, 0.0), 1.0);
     }
 
     #[test]
     fn accessors() {
-        let m = LinearCommute::new(Point::ORIGIN, Point::new(10.0, 0.0), 2.5);
-        assert_eq!(m.speed(), 2.5);
-        assert_eq!(m.start(), Point::ORIGIN);
+        let m = LinearCommute::new(Point::new(0.0, 0.0), Point::new(10.0, 0.0), 2.5);
+        assert_eq!(m.speed, 2.5);
+        assert_eq!(m.start(), Point::new(0.0, 0.0));
     }
 }

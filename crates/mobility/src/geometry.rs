@@ -30,9 +30,6 @@ pub struct Vec2 {
 }
 
 impl Point {
-    /// The origin.
-    pub const ORIGIN: Point = Point { x: 0.0, y: 0.0 };
-
     /// Creates a point.
     pub const fn new(x: f64, y: f64) -> Point {
         Point { x, y }
@@ -113,22 +110,12 @@ impl Rect {
         Rect { min, max }
     }
 
-    /// A square of side `side` with lower-left corner at the origin.
-    pub fn square(side: f64) -> Rect {
-        Rect::new(Point::ORIGIN, Point::new(side, side))
-    }
-
     /// Center point.
     pub fn center(&self) -> Point {
         Point::new(
             (self.min.x + self.max.x) / 2.0,
             (self.min.y + self.max.y) / 2.0,
         )
-    }
-
-    /// True if `p` lies inside or on the boundary.
-    pub fn contains(&self, p: Point) -> bool {
-        p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
     /// Clamps a point into the rectangle.
@@ -162,17 +149,18 @@ mod tests {
 
     #[test]
     fn vector_ops() {
-        let v = Point::new(3.0, 4.0) - Point::ORIGIN;
+        let v = Point::new(3.0, 4.0) - Point::new(0.0, 0.0);
         assert_eq!(v.length(), 5.0);
-        assert_eq!(Point::ORIGIN + v * 2.0, Point::new(6.0, 8.0));
+        assert_eq!(Point::new(0.0, 0.0) + v * 2.0, Point::new(6.0, 8.0));
     }
 
     #[test]
     fn rect_queries() {
-        let r = Rect::square(100.0);
+        let r = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
         assert_eq!(r.center(), Point::new(50.0, 50.0));
-        assert!(r.contains(Point::new(0.0, 100.0)));
-        assert!(!r.contains(Point::new(-0.1, 50.0)));
+        let (edge, outside) = (Point::new(0.0, 100.0), Point::new(-0.1, 50.0));
+        assert_eq!(r.clamp(edge), edge, "the boundary is inside");
+        assert_ne!(r.clamp(outside), outside);
         assert_eq!(r.clamp(Point::new(-5.0, 200.0)), Point::new(0.0, 100.0));
     }
 

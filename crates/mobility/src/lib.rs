@@ -14,7 +14,6 @@
 //! * [`RandomWaypoint`] — the classic random-waypoint model.
 //! * [`LinearCommute`] — a straight constant-speed path (domain-crossing
 //!   experiments, Figs 3.2–3.3).
-//! * [`Stationary`] — a node that never moves.
 //! * [`Trajectory`] — a model of its own plus the phase word and the one
 //!   leg it is currently on: O(1) position-and-speed queries at
 //!   non-decreasing times, constant memory.
@@ -44,6 +43,6 @@ mod waypoint;
 
 pub use commute::LinearCommute;
 pub use geometry::{Point, Rect, Vec2};
-pub use model::{Leg, LegCursor, MobilityModel, Stationary, Trajectory};
+pub use model::{Leg, LegCursor, MobilityModel, Trajectory};
 pub use speed::SpeedClass;
 pub use waypoint::RandomWaypoint;

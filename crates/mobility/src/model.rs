@@ -76,29 +76,6 @@ pub trait MobilityModel {
     fn start(&self) -> Point;
 }
 
-/// A node that never moves — the degenerate mobility model.
-#[derive(Debug, Clone, Copy)]
-pub struct Stationary {
-    at: Point,
-}
-
-impl Stationary {
-    /// Creates a stationary node at `at`.
-    pub fn new(at: Point) -> Self {
-        Stationary { at }
-    }
-}
-
-impl MobilityModel for Stationary {
-    fn next_leg(&self, _current: Point, _phase: &mut u32, _rng: &mut RngStream) -> Leg {
-        Leg::pause(self.at, SimDuration::from_secs(3600))
-    }
-
-    fn start(&self) -> Point {
-        self.at
-    }
-}
-
 /// Shortest time a leg occupies on the trajectory's clock: zero-length
 /// legs would stall materialization forever.
 const MIN_LEG: SimDuration = SimDuration::from_millis(1);
@@ -111,7 +88,7 @@ struct CurrentLeg {
     /// least [`MIN_LEG`], so an end is never zero — which is what lets
     /// [`Walk`] keep its start point without spending a byte on the tag.
     /// The start is derived (`end − max(duration, MIN_LEG)`), exact short
-    /// of the clock saturating at `SimTime::MAX` (584 simulated years).
+    /// of the clock saturating at its last instant (584 simulated years).
     end: NonZeroU64,
 }
 
@@ -277,11 +254,6 @@ impl Trajectory {
     pub fn position(&mut self, t: SimTime, rng: &mut RngStream) -> Point {
         self.sample(t, rng).0
     }
-
-    /// Instantaneous speed (m/s) at time `t`.
-    pub fn speed(&mut self, t: SimTime, rng: &mut RngStream) -> f64 {
-        self.sample(t, rng).1
-    }
 }
 
 #[cfg(test)]
@@ -324,20 +296,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn leg_zero_speed_rejected() {
-        Leg::travel(Point::ORIGIN, Point::new(1.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn stationary_never_moves() {
-        let mut traj = Trajectory::new(Box::new(Stationary::new(Point::new(5.0, 5.0))));
-        let mut r = rng();
-        for secs in [0u64, 100, 10_000] {
-            assert_eq!(
-                traj.position(SimTime::from_secs(secs), &mut r),
-                Point::new(5.0, 5.0)
-            );
-            assert_eq!(traj.speed(SimTime::from_secs(secs), &mut r), 0.0);
-        }
+        Leg::travel(Point::new(0.0, 0.0), Point::new(1.0, 0.0), 0.0);
     }
 
     /// A scripted model emitting fixed legs, for deterministic tests; the
@@ -345,6 +304,13 @@ mod tests {
     #[derive(Clone)]
     struct Scripted {
         legs: Vec<Leg>,
+    }
+
+    /// A node parked at `at`, one hour-long pause after another.
+    fn parked(at: Point) -> Scripted {
+        Scripted {
+            legs: vec![Leg::pause(at, SimDuration::from_secs(3600))],
+        }
     }
 
     impl MobilityModel for Scripted {
@@ -376,7 +342,7 @@ mod tests {
             let t = SimTime::from_secs(secs);
             assert_eq!(traj.sample(t, &mut r), (pos, speed), "at {t:?}");
             assert_eq!(traj.position(t, &mut r), pos, "position at {t:?}");
-            assert_eq!(traj.speed(t, &mut r), speed, "speed at {t:?}");
+            assert_eq!(traj.sample(t, &mut r).1, speed, "speed at {t:?}");
         }
     }
 
@@ -425,7 +391,7 @@ mod tests {
         };
         let mut cursor = LegCursor::at(model.start());
         let (mut phase, mut r) = (0, rng());
-        let us = SimTime::from_micros;
+        let us = |micros: u64| SimTime::from_nanos(micros * 1000);
         for (t, pulled, pos, speed) in [
             (us(0), 1, here, 0.0),
             (us(0), 1, here, 0.0),
@@ -447,8 +413,11 @@ mod tests {
     fn dense_and_sparse_queries_answer_bit_exact() {
         let mk = || {
             Trajectory::new(Box::new(
-                RandomWaypoint::new(Rect::square(1000.0), SpeedClass::Pedestrian)
-                    .with_pause(SimDuration::from_secs(5)),
+                RandomWaypoint::new(
+                    Rect::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)),
+                    SpeedClass::Pedestrian,
+                )
+                .with_pause(SimDuration::from_secs(5)),
             ))
         };
         let (mut dense, mut sparse) = (mk(), mk());
@@ -462,8 +431,8 @@ mod tests {
             if secs % 1000 == 0 {
                 assert_eq!(p, sparse.position(t, &mut rs), "position at {t:?}");
                 assert_eq!(
-                    dense.speed(t, &mut rd),
-                    sparse.speed(t, &mut rs),
+                    dense.sample(t, &mut rd).1,
+                    sparse.sample(t, &mut rs).1,
                     "speed at {t:?}"
                 );
             }
@@ -476,7 +445,7 @@ mod tests {
 
     #[test]
     fn debug_reports_cache() {
-        let mut traj = Trajectory::new(Box::new(Stationary::new(Point::ORIGIN)));
+        let mut traj = Trajectory::new(Box::new(parked(Point::new(0.0, 0.0))));
         let mut r = rng();
         traj.position(SimTime::from_secs(1), &mut r);
         let shown = format!("{traj:?}");
@@ -643,7 +612,7 @@ mod tests {
             draws in prop::collection::vec((0u8..4, 1u64..5_000_000), 1..200),
         ) {
             let steps: Vec<u64> = draws.into_iter().map(step_ms).collect();
-            let area = Rect::square(1000.0);
+            let area = Rect::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
             let rwp = RandomWaypoint::new(area, SpeedClass::Pedestrian);
             check_against_oracle(rwp.clone(), seed, &steps)?;
             check_against_oracle(rwp.with_pause(SimDuration::from_secs(5)), seed, &steps)?;
@@ -651,7 +620,7 @@ mod tests {
             // leg boundaries.
             let commute = LinearCommute::new(Point::new(0.0, 0.0), Point::new(300.0, 400.0), 50.0);
             check_against_oracle(commute.round_trip(), seed, &steps)?;
-            check_against_oracle(Stationary::new(Point::new(5.0, 5.0)), seed, &steps)?;
+            check_against_oracle(parked(Point::new(5.0, 5.0)), seed, &steps)?;
             check_against_oracle(script(), seed, &steps)?;
         }
 
@@ -664,7 +633,7 @@ mod tests {
             let draws: Vec<(usize, u64)> =
                 draws.into_iter().map(|(k, kind, gap)| (k, step_ms((kind, gap)))).collect();
             // Random waypoint: every walker starts somewhere else.
-            let area = Rect::square(1000.0);
+            let area = Rect::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
             let mut at = RngStream::derive(seed, "starts");
             let starts: Vec<Point> = (0..n)
                 .map(|_| Point::new(at.uniform(0.0, 1000.0), at.uniform(0.0, 1000.0)))
@@ -680,7 +649,8 @@ mod tests {
             check_sharing(&one_way, |_| one_way.clone(), &vec![a; n], seed, &draws)?;
             check_sharing(&round_trip, |_| round_trip.clone(), &vec![a; n], seed, &draws)?;
             let here = Point::new(5.0, 5.0);
-            check_sharing(&Stationary::new(here), Stationary::new, &vec![here; n], seed, &draws)?;
+            let parked_here = parked(here);
+            check_sharing(&parked_here, parked, &vec![here; n], seed, &draws)?;
             let scripted = script();
             let from = scripted.start();
             check_sharing(&scripted, |_| scripted.clone(), &vec![from; n], seed, &draws)?;

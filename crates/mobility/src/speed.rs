@@ -20,13 +20,6 @@ pub enum SpeedClass {
 }
 
 impl SpeedClass {
-    /// All classes, for sweeps.
-    pub const ALL: [SpeedClass; 3] = [
-        SpeedClass::Pedestrian,
-        SpeedClass::UrbanVehicle,
-        SpeedClass::Highway,
-    ];
-
     /// `(min, max)` speed in m/s.
     pub fn range(self) -> (f64, f64) {
         match self {
@@ -50,17 +43,6 @@ impl SpeedClass {
             "urban-vehicle" => Some(SpeedClass::UrbanVehicle),
             "highway" => Some(SpeedClass::Highway),
             _ => None,
-        }
-    }
-
-    /// Classifies a raw speed into the nearest class.
-    pub fn classify(speed_mps: f64) -> SpeedClass {
-        if speed_mps < 3.5 {
-            SpeedClass::Pedestrian
-        } else if speed_mps < 17.5 {
-            SpeedClass::UrbanVehicle
-        } else {
-            SpeedClass::Highway
         }
     }
 }
@@ -92,25 +74,15 @@ mod tests {
 
     #[test]
     fn typical_inside_range() {
-        for class in SpeedClass::ALL {
+        for class in [
+            SpeedClass::Pedestrian,
+            SpeedClass::UrbanVehicle,
+            SpeedClass::Highway,
+        ] {
             let (lo, hi) = class.range();
             let t = class.typical();
             assert!(t > lo && t < hi);
         }
-    }
-
-    #[test]
-    fn classify_round_trips_typical() {
-        for class in SpeedClass::ALL {
-            assert_eq!(SpeedClass::classify(class.typical()), class);
-        }
-    }
-
-    #[test]
-    fn classify_boundaries() {
-        assert_eq!(SpeedClass::classify(0.0), SpeedClass::Pedestrian);
-        assert_eq!(SpeedClass::classify(10.0), SpeedClass::UrbanVehicle);
-        assert_eq!(SpeedClass::classify(100.0), SpeedClass::Highway);
     }
 
     #[test]

@@ -12,14 +12,15 @@ use mtnet_sim::{RngStream, SimDuration};
 /// the next leg pauses when the model has a pause.
 ///
 /// ```
-/// use mtnet_mobility::{RandomWaypoint, Rect, SpeedClass, Trajectory};
+/// use mtnet_mobility::{Point, RandomWaypoint, Rect, SpeedClass, Trajectory};
 /// use mtnet_sim::{RngStream, SimTime};
 ///
-/// let model = RandomWaypoint::new(Rect::square(1000.0), SpeedClass::Pedestrian);
+/// let area = Rect::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
+/// let model = RandomWaypoint::new(area, SpeedClass::Pedestrian);
 /// let mut traj = Trajectory::new(Box::new(model));
 /// let mut rng = RngStream::derive(7, "mn0");
 /// let p = traj.position(SimTime::from_secs(300), &mut rng);
-/// assert!(Rect::square(1000.0).contains(p));
+/// assert_eq!(area.clamp(p), p, "inside the area");
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomWaypoint {
@@ -51,11 +52,6 @@ impl RandomWaypoint {
     pub fn with_start(mut self, start: Point) -> Self {
         self.start = self.area.clamp(start);
         self
-    }
-
-    /// The movement area.
-    pub fn area(&self) -> Rect {
-        self.area
     }
 }
 
@@ -98,25 +94,28 @@ mod tests {
 
     #[test]
     fn stays_inside_area() {
-        let area = Rect::square(500.0);
+        let area = Rect::new(Point::new(0.0, 0.0), Point::new(500.0, 500.0));
         let model = RandomWaypoint::new(area, SpeedClass::UrbanVehicle);
         let mut traj = Trajectory::new(Box::new(model));
         let mut r = RngStream::derive(3, "rwp");
         for secs in (0..600).step_by(7) {
             let p = traj.position(SimTime::from_secs(secs), &mut r);
-            assert!(area.contains(p), "escaped area at t={secs}: {p}");
+            assert_eq!(area.clamp(p), p, "escaped area at t={secs}: {p}");
         }
     }
 
     #[test]
     fn speeds_inside_class_range() {
-        let model = RandomWaypoint::new(Rect::square(1000.0), SpeedClass::Highway);
+        let model = RandomWaypoint::new(
+            Rect::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)),
+            SpeedClass::Highway,
+        );
         let mut traj = Trajectory::new(Box::new(model));
         let mut r = RngStream::derive(4, "rwp2");
         let (lo, hi) = SpeedClass::Highway.range();
         let mut moving_samples = 0;
         for secs in (0..1000).step_by(11) {
-            let s = traj.speed(SimTime::from_secs(secs), &mut r);
+            let s = traj.sample(SimTime::from_secs(secs), &mut r).1;
             if s > 0.0 {
                 moving_samples += 1;
                 assert!((lo..=hi).contains(&s), "speed {s} outside [{lo},{hi}]");
@@ -127,10 +126,13 @@ mod tests {
 
     #[test]
     fn pause_legs_alternate() {
-        let model = RandomWaypoint::new(Rect::square(100.0), SpeedClass::Pedestrian)
-            .with_pause(SimDuration::from_secs(30));
+        let model = RandomWaypoint::new(
+            Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
+            SpeedClass::Pedestrian,
+        )
+        .with_pause(SimDuration::from_secs(30));
         let (mut phase, mut r) = (0, RngStream::derive(5, "rwp3"));
-        let l1 = model.next_leg(Point::ORIGIN, &mut phase, &mut r);
+        let l1 = model.next_leg(Point::new(0.0, 0.0), &mut phase, &mut r);
         let l2 = model.next_leg(l1.to, &mut phase, &mut r);
         assert!(l1.speed > 0.0, "first leg travels");
         assert_eq!(l2.speed, 0.0, "second leg pauses");
@@ -140,7 +142,10 @@ mod tests {
     #[test]
     fn deterministic_given_stream() {
         let mk = || {
-            let model = RandomWaypoint::new(Rect::square(800.0), SpeedClass::UrbanVehicle);
+            let model = RandomWaypoint::new(
+                Rect::new(Point::new(0.0, 0.0), Point::new(800.0, 800.0)),
+                SpeedClass::UrbanVehicle,
+            );
             let mut traj = Trajectory::new(Box::new(model));
             let mut r = RngStream::derive(9, "det");
             traj.position(SimTime::from_secs(500), &mut r)
@@ -150,17 +155,11 @@ mod tests {
 
     #[test]
     fn with_start_clamps() {
-        let model = RandomWaypoint::new(Rect::square(100.0), SpeedClass::Pedestrian)
-            .with_start(Point::new(-50.0, 50.0));
+        let model = RandomWaypoint::new(
+            Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
+            SpeedClass::Pedestrian,
+        )
+        .with_start(Point::new(-50.0, 50.0));
         assert_eq!(model.start(), Point::new(0.0, 50.0));
-    }
-
-    #[test]
-    fn area_accessor() {
-        let area = Rect::square(42.0);
-        assert_eq!(
-            RandomWaypoint::new(area, SpeedClass::Pedestrian).area(),
-            area
-        );
     }
 }

@@ -94,12 +94,6 @@ pub struct Prefix {
 }
 
 impl Prefix {
-    /// The default route `0.0.0.0/0`.
-    pub const DEFAULT: Prefix = Prefix {
-        network: Addr(0),
-        len: 0,
-    };
-
     /// Creates a prefix, canonicalizing the network address (host bits are
     /// zeroed).
     ///
@@ -218,9 +212,10 @@ mod tests {
 
     #[test]
     fn default_prefix_contains_everything() {
-        assert!(Prefix::DEFAULT.contains(Addr(0)));
-        assert!(Prefix::DEFAULT.contains(Addr(u32::MAX)));
-        assert_eq!(Prefix::DEFAULT.len(), 0);
+        let default: Prefix = "0.0.0.0/0".parse().unwrap();
+        assert!(default.contains(Addr(0)));
+        assert!(default.contains(Addr(u32::MAX)));
+        assert_eq!(default.len(), 0);
     }
 
     #[test]

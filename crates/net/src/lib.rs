@@ -15,8 +15,8 @@
 //! * [`Topology`] — a graph of nodes and links with Dijkstra shortest paths,
 //!   used to auto-populate routing tables.
 //! * [`RouteCache`] — a generation-keyed shortest-path cache answering
-//!   `next_hop` / `hop_count` / `path_delay` in O(1) after one Dijkstra
-//!   per source per topology version.
+//!   `next_hop` / `path_delay` in O(1) after one Dijkstra per source per
+//!   topology version.
 //!
 //! The substrate is protocol-agnostic: payloads are a generic parameter, so
 //! protocol crates define their own message enums.

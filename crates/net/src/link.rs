@@ -157,11 +157,6 @@ impl Link {
         &self.config
     }
 
-    /// Transmission counters so far.
-    pub fn stats(&self) -> &LinkStats {
-        &self.stats
-    }
-
     /// Instantaneous backlog (queueing delay a new arrival would see) at
     /// `now`.
     fn backlog(&self, now: SimTime) -> SimDuration {
@@ -247,8 +242,8 @@ mod tests {
         }
         assert!(dropped > 0, "expected drops");
         assert!(delivered >= 3, "queue should hold several packets");
-        assert_eq!(l.stats().dropped_packets, dropped);
-        assert_eq!(l.stats().tx_packets, delivered);
+        assert_eq!(l.stats.dropped_packets, dropped);
+        assert_eq!(l.stats.tx_packets, delivered);
     }
 
     #[test]
@@ -294,8 +289,8 @@ mod tests {
         l.set_up(false);
         assert!(!l.is_up());
         assert_eq!(l.transmit(SimTime::ZERO, 100), TransmitOutcome::Dropped);
-        assert_eq!(l.stats().dropped_packets, 1);
-        assert_eq!(l.stats().tx_packets, 0);
+        assert_eq!(l.stats.dropped_packets, 1);
+        assert_eq!(l.stats.tx_packets, 0);
         l.set_up(true);
         assert!(matches!(
             l.transmit(SimTime::from_millis(1), 100),

@@ -6,8 +6,8 @@
 //! for the next hop of every packet at every router. [`RouteCache`]
 //! computes each source's predecessor tree **once per topology
 //! generation** ([`Topology::generation`] is bumped on any node/link
-//! addition) and then answers `next_hop` / `hop_count` / `path_delay` with
-//! two array reads. Results are bit-identical to the naive methods: both
+//! addition) and then answers `next_hop` / `path_delay` with two array
+//! reads. Results are bit-identical to the naive methods: both
 //! derive from the same predecessor array, so even tie-breaks between
 //! equal-cost paths agree.
 
@@ -91,11 +91,10 @@ impl SourceTree {
 /// topo.connect(b, c, LinkConfig::backbone());
 /// let mut routes = RouteCache::new();
 /// assert_eq!(routes.next_hop(&topo, a, c), Some(b));
-/// assert_eq!(routes.hop_count(&topo, a, c), Some(2));
 /// // Mutating the topology invalidates the cache on the next query.
 /// let d = topo.add_node("10.0.0.4".parse().unwrap());
 /// topo.connect(c, d, LinkConfig::backbone());
-/// assert_eq!(routes.hop_count(&topo, a, d), Some(3));
+/// assert_eq!(routes.next_hop(&topo, a, d), Some(b));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RouteCache {
@@ -109,11 +108,6 @@ impl RouteCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         RouteCache::default()
-    }
-
-    /// Number of source trees currently materialized (diagnostics).
-    pub fn cached_sources(&self) -> usize {
-        self.trees.iter().filter(|t| t.is_some()).count()
     }
 
     /// Returns the source tree for `src`, (re)building as needed.
@@ -136,20 +130,6 @@ impl RouteCache {
     /// Panics if either node is unknown.
     pub fn next_hop(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<NodeId> {
         self.tree(topo, src).first_hop[dst.0 as usize]
-    }
-
-    /// Number of hops on the min-delay path (`Some(0)` when `src == dst`);
-    /// `None` when unreachable. Identical to [`Topology::hop_count`],
-    /// amortized O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is unknown.
-    pub fn hop_count(&mut self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<u32> {
-        match self.tree(topo, src).hops[dst.0 as usize] {
-            u32::MAX => None,
-            h => Some(h),
-        }
     }
 
     /// Total propagation delay of the min-delay path (`Some(0)` when
@@ -204,7 +184,6 @@ mod tests {
             for d in 0..t.node_count() as u32 {
                 let (s, d) = (NodeId(s), NodeId(d));
                 assert_eq!(cache.next_hop(&t, s, d), t.next_hop_on_path(s, d));
-                assert_eq!(cache.hop_count(&t, s, d), t.hop_count(s, d));
             }
         }
     }
@@ -227,7 +206,6 @@ mod tests {
         let b = t.add_node(addr(2));
         let mut cache = RouteCache::new();
         assert_eq!(cache.next_hop(&t, a, b), None);
-        assert_eq!(cache.hop_count(&t, a, b), None);
         assert_eq!(cache.path_delay(&t, a, b), None);
     }
 
@@ -244,7 +222,6 @@ mod tests {
         let c = t.add_node(addr(3));
         t.connect(b, c, LinkConfig::backbone());
         assert_eq!(cache.next_hop(&t, a, c), Some(b));
-        assert_eq!(cache.hop_count(&t, a, c), Some(2));
     }
 
     #[test]
@@ -274,11 +251,12 @@ mod tests {
     fn caches_one_tree_per_source() {
         let (t, a, b, _) = line_plus_slow_direct();
         let mut cache = RouteCache::new();
-        assert_eq!(cache.cached_sources(), 0);
+        let cached = |c: &RouteCache| c.trees.iter().filter(|t| t.is_some()).count();
+        assert_eq!(cached(&cache), 0);
         cache.next_hop(&t, a, b);
         cache.next_hop(&t, a, NodeId(2));
-        assert_eq!(cache.cached_sources(), 1, "one source queried twice");
+        assert_eq!(cached(&cache), 1, "one source queried twice");
         cache.next_hop(&t, b, a);
-        assert_eq!(cache.cached_sources(), 2);
+        assert_eq!(cached(&cache), 2);
     }
 }

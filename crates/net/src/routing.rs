@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// ```
 /// use mtnet_net::{Prefix, RoutingTable, NodeId};
 /// let mut t = RoutingTable::new();
-/// t.insert(Prefix::DEFAULT, NodeId(0));
+/// t.insert("0.0.0.0/0".parse().unwrap(), NodeId(0));
 /// t.insert("10.0.0.0/8".parse().unwrap(), NodeId(1));
 /// assert_eq!(t.lookup("10.9.9.9".parse().unwrap()), Some(NodeId(1)));
 /// assert_eq!(t.lookup("8.8.8.8".parse().unwrap()), Some(NodeId(0)));
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn default_route_catches_all() {
         let mut t = RoutingTable::new();
-        t.insert(Prefix::DEFAULT, NodeId(7));
+        t.insert(pfx("0.0.0.0/0"), NodeId(7));
         assert_eq!(t.lookup(addr("1.2.3.4")), Some(NodeId(7)));
         assert_eq!(t.lookup(addr("255.255.255.255")), Some(NodeId(7)));
     }

@@ -36,20 +36,14 @@ impl fmt::Display for LinkId {
 /// Errors returned by [`Topology`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
-    /// Referenced a node id that was never added.
-    UnknownNode(NodeId),
     /// Referenced a link id that was never added.
     UnknownLink(LinkId),
-    /// No link connects the two nodes in the requested direction.
-    NoLink(NodeId, NodeId),
 }
 
 impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TopologyError::UnknownNode(n) => write!(f, "unknown node {n}"),
             TopologyError::UnknownLink(l) => write!(f, "unknown link {l}"),
-            TopologyError::NoLink(a, b) => write!(f, "no link from {a} to {b}"),
         }
     }
 }
@@ -192,14 +186,6 @@ impl Topology {
             .ok_or(TopologyError::UnknownLink(id))
     }
 
-    /// Shared access to a link.
-    pub fn link(&self, id: LinkId) -> Result<&Link, TopologyError> {
-        self.links
-            .get(id.0 as usize)
-            .map(|e| &e.link)
-            .ok_or(TopologyError::UnknownLink(id))
-    }
-
     /// Sets a link's administrative state, bumping the topology
     /// generation on every **actual** transition — down *and*, crucially,
     /// back up. Routes resolved while the link was down are just as stale
@@ -284,26 +270,6 @@ impl Topology {
             }
             if pred == cur {
                 return None; // src unreachable marker
-            }
-            cur = pred;
-        }
-    }
-
-    /// Number of hops on the min-delay path, or `None` if unreachable —
-    /// the reference for [`crate::RouteCache::hop_count`] in the same
-    /// property test.
-    pub fn hop_count(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        if src == dst {
-            return Some(0);
-        }
-        let best = self.dijkstra(src);
-        let mut cur = dst;
-        let mut hops = 0;
-        loop {
-            let (_, pred) = best[cur.0 as usize]?;
-            hops += 1;
-            if pred == src {
-                return Some(hops);
             }
             cur = pred;
         }
@@ -421,14 +387,12 @@ mod tests {
         let (t, a, b, c) = line_plus_slow_direct();
         // 2 ms via b beats 50 ms direct.
         assert_eq!(t.next_hop_on_path(a, c), Some(b));
-        assert_eq!(t.hop_count(a, c), Some(2));
     }
 
     #[test]
     fn next_hop_self_is_none() {
         let (t, a, _, _) = line_plus_slow_direct();
         assert_eq!(t.next_hop_on_path(a, a), None);
-        assert_eq!(t.hop_count(a, a), Some(0));
     }
 
     #[test]
@@ -438,7 +402,6 @@ mod tests {
         let b = t.add_node(addr(2));
         // no links
         assert_eq!(t.next_hop_on_path(a, b), None);
-        assert_eq!(t.hop_count(a, b), None);
     }
 
     #[test]
@@ -481,8 +444,8 @@ mod tests {
             t.link_mut(LinkId(999)).unwrap_err(),
             TopologyError::UnknownLink(LinkId(999))
         );
-        let e = TopologyError::NoLink(NodeId(1), NodeId(2));
-        assert!(e.to_string().contains("no link"));
+        let e = TopologyError::UnknownLink(LinkId(7));
+        assert!(e.to_string().contains("unknown link"));
     }
 
     #[test]
@@ -529,7 +492,6 @@ mod tests {
         t.set_link_up(f, false).unwrap();
         t.set_link_up(r, false).unwrap();
         assert_eq!(t.next_hop_on_path(a, b), None);
-        assert_eq!(t.hop_count(a, b), None);
     }
 
     #[test]

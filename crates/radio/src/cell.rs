@@ -152,6 +152,10 @@ pub struct Cell {
     id: CellId,
     kind: CellKind,
     center: Point,
+    /// Never read back (worlds keep their own dense cell → node table).
+    /// It goes once the benchmark's `setup_s` no longer moves with the
+    /// size of what a world allocates (ROADMAP item 8).
+    #[allow(dead_code)]
     bs_node: NodeId,
     channels: ChannelPool,
 }
@@ -183,21 +187,9 @@ impl Cell {
         self.center
     }
 
-    /// The wired-network node hosting this base station (nothing reads
-    /// it back through the cell: worlds keep their own dense cell → node
-    /// table; it stays because [`Cell::new`] takes the node).
-    pub fn bs_node(&self) -> NodeId {
-        self.bs_node
-    }
-
     /// Nominal radius for this cell's tier.
     pub fn radius_m(&self) -> f64 {
         self.kind.radius_m()
-    }
-
-    /// The channel pool (admission control state).
-    pub fn channels(&self) -> &ChannelPool {
-        &self.channels
     }
 
     /// Mutable channel pool.
@@ -238,7 +230,7 @@ mod tests {
     fn coverage_geometry() {
         let c = Cell::new(CellId(0), CellKind::Micro, Point::new(0.0, 0.0), NodeId(5));
         assert_eq!(c.radius_m(), 300.0);
-        assert_eq!(c.bs_node(), NodeId(5));
+        assert_eq!(c.bs_node, NodeId(5));
         assert_eq!(c.kind(), CellKind::Micro);
         assert_eq!(c.id(), CellId(0));
         assert_eq!(c.center(), Point::new(0.0, 0.0));
@@ -246,7 +238,7 @@ mod tests {
 
     #[test]
     fn fresh_cell_fully_free() {
-        let c = Cell::new(CellId(1), CellKind::Pico, Point::ORIGIN, NodeId(0));
+        let c = Cell::new(CellId(1), CellKind::Pico, Point::new(0.0, 0.0), NodeId(0));
         assert_eq!(c.free_resource_ratio(), 1.0);
     }
 

@@ -87,16 +87,6 @@ impl ChannelPool {
         }
     }
 
-    /// Total channels.
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
-    /// Channels currently allocated.
-    pub fn in_use(&self) -> u32 {
-        self.in_use
-    }
-
     /// Channels currently free.
     pub fn free(&self) -> u32 {
         self.total - self.in_use
@@ -186,7 +176,7 @@ mod tests {
             p.admit(CallKind::New).unwrap();
         }
         assert_eq!(p.admit(CallKind::New), Err(AdmitError::Blocked));
-        assert_eq!(p.in_use(), 3);
+        assert_eq!(p.in_use, 3);
         // Handoffs can use the guard channels.
         p.admit(CallKind::Handoff).unwrap();
         p.admit(CallKind::Handoff).unwrap();
@@ -250,7 +240,7 @@ mod tests {
         let mut new_rejects = 0;
         let mut ho_rejects = 0;
         for i in 0..100 {
-            if i % 4 == 0 && p.in_use() > 0 {
+            if i % 4 == 0 && p.in_use > 0 {
                 p.release();
             }
             if i % 2 == 0 {

@@ -210,11 +210,6 @@ impl CellMap {
         self.count
     }
 
-    /// True if no cells were added.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Shared access to a cell (O(1) array read).
     pub fn cell(&self, id: CellId) -> Option<&Cell> {
         self.cells.get(id.0 as usize)?.as_ref()
@@ -229,11 +224,6 @@ impl CellMap {
     /// is already id-ordered).
     pub fn cells(&self) -> impl Iterator<Item = &Cell> {
         self.cells.iter().flatten()
-    }
-
-    /// Whether `cell` is administratively down (unknown ids read as up).
-    pub fn is_cell_down(&self, id: CellId) -> bool {
-        self.down.get(id.0 as usize).copied().unwrap_or(false)
     }
 
     /// Sets a cell's administrative outage state. While down, the cell is
@@ -311,20 +301,9 @@ impl CellMap {
     }
 
     /// Measures every audible cell at `at` (RSSI above the sensitivity
-    /// floor **and** inside the nominal footprint), sorted strongest first.
-    /// `tier` restricts the scan to one tier.
-    ///
-    /// Allocates a fresh vector per call; event loops should hold a
-    /// scratch buffer and use [`CellMap::measure_batch`].
-    pub fn measure(&self, at: Point, tier: Option<CellKind>) -> Vec<Measurement> {
-        let mut out = Vec::new();
-        self.measure_into(at, tier, &mut out);
-        out
-    }
-
-    /// [`CellMap::measure`] into a caller-owned buffer (cleared first), so
-    /// per-event measurement costs no allocation once the buffer has grown
-    /// to the deployment's audible-cell count.
+    /// floor **and** inside the nominal footprint) through the spatial
+    /// grid, sorted strongest first, into `out` (cleared first). `tier`
+    /// restricts the scan to one tier.
     fn measure_into(&self, at: Point, tier: Option<CellKind>, out: &mut Vec<Measurement>) {
         out.clear();
         self.grid.for_each_candidate(at, |id| {
@@ -333,19 +312,24 @@ impl CellMap {
         out.sort_by(|a, b| b.rssi_dbm.total_cmp(&a.rssi_dbm).then(a.cell.cmp(&b.cell)));
     }
 
-    /// Batched variant of [`CellMap::measure`]: evaluates every
-    /// cell's coverage in one pass over flat structure-of-arrays lanes
-    /// (x, y, squared radius), then runs the exact scalar radio math
-    /// only for the handful of cells whose footprint can contain `at`.
+    /// Measures every audible cell at `at` (RSSI above the sensitivity
+    /// floor **and** inside the nominal footprint), sorted strongest
+    /// first, into `out` (cleared first). `tier` restricts the scan to
+    /// one tier. A caller that keeps `out` pays no allocation per scan
+    /// once it has grown to the deployment's audible-cell count.
     ///
-    /// Output is identical to [`CellMap::measure`] and
-    /// [`CellMap::measure_full_scan`] bit for bit: the sweep is a
-    /// *conservative* pre-filter (its radius bound is widened far beyond
-    /// its few-ulp rounding slack, so it never rejects a covered cell),
-    /// and every survivor goes through the same `hypot`/path-loss
-    /// arithmetic and the same `total_cmp` sort as the other paths.
-    /// Property tests hold all three pairwise equal; the experiment
-    /// harness uses this one for the per-sample handoff scans.
+    /// Up to `BATCH_FULL_SWEEP_MAX` cells it evaluates every cell's
+    /// coverage in one pass over flat structure-of-arrays lanes (x, y,
+    /// squared radius), then runs the exact scalar radio math only for
+    /// the handful of cells whose footprint can contain `at`; past that
+    /// it walks the spatial grid. Output is identical to
+    /// [`CellMap::measure_full_scan`] bit for bit on both paths: the
+    /// sweep is a *conservative* pre-filter (its radius bound is widened
+    /// far beyond its few-ulp rounding slack, so it never rejects a
+    /// covered cell), and every survivor goes through the same
+    /// `hypot`/path-loss arithmetic and the same `total_cmp` sort.
+    /// Property tests hold each path against the full scan; the world
+    /// uses this one for the per-sample handoff scans.
     pub fn measure_batch(&self, at: Point, tier: Option<CellKind>, out: &mut Vec<Measurement>) {
         // Metro-scale deployments: past a few hundred cells the full SoA
         // sweep loses to the spatial grid (the sweep is O(cells) per
@@ -392,9 +376,9 @@ impl CellMap {
         out.sort_by(|a, b| b.rssi_dbm.total_cmp(&a.rssi_dbm).then(a.cell.cmp(&b.cell)));
     }
 
-    /// Reference implementation of [`CellMap::measure`] that scans every
-    /// cell instead of using the spatial index; not for hot paths. The
-    /// grid and [`CellMap::measure_batch`] are held against it by
+    /// Reference implementation of [`CellMap::measure_batch`] that scans
+    /// every cell instead of using the spatial index; not for hot paths.
+    /// Both paths of [`CellMap::measure_batch`] are held against it by
     /// `grid_measure_equals_full_scan` and `measure_batch_equals_full_scan`
     /// (`tests/properties.rs`).
     pub fn measure_full_scan(&self, at: Point, tier: Option<CellKind>) -> Vec<Measurement> {
@@ -406,8 +390,8 @@ impl CellMap {
         out
     }
 
-    /// `true` if `candidate` outranks `best` in the [`CellMap::measure`]
-    /// sort order (strongest RSSI first, lowest id on ties).
+    /// `true` if `candidate` outranks `best` in the
+    /// [`CellMap::measure_batch`] sort order (strongest RSSI first, lowest id on ties).
     fn outranks(candidate: &Measurement, best: &Measurement) -> bool {
         match candidate.rssi_dbm.total_cmp(&best.rssi_dbm) {
             std::cmp::Ordering::Greater => true,
@@ -437,6 +421,14 @@ mod tests {
     use mtnet_net::NodeId;
 
     /// Two micro cells 400 m apart plus a macro umbrella.
+    /// The grid path's answer, as `measure_batch` gives it past
+    /// `BATCH_FULL_SWEEP_MAX` cells.
+    fn measure(map: &CellMap, at: Point, tier: Option<CellKind>) -> Vec<Measurement> {
+        let mut out = Vec::new();
+        map.measure_into(at, tier, &mut out);
+        out
+    }
+
     fn two_micro_one_macro() -> CellMap {
         let mut map = CellMap::without_shadowing();
         map.add(Cell::new(
@@ -482,7 +474,7 @@ mod tests {
         );
         // At the midpoint both micros are 200 m away — equidistant but both
         // within footprint; macro is right there and louder.
-        let all = map.measure(Point::new(200.0, 0.0), None);
+        let all = measure(&map, Point::new(200.0, 0.0), None);
         assert_eq!(all.first().unwrap().cell, CellId(2));
     }
 
@@ -490,7 +482,7 @@ mod tests {
     fn out_of_coverage_is_empty() {
         let map = two_micro_one_macro();
         let far = Point::new(50_000.0, 0.0);
-        assert!(map.measure(far, None).is_empty());
+        assert!(measure(&map, far, None).is_empty());
         assert_eq!(map.best_cell(far, None), None);
     }
 
@@ -498,7 +490,7 @@ mod tests {
     fn footprint_limits_micro_but_not_macro() {
         let map = two_micro_one_macro();
         let p = Point::new(800.0, 0.0); // 400 m past micro-1, inside macro
-        let m = map.measure(p, None);
+        let m = measure(&map, p, None);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].cell, CellId(2));
     }
@@ -506,7 +498,7 @@ mod tests {
     #[test]
     fn measurements_sorted_strongest_first() {
         let map = two_micro_one_macro();
-        let m = map.measure(Point::new(100.0, 0.0), None);
+        let m = measure(&map, Point::new(100.0, 0.0), None);
         assert!(m.windows(2).all(|w| w[0].rssi_dbm >= w[1].rssi_dbm));
     }
 
@@ -515,7 +507,7 @@ mod tests {
         let mut map = two_micro_one_macro();
         let c = map.cell_mut(CellId(0)).unwrap();
         c.channels_mut().admit(crate::CallKind::New).unwrap();
-        let m = map.measure(Point::new(10.0, 0.0), Some(CellKind::Micro));
+        let m = measure(&map, Point::new(10.0, 0.0), Some(CellKind::Micro));
         assert!(m[0].free_ratio < 1.0);
     }
 
@@ -526,13 +518,13 @@ mod tests {
         map.add(Cell::new(
             CellId(0),
             CellKind::Pico,
-            Point::ORIGIN,
+            Point::new(0.0, 0.0),
             NodeId(0),
         ));
         map.add(Cell::new(
             CellId(0),
             CellKind::Pico,
-            Point::ORIGIN,
+            Point::new(0.0, 0.0),
             NodeId(1),
         ));
     }
@@ -541,7 +533,6 @@ mod tests {
     fn len_and_iteration_order() {
         let map = two_micro_one_macro();
         assert_eq!(map.len(), 3);
-        assert!(!map.is_empty());
         let ids: Vec<CellId> = map.cells().map(|c| c.id()).collect();
         assert_eq!(ids, vec![CellId(0), CellId(1), CellId(2)]);
     }
@@ -550,13 +541,13 @@ mod tests {
     fn downed_cell_is_silent_on_every_measurement_path() {
         let mut map = two_micro_one_macro();
         let p = Point::new(10.0, 0.0);
-        assert!(!map.is_cell_down(CellId(0)));
+        assert!(!map.down[0]);
         assert!(map.set_cell_down(CellId(0), true));
         assert!(!map.set_cell_down(CellId(0), true), "no-op repeat");
-        assert!(map.is_cell_down(CellId(0)));
+        assert!(map.down[0]);
         // All scan paths agree the cell is gone…
         let full = map.measure_full_scan(p, None);
-        let grid = map.measure(p, None);
+        let grid = measure(&map, p, None);
         let mut batch = Vec::new();
         map.measure_batch(p, None, &mut batch);
         assert_eq!(full, grid);

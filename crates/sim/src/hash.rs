@@ -12,7 +12,7 @@
 //! dependence show up as a stable, testable wrong answer instead of a
 //! heisenbug.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// An FxHash-style multiply–rotate hasher for small trusted keys.
@@ -90,12 +90,10 @@ impl Hasher for FxHasher {
 /// for simulation hot paths.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// `HashSet` with the deterministic [`FxHasher`].
-pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of<T: Hash>(v: T) -> u64 {
@@ -123,7 +121,7 @@ mod tests {
         let mut m: FxHashMap<u32, &str> = FxHashMap::default();
         m.insert(7, "seven");
         assert_eq!(m.get(&7), Some(&"seven"));
-        let mut s: FxHashSet<u32> = FxHashSet::default();
+        let mut s: HashSet<u32, BuildHasherDefault<FxHasher>> = HashSet::default();
         assert!(s.insert(9));
         assert!(s.contains(&9));
     }
@@ -131,7 +129,7 @@ mod tests {
     #[test]
     fn nearby_small_keys_spread() {
         // Dense integer ids must not collide in bulk.
-        let hashes: FxHashSet<u64> = (0u32..10_000).map(hash_of).collect();
+        let hashes: HashSet<u64> = (0u32..10_000).map(hash_of).collect();
         assert_eq!(hashes.len(), 10_000);
     }
 }

@@ -42,7 +42,7 @@
 //!
 //! let mut sim = Simulator::new(Counter { fired: 0 });
 //! sim.schedule_at(SimTime::ZERO, Ev::Tick);
-//! sim.run();
+//! sim.run_until(SimTime::from_secs(10));
 //! assert_eq!(sim.model().fired, 3);
 //! assert_eq!(sim.now(), SimTime::from_secs(2));
 //! ```
@@ -60,7 +60,7 @@ mod simulator;
 mod time;
 
 pub use event::ScheduledEvent;
-pub use hash::{FxHashMap, FxHashSet};
+pub use hash::FxHashMap;
 pub use model::{Context, Model};
 pub use rng::{RngStream, SeedTree};
 pub use runner::BatchRunner;

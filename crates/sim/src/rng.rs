@@ -280,27 +280,14 @@ impl SeedTree {
         let mut mix = self.state;
         splitmix64(&mut mix)
     }
-
-    /// An [`RngStream`] seeded by this node.
-    pub fn stream(self) -> RngStream {
-        RngStream::from_seed(self.seed())
-    }
 }
 
-/// The sub-seed for one `(experiment, architecture, replication)` run —
-/// the standard derivation the batch runner and the experiment harness
-/// share. Pure in its arguments: scheduling order cannot perturb it.
-pub fn replication_seed(master_seed: u64, experiment: &str, architecture: &str, rep: u64) -> u64 {
-    seed_for_path(master_seed, &[experiment, architecture], rep)
-}
-
-/// The sub-seed for an arbitrary-depth label path plus a replication
-/// index — the generalization of [`replication_seed`] that scenario specs
-/// and sweep cells use (`["E10", "multi-tier+rsmc"]` for an experiment
-/// arm, `["sweep", family, cell-label]` for a sweep cell). Equal paths
-/// give equal seeds; any segment difference decorrelates the streams, and
-/// `seed_for_path(m, &[e, a], r) == replication_seed(m, e, a, r)` by
-/// construction.
+/// The sub-seed for a label path plus a replication index, as scenario
+/// specs and sweep cells use it (`["E10", "multi-tier+rsmc"]` for an
+/// experiment arm, `["sweep", family, cell-label]` for a sweep cell).
+/// Pure in its arguments, so scheduling order cannot perturb it. Equal
+/// paths give equal seeds; any segment difference decorrelates the
+/// streams.
 pub fn seed_for_path<S: AsRef<str>>(master_seed: u64, path: &[S], rep: u64) -> u64 {
     let mut tree = SeedTree::new(master_seed);
     for segment in path {
@@ -461,7 +448,8 @@ mod tests {
         let a = SeedTree::new(7).label("exp").label("arch").index(4);
         let b = SeedTree::new(7).label("exp").label("arch").index(4);
         assert_eq!(a.seed(), b.seed());
-        assert_eq!(a.stream().next_u64(), b.stream().next_u64());
+        let stream = |t: SeedTree| RngStream::from_seed(t.seed()).next_u64();
+        assert_eq!(stream(a), stream(b));
     }
 
     #[test]
@@ -493,7 +481,11 @@ mod tests {
     fn seed_for_path_generalizes_replication_seed() {
         assert_eq!(
             seed_for_path(42, &["E10", "multi-tier+rsmc"], 3),
-            replication_seed(42, "E10", "multi-tier+rsmc", 3)
+            SeedTree::new(42)
+                .label("E10")
+                .label("multi-tier+rsmc")
+                .index(3)
+                .seed()
         );
         // Deeper paths are their own namespaces.
         let sweep = seed_for_path(42, &["sweep", "dense-urban", "arch=pico"], 0);
@@ -519,7 +511,7 @@ mod tests {
             for arch in ["multi-tier+rsmc", "pure-mobile-ip", "flat-cellular-ip"] {
                 for rep in 0..50u64 {
                     assert!(
-                        seen.insert(replication_seed(42, exp, arch, rep)),
+                        seen.insert(seed_for_path(42, &[exp, arch], rep)),
                         "collision at ({exp}, {arch}, {rep})"
                     );
                 }

@@ -295,7 +295,7 @@ impl<E> Scheduler<E> {
             }
         };
         self.now = time;
-        ScheduledEvent { time, event }
+        ScheduledEvent { event }
     }
 
     /// Removes lane `l`'s head tick.
@@ -413,7 +413,7 @@ mod tests {
         q.pop();
         q.schedule_at(SimTime::from_secs(1), "late");
         let e = q.pop().unwrap();
-        assert_eq!(e.time(), SimTime::from_secs(5));
+        assert_eq!(q.now(), SimTime::from_secs(5));
         assert_eq!(e.into_event(), "late");
     }
 
@@ -538,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_ticks_merge_with_the_calendar_by_time_then_seq() {
+    fn lane_ticks_merge_with_the_heap_by_time_then_seq() {
         let mut q = Scheduler::new();
         let lane = q.add_lane(SimDuration::from_secs(1), T::A);
         let t = SimTime::from_secs(1);
@@ -567,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn a_tick_behind_the_lane_back_falls_back_to_the_calendar() {
+    fn a_tick_behind_the_lane_back_falls_back_to_the_heap() {
         let mut q = Scheduler::new();
         let lane = q.add_lane(SimDuration::from_secs(10), T::A);
         q.schedule_lane_at(lane, SimTime::from_secs(5), 0);
@@ -583,7 +583,7 @@ mod tests {
         });
         assert_eq!(seen, [T::A(0), T::A(1), T::A(2)]);
         let order: Vec<_> =
-            std::iter::from_fn(|| q.pop().map(|e| (e.time(), e.into_event()))).collect();
+            std::iter::from_fn(|| q.pop().map(|e| (q.now(), e.into_event()))).collect();
         assert_eq!(
             order,
             [
@@ -595,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn a_tick_out_of_seq_reach_takes_the_calendar_until_its_lane_empties() {
+    fn a_tick_out_of_seq_reach_takes_the_heap_until_its_lane_empties() {
         const JUMP: u64 = 1 << 32;
         let at = SimTime::from_secs;
         let mut q = Scheduler::new();
@@ -610,7 +610,7 @@ mod tests {
         q.schedule_lane_at(lane, at(3), 4);
         let lane_and_heap = |q: &Scheduler<T>| (q.lanes[0].ticks.iter().count(), q.heap.len());
         assert_eq!(lane_and_heap(&q), (2, 3), "out of reach: heap");
-        let fired = |q: &mut Scheduler<T>| q.pop().map(|e| (e.time(), e.into_event()));
+        let fired = |q: &mut Scheduler<T>| q.pop().map(|e| (q.now(), e.into_event()));
         assert_eq!(fired(&mut q), Some((at(1), T::A(0))));
         assert_eq!(fired(&mut q), Some((at(2), T::A(1))));
         // The lane is empty: its block rebases to the next push and takes

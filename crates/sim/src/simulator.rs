@@ -58,11 +58,6 @@ impl<M: Model> Simulator<M> {
         self.events_processed
     }
 
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.scheduler.len()
-    }
-
     /// Firing time of the earliest pending event, if any. Lets an outer
     /// coordinator (e.g. a conservative-window parallel driver) pick the
     /// next safe horizon without popping anything.
@@ -73,11 +68,6 @@ impl<M: Model> Simulator<M> {
     /// Schedules an event from outside the model (initial conditions).
     pub fn schedule_at(&mut self, time: SimTime, event: M::Event) {
         self.scheduler.schedule_at(time, event)
-    }
-
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) {
-        self.scheduler.schedule_in(delay, event)
     }
 
     /// Registers a periodic-timer lane ([`Scheduler::add_lane`]).
@@ -97,38 +87,15 @@ impl<M: Model> Simulator<M> {
         self.scheduler.for_each_pending(f)
     }
 
-    /// Dispatches one popped event to the model: the single copy of the
-    /// count-context-handle sequence shared by [`Simulator::step`] and
-    /// [`Simulator::run_until`].
-    fn dispatch(&mut self, entry: crate::ScheduledEvent<M::Event>) -> SimTime {
-        let time = entry.time();
-        let event = entry.into_event();
-        self.events_processed += 1;
-        let mut ctx = Context::new(&mut self.scheduler, &mut self.events_processed);
-        self.model.handle_event(&mut ctx, event);
-        time
-    }
-
-    /// Executes a single event, if one is pending, plus whatever
-    /// same-instant ties its handler takes ([`Context::take_tie_if`]).
-    /// Returns the firing time.
-    pub fn step(&mut self) -> Option<SimTime> {
-        let entry = self.scheduler.pop()?;
-        Some(self.dispatch(entry))
-    }
-
-    /// Runs until the queue drains.
-    pub fn run(&mut self) -> RunOutcome {
-        self.run_until(SimTime::MAX)
-    }
-
     /// Runs until `horizon` (inclusive: events **at** the horizon fire) or
     /// until the queue drains. Time never advances past the last executed
     /// event.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         // Single queue walk per event (peek and pop fused).
         while let Some(entry) = self.scheduler.pop_at_or_before(horizon) {
-            self.dispatch(entry);
+            self.events_processed += 1;
+            let mut ctx = Context::new(&mut self.scheduler, &mut self.events_processed);
+            self.model.handle_event(&mut ctx, entry.into_event());
         }
         if self.scheduler.is_empty() {
             RunOutcome::QueueEmpty
@@ -193,7 +160,7 @@ mod tests {
         }
         let mut sim = Simulator::new(Once);
         sim.schedule_at(SimTime::from_secs(1), ());
-        assert_eq!(sim.run(), RunOutcome::QueueEmpty);
+        assert_eq!(sim.run_until(SimTime::from_secs(2)), RunOutcome::QueueEmpty);
         assert_eq!(sim.events_processed(), 1);
     }
 
@@ -201,7 +168,9 @@ mod tests {
     fn next_event_time_peeks_without_popping() {
         let mut sim = metronome();
         assert_eq!(sim.next_event_time(), Some(SimTime::ZERO));
-        assert_eq!(sim.pending_events(), 1);
+        let mut pending = 0;
+        sim.for_each_pending(|_| pending += 1);
+        assert_eq!(pending, 1);
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(sim.next_event_time(), Some(SimTime::from_secs(3)));
         let mut empty = Simulator::new(Metronome {
@@ -209,13 +178,6 @@ mod tests {
             period: SimDuration::from_secs(1),
         });
         assert_eq!(empty.next_event_time(), None);
-    }
-
-    #[test]
-    fn step_returns_firing_time() {
-        let mut sim = metronome();
-        assert_eq!(sim.step(), Some(SimTime::ZERO));
-        assert_eq!(sim.step(), Some(SimTime::from_secs(1)));
     }
 
     #[test]
@@ -235,12 +197,14 @@ mod tests {
     /// property's business.)
     struct Tracer {
         drain: bool,
+        calls: u32,
         trace: Vec<(SimTime, u32)>,
     }
 
     impl Model for Tracer {
         type Event = u32;
         fn handle_event(&mut self, ctx: &mut Context<'_, u32>, ev: u32) {
+            self.calls += 1;
             let mut next = Some(ev);
             while let Some(ev) = next {
                 self.trace.push((ctx.now(), ev));
@@ -258,6 +222,7 @@ mod tests {
     fn traced(drain: bool) -> Simulator<Tracer> {
         let mut sim = Simulator::new(Tracer {
             drain,
+            calls: 0,
             trace: vec![],
         });
         for tag in [0, 2, 16, 6] {
@@ -268,12 +233,21 @@ mod tests {
 
     #[test]
     fn tie_draining_matches_the_reference_loop() {
+        let horizon = SimTime::from_secs(1);
         let mut reference = traced(false);
-        assert_eq!(reference.run(), RunOutcome::QueueEmpty);
+        assert_eq!(reference.run_until(horizon), RunOutcome::QueueEmpty);
         let mut drained = traced(true);
-        assert_eq!(drained.step(), Some(SimTime::ZERO));
-        assert!(drained.events_processed() > 3, "one step ran a whole wave");
-        assert_eq!(drained.run(), RunOutcome::QueueEmpty);
+        drained.run_until(SimTime::ZERO);
+        assert_eq!(
+            drained.model().calls,
+            1,
+            "one handler call ran a whole wave"
+        );
+        assert!(
+            drained.events_processed() > 3,
+            "one handler call ran a whole wave"
+        );
+        assert_eq!(drained.run_until(horizon), RunOutcome::QueueEmpty);
         assert_eq!(drained.model().trace, reference.model().trace);
         assert_eq!(drained.events_processed(), reference.events_processed());
         assert_eq!(drained.now(), reference.now());

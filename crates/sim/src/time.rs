@@ -40,19 +40,11 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant (used as an "infinite" horizon).
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from whole nanoseconds.
     #[inline]
     pub const fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
-    }
-
-    /// Creates an instant from whole microseconds.
-    #[inline]
-    pub const fn from_micros(micros: u64) -> Self {
-        SimTime(micros.saturating_mul(NANOS_PER_MICRO))
     }
 
     /// Creates an instant from whole milliseconds.
@@ -67,33 +59,10 @@ impl SimTime {
         SimTime(secs.saturating_mul(NANOS_PER_SEC))
     }
 
-    /// Creates an instant from fractional seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    #[inline]
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid time: {secs}");
-        SimTime((secs * NANOS_PER_SEC as f64).round() as u64)
-    }
-
     /// Returns the raw nanosecond count.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns this instant as fractional seconds.
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    /// Returns this instant as fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MILLI as f64
     }
 
     /// Time elapsed since `earlier`, saturating to zero if `earlier` is in
@@ -107,8 +76,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a span from whole nanoseconds.
     #[inline]
@@ -299,8 +266,9 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(SimTime::from_secs(1), SimTime::from_millis(1000));
-        assert_eq!(SimTime::from_millis(1), SimTime::from_micros(1000));
-        assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1000));
+        assert_eq!(SimTime::from_millis(1), SimTime::from_nanos(1_000_000));
+        assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
+        assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
         assert_eq!(
             SimDuration::from_secs(2),
             SimDuration::from_nanos(2_000_000_000)
@@ -309,7 +277,7 @@ mod tests {
 
     #[test]
     fn float_round_trip() {
-        let t = SimTime::from_secs_f64(1.25);
+        let t = SimDuration::from_secs_f64(1.25);
         assert_eq!(t.as_nanos(), 1_250_000_000);
         assert!((t.as_secs_f64() - 1.25).abs() < 1e-12);
         let d = SimDuration::from_secs_f64(0.001);
@@ -317,9 +285,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid time")]
+    #[should_panic(expected = "invalid duration")]
     fn negative_time_panics() {
-        let _ = SimTime::from_secs_f64(-1.0);
+        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]
@@ -332,7 +300,8 @@ mod tests {
 
     #[test]
     fn saturating_behaviour() {
-        assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
+        let end = SimTime::from_nanos(u64::MAX);
+        assert_eq!(end + SimDuration::from_secs(1), end);
         assert_eq!(SimTime::ZERO - SimDuration::from_secs(1), SimTime::ZERO);
         assert_eq!(
             SimTime::from_secs(1).saturating_since(SimTime::from_secs(5)),
@@ -373,7 +342,7 @@ mod tests {
         assert_eq!(SimDuration::from_micros(5).to_string(), "5.000us");
         assert_eq!(SimDuration::from_millis(5).to_string(), "5.000ms");
         assert_eq!(SimTime::from_secs(5).to_string(), "5.000000s");
-        assert_eq!(SimTime::MAX.to_string(), "inf");
+        assert_eq!(SimTime::from_nanos(u64::MAX).to_string(), "inf");
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn launch_ticks_peak_at_sixteen_bytes_apiece() {
         q.schedule_lane_at(lane, at, i as u32);
     }
     let first = q.pop().expect("filed above");
-    assert_eq!((first.time(), first.into_event()), (SimTime::ZERO, 0));
+    assert_eq!((q.now(), first.into_event()), (SimTime::ZERO, 0));
     let peak = PEAK.load(Relaxed) - before;
     let budget = 16 * N as usize + 4 * BLOCK_BYTES;
     assert!(

@@ -17,10 +17,6 @@ pub struct Arrival {
 pub trait ArrivalProcess {
     /// Produces the next arrival.
     fn next_arrival(&mut self, rng: &mut RngStream) -> Arrival;
-
-    /// Long-run average offered rate in bits per second (for sizing links
-    /// and sanity-checking experiments).
-    fn mean_rate_bps(&self) -> f64;
 }
 
 /// Constant-bit-rate traffic: fixed packet size at fixed intervals.
@@ -56,10 +52,6 @@ impl ArrivalProcess for Cbr {
             gap: self.interval,
             bytes: self.bytes,
         }
-    }
-
-    fn mean_rate_bps(&self) -> f64 {
-        f64::from(self.bytes) * 8.0 / self.interval.as_secs_f64()
     }
 }
 
@@ -105,11 +97,6 @@ impl OnOffVbr {
     pub fn video() -> Self {
         OnOffVbr::new(SimDuration::from_millis(10), 480, 1.0, 0.5)
     }
-
-    /// Fraction of time the source is ON.
-    fn duty_cycle(&self) -> f64 {
-        self.mean_on / (self.mean_on + self.mean_off)
-    }
 }
 
 impl ArrivalProcess for OnOffVbr {
@@ -129,11 +116,6 @@ impl ArrivalProcess for OnOffVbr {
             gap: SimDuration::from_secs_f64(self.on_remaining.mul_add(0.0, off) + step),
             bytes: self.bytes,
         }
-    }
-
-    fn mean_rate_bps(&self) -> f64 {
-        let peak = f64::from(self.bytes) * 8.0 / self.interval.as_secs_f64();
-        peak * self.duty_cycle()
     }
 }
 
@@ -214,11 +196,6 @@ impl ArrivalProcess for ParetoWeb {
             bytes,
         }
     }
-
-    fn mean_rate_bps(&self) -> f64 {
-        // One burst per think period (burst transfer time << think time).
-        self.mean_burst_bytes() * 8.0 / self.mean_think
-    }
 }
 
 #[cfg(test)]
@@ -238,7 +215,6 @@ mod tests {
             assert_eq!(a.gap, SimDuration::from_millis(20));
             assert_eq!(a.bytes, 160);
         }
-        assert!((c.mean_rate_bps() - 64_000.0).abs() < 1.0);
     }
 
     #[test]
@@ -259,7 +235,8 @@ mod tests {
             total_secs += a.gap.as_secs_f64();
         }
         let measured = total_bits / total_secs;
-        let expected = v.mean_rate_bps();
+        // 384 kbit/s while ON, ON for 1 s of every 1.5 s on average.
+        let expected = 384_000.0 * 1.0 / (1.0 + 0.5);
         let err = (measured - expected).abs() / expected;
         assert!(
             err < 0.1,
@@ -281,12 +258,6 @@ mod tests {
             "expected mostly in-burst packets, got {short}"
         );
         assert!(long > 50, "expected some silences, got {long}");
-    }
-
-    #[test]
-    fn onoff_duty_cycle() {
-        let v = OnOffVbr::new(SimDuration::from_millis(10), 100, 2.0, 2.0);
-        assert_eq!(v.duty_cycle(), 0.5);
     }
 
     #[test]
@@ -319,7 +290,6 @@ mod tests {
     fn pareto_mean_burst_formula() {
         let w = ParetoWeb::new(1.0, 1000.0, 2.0, 500);
         assert_eq!(w.mean_burst_bytes(), 2000.0);
-        assert!((w.mean_rate_bps() - 16_000.0).abs() < 1.0);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!   [`Cbr`] (constant bit rate voice), [`OnOffVbr`] (exponential on/off
 //!   video), [`ParetoWeb`] (heavy-tailed web/data bursts).
 //! * [`SessionProcess`] — Poisson call arrivals with exponential holding
-//!   times (classic Erlang traffic for blocking experiments).
+//!   times (classic Erlang traffic for blocking experiments). No
+//!   experiment drives it yet: it is the input of the planned channel
+//!   admission oracle.
 //! * [`FlowQos`] — per-flow loss / one-way-delay / jitter (RFC 3550) /
 //!   throughput accounting, the metric set every experiment reports.
 //!

@@ -156,11 +156,6 @@ impl FlowQos {
         }
     }
 
-    /// Current jitter estimate.
-    pub fn jitter(&self) -> SimDuration {
-        SimDuration::from_nanos(self.jitter_ns as u64)
-    }
-
     /// Overwrites the sent-side counters from `other`, keeping every
     /// receive-side figure untouched. Used when the send and receive
     /// ends of one flow were tracked by different halves of the same
@@ -287,7 +282,7 @@ mod tests {
             let d = if seq % 2 == 0 { 20 } else { 80 };
             jumpy.record_received(seq, t, t + SimDuration::from_millis(d), 100);
         }
-        assert_eq!(steady.jitter(), SimDuration::ZERO);
+        assert_eq!(steady.report(SimDuration::from_secs(2)).jitter_ms, 0.0);
         let j = jumpy.report(SimDuration::from_secs(2)).jitter_ms;
         // D alternates ±60 ms; RFC 3550 converges toward 60.
         assert!(j > 30.0, "jitter {j} too small");

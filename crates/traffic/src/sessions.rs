@@ -94,7 +94,7 @@ mod tests {
             let (next, _) = p.next_session(t, &mut r);
             t = next;
         }
-        let rate = n as f64 / t.as_secs_f64();
+        let rate = n as f64 / (t - SimTime::ZERO).as_secs_f64();
         assert!((rate - 10.0).abs() < 0.3, "measured rate {rate}");
     }
 

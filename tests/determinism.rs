@@ -8,10 +8,9 @@
 //! every metric with f64 bit patterns, so equality here is equality down
 //! to the last ulp.
 
-use mtnet_core::report::RunReport;
 use mtnet_core::scenario::ArchKind;
 use mtnet_core::spec::ScenarioSpec;
-use mtnet_sim::rng::replication_seed;
+use mtnet_sim::rng::seed_for_path;
 use mtnet_sim::runner::BatchRunner;
 
 const MASTER_SEED: u64 = 42;
@@ -41,18 +40,19 @@ fn e10_style_jobs() -> Vec<ScenarioSpec> {
     jobs
 }
 
-fn run_jobs(threads: usize, jobs: Vec<ScenarioSpec>) -> Vec<RunReport> {
-    BatchRunner::new(threads).run(jobs, |_, spec| spec.run_report(MASTER_SEED))
-}
-
-fn fingerprints(reports: &[RunReport]) -> Vec<String> {
-    reports.iter().map(RunReport::fingerprint).collect()
+/// The fingerprint of each job's report, in job order.
+fn run_specs(threads: usize, jobs: Vec<ScenarioSpec>) -> Vec<String> {
+    BatchRunner::new(threads)
+        .run(jobs, |_, spec| spec.run(MASTER_SEED))
+        .iter()
+        .map(|r| r.fingerprint())
+        .collect()
 }
 
 #[test]
 fn single_threaded_and_parallel_runs_are_byte_identical() {
-    let seq = fingerprints(&run_jobs(1, e10_style_jobs()));
-    let par = fingerprints(&run_jobs(4, e10_style_jobs()));
+    let seq = run_specs(1, e10_style_jobs());
+    let par = run_specs(4, e10_style_jobs());
     assert_eq!(seq.len(), par.len());
     for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
         assert_eq!(s, p, "job {i} diverged between 1 and 4 threads");
@@ -61,8 +61,8 @@ fn single_threaded_and_parallel_runs_are_byte_identical() {
 
 #[test]
 fn repeated_parallel_batches_are_byte_identical() {
-    let a = fingerprints(&run_jobs(3, e10_style_jobs()));
-    let b = fingerprints(&run_jobs(3, e10_style_jobs()));
+    let a = run_specs(3, e10_style_jobs());
+    let b = run_specs(3, e10_style_jobs());
     assert_eq!(a, b);
 }
 
@@ -70,23 +70,26 @@ fn repeated_parallel_batches_are_byte_identical() {
 fn a_run_is_unaffected_by_its_batch_mates() {
     // Runs must share no mutable state: executing one scenario alone must
     // reproduce exactly what it produced inside the full batch.
-    let batch = run_jobs(4, e10_style_jobs());
+    let batch = run_specs(4, e10_style_jobs());
     let lone_jobs = vec![e10_style_jobs().remove(3)];
-    let lone = run_jobs(1, lone_jobs);
-    assert_eq!(batch[3].fingerprint(), lone[0].fingerprint());
+    let lone = run_specs(1, lone_jobs);
+    assert_eq!(batch[3], lone[0]);
 }
 
 #[test]
 fn different_replications_actually_differ() {
     // Guard against a degenerate seed split (every replication identical):
     // the per-tuple streams must make replications distinct runs.
-    let batch = run_jobs(2, e10_style_jobs());
+    let batch = run_specs(2, e10_style_jobs());
     assert_ne!(
-        batch[0].report.fingerprint(),
-        batch[1].report.fingerprint(),
+        batch[0], batch[1],
         "replications 0 and 1 of the same arm must not coincide"
     );
-    assert_ne!(batch[0].seed, batch[1].seed);
+    let jobs = e10_style_jobs();
+    assert_ne!(
+        jobs[0].resolve_seed(MASTER_SEED),
+        jobs[1].resolve_seed(MASTER_SEED)
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -130,14 +133,6 @@ fn faulted_jobs() -> Vec<ScenarioSpec> {
                 .with_duration_s(SECS)
                 .with_seed_path("faults", arch.label(), 0)
         })
-        .collect()
-}
-
-fn run_specs(threads: usize, jobs: Vec<ScenarioSpec>) -> Vec<String> {
-    BatchRunner::new(threads)
-        .run(jobs, |_, spec| spec.run(MASTER_SEED))
-        .iter()
-        .map(|r| r.fingerprint())
         .collect()
 }
 
@@ -245,13 +240,17 @@ fn repeated_sharded_batches_are_byte_identical() {
 
 #[test]
 fn run_reports_carry_their_identity() {
-    let batch = run_jobs(2, e10_style_jobs());
-    assert_eq!(batch[0].label, "multi-tier+rsmc");
-    assert_eq!(batch[2].label, "pure-mobile-ip");
-    assert_eq!(batch[4].label, "flat-cellular-ip");
-    assert_eq!(batch[5].replication, 1);
+    // A run's identity is its spec's, and the batch hands reports back in
+    // submission order: job i's label, replication and seed are run i's.
+    let jobs = e10_style_jobs();
+    assert_eq!(jobs[0].name, "multi-tier+rsmc");
+    assert_eq!(jobs[2].name, "pure-mobile-ip");
+    assert_eq!(jobs[4].name, "flat-cellular-ip");
+    assert_eq!(jobs[5].seed.replication(), 1);
     assert_eq!(
-        batch[5].seed,
-        replication_seed(MASTER_SEED, "E10", "flat-cellular-ip", 1)
+        jobs[5].resolve_seed(MASTER_SEED),
+        seed_for_path(MASTER_SEED, &["E10", "flat-cellular-ip"], 1)
     );
+    let batch = run_specs(2, jobs.clone());
+    assert_eq!(batch[5], run_specs(1, vec![jobs[5].clone()])[0]);
 }

@@ -2,12 +2,42 @@
 //! through complete protocol exchanges — no simulator, pure message
 //! passing, verifying the state machines compose (paper §2.2.1, Fig 2.2).
 
-use mtnet_mobileip::{ForeignAgent, HomeAgent, MnAction, MnState, MobileNode, RegistrationRequest};
+use mtnet_mobileip::{
+    AgentAdvertisement, ForeignAgent, HomeAgent, MnAction, MnState, MobileNode, RegistrationRequest,
+};
 use mtnet_net::{Addr, Prefix};
 use mtnet_sim::{SimDuration, SimTime};
 
 fn addr(s: &str) -> Addr {
     s.parse().unwrap()
+}
+
+/// The advertisement a node hears from `fa`: the agent offers its own
+/// address as care-of address.
+fn advertisement(fa: &ForeignAgent) -> AgentAdvertisement {
+    AgentAdvertisement {
+        agent: fa.addr(),
+        coa: fa.addr(),
+        max_lifetime: ForeignAgent::DEFAULT_MAX_LIFETIME,
+        seq: 0,
+    }
+}
+
+/// The node's confirmed care-of address, if registered and valid at `now`.
+fn coa(mn: &MobileNode, now: SimTime) -> Option<Addr> {
+    match mn.state() {
+        MnState::Registered { coa, expires_at } if now < expires_at => Some(coa),
+        _ => None,
+    }
+}
+
+/// Confirmed visitors of `fa` that are active at `now`: `expire` keeps
+/// them at `now`, and evicts every confirmed visitor once all lifetimes
+/// have run out (pending ones stay).
+fn active_visitors(fa: &ForeignAgent, now: SimTime) -> usize {
+    let mut fa = fa.clone();
+    fa.expire(now);
+    fa.expire(SimTime::from_nanos(u64::MAX)).0
 }
 
 struct Setup {
@@ -29,11 +59,7 @@ fn setup() -> Setup {
 
 /// Runs one complete registration through FA → HA → FA → MN.
 fn register_via(s: &mut Setup, which: u8, now: SimTime) -> mtnet_mobileip::RegistrationReply {
-    let adv = if which == 1 {
-        s.fa1.make_advertisement()
-    } else {
-        s.fa2.make_advertisement()
-    };
+    let adv = advertisement(if which == 1 { &s.fa1 } else { &s.fa2 });
     let MnAction::SendRequest(req) = s.mn.on_advertisement(&adv, now) else {
         panic!("MN must register after hearing a new agent");
     };
@@ -51,8 +77,8 @@ fn full_registration_cycle() {
     let reply = register_via(&mut s, 1, SimTime::ZERO);
     assert!(reply.accepted());
     // All three parties agree on the binding.
-    assert_eq!(s.mn.coa(SimTime::from_secs(1)), Some(addr("20.0.0.1")));
-    assert!(s.fa1.has_visitor(addr("10.0.2.9"), SimTime::from_secs(1)));
+    assert_eq!(coa(&s.mn, SimTime::from_secs(1)), Some(addr("20.0.0.1")));
+    assert_eq!(active_visitors(&s.fa1, SimTime::from_secs(1)), 1);
     assert_eq!(
         s.ha.tunnel_endpoint(addr("10.0.2.9"), SimTime::from_secs(1)),
         Some(addr("20.0.0.1"))
@@ -65,7 +91,7 @@ fn movement_between_agents_rebinds() {
     register_via(&mut s, 1, SimTime::ZERO);
     // The node moves into FA2's link.
     register_via(&mut s, 2, SimTime::from_secs(10));
-    assert_eq!(s.mn.coa(SimTime::from_secs(11)), Some(addr("20.1.0.1")));
+    assert_eq!(coa(&s.mn, SimTime::from_secs(11)), Some(addr("20.1.0.1")));
     assert_eq!(
         s.ha.tunnel_endpoint(addr("10.0.2.9"), SimTime::from_secs(11)),
         Some(addr("20.1.0.1")),
@@ -79,7 +105,6 @@ fn movement_between_agents_rebinds() {
             .forward_endpoint(addr("10.0.2.9"), SimTime::from_secs(11)),
         Some(addr("20.1.0.1"))
     );
-    assert_eq!(s.mn.counters().1, 1, "one handoff recorded by the MN");
 }
 
 #[test]
@@ -111,20 +136,20 @@ fn tunnel_packet_walkthrough_fig22() {
     let header = pkt.decapsulate().expect("tunnel header present");
     assert_eq!(header.kind, mtnet_net::TunnelKind::HomeAgent);
     assert_eq!(pkt.routing_dst(), mn_home, "inner destination restored");
-    assert!(s.fa1.has_visitor(mn_home, t), "FA delivers on its link");
+    assert_eq!(active_visitors(&s.fa1, t), 1, "FA delivers on its link");
 }
 
 #[test]
 fn registration_expiry_forces_reregistration() {
     let mut s = setup();
-    s.mn = MobileNode::new(addr("10.0.2.9"), addr("10.0.0.1"))
-        .with_lifetime(SimDuration::from_secs(30));
     register_via(&mut s, 1, SimTime::ZERO);
-    assert!(s.mn.coa(SimTime::from_secs(29)).is_some());
-    assert!(s.mn.coa(SimTime::from_secs(31)).is_none(), "binding lapsed");
+    let end = SimTime::ZERO + MobileNode::DEFAULT_LIFETIME;
+    let second = SimDuration::from_secs(1);
+    assert!(coa(&s.mn, end - second).is_some());
+    assert!(coa(&s.mn, end + second).is_none(), "binding lapsed");
     // The next advertisement from the same agent re-registers.
-    let adv = s.fa1.make_advertisement();
-    let action = s.mn.on_advertisement(&adv, SimTime::from_secs(31));
+    let adv = advertisement(&s.fa1);
+    let action = s.mn.on_advertisement(&adv, end + second);
     assert!(matches!(action, MnAction::SendRequest(_)));
 }
 
@@ -132,7 +157,13 @@ fn registration_expiry_forces_reregistration() {
 fn deregistration_at_home() {
     let mut s = setup();
     register_via(&mut s, 1, SimTime::ZERO);
-    let dereg = RegistrationRequest::deregistration(addr("10.0.2.9"), addr("10.0.0.1"), 99);
+    let dereg = RegistrationRequest {
+        mn_home: addr("10.0.2.9"),
+        coa: addr("10.0.2.9"),
+        ha: addr("10.0.0.1"),
+        lifetime: SimDuration::ZERO,
+        id: 99,
+    };
     let reply = s.ha.process_registration(&dereg, SimTime::from_secs(5));
     assert!(reply.accepted());
     assert_eq!(
@@ -145,8 +176,20 @@ fn deregistration_at_home() {
 #[test]
 fn fa_capacity_denial_propagates_to_mn() {
     let mut s = setup();
-    s.fa1 = ForeignAgent::new(addr("20.0.0.1")).with_max_visitors(0);
-    let adv = s.fa1.make_advertisement();
+    // Every slot holds a pending registration of some other node.
+    for id in 0..ForeignAgent::DEFAULT_MAX_VISITORS as u32 {
+        let other = RegistrationRequest {
+            mn_home: Addr(0x0b00_0000 + id),
+            coa: s.fa1.addr(),
+            ha: addr("10.0.0.1"),
+            lifetime: SimDuration::from_secs(300),
+            id: u64::from(id),
+        };
+        s.fa1
+            .relay_registration(&other, SimTime::ZERO)
+            .expect("room left");
+    }
+    let adv = advertisement(&s.fa1);
     let MnAction::SendRequest(req) = s.mn.on_advertisement(&adv, SimTime::ZERO) else {
         panic!()
     };
@@ -161,7 +204,7 @@ fn concurrent_visitors_do_not_interfere() {
     let mut mn2 = MobileNode::new(addr("10.0.2.10"), addr("10.0.0.1"));
     register_via(&mut s, 1, SimTime::ZERO);
 
-    let adv = s.fa1.make_advertisement();
+    let adv = advertisement(&s.fa1);
     let MnAction::SendRequest(req2) = mn2.on_advertisement(&adv, SimTime::ZERO) else {
         panic!()
     };
@@ -171,8 +214,8 @@ fn concurrent_visitors_do_not_interfere() {
     mn2.on_reply(&reply, SimTime::ZERO);
 
     let t = SimTime::from_secs(1);
-    assert!(s.fa1.has_visitor(addr("10.0.2.9"), t));
-    assert!(s.fa1.has_visitor(addr("10.0.2.10"), t));
-    assert_eq!(s.fa1.visitor_count(), 2);
-    assert_eq!(s.ha.binding_count(), 2);
+    assert_eq!(active_visitors(&s.fa1, t), 2);
+    for mn in ["10.0.2.9", "10.0.2.10"] {
+        assert_eq!(s.ha.tunnel_endpoint(addr(mn), t), Some(addr("20.0.0.1")));
+    }
 }
