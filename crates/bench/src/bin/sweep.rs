@@ -22,17 +22,16 @@
 //!
 //! **Multi-worker mode** (`--workers N`, or standalone `--worker-id`
 //! processes sharing one `--store` directory) drains the grid through
-//! the lease protocol of `mtnet_bench::coord`: atomic `<key>.lease`
-//! claims with heartbeats, work-stealing reclaim of cells abandoned by
-//! killed workers (a lease a worker has watched stay unchanged for
-//! `--lease-timeout-ms` on its own clock, so machine clocks need not
-//! agree), a jittered wait of one heartbeat period between passes that
-//! found every open cell held, and quarantine (`<key>.poison`) of cells
-//! reclaimed more than `--max-reclaims` times. The fleet's final pass prints the grid
-//! table plus `computed/loaded/quarantined/missing` counts and exits 0
-//! only when the grid is complete (3 = quarantined cells, 1 = missing
-//! cells — resume by re-invoking). `--lease-timeout-ms` tunes
-//! crash-detection latency. Every setting is a flag: fleet children get
+//! the lease protocol of `mtnet_bench::coord`: a worker owns a cell
+//! while it holds an OS file lock on `<key>.lease`, the kernel drops
+//! that lock the moment the worker dies, and a survivor reclaims the
+//! cell on its next pass; a worker that finds every open cell held
+//! blocks on the first one's lock. A cell reclaimed more than
+//! `--max-reclaims` times is quarantined (`<key>.poison`). The fleet's
+//! final pass prints the grid table plus
+//! `computed/loaded/quarantined/missing` counts and exits 0 only when
+//! the grid is complete (3 = quarantined cells, 1 = missing cells —
+//! resume by re-invoking). Every setting is a flag: fleet children get
 //! theirs through the argv the parent rebuilds for them, and no
 //! environment variable is read (the `MTNET_SWEEP_KILL_CELL` crash hook
 //! of the torture tests aside, see `mtnet_bench::coord`).
@@ -44,9 +43,9 @@
 //! degraded the aggregate (each named on its own `quarantined:` line),
 //! 1 when cells are missing.
 
-use mtnet_bench::coord::{self, CoordConfig};
+use mtnet_bench::coord;
 use mtnet_bench::store::ResultStore;
-use mtnet_bench::sweep::{parse_axis, run_sweep, Axis, SweepPlan};
+use mtnet_bench::sweep::{parse_axis, parse_reps, parse_seed, run_sweep, Axis, SweepPlan};
 use mtnet_bench::{cli, Effort};
 use mtnet_core::spec::ScenarioSpec;
 use mtnet_sim::runner::{parse_thread_count, BatchRunner};
@@ -57,11 +56,11 @@ fn usage() -> ! {
         "usage: sweep --family <name> | --spec <file>  [--axis key=v1,v2|lo..hi..step]...\n\
          \x20      [--reps N] [--effort quick|full] [--seed N]\n\
          \x20      [--store DIR | --no-store] [--threads N] [--list-families]\n\
-         \x20      [--workers N | --worker-id ID] [--lease-timeout-ms MS] [--max-reclaims K]\n\
+         \x20      [--workers N | --worker-id ID] [--max-reclaims K]\n\
          \x20      [--report]\n\
          axes assign any scenario-spec key (see ScenarioSpec::set); cells already\n\
          in the store are loaded instead of recomputed. --workers N drains the grid\n\
-         with N crash-safe worker processes (leases + heartbeats in the store dir);\n\
+         with N crash-safe worker processes (locked leases in the store dir);\n\
          --worker-id runs one such worker standalone (share --store across machines);\n\
          --report renders mean ± 95% CI per grid point from a finished store"
     );
@@ -103,23 +102,14 @@ fn main() {
         .iter()
         .map(|a| parse_axis(a).unwrap_or_else(|e| fail(&e)))
         .collect();
-    let reps: u64 = take(&mut args, "--reps")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail("--reps needs a positive integer"))
-        })
-        .unwrap_or(1);
+    let reps = take(&mut args, "--reps").map_or(1, |v| parse_reps(&v).unwrap_or_else(|e| fail(&e)));
     let effort = match take(&mut args, "--effort").as_deref() {
         None | Some("full") => Effort::Full,
         Some("quick") => Effort::Quick,
         Some(other) => fail(&format!("unknown effort {other:?} (quick|full)")),
     };
-    let master_seed: u64 = take(&mut args, "--seed")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail("--seed needs an integer"))
-        })
-        .unwrap_or(42);
+    let master_seed =
+        take(&mut args, "--seed").map_or(42, |v| parse_seed(&v).unwrap_or_else(|e| fail(&e)));
     let no_store = cli::take_switch(&mut args, "--no-store");
     let store_dir = take(&mut args, "--store").unwrap_or_else(|| ".mtnet-store".into());
     let threads = take(&mut args, "--threads")
@@ -129,24 +119,13 @@ fn main() {
     let worker_id = take(&mut args, "--worker-id");
     let workers = take(&mut args, "--workers")
         .map(|v| coord::parse_worker_count(&v).unwrap_or_else(|e| fail(&e)));
-    let lease_timeout_ms = take(&mut args, "--lease-timeout-ms")
-        .map(|v| coord::parse_timeout_ms(&v).unwrap_or_else(|e| fail(&e)));
-    let max_reclaims = take(&mut args, "--max-reclaims")
-        .map(|v| coord::parse_max_reclaims(&v).unwrap_or_else(|e| fail(&e)));
+    let max_reclaims = take(&mut args, "--max-reclaims").map_or(3, |v| {
+        coord::parse_max_reclaims(&v).unwrap_or_else(|e| fail(&e))
+    });
     if !args.is_empty() {
         eprintln!("sweep: unrecognized arguments: {}", args.join(" "));
         usage();
     }
-    let coord_cfg = {
-        let mut cfg = CoordConfig::default();
-        if let Some(ms) = lease_timeout_ms {
-            cfg.lease_timeout_ms = ms;
-        }
-        if let Some(k) = max_reclaims {
-            cfg.max_reclaims = k;
-        }
-        cfg
-    };
     // The coordinated modes are meaningless without a shared store.
     if no_store && (report_mode || worker_id.is_some() || workers.is_some()) {
         fail("--no-store cannot be combined with --report, --workers or --worker-id");
@@ -202,10 +181,9 @@ fn main() {
         let store = open_store();
         println!(
             "mtnet sweep worker — id: {owner}, family: {family}, seed: {master_seed}, \
-             lease timeout: {} ms, max reclaims: {}, store: {store_dir}",
-            coord_cfg.lease_timeout_ms, coord_cfg.max_reclaims,
+             max reclaims: {max_reclaims}, store: {store_dir}"
         );
-        let outcome = coord::run_worker(&plan, master_seed, &store, coord_cfg, &owner)
+        let outcome = coord::run_worker(&plan, master_seed, &store, max_reclaims, &owner)
             .unwrap_or_else(|e| fail(&e));
         println!("{}", outcome.summary(&owner));
         std::process::exit(coord::exit_code(outcome.quarantined, 0));
@@ -217,8 +195,7 @@ fn main() {
         let preexisting: HashSet<String> = store.keys().into_iter().collect();
         println!(
             "mtnet sweep fleet — family: {family}, seed: {master_seed}, workers: {n}, \
-             lease timeout: {} ms, max reclaims: {}, store: {store_dir}",
-            coord_cfg.lease_timeout_ms, coord_cfg.max_reclaims,
+             max reclaims: {max_reclaims}, store: {store_dir}"
         );
         // Children get the parent's argv minus the fleet flag, plus
         // their worker identity.

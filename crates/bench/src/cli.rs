@@ -2,8 +2,8 @@
 //! (`experiments`, `sweep`) — one implementation of
 //! flag extraction, so the binaries cannot drift apart. A binary's
 //! `main` validates what it extracted (`parse_thread_count`,
-//! `parse_shard_count`, `parse_worker_count`, `parse_timeout_ms`) and
-//! hands the value down as an argument.
+//! `parse_shard_count`, `parse_worker_count`, `parse_max_reclaims`,
+//! `parse_reps`, `parse_seed`) and hands the value down as an argument.
 
 /// Extracts every `--flag <value>` occurrence, removing the consumed
 /// tokens. Errors when a final `--flag` has no value token.

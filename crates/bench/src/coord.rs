@@ -2,110 +2,110 @@
 //! [`crate::store::ResultStore`] directory.
 //!
 //! N worker processes (on one machine or many, sharing one directory)
-//! drain one sweep grid cooperatively. The protocol is lease files next
-//! to the store's `<key>.run` slots, built from the same crash-safe
-//! primitives the store itself uses:
+//! drain one sweep grid cooperatively. A worker owns a cell while it
+//! holds an exclusive OS file lock ([`File::try_lock`]) on `<key>.lease`,
+//! next to the store's `<key>.run` slot. The kernel drops the lock the
+//! moment its holder dies, however it dies (SIGKILL, abort, panic), so
+//! whether an owner is alive is never guessed from a clock:
 //!
-//! * **Claim** — a worker claims a cell by *atomically creating*
-//!   `<key>.lease` (content written to a unique temp file, then
-//!   [`std::fs::hard_link`]ed into place — link fails with
-//!   `AlreadyExists` when another worker holds the lease, so exactly one
-//!   claimant wins any race).
-//! * **Heartbeat** — while computing, the owner bumps the lease's `beat`
-//!   counter (temp file + rename over its own lease) every quarter of
-//!   the lease timeout from a background thread, so a live lease's bytes
-//!   keep changing however slow the cell.
-//! * **Reclaim** — a lease is presumed abandoned (worker killed
-//!   mid-cell) once a worker has watched its bytes stay unchanged for
-//!   more than the timeout: each [`Coordinator`] remembers, per cell,
-//!   the lease bytes it last read and the instant (its own monotonic
-//!   clock) it first read them, and any change restarts that watch. The
-//!   watcher then reclaims it work-stealing style: atomically rename the
-//!   stale lease aside (only one renamer can win), then re-claim through
-//!   the same atomic-create path with the reclaim count bumped.
-//! * **Quarantine** — a cell abandoned more than
-//!   [`CoordConfig::max_reclaims`] times is presumed poisoned (it kills
-//!   whoever computes it). Instead of retrying forever, the reclaiming
-//!   worker records `<key>.poison` (failure count, last owner) and the
-//!   fleet degrades gracefully: every other cell still completes, and
-//!   the final report exits nonzero naming the quarantined cells.
+//! * **Claim** — open `<key>.lease` (creating it) and `try_lock` it. A
+//!   lock held elsewhere means a live peer owns the cell; any other lock
+//!   error stops the worker, so a filesystem that refuses locks never
+//!   runs cells unprotected.
+//! * **Reclaim** — under the lock, the lease's body tells the cell's
+//!   history. Empty is a fresh cell. A body is what a dead owner left
+//!   behind (completion empties it first), so the claim counts one more
+//!   reclaim; a body that does not parse (cut short, tampered with, an
+//!   older format) counts as one. The new owner rewrites the body in
+//!   place through the locked handle: a rename would move the path off
+//!   the locked file. A cell that killed one worker may kill the next,
+//!   so a worker reclaims only when it finds no fresh cell to claim.
+//! * **Quarantine** — a cell reclaimed more than `max_reclaims` times is
+//!   presumed poisoned (it kills whoever computes it). Instead of
+//!   retrying forever, the claimant records `<key>.poison` (failure
+//!   count, last owner), removes the lease and the fleet degrades
+//!   gracefully: every other cell still completes, and the final report
+//!   exits nonzero naming the quarantined cells. The record is read
+//!   under the lock, and a quarantiner writes it before removing the
+//!   lease, so no claimant can lock a fresh lease without seeing it.
 //! * **Completion** — the owner saves the result through the store's own
-//!   atomic save, then releases (deletes) its lease. Completed cells are
-//!   answered from the store and never recomputed, so crash-and-resume
-//!   keeps the store's exactly-once contract: each `.run` file is
-//!   written by exactly one successful compute.
+//!   atomic save, empties its lease, removes it and only then unlocks
+//!   it: a peer that locked the old file in that gap reads an empty
+//!   lease, so a finished cell never counts as a death. Completed cells
+//!   are answered from the store and never recomputed (a claimant checks
+//!   again after claiming), so crash-and-resume keeps the store's
+//!   exactly-once contract: each `.run` file is written by exactly one
+//!   successful compute.
+//! * **Waiting** — a pass over the grid that resolved nothing blocks in
+//!   [`File::lock`] on the first cell a peer holds, and goes again once
+//!   that peer finishes or dies.
 //!
-//! No wall clock is read or written: every duration is measured by one
-//! worker between two of its own reads, so workers on machines whose
-//! clocks disagree never mistake each other for dead. A lease that does
-//! not parse (cut short, tampered with, written by an older format) is
-//! watched by the same rule, with an unknown reclaim history of 0. A
-//! live worker that stalls longer than the timeout (swap storm,
-//! debugger) can be falsely reclaimed; the result is duplicate work,
-//! never corruption — both computes produce bit-identical bytes, the
-//! store save is an atomic rename, and whichever duplicate releases
-//! second finds the lease already gone and is done.
+//! The locks must reach every worker: any local filesystem does for
+//! workers on one machine; workers on several machines need a shared
+//! filesystem whose locks span clients (NFS with a lock manager).
 //!
 //! Lease and quarantine files are [`mtnet_core::kv`] records (every key
 //! required, counters parsed at `u32`), declared once in this module's
 //! `LEASE` and `POISON` field tables; [`cell_state`] is the one place a
-//! cell's files are read back into complete / leased / quarantined /
-//! missing.
+//! cell's files are read back into complete / quarantined / missing.
 //!
 //! Testing hook: setting `MTNET_SWEEP_KILL_CELL=<substring>` makes a
-//! worker abort the moment it claims a cell whose label contains the
-//! substring — a deterministic stand-in for "this cell crashes its
-//! worker", used by the kill-torture tests and CI to exercise reclaim
-//! and quarantine without timing races.
+//! worker, or a single-process sweep, abort the moment it starts a cell
+//! whose label contains the substring — a deterministic stand-in for
+//! "this cell crashes its worker", used by the kill-torture tests and
+//! CI to exercise reclaim, quarantine and resume without timing races.
 
-use crate::store::{tmp_sibling, write_atomic, Publish, ResultStore, StoredRun};
+use crate::store::{write_atomic, ResultStore, StoredRun};
 use crate::sweep::{fmt_metric, grid_row, grid_table, SweepCell, SweepPlan};
 use mtnet_core::kv::{self, field, Kind, Presence::Required, Record};
 use mtnet_core::lens;
 use mtnet_metrics::{Replicates, Table};
-use mtnet_sim::rng::{fnv1a, RngStream, FNV_OFFSET};
+use mtnet_sim::rng::{fnv1a, FNV_OFFSET};
 use mtnet_sim::runner::parse_count;
-use std::collections::{HashMap, HashSet};
-use std::io;
+use std::collections::HashSet;
+use std::fs::{File, TryLockError};
+use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
 
-/// Testing hook: a worker that claims a cell whose label contains this
-/// value prints a marker and aborts, simulating a crash on that cell.
-/// One of the two environment variables the workspace reads: it has to
-/// reach every worker of a fleet, children included, without being an
+/// Testing hook: a worker or sweep that starts a cell whose label
+/// contains this value prints a marker and aborts, simulating a crash on
+/// that cell. One of the two environment variables the workspace reads:
+/// it has to reach every worker of a fleet, children included, without being an
 /// option a user could pass by accident — it is not a flag on purpose.
 pub const KILL_CELL_ENV: &str = "MTNET_SWEEP_KILL_CELL";
 
-/// One cell's lease, as stored in `<key>.lease`.
+/// The crash hook every path that starts a cell goes through: when
+/// [`KILL_CELL_ENV`] is set and `label` contains it, prints
+/// `<who>: killed by …` and aborts without unwinding, so a held lease is
+/// left behind exactly as by a SIGKILL mid-compute.
+pub(crate) fn crash_if_hooked(who: &str, label: &str) {
+    if std::env::var(KILL_CELL_ENV).is_ok_and(|k| !k.is_empty() && label.contains(&k)) {
+        println!("{who}: killed by {KILL_CELL_ENV} on ({label})");
+        std::process::abort();
+    }
+}
+
+/// One cell's lease, as its owner writes it into `<key>.lease`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Lease {
     /// Owner id (worker id + pid, unique per worker process).
     pub owner: String,
-    /// Owner's process id (diagnostics only — staleness is watched bytes).
-    pub pid: u32,
-    /// Heartbeats so far: the owner bumps it on every refresh, so a live
-    /// lease never reads the same twice a heartbeat period apart.
-    pub beat: u64,
-    /// How many times this cell's lease has been reclaimed from a dead
-    /// owner. Exceeding [`CoordConfig::max_reclaims`] quarantines it.
+    /// How many times this cell has been reclaimed from a dead owner.
+    /// Exceeding the sweep's `--max-reclaims` quarantines it.
     pub reclaims: u32,
     /// Human-readable cell label.
     pub label: String,
 }
 
 /// The lease file. Every key is required: a file cut short is an error
-/// (watched like any other bytes), never a lease owned by `""`.
+/// (a death with unknown history), never a lease owned by `""`.
 #[rustfmt::skip]
 static LEASE: Record<Lease> = Record {
-    header: "mtnet-lease v2",
+    header: "mtnet-lease v3",
     comments: false,
     init: Lease::default,
     fields: &[
         field("owner", Required, Kind::Raw(lens!(owner))),
-        field("pid", Required, Kind::U32(lens!(pid), 0..=u32::MAX)),
-        field("beat", Required, Kind::U64(lens!(beat))),
         field("reclaims", Required, Kind::U32(lens!(reclaims), 0..=u32::MAX)),
         field("label", Required, Kind::Raw(lens!(label))),
     ],
@@ -161,48 +161,11 @@ impl Poison {
     }
 }
 
-/// Tuning knobs of the lease protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoordConfig {
-    /// A lease watched unchanged for longer than this is reclaimable.
-    pub lease_timeout_ms: u64,
-    /// A cell reclaimed more than this many times is quarantined.
-    pub max_reclaims: u32,
-}
-
-impl Default for CoordConfig {
-    fn default() -> Self {
-        CoordConfig {
-            lease_timeout_ms: 10_000,
-            max_reclaims: 3,
-        }
-    }
-}
-
-impl CoordConfig {
-    /// Heartbeat refresh period: a quarter of the timeout, so a live
-    /// owner gets ~4 chances to beat before being presumed dead. Also
-    /// how long an idle worker waits between claim passes.
-    fn heartbeat_interval(&self) -> Duration {
-        Duration::from_millis((self.lease_timeout_ms / 4).max(10))
-    }
-}
-
 /// Validates the `--workers` count: a positive integer.
 pub fn parse_worker_count(value: &str) -> Result<usize, String> {
     match parse_count::<usize>(value) {
         Some(n) if n >= 1 => Ok(n),
         _ => Err(format!("--workers needs a positive integer, got {value:?}")),
-    }
-}
-
-/// Validates the `--lease-timeout-ms` value: a positive integer.
-pub fn parse_timeout_ms(value: &str) -> Result<u64, String> {
-    match parse_count::<u64>(value) {
-        Some(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "--lease-timeout-ms needs a positive integer (milliseconds), got {value:?}"
-        )),
     }
 }
 
@@ -232,36 +195,55 @@ pub fn load_poison(dir: &Path, key: &str) -> Option<Poison> {
 /// Outcome of one claim attempt.
 #[derive(Debug)]
 pub enum Claim {
-    /// This worker now owns the cell and must compute + release it.
-    Owned(Lease),
-    /// Another worker holds the lease and it has not been watched
-    /// unchanged for a timeout yet (or another claimant won a race) —
-    /// revisit on a later pass.
+    /// This worker now owns the cell and must compute it, save it and
+    /// [`release`](Held::release) it.
+    Owned(Held),
+    /// A live peer holds the cell's lease — revisit on a later pass.
     Busy,
     /// The cell is quarantined; nobody will retry it.
     Quarantined(Poison),
 }
 
-/// The lease-protocol side of one worker: claim, heartbeat, release,
-/// reclaim and quarantine, all under one store directory.
+/// A claimed cell: its lease file, locked until [`Held::release`] or
+/// until dropped. A drop without a release is what a crash looks like to
+/// the next claimant: the lease's body stays, and counts a reclaim.
+#[derive(Debug)]
+pub struct Held {
+    path: PathBuf,
+    file: File,
+}
+
+impl Held {
+    /// Gives the cell up once its result is in the store: empties the
+    /// lease, removes it, then unlocks it (by dropping the handle). A
+    /// lease already gone is no error: a claimant that locked the old
+    /// file after a completion removes the same path again.
+    pub fn release(self) -> io::Result<()> {
+        self.file.set_len(0)?;
+        match std::fs::remove_file(&self.path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            done => done,
+        }
+    }
+}
+
+/// The lease-protocol side of one worker: claim, reclaim, quarantine
+/// and wait, all under one store directory.
 #[derive(Debug)]
 pub struct Coordinator {
     dir: PathBuf,
     owner: String,
-    cfg: CoordConfig,
-    /// Per key held by someone else: the lease bytes last read, and when
-    /// this worker first read exactly those bytes.
-    watched: HashMap<String, (Vec<u8>, Instant)>,
+    max_reclaims: u32,
 }
 
 impl Coordinator {
-    /// A coordinator for `owner` over the store's directory.
-    pub fn new(store: &ResultStore, owner: impl Into<String>, cfg: CoordConfig) -> Coordinator {
+    /// A coordinator for `owner` over the store's directory that
+    /// quarantines a cell reclaimed more than `max_reclaims` times.
+    pub fn new(store: &ResultStore, owner: impl Into<String>, max_reclaims: u32) -> Coordinator {
         Coordinator {
             dir: store.dir().to_path_buf(),
             owner: owner.into(),
-            cfg,
-            watched: HashMap::new(),
+            max_reclaims,
         }
     }
 
@@ -270,109 +252,76 @@ impl Coordinator {
         self.dir.join(format!("{key}.lease"))
     }
 
-    /// Records that this worker read `bytes` as `key`'s lease at `now`,
-    /// and answers whether that lease is stale: the same bytes were
-    /// first read more than the lease timeout before `now`, on this
-    /// worker's own clock. Exactly one timeout is still live (strictly
-    /// longer-than), and any change in the bytes restarts the watch.
-    pub fn watch(&mut self, key: &str, bytes: &[u8], now: Instant) -> bool {
-        let timeout = Duration::from_millis(self.cfg.lease_timeout_ms);
-        match self.watched.get(key) {
-            Some((seen, since)) if seen == bytes => now.saturating_duration_since(*since) > timeout,
-            _ => {
-                self.watched.insert(key.to_string(), (bytes.to_vec(), now));
-                false
-            }
+    /// Attempts to claim a cell. Exactly one concurrent claimant can win
+    /// ([`Claim::Owned`]); a lease its dead owner left behind is
+    /// reclaimed in passing, and a cell over the reclaim budget is
+    /// quarantined here.
+    pub fn try_claim(&self, key: &str, label: &str) -> io::Result<Claim> {
+        let path = self.lease_path(key);
+        let mut file = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        match file.try_lock() {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => return Ok(Claim::Busy),
+            Err(TryLockError::Error(e)) => return Err(e),
         }
-    }
-
-    /// Attempts to claim a cell at `now`. Exactly one concurrent
-    /// claimant can win ([`Claim::Owned`]); a lease this worker has
-    /// [`watch`](Self::watch)ed go stale is reclaimed in passing, and a
-    /// cell over the reclaim budget is quarantined here.
-    pub fn try_claim(&mut self, key: &str, label: &str, now: Instant) -> io::Result<Claim> {
         if let Some(poison) = load_poison(&self.dir, key) {
+            let _ = std::fs::remove_file(&path);
             return Ok(Claim::Quarantined(poison));
         }
-        let lease_path = self.lease_path(key);
-        let reclaims = match std::fs::read(&lease_path) {
-            Ok(bytes) => {
-                if !self.watch(key, &bytes, now) {
-                    return Ok(Claim::Busy);
-                }
-                // A lease that does not parse (tampered with, cut short,
-                // an older format) has an unknown reclaim history of 0.
-                let old = std::str::from_utf8(&bytes)
-                    .ok()
-                    .and_then(|text| Lease::parse(text).ok())
-                    .unwrap_or_else(|| Lease {
-                        owner: "(unparseable lease)".into(),
-                        ..Lease::default()
-                    });
-                // Rename the stale lease aside: atomic, so exactly one
-                // of any number of would-be reclaimers proceeds.
-                let graveyard = tmp_sibling(&lease_path);
-                match std::fs::rename(&lease_path, &graveyard) {
-                    Ok(()) => {
-                        let _ = std::fs::remove_file(&graveyard);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Claim::Busy),
-                    Err(e) => return Err(e),
-                }
-                let failures = old.reclaims.saturating_add(1);
-                if failures > self.cfg.max_reclaims {
-                    let poison = Poison {
-                        failures,
-                        last_owner: old.owner,
-                        label: label.to_string(),
-                    };
-                    self.write_poison(key, &poison)?;
-                    return Ok(Claim::Quarantined(poison));
-                }
-                failures
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
-            Err(e) => return Err(e),
-        };
-        // Missing or stale: this worker's watch on the lease is over.
-        self.watched.remove(key);
-        // Atomic create: fails if any other worker claimed first.
+        let mut body = Vec::new();
+        file.read_to_end(&mut body)?;
+        // Only a dead owner leaves a body behind; one that does not parse
+        // has an unknown history of 0 earlier reclaims.
+        let dead = (!body.is_empty()).then(|| {
+            std::str::from_utf8(&body)
+                .ok()
+                .and_then(|text| Lease::parse(text).ok())
+                .unwrap_or_else(|| Lease {
+                    owner: "(unparseable lease)".into(),
+                    ..Lease::default()
+                })
+        });
+        let reclaims = dead.as_ref().map_or(0, |d| d.reclaims.saturating_add(1));
+        if let Some(dead) = dead.filter(|_| reclaims > self.max_reclaims) {
+            let poison = Poison {
+                failures: reclaims,
+                last_owner: dead.owner,
+                label: label.to_string(),
+            };
+            write_atomic(&poison_path(&self.dir, key), poison.render().as_bytes())?;
+            std::fs::remove_file(&path)?;
+            return Ok(Claim::Quarantined(poison));
+        }
         let lease = Lease {
             owner: self.owner.clone(),
-            pid: std::process::id(),
-            beat: 0,
             reclaims,
             label: label.to_string(),
         };
-        match write_atomic(&lease_path, lease.render().as_bytes(), Publish::CreateNew) {
-            Ok(()) => Ok(Claim::Owned(lease)),
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(Claim::Busy),
+        file.set_len(0)?;
+        file.rewind()?;
+        file.write_all(lease.render().as_bytes())?;
+        Ok(Claim::Owned(Held { path, file }))
+    }
+
+    /// Whether `key`'s lease has a body: a live owner's, or the one a
+    /// dead owner left behind. Read without the lock, so only a hint.
+    pub fn has_lease_body(&self, key: &str) -> bool {
+        std::fs::metadata(self.lease_path(key)).is_ok_and(|m| m.len() > 0)
+    }
+
+    /// Blocks until whoever holds `key`'s lease lets it go — completes
+    /// or dies; returns at once when there is no lease.
+    pub fn wait(&self, key: &str) -> io::Result<()> {
+        match File::open(self.lease_path(key)) {
+            Ok(file) => file.lock(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
         }
-    }
-
-    /// Beats an owned lease: bumps its counter and atomically replaces
-    /// our own lease file with it (only ever called while owning the key).
-    pub fn refresh(&self, key: &str, lease: &mut Lease) -> io::Result<()> {
-        lease.beat = lease.beat.wrapping_add(1);
-        let bytes = lease.render();
-        write_atomic(&self.lease_path(key), bytes.as_bytes(), Publish::Replace)
-    }
-
-    /// Releases an owned lease (after the result is saved). Releasing a
-    /// lease that is already gone succeeds: after a false reclaim two
-    /// owners compute the cell, and whichever finishes first deletes it.
-    pub fn release(&self, key: &str) -> io::Result<()> {
-        match std::fs::remove_file(self.lease_path(key)) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            done => done,
-        }
-    }
-
-    /// Writes a quarantine record.
-    fn write_poison(&self, key: &str, poison: &Poison) -> io::Result<()> {
-        let path = poison_path(&self.dir, key);
-        write_atomic(&path, poison.render().as_bytes(), Publish::Replace)
     }
 }
 
@@ -411,21 +360,22 @@ impl WorkerOutcome {
 }
 
 /// Runs one worker over the grid until every cell is resolved —
-/// computed by us, completed by a peer, or quarantined. Blocks while
-/// peers hold live leases (their heartbeats keep changing them);
-/// reclaims once a lease has sat unchanged for a timeout. Cells are
-/// visited starting at an owner-specific offset so a fleet spreads its
-/// first claims instead of stampeding cell 0.
+/// computed by us, completed by a peer, or quarantined. Fresh cells go
+/// first: a cell a dead worker left behind may kill the next one too,
+/// so it is reclaimed only by a pass that found no fresh cell to claim.
+/// A pass that finds every open cell held by live peers blocks until the
+/// first of them lets go. Cells are visited starting at an
+/// owner-specific offset so a fleet spreads its first claims instead of
+/// stampeding cell 0.
 pub fn run_worker(
     plan: &SweepPlan,
     master_seed: u64,
     store: &ResultStore,
-    cfg: CoordConfig,
+    max_reclaims: u32,
     owner: &str,
 ) -> Result<WorkerOutcome, String> {
     let cells = plan.cells()?;
-    let mut coord = Coordinator::new(store, owner, cfg);
-    let kill_cell = std::env::var(KILL_CELL_ENV).ok().filter(|v| !v.is_empty());
+    let coord = Coordinator::new(store, owner, max_reclaims);
     let keys: Vec<String> = cells
         .iter()
         .map(|c| ResultStore::key(&c.spec.render(), master_seed))
@@ -436,88 +386,88 @@ pub fn run_worker(
             CellState::Complete(_)
         )
     };
+    // One cell's fate, or `None` while a live peer holds it.
+    let resolve = |i: usize| -> Result<Option<Fate>, String> {
+        let (key, label) = (&keys[i], &cells[i].label);
+        if complete(i) {
+            return Ok(Some(Fate::Loaded));
+        }
+        let claim = coord
+            .try_claim(key, label)
+            .map_err(|e| format!("claim {key}: {e}"))?;
+        let held = match claim {
+            Claim::Busy => return Ok(None),
+            Claim::Quarantined(poison) => {
+                println!(
+                    "worker {owner}: quarantined {key} ({label}) after {} failures \
+                     (last owner {})",
+                    poison.failures, poison.last_owner
+                );
+                return Ok(Some(Fate::Quarantined));
+            }
+            Claim::Owned(held) => held,
+        };
+        // Claim-then-recheck: a peer may have completed the cell between
+        // our store probe and the claim.
+        let fate = if complete(i) {
+            Fate::Loaded
+        } else {
+            crash_if_hooked(&format!("worker {owner}"), label);
+            let report = cells[i].spec.run(master_seed);
+            let run = StoredRun::from_report(label, &cells[i].spec, master_seed, &report);
+            store
+                .save(&run)
+                .map_err(|e| format!("store write {key}: {e}"))?;
+            println!("worker {owner}: saved {key} ({label})");
+            Fate::Computed
+        };
+        held.release().map_err(|e| format!("release {key}: {e}"))?;
+        Ok(Some(fate))
+    };
     let mut fates: Vec<Option<Fate>> = vec![None; cells.len()];
+    let mut saved_keys = Vec::new();
     let offset = if cells.is_empty() {
         0
     } else {
         fnv1a(FNV_OFFSET, owner.as_bytes()) as usize % cells.len()
     };
-    let mut jitter = RngStream::derive(fnv1a(FNV_OFFSET, owner.as_bytes()), "coord.jitter");
     loop {
         let mut progress = false;
-        for step in 0..cells.len() {
-            let i = (step + offset) % cells.len();
-            if fates[i].is_some() {
-                continue;
-            }
-            let (key, label) = (&keys[i], &cells[i].label);
-            if complete(i) {
-                fates[i] = Some(Fate::Loaded);
-                progress = true;
-                continue;
-            }
-            match coord
-                .try_claim(key, label, Instant::now())
-                .map_err(|e| format!("claim {key}: {e}"))?
-            {
-                Claim::Busy => {}
-                Claim::Quarantined(poison) => {
-                    println!(
-                        "worker {owner}: quarantined {key} ({label}) after {} failures \
-                         (last owner {})",
-                        poison.failures, poison.last_owner
-                    );
-                    fates[i] = Some(Fate::Quarantined);
-                    progress = true;
+        let mut first_busy = None;
+        // A lease with a body is held by a live peer or was left by a
+        // dead one: the first sweep passes it over.
+        for reclaim in [false, true] {
+            for step in 0..cells.len() {
+                let i = (step + offset) % cells.len();
+                if fates[i].is_some() || (!reclaim && coord.has_lease_body(&keys[i])) {
+                    continue;
                 }
-                Claim::Owned(lease) => {
-                    // Claim-then-recheck: a peer may have completed the
-                    // cell between our store probe and the claim.
-                    if complete(i) {
-                        let _ = coord.release(key);
-                        fates[i] = Some(Fate::Loaded);
+                match resolve(i)? {
+                    Some(fate) => {
+                        if fate == Fate::Computed {
+                            saved_keys.push(keys[i].clone());
+                        }
+                        fates[i] = Some(fate);
                         progress = true;
-                        continue;
                     }
-                    if kill_cell.as_deref().is_some_and(|k| label.contains(k)) {
-                        println!("worker {owner}: killed by {KILL_CELL_ENV} on ({label})");
-                        // Abort without unwinding: the lease survives,
-                        // exactly like a SIGKILL mid-compute.
-                        std::process::abort();
+                    None => {
+                        first_busy.get_or_insert(i);
                     }
-                    let report = compute_with_heartbeats(&coord, key, &lease, || {
-                        cells[i].spec.run(master_seed)
-                    });
-                    let run = StoredRun::from_report(label, &cells[i].spec, master_seed, &report);
-                    store
-                        .save(&run)
-                        .map_err(|e| format!("store write {key}: {e}"))?;
-                    coord
-                        .release(key)
-                        .map_err(|e| format!("release {key}: {e}"))?;
-                    println!("worker {owner}: saved {key} ({label})");
-                    fates[i] = Some(Fate::Computed);
-                    progress = true;
                 }
+            }
+            if progress {
+                break;
             }
         }
         if fates.iter().all(Option::is_some) {
             break;
         }
-        // A pass that resolved a cell goes again at once; one blocked on
-        // peers' leases waits a heartbeat period, jittered per owner so
-        // two workers never stay phase-locked.
-        if !progress {
-            std::thread::sleep(cfg.heartbeat_interval().mul_f64(jitter.uniform(0.5, 1.5)));
+        if let Some(i) = first_busy.filter(|_| !progress) {
+            let key = &keys[i];
+            coord.wait(key).map_err(|e| format!("wait {key}: {e}"))?;
         }
     }
     let count = |fate: Fate| fates.iter().filter(|f| **f == Some(fate)).count();
-    let saved_keys = fates
-        .iter()
-        .zip(&keys)
-        .filter(|(f, _)| **f == Some(Fate::Computed))
-        .map(|(_, key)| key.clone())
-        .collect();
     Ok(WorkerOutcome {
         cells: cells.len(),
         computed: count(Fate::Computed),
@@ -527,41 +477,14 @@ pub fn run_worker(
     })
 }
 
-/// Runs `compute` while a background thread beats the lease every
-/// [`CoordConfig::heartbeat_interval`], so a long cell is never presumed
-/// abandoned while its worker is alive. The beats stop when `compute`
-/// returns (or unwinds) and drops the channel's sender.
-fn compute_with_heartbeats<R: Send>(
-    coord: &Coordinator,
-    key: &str,
-    lease: &Lease,
-    compute: impl FnOnce() -> R + Send,
-) -> R {
-    let (done, beats) = mpsc::channel::<()>();
-    let mut lease = lease.clone();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let interval = coord.cfg.heartbeat_interval();
-            while let Err(mpsc::RecvTimeoutError::Timeout) = beats.recv_timeout(interval) {
-                let _ = coord.refresh(key, &mut lease);
-            }
-        });
-        let result = compute();
-        drop(done);
-        result
-    })
-}
-
 /// What the store directory says about one cell.
 #[derive(Debug)]
 pub enum CellState {
     /// `<key>.run` holds the cell's result.
     Complete(StoredRun),
-    /// No result yet; a worker's lease (live or stale) is on the cell.
-    Leased,
     /// No result; given up on after repeated worker deaths.
     Quarantined(Poison),
-    /// No result, no quarantine record, no readable lease.
+    /// No result and no quarantine record (a worker may hold the cell).
     Missing,
 }
 
@@ -573,15 +496,9 @@ pub fn cell_state(store: &ResultStore, cell: &SweepCell, master_seed: u64) -> Ce
     if let Some(run) = store.load(&spec_text, master_seed) {
         return CellState::Complete(run);
     }
-    let key = ResultStore::key(&spec_text, master_seed);
-    if let Some(poison) = load_poison(store.dir(), &key) {
-        return CellState::Quarantined(poison);
-    }
-    let lease = std::fs::read_to_string(store.dir().join(format!("{key}.lease")));
-    if lease.is_ok_and(|text| Lease::parse(&text).is_ok()) {
-        CellState::Leased
-    } else {
-        CellState::Missing
+    match load_poison(store.dir(), &ResultStore::key(&spec_text, master_seed)) {
+        Some(poison) => CellState::Quarantined(poison),
+        None => CellState::Missing,
     }
 }
 
@@ -664,7 +581,7 @@ pub fn collect_grid(
                 grid.quarantined += 1;
                 (None, format!("quarantined ({} failures)", poison.failures))
             }
-            CellState::Leased | CellState::Missing => {
+            CellState::Missing => {
                 grid.missing += 1;
                 (None, "missing".to_string())
             }
@@ -761,7 +678,7 @@ pub fn report_sweep(
                     poisoned += 1;
                     out.quarantined_cells.push(cell.label.clone());
                 }
-                CellState::Leased | CellState::Missing => out.missing += 1,
+                CellState::Missing => out.missing += 1,
             }
         }
         out.points += 1;
@@ -793,37 +710,28 @@ mod tests {
         ResultStore::open(dir).expect("temp store")
     }
 
-    fn quick_cfg() -> CoordConfig {
-        CoordConfig {
-            lease_timeout_ms: 200,
-            max_reclaims: 2,
-        }
-    }
-
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
-    }
-
-    /// A lease of a worker that died before its first heartbeat.
+    /// The lease a worker that died mid-cell left behind. Planted by
+    /// hand, nobody holds its lock — which is exactly a dead owner.
     fn dead(reclaims: u32) -> Lease {
         Lease {
             owner: "dead@1".into(),
-            pid: 1,
-            beat: 0,
             reclaims,
             label: "cell".into(),
         }
     }
 
-    /// Polls `key` at `t0` (which starts the watch) and again one
-    /// timeout and a millisecond later, when an unchanged lease is stale.
-    fn claim_after_watching(coord: &mut Coordinator, key: &str, t0: Instant) -> Claim {
-        let busy = coord.try_claim(key, "cell", t0).expect("claim io");
-        assert!(matches!(busy, Claim::Busy), "first sight: {busy:?}");
-        let timeout = coord.cfg.lease_timeout_ms;
-        coord
-            .try_claim(key, "cell", t0 + ms(timeout + 1))
-            .expect("claim io")
+    /// The lease body on disk, as the next claimant would read it.
+    fn on_disk(coord: &Coordinator, key: &str) -> Lease {
+        let text = std::fs::read_to_string(coord.lease_path(key)).expect("lease file");
+        Lease::parse(&text).expect("lease body")
+    }
+
+    /// Claims `key`, which must be granted, and reports the reclaim
+    /// count written for it; the claim is dropped (the owner "dies").
+    fn reclaims_granted(coord: &Coordinator, key: &str) -> u32 {
+        let claim = coord.try_claim(key, "cell").expect("claim io");
+        assert!(matches!(claim, Claim::Owned(_)), "{key}: {claim:?}");
+        on_disk(coord, key).reclaims
     }
 
     #[test]
@@ -838,23 +746,19 @@ mod tests {
         assert!(Lease::parse(&lease("4294967296")).is_err());
         assert!(Lease::parse(&lease("99999999999999999999")).is_err());
         // A file cut after its header is an error, not an empty record.
-        assert!(Lease::parse("mtnet-lease v2\n").is_err());
+        assert!(Lease::parse("mtnet-lease v3\n").is_err());
         assert!(Poison::parse("mtnet-poison v2\nfailures = 1\n").is_err());
-        assert!(Lease::parse("mtnet-lease v2\nwarp = 9\n").is_err());
+        assert!(Lease::parse("mtnet-lease v3\nwarp = 9\n").is_err());
 
         let store = tmp_store("width");
-        let mut coord = Coordinator::new(&store, "alive", quick_cfg());
-        let t0 = Instant::now();
-        // An unparseable count is watched like any bytes: busy at first
-        // sight, and reclaimed with an unknown history, not a wrapped one.
+        let coord = Coordinator::new(&store, "alive", 2);
+        // An unparseable count is a death with an unknown history: it is
+        // reclaimed once, not with a wrapped count.
         std::fs::write(coord.lease_path("aa"), lease("4294967296")).expect("plant");
-        match claim_after_watching(&mut coord, "aa", t0) {
-            Claim::Owned(lease) => assert_eq!(lease.reclaims, 1),
-            other => panic!("expected reclaim, got {other:?}"),
-        }
+        assert_eq!(reclaims_granted(&coord, "aa"), 1);
         // The largest count saturates into quarantine instead of overflowing.
         std::fs::write(coord.lease_path("bb"), lease("4294967295")).expect("plant");
-        match claim_after_watching(&mut coord, "bb", t0) {
+        match coord.try_claim("bb", "cell").expect("claim io") {
             Claim::Quarantined(poison) => assert_eq!(poison.failures, u32::MAX),
             other => panic!("expected quarantine, got {other:?}"),
         }
@@ -866,82 +770,32 @@ mod tests {
     }
 
     #[test]
-    fn staleness_boundary_is_strictly_older_than() {
-        let store = tmp_store("boundary");
-        let mut coord = Coordinator::new(&store, "alive", quick_cfg());
-        let key = "5ca1ab1e00000000";
-        std::fs::write(coord.lease_path(key), dead(0).render()).expect("plant");
-        let t0 = Instant::now();
-        // Unchanged for exactly the timeout: still live. One past: stale.
-        for at in [0, 1, 199, 200] {
-            let claim = coord.try_claim(key, "cell", t0 + ms(at)).expect("io");
-            assert!(matches!(claim, Claim::Busy), "+{at} ms: {claim:?}");
-        }
-        match coord.try_claim(key, "cell", t0 + ms(201)).expect("io") {
-            Claim::Owned(lease) => assert_eq!((lease.owner.as_str(), lease.reclaims), ("alive", 1)),
-            other => panic!("expected reclaim 1 ms past the timeout, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn a_heartbeat_restarts_the_watch() {
-        let store = tmp_store("restart");
-        let mut owner = Coordinator::new(&store, "slow", quick_cfg());
-        let mut watcher = Coordinator::new(&store, "eager", quick_cfg());
-        let key = "0b5e55ed00000000";
-        let t0 = Instant::now();
-        let Claim::Owned(mut lease) = owner.try_claim(key, "cell", t0).expect("io") else {
-            panic!("a free cell is claimed");
-        };
-        assert!(matches!(
-            watcher.try_claim(key, "cell", t0).expect("io"),
-            Claim::Busy
-        ));
-        // The owner beats 150 ms in: the watcher's clock restarts there.
-        owner.refresh(key, &mut lease).expect("beat");
-        for at in [150, 201, 350] {
-            let claim = watcher.try_claim(key, "cell", t0 + ms(at)).expect("io");
-            assert!(matches!(claim, Claim::Busy), "+{at} ms: {claim:?}");
-        }
-        assert!(matches!(
-            watcher.try_claim(key, "cell", t0 + ms(351)).expect("io"),
-            Claim::Owned(_)
-        ));
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
     fn unparseable_lease_follows_the_same_watch() {
+        // A lease body that does not parse is a dead owner's like any
+        // other: reclaimed at once, with an unknown history of 0.
         let store = tmp_store("unparseable");
-        let mut coord = Coordinator::new(&store, "w", quick_cfg());
-        let t0 = Instant::now();
-        // Garbage (invalid UTF-8 too), and a lease in the format before
-        // `beat` replaced the wall-clock fields: both busy for a timeout,
-        // then reclaimed with an unknown history of 0.
-        let older = "mtnet-lease v1\nowner = w0@11672\npid = 11672\n\
-                     claimed_ms = 1791163734786\nheartbeat_ms = 1791163734786\n\
-                     reclaims = 2\nlabel = cell\n";
+        let coord = Coordinator::new(&store, "w", 2);
+        // Garbage (invalid UTF-8 too), and leases in the two formats
+        // before this one (wall-clock fields, then a heartbeat counter).
+        let v1 = "mtnet-lease v1\nowner = w0@11672\npid = 11672\n\
+                  claimed_ms = 1791163734786\nheartbeat_ms = 1791163734786\n\
+                  reclaims = 2\nlabel = cell\n";
+        let v2 = "mtnet-lease v2\nowner = w0@11672\npid = 11672\nbeat = 4\n\
+                  reclaims = 2\nlabel = cell\n";
         for (key, text) in [
             ("0123456789abcdef", &b"not a lease\xff"[..]),
-            ("fedcba9876543210", older.as_bytes()),
+            ("fedcba9876543210", v1.as_bytes()),
+            ("00112233445566aa", v2.as_bytes()),
         ] {
             std::fs::write(coord.lease_path(key), text).expect("plant");
-            for at in [0, 200] {
-                let claim = coord.try_claim(key, "cell", t0 + ms(at)).expect("io");
-                assert!(matches!(claim, Claim::Busy), "{key} +{at} ms: {claim:?}");
-            }
-            match coord.try_claim(key, "cell", t0 + ms(201)).expect("io") {
-                Claim::Owned(lease) => assert_eq!(lease.reclaims, 1, "{key}"),
-                other => panic!("{key}: expected reclaim, got {other:?}"),
-            }
+            assert_eq!(reclaims_granted(&coord, key), 1, "{key}");
         }
         // A quarantine record in the older format still quarantines.
         let older_poison = "mtnet-poison v1\nfailures = 1\nlast_owner = w0@11672\n\
                             label = cell\nquarantined_ms = 1791163735297\n";
         std::fs::write(poison_path(store.dir(), "cc"), older_poison).expect("plant");
         assert!(matches!(
-            coord.try_claim("cc", "cell", t0).expect("io"),
+            coord.try_claim("cc", "cell").expect("io"),
             Claim::Quarantined(p) if p.last_owner == "(corrupt record)"
         ));
         let _ = std::fs::remove_dir_all(store.dir());
@@ -950,24 +804,28 @@ mod tests {
     #[test]
     fn claim_is_mutually_exclusive_across_racing_threads() {
         let store = tmp_store("race");
-        let cfg = CoordConfig::default();
-        let winners: usize = std::thread::scope(|s| {
+        // Every claim is kept until all are counted: a winner that let
+        // go early would leave its lease to be reclaimed by a later one.
+        let claims: Vec<Claim> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|i| {
                     let store = &store;
                     s.spawn(move || {
-                        let mut coord = Coordinator::new(store, format!("w{i}"), cfg);
-                        matches!(
-                            coord
-                                .try_claim("deadbeef00000000", "cell", Instant::now())
-                                .expect("claim io"),
-                            Claim::Owned(_)
-                        ) as usize
+                        Coordinator::new(store, format!("w{i}"), 3)
+                            .try_claim("deadbeef00000000", "cell")
+                            .expect("claim io")
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("join")).sum()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("join"))
+                .collect()
         });
+        let winners = claims
+            .iter()
+            .filter(|c| matches!(c, Claim::Owned(_)))
+            .count();
         assert_eq!(winners, 1, "exactly one of 8 racing claimants may win");
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -975,30 +833,30 @@ mod tests {
     #[test]
     fn stale_lease_is_reclaimed_with_bumped_count_then_quarantined() {
         let store = tmp_store("reclaim");
-        let cfg = quick_cfg();
-        let mut coord = Coordinator::new(&store, "alive", cfg);
+        let max_reclaims = 2;
+        let coord = Coordinator::new(&store, "alive", max_reclaims);
+        let peer = Coordinator::new(&store, "peer", max_reclaims);
         let key = "feedface00000000";
-        let t0 = Instant::now();
-        // Plant the lease of a worker that died before its first beat.
+        // Plant the lease of a worker that died mid-cell.
         std::fs::write(coord.lease_path(key), dead(0).render()).expect("plant lease");
-        match claim_after_watching(&mut coord, key, t0) {
-            Claim::Owned(lease) => {
-                assert_eq!(lease.reclaims, 1, "first reclaim bumps the count");
-                assert_eq!(lease.owner, "alive");
-            }
-            other => panic!("expected reclaim to win, got {other:?}"),
-        }
-        // A fresh (just-written) lease is not reclaimable.
+        let Claim::Owned(held) = coord.try_claim(key, "cell").expect("claim io") else {
+            panic!("a dead owner's lease is reclaimed at once");
+        };
+        let written = on_disk(&coord, key);
+        assert_eq!(written.reclaims, 1, "first reclaim bumps the count");
+        assert_eq!(written.owner, "alive");
+        // A held lease is not reclaimable.
         assert!(matches!(
-            coord.try_claim(key, "cell", t0).expect("claim io"),
+            peer.try_claim(key, "cell").expect("claim io"),
             Claim::Busy
         ));
+        drop(held);
         // Drive the reclaim count over the budget: each round plants a
-        // dead lease carrying the previous count and watches it go stale.
-        for reclaims in 1..=cfg.max_reclaims {
+        // dead lease carrying the previous count.
+        for reclaims in 1..=max_reclaims {
             std::fs::write(coord.lease_path(key), dead(reclaims).render()).expect("plant stale");
-            let claim = claim_after_watching(&mut coord, key, t0);
-            if reclaims < cfg.max_reclaims {
+            let claim = coord.try_claim(key, "cell").expect("claim io");
+            if reclaims < max_reclaims {
                 assert!(
                     matches!(claim, Claim::Owned(_)),
                     "round {reclaims}: {claim:?}"
@@ -1006,9 +864,10 @@ mod tests {
             } else {
                 match claim {
                     Claim::Quarantined(poison) => {
-                        assert_eq!(poison.failures, cfg.max_reclaims + 1);
+                        assert_eq!(poison.failures, max_reclaims + 1);
                         assert_eq!(poison.last_owner, "dead@1");
                         assert!(poison_path(store.dir(), key).exists());
+                        assert!(!coord.lease_path(key).exists());
                     }
                     other => panic!("expected quarantine, got {other:?}"),
                 }
@@ -1016,51 +875,52 @@ mod tests {
         }
         // Once quarantined, every claim sees the poison record.
         assert!(matches!(
-            coord.try_claim(key, "cell", t0).expect("claim io"),
+            coord.try_claim(key, "cell").expect("claim io"),
             Claim::Quarantined(_)
         ));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
-    fn release_frees_the_cell_for_the_next_claimant() {
-        let store = tmp_store("release");
-        let mut coord = Coordinator::new(&store, "w", CoordConfig::default());
-        let key = "cafebabe00000000";
-        let now = Instant::now();
+    fn a_dropped_handle_is_reclaimed_at_once() {
+        let store = tmp_store("dropped");
+        let owner = Coordinator::new(&store, "owner", 3);
+        let peer = Coordinator::new(&store, "peer", 3);
+        let key = "0b5e55ed00000000";
+        let Claim::Owned(held) = owner.try_claim(key, "cell").expect("io") else {
+            panic!("a free cell is claimed");
+        };
+        assert_eq!(on_disk(&owner, key).reclaims, 0);
         assert!(matches!(
-            coord.try_claim(key, "c", now).expect("io"),
-            Claim::Owned(_)
+            peer.try_claim(key, "cell").expect("io"),
+            Claim::Busy
         ));
-        coord.release(key).expect("release");
-        assert!(matches!(
-            coord.try_claim(key, "c", now).expect("io"),
-            Claim::Owned(_)
-        ));
+        // The owner dies without completing: no waiting, one reclaim.
+        drop(held);
+        assert_eq!(reclaims_granted(&peer, key), 1);
+        assert_eq!(on_disk(&peer, key).owner, "peer");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
-    fn a_duplicate_owner_releasing_second_is_done_not_failed() {
-        // A live owner stalls past the timeout and is falsely reclaimed:
-        // both compute the cell, and the first release deletes the one
-        // lease file both think they own.
-        let store = tmp_store("double-release");
-        let mut a = Coordinator::new(&store, "a", quick_cfg());
-        let mut b = Coordinator::new(&store, "b", quick_cfg());
-        let key = "d0d0d0d000000000";
-        let t0 = Instant::now();
-        assert!(matches!(
-            a.try_claim(key, "cell", t0).expect("io"),
-            Claim::Owned(_)
-        ));
-        assert!(matches!(
-            claim_after_watching(&mut b, key, t0),
-            Claim::Owned(lease) if lease.reclaims == 1
-        ));
-        a.release(key).expect("first release");
-        b.release(key).expect("second release of the same cell");
-        assert!(!a.lease_path(key).exists());
+    fn release_frees_the_cell_for_the_next_claimant() {
+        let store = tmp_store("release");
+        let coord = Coordinator::new(&store, "w", 3);
+        let key = "cafebabe00000000";
+        let Claim::Owned(held) = coord.try_claim(key, "c").expect("io") else {
+            panic!("a free cell is claimed");
+        };
+        // A peer that opened the lease before the release and locks it
+        // after reads it empty: a finished cell is no death.
+        let mut early = File::open(coord.lease_path(key)).expect("open lease");
+        held.release().expect("release");
+        assert!(!coord.lease_path(key).exists());
+        early.lock().expect("lock the old lease");
+        let mut body = String::new();
+        early.read_to_string(&mut body).expect("read");
+        assert_eq!(body, "");
+        drop(early);
+        assert_eq!(reclaims_granted(&coord, key), 0);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -1070,9 +930,6 @@ mod tests {
         assert!(parse_worker_count("0").is_err());
         assert!(parse_worker_count("-2").is_err());
         assert!(parse_worker_count("many").is_err());
-        assert_eq!(parse_timeout_ms("1500").unwrap(), 1500);
-        assert!(parse_timeout_ms("0").is_err());
-        assert!(parse_timeout_ms("soon").is_err());
         assert_eq!(parse_max_reclaims("0").unwrap(), 0);
         assert!(parse_max_reclaims("-1").is_err());
     }
@@ -1094,14 +951,6 @@ mod tests {
         for bad in hostile_counts().iter().chain([&"0".to_string()]) {
             let err = parse_worker_count(bad).expect_err(bad);
             assert!(err.contains("--workers"), "{bad:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn parse_timeout_ms_rejects_hostile_input() {
-        for bad in hostile_counts().iter().chain([&"0".to_string()]) {
-            let err = parse_timeout_ms(bad).expect_err(bad);
-            assert!(err.contains("--lease-timeout-ms"), "{bad:?}: {err}");
         }
     }
 

@@ -18,8 +18,9 @@
 //! extended sweeps from the content-addressed [`store`]; the [`coord`]
 //! module adds the crash-safe multi-worker layer (`sweep --workers N`
 //! or standalone `--worker-id` processes on a shared store directory):
-//! lease files with heartbeats, work-stealing reclaim of dead workers'
-//! cells, and quarantine of cells that keep killing their owners.
+//! lease files a worker owns while it holds their OS file lock, reclaim
+//! of a dead worker's cells as soon as the kernel drops its locks, and
+//! quarantine of cells that keep killing their owners.
 //!
 //! The fourteen experiments — id, paper artifact, arms, tables — are
 //! declared once, in [`experiments::EXPERIMENTS`]; [`ALL_IDS`],

@@ -20,9 +20,10 @@
 //!
 //! The slot file is a [`mtnet_core::kv`] record — the scalar block is
 //! declared in this module's `RUN` field table, the metric, spec and
-//! fingerprint lines are its prefixed blocks — and every file the store
-//! directory holds (slots here, leases and quarantine records in
-//! [`crate::coord`]) is published through the one `write_atomic`.
+//! fingerprint lines are its prefixed blocks. Slots here and quarantine
+//! records in [`crate::coord`] are published through the one
+//! `write_atomic`; a lease is the one file written in place, through the
+//! handle that holds its lock.
 
 use mtnet_core::kv::{self, field, Kind, Presence::Required, Record};
 use mtnet_core::lens;
@@ -244,34 +245,19 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A unique (per process × call) sibling of `path` that the orphan GC
 /// recognizes by its `.tmp` suffix: `<stem>.<pid>-<seq>.tmp`.
-pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
+fn tmp_sibling(path: &Path) -> PathBuf {
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     path.with_extension(format!("{}-{seq}.tmp", std::process::id()))
 }
 
-/// How [`write_atomic`] puts the finished temp file in place.
-pub(crate) enum Publish {
-    /// Rename over whatever is there: last writer wins.
-    Replace,
-    /// Hard-link into place: `AlreadyExists` when the path is taken, so
-    /// exactly one of any number of racing creators succeeds.
-    CreateNew,
-}
-
-/// The one way a file appears in the store directory: written in full to
-/// a [`tmp_sibling`], then published atomically — a reader (or a resume
-/// after a kill) sees the old content or the new, never half of either.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8], publish: Publish) -> io::Result<()> {
+/// Writes a file of the store directory atomically: in full to a
+/// [`tmp_sibling`], then renamed over `path` (last writer wins) — a
+/// reader (or a resume after a kill) sees the old content or the new,
+/// never half of either.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = tmp_sibling(path);
     std::fs::write(&tmp, bytes)?;
-    match publish {
-        Publish::Replace => std::fs::rename(&tmp, path),
-        Publish::CreateNew => {
-            let linked = std::fs::hard_link(&tmp, path);
-            let _ = std::fs::remove_file(&tmp);
-            linked
-        }
-    }
+    std::fs::rename(&tmp, path)
 }
 
 /// How old an orphaned `*.tmp` file must be before the startup sweep
@@ -350,7 +336,7 @@ impl ResultStore {
     /// — last rename wins, and both renames carry identical bytes.
     pub fn save(&self, run: &StoredRun) -> io::Result<PathBuf> {
         let path = self.path_of(&Self::key(&run.spec_text, run.master_seed));
-        write_atomic(&path, run.render().as_bytes(), Publish::Replace)?;
+        write_atomic(&path, run.render().as_bytes())?;
         Ok(path)
     }
 

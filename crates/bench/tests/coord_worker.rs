@@ -2,22 +2,25 @@
 //! protocol worker drains a grid to the same bytes the single-process
 //! sweep engine produces, peers' completed cells are loaded not
 //! recomputed, quarantined cells degrade the grid instead of wedging
-//! it, a lease file's mtime never ages a lease, and — the
+//! it, a slow live owner is waited for and never reclaimed, and — the
 //! crash-recovery regression — a cell reclaimed from a dead worker's
-//! stale lease completes bit-identical to a cell that never crashed.
+//! lease completes bit-identical to a cell that never crashed.
+//!
+//! A lease is held from another thread than the worker's: a worker
+//! blocks on a held lease, so holding one on its own thread would hang.
 
 use mtnet_bench::coord::{
-    collect_grid, exit_code, load_poison, poison_path, run_worker, Claim, CoordConfig, Coordinator,
-    Lease, Poison,
+    collect_grid, exit_code, load_poison, poison_path, run_worker, Claim, Coordinator, Lease,
+    Poison,
 };
-use mtnet_bench::store::ResultStore;
+use mtnet_bench::store::{ResultStore, StoredRun};
 use mtnet_bench::sweep::{parse_axis, run_sweep, SweepPlan};
 use mtnet_bench::Effort;
 use mtnet_core::spec::ScenarioSpec;
 use mtnet_sim::runner::BatchRunner;
 use std::collections::HashSet;
 use std::path::PathBuf;
-use std::time::{Duration, Instant, UNIX_EPOCH};
+use std::time::Duration;
 
 struct TempStore {
     dir: PathBuf,
@@ -54,12 +57,8 @@ fn small_plan() -> SweepPlan {
     }
 }
 
-fn quick_cfg() -> CoordConfig {
-    CoordConfig {
-        lease_timeout_ms: 300,
-        max_reclaims: 2,
-    }
-}
+/// The reclaim budget of every worker here.
+const MAX_RECLAIMS: u32 = 2;
 
 /// Byte content of every `.run` slot, keyed by file name.
 fn store_bytes(store: &ResultStore) -> Vec<(String, Vec<u8>)> {
@@ -87,7 +86,7 @@ fn one_worker_drains_the_grid_bit_identical_to_the_sweep_engine() {
     assert_eq!(engine.computed, 4);
 
     let tmp = TempStore::new("worker");
-    let outcome = run_worker(&plan, 42, &tmp.store, quick_cfg(), "solo@1").expect("worker");
+    let outcome = run_worker(&plan, 42, &tmp.store, MAX_RECLAIMS, "solo@1").expect("worker");
     assert_eq!(
         (
             outcome.cells,
@@ -110,7 +109,7 @@ fn one_worker_drains_the_grid_bit_identical_to_the_sweep_engine() {
     assert_eq!(debris, 0, "leases and temp files must all be cleaned up");
 
     // A second worker over the finished grid loads everything.
-    let again = run_worker(&plan, 42, &tmp.store, quick_cfg(), "late@2").expect("late worker");
+    let again = run_worker(&plan, 42, &tmp.store, MAX_RECLAIMS, "late@2").expect("late worker");
     assert_eq!((again.computed, again.loaded), (0, 4));
 }
 
@@ -122,27 +121,28 @@ fn reclaimed_then_completed_cell_is_bit_identical_to_a_never_crashed_one() {
     run_sweep(&plan, 42, Some(&reference.store), &BatchRunner::new(1)).expect("engine sweep");
 
     // Crash story: a worker claimed the first cell and died — its lease
-    // sits there and never beats again. A live worker must watch it go
-    // stale, steal the cell (reclaim), recompute it, and produce the
-    // same bytes.
+    // sits there with nobody holding its lock. A live worker must steal
+    // the cell (reclaim), recompute it, and produce the same bytes.
     let tmp = TempStore::new("crashed");
     let cells = plan.cells().expect("cells");
     let victim_key = ResultStore::key(&cells[0].spec.render(), 42);
-    let coord = Coordinator::new(&tmp.store, "dead@9", quick_cfg());
+    let coord = Coordinator::new(&tmp.store, "dead@9", MAX_RECLAIMS);
     let abandoned = Lease {
         owner: "dead@9".into(),
-        pid: 9,
-        beat: 3,
         reclaims: 0,
         label: cells[0].label.clone(),
     };
     std::fs::write(coord.lease_path(&victim_key), abandoned.render()).expect("plant stale lease");
 
-    let outcome = run_worker(&plan, 42, &tmp.store, quick_cfg(), "alive@1").expect("worker");
+    let outcome = run_worker(&plan, 42, &tmp.store, MAX_RECLAIMS, "alive@2").expect("worker");
     assert_eq!((outcome.computed, outcome.quarantined), (4, 0));
-    assert!(
-        outcome.saved_keys.contains(&victim_key),
-        "the reclaimed cell must be recomputed by the live worker"
+    // A cell that killed its owner may kill the next one too: it is
+    // reclaimed only once no fresh cell is left, although `alive@2`
+    // starts its passes at cell 0.
+    assert_eq!(
+        outcome.saved_keys.last(),
+        Some(&victim_key),
+        "the reclaimed cell must be recomputed by the live worker, last"
     );
     assert_eq!(
         store_bytes(&tmp.store),
@@ -156,37 +156,41 @@ fn reclaimed_then_completed_cell_is_bit_identical_to_a_never_crashed_one() {
 }
 
 #[test]
-fn a_lease_file_dated_1970_is_not_reclaimed_before_a_watch() {
-    // The file's mtime says nothing: a coordinator that has never seen
-    // this lease must watch it unchanged for a full timeout first.
-    let tmp = TempStore::new("mtime");
-    let mut coord = Coordinator::new(&tmp.store, "fresh@1", quick_cfg());
-    let key = "7e57ab1e00000000";
-    let lease = Lease {
-        owner: "old@2".into(),
-        pid: 2,
-        beat: 0,
-        reclaims: 0,
-        label: "cell".into(),
+fn a_slow_live_owner_is_never_reclaimed() {
+    // A live owner sits on its claim for longer than any lease timeout
+    // the protocol ever had; a worker over the same one-cell grid must
+    // wait for it and load its result, never reclaim the cell.
+    let tmp = TempStore::new("slow-owner");
+    let plan = SweepPlan {
+        axes: vec![
+            parse_axis("arch=multi-tier+rsmc").unwrap(),
+            parse_axis("vehicles=1").unwrap(),
+        ],
+        ..small_plan()
     };
-    std::fs::write(coord.lease_path(key), lease.render()).expect("plant lease");
-    std::fs::File::options()
-        .write(true)
-        .open(coord.lease_path(key))
-        .and_then(|f| f.set_modified(UNIX_EPOCH))
-        .expect("age the file");
-    let t0 = Instant::now();
-    let timeout = quick_cfg().lease_timeout_ms;
-    for at in [0, timeout] {
-        let claim = coord
-            .try_claim(key, "cell", t0 + Duration::from_millis(at))
-            .expect("io");
-        assert!(matches!(claim, Claim::Busy), "+{at} ms: {claim:?}");
-    }
-    let claim = coord
-        .try_claim(key, "cell", t0 + Duration::from_millis(timeout + 1))
-        .expect("io");
-    assert!(matches!(claim, Claim::Owned(_)), "{claim:?}");
+    let cell = plan.cells().expect("cells").remove(0);
+    let key = ResultStore::key(&cell.spec.render(), 42);
+    let (claimed, on_claim) = std::sync::mpsc::channel();
+    let outcome = std::thread::scope(|s| {
+        s.spawn(|| {
+            let coord = Coordinator::new(&tmp.store, "slow@1", MAX_RECLAIMS);
+            let Ok(Claim::Owned(held)) = coord.try_claim(&key, &cell.label) else {
+                panic!("the owner claims the free cell");
+            };
+            claimed.send(()).expect("signal the claim");
+            std::thread::sleep(Duration::from_millis(1500));
+            let report = cell.spec.run(42);
+            let run = StoredRun::from_report(&cell.label, &cell.spec, 42, &report);
+            tmp.store.save(&run).expect("save");
+            held.release().expect("release");
+        });
+        on_claim.recv().expect("the owner claimed");
+        run_worker(&plan, 42, &tmp.store, MAX_RECLAIMS, "eager@2").expect("worker")
+    });
+    assert_eq!(
+        outcome.summary("eager@2"),
+        "worker eager@2: 1 cells: computed 0, loaded 1, quarantined 0"
+    );
 }
 
 #[test]
@@ -203,7 +207,7 @@ fn quarantined_cell_degrades_the_grid_instead_of_wedging_the_worker() {
     std::fs::write(poison_path(tmp.store.dir(), &poisoned_key), record.render())
         .expect("plant poison");
 
-    let outcome = run_worker(&plan, 42, &tmp.store, quick_cfg(), "w@1").expect("worker");
+    let outcome = run_worker(&plan, 42, &tmp.store, MAX_RECLAIMS, "w@1").expect("worker");
     assert_eq!(
         (
             outcome.cells,
@@ -237,7 +241,7 @@ fn quarantined_cell_degrades_the_grid_instead_of_wedging_the_worker() {
     // Removing the quarantine record makes the cell computable again —
     // and it completes identically to an engine run (graceful recovery).
     std::fs::remove_file(poison_path(tmp.store.dir(), &poisoned_key)).expect("lift quarantine");
-    let healed = run_worker(&plan, 42, &tmp.store, quick_cfg(), "w@2").expect("healed worker");
+    let healed = run_worker(&plan, 42, &tmp.store, MAX_RECLAIMS, "w@2").expect("healed worker");
     assert_eq!(
         (healed.computed, healed.loaded, healed.quarantined),
         (1, 3, 0)
@@ -278,7 +282,7 @@ fn collect_grid_accounts_preexisting_cells_as_loaded_and_gaps_as_missing() {
         ],
         ..plan.clone()
     };
-    run_worker(&worker_plan, 42, &tmp.store, quick_cfg(), "w@1").expect("worker");
+    run_worker(&worker_plan, 42, &tmp.store, MAX_RECLAIMS, "w@1").expect("worker");
     let grid = collect_grid(&three_quarters, 42, &tmp.store, &preexisting).expect("collect");
     assert_eq!(grid.cells, cells.len());
     assert_eq!(

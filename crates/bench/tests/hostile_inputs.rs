@@ -1,7 +1,7 @@
 //! Hostile bytes against the one `mtnet_core::kv` reader, through each
 //! of its four records: scenario specs, stored runs, leases and
 //! quarantine records — and against the command-line value parsers
-//! (`--axis` and the five counts). One deterministic byte-level mutation driver
+//! (`--axis` and the six counts). One deterministic byte-level mutation driver
 //! (seeded `RngStream`) takes valid texts and truncates them at every
 //! offset, flips bytes (invalid UTF-8 included, read lossily), splices
 //! two texts, duplicates key lines, swaps values for overflowing and
@@ -10,17 +10,17 @@
 //! satisfies `parse(render(x)) == x`, so no hostile text is silently a
 //! different record than it prints as. The valid texts go through the
 //! same check first, which makes this the render/parse round-trip test
-//! of all four formats; texts of a retired format (the `v1` lease and
-//! quarantine record) or of a hostile size (an axis range past the
+//! of all four formats; texts of a retired format (the `v1` and `v2`
+//! leases and the `v1` quarantine record) or of a hostile size (an axis range past the
 //! sweep's cell ceiling) must instead be an `Err`, and are mutated too. A
 //! flag value has no renderer of its own: a count renders as its digits,
 //! an axis as `key=v1,v2,…` (see [`render_axis`]).
 
-use mtnet_bench::coord::{parse_max_reclaims, parse_timeout_ms, parse_worker_count};
+use mtnet_bench::coord::{parse_max_reclaims, parse_worker_count};
 use mtnet_bench::coord::{Lease, Poison};
 use mtnet_bench::experiments::find;
 use mtnet_bench::store::StoredRun;
-use mtnet_bench::sweep::{parse_axis, Axis};
+use mtnet_bench::sweep::{parse_axis, parse_reps, parse_seed, Axis};
 use mtnet_bench::Effort;
 use mtnet_core::spec::ScenarioSpec;
 use mtnet_core::world::shard::parse_shard_count;
@@ -191,22 +191,26 @@ const PARENT_LEASE: &str = "mtnet-lease v1\nowner = w0@11672\npid = 11672\n\
 const PARENT_POISON: &str = "mtnet-poison v1\nfailures = 1\nlast_owner = w0@11672\n\
     label = domains=2 rep=0\nquarantined_ms = 1791163735297\n";
 
+/// A lease as the `v2` format wrote it, before the lock replaced the
+/// heartbeat counter: retired like the `v1` texts.
+const V2_LEASE: &str = "mtnet-lease v2\nowner = w0@11672\npid = 11672\nbeat = 7\n\
+    reclaims = 0\nlabel = domains=2 rep=0\n";
+
 #[test]
 fn leases() {
-    let lease = |beat, reclaims, label: &str| Lease {
+    let lease = |reclaims, label: &str| Lease {
         owner: "w1@4242".into(),
-        pid: u32::MAX,
-        beat,
         reclaims,
         label: label.into(),
     };
     let texts = [
         (
-            lease(u64::MAX, 3, "arch=multi-tier+rsmc,domains=2 rep=1").render(),
+            lease(u32::MAX, "arch=multi-tier+rsmc,domains=2 rep=1").render(),
             Seed::Canonical,
         ),
-        (lease(0, 0, "domains=2 rep=0").render(), Seed::Canonical),
+        (lease(0, "domains=2 rep=0").render(), Seed::Canonical),
         (PARENT_LEASE.to_string(), Seed::Refused),
+        (V2_LEASE.to_string(), Seed::Refused),
     ];
     torture("lease", &texts, Lease::parse, Lease::render);
 }
@@ -263,12 +267,8 @@ fn count_flags() {
     torture("--threads", &texts, parse_thread_count, usize::to_string);
     torture("--shards", &texts, parse_shard_count, u32::to_string);
     torture("--workers", &texts, parse_worker_count, usize::to_string);
-    torture(
-        "--lease-timeout-ms",
-        &texts,
-        parse_timeout_ms,
-        u64::to_string,
-    );
+    torture("--reps", &texts, parse_reps, u64::to_string);
+    torture("--seed", &texts, parse_seed, u64::to_string);
     torture("--max-reclaims", &texts, parse_max_reclaims, u32::to_string);
 }
 

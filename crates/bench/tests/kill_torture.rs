@@ -14,6 +14,9 @@
 //!   cell must be quarantined, the rest of the grid must complete, and
 //!   lifting the quarantine must heal the grid to bytes identical to a
 //!   never-crashed run.
+//! * **Classic-sweep crash** — the single-process sweep, crashed by the
+//!   same hook as it starts its last cell, must keep every cell it
+//!   finished, so the rerun computes only the one it died on.
 //!
 //! Cells use a long-duration spec (written to a temp `.mtspec`) so a
 //! timed SIGKILL reliably lands mid-compute.
@@ -159,7 +162,6 @@ fn sigkill_torture_completes_the_grid_bit_identical_and_exactly_once() {
         .map(|i| {
             sweep_cmd(&spec_file, &store_dir)
                 .args(["--worker-id", &format!("w{i}")])
-                .args(["--lease-timeout-ms", "1200"])
                 .stdout(Stdio::piped())
                 .stderr(Stdio::piped())
                 .spawn()
@@ -213,7 +215,7 @@ fn sigkill_torture_completes_the_grid_bit_identical_and_exactly_once() {
     // recomputes nothing (summary line) and rewrites nothing (mtimes).
     let before = store_mtimes(&store_dir);
     let fleet = sweep_cmd(&spec_file, &store_dir)
-        .args(["--workers", "3", "--lease-timeout-ms", "1200"])
+        .args(["--workers", "3"])
         .output()
         .expect("fleet pass");
     assert!(
@@ -269,7 +271,7 @@ fn poisoned_cell_is_quarantined_then_heals_to_identical_bytes() {
     for attempt in 0..8 {
         let out = sweep_cmd(&spec_file, &store_dir)
             .args(["--worker-id", &format!("p{attempt}")])
-            .args(["--lease-timeout-ms", "400", "--max-reclaims", "1"])
+            .args(["--max-reclaims", "1"])
             .env("MTNET_SWEEP_KILL_CELL", poisoned_label)
             .output()
             .expect("spawn worker");
@@ -277,8 +279,8 @@ fn poisoned_cell_is_quarantined_then_heals_to_identical_bytes() {
         if last_code == Some(3) {
             break;
         }
-        // The respawn needs no head start: it watches the aborted
-        // worker's lease itself and reclaims it a timeout later.
+        // The respawn needs no head start: the aborted worker's lock
+        // died with it, so its lease is reclaimed at once.
         assert!(
             !out.status.success(),
             "worker must crash while the cell is claimable: {}",
@@ -329,7 +331,7 @@ fn poisoned_cell_is_quarantined_then_heals_to_identical_bytes() {
     // never crashed.
     std::fs::remove_file(&poison_file).expect("lift quarantine");
     let healed = sweep_cmd(&spec_file, &store_dir)
-        .args(["--workers", "2", "--lease-timeout-ms", "1200"])
+        .args(["--workers", "2"])
         .output()
         .expect("healing fleet");
     assert!(
@@ -343,4 +345,42 @@ fn poisoned_cell_is_quarantined_then_heals_to_identical_bytes() {
         "healing must recompute exactly the quarantined cell:\n{healed_out}"
     );
     assert_eq!(store_bytes(&store_dir), ref_bytes);
+}
+
+#[test]
+fn a_killed_classic_sweep_keeps_the_cells_it_finished() {
+    // CI's sweep-smoke grid at one thread, so the hooked cell (the last
+    // in grid order) starts only after the other three finished.
+    let work = TempDir::new("classic");
+    let store_dir = work.path().join("store");
+    let classic = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_sweep"));
+        cmd.args(["--family", "dense-urban", "--effort", "quick"])
+            .args(["--axis", "arch=multi-tier+rsmc,flat-cellular-ip"])
+            .args(["--axis", "domains=1,2"])
+            .args(["--reps", "1", "--seed", "42", "--threads", "1"])
+            .arg("--store")
+            .arg(&store_dir);
+        cmd
+    };
+    let killed = classic()
+        .env("MTNET_SWEEP_KILL_CELL", "arch=flat-cellular-ip,domains=2")
+        .output()
+        .expect("spawn hooked sweep");
+    let stdout = String::from_utf8_lossy(&killed.stdout);
+    assert_eq!(
+        store_bytes(&store_dir).len(),
+        3,
+        "the cells finished before the crash must be saved:\n{stdout}"
+    );
+    assert!(!killed.status.success(), "the hook must crash the sweep");
+    assert!(
+        stdout
+            .contains("sweep: killed by MTNET_SWEEP_KILL_CELL on (arch=flat-cellular-ip,domains=2"),
+        "{stdout}"
+    );
+    let rerun = classic().output().expect("spawn rerun");
+    let stdout = String::from_utf8_lossy(&rerun.stdout);
+    assert!(rerun.status.success(), "{stdout}");
+    assert!(stdout.contains("4 cells: computed 1, loaded 3"), "{stdout}");
 }
