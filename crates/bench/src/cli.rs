@@ -78,9 +78,9 @@ mod tests {
 
     #[test]
     fn take_switch_removes_every_occurrence() {
-        let mut a = args(&["--no-store", "rest", "--no-store"]);
-        assert!(take_switch(&mut a, "--no-store"));
-        assert!(!take_switch(&mut a, "--no-store"));
+        let mut a = args(&["--report", "rest", "--report"]);
+        assert!(take_switch(&mut a, "--report"));
+        assert!(!take_switch(&mut a, "--report"));
         assert_eq!(a, ["rest"]);
     }
 

@@ -49,11 +49,15 @@
 //! `LEASE` and `POISON` field tables; [`cell_state`] is the one place a
 //! cell's files are read back into complete / quarantined / missing.
 //!
+//! Every `sweep` invocation that computes goes through [`run_worker`]:
+//! a `--worker-id` process runs one, and a plain invocation spawns a
+//! fleet of them and reads the grid back with [`collect_grid`].
+//!
 //! Testing hook: setting `MTNET_SWEEP_KILL_CELL=<substring>` makes a
-//! worker, or a single-process sweep, abort the moment it starts a cell
-//! whose label contains the substring — a deterministic stand-in for
-//! "this cell crashes its worker", used by the kill-torture tests and
-//! CI to exercise reclaim, quarantine and resume without timing races.
+//! worker abort the moment it starts a cell whose label contains the
+//! substring — a deterministic stand-in for "this cell crashes its
+//! worker", used by the kill-torture tests and CI to exercise reclaim,
+//! quarantine and resume without timing races.
 
 use crate::store::{write_atomic, ResultStore, StoredRun};
 use crate::sweep::{fmt_metric, grid_row, grid_table, SweepCell, SweepPlan};
@@ -67,23 +71,13 @@ use std::fs::{File, TryLockError};
 use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
-/// Testing hook: a worker or sweep that starts a cell whose label
-/// contains this value prints a marker and aborts, simulating a crash on
-/// that cell. One of the two environment variables the workspace reads:
-/// it has to reach every worker of a fleet, children included, without being an
+/// Testing hook: a worker that starts a cell whose label contains this
+/// value prints `worker <id>: killed by …` and aborts without unwinding,
+/// so its held lease is left behind exactly as by a SIGKILL mid-compute.
+/// One of the two environment variables the workspace reads: it has to
+/// reach every worker of a fleet, children included, without being an
 /// option a user could pass by accident — it is not a flag on purpose.
 pub const KILL_CELL_ENV: &str = "MTNET_SWEEP_KILL_CELL";
-
-/// The crash hook every path that starts a cell goes through: when
-/// [`KILL_CELL_ENV`] is set and `label` contains it, prints
-/// `<who>: killed by …` and aborts without unwinding, so a held lease is
-/// left behind exactly as by a SIGKILL mid-compute.
-pub(crate) fn crash_if_hooked(who: &str, label: &str) {
-    if std::env::var(KILL_CELL_ENV).is_ok_and(|k| !k.is_empty() && label.contains(&k)) {
-        println!("{who}: killed by {KILL_CELL_ENV} on ({label})");
-        std::process::abort();
-    }
-}
 
 /// One cell's lease, as its owner writes it into `<key>.lease`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -412,7 +406,10 @@ pub fn run_worker(
         let fate = if complete(i) {
             Fate::Loaded
         } else {
-            crash_if_hooked(&format!("worker {owner}"), label);
+            if std::env::var(KILL_CELL_ENV).is_ok_and(|k| !k.is_empty() && label.contains(&k)) {
+                println!("worker {owner}: killed by {KILL_CELL_ENV} on ({label})");
+                std::process::abort();
+            }
             let report = cells[i].spec.run(master_seed);
             let run = StoredRun::from_report(label, &cells[i].spec, master_seed, &report);
             store
@@ -489,8 +486,8 @@ pub enum CellState {
 }
 
 /// Reads one cell's state back from the store directory — the single
-/// classification the sweep engine, the workers, the fleet's final
-/// table and `--report` all go through.
+/// classification the workers, the fleet's final table and `--report`
+/// all go through.
 pub fn cell_state(store: &ResultStore, cell: &SweepCell, master_seed: u64) -> CellState {
     let spec_text = cell.spec.render();
     if let Some(run) = store.load(&spec_text, master_seed) {
@@ -966,7 +963,6 @@ mod tests {
     #[test]
     fn report_aggregates_mean_and_ci_over_reps() {
         let store = tmp_store("report");
-        let runner = mtnet_sim::runner::BatchRunner::new(1);
         let plan = SweepPlan {
             family: "commute-corridor".into(),
             base: ScenarioSpec::commute_corridor().with_duration_s(100.0),
@@ -974,7 +970,7 @@ mod tests {
             replications: 2,
             effort: Effort::Quick,
         };
-        let outcome = crate::sweep::run_sweep(&plan, 42, Some(&store), &runner).expect("sweep");
+        let outcome = run_worker(&plan, 42, &store, 3, "w@1").expect("sweep");
         assert_eq!(outcome.computed, 4);
         let report = report_sweep(&plan, 42, &store).expect("report");
         assert_eq!(report.points, 2);

@@ -13,14 +13,15 @@
 //! path via `mtnet_sim::rng::SeedTree` — so the printed tables are
 //! byte-identical at any thread count.
 //!
-//! Beyond the fixed suite, the [`sweep`] module (and `sweep` binary)
-//! expands axis grids over any spec key and resumes interrupted or
-//! extended sweeps from the content-addressed [`store`]; the [`coord`]
-//! module adds the crash-safe multi-worker layer (`sweep --workers N`
-//! or standalone `--worker-id` processes on a shared store directory):
-//! lease files a worker owns while it holds their OS file lock, reclaim
-//! of a dead worker's cells as soon as the kernel drops its locks, and
-//! quarantine of cells that keep killing their owners.
+//! Beyond the fixed suite, the [`sweep`] module expands axis grids over
+//! any spec key into cells, and the `sweep` binary drains them with the
+//! crash-safe workers of the [`coord`] module into the content-addressed
+//! [`store`], so interrupted or extended sweeps resume. Every `sweep`
+//! is such a fleet (`--workers N` child processes, default one per
+//! core, or standalone `--worker-id` processes on a shared store
+//! directory): lease files a worker owns while it holds their OS file
+//! lock, reclaim of a dead worker's cells as soon as the kernel drops
+//! its locks, and quarantine of cells that keep killing their owners.
 //!
 //! The fourteen experiments — id, paper artifact, arms, tables — are
 //! declared once, in [`experiments::EXPERIMENTS`]; [`ALL_IDS`],

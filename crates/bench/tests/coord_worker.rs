@@ -1,6 +1,6 @@
 //! In-process contracts of the multi-worker coordinator: a lease-
-//! protocol worker drains a grid to the same bytes the single-process
-//! sweep engine produces, peers' completed cells are loaded not
+//! protocol worker drains a grid to the same bytes as running each cell
+//! directly and saving it, peers' completed cells are loaded not
 //! recomputed, quarantined cells degrade the grid instead of wedging
 //! it, a slow live owner is waited for and never reclaimed, and — the
 //! crash-recovery regression — a cell reclaimed from a dead worker's
@@ -14,10 +14,9 @@ use mtnet_bench::coord::{
     Poison,
 };
 use mtnet_bench::store::{ResultStore, StoredRun};
-use mtnet_bench::sweep::{parse_axis, run_sweep, SweepPlan};
+use mtnet_bench::sweep::{parse_axis, SweepPlan};
 use mtnet_bench::Effort;
 use mtnet_core::spec::ScenarioSpec;
-use mtnet_sim::runner::BatchRunner;
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -60,6 +59,16 @@ fn small_plan() -> SweepPlan {
 /// The reclaim budget of every worker here.
 const MAX_RECLAIMS: u32 = 2;
 
+/// Runs every cell of `plan` directly and saves it, no lease protocol
+/// involved: the reference the workers' stores are held against.
+fn save_direct(plan: &SweepPlan, store: &ResultStore) {
+    for cell in plan.cells().expect("cells") {
+        let report = cell.spec.run(42);
+        let run = StoredRun::from_report(&cell.label, &cell.spec, 42, &report);
+        store.save(&run).expect("save");
+    }
+}
+
 /// Byte content of every `.run` slot, keyed by file name.
 fn store_bytes(store: &ResultStore) -> Vec<(String, Vec<u8>)> {
     let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(store.dir())
@@ -78,12 +87,10 @@ fn store_bytes(store: &ResultStore) -> Vec<(String, Vec<u8>)> {
 }
 
 #[test]
-fn one_worker_drains_the_grid_bit_identical_to_the_sweep_engine() {
+fn one_worker_drains_the_grid_bit_identical_to_direct_runs() {
     let reference = TempStore::new("ref");
     let plan = small_plan();
-    let engine =
-        run_sweep(&plan, 42, Some(&reference.store), &BatchRunner::new(1)).expect("engine sweep");
-    assert_eq!(engine.computed, 4);
+    save_direct(&plan, &reference.store);
 
     let tmp = TempStore::new("worker");
     let outcome = run_worker(&plan, 42, &tmp.store, MAX_RECLAIMS, "solo@1").expect("worker");
@@ -97,8 +104,8 @@ fn one_worker_drains_the_grid_bit_identical_to_the_sweep_engine() {
         (4, 4, 0, 0)
     );
     assert_eq!(outcome.saved_keys.len(), 4);
-    // Same slots, same bytes as the single-process engine — a lease-
-    // protocol worker is an execution strategy, not a result change.
+    // Same slots, same bytes as the direct runs — a lease-protocol
+    // worker is an execution strategy, not a result change.
     assert_eq!(store_bytes(&tmp.store), store_bytes(&reference.store));
     // No lease or temp debris survives a clean drain.
     let debris = std::fs::read_dir(tmp.store.dir())
@@ -118,7 +125,7 @@ fn reclaimed_then_completed_cell_is_bit_identical_to_a_never_crashed_one() {
     // Reference: the grid computed with no crashes anywhere.
     let reference = TempStore::new("calm");
     let plan = small_plan();
-    run_sweep(&plan, 42, Some(&reference.store), &BatchRunner::new(1)).expect("engine sweep");
+    save_direct(&plan, &reference.store);
 
     // Crash story: a worker claimed the first cell and died — its lease
     // sits there with nobody holding its lock. A live worker must steal
@@ -239,7 +246,7 @@ fn quarantined_cell_degrades_the_grid_instead_of_wedging_the_worker() {
     assert!(table.contains("quarantined (3 failures)"), "{table}");
 
     // Removing the quarantine record makes the cell computable again —
-    // and it completes identically to an engine run (graceful recovery).
+    // and it completes identically to a direct run (graceful recovery).
     std::fs::remove_file(poison_path(tmp.store.dir(), &poisoned_key)).expect("lift quarantine");
     let healed = run_worker(&plan, 42, &tmp.store, MAX_RECLAIMS, "w@2").expect("healed worker");
     assert_eq!(
@@ -247,7 +254,7 @@ fn quarantined_cell_degrades_the_grid_instead_of_wedging_the_worker() {
         (1, 3, 0)
     );
     let reference = TempStore::new("poison-ref");
-    run_sweep(&plan, 42, Some(&reference.store), &BatchRunner::new(1)).expect("engine");
+    save_direct(&plan, &reference.store);
     assert_eq!(store_bytes(&tmp.store), store_bytes(&reference.store));
 }
 
@@ -263,7 +270,7 @@ fn collect_grid_accounts_preexisting_cells_as_loaded_and_gaps_as_missing() {
         ],
         ..plan.clone()
     };
-    run_sweep(&half, 42, Some(&tmp.store), &BatchRunner::new(1)).expect("preload");
+    save_direct(&half, &tmp.store);
     let preexisting: HashSet<String> = tmp.store.keys().into_iter().collect();
     assert_eq!(preexisting.len(), 2);
     // The fleet then computes one more cell, leaving one missing.

@@ -3,8 +3,8 @@
 //!
 //! * **SIGKILL torture** — several workers drain one grid while one of
 //!   them is SIGKILLed mid-run, repeatedly. The grid must still
-//!   complete, every stored cell must be bit-identical to a
-//!   single-process engine run, no cell may be saved by two workers
+//!   complete, every stored cell must be bit-identical to a direct
+//!   run of its spec, no cell may be saved by two workers
 //!   (mutual exclusion), and completed cells must never be recomputed
 //!   by later passes (exactly-once, asserted via slot mtimes and the
 //!   fleet's `computed 0, loaded N` resume line).
@@ -14,18 +14,17 @@
 //!   cell must be quarantined, the rest of the grid must complete, and
 //!   lifting the quarantine must heal the grid to bytes identical to a
 //!   never-crashed run.
-//! * **Classic-sweep crash** — the single-process sweep, crashed by the
-//!   same hook as it starts its last cell, must keep every cell it
-//!   finished, so the rerun computes only the one it died on.
+//! * **One-worker crash** — a one-worker sweep, crashed by the same
+//!   hook, must keep every cell it finished before it died, so the
+//!   rerun loads those and computes only the rest.
 //!
 //! Cells use a long-duration spec (written to a temp `.mtspec`) so a
 //! timed SIGKILL reliably lands mid-compute.
 
-use mtnet_bench::store::ResultStore;
-use mtnet_bench::sweep::{parse_axis, run_sweep, SweepPlan};
+use mtnet_bench::store::{ResultStore, StoredRun};
+use mtnet_bench::sweep::{parse_axis, SweepPlan};
 use mtnet_bench::Effort;
 use mtnet_core::spec::ScenarioSpec;
-use mtnet_sim::runner::BatchRunner;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -124,13 +123,15 @@ fn store_mtimes(dir: &Path) -> HashMap<String, SystemTime> {
         .collect()
 }
 
-/// The single-process reference: the same grid through the sweep engine.
+/// The reference: every cell of the grid run directly and saved.
 fn reference_store(tag: &str) -> TempDir {
     let dir = TempDir::new(tag);
     let store = ResultStore::open(dir.path()).expect("open ref store");
-    let outcome =
-        run_sweep(&torture_plan(), 42, Some(&store), &BatchRunner::new(1)).expect("engine run");
-    assert_eq!(outcome.computed, 4);
+    for cell in torture_plan().cells().expect("cells") {
+        let report = cell.spec.run(42);
+        let run = StoredRun::from_report(&cell.label, &cell.spec, 42, &report);
+        store.save(&run).expect("save");
+    }
     dir
 }
 
@@ -187,7 +188,7 @@ fn sigkill_torture_completes_the_grid_bit_identical_and_exactly_once() {
         "grid must be complete once the survivor exits"
     );
 
-    // Bit-identical to the single-process engine run.
+    // Bit-identical to the direct runs.
     assert_eq!(
         store_bytes(&store_dir),
         store_bytes(reference.path()),
@@ -348,39 +349,54 @@ fn poisoned_cell_is_quarantined_then_heals_to_identical_bytes() {
 }
 
 #[test]
-fn a_killed_classic_sweep_keeps_the_cells_it_finished() {
-    // CI's sweep-smoke grid at one thread, so the hooked cell (the last
-    // in grid order) starts only after the other three finished.
-    let work = TempDir::new("classic");
+fn a_killed_one_worker_sweep_keeps_the_cells_it_finished() {
+    // CI's sweep-smoke grid drained by one worker, which the hook kills
+    // as it starts the hooked cell. Where that cell falls in the
+    // worker's pass depends on its pid-derived start offset, so the k
+    // cells finished before it are counted, not fixed.
+    let work = TempDir::new("one-worker");
     let store_dir = work.path().join("store");
-    let classic = || {
+    let one_worker = || {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_sweep"));
         cmd.args(["--family", "dense-urban", "--effort", "quick"])
             .args(["--axis", "arch=multi-tier+rsmc,flat-cellular-ip"])
             .args(["--axis", "domains=1,2"])
-            .args(["--reps", "1", "--seed", "42", "--threads", "1"])
+            .args(["--reps", "1", "--seed", "42", "--workers", "1"])
             .arg("--store")
             .arg(&store_dir);
         cmd
     };
-    let killed = classic()
+    let killed = one_worker()
         .env("MTNET_SWEEP_KILL_CELL", "arch=flat-cellular-ip,domains=2")
         .output()
         .expect("spawn hooked sweep");
     let stdout = String::from_utf8_lossy(&killed.stdout);
     assert_eq!(
-        store_bytes(&store_dir).len(),
-        3,
-        "the cells finished before the crash must be saved:\n{stdout}"
+        killed.status.code(),
+        Some(1),
+        "missing cells exit 1:\n{stdout}"
     );
-    assert!(!killed.status.success(), "the hook must crash the sweep");
     assert!(
-        stdout
-            .contains("sweep: killed by MTNET_SWEEP_KILL_CELL on (arch=flat-cellular-ip,domains=2"),
+        stdout.contains(": killed by MTNET_SWEEP_KILL_CELL on (arch=flat-cellular-ip,domains=2"),
         "{stdout}"
     );
-    let rerun = classic().output().expect("spawn rerun");
+    let k = store_bytes(&store_dir).len();
+    assert!(k < 4, "the hooked cell cannot have been saved:\n{stdout}");
+    assert!(
+        stdout.contains(&format!(
+            "4 cells: computed {k}, loaded 0, quarantined 0, missing {}",
+            4 - k
+        )),
+        "every cell saved before the crash is accounted for:\n{stdout}"
+    );
+    let rerun = one_worker().output().expect("spawn rerun");
     let stdout = String::from_utf8_lossy(&rerun.stdout);
     assert!(rerun.status.success(), "{stdout}");
-    assert!(stdout.contains("4 cells: computed 1, loaded 3"), "{stdout}");
+    assert!(
+        stdout.contains(&format!(
+            "4 cells: computed {}, loaded {k}, quarantined 0, missing 0",
+            4 - k
+        )),
+        "{stdout}"
+    );
 }

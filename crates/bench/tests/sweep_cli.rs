@@ -1,10 +1,12 @@
 //! End-to-end hardening checks on the `sweep` binary's flags: malformed
 //! `--workers`, `--max-reclaims`, `--reps` and `--seed` values must fail
 //! loudly (exit 2, error naming the flag), a retired flag is an unknown
-//! argument, the option variables earlier versions read from the
-//! environment are not read any more, and the coordinated modes must
-//! reject incoherent combinations instead of silently ignoring one side.
+//! argument, a plan that cannot expand is refused before the store is
+//! created or a worker spawned, the option variables earlier versions
+//! read from the environment are not read any more, and report mode
+//! rejects incoherent combinations instead of silently ignoring one side.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn sweep() -> Command {
@@ -12,10 +14,15 @@ fn sweep() -> Command {
 }
 
 /// A syntactically complete invocation that would simulate if parsing
-/// succeeded; every test below corrupts exactly one knob. `--no-store`
-/// keeps the happy path from ever touching a store directory, except in
-/// the coordinated modes (which require a store and reject it).
-const BASE: &[&str] = &["--family", "dense-urban", "--effort", "quick", "--no-store"];
+/// succeeded; every test below corrupts exactly one knob.
+const BASE: &[&str] = &["--family", "dense-urban", "--effort", "quick"];
+
+/// A store path nothing has created, unique to the test and the process.
+fn unborn_store(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mtnet-sweepcli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 fn assert_exit_2(out: std::process::Output, must_name: &str, what: &str) {
     assert_eq!(
@@ -58,6 +65,26 @@ fn lease_timeout_flag_exits_2_as_unknown() {
 }
 
 #[test]
+fn retired_engine_flags_exit_2_as_unknown() {
+    // Both belonged to the single-process engine: no worker ever read
+    // the pool width, and a stateless run is a fresh `--store`. Spelled
+    // in pieces for the knob census, as above.
+    let store = unborn_store("retired");
+    let stateless = ["--no", "store"].join("-");
+    for retired in [&["--threads", "1"] as &[&str], &[stateless.as_str()]] {
+        let out = sweep()
+            .args(BASE)
+            .args(retired)
+            .arg("--store")
+            .arg(&store)
+            .output()
+            .expect("spawn sweep binary");
+        assert_exit_2(out, "unrecognized arguments", &format!("{retired:?}"));
+        assert!(!store.exists(), "{retired:?} created the store");
+    }
+}
+
+#[test]
 fn signed_or_malformed_reps_and_seed_exit_2() {
     for (flag, bad) in [
         ("--reps", "+1"),
@@ -87,23 +114,29 @@ fn malformed_max_reclaims_flag_exits_2() {
 }
 
 #[test]
-fn coordinated_modes_require_a_store() {
-    for coordinated in [
-        &["--workers", "2"] as &[&str],
-        &["--worker-id", "w0"],
-        &["--report"],
-    ] {
-        let out = sweep()
-            .args(BASE) // includes --no-store
-            .args(coordinated)
-            .output()
-            .expect("spawn sweep binary");
-        assert_exit_2(
-            out,
-            "--no-store",
-            &format!("{coordinated:?} with --no-store"),
-        );
-    }
+fn a_refused_plan_never_creates_the_store_or_spawns_a_worker() {
+    // The parent expands the plan before anything else: an out-of-range
+    // axis value is refused once, by the parent, and leaves no store
+    // behind — not once per worker after the directory was created.
+    let store = unborn_store("refused");
+    let out = sweep()
+        .args(BASE)
+        .args(["--workers", "2", "--axis", "route_update_ms=0"])
+        .arg("--store")
+        .arg(&store)
+        .output()
+        .expect("spawn sweep binary");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_exit_2(out, "route_update_ms", "--axis route_update_ms=0");
+    assert_eq!(
+        stderr
+            .lines()
+            .filter(|l| l.contains("route_update_ms"))
+            .count(),
+        1,
+        "the refusal must come from the parent alone:\n{stderr}"
+    );
+    assert!(!store.exists(), "a refused plan created its store");
 }
 
 #[test]
@@ -148,12 +181,18 @@ fn one_cell_sweep(retired_set: bool) -> Command {
 
 #[test]
 fn retired_option_variables_are_ignored() {
-    // Same exit code, same stdout below the header, with and without.
+    // Same exit code, same grid table and summary line, with and
+    // without, each into a fresh store. The header and the workers'
+    // lines name the store and pids, so only the parent's table (`+`
+    // and `|` lines) and its summary are compared.
     let run = |retired_set: bool| -> Vec<String> {
+        let store = unborn_store(if retired_set { "env-set" } else { "env-clean" });
         let out = one_cell_sweep(retired_set)
-            .arg("--no-store")
+            .arg("--store")
+            .arg(&store)
             .output()
             .expect("spawn sweep binary");
+        let _ = std::fs::remove_dir_all(&store);
         assert!(
             out.status.success(),
             "stderr: {}",
@@ -161,15 +200,18 @@ fn retired_option_variables_are_ignored() {
         );
         String::from_utf8_lossy(&out.stdout)
             .lines()
-            .skip(1) // header
+            .filter(|l| l.starts_with(['+', '|']) || l.starts_with("sweep \""))
             .map(str::to_string)
             .collect()
     };
     let clean = run(false);
     assert!(
-        clean.iter().any(|l| l.contains("computed 1, loaded 0")),
+        clean
+            .iter()
+            .any(|l| l.contains("computed 1, loaded 0, quarantined 0, missing 0")),
         "{clean:?}"
     );
+    assert!(clean.iter().any(|l| l.starts_with('|')), "{clean:?}");
     assert_eq!(run(true), clean);
 }
 
@@ -178,7 +220,7 @@ fn flag_beats_env_when_both_are_set() {
     // A stale value in a retired variable must not shadow a valid flag —
     // in the fleet parent, or in the children that inherit its
     // environment and get their settings through argv.
-    let store = std::env::temp_dir().join(format!("mtnet-sweepcli-{}", std::process::id()));
+    let store = unborn_store("flag-beats-env");
     let out = one_cell_sweep(true)
         .args(["--workers", "1"])
         .arg("--store")

@@ -1,4 +1,6 @@
-//! Determinism and resume contracts of the sweep engine's result store.
+//! Determinism and resume contracts of the sweep's result store, drained
+//! the way `sweep` drains it: by lease workers, read back by the grid
+//! collector.
 //!
 //! * A sweep cell answered **via the store** is indistinguishable from a
 //!   direct run of the same spec: bit-exact fingerprint, bit-exact
@@ -7,12 +9,14 @@
 //!   rerun computes zero, deleting one slot recomputes exactly one, and
 //!   extending the grid computes exactly the new cells (asserted by
 //!   counting store hits).
+//! * How many workers drain a grid changes no byte of the store.
 
+use mtnet_bench::coord::{collect_grid, run_worker, GridReport};
 use mtnet_bench::store::{extract_metrics, ResultStore};
-use mtnet_bench::sweep::{parse_axis, run_sweep, SweepPlan};
+use mtnet_bench::sweep::{parse_axis, SweepPlan};
 use mtnet_bench::Effort;
 use mtnet_core::spec::ScenarioSpec;
-use mtnet_sim::runner::BatchRunner;
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 /// A fresh per-test store directory under the system temp dir.
@@ -52,22 +56,54 @@ fn small_plan() -> SweepPlan {
     }
 }
 
+/// One `sweep --workers 1` invocation: a lease worker drains the plan,
+/// then the grid is read back against the keys stored before it ran.
+fn drain(plan: &SweepPlan, seed: u64, store: &ResultStore) -> GridReport {
+    let preexisting: HashSet<String> = store.keys().into_iter().collect();
+    run_worker(plan, seed, store, 3, "solo@1").expect("worker");
+    collect_grid(plan, seed, store, &preexisting).expect("collect")
+}
+
+/// The grid table as the store renders it, with every status column
+/// reading `computed`, so stores filled at different times compare.
+fn rendered(plan: &SweepPlan, store: &ResultStore) -> String {
+    let grid = collect_grid(plan, 42, store, &HashSet::new()).expect("collect");
+    grid.table.to_string()
+}
+
+/// Byte content of every `.run` slot, keyed by file name.
+fn store_bytes(store: &ResultStore) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(store.dir())
+        .expect("read store dir")
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "run"))
+        .map(|e| {
+            (
+                e.file_name().to_string_lossy().into_owned(),
+                std::fs::read(e.path()).expect("read slot"),
+            )
+        })
+        .collect();
+    out.sort();
+    out
+}
+
 #[test]
 fn sweep_cell_via_store_equals_direct_run() {
     let tmp = TempStore::new("equals-direct");
-    let runner = BatchRunner::new(1);
     let plan = small_plan();
-    let first = run_sweep(&plan, 42, Some(&tmp.store), &runner).expect("first run");
+    let first = drain(&plan, 42, &tmp.store);
     assert_eq!((first.computed, first.loaded), (4, 0));
     // Second invocation answers entirely from the store…
-    let second = run_sweep(&plan, 42, Some(&tmp.store), &runner).expect("second run");
+    let second = drain(&plan, 42, &tmp.store);
     assert_eq!((second.computed, second.loaded), (0, 4));
-    // …and a storeless (direct) run of the same plan produces the same
+    // …and a run of the same plan into an empty store produces the same
     // fingerprints, metrics and rendered table, byte for byte.
-    let direct = run_sweep(&plan, 42, None, &runner).expect("direct run");
+    let fresh = TempStore::new("equals-direct-fresh");
+    let direct = drain(&plan, 42, &fresh.store);
     assert_eq!((direct.computed, direct.loaded), (4, 0));
-    assert_eq!(second.table.to_string(), direct.table.to_string());
-    // Every stored cell equals a by-hand run outside the engine.
+    assert_eq!(rendered(&plan, &tmp.store), rendered(&plan, &fresh.store));
+    // Every stored cell equals a by-hand run outside the sweep.
     for cell in plan.cells().expect("cells") {
         let loaded = tmp.store.load(&cell.spec.render(), 42).expect("stored");
         let report = cell.spec.run(42);
@@ -84,11 +120,11 @@ fn sweep_cell_via_store_equals_direct_run() {
 #[test]
 fn interrupted_and_extended_sweeps_recompute_only_missing_cells() {
     let tmp = TempStore::new("resume");
-    let runner = BatchRunner::new(1);
     let plan = small_plan();
-    let first = run_sweep(&plan, 42, Some(&tmp.store), &runner).expect("first");
+    let first = drain(&plan, 42, &tmp.store);
     assert_eq!((first.cells, first.computed, first.loaded), (4, 4, 0));
     assert_eq!(tmp.store.keys().len(), 4);
+    let original = rendered(&plan, &tmp.store);
 
     // Simulate a kill mid-sweep: one completed slot vanishes.
     let victim = std::fs::read_dir(tmp.store.dir())
@@ -97,14 +133,14 @@ fn interrupted_and_extended_sweeps_recompute_only_missing_cells() {
         .find(|e| e.path().extension().is_some_and(|x| x == "run"))
         .expect("a stored cell");
     std::fs::remove_file(victim.path()).expect("delete slot");
-    let resumed = run_sweep(&plan, 42, Some(&tmp.store), &runner).expect("resume");
+    let resumed = drain(&plan, 42, &tmp.store);
     assert_eq!(
         (resumed.computed, resumed.loaded),
         (1, 3),
         "resume must recompute exactly the missing cell"
     );
     // The recomputed table is identical to the original.
-    assert_eq!(resumed.table.to_string(), first.table.to_string());
+    assert_eq!(rendered(&plan, &tmp.store), original);
 
     // Extending the grid (a third axis value + a second replication)
     // reuses every existing cell: 4 stored, 12 total, 8 fresh.
@@ -116,7 +152,7 @@ fn interrupted_and_extended_sweeps_recompute_only_missing_cells() {
         replications: 2,
         ..plan.clone()
     };
-    let bigger = run_sweep(&extended, 42, Some(&tmp.store), &runner).expect("extend");
+    let bigger = drain(&extended, 42, &tmp.store);
     assert_eq!(
         (bigger.cells, bigger.computed, bigger.loaded),
         (12, 8, 4),
@@ -124,7 +160,7 @@ fn interrupted_and_extended_sweeps_recompute_only_missing_cells() {
     );
 
     // A different master seed shares nothing.
-    let other = run_sweep(&plan, 7, Some(&tmp.store), &runner).expect("other seed");
+    let other = drain(&plan, 7, &tmp.store);
     assert_eq!((other.computed, other.loaded), (4, 0));
 }
 
@@ -132,13 +168,22 @@ fn interrupted_and_extended_sweeps_recompute_only_missing_cells() {
 fn sweep_results_are_thread_count_independent() {
     let plan = small_plan();
     let (one, four) = (TempStore::new("threads-1"), TempStore::new("threads-4"));
-    let seq = run_sweep(&plan, 42, Some(&one.store), &BatchRunner::new(1)).expect("sequential");
-    let par = run_sweep(&plan, 42, Some(&four.store), &BatchRunner::new(4)).expect("parallel");
-    assert_eq!(seq.table.to_string(), par.table.to_string());
-    for cell in plan.cells().expect("cells") {
-        let text = cell.spec.render();
-        let a = one.store.load(&text, 42).expect("stored");
-        let b = four.store.load(&text, 42).expect("stored");
-        assert_eq!(a.fingerprint, b.fingerprint, "{}", a.label);
-    }
+    drain(&plan, 42, &one.store);
+    // Four workers on threads of one process contend for the same leases
+    // as four processes would: each cell's lock is per open file.
+    let computed: usize = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4)
+            .map(|i| {
+                let (plan, store) = (&plan, &four.store);
+                s.spawn(move || run_worker(plan, 42, store, 3, &format!("t{i}@1")))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("join").expect("worker").computed)
+            .sum()
+    });
+    assert_eq!(computed, 4, "each cell is computed by exactly one worker");
+    assert_eq!(store_bytes(&one.store), store_bytes(&four.store));
+    assert_eq!(rendered(&plan, &one.store), rendered(&plan, &four.store));
 }
