@@ -9,8 +9,8 @@
 # examples, the workspace examples and the benchmark's `src/`. Tests are
 # not roots, so an item only a test reaches counts as dead.
 #
-# Prints one `file:line item` per dead item (paths as in the repository)
-# and exits 0; exits non-zero when the fold does not build.
+# Prints one `file:line item` per dead item or write-only field (paths as
+# in the repository) and exits 0; exits non-zero when the fold does not build.
 #
 # Usage: ci/fold.sh
 set -euo pipefail
@@ -26,13 +26,18 @@ tar -c crates/*/src crates/bench/examples examples benchmark/src | tar -x -C "$f
 # `crate::mtnet_x::`; the exported `lens!` lives at the fold's root), and
 # an entry point's `main` becomes `pub` so the fold's `main` can call it.
 # `#[allow(dead_code)]` is dropped, so an allowance quiets the crate's own
-# build but cannot hide an item from this census.
+# build but cannot hide an item from this census. Last, a one-line field
+# write (`a.b = x;` or `a.b += x;`) becomes `let _ = x;`: rustc counts the
+# place a write names as a use, so without this a field that is only ever
+# written looks alive. A right-hand side that is `None` or calls
+# `default()` or `collect()` stays, since `let _` cannot infer its type.
 rewrite() {
     local module=$1
     shift
     perl -pi -e "s/(?<![\\w:])crate::/crate::${module}::/g;" \
         -e 's/(?<![\w:])(mtnet_\w+)::/crate::$1::/g; s/crate::mtnet_core::lens\b/crate::lens/g;' \
-        -e 's/^fn main\(/pub fn main(/; s/#\[allow\(dead_code\)\]//' "$@"
+        -e 's/^fn main\(/pub fn main(/; s/#\[allow\(dead_code\)\]//;' \
+        -e 's/^(\s*)[\w.]+\.\w+\s*\+?=(?!=)\s*+(?!None;|.*(?:default|collect)\(\))(.+);\s*\z/${1}let _ = $2;\n/' "$@"
 }
 main="$fold/src/main.rs"
 : > "$main"

@@ -23,7 +23,8 @@
 //! that finds every open cell held blocks on the first one's lock. A
 //! cell reclaimed more than `--max-reclaims` times is quarantined
 //! (`<key>.poison`). `--worker-id ID` runs one such worker standalone,
-//! so processes on several machines can share one store.
+//! so processes on several machines can share one store; it cannot be
+//! combined with `--workers`.
 //!
 //! Cells already present in the store (keyed by canonical spec text +
 //! master seed) are loaded, not recomputed — interrupting a sweep and
@@ -127,6 +128,9 @@ fn main() {
     }
     if report_mode && (worker_id.is_some() || workers.is_some()) {
         fail("--report is an analysis pass; it cannot be combined with --workers or --worker-id");
+    }
+    if worker_id.is_some() && workers.is_some() {
+        fail("--worker-id runs one worker and --workers spawns a fleet; pass one of them");
     }
 
     let (family, base) = match (family_arg, spec_file) {

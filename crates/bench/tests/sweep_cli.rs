@@ -3,8 +3,9 @@
 //! loudly (exit 2, error naming the flag), a retired flag is an unknown
 //! argument, a plan that cannot expand is refused before the store is
 //! created or a worker spawned, the option variables earlier versions
-//! read from the environment are not read any more, and report mode
-//! rejects incoherent combinations instead of silently ignoring one side.
+//! read from the environment are not read any more, and report mode and
+//! the standalone worker reject incoherent combinations instead of
+//! silently ignoring one side.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -137,6 +138,31 @@ fn a_refused_plan_never_creates_the_store_or_spawns_a_worker() {
         "the refusal must come from the parent alone:\n{stderr}"
     );
     assert!(!store.exists(), "a refused plan created its store");
+}
+
+#[test]
+fn a_standalone_worker_refuses_the_fleet_flag() {
+    // `--worker-id` runs one worker and `--workers` spawns a fleet: the
+    // pair is refused before the store is opened, not half obeyed.
+    let store = unborn_store("worker-and-fleet");
+    let out = sweep()
+        .args(BASE)
+        .args(["--workers", "2", "--worker-id", "x"])
+        .arg("--store")
+        .arg(&store)
+        .output()
+        .expect("spawn sweep binary");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_exit_2(out, "--worker-id", "--workers 2 --worker-id x");
+    let named: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("--workers") || l.contains("--worker-id"))
+        .collect();
+    assert!(
+        named.len() == 1 && named[0].contains("--workers") && named[0].contains("--worker-id"),
+        "want one line naming both flags:\n{stderr}"
+    );
+    assert!(!store.exists(), "a refused invocation created its store");
 }
 
 #[test]

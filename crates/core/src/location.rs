@@ -31,14 +31,6 @@ pub struct Located {
 #[derive(Debug, Clone)]
 pub struct LocationDirectory {
     tables: HashMap<CellId, CellTable>,
-    /// Never read: each table keeps its own copy. It goes once the
-    /// benchmark's `setup_s` no longer moves with the size of what a world
-    /// allocates (ROADMAP item 8).
-    #[allow(dead_code)]
-    lifetime: SimDuration,
-    location_messages: u64,
-    update_messages: u64,
-    delete_messages: u64,
 }
 
 impl LocationDirectory {
@@ -56,13 +48,7 @@ impl LocationDirectory {
                     .or_insert_with(|| Self::table_for(hierarchy, upper, lifetime));
             }
         }
-        LocationDirectory {
-            tables,
-            lifetime,
-            location_messages: 0,
-            update_messages: 0,
-            delete_messages: 0,
-        }
+        LocationDirectory { tables }
     }
 
     fn table_for(hierarchy: &Hierarchy, cell: CellId, lifetime: SimDuration) -> CellTable {
@@ -74,7 +60,8 @@ impl LocationDirectory {
 
     /// Records a *Location Message* from `mn` served by `serving`,
     /// refreshing the record at the serving BS and at every ancestor up to
-    /// the hierarchy root.
+    /// the hierarchy root. An *Update Location Message* (post-handoff, from
+    /// the new cell) propagates the same way, so it comes here too.
     ///
     /// Returns the number of tables refreshed (signaling cost).
     ///
@@ -82,30 +69,6 @@ impl LocationDirectory {
     ///
     /// Panics if `serving` is not in the hierarchy.
     pub fn on_location_message(
-        &mut self,
-        hierarchy: &Hierarchy,
-        mn: Addr,
-        serving: CellId,
-        now: SimTime,
-    ) -> usize {
-        self.location_messages += 1;
-        self.propagate(hierarchy, mn, serving, now)
-    }
-
-    /// Records an *Update Location Message* (post-handoff); same
-    /// propagation as a Location Message.
-    pub fn on_update_location(
-        &mut self,
-        hierarchy: &Hierarchy,
-        mn: Addr,
-        new_cell: CellId,
-        now: SimTime,
-    ) -> usize {
-        self.update_messages += 1;
-        self.propagate(hierarchy, mn, new_cell, now)
-    }
-
-    fn propagate(
         &mut self,
         hierarchy: &Hierarchy,
         mn: Addr,
@@ -140,7 +103,6 @@ impl LocationDirectory {
     /// Location Message already replaced (the old BS lying on the new
     /// chain) survive — see [`CellTable::delete_attachment`].
     pub fn on_delete_location(&mut self, mn: Addr, old_cell: CellId) {
-        self.delete_messages += 1;
         if let Some(t) = self.tables.get_mut(&old_cell) {
             t.delete_attachment(mn, old_cell);
         }
@@ -294,7 +256,7 @@ mod tests {
         let x = addr("10.0.2.1");
         d.on_location_message(&h, x, CellId(2), SimTime::ZERO);
         // Handoff B→C (Fig 3.4 micro-micro): update from C, delete at B.
-        d.on_update_location(&h, x, CellId(3), SimTime::from_secs(1));
+        d.on_location_message(&h, x, CellId(3), SimTime::from_secs(1));
         d.on_delete_location(x, CellId(2));
         let t = SimTime::from_secs(2);
         assert_eq!(
@@ -302,8 +264,6 @@ mod tests {
             Some(CellId(3))
         );
         assert!(d.locate(&h, x, CellId(2), t).map(|l| l.levels_climbed) > Some(0));
-        let counters = (d.location_messages, d.update_messages, d.delete_messages);
-        assert_eq!(counters, (1, 1, 1));
     }
 
     #[test]

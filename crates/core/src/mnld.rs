@@ -3,9 +3,9 @@
 //!
 //! The MNLD complements the HA's binding cache: bindings are per care-of
 //! address and expire quickly; the MNLD keeps the last-known domain and
-//! RSMC for each node plus movement history, which the home network uses
-//! to answer "which domain should this location query go to" and which the
-//! experiments use to count inter-domain movements.
+//! RSMC for each node, which the home network uses to answer "which domain
+//! should this location query go to" and to tell an inter-domain movement
+//! from a refresh.
 //!
 //! Records are keyed by the dense [`MnId`] and stored in a flat column
 //! that grows to the highest id ever reported — an `Option<MnldEntry>`
@@ -35,11 +35,6 @@ pub struct MnldEntry {
 pub struct Mnld {
     /// Dense per-node records, indexed by [`MnId`]; grows on demand.
     entries: Vec<Option<MnldEntry>>,
-    tracked: usize,
-    updates: u64,
-    domain_changes: u64,
-    queries: u64,
-    query_hits: u64,
 }
 
 impl Mnld {
@@ -51,19 +46,12 @@ impl Mnld {
     /// Records that `mn` is now in `domain` behind `rsmc`. Returns `true`
     /// if this was a *domain change* (an inter-domain movement).
     pub fn update(&mut self, mn: MnId, domain: DomainId, rsmc: Addr, now: SimTime) -> bool {
-        self.updates += 1;
         let idx = mn.0 as usize;
         if idx >= self.entries.len() {
             self.entries.resize(idx + 1, None);
         }
         let slot = &mut self.entries[idx];
         let changed = slot.is_none_or(|e| e.domain != domain);
-        if changed {
-            self.domain_changes += 1;
-        }
-        if slot.is_none() {
-            self.tracked += 1;
-        }
         *slot = Some(MnldEntry {
             domain,
             rsmc,
@@ -73,18 +61,8 @@ impl Mnld {
     }
 
     /// Looks up the last-known location of `mn`.
-    pub fn query(&mut self, mn: MnId) -> Option<MnldEntry> {
-        self.queries += 1;
-        let hit = self.entries.get(mn.0 as usize).copied().flatten();
-        if hit.is_some() {
-            self.query_hits += 1;
-        }
-        hit
-    }
-
-    /// Read-only peek without statistics (internal checks).
-    pub fn peek(&self, mn: MnId) -> Option<&MnldEntry> {
-        self.entries.get(mn.0 as usize).and_then(Option::as_ref)
+    pub fn query(&self, mn: MnId) -> Option<MnldEntry> {
+        self.entries.get(mn.0 as usize).copied().flatten()
     }
 }
 
@@ -99,14 +77,15 @@ mod tests {
     #[test]
     fn first_update_is_a_domain_change() {
         let mut m = Mnld::new();
+        assert!(m.query(MnId(0)).is_none());
         assert!(m.update(MnId(0), DomainId(0), addr("20.0.0.1"), SimTime::ZERO));
-        assert_eq!(m.tracked, 1);
+        assert_eq!(m.query(MnId(0)).map(|e| e.domain), Some(DomainId(0)));
     }
 
     #[test]
     fn same_domain_refresh_is_not_a_change() {
         let mut m = Mnld::new();
-        m.update(MnId(0), DomainId(0), addr("20.0.0.1"), SimTime::ZERO);
+        assert!(m.update(MnId(0), DomainId(0), addr("20.0.0.1"), SimTime::ZERO));
         assert!(!m.update(
             MnId(0),
             DomainId(0),
@@ -119,30 +98,16 @@ mod tests {
             addr("20.1.0.1"),
             SimTime::from_secs(9)
         ));
-        assert_eq!(m.domain_changes, 2, "two domain changes");
     }
 
     #[test]
-    fn query_statistics() {
+    fn query_answers_hits_and_misses() {
         let mut m = Mnld::new();
         m.update(MnId(0), DomainId(0), addr("20.0.0.1"), SimTime::ZERO);
         let e = m.query(MnId(0)).unwrap();
         assert_eq!(e.domain, DomainId(0));
         assert_eq!(e.rsmc, addr("20.0.0.1"));
         assert!(m.query(MnId(99)).is_none());
-        assert_eq!(
-            (m.updates, m.domain_changes, m.queries, m.query_hits),
-            (1, 1, 2, 1)
-        );
-    }
-
-    #[test]
-    fn peek_does_not_count() {
-        let mut m = Mnld::new();
-        m.update(MnId(0), DomainId(0), addr("20.0.0.1"), SimTime::ZERO);
-        assert!(m.peek(MnId(0)).is_some());
-        assert_eq!(m.queries, 0);
-        assert!(m.tracked != 0);
     }
 
     #[test]
@@ -155,15 +120,17 @@ mod tests {
             addr("20.0.0.1"),
             SimTime::from_secs(7),
         );
-        assert_eq!(m.peek(MnId(0)).unwrap().updated_at, SimTime::from_secs(7));
+        assert_eq!(m.query(MnId(0)).unwrap().updated_at, SimTime::from_secs(7));
     }
 
     #[test]
-    fn len_counts_distinct_rows_not_column_capacity() {
+    fn a_high_id_leaves_the_rows_below_it_empty() {
         let mut m = Mnld::new();
-        // A high id grows the column but only one node is tracked.
-        m.update(MnId(1000), DomainId(2), addr("20.2.0.1"), SimTime::ZERO);
-        m.update(MnId(1000), DomainId(3), addr("20.3.0.1"), SimTime::ZERO);
-        assert_eq!(m.tracked, 1);
+        // A high id grows the column, but only its own row holds a record.
+        assert!(m.update(MnId(1000), DomainId(2), addr("20.2.0.1"), SimTime::ZERO));
+        assert!(m.update(MnId(1000), DomainId(3), addr("20.3.0.1"), SimTime::ZERO));
+        assert_eq!(m.query(MnId(1000)).map(|e| e.domain), Some(DomainId(3)));
+        assert!((0..1000).all(|i| m.query(MnId(i)).is_none()));
+        assert!(m.query(MnId(1001)).is_none());
     }
 }

@@ -106,7 +106,7 @@ impl World {
                 // and "replies new location information to the
                 // original domain".
                 let mnid = self.mn_of(mn);
-                let prev_rsmc = mnid.and_then(|id| self.mnld.peek(id)).map(|e| e.rsmc);
+                let prev_rsmc = mnid.and_then(|id| self.mnld.query(id)).map(|e| e.rsmc);
                 if let (Some(didx), Some(mnid)) = (self.domain_idx_of_cell(new_cell), mnid) {
                     let new_rsmc = self.domains[didx].rsmc.addr();
                     let dom = self.domains[didx].id;
@@ -151,7 +151,7 @@ impl World {
             (p.dst, p.is_encapsulated())
         };
         if !tunneled {
-            let Some(coa) = self.ha.tunnel_endpoint_counted(dst, ctx.now()) else {
+            let Some(coa) = self.ha.tunnel_endpoint(dst, ctx.now()) else {
                 self.drop_packet(pkt, DropCause::NoBinding);
                 return;
             };

@@ -367,7 +367,7 @@ impl World {
                 self.report.signaling.update_messages += 1;
                 self.report.signaling.control_bytes += 32;
                 self.locdir
-                    .on_update_location(&self.hierarchy, mn_addr, target, now);
+                    .on_location_message(&self.hierarchy, mn_addr, target, now);
                 // Macro→micro sends the delete "in the same time" (§3.2a);
                 // we issue it for every tier change and micro→micro too,
                 // matching Fig 3.4's message lists.

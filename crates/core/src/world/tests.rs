@@ -365,8 +365,8 @@ fn mnld_learns_domain_crossings() {
     for s in 1..=400 {
         sim.run_until(SimTime::from_secs(s));
         for (i, last) in domains.iter_mut().enumerate() {
-            let now = sim.model().mnld.peek(MnId(i as u32)).map(|e| e.domain);
-            // A first sighting counts, as in the MNLD's own bookkeeping.
+            let now = sim.model().mnld.query(MnId(i as u32)).map(|e| e.domain);
+            // A first sighting counts, as `Mnld::update` reports it.
             changes += usize::from(now.is_some() && now != *last);
             *last = now.or(*last);
         }

@@ -31,10 +31,6 @@ pub struct HomeAgent {
     addr: Addr,
     home_prefix: Prefix,
     bindings: FxHashMap<Addr, Binding>,
-    // Signaling counters for overhead experiments.
-    registrations_accepted: u64,
-    registrations_denied: u64,
-    packets_tunneled: u64,
 }
 
 impl HomeAgent {
@@ -47,9 +43,6 @@ impl HomeAgent {
             addr,
             home_prefix,
             bindings: FxHashMap::default(),
-            registrations_accepted: 0,
-            registrations_denied: 0,
-            packets_tunneled: 0,
         }
     }
 
@@ -70,7 +63,6 @@ impl HomeAgent {
         now: SimTime,
     ) -> RegistrationReply {
         if !self.home_prefix.contains(req.mn_home) {
-            self.registrations_denied += 1;
             return RegistrationReply {
                 mn_home: req.mn_home,
                 code: ReplyCode::DeniedUnknownHome,
@@ -80,7 +72,6 @@ impl HomeAgent {
         }
         if req.is_deregistration() {
             self.bindings.remove(&req.mn_home);
-            self.registrations_accepted += 1;
             return RegistrationReply {
                 mn_home: req.mn_home,
                 code: ReplyCode::Accepted,
@@ -97,7 +88,6 @@ impl HomeAgent {
                 lifetime: granted,
             },
         );
-        self.registrations_accepted += 1;
         RegistrationReply {
             mn_home: req.mn_home,
             code: ReplyCode::Accepted,
@@ -114,16 +104,6 @@ impl HomeAgent {
             .get(&dst)
             .filter(|b| b.is_valid(now))
             .map(|b| b.coa)
-    }
-
-    /// Like [`HomeAgent::tunnel_endpoint`] but also counts the tunneled
-    /// packet for overhead statistics.
-    pub fn tunnel_endpoint_counted(&mut self, dst: Addr, now: SimTime) -> Option<Addr> {
-        let ep = self.tunnel_endpoint(dst, now);
-        if ep.is_some() {
-            self.packets_tunneled += 1;
-        }
-        ep
     }
 
     /// Removes bindings that expired before `now`. Returns how many were
@@ -177,7 +157,6 @@ mod tests {
         let reply = h.process_registration(&request("99.0.0.1", "20.0.0.1", 100, 2), SimTime::ZERO);
         assert_eq!(reply.code, ReplyCode::DeniedUnknownHome);
         assert_eq!(h.bindings.len(), 0);
-        assert_eq!(h.registrations_denied, 1);
     }
 
     #[test]
@@ -231,16 +210,6 @@ mod tests {
         let reply = h.process_registration(&dereg, SimTime::from_secs(1));
         assert!(reply.accepted());
         assert_eq!(h.bindings.len(), 0);
-    }
-
-    #[test]
-    fn tunnel_counter() {
-        let mut h = ha();
-        h.process_registration(&request("10.0.0.9", "20.0.0.1", 100, 9), SimTime::ZERO);
-        h.tunnel_endpoint_counted(addr("10.0.0.9"), SimTime::ZERO);
-        h.tunnel_endpoint_counted(addr("10.0.0.9"), SimTime::ZERO);
-        h.tunnel_endpoint_counted(addr("10.0.0.99"), SimTime::ZERO); // miss
-        assert_eq!(h.packets_tunneled, 2);
     }
 
     #[test]

@@ -128,7 +128,7 @@ fn tunnel_packet_walkthrough_fig22() {
         (),
     );
     // HA intercepts and encapsulates.
-    let coa = s.ha.tunnel_endpoint_counted(mn_home, t).expect("bound");
+    let coa = s.ha.tunnel_endpoint(mn_home, t).expect("bound");
     pkt.encapsulate(s.ha.addr(), coa, mtnet_net::TunnelKind::HomeAgent);
     assert_eq!(pkt.routing_dst(), addr("20.0.0.1"), "routed to the CoA");
 

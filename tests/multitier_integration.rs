@@ -76,7 +76,9 @@ fn paper_walkthrough_x_y_z() {
         classify(&h, CellId(101), CellId(2)),
         HandoffType::IntraMacroToMicro
     );
-    dir.on_update_location(&h, x, CellId(2), SimTime::from_secs(1));
+    // The Update Location Message from the new cell propagates exactly
+    // like a Location Message.
+    dir.on_location_message(&h, x, CellId(2), SimTime::from_secs(1));
     dir.on_delete_location(x, CellId(101));
     // The paper's resulting records: B, A, R1, R3 know the way to X.
     let t = SimTime::from_secs(2);
@@ -90,7 +92,7 @@ fn paper_walkthrough_x_y_z() {
         classify(&h, CellId(3), CellId(101)),
         HandoffType::IntraMicroToMacro
     );
-    dir.on_update_location(&h, y, CellId(101), SimTime::from_secs(1));
+    dir.on_location_message(&h, y, CellId(101), SimTime::from_secs(1));
     dir.on_delete_location(y, CellId(3));
     // The micro-first lookup order means R1's *stale* micro record (from
     // Y's time at C) shadows the fresh macro record until the
@@ -112,7 +114,7 @@ fn paper_walkthrough_x_y_z() {
         classify(&h, CellId(6), CellId(5)),
         HandoffType::IntraMicroToMicro
     );
-    dir.on_update_location(&h, z, CellId(5), SimTime::from_secs(1));
+    dir.on_location_message(&h, z, CellId(5), SimTime::from_secs(1));
     dir.on_delete_location(z, CellId(6));
     assert_eq!(
         serving_cell(&mut dir, &h, z, CellId(102), t),
