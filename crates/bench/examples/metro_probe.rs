@@ -1,15 +1,21 @@
-//! Metro-tier tuning probe: runs `ScenarioSpec::metro()` with `key=value`
+//! Metro-tier tuning probe: runs `ScenarioSpec::metro()` — or the world a
+//! `.mtspec` file names, such as a benchmark workload's — with `key=value`
 //! overrides from the command line and prints wall time, event count,
 //! events/s, peak RSS after the build and at the end, and page-fault
 //! counts — the quickest way to answer "what does this knob cost at
 //! scale" without editing an experiment. The end peak minus the build
 //! peak is what launch and the run added on top of the built world (the
 //! scheduler's share, when the peak is set at launch). `--profile` adds
-//! a per-event-type cost breakdown.
+//! a per-event-type cost breakdown and the share of mobility samples
+//! whose `Stay` was certified without a scan.
 //!
 //! ```text
 //! cargo run --release --example metro_probe -- --profile duration_s=12 pedestrians=10000 domains=8
+//! cargo run --release --example metro_probe -- --profile benchmark/workloads/metro_idle/metro.mtspec
 //! ```
+//!
+//! A spec file is read, never written; overrides after it apply on top.
+//! Every world is built at master seed 42, the benchmark's.
 use mtnet_bench::rss;
 use mtnet_core::spec::ScenarioSpec;
 
@@ -29,7 +35,14 @@ fn main() {
             profile = true;
             continue;
         }
-        let (k, v) = arg.split_once('=').expect("--profile or key=value");
+        if arg.ends_with(".mtspec") {
+            let text = std::fs::read_to_string(&arg).expect("readable spec file");
+            spec = ScenarioSpec::parse(&text).expect("valid spec file");
+            continue;
+        }
+        let (k, v) = arg
+            .split_once('=')
+            .expect("--profile, a .mtspec path or key=value");
         spec.set(k, v).expect("valid override");
     }
     spec.validate().expect("valid spec");

@@ -8,4 +8,5 @@ mod decision;
 pub use classify::{classify, HandoffType};
 pub use decision::{
     Candidate, CurrentAttachment, DecisionConfig, HandoffDecision, HandoffEngine, HandoffFactors,
+    StayGuard,
 };

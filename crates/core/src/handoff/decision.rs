@@ -160,6 +160,20 @@ pub enum HandoffDecision {
     Outage,
 }
 
+/// The conditions under which [`HandoffEngine::decide`] keeps a node on
+/// its serving cell, from [`HandoffEngine::stay_guard`]: the serving cell
+/// reads at least `floor_dbm`, it is strictly louder than every other
+/// audible cell of tier `rivals`, and no cell of tier `silent` is audible.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StayGuard {
+    /// The tier whose every other audible cell must be quieter.
+    pub rivals: Tier,
+    /// The tier that must be inaudible, if any.
+    pub silent: Option<Tier>,
+    /// The usability floor, dBm.
+    pub floor_dbm: f64,
+}
+
 /// The decision engine (one per scenario; stateless between calls).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HandoffEngine {
@@ -171,6 +185,58 @@ impl HandoffEngine {
     /// Creates an engine with the given thresholds and factor set.
     pub fn new(config: DecisionConfig, factors: HandoffFactors) -> Self {
         HandoffEngine { config, factors }
+    }
+
+    /// Factor 1 — speed chooses the preferred tier. With the factor
+    /// disabled the node prefers to stay in its current tier (or micro,
+    /// the bandwidth-rich default the paper switches toward).
+    fn preferred_tier(&self, speed_mps: f64, current: Option<Tier>) -> Tier {
+        if self.factors.speed {
+            if speed_mps > self.config.speed_threshold_mps {
+                Tier::Macro
+            } else {
+                Tier::Micro
+            }
+        } else {
+            current.unwrap_or(Tier::Micro)
+        }
+    }
+
+    /// What must hold of a round's measurements for [`HandoffEngine::decide`]
+    /// to answer [`HandoffDecision::Stay`] on a node at `speed_mps` served
+    /// by a cell of tier `serving` with `serving_free_ratio` of its
+    /// channels free, in a world that deploys the tiers `deploys` admits
+    /// (no cell of any other tier is a candidate). `None` when no such
+    /// guard is sound: without the signal factor the pick ranks by load,
+    /// and a serving cell that is resource-exhausted or of an undeployed
+    /// tier is no usable candidate.
+    ///
+    /// The serving cell stays when it is the best usable cell of the tier
+    /// `decide` ranks first: with the serving tier preferred that is the
+    /// serving tier itself; otherwise the preferred tier must have no
+    /// usable cell, which its silence (or its absence from the
+    /// deployment) proves, and the serving tier comes next. Either way the
+    /// serving cell must be usable (at least `floor_dbm`) and strictly
+    /// louder than every other audible cell of `rivals`.
+    pub fn stay_guard(
+        &self,
+        speed_mps: f64,
+        serving: Tier,
+        serving_free_ratio: f64,
+        deploys: impl Fn(Tier) -> bool,
+    ) -> Option<StayGuard> {
+        if !self.factors.signal
+            || (self.factors.resources && serving_free_ratio < self.config.min_free_ratio)
+            || !deploys(serving)
+        {
+            return None;
+        }
+        let preferred = self.preferred_tier(speed_mps, Some(serving));
+        Some(StayGuard {
+            rivals: serving,
+            silent: (preferred != serving && deploys(preferred)).then_some(preferred),
+            floor_dbm: self.config.min_rssi_dbm,
+        })
     }
 
     /// Best usable candidate within a tier, honoring the signal and
@@ -210,19 +276,7 @@ impl HandoffEngine {
         current: Option<CurrentAttachment>,
         candidates: &[Candidate],
     ) -> HandoffDecision {
-        // Factor 1 — speed chooses the preferred tier. With the factor
-        // disabled the node prefers to stay in its current tier (or micro,
-        // the bandwidth-rich default the paper switches toward).
-        let preferred = if self.factors.speed {
-            if speed_mps > self.config.speed_threshold_mps {
-                Tier::Macro
-            } else {
-                Tier::Micro
-            }
-        } else {
-            current.map_or(Tier::Micro, |c| c.tier)
-        };
-
+        let preferred = self.preferred_tier(speed_mps, current.map(|c| c.tier));
         let primary = self.best_in_tier(preferred, candidates);
         let alternate = self.best_in_tier(preferred.other(), candidates);
         let (best, fallback) = match (primary, alternate) {
@@ -500,6 +554,44 @@ mod tests {
             d,
             HandoffDecision::Handoff { target, tier: Tier::Micro, .. } if target == CellId(1)
         ));
+    }
+
+    #[test]
+    fn stay_guard_names_the_tiers_decide_ranks_first() {
+        let both = |_: Tier| true;
+        let e = engine();
+        let guard = |speed, serving, free| e.stay_guard(speed, serving, free, both);
+        let g = guard(1.0, Tier::Micro, 0.9).expect("a guard");
+        assert_eq!((g.rivals, g.silent), (Tier::Micro, None));
+        assert_eq!(g.floor_dbm, DecisionConfig::default().min_rssi_dbm);
+        // A walker on the macro tier stays only while no micro cell is
+        // audible: the preferred tier must be silent.
+        let g = guard(1.0, Tier::Macro, 0.9).expect("a guard");
+        assert_eq!((g.rivals, g.silent), (Tier::Macro, Some(Tier::Micro)));
+        // ...unless the architecture deploys no micro tier at all.
+        let macro_only = e.stay_guard(1.0, Tier::Macro, 0.9, |t| t == Tier::Macro);
+        assert_eq!(macro_only.map(|g| g.silent), Some(None));
+        // No guard for an exhausted serving cell, an undeployed serving
+        // tier, or ranking by load.
+        assert_eq!(guard(1.0, Tier::Micro, 0.0), None);
+        assert_eq!(
+            e.stay_guard(1.0, Tier::Micro, 0.9, |t| t == Tier::Macro),
+            None
+        );
+        let by_load = HandoffEngine::new(
+            DecisionConfig::default(),
+            HandoffFactors::parse_label("speed+resources").unwrap(),
+        );
+        assert_eq!(by_load.stay_guard(1.0, Tier::Micro, 0.9, both), None);
+        // Without the speed factor the serving tier is the preferred one.
+        let no_speed = HandoffEngine::new(
+            DecisionConfig::default(),
+            HandoffFactors::parse_label("signal+resources").unwrap(),
+        );
+        let g = no_speed
+            .stay_guard(30.0, Tier::Micro, 0.9, both)
+            .expect("a guard");
+        assert_eq!(g.silent, None);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! baselines. Geographies and populations are
 //! [`crate::spec::ScenarioSpec`] presets.
 
+use crate::tier::Tier;
+
 /// Which architecture an experiment arm runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchKind {
@@ -103,6 +105,15 @@ impl ArchKind {
     /// Mobile IP.
     pub fn has_micro(self) -> bool {
         !matches!(self, ArchKind::PureMobileIp)
+    }
+
+    /// Deploys cells of `tier`: the §3.2 decision sees no candidate of a
+    /// tier the architecture does not run.
+    pub fn deploys(self, tier: Tier) -> bool {
+        match tier {
+            Tier::Micro => self.has_micro(),
+            Tier::Macro => self.has_macro(),
+        }
     }
 
     /// Pure Mobile IP: no Cellular IP at all, every BS its own FA.

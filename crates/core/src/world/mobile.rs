@@ -126,7 +126,8 @@ impl World {
 
     /// One node's mobility sample: re-arm, measure, decide. `sampled` is
     /// the node's position and speed at `now`, `None` while a handoff is
-    /// in flight.
+    /// in flight. A sample whose `Stay` [`World::stay_certified`] proves
+    /// skips the scan; a debug build runs the scan anyway and checks it.
     fn move_sample_one(
         &mut self,
         ctx: &mut Context<'_, Ev>,
@@ -139,20 +140,86 @@ impl World {
         let Some((pos, speed)) = sampled else {
             return;
         };
-        // Candidate set restricted by the deployed tiers. Both buffers are
-        // scratch space owned by the world: the measurement pass and the
-        // candidate list cost no allocation per sample.
+        #[cfg(test)]
+        {
+            self.wave_probe.move_members_attached += u64::from(self.mns.hot[i].serving().is_some());
+        }
+        if self.stay_certified(i, pos, speed) {
+            debug_assert_eq!(
+                self.decide_sample(i, pos, speed),
+                HandoffDecision::Stay,
+                "a certified Stay of node {i} at {pos:?} is not the scan's decision"
+            );
+            #[cfg(test)]
+            {
+                self.wave_probe.move_members_certified += 1;
+            }
+            if let Some(profile) = self.evprof.as_deref_mut() {
+                profile.certified += 1;
+            }
+            return;
+        }
+        match self.decide_sample(i, pos, speed) {
+            HandoffDecision::Stay => {}
+            HandoffDecision::Outage => {
+                self.report.handoffs.outage_samples += 1;
+                // Coverage hole: the radio link is gone. Detach, release
+                // the channel, and let Mobile IP know the link dropped.
+                if self.mns.hot[i].serving().is_some() {
+                    self.mns.hot[i].set_serving(None);
+                    if let Some(active) = self.mns.active_mut(i) {
+                        release_channel(active, &mut self.cells);
+                        active.mip.on_link_lost();
+                    }
+                }
+            }
+            HandoffDecision::Handoff {
+                target, fallback, ..
+            } => {
+                self.start_handoff(ctx, mn, target, fallback);
+            }
+        }
+    }
+
+    /// True when the §3.2 decision for node `i` at `pos` moving at
+    /// `speed` is provably `Stay` without measuring: the engine's
+    /// [`StayGuard`](crate::handoff::StayGuard) for its serving cell, checked by
+    /// [`CellMap::certifies_stay`] from squared distances alone.
+    fn stay_certified(&self, i: usize, pos: Point, speed: f64) -> bool {
+        let Some(serving) = self.mns.hot[i].serving() else {
+            return false;
+        };
+        let cell = self.cells.cell(serving).expect("known cell");
+        let arch = self.cfg.arch;
+        let Some(guard) = self.engine.stay_guard(
+            speed,
+            Tier::of_cell(cell.kind()),
+            cell.free_resource_ratio(),
+            |tier| arch.deploys(tier),
+        ) else {
+            return false;
+        };
+        self.cells.certifies_stay(
+            serving,
+            pos,
+            guard.floor_dbm,
+            |kind| Tier::of_cell(kind) == guard.rivals,
+            |kind| guard.silent == Some(Tier::of_cell(kind)),
+        )
+    }
+
+    /// The full §3.2 decision for node `i` at `pos` moving at `speed`:
+    /// measure every audible cell, keep the deployed tiers' cells as
+    /// candidates, decide against the serving cell. Both buffers are
+    /// scratch space owned by the world, so a sample allocates nothing.
+    fn decide_sample(&mut self, i: usize, pos: Point, speed: f64) -> HandoffDecision {
         let mut measurements = std::mem::take(&mut self.measure_scratch);
         let mut candidates = std::mem::take(&mut self.candidate_scratch);
         self.cells.measure_batch(pos, None, &mut measurements);
         candidates.clear();
         for meas in &measurements {
             let tier = Tier::of_cell(meas.kind);
-            let allowed = match tier {
-                Tier::Micro => self.cfg.arch.has_micro(),
-                Tier::Macro => self.cfg.arch.has_macro(),
-            };
-            if allowed {
+            if self.cfg.arch.deploys(tier) {
                 candidates.push(Candidate {
                     cell: meas.cell,
                     tier,
@@ -176,26 +243,7 @@ impl World {
         });
         let decision = self.engine.decide(speed, current, &candidates);
         self.candidate_scratch = candidates;
-        match decision {
-            HandoffDecision::Stay => {}
-            HandoffDecision::Outage => {
-                self.report.handoffs.outage_samples += 1;
-                // Coverage hole: the radio link is gone. Detach, release
-                // the channel, and let Mobile IP know the link dropped.
-                if self.mns.hot[i].serving().is_some() {
-                    self.mns.hot[i].set_serving(None);
-                    if let Some(active) = self.mns.active_mut(i) {
-                        release_channel(active, &mut self.cells);
-                        active.mip.on_link_lost();
-                    }
-                }
-            }
-            HandoffDecision::Handoff {
-                target, fallback, ..
-            } => {
-                self.start_handoff(ctx, mn, target, fallback);
-            }
-        }
+        decision
     }
 
     fn start_handoff(

@@ -663,6 +663,10 @@ pub(crate) struct WaveProbe {
     pub(crate) move_members: u64,
     /// Members found with a handoff in flight (not sampled).
     pub(crate) move_members_in_flight: u64,
+    /// Sampled members with a serving cell.
+    pub(crate) move_members_attached: u64,
+    /// Sampled members whose `Stay` was certified without a scan.
+    pub(crate) move_members_certified: u64,
 }
 
 /// Host time per [`Ev`] variant over one [`World::run_profiled`];
@@ -674,6 +678,8 @@ pub(crate) struct WaveProbe {
 pub struct EvProfile {
     /// Per variant: its name, events, dispatches, nanoseconds.
     rows: [(&'static str, u64, u64, u64); 9],
+    /// `MoveSample` events whose `Stay` was certified without a scan.
+    certified: u64,
 }
 
 impl EvProfile {
@@ -713,6 +719,9 @@ impl std::fmt::Display for EvProfile {
                 ns / events,
                 events as f64 / dispatches as f64
             )?;
+        }
+        if let Some(&(name, samples, ..)) = self.rows.iter().find(|r| r.0 == "MoveSample") {
+            writeln!(f, "{name} certified {} of {samples}", self.certified)?;
         }
         Ok(())
     }

@@ -1296,6 +1296,66 @@ fn a_wave_member_with_a_handoff_in_flight_is_not_sampled() {
 }
 
 // ----------------------------------------------------------------------
+// Stay certificates (a sample whose `Stay` is proven skips the scan)
+// ----------------------------------------------------------------------
+
+/// Runs `spec` at seed 42 for its duration and hands back the probe and
+/// the report. In a debug build every certified sample is decided by the
+/// full scan as well, and a decision other than `Stay` panics.
+fn run_probed(spec: &ScenarioSpec) -> (WaveProbe, SimReport) {
+    let duration = SimDuration::from_secs_f64(spec.duration_s);
+    let mut sim = spec.build(42).launch();
+    sim.run_until(SimTime::ZERO + duration);
+    let events = sim.events_processed();
+    let mut world = sim.into_model();
+    let probe = std::mem::take(&mut world.wave_probe);
+    (probe, world.finish_report(duration, events))
+}
+
+#[test]
+fn most_attached_metro_samples_certify_their_stay() {
+    let (probe, report) = run_probed(&ScenarioSpec::metro_smoke());
+    assert!(probe.move_members_attached > 10_000, "{probe:?}");
+    assert!(
+        probe.move_members_certified * 2 >= probe.move_members_attached,
+        "under half of the attached samples certified: {probe:?}"
+    );
+    assert!(report.handoffs.total() > 500, "{:?}", report.handoffs);
+}
+
+#[test]
+fn certificates_hold_through_cell_outages_and_an_eclipse() {
+    use crate::spec::{CellOutage, EclipseWindow, FaultSpec};
+    // Domain 0's macro (cell 1) and one of its picos (cell 3) go down
+    // mid-run, and the satellite's eclipse covers them both.
+    let outage = |cell, start_s, end_s| CellOutage {
+        cell,
+        start_s,
+        end_s,
+    };
+    let spec = ScenarioSpec::metro_smoke().with_faults(FaultSpec {
+        cell_outages: vec![outage(1, 2.0, 9.0), outage(3, 4.0, 7.0)],
+        eclipses: vec![EclipseWindow {
+            start_s: 3.0,
+            end_s: 8.0,
+        }],
+        ..FaultSpec::default()
+    });
+    let (probe, report) = run_probed(&spec);
+    assert_eq!(report.faults.cell_transitions, 4);
+    assert_eq!(report.faults.eclipse_transitions, 2);
+    assert!(probe.move_members_certified > 0, "{probe:?}");
+}
+
+#[test]
+fn no_certificate_without_the_signal_factor() {
+    let factors = crate::handoff::HandoffFactors::parse_label("speed+resources").unwrap();
+    let (probe, _) = run_probed(&ScenarioSpec::metro_smoke().with_factors(factors));
+    assert!(probe.move_members_attached > 10_000, "{probe:?}");
+    assert_eq!(probe.move_members_certified, 0, "{probe:?}");
+}
+
+// ----------------------------------------------------------------------
 // Idle rows and active rows (protocol state only for nodes that do not
 // camp)
 // ----------------------------------------------------------------------

@@ -18,6 +18,47 @@ fn widened_r2(radius_m: f64) -> f64 {
     r * r
 }
 
+/// Squared ground distance between two points, in the pre-filter's own
+/// arithmetic (`dx² + dy²`, no `hypot`).
+fn dist2(a: Point, b: Point) -> f64 {
+    let (dx, dy) = (a.x - b.x, a.y - b.y);
+    dx * dx + dy * dy
+}
+
+/// Relative margin [`CellMap::certifies_stay`] puts on a squared distance
+/// before it trusts a comparison the scan makes on `hypot`: a few ulp of
+/// `dx² + dy²` rounding sit many orders of magnitude below it.
+const CERT_D2_MARGIN: f64 = 1e-9;
+
+/// Margin, in dB, [`CellMap::certifies_stay`] puts between two received
+/// powers it compares through bounds rather than through the scan's own
+/// `log10`: rounding moves those by ~1e-14 dB.
+const CERT_DB_MARGIN: f64 = 1e-6;
+
+/// Per-kind received-power bounds behind [`CellMap::certifies_stay`]:
+/// one inline slot per [`CellKind`] (indexed `kind as usize`), computed
+/// once per map, so a certificate costs no `log10` and no allocation.
+#[derive(Debug, Clone, Copy)]
+struct KindBounds {
+    /// The power a cell of the kind reads at its footprint edge, the
+    /// least any receiver inside the footprint reads.
+    edge_dbm: [f64; 4],
+    /// `tx − PL(max(altitude, 1 m))`, the most any receiver reads: the
+    /// slant range is never below the altitude, and the loss clamps at
+    /// 1 m.
+    ceiling_dbm: [f64; 4],
+}
+
+impl KindBounds {
+    fn new() -> Self {
+        let of = |f: fn(CellKind) -> f64| CellKind::ALL.map(f);
+        KindBounds {
+            edge_dbm: of(|k| CellMap::rssi_from_ground(k, k.radius_m())),
+            ceiling_dbm: of(|k| k.tx_power_dbm() - PathLoss::of(k).mean_loss_db(k.altitude_m())),
+        }
+    }
+}
+
 /// One signal measurement of a cell at a location.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
@@ -139,6 +180,8 @@ pub struct CellMap {
     /// instead of hopping between `Cell` structs (which drag their
     /// channel pools through the cache).
     soa: CellSoa,
+    /// Per-kind power bounds for [`CellMap::certifies_stay`].
+    bounds: KindBounds,
 }
 
 /// Structure-of-arrays mirror for [`CellMap::measure_batch`]: one flat
@@ -182,6 +225,7 @@ impl CellMap {
             down: Vec::new(),
             grid: GridIndex::default(),
             soa: CellSoa::default(),
+            bounds: KindBounds::new(),
         }
     }
 
@@ -247,12 +291,11 @@ impl CellMap {
         changed
     }
 
-    /// Received power of `c`, in dBm, at a receiver `ground` meters
-    /// from its base station (the coverage check pays the `hypot`; this
-    /// reuses it). The loss runs over the slant range for an orbital
+    /// Received power of a `kind` cell, in dBm, at a receiver `ground`
+    /// meters from its base station (the coverage check pays the `hypot`;
+    /// this reuses it). The loss runs over the slant range for an orbital
     /// transmitter.
-    fn rssi_from_ground(c: &Cell, ground: f64) -> f64 {
-        let kind = c.kind();
+    fn rssi_from_ground(kind: CellKind, ground: f64) -> f64 {
         let d = if kind.altitude_m() > 0.0 {
             ground.hypot(kind.altitude_m())
         } else {
@@ -274,7 +317,7 @@ impl CellMap {
         if ground > c.radius_m() {
             return None;
         }
-        Some(Self::rssi_from_ground(c, ground))
+        Some(Self::rssi_from_ground(c.kind(), ground))
     }
 
     /// One audible-cell measurement, or `None` if the cell fails the tier
@@ -294,7 +337,7 @@ impl CellMap {
         let m = Measurement {
             cell,
             kind: c.kind(),
-            rssi_dbm: Self::rssi_from_ground(c, ground),
+            rssi_dbm: Self::rssi_from_ground(c.kind(), ground),
             free_ratio: c.free_resource_ratio(),
         };
         (m.rssi_dbm >= SENSITIVITY_DBM).then_some(m)
@@ -365,7 +408,7 @@ impl CellMap {
                 let m = Measurement {
                     cell: c.id(),
                     kind: c.kind(),
-                    rssi_dbm: Self::rssi_from_ground(c, ground),
+                    rssi_dbm: Self::rssi_from_ground(c.kind(), ground),
                     free_ratio: c.free_resource_ratio(),
                 };
                 if m.rssi_dbm >= SENSITIVITY_DBM {
@@ -412,6 +455,83 @@ impl CellMap {
             }
         });
         best.map(|m| m.cell)
+    }
+
+    /// Proves, from squared distances and per-kind bounds alone, what the
+    /// full scan ([`CellMap::measure_full_scan`], and so
+    /// [`CellMap::measure_batch`]) would show at `at`: `serving` is audible
+    /// and reads at least `floor_dbm`, it is strictly louder than every
+    /// other audible cell whose kind is `rival`, and no cell whose kind is
+    /// `silent` is audible. One walk of the grid bucket, no `hypot`, no
+    /// `log10`, no sort and no allocation. `false` means "not proven",
+    /// never "not so".
+    ///
+    /// Exact against the scan's arithmetic, because every comparison it
+    /// trusts has a margin far beyond rounding (1e-9 relative on d²,
+    /// 1e-6 dB on powers):
+    /// - `serving` is up, inside its footprint with the d² margin, and
+    ///   reads at least its kind's footprint-edge power, which must clear
+    ///   `floor_dbm` and the sensitivity floor by the dB margin;
+    /// - a down cell is no candidate, and a cell outside its footprint by
+    ///   the pre-filter's margin is silent;
+    /// - a rival of `serving`'s kind is quieter when it is farther by the
+    ///   d² margin from `at` than `max(d_serving, 1 m)`: the loss is
+    ///   monotone in distance and clamps at 1 m, where two cells tie and
+    ///   the lower id wins. This holds for ground cells only; over a
+    ///   satellite's slant range a ground-distance margin vanishes in
+    ///   rounding;
+    /// - any rival is quieter when its kind's ceiling (its power at
+    ///   `max(altitude, 1 m)`, the least slant range there is) lies below
+    ///   `serving`'s edge power by the dB margin.
+    ///
+    /// Any other rival, and any silent-kind cell inside its footprint,
+    /// makes the answer `false`.
+    pub fn certifies_stay(
+        &self,
+        serving: CellId,
+        at: Point,
+        floor_dbm: f64,
+        rival: impl Fn(CellKind) -> bool,
+        silent: impl Fn(CellKind) -> bool,
+    ) -> bool {
+        let Some(s) = self.cell(serving) else {
+            return false;
+        };
+        let kind = s.kind();
+        if self.down[serving.0 as usize] || silent(kind) {
+            return false;
+        }
+        let d2 = dist2(s.center(), at);
+        let r = kind.radius_m();
+        // Asked as "inside?", so a NaN position proves nothing.
+        let inside = d2 * (1.0 + CERT_D2_MARGIN) <= r * r;
+        let edge = self.bounds.edge_dbm[kind as usize];
+        let usable = edge >= floor_dbm + CERT_DB_MARGIN && edge >= SENSITIVITY_DBM + CERT_DB_MARGIN;
+        if !inside || !usable {
+            return false;
+        }
+        let nearer = d2.max(1.0) * (1.0 + CERT_D2_MARGIN);
+        let ground = kind.altitude_m() == 0.0;
+        let mut holds = true;
+        self.grid.for_each_candidate(at, |id| {
+            if !holds || id == serving || self.down[id.0 as usize] {
+                return;
+            }
+            let c = self.cell(id).expect("indexed cell exists");
+            let k = c.kind();
+            let must_be_silent = silent(k);
+            if !must_be_silent && !rival(k) {
+                return;
+            }
+            let d2_c = dist2(c.center(), at);
+            if d2_c > widened_r2(c.radius_m()) {
+                return;
+            }
+            holds = !must_be_silent
+                && ((k == kind && ground && d2_c > nearer)
+                    || self.bounds.ceiling_dbm[k as usize] < edge - CERT_DB_MARGIN);
+        });
+        holds
     }
 }
 

@@ -13,6 +13,7 @@ use mtnet_net::{Addr, LinkConfig, NodeId, Prefix, RouteCache, RoutingTable, Topo
 use mtnet_radio::{CallKind, Cell, CellId, CellKind, CellMap, ChannelPool};
 use mtnet_sim::{Context, LaneId, Model, RngStream, Scheduler, SimDuration, SimTime, Simulator};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -198,6 +199,183 @@ impl Model for ClaimModel {
                 ctx.schedule_now(child);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------
+// Stay certificates: whenever `CellMap::certifies_stay` holds, the full
+// scan shows what it claims — the serving cell first among the rival
+// kinds in the scan's order, at or above the floor, and no silent-kind
+// cell audible. Random clustered deployments of picos, micros and macros
+// under one satellite, some cells down; the predicate must also fire on
+// at least a fifth of the draws, or the property says nothing.
+// ---------------------------------------------------------------
+
+/// The kinds of `tier`, as a membership mask over `CellKind::ALL`.
+fn tier_kinds(tier: Tier) -> [bool; 4] {
+    CellKind::ALL.map(|k| Tier::of_cell(k) == tier)
+}
+
+/// A random kind mask.
+fn any_kinds(rng: &mut TestRng) -> [bool; 4] {
+    let bits = rng.below(16);
+    [0, 1, 2, 3].map(|b| bits >> b & 1 == 1)
+}
+
+/// What the full scan says of a certified draw, `Err` naming the first
+/// claim it contradicts.
+fn scan_backs_the_certificate(
+    map: &CellMap,
+    serving: CellId,
+    at: Point,
+    floor_dbm: f64,
+    rival: [bool; 4],
+    silent: [bool; 4],
+) -> Result<(), String> {
+    let scan = map.measure_full_scan(at, None);
+    let Some(s) = scan.iter().find(|m| m.cell == serving) else {
+        return Err(format!("{serving} is silent at {at:?}: {scan:?}"));
+    };
+    if s.rssi_dbm < floor_dbm {
+        return Err(format!(
+            "{serving} reads {} below the floor {floor_dbm}",
+            s.rssi_dbm
+        ));
+    }
+    let first = scan
+        .iter()
+        .find(|m| m.cell == serving || rival[m.kind as usize])
+        .expect("the serving cell is in the scan");
+    if first.cell != serving {
+        return Err(format!(
+            "{} outranks {serving} at {at:?}: {scan:?}",
+            first.cell
+        ));
+    }
+    if let Some(loud) = scan.iter().find(|m| silent[m.kind as usize]) {
+        return Err(format!(
+            "silent-kind {} is audible at {at:?}: {scan:?}",
+            loud.cell
+        ));
+    }
+    Ok(())
+}
+
+#[test]
+fn a_certified_stay_is_what_the_full_scan_shows() {
+    let seed = proptest::test_runner::seed_from_env();
+    let (mut fired, mut drawn) = (0u32, 0u32);
+    for case in 0..proptest::test_runner::cases_from_env() {
+        let mut rng = TestRng::for_case(seed, "a_certified_stay_is_what_the_full_scan_shows", case);
+        let coord = |rng: &mut TestRng, span: f64| (rng.unit_f64() * 2.0 - 1.0) * span;
+        let anchors: Vec<Point> = (0..3)
+            .map(|_| Point::new(coord(&mut rng, 3_000.0), coord(&mut rng, 3_000.0)))
+            .collect();
+        let n = 4 + rng.below(25) as u32;
+        let satellite = rng.below(u64::from(n) + 1) as u32;
+        let mut map = CellMap::without_shadowing();
+        let mut cells = Vec::new();
+        for id in 0..=n {
+            let (kind, at) = if id == satellite {
+                let at = Point::new(coord(&mut rng, 3_000.0), coord(&mut rng, 3_000.0));
+                (CellKind::Satellite, at)
+            } else {
+                let kind = [
+                    CellKind::Pico,
+                    CellKind::Pico,
+                    CellKind::Micro,
+                    CellKind::Macro,
+                ][rng.below(4) as usize];
+                let a = anchors[rng.below(3) as usize];
+                (
+                    kind,
+                    Point::new(
+                        a.x + coord(&mut rng, 1_000.0),
+                        a.y + coord(&mut rng, 1_000.0),
+                    ),
+                )
+            };
+            map.add(Cell::new(CellId(id), kind, at, NodeId(id)));
+            if rng.below(8) == 0 {
+                map.set_cell_down(CellId(id), true);
+            }
+            cells.push((kind, at));
+        }
+        for _ in 0..64 {
+            let s = rng.below(cells.len() as u64) as u32;
+            let (kind, center) = cells[s as usize];
+            let at = if rng.below(8) == 0 {
+                Point::new(coord(&mut rng, 4_000.0), coord(&mut rng, 4_000.0))
+            } else {
+                // Near the serving cell, a little past its edge at most.
+                let r = kind.radius_m().min(2_500.0) * 1.05 * rng.unit_f64();
+                let theta = std::f64::consts::TAU * rng.unit_f64();
+                Point::new(center.x + r * theta.cos(), center.y + r * theta.sin())
+            };
+            let floor_dbm = -100.0 + 14.0 * rng.unit_f64();
+            // Mostly as the world asks (rivals: the serving tier; silent:
+            // nothing or the other tier), sometimes any masks at all.
+            let tier = Tier::of_cell(kind);
+            let rival = if rng.below(4) == 0 {
+                any_kinds(&mut rng)
+            } else {
+                tier_kinds(tier)
+            };
+            let silent = match rng.below(8) {
+                0..=4 => [false; 4],
+                5..=6 => tier_kinds(tier.other()),
+                _ => any_kinds(&mut rng),
+            };
+            drawn += 1;
+            let certified = map.certifies_stay(
+                CellId(s),
+                at,
+                floor_dbm,
+                |k| rival[k as usize],
+                |k| silent[k as usize],
+            );
+            if certified {
+                fired += 1;
+                if let Err(e) =
+                    scan_backs_the_certificate(&map, CellId(s), at, floor_dbm, rival, silent)
+                {
+                    panic!("case {case} (seed {seed}): a certified stay the scan contradicts: {e}");
+                }
+            }
+        }
+    }
+    assert!(
+        fired * 5 >= drawn,
+        "the certificate fired on {fired} of {drawn} draws, under a fifth"
+    );
+}
+
+/// Ties the scan breaks on id where a distance margin cannot see them: a
+/// serving cell with the higher id is not the scan's best, however much
+/// nearer it is. Two cells of one kind within 1 m of the node read the
+/// same clamped power; two satellites whose ground distances differ by
+/// 1e-9 relative read the same power over an 800 km slant range.
+#[test]
+fn near_ties_are_not_certified() {
+    for (kind, x, s_x, at) in [
+        (CellKind::Pico, 0.0, 0.5, Point::new(0.3, 0.0)),
+        (
+            CellKind::Satellite,
+            10.000_000_01,
+            10.0,
+            Point::new(0.0, 0.0),
+        ),
+    ] {
+        let mut map = CellMap::without_shadowing();
+        map.add(Cell::new(CellId(0), kind, Point::new(x, 0.0), NodeId(0)));
+        map.add(Cell::new(CellId(1), kind, Point::new(s_x, 0.0), NodeId(1)));
+        let scan = map.measure_full_scan(at, None);
+        assert_eq!(scan[0].rssi_dbm, scan[1].rssi_dbm, "{kind}");
+        assert_eq!(scan[0].cell, CellId(0), "{kind}");
+        assert!(
+            !map.certifies_stay(CellId(1), at, -100.0, |_| true, |_| false),
+            "{kind}"
+        );
     }
 }
 
