@@ -39,6 +39,11 @@
 //! * **Waiting** — a pass over the grid that resolved nothing blocks in
 //!   [`File::lock`] on the first cell a peer holds, and goes again once
 //!   that peer finishes or dies.
+//! * **One writer** — a cell's other files (its `.run` slot, its
+//!   `.poison` record) are written only by the holder of its lease lock.
+//!   A claimant that locks a lease already unlinked finds the cell
+//!   complete or quarantined and writes neither, so the store publishes
+//!   each file through one fixed temp name.
 //!
 //! The locks must reach every worker: any local filesystem does for
 //! workers on one machine; workers on several machines need a shared
@@ -338,8 +343,6 @@ pub struct WorkerOutcome {
     pub loaded: usize,
     /// Cells found (or driven) into quarantine.
     pub quarantined: usize,
-    /// Store keys this worker saved, in completion order.
-    pub saved_keys: Vec<String>,
 }
 
 impl WorkerOutcome {
@@ -422,7 +425,6 @@ pub fn run_worker(
         Ok(Some(fate))
     };
     let mut fates: Vec<Option<Fate>> = vec![None; cells.len()];
-    let mut saved_keys = Vec::new();
     let offset = if cells.is_empty() {
         0
     } else {
@@ -441,9 +443,6 @@ pub fn run_worker(
                 }
                 match resolve(i)? {
                     Some(fate) => {
-                        if fate == Fate::Computed {
-                            saved_keys.push(keys[i].clone());
-                        }
                         fates[i] = Some(fate);
                         progress = true;
                     }
@@ -470,7 +469,6 @@ pub fn run_worker(
         computed: count(Fate::Computed),
         loaded: count(Fate::Loaded),
         quarantined: count(Fate::Quarantined),
-        saved_keys,
     })
 }
 

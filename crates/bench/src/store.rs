@@ -24,6 +24,14 @@
 //! records in [`crate::coord`] are published through the one
 //! `write_atomic`; a lease is the one file written in place, through the
 //! handle that holds its lock.
+//!
+//! Every writer of a cell's files holds that cell's lease lock, so one
+//! fixed temp name per file (`<key>.run.tmp`, `<key>.poison.tmp`) never
+//! has two writers. A writer that crashes mid-save leaves its temp file
+//! behind, and the cell's next owner truncates and renames it. A
+//! quarantined cell has no next owner and may keep one stray
+//! `.run.tmp`; [`ResultStore::keys`] and [`ResultStore::load`] never
+//! read it.
 
 use mtnet_core::kv::{self, field, Kind, Presence::Required, Record};
 use mtnet_core::lens;
@@ -32,8 +40,6 @@ use mtnet_core::spec::ScenarioSpec;
 use mtnet_sim::rng::{fnv1a, FNV_OFFSET};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// One extracted metric value: exact counters or bit-exact floats.
 #[derive(Debug, Clone, Copy)]
@@ -239,66 +245,24 @@ pub struct ResultStore {
     dir: PathBuf,
 }
 
-/// Per-process sequence for temp-file names: concurrent writers of the
-/// same path from different threads must never share a temp path.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A unique (per process × call) sibling of `path` that the orphan GC
-/// recognizes by its `.tmp` suffix: `<stem>.<pid>-<seq>.tmp`.
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    path.with_extension(format!("{}-{seq}.tmp", std::process::id()))
-}
-
-/// Writes a file of the store directory atomically: in full to a
-/// [`tmp_sibling`], then renamed over `path` (last writer wins) — a
-/// reader (or a resume after a kill) sees the old content or the new,
-/// never half of either.
+/// Writes a file of the store directory atomically: in full to
+/// `<file>.tmp` beside it, then renamed over `path` — a reader (or a
+/// resume after a kill) sees the old content or the new, never half of
+/// either. The caller holds the cell's lease lock, so no other writer
+/// shares the temp name.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_sibling(path);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
 }
 
-/// How old an orphaned `*.tmp` file must be before the startup sweep
-/// garbage-collects it. Live writers hold a temp file for milliseconds
-/// (write + rename), so a minute-old temp can only be the leftover of a
-/// crashed worker.
-const ORPHAN_TMP_MAX_AGE: Duration = Duration::from_secs(60);
-
 impl ResultStore {
-    /// Opens (creating if needed) a store directory, garbage-collecting
-    /// temp files orphaned by crashed workers (older than a minute — a
-    /// live writer holds its temp for milliseconds, never that long).
+    /// Opens (creating if needed) a store directory.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ResultStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let store = ResultStore { dir };
-        let _ = store.gc_orphan_tmps(ORPHAN_TMP_MAX_AGE);
-        Ok(store)
-    }
-
-    /// Removes `*.tmp` files older than `max_age`, returning how many
-    /// were collected. Races with concurrent removers are benign (a
-    /// missing file is already collected).
-    fn gc_orphan_tmps(&self, max_age: Duration) -> io::Result<usize> {
-        let mut collected = 0;
-        for entry in std::fs::read_dir(&self.dir)?.flatten() {
-            let path = entry.path();
-            if !path.extension().is_some_and(|x| x == "tmp") {
-                continue;
-            }
-            let old_enough = entry
-                .metadata()
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|mtime| mtime.elapsed().ok())
-                .is_some_and(|age| age >= max_age);
-            if old_enough && std::fs::remove_file(&path).is_ok() {
-                collected += 1;
-            }
-        }
-        Ok(collected)
+        Ok(ResultStore { dir })
     }
 
     /// The store directory.
@@ -329,11 +293,10 @@ impl ResultStore {
     }
 
     /// Persists a completed run under its content address. The write goes
-    /// through a temporary file + rename, so a killed sweep never leaves
-    /// a half-written slot that a resume would half-trust. The temp name
-    /// is unique per process × save (pid + sequence), so two workers
-    /// writing the same key concurrently never collide on the temp file
-    /// — last rename wins, and both renames carry identical bytes.
+    /// through `<key>.run.tmp` + rename, so a killed sweep never leaves a
+    /// half-written slot that a resume would half-trust. The caller must
+    /// hold the cell's lease lock ([`crate::coord::Claim::Owned`]): the
+    /// temp name is fixed, so it admits one writer at a time.
     pub fn save(&self, run: &StoredRun) -> io::Result<PathBuf> {
         let path = self.path_of(&Self::key(&run.spec_text, run.master_seed));
         write_atomic(&path, run.render().as_bytes())?;
@@ -400,58 +363,6 @@ mod tests {
         assert_ne!(a, ResultStore::key("text", 2));
         assert_ne!(a, ResultStore::key("other", 1));
         assert_eq!(a.len(), 16);
-    }
-
-    #[test]
-    fn concurrent_saves_of_one_key_never_collide_on_temp_files() {
-        // Regression: the temp name used to be the fixed `{key}.tmp`, so
-        // two workers saving the same key raced write-vs-rename and one
-        // save failed with NotFound. Unique temp names make every save
-        // succeed and leave a valid slot.
-        let store = tmp_store("tmp-collision");
-        let run = sample_run();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let (store, run) = (&store, &run);
-                s.spawn(move || {
-                    for _ in 0..25 {
-                        store.save(run).expect("concurrent save");
-                    }
-                });
-            }
-        });
-        let hit = store.load(&run.spec_text, 42).expect("slot valid");
-        assert_eq!(hit, run);
-        // No temp debris survives the racing saves.
-        let tmps = std::fs::read_dir(store.dir())
-            .expect("read dir")
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
-            .count();
-        assert_eq!(tmps, 0, "every temp file must be renamed away");
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn orphaned_tmp_files_are_garbage_collected_by_age() {
-        let store = tmp_store("gc");
-        let orphan = store.dir().join("deadbeef01234567.999-0.tmp");
-        let keeper = store.dir().join("feedface01234567.run");
-        std::fs::write(&orphan, "half-written").expect("plant orphan");
-        std::fs::write(&keeper, "not a tmp").expect("plant run");
-        // Too young to collect under the startup age guard…
-        assert_eq!(
-            store.gc_orphan_tmps(ORPHAN_TMP_MAX_AGE).expect("gc"),
-            0,
-            "a fresh temp may belong to a live writer"
-        );
-        assert!(orphan.exists());
-        // …but an explicit zero-age sweep (what a crashed worker's
-        // minute-old debris looks like) removes it, and only it.
-        assert_eq!(store.gc_orphan_tmps(Duration::ZERO).expect("gc"), 1);
-        assert!(!orphan.exists());
-        assert!(keeper.exists());
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! recomputed, quarantined cells degrade the grid instead of wedging
 //! it, a slow live owner is waited for and never reclaimed, and — the
 //! crash-recovery regression — a cell reclaimed from a dead worker's
-//! lease completes bit-identical to a cell that never crashed.
+//! lease completes bit-identical to a cell that never crashed. Racing
+//! workers share each cell's one temp name without a collision, and a
+//! temp file a crashed save left behind is overwritten, not trusted.
 //!
 //! A lease is held from another thread than the worker's: a worker
 //! blocks on a held lease, so holding one on its own thread would hang.
@@ -103,7 +105,6 @@ fn one_worker_drains_the_grid_bit_identical_to_direct_runs() {
         ),
         (4, 4, 0, 0)
     );
-    assert_eq!(outcome.saved_keys.len(), 4);
     // Same slots, same bytes as the direct runs — a lease-protocol
     // worker is an execution strategy, not a result change.
     assert_eq!(store_bytes(&tmp.store), store_bytes(&reference.store));
@@ -145,12 +146,19 @@ fn reclaimed_then_completed_cell_is_bit_identical_to_a_never_crashed_one() {
     assert_eq!((outcome.computed, outcome.quarantined), (4, 0));
     // A cell that killed its owner may kill the next one too: it is
     // reclaimed only once no fresh cell is left, although `alive@2`
-    // starts its passes at cell 0.
-    assert_eq!(
-        outcome.saved_keys.last(),
-        Some(&victim_key),
-        "the reclaimed cell must be recomputed by the live worker, last"
-    );
+    // starts its passes at cell 0. Its slot is written last.
+    let written = |key: &str| {
+        std::fs::metadata(tmp.store.path_of(key))
+            .and_then(|m| m.modified())
+            .expect("slot mtime")
+    };
+    let victim_written = written(&victim_key);
+    for key in tmp.store.keys() {
+        assert!(
+            written(&key) <= victim_written,
+            "the reclaimed cell must be recomputed by the live worker, last ({key})"
+        );
+    }
     assert_eq!(
         store_bytes(&tmp.store),
         store_bytes(&reference.store),
@@ -160,6 +168,74 @@ fn reclaimed_then_completed_cell_is_bit_identical_to_a_never_crashed_one() {
         !coord.lease_path(&victim_key).exists(),
         "the stolen lease must be released after completion"
     );
+}
+
+/// Names of the files in a store directory with a `.tmp` extension.
+fn temp_files(store: &ResultStore) -> Vec<String> {
+    std::fs::read_dir(store.dir())
+        .expect("read store dir")
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect()
+}
+
+#[test]
+fn racing_workers_drain_one_grid_to_the_reference_bytes_without_temp_debris() {
+    let reference = TempStore::new("race-ref");
+    let plan = small_plan();
+    save_direct(&plan, &reference.store);
+
+    // Four workers share one store and one grid; each cell's lease lets
+    // exactly one of them write it, through the cell's one temp name.
+    let tmp = TempStore::new("race");
+    let computed: usize = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4)
+            .map(|i| {
+                let (plan, store) = (&plan, &tmp.store);
+                s.spawn(move || run_worker(plan, 42, store, MAX_RECLAIMS, &format!("r{i}@1")))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("join").expect("worker").computed)
+            .sum()
+    });
+    assert_eq!(computed, plan.cells().expect("cells").len());
+    assert_eq!(store_bytes(&tmp.store), store_bytes(&reference.store));
+    assert_eq!(temp_files(&tmp.store), Vec::<String>::new());
+}
+
+#[test]
+fn a_stale_temp_file_from_a_crashed_save_is_overwritten_by_the_next_owner() {
+    let plan = SweepPlan {
+        axes: vec![
+            parse_axis("arch=multi-tier+rsmc").unwrap(),
+            parse_axis("vehicles=1").unwrap(),
+        ],
+        ..small_plan()
+    };
+    let cell = plan.cells().expect("cells").remove(0);
+    let direct = StoredRun::from_report(&cell.label, &cell.spec, 42, &cell.spec.run(42));
+
+    // A worker died while writing its slot: half of it sits under the
+    // temp name, and no `.run` exists.
+    let tmp = TempStore::new("stale-temp");
+    let mut stale = tmp
+        .store
+        .path_of(&ResultStore::key(&cell.spec.render(), 42))
+        .into_os_string();
+    stale.push(".tmp");
+    let half = direct.render();
+    std::fs::write(&stale, &half[..half.len() / 2]).expect("plant the stale temp");
+
+    let outcome = run_worker(&plan, 42, &tmp.store, MAX_RECLAIMS, "next@2").expect("worker");
+    assert_eq!((outcome.computed, outcome.loaded), (1, 0));
+    assert_eq!(
+        tmp.store.load(&cell.spec.render(), 42).expect("slot"),
+        direct
+    );
+    assert_eq!(temp_files(&tmp.store), Vec::<String>::new());
 }
 
 #[test]

@@ -7,8 +7,7 @@ use mtnet_radio::CellId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The five handoff procedures of §3.2 (plus the macro→macro move inside
-/// one domain, which the paper folds into its domain definition).
+/// The five handoff procedures of §3.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum HandoffType {
     /// Fig 3.4 case (c): micro-cell to micro-cell inside a domain.
@@ -18,8 +17,6 @@ pub enum HandoffType {
     IntraMacroToMicro,
     /// Fig 3.4 case (b): micro-cell to macro-cell (left micro coverage).
     IntraMicroToMacro,
-    /// Macro to macro inside one domain (multi-level macro tiers).
-    IntraMacroToMacro,
     /// Fig 3.2: inter-domain, the two domains share the upper-layer BS.
     InterDomainSameUpper,
     /// Fig 3.3: inter-domain, different upper BS — the update must travel
@@ -28,12 +25,11 @@ pub enum HandoffType {
 }
 
 impl HandoffType {
-    /// All six types, for reporting tables.
-    pub const ALL: [HandoffType; 6] = [
+    /// All five types, for reporting tables.
+    pub const ALL: [HandoffType; 5] = [
         HandoffType::IntraMicroToMicro,
         HandoffType::IntraMacroToMicro,
         HandoffType::IntraMicroToMacro,
-        HandoffType::IntraMacroToMacro,
         HandoffType::InterDomainSameUpper,
         HandoffType::InterDomainDifferentUpper,
     ];
@@ -57,7 +53,6 @@ impl HandoffType {
     ///   time" → 4
     /// * micro→macro: request, accept, update (forwarded to parent macro)
     ///   → 4
-    /// * macro→macro: request, accept, update → 3
     /// * inter same-upper: request, accept, location message via the shared
     ///   upper → 3
     /// * inter different-upper: request, accept, update to new top, to home
@@ -67,7 +62,6 @@ impl HandoffType {
             HandoffType::IntraMicroToMicro => 4,
             HandoffType::IntraMacroToMicro => 4,
             HandoffType::IntraMicroToMacro => 4,
-            HandoffType::IntraMacroToMacro => 3,
             HandoffType::InterDomainSameUpper => 3,
             HandoffType::InterDomainDifferentUpper => 5,
         }
@@ -80,7 +74,6 @@ impl fmt::Display for HandoffType {
             HandoffType::IntraMicroToMicro => "intra micro→micro",
             HandoffType::IntraMacroToMicro => "intra macro→micro",
             HandoffType::IntraMicroToMacro => "intra micro→macro",
-            HandoffType::IntraMacroToMacro => "intra macro→macro",
             HandoffType::InterDomainSameUpper => "inter-domain (same upper)",
             HandoffType::InterDomainDifferentUpper => "inter-domain (diff upper)",
         };
@@ -93,7 +86,8 @@ impl fmt::Display for HandoffType {
 /// # Panics
 ///
 /// Panics if either cell is unknown or is an upper-layer (domainless) BS —
-/// nodes never attach to those directly.
+/// nodes never attach to those directly — and on a domain's macro cell
+/// handing off to itself, the only intra-domain macro→macro pair.
 pub fn classify(hierarchy: &Hierarchy, old: CellId, new: CellId) -> HandoffType {
     let old_domain = hierarchy
         .domain_of(old)
@@ -112,7 +106,10 @@ pub fn classify(hierarchy: &Hierarchy, old: CellId, new: CellId) -> HandoffType 
         (Tier::Micro, Tier::Micro) => HandoffType::IntraMicroToMicro,
         (Tier::Macro, Tier::Micro) => HandoffType::IntraMacroToMicro,
         (Tier::Micro, Tier::Macro) => HandoffType::IntraMicroToMacro,
-        (Tier::Macro, Tier::Macro) => HandoffType::IntraMacroToMacro,
+        (Tier::Macro, Tier::Macro) => unreachable!(
+            "a domain has one macro cell, so an intra-domain macro→macro handoff \
+             would be {old:?} handing off to itself"
+        ),
     }
 }
 
@@ -184,15 +181,15 @@ mod tests {
 
     #[test]
     fn nominal_message_ordering() {
-        // The different-upper procedure is the most expensive; intra
-        // macro-macro and same-upper the cheapest.
+        // The different-upper procedure is the most expensive; same-upper
+        // the cheapest.
         assert!(
             HandoffType::InterDomainDifferentUpper.nominal_messages()
                 > HandoffType::InterDomainSameUpper.nominal_messages()
         );
         assert!(
             HandoffType::IntraMicroToMicro.nominal_messages()
-                >= HandoffType::IntraMacroToMacro.nominal_messages()
+                >= HandoffType::InterDomainSameUpper.nominal_messages()
         );
     }
 

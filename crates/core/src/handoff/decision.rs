@@ -153,7 +153,8 @@ pub enum HandoffDecision {
         target: CellId,
         /// Tier of the primary target.
         tier: Tier,
-        /// Other-tier fallback if the primary rejects.
+        /// Other-tier fallback if the primary rejects; never the serving
+        /// cell.
         fallback: Option<CellId>,
     },
     /// No usable cell at all (coverage hole): the node is in outage.
@@ -293,59 +294,50 @@ impl HandoffEngine {
                 else {
                     return HandoffDecision::Outage;
                 };
-                return self.against_current(speed_mps, current, *any, None);
+                return self.against_current(current, *any, None);
             }
         };
-        self.against_current(speed_mps, current, best, fallback.map(|c| c.cell))
+        // The fallback is never the serving cell: a rejected handoff does
+        // not retry onto the cell it leaves.
+        let fallback = fallback
+            .map(|c| c.cell)
+            .filter(|&f| current.is_none_or(|cur| cur.cell != f));
+        self.against_current(current, best, fallback)
     }
 
     /// Compares the chosen target with the current attachment and applies
     /// hysteresis.
     fn against_current(
         &self,
-        _speed_mps: f64,
         current: Option<CurrentAttachment>,
         best: Candidate,
         fallback: Option<CellId>,
     ) -> HandoffDecision {
+        let handoff = HandoffDecision::Handoff {
+            target: best.cell,
+            tier: best.tier,
+            fallback,
+        };
+        // Unattached: always take the best cell.
         let Some(cur) = current else {
-            // Unattached: always take the best cell.
-            return HandoffDecision::Handoff {
-                target: best.cell,
-                tier: best.tier,
-                fallback,
-            };
+            return handoff;
         };
         if best.cell == cur.cell {
             return HandoffDecision::Stay;
         }
-        let cur_rssi_ok = cur.rssi_dbm.is_some_and(|r| r >= self.config.min_rssi_dbm);
-        if !cur_rssi_ok {
-            // Coverage lost: must move regardless of hysteresis.
-            return HandoffDecision::Handoff {
-                target: best.cell,
-                tier: best.tier,
-                fallback,
-            };
-        }
-        if best.tier != cur.tier {
-            // Tier change (speed or resource driven): hysteresis does not
-            // apply — the tiers' power classes differ by construction.
-            return HandoffDecision::Handoff {
-                target: best.cell,
-                tier: best.tier,
-                fallback,
-            };
-        }
-        // Same-tier: factor 2's hysteresis rule.
-        let cur_rssi = cur.rssi_dbm.expect("checked above");
-        if self.factors.signal && best.rssi_dbm < cur_rssi + self.config.hysteresis_db {
-            return HandoffDecision::Stay;
-        }
-        HandoffDecision::Handoff {
-            target: best.cell,
-            tier: best.tier,
-            fallback,
+        // Factor 2's hysteresis rule holds a same-tier move back. It does
+        // not apply once coverage is lost (the node must move), nor to a
+        // tier change (speed or resource driven: the tiers' power classes
+        // differ by construction).
+        let held_back = self.factors.signal
+            && best.tier == cur.tier
+            && cur.rssi_dbm.is_some_and(|r| {
+                r >= self.config.min_rssi_dbm && best.rssi_dbm < r + self.config.hysteresis_db
+            });
+        if held_back {
+            HandoffDecision::Stay
+        } else {
+            handoff
         }
     }
 }
@@ -554,6 +546,25 @@ mod tests {
             d,
             HandoffDecision::Handoff { target, tier: Tier::Micro, .. } if target == CellId(1)
         ));
+    }
+
+    #[test]
+    fn fallback_is_never_the_serving_cell() {
+        // A slow macro-served node is steered to micro; the other tier's
+        // best cell is the one it is leaving.
+        let d = engine().decide(
+            1.0,
+            cur(100, Tier::Macro, -50.0),
+            &[micro(1, -70.0, 0.9), mac(100, -50.0, 0.9)],
+        );
+        assert_eq!(
+            d,
+            HandoffDecision::Handoff {
+                target: CellId(1),
+                tier: Tier::Micro,
+                fallback: None
+            }
+        );
     }
 
     #[test]

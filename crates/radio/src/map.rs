@@ -540,7 +540,6 @@ mod tests {
     use super::*;
     use mtnet_net::NodeId;
 
-    /// Two micro cells 400 m apart plus a macro umbrella.
     /// The grid path's answer, as `measure_batch` gives it past
     /// `BATCH_FULL_SWEEP_MAX` cells.
     fn measure(map: &CellMap, at: Point, tier: Option<CellKind>) -> Vec<Measurement> {
@@ -549,6 +548,7 @@ mod tests {
         out
     }
 
+    /// Two micro cells 400 m apart plus a macro umbrella.
     fn two_micro_one_macro() -> CellMap {
         let mut map = CellMap::without_shadowing();
         map.add(Cell::new(
@@ -717,7 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn every_lane_width_matches_the_full_scan_on_every_query_path() {
+    fn every_query_path_matches_the_full_scan() {
         let mut map = lattice_with_overlay();
         // An outage exercises the down-gate inside the survivor tail.
         map.set_cell_down(CellId(12), true);
