@@ -241,7 +241,7 @@ pub const EXPERIMENTS: [Experiment; 14] = [
         id: "E14",
         title: "Metro tier — 10^6 subscribers, O(active) state, streaming QoS",
         notes: &[
-            "state scales with the active set: per-flow delay histograms collapse into one 2048-bucket aggregate; RSMC auth and MNLD rows are O(population) columns, not O(subscribers) side maps",
+            "state scales with the active set: per-flow delay histograms collapse into one 2048-bucket aggregate; RSMC auth is an O(population) column, not an O(subscribers) side map, and the MNLD holds a record only for each node the home network has heard from",
             "expected shape: idle subscribers cost only their periodic ticks (5 s move samples, 60 s location/paging); the pico street rows absorb the active calls and the macro umbrella takes the overflow",
         ],
         arms: e14_arms,
@@ -982,11 +982,12 @@ fn e13_tables(_: RunOptions, runs: &[Run], out: &mut ExperimentResult) {
 
 /// E14 — the metro tier: a million-subscriber world carried with
 /// O(active) state. Per-node state lives in SoA columns, RSMC
-/// authentication is an epoch tag on the node's own row, the MNLD is a
-/// dense table, and every delivered packet's delay streams into one
-/// constant-memory aggregate histogram instead of per-flow
-/// distributions. The table reports the per-tier admission pressure and
-/// the aggregate delay percentiles the streaming accumulators exist for.
+/// authentication is an epoch tag on the node's own row, the MNLD holds
+/// a record per node the home network has heard from, and every
+/// delivered packet's delay streams into one constant-memory aggregate
+/// histogram instead of per-flow distributions. The table reports the
+/// per-tier admission pressure and the aggregate delay percentiles the
+/// streaming accumulators exist for.
 ///
 /// The metro tier scales with effort: Full is the headline
 /// 10^6-subscriber world; Quick is the same knobs at CI size (10k nodes,

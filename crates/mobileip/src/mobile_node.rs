@@ -56,8 +56,6 @@ pub struct MobileNode {
     desired_lifetime: SimDuration,
     retransmit_timeout: SimDuration,
     max_attempts: u32,
-    registrations_sent: u64,
-    handoffs: u64,
 }
 
 impl MobileNode {
@@ -79,8 +77,6 @@ impl MobileNode {
             desired_lifetime: Self::DEFAULT_LIFETIME,
             retransmit_timeout: Self::DEFAULT_RETRANSMIT,
             max_attempts: Self::DEFAULT_MAX_ATTEMPTS,
-            registrations_sent: 0,
-            handoffs: 0,
         }
     }
 
@@ -92,7 +88,6 @@ impl MobileNode {
     fn make_request(&mut self, coa: Addr, now: SimTime) -> RegistrationRequest {
         let id = self.next_id;
         self.next_id += 1;
-        self.registrations_sent += 1;
         self.state = MnState::Registering {
             coa,
             id,
@@ -126,7 +121,6 @@ impl MobileNode {
             MnState::Registered { coa, expires_at } => {
                 if !same_agent {
                     // Movement detected: handoff to the new agent.
-                    self.handoffs += 1;
                     self.current_agent = Some(adv.agent);
                     MnAction::SendRequest(self.make_request(adv.coa, now))
                 } else if expires_at.saturating_since(now) < self.desired_lifetime / 2 {
@@ -189,7 +183,6 @@ impl MobileNode {
             sent_at: now,
             attempts: attempts + 1,
         };
-        self.registrations_sent += 1;
         MnAction::SendRequest(RegistrationRequest {
             mn_home: self.home_addr,
             coa,
@@ -275,7 +268,6 @@ mod tests {
             panic!("handoff should trigger registration");
         };
         assert_eq!(r2.coa, addr("30.0.0.1"));
-        assert_eq!(m.handoffs, 1, "one handoff counted");
         m.on_reply(&accept(&r2), SimTime::from_secs(10));
         assert_eq!(coa(&m, SimTime::from_secs(11)), Some(addr("30.0.0.1")));
     }
