@@ -9,17 +9,13 @@
 # examples, the workspace examples and the benchmark's `src/`. Tests are
 # not roots, so an item only a test reaches counts as dead.
 #
-# Prints one `file:line item` per dead item or write-only field (paths as
-# in the repository) and exits 0; exits non-zero when the fold does not build.
-#
-# Known limit: rustc counts a derived `PartialEq` (or `PartialOrd`, `Hash`)
-# as a read of every field of its type, so a field that only such a
-# derive and tests read is neither dead nor write-only here.
+# Prints one `file:line item` per dead item, write-only field and field
+# only a derived comparison reads (paths as in the repository) and exits
+# 0; exits non-zero when the fold does not build.
 #
 # Usage: ci/fold.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-root=$PWD
 fold=target/fold
 rm -rf "$fold/src"
 mkdir -p "$fold/src"
@@ -69,17 +65,53 @@ edition = "2021"
 publish = false
 
 [workspace]
-
-[dependencies]
-serde = { path = "$root/vendor/serde" }
-rand = { path = "$root/vendor/rand" }
 TOML
 
-messages=$(cargo check --offline --quiet --manifest-path "$fold/Cargo.toml" --message-format=json) || {
-    echo "the fold does not build:" >&2
-    printf '%s\n' "$messages" | jq -r 'select(.reason == "compiler-message") | .message.rendered' >&2
-    exit 1
+# Third pass: rustc counts a derived `PartialEq`, `Eq`, `PartialOrd`,
+# `Ord` or `Hash` as a read of every field of its type, so a field only
+# such a derive (and tests) reads would look alive. Every one of those
+# five derives is struck from the copy before it is checked. Where an
+# entry point does compare or hash a type, rustc's error says "consider
+# annotating `T` with `#[derive(..)]`" at `T`'s definition; each such
+# type gets its derive list back whole, and the check repeats until the
+# fold builds (three rounds today). A derive no entry point needs stays
+# struck, so a field behind it is read only if live code reads it.
+rm -rf "$fold/full"
+cp -r "$fold/src" "$fold/full"
+strike() {
+    rm -rf "$fold/src"
+    cp -r "$fold/full" "$fold/src"
+    (cd "$fold" && find src -name '*.rs' -exec env KEEP="$1" perl -0pi -e '
+        BEGIN { %keep = map { $_ => 1 } split /\n/, $ENV{KEEP} }
+        my @cuts;
+        while (/#\[derive\(([^)]*)\)\]/g) {
+            my ($at, $len, $list, $end) = ($-[1], $+[1] - $-[1], $1, $+[0]);
+            my $rest = substr($_, $end);
+            $rest =~ /^[ \t]*(?:pub(?:\([^)]*\))?\s+)?(?:struct|enum|union)\b/m or next;
+            my $line = 1 + (substr($_, 0, $end + $-[0]) =~ tr/\n//);
+            next if $keep{"$ARGV:$line"};
+            $list =~ s/\b(?:PartialEq|Eq|PartialOrd|Ord|Hash)\b,?[ \t]*//g;
+            push @cuts, [$at, $len, $list];
+        }
+        for my $cut (reverse @cuts) { substr($_, $$cut[0], $$cut[1], $$cut[2]) }
+    ' {} +)
 }
+keep=
+while :; do
+    strike "$keep"
+    messages=$(cargo check --offline --quiet --manifest-path "$fold/Cargo.toml" --message-format=json 2>/dev/null) && break
+    wanted=$(printf '%s\n' "$messages" | jq -r '
+        select(.reason == "compiler-message") | .message | .. | objects
+        | select((.message? // "") | startswith("consider annotating")) | .spans[]
+        | "\(.file_name):\(.line_start)"' | sort -u)
+    grown=$(printf '%s\n%s\n' "$keep" "$wanted" | sed '/^$/d' | sort -u)
+    test "$grown" != "$keep" || {
+        echo "the fold does not build:" >&2
+        printf '%s\n' "$messages" | jq -r 'select(.reason == "compiler-message") | .message.rendered' >&2
+        exit 1
+    }
+    keep=$grown
+done
 printf '%s\n' "$messages" | jq -r '
     select(.reason == "compiler-message" and .message.code.code == "dead_code")
     | .message.spans[] | select(.is_primary) | .text[0] as $t

@@ -112,7 +112,7 @@ static LEASE: Record<Lease> = Record {
 };
 
 impl Lease {
-    /// Serializes to the lease file format.
+    /// Renders to the lease file format.
     pub fn render(&self) -> String {
         LEASE.render(self)
     }
@@ -149,7 +149,7 @@ static POISON: Record<Poison> = Record {
 };
 
 impl Poison {
-    /// Serializes to the quarantine-record file format.
+    /// Renders to the quarantine-record file format.
     pub fn render(&self) -> String {
         POISON.render(self)
     }

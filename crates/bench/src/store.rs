@@ -216,7 +216,7 @@ impl StoredRun {
             .map(|(_, v)| *v)
     }
 
-    /// Serializes to the store file format.
+    /// Renders to the store file format.
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = RUN.render(self);

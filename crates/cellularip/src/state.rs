@@ -2,10 +2,9 @@
 //! protocol timers.
 
 use mtnet_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The three Cellular IP timers (paper §2.2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CipTimers {
     /// How often an **active** node transmits route-update packets
     /// ("route-update-time"). Must be shorter than the routing-cache
@@ -47,7 +46,7 @@ impl CipTimers {
 
 /// Whether a node currently maintains routing-cache state (active) or only
 /// paging-cache state (idle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MnMode {
     /// Sending/receiving recently: routing caches are kept fresh.
     Active,

@@ -4,11 +4,10 @@
 use crate::hierarchy::Hierarchy;
 use crate::tier::Tier;
 use mtnet_radio::CellId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five handoff procedures of §3.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HandoffType {
     /// Fig 3.4 case (c): micro-cell to micro-cell inside a domain.
     IntraMicroToMicro,

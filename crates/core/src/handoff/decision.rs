@@ -9,12 +9,11 @@
 
 use crate::tier::Tier;
 use mtnet_radio::CellId;
-use serde::{Deserialize, Serialize};
 
 /// Which of the three §3.2 factors the engine consults. Disabling factors
 /// reproduces the ablation arms of experiment E12; the paper's scheme is
 /// [`HandoffFactors::all`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandoffFactors {
     /// Factor 1: the speed of the MN steers tier preference.
     pub speed: bool,
@@ -92,7 +91,7 @@ impl Default for HandoffFactors {
 }
 
 /// Decision thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionConfig {
     /// A candidate must beat the current cell by this margin (dB) to
     /// trigger a same-tier handoff (ping-pong suppression).

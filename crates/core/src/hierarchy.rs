@@ -11,13 +11,10 @@
 use crate::tier::Tier;
 use mtnet_radio::CellId;
 use mtnet_sim::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a domain (one macro-tier coverage area).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DomainId(pub u32);
 
 impl fmt::Display for DomainId {

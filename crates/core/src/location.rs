@@ -6,8 +6,7 @@ use crate::tables::{CellTable, TableHit};
 use crate::tier::Tier;
 use mtnet_net::Addr;
 use mtnet_radio::CellId;
-use mtnet_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use mtnet_sim::{FxHashMap, SimDuration, SimTime};
 
 /// Result of a hierarchical location lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,14 +29,14 @@ pub struct Located {
 /// `R3` — each BS remembers the *child cell leading toward the node*.
 #[derive(Debug, Clone)]
 pub struct LocationDirectory {
-    tables: HashMap<CellId, CellTable>,
+    tables: FxHashMap<CellId, CellTable>,
 }
 
 impl LocationDirectory {
     /// Creates tables for every cell in the hierarchy, with the given
     /// record time-limitation.
     pub fn new(hierarchy: &Hierarchy, lifetime: SimDuration) -> Self {
-        let mut tables = HashMap::new();
+        let mut tables = FxHashMap::default();
         for domain in hierarchy.domains() {
             for cell in hierarchy.cells_in_domain(domain.id) {
                 tables.insert(cell, Self::table_for(hierarchy, cell, lifetime));

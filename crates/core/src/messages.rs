@@ -3,13 +3,10 @@
 use mtnet_mobileip::MipMessage;
 use mtnet_net::Addr;
 use mtnet_radio::CellId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a mobile node in a scenario (dense index).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MnId(pub u32);
 
 impl fmt::Display for MnId {
@@ -19,15 +16,13 @@ impl fmt::Display for MnId {
 }
 
 /// Cellular IP control carried inside simulation packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CipControl {
     /// Route-update packet climbing from the attach BS to the gateway,
     /// refreshing each routing cache it passes (paper §2.2.2).
     RouteUpdate {
         /// The mobile node's (home) address being refreshed.
         mn: Addr,
-        /// The node the packet came from (downlink direction to install).
-        came_from_bs: bool,
     },
     /// Paging-update packet from an idle node (coarse location).
     PagingUpdate {
@@ -43,7 +38,7 @@ pub enum CipControl {
 }
 
 /// Multi-tier mobility-management messages (§3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MtMessage {
     /// "Update Location Message" after a successful handoff (§3.2).
     UpdateLocation {
@@ -75,7 +70,7 @@ impl MtMessage {
 }
 
 /// Everything a simulation packet can carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Payload {
     /// Application (multimedia flow) data.
     Data,
@@ -136,7 +131,6 @@ mod tests {
         assert_eq!(Payload::Data.control_size_bytes(), 0);
         let cip = Payload::Cip(CipControl::RouteUpdate {
             mn: addr("1.1.1.1"),
-            came_from_bs: true,
         });
         assert!(!cip.is_data());
         assert!(cip.control_size_bytes() > 0);

@@ -10,8 +10,8 @@
 //! keys on.
 //!
 //! The text format is the `key = value` line format of [`crate::kv`]
-//! (the vendored `serde` is marker-only, so there is no derive-based
-//! serializer to lean on). Every key is declared once, in this module's
+//! (the codec is written out by hand: no derive-based serializer
+//! stands behind it). Every key is declared once, in this module's
 //! `SPEC` field table — key, field, value kind with its legal range,
 //! rendered always or only when set — and [`ScenarioSpec::render`],
 //! [`ScenarioSpec::parse`], [`ScenarioSpec::set`] and the per-key half

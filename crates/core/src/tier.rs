@@ -8,11 +8,10 @@
 //! tree), so the mobility machinery only distinguishes these two tiers.
 
 use mtnet_radio::CellKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A mobility-management tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Micro-tier: micro (and pico) cells under Cellular IP.
     Micro,

@@ -41,7 +41,7 @@ impl World {
         // The node whose route the update repairs; a paging update
         // repairs none.
         let routed = match control {
-            CipControl::RouteUpdate { mn, .. } | CipControl::Semisoft { mn } => {
+            CipControl::RouteUpdate { mn } | CipControl::Semisoft { mn } => {
                 self.domains[didx]
                     .cip
                     .refresh_route_at(node, mn, came_from, now);

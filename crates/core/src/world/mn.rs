@@ -562,12 +562,7 @@ mod tests {
         // The densified row registers under its own home address.
         let mut mip = t.active(b).unwrap().mip.clone();
         let agent = "20.0.0.1".parse().unwrap();
-        let adv = mtnet_mobileip::AgentAdvertisement {
-            agent,
-            coa: agent,
-            max_lifetime: mtnet_sim::SimDuration::from_secs(300),
-            seq: 0,
-        };
+        let adv = mtnet_mobileip::AgentAdvertisement { agent, coa: agent };
         let mtnet_mobileip::MnAction::SendRequest(req) = mip.on_advertisement(&adv, SimTime::ZERO)
         else {
             panic!("a node away from home registers");

@@ -504,15 +504,10 @@ impl World {
     }
 
     /// Has `mn` hear `agent`'s advertisement (every agent offers its own
-    /// address as care-of address, for 300 s) and performs what its Mobile
-    /// IP state machine answers. A camping node has none and stays silent.
+    /// address as care-of address) and performs what its Mobile IP state
+    /// machine answers. A camping node has none and stays silent.
     fn advertise_agent(&mut self, ctx: &mut Context<'_, Ev>, mn: MnId, agent: Addr) {
-        let adv = AgentAdvertisement {
-            agent,
-            coa: agent,
-            max_lifetime: SimDuration::from_secs(300),
-            seq: 0,
-        };
+        let adv = AgentAdvertisement { agent, coa: agent };
         let now = ctx.now();
         if let Some(active) = self.mns.active_mut(mn.0 as usize) {
             let action = active.mip.on_advertisement(&adv, now);
@@ -622,7 +617,6 @@ impl World {
         let gw_addr = self.topo.addr_of(self.domains[didx].rsmc_node);
         let update = CipControl::RouteUpdate {
             mn: mn::home_addr(mn.0),
-            came_from_bs: true,
         };
         self.report.signaling.route_updates += 1;
         self.air_up(ctx, mn, Payload::Cip(update), gw_addr);

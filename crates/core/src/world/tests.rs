@@ -627,10 +627,7 @@ fn a_packet_refused_by_a_full_tree_link_leaves_the_arena_with_its_cause() {
     world.mns.hot[0].set_serving(Some(cell));
     let mn = home_addr(0);
     let gw_addr = world.topo.addr_of(gateway);
-    let update = Payload::Cip(CipControl::RouteUpdate {
-        mn,
-        came_from_bs: true,
-    });
+    let update = Payload::Cip(CipControl::RouteUpdate { mn });
     let cn = world.cn_addr;
     let mut sim = Simulator::new(world);
     // Packets on a link: each one the link accepted is a pending arrival.

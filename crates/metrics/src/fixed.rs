@@ -15,13 +15,11 @@
 //! resolution is `upper / N` — pick the range to match the quantity
 //! (e.g. 0–2048 ms in 1-ms steps for one-way delay).
 
-use serde::{Deserialize, Serialize};
-
 /// Number of uniform buckets, allocated once at construction.
 const BUCKETS: usize = 2048;
 
 /// A constant-memory uniform-bucket histogram over `[0, upper)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FixedHistogram {
     upper: f64,
     count: u64,

@@ -1,6 +1,5 @@
 //! Log-scale histogram with percentile queries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of linear sub-buckets per power-of-two bucket. 32 sub-buckets give
@@ -23,7 +22,7 @@ const SUB_BITS: u32 = 5; // log2(SUB_BUCKETS)
 /// assert!((470..=530).contains(&p50), "p50 was {p50}");
 /// assert_eq!(h.count(), 1000);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
     /// Sparse bucket counts, indexed by encoded bucket id.
     buckets: Vec<u64>,

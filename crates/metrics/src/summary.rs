@@ -1,6 +1,5 @@
 //! Streaming moment statistics (Welford's online algorithm).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Streaming mean / variance / min / max over `f64` observations.
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(s.mean(), 5.0);
 /// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Summary {
     count: u64,
     mean: f64,

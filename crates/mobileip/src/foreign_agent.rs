@@ -9,8 +9,6 @@ use mtnet_sim::{SimDuration, SimTime};
 /// One visitor-list entry at a foreign agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VisitorEntry {
-    /// The visitor's home agent.
-    pub ha: Addr,
     /// When the entry was installed/refreshed.
     pub registered_at: SimTime,
     /// Granted lifetime (from the HA's reply).
@@ -98,7 +96,6 @@ impl ForeignAgent {
         self.visitors.insert(
             req.mn_home,
             VisitorEntry {
-                ha: req.ha,
                 registered_at: now,
                 lifetime: SimDuration::ZERO,
                 pending_id: Some(req.id),

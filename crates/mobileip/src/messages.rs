@@ -2,24 +2,19 @@
 
 use mtnet_net::Addr;
 use mtnet_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Agent advertisement, periodically broadcast by a foreign (or home)
 /// agent on its link (RFC 3344 §2.1; paper step 1(a)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgentAdvertisement {
     /// The advertising agent's address.
     pub agent: Addr,
     /// The care-of address offered (FA-CoA mode: the FA's own address).
     pub coa: Addr,
-    /// Maximum registration lifetime the agent will grant.
-    pub max_lifetime: SimDuration,
-    /// Advertisement sequence number (movement detection).
-    pub seq: u64,
 }
 
 /// Registration request MN → (FA) → HA (paper step 1(b)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegistrationRequest {
     /// The mobile node's permanent home address.
     pub mn_home: Addr,
@@ -45,7 +40,7 @@ impl RegistrationRequest {
 }
 
 /// Reply codes (subset of RFC 3344 §3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplyCode {
     /// Registration accepted.
     Accepted,
@@ -56,7 +51,7 @@ pub enum ReplyCode {
 }
 
 /// Registration reply HA → (FA) → MN (paper step 1(c)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegistrationReply {
     /// The mobile node this reply concerns.
     pub mn_home: Addr,
@@ -79,7 +74,7 @@ impl RegistrationReply {
 }
 
 /// All Mobile IP control messages, as carried in simulation packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MipMessage {
     /// Registration request (MN→FA or FA→HA leg).
     Request(RegistrationRequest),

@@ -221,12 +221,10 @@ mod tests {
         MobileNode::new(addr("10.0.0.9"), addr("10.0.0.1"))
     }
 
-    fn adv(agent: &str, seq: u64) -> AgentAdvertisement {
+    fn adv(agent: &str) -> AgentAdvertisement {
         AgentAdvertisement {
             agent: addr(agent),
             coa: addr(agent),
-            max_lifetime: SimDuration::from_secs(300),
-            seq,
         }
     }
 
@@ -243,8 +241,7 @@ mod tests {
     fn full_registration_flow() {
         let mut m = mn();
         assert_eq!(m.state(), MnState::Home);
-        let MnAction::SendRequest(req) = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO)
-        else {
+        let MnAction::SendRequest(req) = m.on_advertisement(&adv("20.0.0.1"), SimTime::ZERO) else {
             panic!("expected a registration request");
         };
         assert_eq!(req.coa, addr("20.0.0.1"));
@@ -256,14 +253,13 @@ mod tests {
     #[test]
     fn movement_detection_triggers_handoff() {
         let mut m = mn();
-        let MnAction::SendRequest(r1) = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO)
-        else {
+        let MnAction::SendRequest(r1) = m.on_advertisement(&adv("20.0.0.1"), SimTime::ZERO) else {
             panic!()
         };
         m.on_reply(&accept(&r1), SimTime::from_millis(40));
         // New agent appears → re-register.
         let MnAction::SendRequest(r2) =
-            m.on_advertisement(&adv("30.0.0.1", 1), SimTime::from_secs(10))
+            m.on_advertisement(&adv("30.0.0.1"), SimTime::from_secs(10))
         else {
             panic!("handoff should trigger registration");
         };
@@ -275,13 +271,12 @@ mod tests {
     #[test]
     fn same_agent_advertisement_is_quiet_when_fresh() {
         let mut m = mn();
-        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO)
-        else {
+        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1"), SimTime::ZERO) else {
             panic!()
         };
         m.on_reply(&accept(&r), SimTime::ZERO);
         assert_eq!(
-            m.on_advertisement(&adv("20.0.0.1", 2), SimTime::from_secs(1)),
+            m.on_advertisement(&adv("20.0.0.1"), SimTime::from_secs(1)),
             MnAction::None
         );
     }
@@ -289,12 +284,11 @@ mod tests {
     #[test]
     fn binding_refresh_past_half_life() {
         let mut m = mn();
-        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO)
-        else {
+        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1"), SimTime::ZERO) else {
             panic!()
         };
         m.on_reply(&accept(&r), SimTime::ZERO); // expires at 300 s
-        let act = m.on_advertisement(&adv("20.0.0.1", 9), SimTime::from_secs(200));
+        let act = m.on_advertisement(&adv("20.0.0.1"), SimTime::from_secs(200));
         assert!(
             matches!(act, MnAction::SendRequest(_)),
             "should refresh at t=200 of 300"
@@ -304,8 +298,7 @@ mod tests {
     #[test]
     fn denial_returns_to_searching() {
         let mut m = mn();
-        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO)
-        else {
+        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1"), SimTime::ZERO) else {
             panic!()
         };
         let denial = RegistrationReply {
@@ -322,8 +315,7 @@ mod tests {
     #[test]
     fn stale_reply_ignored() {
         let mut m = mn();
-        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO)
-        else {
+        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1"), SimTime::ZERO) else {
             panic!()
         };
         let mut stale = accept(&r);
@@ -335,8 +327,7 @@ mod tests {
     #[test]
     fn retransmission_then_give_up() {
         let mut m = mn();
-        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO)
-        else {
+        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1"), SimTime::ZERO) else {
             panic!()
         };
         let mut sends = 1;
@@ -355,7 +346,7 @@ mod tests {
     #[test]
     fn no_retransmit_before_timeout() {
         let mut m = mn();
-        let _ = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO);
+        let _ = m.on_advertisement(&adv("20.0.0.1"), SimTime::ZERO);
         assert_eq!(m.poll_retransmit(SimTime::from_millis(500)), MnAction::None);
     }
 
@@ -363,8 +354,7 @@ mod tests {
     fn coa_expires() {
         let mut m = mn();
         m.desired_lifetime = SimDuration::from_secs(10);
-        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO)
-        else {
+        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1"), SimTime::ZERO) else {
             panic!()
         };
         m.on_reply(&accept(&r), SimTime::ZERO);
@@ -375,8 +365,7 @@ mod tests {
     #[test]
     fn link_lost_resets() {
         let mut m = mn();
-        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1", 1), SimTime::ZERO)
-        else {
+        let MnAction::SendRequest(r) = m.on_advertisement(&adv("20.0.0.1"), SimTime::ZERO) else {
             panic!()
         };
         m.on_reply(&accept(&r), SimTime::ZERO);
@@ -384,7 +373,7 @@ mod tests {
         assert_eq!(m.state(), MnState::Searching);
         // Re-hearing the same agent re-registers.
         assert!(matches!(
-            m.on_advertisement(&adv("20.0.0.1", 3), SimTime::from_secs(1)),
+            m.on_advertisement(&adv("20.0.0.1"), SimTime::from_secs(1)),
             MnAction::SendRequest(_)
         ));
     }

@@ -1,6 +1,5 @@
 //! 2-D geometry in meters.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -12,7 +11,7 @@ use std::ops::{Add, Mul, Sub};
 /// let b = Point::new(3.0, 4.0);
 /// assert_eq!(a.distance(b), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Easting in meters.
     pub x: f64,
@@ -21,7 +20,7 @@ pub struct Point {
 }
 
 /// A displacement in the plane, in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// X component.
     pub x: f64,
@@ -91,7 +90,7 @@ impl fmt::Display for Point {
 }
 
 /// An axis-aligned rectangle (movement area).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

@@ -5,11 +5,10 @@
 //! mirror the populations the multi-tier literature ([6], [7] in the paper)
 //! uses: pedestrians, urban vehicles and highway vehicles.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Mobility population class with its speed range in m/s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpeedClass {
     /// Walking users: 0.5 – 2 m/s.
     Pedestrian,

@@ -1,6 +1,5 @@
 //! IPv4-style addresses and CIDR prefixes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -13,9 +12,7 @@ use std::str::FromStr;
 /// assert_eq!(a.to_string(), "192.168.1.7");
 /// assert_eq!(a.octets(), [192, 168, 1, 7]);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u32);
 
 impl Addr {
@@ -87,7 +84,7 @@ impl FromStr for Addr {
 /// assert!(p.contains("10.1.200.3".parse().unwrap()));
 /// assert!(!p.contains("10.2.0.1".parse().unwrap()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Prefix {
     network: Addr,
     len: u8,

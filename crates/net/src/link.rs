@@ -8,10 +8,9 @@
 //! to packets, not to queue operations.
 
 use mtnet_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Static link parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Transmission rate in bits per second.
     pub bandwidth_bps: u64,
@@ -66,7 +65,7 @@ impl LinkConfig {
 }
 
 /// Per-link transmission counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Packets accepted and (eventually) delivered.
     pub tx_packets: u64,

@@ -2,25 +2,20 @@
 
 use crate::addr::Addr;
 use mtnet_sim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Globally unique packet identifier (assigned by the traffic source or
 /// protocol entity that creates the packet).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PacketId(pub u64);
 
 /// Identifier of an application flow (one media stream / session).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowId(pub u64);
 
 /// Why an encapsulation header was pushed — used for overhead accounting
 /// and for deciding who may detunnel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TunnelKind {
     /// Home Agent → care-of address tunnel (Mobile IP, Fig 2.2).
     HomeAgent,
@@ -34,7 +29,7 @@ pub enum TunnelKind {
 ///
 /// The byte cost of an outer header is [`EncapHeader::SIZE_BYTES`], counted
 /// toward link transmission time while the header is on the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncapHeader {
     /// Tunnel entry point.
     pub outer_src: Addr,
@@ -56,7 +51,7 @@ impl EncapHeader {
 /// change in flight; tunneling pushes [`EncapHeader`]s instead, exactly like
 /// IP-in-IP (RFC 2003), so the Home Agent's encapsulate/decapsulate cycle in
 /// Fig 2.2 of the paper is structurally faithful.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Packet<P> {
     /// Unique id.
     pub id: PacketId,

@@ -5,14 +5,11 @@ use crate::addr::{Addr, Prefix};
 use crate::link::{Link, LinkConfig};
 use crate::routing::RoutingTable;
 use mtnet_sim::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Identifier of a node (router, host, base station…) in a [`Topology`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -22,9 +19,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Identifier of a unidirectional link in a [`Topology`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinkId(pub u32);
 
 impl fmt::Display for LinkId {

@@ -3,14 +3,11 @@
 use crate::channels::ChannelPool;
 use mtnet_mobility::Point;
 use mtnet_net::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a cell (and its base station) in a
 /// [`CellMap`](crate::CellMap).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CellId(pub u32);
 
 impl fmt::Display for CellId {
@@ -24,7 +21,7 @@ impl fmt::Display for CellId {
 /// Default radii, rates and channel counts follow the 3G-era multi-tier
 /// literature the paper cites: pico cells cover a building floor at high
 /// rate, satellite covers everything at low rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// In-building coverage (~50 m).
     Pico,

@@ -7,12 +7,11 @@
 //! dropping an ongoing multimedia session is far worse for QoS than
 //! rejecting a new one (paper §3.2 factor 3, refs [6][7]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether an admission request is a brand-new call or an ongoing call
 /// being handed off into this cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CallKind {
     /// A call being set up from scratch.
     New,
@@ -51,7 +50,7 @@ impl std::error::Error for AdmitError {}
 /// assert!(pool.admit(CallKind::New).is_err());
 /// assert!(pool.admit(CallKind::Handoff).is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelPool {
     total: u32,
     guard: u32,

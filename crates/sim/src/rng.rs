@@ -9,11 +9,8 @@
 //! * A run is reproducible from `(master_seed, labels)` alone.
 //!
 //! The generator is SplitMix64-seeded xoshiro256++, implemented locally so
-//! the statistical stream is stable regardless of `rand` version. The crate
-//! still implements [`rand::RngCore`] so the distribution adaptors from
-//! `rand` can be used on top.
+//! the statistical stream is fixed by this file alone.
 
-use rand::RngCore;
 use std::fmt;
 
 /// SplitMix64 step; used for seeding and label hashing.
@@ -57,12 +54,11 @@ impl fmt::Write for FnvSink {
 ///
 /// ```
 /// use mtnet_sim::RngStream;
-/// use rand::RngCore;
 /// let mut a = RngStream::derive(42, "mobility/mn0");
 /// let mut b = RngStream::derive(42, "mobility/mn0");
-/// assert_eq!(a.next_u64(), b.next_u64()); // same seed+label => same stream
+/// assert_eq!(a.next_f64(), b.next_f64()); // same seed+label => same stream
 /// let mut c = RngStream::derive(42, "traffic/mn0");
-/// assert_ne!(a.next_u64(), c.next_u64()); // different label => independent
+/// assert_ne!(a.next_f64(), c.next_f64()); // different label => independent
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RngStream {
@@ -296,30 +292,6 @@ pub fn seed_for_path<S: AsRef<str>>(master_seed: u64, path: &[S], rep: u64) -> u
     tree.index(rep).seed()
 }
 
-impl RngCore for RngStream {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,7 +301,7 @@ mod tests {
         let mut a = RngStream::derive(7, "x");
         let mut b = RngStream::derive(7, "x");
         for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.next(), b.next());
         }
     }
 
@@ -337,7 +309,7 @@ mod tests {
     fn labels_decorrelate() {
         let mut a = RngStream::derive(7, "x");
         let mut b = RngStream::derive(7, "y");
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..64).filter(|_| a.next() == b.next()).count();
         assert_eq!(same, 0);
     }
 
@@ -345,7 +317,7 @@ mod tests {
     fn seeds_decorrelate() {
         let mut a = RngStream::derive(1, "x");
         let mut b = RngStream::derive(2, "x");
-        assert_ne!(a.next_u64(), b.next_u64());
+        assert_ne!(a.next(), b.next());
     }
 
     #[test]
@@ -354,8 +326,8 @@ mod tests {
         let mut c1 = parent.child(format_args!("a"));
         let mut c2 = parent.child(format_args!("a"));
         let mut c3 = parent.child(format_args!("b"));
-        assert_eq!(c1.next_u64(), c2.next_u64());
-        assert_ne!(c1.next_u64(), c3.next_u64());
+        assert_eq!(c1.next(), c2.next());
+        assert_ne!(c1.next(), c3.next());
     }
 
     #[test]
@@ -430,14 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = RngStream::derive(6, "bytes");
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
     #[should_panic(expected = "non-empty")]
     fn uniform_u64_zero_panics() {
         RngStream::derive(1, "z").uniform_u64(0);
@@ -448,7 +412,7 @@ mod tests {
         let a = SeedTree::new(7).label("exp").label("arch").index(4);
         let b = SeedTree::new(7).label("exp").label("arch").index(4);
         assert_eq!(a.seed(), b.seed());
-        let stream = |t: SeedTree| RngStream::from_seed(t.seed()).next_u64();
+        let stream = |t: SeedTree| RngStream::from_seed(t.seed()).next();
         assert_eq!(stream(a), stream(b));
     }
 

@@ -6,7 +6,6 @@
 //! throughout so that mis-configured (huge) timeouts clamp instead of
 //! panicking mid-run.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -25,7 +24,7 @@ const NANOS_PER_MICRO: u64 = 1_000;
 /// let t = SimTime::from_secs(2) + SimDuration::from_millis(500);
 /// assert_eq!(t.as_nanos(), 2_500_000_000);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
@@ -34,7 +33,7 @@ pub struct SimTime(u64);
 /// use mtnet_sim::SimDuration;
 /// assert_eq!(SimDuration::from_millis(1500).as_secs_f64(), 1.5);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -2,7 +2,6 @@
 
 use mtnet_metrics::{Histogram, Summary};
 use mtnet_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Tracks the QoS of one flow from sequence numbers and timestamps.
 ///
@@ -42,7 +41,7 @@ pub struct FlowQos {
 }
 
 /// A finished flow's QoS figures, as reported by experiments.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QosReport {
     /// Packets sent by the source.
     pub sent: u64,

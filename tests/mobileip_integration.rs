@@ -18,8 +18,6 @@ fn advertisement(fa: &ForeignAgent) -> AgentAdvertisement {
     AgentAdvertisement {
         agent: fa.addr(),
         coa: fa.addr(),
-        max_lifetime: ForeignAgent::DEFAULT_MAX_LIFETIME,
-        seq: 0,
     }
 }
 

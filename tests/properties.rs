@@ -677,11 +677,10 @@ proptest! {
     // ---------------------------------------------------------------
     #[test]
     fn rng_streams_deterministic(seed in any::<u64>(), label in "[a-z]{1,12}") {
-        use rand::RngCore;
         let mut a = RngStream::derive(seed, &label);
         let mut b = RngStream::derive(seed, &label);
         for _ in 0..16 {
-            prop_assert_eq!(a.next_u64(), b.next_u64());
+            prop_assert_eq!(a.next_f64(), b.next_f64());
         }
     }
 
@@ -760,12 +759,11 @@ proptest! {
                 "experiment and architecture positions are not interchangeable");
         }
         // Streams from distinct tuples decorrelate (not just the seeds).
-        use rand::RngCore;
         let stream = |arch: &str| {
             RngStream::from_seed(mtnet_sim::SeedTree::new(master).label(&exp).label(arch).index(rep).seed())
         };
         let (mut a, mut b) = (stream(&arch), stream(&format!("{arch}x")));
-        let equal_draws = (0..16).filter(|_| a.next_u64() == b.next_u64()).count();
+        let equal_draws = (0..16).filter(|_| a.next_f64() == b.next_f64()).count();
         prop_assert_eq!(equal_draws, 0, "sibling streams must not track each other");
     }
 
