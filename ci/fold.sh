@@ -31,12 +31,16 @@ tar -c crates/*/src crates/bench/examples examples benchmark/src | tar -x -C "$f
 # place a write names as a use, so without this a field that is only ever
 # written looks alive. A right-hand side that is `None` or calls
 # `default()` or `collect()` stays, since `let _` cannot infer its type.
+# A copy of a field into the same field of another value (`a.f = b.f;`)
+# becomes `let _ = ();`, so a field whose only read feeds its own copy
+# reads as dead too.
 rewrite() {
     local module=$1
     shift
     perl -pi -e "s/(?<![\\w:])crate::/crate::${module}::/g;" \
         -e 's/(?<![\w:])(mtnet_\w+)::/crate::$1::/g; s/crate::mtnet_core::lens\b/crate::lens/g;' \
         -e 's/^fn main\(/pub fn main(/; s/#\[allow\(dead_code\)\]//;' \
+        -e 's/^(\s*)[\w.]+\.(\w+)\s*=\s*[\w.]+\.\2;\s*\z/${1}let _ = ();\n/;' \
         -e 's/^(\s*)[\w.]+\.\w+\s*\+?=(?!=)\s*+(?!None;|.*(?:default|collect)\(\))(.+);\s*\z/${1}let _ = $2;\n/' "$@"
 }
 main="$fold/src/main.rs"

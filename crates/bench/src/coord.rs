@@ -64,11 +64,11 @@
 //! worker", used by the kill-torture tests and CI to exercise reclaim,
 //! quarantine and resume without timing races.
 
-use crate::store::{write_atomic, ResultStore, StoredRun};
+use crate::store::{write_atomic, ResultStore, StoredRun, METRICS};
 use crate::sweep::{fmt_metric, grid_row, grid_table, SweepCell, SweepPlan};
 use mtnet_core::kv::{self, field, Kind, Presence::Required, Record};
 use mtnet_core::lens;
-use mtnet_metrics::{Replicates, Table};
+use mtnet_metrics::{Summary, Table};
 use mtnet_sim::rng::{fnv1a, FNV_OFFSET};
 use mtnet_sim::runner::parse_count;
 use std::collections::HashSet;
@@ -581,10 +581,12 @@ pub fn collect_grid(
                 (None, "missing".to_string())
             }
         };
-        let metric = |m: &str| run.as_ref().map_or("-".into(), |run| fmt_metric(run, m));
+        let metrics = METRICS
+            .iter()
+            .map(|(m, _)| run.as_ref().map_or("-".into(), |run| fmt_metric(run, m)));
         let rep = cell.replication.to_string();
         grid.table
-            .row(grid_row(&cell.assignments, rep, metric, Some(status)));
+            .row(grid_row(&cell.assignments, rep, metrics, Some(status)));
     }
     Ok(grid)
 }
@@ -623,9 +625,9 @@ impl ReportOutcome {
 
 /// Formats one aggregated metric column: mean ± Student-t 95% CI over
 /// the point's replications (loss rates as percentages,
-/// like the per-cell tables).
-fn fmt_aggregate(name: &str, agg: &Replicates) -> String {
-    match agg.get(name) {
+/// like the per-cell tables); `-` when no cell of the point holds it.
+fn fmt_aggregate(name: &str, agg: Option<&Summary>) -> String {
+    match agg {
         Some(s) if name == "loss_rate" => format!(
             "{:.3}% ± {:.3}%",
             s.mean() * 100.0,
@@ -638,9 +640,9 @@ fn fmt_aggregate(name: &str, agg: &Replicates) -> String {
 
 /// Aggregates a finished grid into an experiment-style table: cells are
 /// grouped by grid point (axis assignments; replications are innermost,
-/// so a point's cells are contiguous), replications pool into a
-/// [`Replicates`] per point, and each metric column reports
-/// mean ± 95% CI. Missing and quarantined cells are counted (and shrink
+/// so a point's cells are contiguous), replications pool into one
+/// [`Summary`] per [`METRICS`] column, in cell order, and each column
+/// reports mean ± 95% CI. Missing and quarantined cells are counted (and shrink
 /// a point's `n`) rather than failing the whole report.
 pub fn report_sweep(
     plan: &SweepPlan,
@@ -659,14 +661,16 @@ pub fn report_sweep(
         .cells()?
         .chunk_by(|a, b| a.assignments == b.assignments)
     {
-        let mut agg = Replicates::new();
+        let mut agg: [Option<Summary>; METRICS.len()] = [None; METRICS.len()];
         let (mut present, mut poisoned) = (0, 0);
         for cell in point {
             match cell_state(store, cell, master_seed) {
                 CellState::Complete(run) => {
                     present += 1;
-                    for (name, value) in &run.metrics {
-                        agg.record(name, value.as_f64());
+                    for (summary, (name, _)) in agg.iter_mut().zip(&METRICS) {
+                        if let Some(value) = run.metric(name) {
+                            summary.get_or_insert_default().record(value.as_f64());
+                        }
                     }
                 }
                 CellState::Quarantined(_) => {
@@ -684,9 +688,12 @@ pub fn report_sweep(
         } else {
             present.to_string()
         };
-        let metric = |m: &str| fmt_aggregate(m, &agg);
+        let metrics = METRICS
+            .iter()
+            .zip(&agg)
+            .map(|((m, _), summary)| fmt_aggregate(m, summary.as_ref()));
         out.table
-            .row(grid_row(&point[0].assignments, n, metric, None));
+            .row(grid_row(&point[0].assignments, n, metrics, None));
     }
     Ok(out)
 }
@@ -978,12 +985,12 @@ mod tests {
         );
         // The "events" column of point vehicles=1 must be the by-hand
         // mean ± ci95 of its two replications.
-        let mut by_hand = Replicates::new();
+        let mut by_hand = Summary::new();
         for cell in &plan.cells().unwrap()[0..2] {
             let run = store.load(&cell.spec.render(), 42).expect("stored");
-            by_hand.record("events", run.metric("events").unwrap().as_f64());
+            by_hand.record(run.metric("events").unwrap().as_f64());
         }
-        let expected = fmt_aggregate("events", &by_hand);
+        let expected = fmt_aggregate("events", Some(&by_hand));
         let rendered = report.table.to_string();
         assert!(
             rendered.contains(&expected),

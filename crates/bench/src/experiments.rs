@@ -130,7 +130,7 @@ pub const EXPERIMENTS: [Experiment; 14] = [
         title: "Fig 2.3 — Cellular IP: route-update rate vs overhead and staleness",
         notes: &[
             "expected shape: overhead falls linearly with the period; loss rises once caches outlive their refresh",
-            "cache lifetime is 3x the period, so staleness appears via handoffs, not pure expiry",
+            "the period sets only how often nodes refresh; every route cache lives 3 s (3x the default 1 s timer), so the 4000 and 8000 ms arms refresh after their caches expire",
         ],
         arms: e3_arms,
         tabulate: e3_tables,

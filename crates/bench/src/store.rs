@@ -10,7 +10,7 @@
 //! only the cells that are actually missing.
 //!
 //! A stored cell carries the run's identity, its bit-exact
-//! `SimReport::fingerprint`, and a fixed set of extracted metrics with
+//! `SimReport::fingerprint`, and the [`METRICS`] the sweep tables render,
 //! floats serialized as IEEE-754 bit patterns — a loaded cell therefore
 //! renders **byte-identically** to the run that produced it, and equals
 //! a direct (storeless) run of the same spec (asserted by
@@ -20,10 +20,12 @@
 //!
 //! The slot file is a [`mtnet_core::kv`] record — the scalar block is
 //! declared in this module's `RUN` field table, the metric, spec and
-//! fingerprint lines are its prefixed blocks. Slots here and quarantine
-//! records in [`crate::coord`] are published through the one
-//! `write_atomic`; a lease is the one file written in place, through the
-//! handle that holds its lock.
+//! fingerprint lines are its prefixed blocks. The metric block takes any
+//! name, so a slot that stored more metrics than [`METRICS`] (older
+//! slots stored 22) still loads, and the tables read only their own.
+//! Slots here and quarantine records in [`crate::coord`] are published
+//! through the one `write_atomic`; a lease is the one file written in
+//! place, through the handle that holds its lock.
 //!
 //! Every writer of a cell's files holds that cell's lease lock, so one
 //! fixed temp name per file (`<key>.run.tmp`, `<key>.poison.tmp`) never
@@ -91,47 +93,30 @@ impl MetricValue {
     }
 }
 
-/// The fixed metric surface extracted from every stored run — everything
-/// the sweep tables render, in a stable order.
-pub fn extract_metrics(report: &SimReport) -> Vec<(&'static str, MetricValue)> {
-    let q = report.aggregate_qos();
-    let h = &report.handoffs;
-    let drops = |c| report.drops.get(&c).copied().unwrap_or(0);
-    use mtnet_core::report::DropCause;
-    vec![
-        ("sent", MetricValue::U(q.sent)),
-        ("received", MetricValue::U(q.received)),
-        ("duplicates", MetricValue::U(q.duplicates)),
-        ("loss_rate", MetricValue::F(q.loss_rate)),
-        ("mean_delay_ms", MetricValue::F(q.mean_delay_ms)),
-        ("p95_delay_ms", MetricValue::F(q.p95_delay_ms)),
-        ("jitter_ms", MetricValue::F(q.jitter_ms)),
-        ("handoffs", MetricValue::U(h.total())),
-        ("handoff_latency_ms", MetricValue::F(h.latency_all().mean())),
-        ("ping_pong", MetricValue::U(h.ping_pong)),
-        ("rejected", MetricValue::U(h.rejected)),
-        ("fallback_used", MetricValue::U(h.fallback_used)),
-        ("outage_samples", MetricValue::U(h.outage_samples)),
-        (
-            "signaling_msgs",
-            MetricValue::U(report.signaling.total_messages()),
-        ),
-        (
-            "route_updates",
-            MetricValue::U(report.signaling.route_updates),
-        ),
-        (
-            "page_messages",
-            MetricValue::U(report.signaling.page_messages),
-        ),
-        ("drops_no_route", MetricValue::U(drops(DropCause::NoRoute))),
-        ("drops_paging", MetricValue::U(drops(DropCause::Paging))),
-        ("drops_outage", MetricValue::U(drops(DropCause::Outage))),
-        ("calls_accepted", MetricValue::U(report.calls_accepted)),
-        ("calls_blocked", MetricValue::U(report.calls_blocked)),
-        ("events", MetricValue::U(report.events_processed)),
-    ]
-}
+/// One sweep table column: its name and how a finished run yields it.
+pub type Metric = (&'static str, fn(&SimReport) -> MetricValue);
+
+/// The metrics every slot stores and every sweep table renders, in
+/// column order. The slot's `fp |` lines keep the rest of the report
+/// bit-exactly.
+pub const METRICS: [Metric; 8] = [
+    ("loss_rate", |r| MetricValue::F(r.aggregate_qos().loss_rate)),
+    ("mean_delay_ms", |r| {
+        MetricValue::F(r.aggregate_qos().mean_delay_ms)
+    }),
+    ("p95_delay_ms", |r| {
+        MetricValue::F(r.aggregate_qos().p95_delay_ms)
+    }),
+    ("handoffs", |r| MetricValue::U(r.handoffs.total())),
+    ("rejected", |r| MetricValue::U(r.handoffs.rejected)),
+    ("outage_samples", |r| {
+        MetricValue::U(r.handoffs.outage_samples)
+    }),
+    ("signaling_msgs", |r| {
+        MetricValue::U(r.signaling.total_messages())
+    }),
+    ("events", |r| MetricValue::U(r.events_processed)),
+];
 
 /// One completed sweep cell as stored on disk: the run's identity, its
 /// extracted metric surface and bit-exact fingerprint, plus the exact
@@ -151,7 +136,8 @@ pub struct StoredRun {
     pub spec_text: String,
     /// Bit-exact `SimReport::fingerprint` of the run.
     pub fingerprint: String,
-    /// Extracted metrics in [`extract_metrics`] order.
+    /// Metrics by name: [`METRICS`]' order when written, any names
+    /// when loaded (a slot may predate the table).
     pub metrics: Vec<(String, MetricValue)>,
 }
 
@@ -201,9 +187,9 @@ impl StoredRun {
             master_seed,
             spec_text: spec.render(),
             fingerprint: report.fingerprint(),
-            metrics: extract_metrics(report)
-                .into_iter()
-                .map(|(name, v)| (name.to_string(), v))
+            metrics: METRICS
+                .iter()
+                .map(|(name, extract)| (name.to_string(), extract(report)))
                 .collect(),
         }
     }

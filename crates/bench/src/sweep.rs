@@ -14,13 +14,13 @@
 //! old cells keep their store slots, new cells compute fresh.
 //!
 //! Numeric axes support range syntax `lo..hi..step` (inclusive ends),
-//! e.g. `domains=1..4..1` or `share_upper=0.1..0.4..0.1`. Float ranges
+//! e.g. `domains=1..4..1` or `pedestrian_pause_s=0.1..0.4..0.1`. Float ranges
 //! are generated by index multiplication (`lo + k*step`), never by
 //! repeated addition, so the endpoint cell is neither dropped nor
 //! duplicated when `(hi-lo)/step` is not exactly representable. List
 //! values may be double-quoted to carry literal `,` or `..`.
 
-use crate::store::{MetricValue, StoredRun};
+use crate::store::{MetricValue, StoredRun, METRICS};
 use crate::Effort;
 use mtnet_core::spec::{ScenarioSpec, SeedSpec};
 use mtnet_metrics::Table;
@@ -298,18 +298,6 @@ pub(crate) fn fmt_metric(run: &StoredRun, name: &str) -> String {
     }
 }
 
-/// The metric columns every sweep table carries.
-const TABLE_METRICS: [&str; 8] = [
-    "loss_rate",
-    "mean_delay_ms",
-    "p95_delay_ms",
-    "handoffs",
-    "rejected",
-    "outage_samples",
-    "signaling_msgs",
-    "events",
-];
-
 /// The header every sweep table shares: the axis keys (or `cell` for an
 /// axis-free plan), the count column (`rep` per cell, `n` per grid
 /// point), the metric columns, then `extra`.
@@ -319,16 +307,17 @@ pub(crate) fn grid_table(plan: &SweepPlan, count: &str, extra: &[&str]) -> Table
         header.push("cell".into());
     }
     header.push(count.into());
-    header.extend(TABLE_METRICS.iter().chain(extra).map(|m| m.to_string()));
+    let metrics = METRICS.iter().map(|(name, _)| name);
+    header.extend(metrics.chain(extra).map(|m| m.to_string()));
     Table::new(header)
 }
 
 /// One row under [`grid_table`]: the axis values (or `base`), the count
-/// column, `metric`'s text for each table metric, then `extra`.
+/// column, one text per [`METRICS`] column, then `extra`.
 pub(crate) fn grid_row(
     assignments: &[(String, String)],
     count: String,
-    metric: impl Fn(&str) -> String,
+    metrics: impl IntoIterator<Item = String>,
     extra: Option<String>,
 ) -> Vec<String> {
     let mut row: Vec<String> = if assignments.is_empty() {
@@ -337,7 +326,7 @@ pub(crate) fn grid_row(
         assignments.iter().map(|(_, v)| v.clone()).collect()
     };
     row.push(count);
-    row.extend(TABLE_METRICS.iter().map(|m| metric(m)));
+    row.extend(metrics);
     row.extend(extra);
     row
 }
@@ -377,9 +366,9 @@ mod tests {
     fn float_range_hits_the_endpoint_exactly_once() {
         // (0.4-0.1)/0.1 is 2.9999…96 in f64; repeated addition would
         // overshoot and drop the 0.4 cell. Index multiplication keeps it.
-        let a = parse_axis("share_upper=0.1..0.4..0.1").unwrap();
+        let a = parse_axis("pedestrian_pause_s=0.1..0.4..0.1").unwrap();
         assert_eq!(a.values, vec!["0.1", "0.2", "0.3", "0.4"]);
-        let b = parse_axis("share_upper=0.25..1.0..0.25").unwrap();
+        let b = parse_axis("pedestrian_pause_s=0.25..1.0..0.25").unwrap();
         assert_eq!(b.values, vec!["0.25", "0.50", "0.75", "1.00"]);
         // Mixed int/float bounds take the float path.
         let c = parse_axis("x=1..2..0.5").unwrap();

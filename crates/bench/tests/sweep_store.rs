@@ -10,11 +10,14 @@
 //!   extending the grid computes exactly the new cells (asserted by
 //!   counting store hits).
 //! * How many workers drain a grid changes no byte of the store.
+//! * A slot written when slots stored 22 metrics still loads, and renders
+//!   the same grid rows and report cells as a slot written now.
 
-use mtnet_bench::coord::{collect_grid, run_worker, GridReport};
-use mtnet_bench::store::{extract_metrics, ResultStore};
+use mtnet_bench::coord::{collect_grid, report_sweep, run_worker, GridReport};
+use mtnet_bench::store::{MetricValue, ResultStore, METRICS};
 use mtnet_bench::sweep::{parse_axis, SweepPlan};
 use mtnet_bench::Effort;
+use mtnet_core::report::{DropCause, SimReport};
 use mtnet_core::spec::ScenarioSpec;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -108,9 +111,9 @@ fn sweep_cell_via_store_equals_direct_run() {
         let loaded = tmp.store.load(&cell.spec.render(), 42).expect("stored");
         let report = cell.spec.run(42);
         assert_eq!(loaded.fingerprint, report.fingerprint(), "{}", loaded.label);
-        let by_hand: Vec<_> = extract_metrics(&report)
-            .into_iter()
-            .map(|(n, v)| (n.to_string(), v))
+        let by_hand: Vec<_> = METRICS
+            .iter()
+            .map(|(n, extract)| (n.to_string(), extract(&report)))
             .collect();
         assert_eq!(loaded.metrics, by_hand, "{}", loaded.label);
         assert_eq!(loaded.seed, cell.spec.resolve_seed(42));
@@ -186,4 +189,72 @@ fn sweep_results_are_thread_count_independent() {
     assert_eq!(computed, 4, "each cell is computed by exactly one worker");
     assert_eq!(store_bytes(&one.store), store_bytes(&four.store));
     assert_eq!(rendered(&plan, &one.store), rendered(&plan, &four.store));
+}
+
+/// The 22 metric lines a slot stored before the sweep tables' eight
+/// became the stored set, in their old order.
+fn metrics_of_22(report: &SimReport) -> Vec<(String, MetricValue)> {
+    use MetricValue::{F, U};
+    let q = report.aggregate_qos();
+    let h = &report.handoffs;
+    let drops = |c| U(report.drops.get(&c).copied().unwrap_or(0));
+    let s = &report.signaling;
+    [
+        ("sent", U(q.sent)),
+        ("received", U(q.received)),
+        ("duplicates", U(q.duplicates)),
+        ("loss_rate", F(q.loss_rate)),
+        ("mean_delay_ms", F(q.mean_delay_ms)),
+        ("p95_delay_ms", F(q.p95_delay_ms)),
+        ("jitter_ms", F(q.jitter_ms)),
+        ("handoffs", U(h.total())),
+        ("handoff_latency_ms", F(h.latency_all().mean())),
+        ("ping_pong", U(h.ping_pong)),
+        ("rejected", U(h.rejected)),
+        ("fallback_used", U(h.fallback_used)),
+        ("outage_samples", U(h.outage_samples)),
+        ("signaling_msgs", U(s.total_messages())),
+        ("route_updates", U(s.route_updates)),
+        ("page_messages", U(s.page_messages)),
+        ("drops_no_route", drops(DropCause::NoRoute)),
+        ("drops_paging", drops(DropCause::Paging)),
+        ("drops_outage", U(0)), // no world drops a packet for an outage
+        ("calls_accepted", U(report.calls_accepted)),
+        ("calls_blocked", U(report.calls_blocked)),
+        ("events", U(report.events_processed)),
+    ]
+    .into_iter()
+    .map(|(n, v)| (n.to_string(), v))
+    .collect()
+}
+
+#[test]
+fn a_slot_with_the_old_22_metrics_reads_as_one_written_now() {
+    let plan = SweepPlan {
+        axes: vec![parse_axis("vehicles=1,2").unwrap()],
+        replications: 2,
+        ..small_plan()
+    };
+    let (now, old) = (TempStore::new("metrics-now"), TempStore::new("metrics-old"));
+    drain(&plan, 42, &now.store);
+    for cell in plan.cells().expect("cells") {
+        let mut run = now.store.load(&cell.spec.render(), 42).expect("stored");
+        assert_eq!(run.metrics.len(), METRICS.len());
+        let report = cell.spec.run(42);
+        run.metrics = metrics_of_22(&report);
+        let text = run.render();
+        assert_eq!(text.matches("\nmetric ").count(), 22);
+        std::fs::write(
+            old.store.path_of(&ResultStore::key(&run.spec_text, 42)),
+            text,
+        )
+        .expect("plant the old slot");
+    }
+    // Every old slot loads, and the grid and the report read only their
+    // columns from it.
+    assert_eq!(rendered(&plan, &old.store), rendered(&plan, &now.store));
+    let report = |store| report_sweep(&plan, 42, store).expect("report");
+    let (a, b) = (report(&now.store), report(&old.store));
+    assert_eq!((b.complete, b.missing), (4, 0));
+    assert_eq!(a.table.to_string(), b.table.to_string());
 }

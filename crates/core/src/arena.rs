@@ -29,6 +29,11 @@ pub struct PacketRef {
     generation: u32,
 }
 
+/// A slot's packet is 112 bytes on 64-bit targets. A field that grows
+/// every slot of every world's arena must move this number on purpose.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Packet<Payload>>() == 112);
+
 /// Slab of packets with generational handles. See the module docs.
 #[derive(Debug, Default)]
 pub struct PacketArena {
@@ -77,7 +82,6 @@ impl PacketArena {
                 pkt.dst = dst;
                 pkt.payload_bytes = payload_bytes;
                 pkt.created_at = created_at;
-                pkt.hops = 0;
                 pkt.encap.clear(); // keeps capacity: no realloc next tunnel
                 pkt.payload = payload;
                 PacketRef {
@@ -114,7 +118,6 @@ impl PacketArena {
             src.payload,
         );
         let (_, pkt) = &mut self.slots[copy.index as usize];
-        pkt.hops = src.hops;
         pkt.encap.extend_from_slice(&src.encap);
         copy
     }
@@ -130,7 +133,7 @@ impl PacketArena {
         pkt
     }
 
-    /// Exclusive access to a live packet (tunnel push/pop, hop counts).
+    /// Exclusive access to a live packet (tunnel push/pop).
     ///
     /// # Panics
     ///
@@ -155,7 +158,7 @@ impl PacketArena {
     }
 
     /// Moves a whole packet into the arena: like [`PacketArena::alloc`]
-    /// but preserving the packet's id, hop count and encapsulation stack
+    /// but preserving the packet's id and encapsulation stack
     /// verbatim. The counterpart of [`PacketArena::take`] on the
     /// receiving side of a cross-shard handoff.
     pub fn insert(&mut self, packet: Packet<Payload>) -> PacketRef {
@@ -252,7 +255,6 @@ mod tests {
         let p = arena.get(r2);
         assert!(p.encap.is_empty(), "no stale tunnel headers");
         assert_eq!(p.encap.capacity(), cap, "capacity survived the recycle");
-        assert_eq!(p.hops, 0);
         assert_eq!(p.id, PacketId(9));
     }
 
@@ -285,14 +287,12 @@ mod tests {
     #[test]
     fn duplicate_copies_headers_and_tunnels() {
         let (mut arena, r) = arena_with_one();
-        arena.get_mut(r).record_hop();
         arena
             .get_mut(r)
             .encapsulate(addr(7), addr(8), mtnet_net::TunnelKind::Rsmc);
         let d = arena.duplicate(r);
         assert_ne!(d, r);
         assert_eq!(arena.get(d).id, arena.get(r).id);
-        assert_eq!(arena.get(d).hops, 1);
         assert_eq!(arena.get(d).encap, arena.get(r).encap);
         assert_eq!(arena.live(), 2);
         // The two are independent.
@@ -303,7 +303,6 @@ mod tests {
     #[test]
     fn take_then_insert_is_a_faithful_transfer() {
         let (mut src, r) = arena_with_one();
-        src.get_mut(r).record_hop();
         src.get_mut(r)
             .encapsulate(addr(3), addr(4), mtnet_net::TunnelKind::HomeAgent);
         let packet = src.take(r);
@@ -314,7 +313,6 @@ mod tests {
         assert_eq!(dst.live(), 1);
         let p = dst.get(r2);
         assert_eq!(p.id, PacketId(1));
-        assert_eq!(p.hops, 1);
         assert_eq!(p.encap.len(), 1);
         assert_eq!(p.payload_bytes, 1000);
     }

@@ -20,8 +20,6 @@ pub enum DropCause {
     NoBinding,
     /// The packet arrived while the node was being paged (idle, no route).
     Paging,
-    /// The node was in a coverage hole.
-    Outage,
 }
 
 impl std::fmt::Display for DropCause {
@@ -32,7 +30,6 @@ impl std::fmt::Display for DropCause {
             DropCause::QueueOverflow => "queue-overflow",
             DropCause::NoBinding => "no-binding",
             DropCause::Paging => "paging",
-            DropCause::Outage => "outage",
         };
         f.write_str(s)
     }

@@ -149,7 +149,6 @@ impl World {
             self.drop_packet(pkt, DropCause::QueueOverflow);
             return;
         };
-        self.arena.get_mut(pkt).record_hop();
         // Sharded execution: a hop to a node another shard owns leaves
         // this half entirely — the packet travels by value through the
         // outbox and lands in the owner's queue at the next window edge

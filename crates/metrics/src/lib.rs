@@ -5,8 +5,6 @@
 //!
 //! * [`Summary`] — streaming mean/variance/min/max (Welford) with merge and
 //!   Student-t confidence intervals.
-//! * [`Replicates`] — named scalar metrics aggregated across independent
-//!   replications (the cross-run layer over [`Summary`]).
 //! * [`Histogram`] — log-scale bucketed histogram with percentile queries
 //!   (HdrHistogram-style, base-2 with linear sub-buckets).
 //! * [`FixedHistogram`] — uniform fixed-bucket histogram with a constant
@@ -26,12 +24,10 @@
 
 mod fixed;
 mod histogram;
-mod replicates;
 mod summary;
 mod table;
 
 pub use fixed::FixedHistogram;
 pub use histogram::Histogram;
-pub use replicates::Replicates;
 pub use summary::Summary;
 pub use table::{fmt_f64, Table};
