@@ -27,9 +27,10 @@ tar -c crates/*/src crates/bench/examples examples benchmark/src | tar -x -C "$f
 # an entry point's `main` becomes `pub` so the fold's `main` can call it.
 # `#[allow(dead_code)]` is dropped, so an allowance quiets the crate's own
 # build but cannot hide an item from this census. Last, a one-line field
-# write (`a.b = x;` or `a.b += x;`) becomes `let _ = x;`: rustc counts the
-# place a write names as a use, so without this a field that is only ever
-# written looks alive. A right-hand side that is `None` or calls
+# write (`a.b = x;` or `a.b += x;`, also through calls on the way to the
+# field, as in `a.get_mut(r).b += x;`) becomes `let _ = x;`: rustc counts
+# the place a write names as a use, so without this a field that is only
+# ever written looks alive. A right-hand side that is `None` or calls
 # `default()` or `collect()` stays, since `let _` cannot infer its type.
 # A copy of a field into the same field of another value (`a.f = b.f;`)
 # becomes `let _ = ();`, so a field whose only read feeds its own copy
@@ -41,7 +42,7 @@ rewrite() {
         -e 's/(?<![\w:])(mtnet_\w+)::/crate::$1::/g; s/crate::mtnet_core::lens\b/crate::lens/g;' \
         -e 's/^fn main\(/pub fn main(/; s/#\[allow\(dead_code\)\]//;' \
         -e 's/^(\s*)[\w.]+\.(\w+)\s*=\s*[\w.]+\.\2;\s*\z/${1}let _ = ();\n/;' \
-        -e 's/^(\s*)[\w.]+\.\w+\s*\+?=(?!=)\s*+(?!None;|.*(?:default|collect)\(\))(.+);\s*\z/${1}let _ = $2;\n/' "$@"
+        -e 's/^(\s*)[\w.]+(?:\([^()]*\)[\w.]*)*\.\w+\s*\+?=(?!=)\s*+(?!None;|.*(?:default|collect)\(\))(.+);\s*\z/${1}let _ = $2;\n/' "$@"
 }
 main="$fold/src/main.rs"
 : > "$main"

@@ -1,23 +1,26 @@
 //! Metro-tier tuning probe: runs `ScenarioSpec::metro()` — or the world a
 //! `.mtspec` file names, such as a benchmark workload's — with `key=value`
 //! overrides from the command line and prints wall time, event count,
-//! events/s, peak RSS after the build and at the end, and page-fault
-//! counts — the quickest way to answer "what does this knob cost at
-//! scale" without editing an experiment. The end peak minus the build
-//! peak is what launch and the run added on top of the built world (the
-//! scheduler's share, when the peak is set at launch). `--profile` adds
-//! a per-event-type cost breakdown and the share of mobility samples
-//! whose `Stay` was certified without a scan.
+//! events/s, peak RSS after the build and at the end, the heap's own
+//! figures and page-fault counts — the quickest way to answer "what does
+//! this knob cost at scale" without editing an experiment. The end peak
+//! minus the build peak is what launch and the run added on top of the
+//! built world (the scheduler's share, when the peak is set at launch).
+//! The heap figures come from this binary's global allocator, the shared
+//! heap probe (`crates/sim/src/heap_probe.rs`): the most bytes live
+//! during the build, the bytes live once it is done, and the most live
+//! from then to the end of the run. `--profile` adds a per-event-type
+//! cost breakdown and the share of mobility samples whose `Stay` was
+//! certified without a scan.
 //!
 //! The last line, `alloc digest <hex> over <n> calls`, folds the kind and
 //! size of every heap call the build, the run and the report's drop make
-//! into one FNV-1a hash (this binary's global allocator forwards each
-//! call to `System` and observes it). Two trees that print the same
+//! on the main thread into one FNV-1a hash. Two trees that print the same
 //! digest for a world hand glibc the same allocation sequence, so its
 //! heap-trim mode cannot be what separates their `setup_s`
-//! (EXPERIMENTS.md § How performance is measured). The digest is
-//! reproducible for a world run on one thread; a sharded world's calls
-//! interleave across threads.
+//! (EXPERIMENTS.md § How performance is measured). Every world runs on
+//! the main thread through `World::run`, whatever its `shards` key says,
+//! so the digest sees all of its calls.
 //!
 //! ```text
 //! cargo run --release --example metro_probe -- --profile duration_s=12 pedestrians=10000 domains=8
@@ -28,82 +31,10 @@
 //! Every world is built at master seed 42, the benchmark's.
 use mtnet_bench::rss;
 use mtnet_core::spec::ScenarioSpec;
-use mtnet_sim::rng::{fnv1a, FNV_OFFSET};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
-/// Whether heap calls are folded now: only inside [`digested`], so the
-/// probe's own reads of `/proc` and its printing stay out of the digest.
-/// Statistics only, which publish no other data, hence `Relaxed`.
-static ON: AtomicBool = AtomicBool::new(false);
-/// The FNV-1a state over every folded call, and the number of calls.
-static DIGEST: AtomicU64 = AtomicU64::new(FNV_OFFSET);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-/// Call kinds, the first byte each call folds.
-const ALLOC: u8 = 1;
-const ALLOC_ZEROED: u8 = 2;
-const DEALLOC: u8 = 3;
-const REALLOC: u8 = 4;
-
-/// Folds one call: its kind, then each size as 8 little-endian bytes.
-fn fold(kind: u8, sizes: &[usize]) {
-    if !ON.load(Relaxed) {
-        return;
-    }
-    let _ = DIGEST.fetch_update(Relaxed, Relaxed, |h| {
-        let h = fnv1a(h, &[kind]);
-        Some(
-            sizes
-                .iter()
-                .fold(h, |h, s| fnv1a(h, &(*s as u64).to_le_bytes())),
-        )
-    });
-    CALLS.fetch_add(1, Relaxed);
-}
-
-struct Digesting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; `fold` only observes sizes.
-unsafe impl GlobalAlloc for Digesting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        fold(ALLOC, &[layout.size()]);
-        // SAFETY: the caller's guarantees for `layout` are `System`'s.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        fold(ALLOC_ZEROED, &[layout.size()]);
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        fold(DEALLOC, &[layout.size()]);
-        // SAFETY: `ptr` came from `System` through this allocator, with
-        // this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        fold(REALLOC, &[layout.size(), new_size]);
-        // SAFETY: `ptr` came from `System` through this allocator, with
-        // this `layout`; the caller's guarantees for `new_size` hold.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static DIGESTING: Digesting = Digesting;
-
-/// Runs `f` with its heap calls folded into the digest.
-fn digested<T>(f: impl FnOnce() -> T) -> T {
-    ON.store(true, Relaxed);
-    let out = f();
-    ON.store(false, Relaxed);
-    out
-}
+#[path = "../../sim/src/heap_probe.rs"]
+mod heap_probe;
+use heap_probe::digested;
 
 /// (minor, major) page faults of this process so far.
 fn faults() -> (u64, u64) {
@@ -136,6 +67,8 @@ fn main() {
     let world = digested(|| spec.build(42));
     let built = t0.elapsed();
     let built_peak = rss::peak_bytes().unwrap_or(0);
+    let built_heap = heap_probe::peak();
+    let live_heap = heap_probe::restart_peak();
     let f0 = faults();
     let t1 = std::time::Instant::now();
     let duration = mtnet_sim::SimDuration::from_secs_f64(spec.duration_s);
@@ -152,13 +85,17 @@ fn main() {
     let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
     eprintln!(
         "build {:.2}s  run {:.2}s  events {}  ev/s {:.2}M  rss after build {:.1} MiB  \
-         rss {:.1} MiB  minflt {}  majflt {}",
+         rss {:.1} MiB  heap peak build {:.1} MiB, live {:.1} MiB, run {:.1} MiB  \
+         minflt {}  majflt {}",
         built.as_secs_f64(),
         ran.as_secs_f64(),
         report.events_processed,
         report.events_processed as f64 / ran.as_secs_f64() / 1e6,
         mib(built_peak),
         mib(rss::peak_bytes().unwrap_or(0)),
+        mib(built_heap as u64),
+        mib(live_heap as u64),
+        mib(heap_probe::peak() as u64),
         f1.0 - f0.0,
         f1.1 - f0.1,
     );
@@ -166,9 +103,6 @@ fn main() {
         eprint!("{prof}");
     }
     digested(|| drop((report, prof)));
-    eprintln!(
-        "alloc digest {:016x} over {} calls",
-        DIGEST.load(Relaxed),
-        CALLS.load(Relaxed)
-    );
+    let (digest, calls) = heap_probe::take_digest();
+    eprintln!("alloc digest {digest:016x} over {calls} calls");
 }

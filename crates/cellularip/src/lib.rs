@@ -5,7 +5,7 @@
 //!
 //! * [`SoftStateCache`] — the soft-state mapping primitive behind
 //!   routing caches, paging caches and the paper's cell tables;
-//! * [`CipTree`] — the base-station tree: uplink paths and the **crossover
+//! * [`CipTree`] — the base-station tree: parent links and the **crossover
 //!   base station** (common branch node of old and new paths, Fig 2.4);
 //! * [`CipNetwork`] — routing-cache maintenance from route-update packets,
 //!   hop-by-hop downlink path resolution, paging for idle nodes;

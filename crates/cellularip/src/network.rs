@@ -58,9 +58,11 @@ pub struct CipNetwork {
     route_caches: Vec<Option<SoftStateCache<Addr, NodeId>>>,
     /// Per-node paging cache (coarser lifetime), same dense layout.
     paging_caches: Vec<Option<SoftStateCache<Addr, NodeId>>>,
-    /// Reused uplink-path buffer for the per-update climb loops
-    /// (route/paging updates arrive per active node per period — with
-    /// reuse they never touch the allocator after warm-up).
+    /// Never read any more: the climb that reused it walks the tree's
+    /// parent links instead. It goes once the benchmark's `setup_s` no
+    /// longer moves with the size of what a world allocates (ROADMAP
+    /// item 9(1)).
+    #[allow(dead_code)]
     path_scratch: Vec<NodeId>,
     route_update_messages: u64,
     /// Never read or counted any more. It goes once the benchmark's
@@ -132,26 +134,26 @@ impl CipNetwork {
     }
 
     /// Processes a route-update (or uplink data) packet from `mn` attached
-    /// at `bs`: refreshes the mn→downlink mapping at every node on the
-    /// uplink path. Returns the number of cache refreshes (= path length).
+    /// at `bs`: climbs from `bs` to the gateway, refreshing the
+    /// mn→downlink mapping at every node on the way through
+    /// [`CipNetwork::refresh_route_at`], as a world's hop-by-hop update
+    /// does without the link delays. Returns the number of cache
+    /// refreshes (= path length). Only the repository benchmark's replay
+    /// and tests call it.
     ///
     /// # Panics
     ///
     /// Panics if `bs` is not in the tree.
     pub fn route_update(&mut self, mn: Addr, bs: NodeId, now: SimTime) -> usize {
         self.route_update_messages += 1;
-        let mut path = std::mem::take(&mut self.path_scratch);
-        self.tree.uplink_path_into(bs, &mut path);
-        let mut came_from = bs; // at the attach BS the mapping is itself
-        for &node in &path {
-            self.route_cache_mut(node)
-                .expect("cache exists for every tree node")
-                .refresh(mn, came_from, now);
-            came_from = node;
+        let (mut node, mut came_from, mut hops) = (Some(bs), bs, 0);
+        while let Some(at) = node {
+            self.refresh_route_at(at, mn, came_from, now);
+            came_from = at;
+            node = self.tree.parent(at);
+            hops += 1;
         }
-        let len = path.len();
-        self.path_scratch = path;
-        len
+        hops
     }
 
     /// Refreshes the routing-cache mapping `mn → came_from` at a single

@@ -68,24 +68,6 @@ impl CipTree {
         self.parents.get(bs.0 as usize).copied().flatten()
     }
 
-    /// Path from `bs` up to and including the gateway, `[bs, …, gateway]`,
-    /// into a caller-owned buffer (cleared first), so the per-update climb
-    /// paths keep control-plane traffic off the allocator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bs` is not in the tree.
-    pub fn uplink_path_into(&self, bs: NodeId, path: &mut Vec<NodeId>) {
-        assert!(self.contains(bs), "unknown base station {bs}");
-        path.clear();
-        path.push(bs);
-        let mut cur = bs;
-        while let Some(p) = self.parent(cur) {
-            path.push(p);
-            cur = p;
-        }
-    }
-
     /// Depth of `bs` (gateway = 0). Allocation-free parent walk.
     ///
     /// # Panics
@@ -165,18 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn uplink_paths() {
-        let t = tree();
-        let mut path = Vec::new();
-        t.uplink_path_into(NodeId(3), &mut path);
-        assert_eq!(path, [NodeId(3), NodeId(1), NodeId(0)]);
-        t.uplink_path_into(NodeId(0), &mut path);
-        assert_eq!(path, [NodeId(0)]);
-        assert_eq!(t.depth(NodeId(3)), 2);
-        assert_eq!(t.depth(NodeId(0)), 0);
-    }
-
-    #[test]
     fn crossover_siblings_is_parent() {
         let t = tree();
         // 3 and 4 share parent 1 — the textbook Fig 2.4 case.
@@ -219,6 +189,8 @@ mod tests {
         assert_eq!(t.bs_count(), 5);
         assert_eq!(t.parent(NodeId(5)), Some(NodeId(2)));
         assert_eq!(t.parent(NodeId(0)), None);
+        assert_eq!(t.depth(NodeId(3)), 2);
+        assert_eq!(t.depth(NodeId(0)), 0);
     }
 
     #[test]

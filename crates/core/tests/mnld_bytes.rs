@@ -1,6 +1,6 @@
 //! Memory tripwire for the MNLD: what a sparse set of reporting nodes
 //! costs the heap, counted by a global allocator of this test binary's
-//! own.
+//! own (`heap_probe`).
 //!
 //! The home network hears from a node only when it roams between
 //! domains or is in a call, so the MNLD must hold a record per node that
@@ -13,54 +13,24 @@ use mtnet_core::messages::MnId;
 use mtnet_core::mnld::Mnld;
 use mtnet_net::Addr;
 use mtnet_sim::SimTime;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-/// Bytes live now and their high-water mark: statistics only, which
-/// publish no other data, hence `Relaxed`.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's guarantees for `layout` are `System`'s.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
-            PEAK.fetch_max(live, Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc` above, that is from `System`,
-        // with this `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
+#[path = "../../sim/src/heap_probe.rs"]
+#[allow(dead_code)] // only the peak is read here
+mod heap_probe;
 
 #[test]
 fn sparse_reports_cost_their_records_not_the_id_range() {
     const REPORTS: u32 = 100;
     const STRIDE: u32 = 10_000;
     const BUDGET: usize = 64 * 1024;
-    let before = LIVE.load(Relaxed);
-    PEAK.store(before, Relaxed);
+    let before = heap_probe::restart_peak();
     let mut mnld = Mnld::new();
     let rsmc = Addr::from_octets(20, 0, 0, 1);
     for i in 0..REPORTS {
         let first = mnld.update(MnId(i * STRIDE), DomainId(i), rsmc, SimTime::ZERO);
         assert!(first, "a first report is a domain change");
     }
-    let peak = PEAK.load(Relaxed) - before;
+    let peak = heap_probe::peak() - before;
     assert!(
         peak <= BUDGET,
         "{REPORTS} reports up to id {} peaked at {peak} B, over the {BUDGET} B budget",

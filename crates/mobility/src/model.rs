@@ -205,20 +205,15 @@ impl LegCursor {
         self.walk = Walk::On(cur);
         cur
     }
-
-    /// End of the current leg (`SimTime::ZERO` before the first query).
-    fn horizon(&self) -> SimTime {
-        match self.walk {
-            Walk::At(_) => SimTime::ZERO,
-            Walk::On(cur) => cur.end(),
-        }
-    }
 }
 
 /// A trajectory: a [`MobilityModel`] of its own, the phase word and the
 /// [`LegCursor`] walking it from the model's start, with position and
 /// speed queries at per-trajectory non-decreasing times (see
-/// [`LegCursor`] for the exact contract).
+/// [`LegCursor`] for the exact contract). A world keeps the cursor in its
+/// own rows and the model in a shared table; only tests and the
+/// repository benchmark's replay walk a `Trajectory`. Its `Debug` shows
+/// the phase word and the cursor, not the boxed model.
 pub struct Trajectory {
     model: Box<dyn MobilityModel + Send>,
     phase: u32,
@@ -228,8 +223,9 @@ pub struct Trajectory {
 impl std::fmt::Debug for Trajectory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Trajectory")
-            .field("horizon", &self.cursor.horizon())
-            .finish()
+            .field("phase", &self.phase)
+            .field("cursor", &self.cursor)
+            .finish_non_exhaustive()
     }
 }
 
@@ -406,7 +402,16 @@ mod tests {
             );
             assert_eq!(phase, pulled, "legs pulled by {t:?}");
         }
-        assert_eq!(cursor.horizon(), us(2000) + SimDuration::from_secs(1));
+        // The last leg ends 1 s after it began: no pull before then.
+        let end = us(2000) + SimDuration::from_secs(1);
+        let just_before = SimTime::from_nanos(end.as_nanos() - 1);
+        assert_eq!(
+            cursor.sample(just_before, &model, &mut phase, &mut r),
+            (there, 0.0)
+        );
+        assert_eq!(phase, 3, "no leg pulled before {end:?}");
+        cursor.sample(end, &model, &mut phase, &mut r);
+        assert_eq!(phase, 4, "the next leg pulled at {end:?}");
     }
 
     #[test]
@@ -449,7 +454,7 @@ mod tests {
         let mut r = rng();
         traj.position(SimTime::from_secs(1), &mut r);
         let shown = format!("{traj:?}");
-        assert!(shown.contains("horizon"), "got: {shown}");
+        assert!(shown.contains("cursor"), "got: {shown}");
         assert!(shown.contains("3600"), "got: {shown}");
     }
 

@@ -304,13 +304,12 @@ impl CellMap {
         kind.tx_power_dbm() - PathLoss::of(kind).mean_loss_db(d)
     }
 
-    /// Received power at `at` when `at` lies inside the cell's nominal
-    /// footprint, `None` otherwise (or for unknown ids). One distance
-    /// computation serves both the coverage check and the path loss —
-    /// the per-packet air-interface reachability probe.
-    pub fn rssi_if_covered(&self, cell: CellId, at: Point) -> Option<f64> {
-        let c = self.cell(cell)?;
-        if self.down[cell.0 as usize] {
+    /// Received power at `at` from `c` while `c` is up and `at` lies
+    /// inside its nominal footprint, `None` otherwise. One distance
+    /// computation serves both the coverage check and the path loss; the
+    /// caller has already looked `c` up.
+    fn covered_rssi(&self, c: &Cell, at: Point) -> Option<f64> {
+        if self.down[c.id().0 as usize] {
             return None;
         }
         let ground = c.center().distance(at);
@@ -320,27 +319,32 @@ impl CellMap {
         Some(Self::rssi_from_ground(c.kind(), ground))
     }
 
+    /// Received power at `at` when `at` lies inside the cell's nominal
+    /// footprint, `None` otherwise (or for unknown ids): the per-packet
+    /// air-interface reachability probe.
+    pub fn rssi_if_covered(&self, cell: CellId, at: Point) -> Option<f64> {
+        self.covered_rssi(self.cell(cell)?, at)
+    }
+
     /// One audible-cell measurement, or `None` if the cell fails the tier
     /// filter, footprint check, or sensitivity floor.
     fn measure_one(&self, cell: CellId, at: Point, tier: Option<CellKind>) -> Option<Measurement> {
         let c = self.cell(cell).expect("indexed cell exists");
-        if self.down[cell.0 as usize] {
-            return None;
-        }
         if !tier.is_none_or(|t| c.kind() == t) {
             return None;
         }
-        let ground = c.center().distance(at);
-        if ground > c.radius_m() {
-            return None;
-        }
-        let m = Measurement {
+        let rssi_dbm = self.covered_rssi(c, at)?;
+        (rssi_dbm >= SENSITIVITY_DBM).then(|| Measurement {
             cell,
             kind: c.kind(),
-            rssi_dbm: Self::rssi_from_ground(c.kind(), ground),
+            rssi_dbm,
             free_ratio: c.free_resource_ratio(),
-        };
-        (m.rssi_dbm >= SENSITIVITY_DBM).then_some(m)
+        })
+    }
+
+    /// The scan order: strongest RSSI first, lowest id on a tie.
+    fn rank(a: &Measurement, b: &Measurement) -> std::cmp::Ordering {
+        b.rssi_dbm.total_cmp(&a.rssi_dbm).then(a.cell.cmp(&b.cell))
     }
 
     /// Measures every audible cell at `at` (RSSI above the sensitivity
@@ -352,7 +356,7 @@ impl CellMap {
         self.grid.for_each_candidate(at, |id| {
             out.extend(self.measure_one(id, at, tier));
         });
-        out.sort_by(|a, b| b.rssi_dbm.total_cmp(&a.rssi_dbm).then(a.cell.cmp(&b.cell)));
+        out.sort_by(Self::rank);
     }
 
     /// Measures every audible cell at `at` (RSSI above the sensitivity
@@ -369,10 +373,11 @@ impl CellMap {
     /// [`CellMap::measure_full_scan`] bit for bit on both paths: the
     /// sweep is a *conservative* pre-filter (its radius bound is widened
     /// far beyond its few-ulp rounding slack, so it never rejects a
-    /// covered cell), and every survivor goes through the same
-    /// `hypot`/path-loss arithmetic and the same `total_cmp` sort.
-    /// Property tests hold each path against the full scan; the world
-    /// uses this one for the per-sample handoff scans.
+    /// covered cell), every survivor goes through the same
+    /// `hypot`/path-loss arithmetic, and both paths sort by the one
+    /// ranking. Property tests hold each path against the full scan; the
+    /// world uses this one for the per-sample handoff scans, and
+    /// [`CellMap::best_cell`] is its head.
     pub fn measure_batch(&self, at: Point, tier: Option<CellKind>, out: &mut Vec<Measurement>) {
         // Metro-scale deployments: past a few hundred cells the full SoA
         // sweep loses to the spatial grid (the sweep is O(cells) per
@@ -393,7 +398,8 @@ impl CellMap {
             at.y,
             |i| {
                 // Exact scalar path for the survivors — same ops, same
-                // bits as `measure_one` (including the outage gate).
+                // bits as `measure_one` (including the outage gate), with
+                // the outage and tier gates read before the `Cell` is.
                 if self.down[self.soa.id[i].0 as usize] {
                     return;
                 }
@@ -416,7 +422,7 @@ impl CellMap {
                 }
             },
         );
-        out.sort_by(|a, b| b.rssi_dbm.total_cmp(&a.rssi_dbm).then(a.cell.cmp(&b.cell)));
+        out.sort_by(Self::rank);
     }
 
     /// Reference implementation of [`CellMap::measure_batch`] that scans
@@ -433,28 +439,14 @@ impl CellMap {
         out
     }
 
-    /// `true` if `candidate` outranks `best` in the
-    /// [`CellMap::measure_batch`] sort order (strongest RSSI first, lowest id on ties).
-    fn outranks(candidate: &Measurement, best: &Measurement) -> bool {
-        match candidate.rssi_dbm.total_cmp(&best.rssi_dbm) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Equal => candidate.cell < best.cell,
-            std::cmp::Ordering::Less => false,
-        }
-    }
-
-    /// Strongest audible cell at `at`, optionally restricted to one tier.
-    /// Single pre-filtered pass over the grid bucket, no allocation.
+    /// Strongest audible cell at `at`, optionally restricted to one tier:
+    /// the head of [`CellMap::measure_batch`], the scan worlds run. It
+    /// allocates the scan's list on every call; only the repository
+    /// benchmark's replay calls it.
     pub fn best_cell(&self, at: Point, tier: Option<CellKind>) -> Option<CellId> {
-        let mut best: Option<Measurement> = None;
-        self.grid.for_each_candidate(at, |id| {
-            if let Some(m) = self.measure_one(id, at, tier) {
-                if best.as_ref().is_none_or(|b| Self::outranks(&m, b)) {
-                    best = Some(m);
-                }
-            }
-        });
-        best.map(|m| m.cell)
+        let mut out = Vec::new();
+        self.measure_batch(at, tier, &mut out);
+        out.first().map(|m| m.cell)
     }
 
     /// Proves, from squared distances and per-kind bounds alone, what the

@@ -1,6 +1,6 @@
 //! Memory tripwire for the scheduler's tick lanes: what a pending
 //! periodic timer costs the heap at launch, counted by a global
-//! allocator of this test binary's own.
+//! allocator of this test binary's own (`heap_probe`).
 //!
 //! A lane stores a tick in 16 bytes, in blocks of 1 024, and its one
 //! sort — at the first read — works inside those blocks. So filing N
@@ -10,46 +10,16 @@
 //! through a copy of the lane (≈ 4.8 MB) break the budget.
 
 use mtnet_sim::{Scheduler, SimDuration, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-/// Bytes live now and their high-water mark: statistics only, which
-/// publish no other data, hence `Relaxed`.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's guarantees for `layout` are `System`'s.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
-            PEAK.fetch_max(live, Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc` above, that is from `System`,
-        // with this `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
+#[path = "../src/heap_probe.rs"]
+#[allow(dead_code)] // only the peak is read here
+mod heap_probe;
 
 #[test]
 fn launch_ticks_peak_at_sixteen_bytes_apiece() {
     const N: u64 = 100_000;
     const BLOCK_BYTES: usize = 1024 * 16;
-    let before = LIVE.load(Relaxed);
-    PEAK.store(before, Relaxed);
+    let before = heap_probe::restart_peak();
     let mut q: Scheduler<u32> = Scheduler::new();
     let lane = q.add_lane(SimDuration::from_secs(1), |id| id);
     // A permutation of the launch instants, as a stagger files them.
@@ -59,7 +29,7 @@ fn launch_ticks_peak_at_sixteen_bytes_apiece() {
     }
     let first = q.pop().expect("filed above");
     assert_eq!((q.now(), first.into_event()), (SimTime::ZERO, 0));
-    let peak = PEAK.load(Relaxed) - before;
+    let peak = heap_probe::peak() - before;
     let budget = 16 * N as usize + 4 * BLOCK_BYTES;
     assert!(
         peak <= budget,

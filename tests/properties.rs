@@ -2,7 +2,7 @@
 //! (proptest). Each property encodes something the reproduction's
 //! correctness rests on.
 
-use mtnet_cellularip::{CipTree, HandoffKind, SoftStateCache};
+use mtnet_cellularip::{CipConfig, CipNetwork, CipTree, HandoffKind, SoftStateCache};
 use mtnet_core::handoff::{
     Candidate, CurrentAttachment, DecisionConfig, HandoffDecision, HandoffEngine, HandoffFactors,
 };
@@ -379,6 +379,31 @@ fn near_ties_are_not_certified() {
     }
 }
 
+/// `best_cell` is the head of the full scan at `at`, over all tiers and
+/// over the one tier `pick` names (mod 4).
+fn best_cell_heads_the_full_scan(
+    map: &CellMap,
+    at: Point,
+    pick: usize,
+) -> Result<(), TestCaseError> {
+    for tier in [None, Some(CellKind::ALL[pick % 4])] {
+        let head = map.measure_full_scan(at, tier).first().map(|m| m.cell);
+        prop_assert_eq!(
+            map.best_cell(at, tier),
+            head,
+            "at {:?}, tier {:?}",
+            at,
+            tier
+        );
+    }
+    Ok(())
+}
+
+/// `bs`'s uplink path `[bs, …, gateway]`, from the tree's parent links.
+fn uplink(tree: &CipTree, bs: NodeId) -> Vec<NodeId> {
+    std::iter::successors(Some(bs), |&n| tree.parent(n)).collect()
+}
+
 proptest! {
     // ---------------------------------------------------------------
     // Radio grid index: bucketed measurement is observationally
@@ -420,8 +445,7 @@ proptest! {
             map.measure_batch(at, tier, &mut grid);
             let scan = map.measure_full_scan(at, tier);
             prop_assert_eq!(&grid, &scan, "grid and scan disagree at {:?}", at);
-            // The single-pass best cell agrees with the sorted list.
-            prop_assert_eq!(map.best_cell(at, tier), scan.first().map(|m| m.cell));
+            best_cell_heads_the_full_scan(&map, at, tier_filter)?;
         }
     }
 
@@ -570,14 +594,70 @@ proptest! {
         let a = nodes[pick.0.index(nodes.len())];
         let b = nodes[pick.1.index(nodes.len())];
         let x = tree.crossover(a, b);
-        let (mut path_a, mut path_b) = (Vec::new(), Vec::new());
-        tree.uplink_path_into(a, &mut path_a);
-        tree.uplink_path_into(b, &mut path_b);
+        let (path_a, path_b) = (uplink(&tree, a), uplink(&tree, b));
         prop_assert!(path_a.contains(&x) && path_b.contains(&x), "common ancestor");
         // No strictly deeper common node exists.
         for n in &path_a {
             if path_b.contains(n) {
                 prop_assert!(tree.depth(*n) <= tree.depth(x));
+            }
+        }
+    }
+
+    // ---------------------------------------------------------------
+    // CIP route update: the climb from the attach BS re-points exactly
+    // the uplink path (each node on it maps the node to its child on the
+    // path, the BS to itself) and refreshes or drops nothing else, with
+    // earlier updates of other nodes and of the same one in the caches.
+    // ---------------------------------------------------------------
+    #[test]
+    fn route_update_repoints_exactly_the_uplink(
+        shape in prop::collection::vec(0usize..6, 1..24),
+        earlier in prop::collection::vec(
+            any::<(prop::sample::Index, prop::sample::Index)>(),
+            0..8,
+        ),
+        pick in any::<(prop::sample::Index, prop::sample::Index)>(),
+    ) {
+        let config = CipConfig::default();
+        let mut net = CipNetwork::new(NodeId(0), config);
+        let mut nodes = vec![NodeId(0)];
+        for (i, &p) in shape.iter().enumerate() {
+            let parent = nodes[p % nodes.len()];
+            let id = NodeId(i as u32 + 1);
+            net.add_bs(id, parent);
+            nodes.push(id);
+        }
+        let mns: Vec<Addr> = (1..=3).map(|i| Addr::from_octets(20, 0, 1, i)).collect();
+        for (k, (m, b)) in earlier.iter().enumerate() {
+            let (m, b) = (mns[m.index(mns.len())], nodes[b.index(nodes.len())]);
+            net.route_update(m, b, SimTime::from_millis(k as u64));
+        }
+        let now = SimTime::from_millis(100);
+        // Past every earlier entry's lifetime, only what `now` refreshed lives.
+        let late = now + config.timers.route_cache_lifetime() - SimDuration::from_millis(1);
+        let entries = |net: &CipNetwork, t: SimTime| -> Vec<Option<NodeId>> {
+            nodes
+                .iter()
+                .flat_map(|&n| mns.iter().map(move |&m| (n, m)))
+                .map(|(n, m)| net.next_hop(n, m, t))
+                .collect()
+        };
+        let before = entries(&net, now);
+        let (mn, bs) = (mns[pick.0.index(mns.len())], nodes[pick.1.index(nodes.len())]);
+        let path = uplink(net.tree(), bs);
+        prop_assert_eq!(net.route_update(mn, bs, now), path.len());
+        let (after, after_late) = (entries(&net, now), entries(&net, late));
+        for (i, &node) in nodes.iter().enumerate() {
+            for (j, &m) in mns.iter().enumerate() {
+                let k = i * mns.len() + j;
+                let child = match path.iter().position(|&n| n == node) {
+                    Some(at) if m == mn => Some(path[at.saturating_sub(1)]),
+                    _ => None,
+                };
+                let expect = child.or(before[k]);
+                prop_assert_eq!(after[k], expect, "{} for {} at {:?}", node, m, now);
+                prop_assert_eq!(after_late[k], child, "{} for {} at {:?}", node, m, late);
             }
         }
     }
@@ -1066,6 +1146,7 @@ proptest! {
             map.measure_batch(at, tier, &mut batch);
             let scan = map.measure_full_scan(at, tier);
             prop_assert_eq!(&batch, &scan, "batch and scan disagree at {:?}", at);
+            best_cell_heads_the_full_scan(&map, at, tier_filter)?;
         }
     }
 }
